@@ -1,6 +1,6 @@
 """Desk-scale verification of Kodaira-Spencer constants for PEL moduli.
 
-Two layers.  The local one works over truncated Laurent series on a
+Two layers.  The local one works with exact monomials c*pi^v over a
 finite field and pins down image-ideal exponents by Smith normal form;
 the archimedean one builds period lattices from an order embedding and
 a point of the relevant symmetric domain, solves for the connecting

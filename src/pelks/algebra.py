@@ -3,23 +3,20 @@
 Three layers, each used by the layer above:
 
   * finite fields GF(p^m) with tabulated arithmetic and Frobenius,
-  * truncated Laurent series over such a field, i.e. elements of
-    GF(p^m)((pi)) known up to an absolute pi-adic precision,
-  * matrices over the series ring together with Smith normal form
-    over the valuation ring GF(p^m)[[pi]], tracking the unimodular
-    transforms on both sides.
+  * exact monomials c*pi^v (or 0) in GF(p^m)((pi)), the only elements
+    the local relation and Gram matrices of this package contain,
+  * Smith normal form of monomial matrices over the valuation ring
+    GF(p^m)[[pi]], tracking the right transform.
 
 A parallel Smith normal form over the rational integers lives here as
 well, since the global rank computations need the same bookkeeping
 (divisors, left and right transforms) over Z instead of a DVR.
 
-Precision convention: a series carries an absolute precision `prec`,
-meaning every coefficient of pi^e with e < prec is known exactly.  A
-series with no known nonzero coefficient is a zero sentinel: val is
-+inf, and `prec` records how far the zero has been certified.  An
-exact zero has prec = +inf.  Valuations of nonzero normalized series
-are always exact because normalization strips leading zeros below
-`prec`.
+Exactness convention: monomials are closed under products, inverses
+and Frobenius, and a sum of two monomials stays one when a summand is
+zero or both have the same valuation.  Any other sum raises NonMonomial
+instead of being approximated, so every run checks that its local
+arithmetic was exact.
 """
 
 from fractions import Fraction
@@ -27,15 +24,13 @@ from functools import lru_cache
 
 INF = float("inf")
 
-DEFAULT_PRECISION = 16
-
 # Table-based fields get slow and memory hungry past this many elements;
 # everything in this package lives in far smaller fields.
 MAX_FIELD_SIZE = 4096
 
 
-class InsufficientPrecision(Exception):
-    """Raised when a pi-adic computation cannot be certified at the working precision."""
+class NonMonomial(ArithmeticError):
+    """Raised when a sum of monomials of different valuation would leave the exact monomial class."""
 
 
 class DegenerateTestElement(Exception):
@@ -266,221 +261,93 @@ def finite_field(q, ext=1):
 
 
 def frobenius(x, e=1):
-    """x -> x^(p^e) on field elements, coefficientwise on series."""
+    """x -> x^(p^e) on field elements and on the coefficient of a monomial."""
     return x.frobenius(e)
 
 
-class LocalSeriesElement:
-    """Truncated Laurent series sum_{e >= val} c_e pi^e over a finite field.
+class LocalMonomial:
+    """An exact element c*pi^val of GF(p^m)((pi)), or 0 (val = +inf).
 
-    coeffs[t] is the coefficient of pi^(val + t); an empty coeffs tuple
-    is the zero sentinel (val = +inf) certified up to pi^prec.
+    `coeffs` is (c,) for a nonzero element and () for zero.
     """
 
-    __slots__ = ("field", "val", "coeffs", "prec")
+    __slots__ = ("field", "val", "coeff")
 
-    def __init__(self, field, val, coeffs, prec=INF):
-        coeffs = tuple(coeffs)
-        # strip leading zeros so val is exact, and trailing zeros for canonicity
-        while coeffs and not coeffs[0]:
-            coeffs = coeffs[1:]
-            val += 1
-        while coeffs and not coeffs[-1]:
-            coeffs = coeffs[:-1]
-        if prec != INF and coeffs:
-            keep = max(0, int(prec) - val)
-            coeffs = coeffs[:keep]
-            while coeffs and not coeffs[-1]:
-                coeffs = coeffs[:-1]
-        if not coeffs:
-            val = INF
+    def __init__(self, field, val, coeff):
         self.field = field
-        self.val = val
-        self.coeffs = coeffs
-        self.prec = prec
-
-    # -- constructors -------------------------------------------------
+        self.val = val if coeff else INF
+        self.coeff = coeff
 
     @staticmethod
-    def zero(field, prec=INF):
-        return LocalSeriesElement(field, INF, (), prec)
+    def zero(field):
+        return LocalMonomial(field, INF, field.zero)
 
     @staticmethod
     def one(field):
-        return LocalSeriesElement(field, 0, (field.one,))
-
-    @staticmethod
-    def constant(field, c):
-        return LocalSeriesElement(field, 0, (c,))
-
-    @staticmethod
-    def pi_power(field, e, c=None):
-        return LocalSeriesElement(field, e, (c if c is not None else field.one,))
-
-    # -- predicates ---------------------------------------------------
+        return LocalMonomial(field, 0, field.one)
 
     @property
     def is_zero(self):
-        """True only for the exact zero; a finite-precision sentinel is undecided."""
-        return not self.coeffs and self.prec == INF
+        return not self.coeff
 
     @property
-    def is_sentinel(self):
-        return not self.coeffs
-
-    def coefficient(self, e):
-        """Known coefficient of pi^e; raises if e is beyond the precision."""
-        if e >= self.prec:
-            raise InsufficientPrecision(f"coefficient of pi^{e} unknown at O(pi^{self.prec})")
-        if self.is_sentinel or e < self.val or e >= self.val + len(self.coeffs):
-            return self.field.zero
-        return self.coeffs[e - self.val]
-
-    # -- arithmetic ---------------------------------------------------
+    def coeffs(self):
+        return (self.coeff,) if self.coeff else ()
 
     def __add__(self, other):
-        if self.is_zero:
+        if not self.coeff:
             return other
-        if other.is_zero:
+        if not other.coeff:
             return self
-        prec = min(self.prec, other.prec)
-        if self.is_sentinel and other.is_sentinel:
-            return LocalSeriesElement.zero(self.field, prec)
-        lo = min(self.val if self.coeffs else prec, other.val if other.coeffs else prec)
-        hi_known = prec
-        if hi_known == INF:
-            hi_known = max(
-                self.val + len(self.coeffs) if self.coeffs else lo,
-                other.val + len(other.coeffs) if other.coeffs else lo,
-            )
-        out = []
-        for e in range(int(lo), int(hi_known)):
-            out.append(self.coefficient(e) + other.coefficient(e))
-        return LocalSeriesElement(self.field, int(lo), out, prec)
+        if self.val != other.val:
+            raise NonMonomial(f"{self} + {other} is not a monomial")
+        return LocalMonomial(self.field, self.val, self.coeff + other.coeff)
 
     def __neg__(self):
-        return LocalSeriesElement(self.field, self.val, tuple(-c for c in self.coeffs), self.prec)
+        return LocalMonomial(self.field, self.val, -self.coeff)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if self.is_sentinel or other.is_sentinel:
-            a = self.prec if self.is_sentinel else self.val
-            b = other.prec if other.is_sentinel else other.val
-            return LocalSeriesElement.zero(self.field, a + b)
-        prec = min(self.val + other.prec, other.val + self.prec)
-        n = len(self.coeffs) + len(other.coeffs) - 1
-        if prec != INF:
-            n = min(n, int(prec) - (self.val + other.val))
-        out = [self.field.zero] * n
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j >= n:
-                    break
-                out[i + j] = out[i + j] + a * b
-        return LocalSeriesElement(self.field, self.val + other.val, out, prec)
+        if not (self.coeff and other.coeff):
+            return LocalMonomial.zero(self.field)
+        return LocalMonomial(self.field, self.val + other.val, self.coeff * other.coeff)
 
-    def inverse(self, prec=None):
-        """Multiplicative inverse, truncated at relative precision.
-
-        The relative precision of the input is preserved; exact inputs
-        are truncated at DEFAULT_PRECISION relative digits since a unit
-        inverse is an infinite series in general.  Exact monomials are
-        the exception: c*pi^v inverts exactly, which keeps eliminations
-        against monomial pivots free of spurious precision loss.
-        """
-        if self.is_sentinel:
-            raise ZeroDivisionError("inverse of a (certified-zero or undecided) series")
-        if self.prec == INF and len(self.coeffs) == 1:
-            return LocalSeriesElement(self.field, -self.val, (self.coeffs[0].inverse(),))
-        rel = self.prec - self.val if self.prec != INF else (prec or DEFAULT_PRECISION)
-        rel = int(rel)
-        c = [self.coefficient(self.val + t) if t < rel else self.field.zero for t in range(rel)]
-        inv0 = c[0].inverse()
-        d = [inv0]
-        for k in range(1, rel):
-            acc = self.field.zero
-            for t in range(1, k + 1):
-                if t < len(c) and c[t]:
-                    acc = acc + c[t] * d[k - t]
-            d.append(-(inv0 * acc))
-        out_prec = (-self.val) + rel if self.prec != INF else (-self.val) + rel
-        return LocalSeriesElement(self.field, -self.val, d, out_prec)
-
-    def divide_exact(self, other):
-        """self / other when the quotient is known to be exact in the DVR sense."""
-        return self * other.inverse()
-
-    def scale(self, c):
-        return LocalSeriesElement(self.field, self.val, tuple(c * x for x in self.coeffs), self.prec)
+    def inverse(self):
+        if not self.coeff:
+            raise ZeroDivisionError("0 has no inverse")
+        return LocalMonomial(self.field, -self.val, self.coeff.inverse())
 
     def shift(self, e):
         """Multiply by pi^e."""
-        if self.is_sentinel:
-            return LocalSeriesElement.zero(self.field, self.prec + e)
-        return LocalSeriesElement(self.field, self.val + e, self.coeffs, self.prec + e)
-
-    def map_coeffs(self, fn):
-        return LocalSeriesElement(self.field, self.val, tuple(fn(c) for c in self.coeffs), self.prec)
+        return LocalMonomial(self.field, self.val + e, self.coeff)
 
     def frobenius(self, e=1):
-        return self.map_coeffs(lambda c: c.frobenius(e))
-
-    def truncate(self, prec):
-        return LocalSeriesElement(self.field, self.val if self.coeffs else INF, self.coeffs, min(self.prec, prec))
-
-    # -- comparison ---------------------------------------------------
+        return LocalMonomial(self.field, self.val, self.coeff.frobenius(e))
 
     def __eq__(self, other):
         return (
-            isinstance(other, LocalSeriesElement)
+            isinstance(other, LocalMonomial)
             and self.field is other.field
             and self.val == other.val
-            and self.coeffs == other.coeffs
-            and self.prec == other.prec
+            and self.coeff == other.coeff
         )
 
     def __hash__(self):
-        return hash((id(self.field), self.val, self.coeffs, self.prec))
-
-    def agrees_with(self, other):
-        """Equality of all coefficients known to both sides."""
-        upto = min(self.prec, other.prec)
-        if upto == INF:
-            return self.val == other.val and self.coeffs == other.coeffs
-        lo = min(self.val if self.coeffs else upto, other.val if other.coeffs else upto)
-        if lo >= upto:
-            return True
-        return all(self.coefficient(e) == other.coefficient(e) for e in range(int(lo), int(upto)))
+        return hash((id(self.field), self.val, self.coeff))
 
     def __repr__(self):
-        if self.is_sentinel:
-            return "0" if self.prec == INF else f"O(pi^{self.prec})"
-        terms = []
-        for t, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            e = self.val + t
-            base = f"{c.code}" if e == 0 else (f"{c.code}*pi^{e}" if c.code != 1 else f"pi^{e}")
-            terms.append(base)
-        s = " + ".join(terms)
-        if self.prec != INF:
-            s += f" + O(pi^{self.prec})"
-        return s
-
-
-def series_valuation(s):
-    """pi-adic valuation; +inf for exact zero, raises for an undecided sentinel."""
-    if s.is_sentinel and s.prec != INF:
-        raise InsufficientPrecision(f"valuation only certified >= {s.prec}")
-    return s.val
+        if not self.coeff:
+            return "0"
+        c, e = self.coeff.code, self.val
+        if e == 0:
+            return f"{c}"
+        return f"{c}*pi^{e}" if c != 1 else f"pi^{e}"
 
 
 class RingMatrix:
-    """Dense matrix over the local series ring (rows of LocalSeriesElement)."""
+    """Matrix over the local ring: rows of LocalMonomial entries."""
 
     __slots__ = ("field", "rows")
 
@@ -488,235 +355,88 @@ class RingMatrix:
         self.field = field
         self.rows = [list(r) for r in rows]
 
-    @staticmethod
-    def identity(field, n):
-        z = LocalSeriesElement.zero(field)
-        o = LocalSeriesElement.one(field)
-        return RingMatrix(field, [[o if i == j else z for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zeros(field, m, n):
-        z = LocalSeriesElement.zero(field)
-        return RingMatrix(field, [[z for _ in range(n)] for _ in range(m)])
-
-    @property
-    def shape(self):
-        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
-
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
-
-    def __setitem__(self, ij, value):
-        self.rows[ij[0]][ij[1]] = value
-
-    def copy(self):
-        return RingMatrix(self.field, self.rows)
-
-    def __add__(self, other):
-        return RingMatrix(
-            self.field,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
-
-    def __matmul__(self, other):
-        m, k = self.shape
-        k2, n = other.shape
-        if k != k2:
-            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        z = LocalSeriesElement.zero(self.field)
-        out = []
-        for i in range(m):
-            row = []
-            for j in range(n):
-                acc = z
-                for t in range(k):
-                    a = self.rows[i][t]
-                    b = other.rows[t][j]
-                    if a.is_sentinel and a.prec == INF:
-                        continue
-                    if b.is_sentinel and b.prec == INF:
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return RingMatrix(self.field, out)
-
-    def transpose(self):
-        m, n = self.shape
-        return RingMatrix(self.field, [[self.rows[i][j] for i in range(m)] for j in range(n)])
-
-    def map(self, fn):
-        return RingMatrix(self.field, [[fn(x) for x in row] for row in self.rows])
-
-    def det(self):
-        """Laplace expansion; intended for the small matrices in tests and reports."""
-        m, n = self.shape
-        if m != n:
-            raise ValueError("determinant of a non-square matrix")
-        if m == 1:
-            return self.rows[0][0]
-        acc = LocalSeriesElement.zero(self.field)
-        for j in range(n):
-            a = self.rows[0][j]
-            if a.is_sentinel and a.prec == INF:
-                continue
-            minor = RingMatrix(
-                self.field,
-                [[self.rows[i][t] for t in range(n) if t != j] for i in range(1, m)],
-            )
-            term = a * minor.det()
-            acc = acc + term if j % 2 == 0 else acc - term
-        return acc
-
-    def agrees_with(self, other):
-        return all(
-            a.agrees_with(b) for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
-        )
-
-    def __repr__(self):
-        return "RingMatrix([\n  " + ",\n  ".join(str(r) for r in self.rows) + "\n])"
-
 
 class SmithDecomposition:
-    """Result of Smith normal form: U @ A @ V = D with U, V unimodular.
+    """Result of Smith normal form.
 
-    `exponents` lists the pi-adic exponents of the diagonal divisors in
-    nondecreasing order; +inf marks an exactly zero divisor.  Over Z
-    (integer variant) `divisors` holds the nonnegative elementary
-    divisors themselves and matrices are lists of int lists.
+    Over Z, U @ A @ V = D with U, V unimodular lists of int lists, and
+    `divisors` holds the nonnegative elementary divisors.  Over the
+    valuation ring only V is kept, and `exponents` lists the pi-adic
+    exponents of the diagonal divisors in nondecreasing order; +inf
+    marks an exactly zero divisor.
     """
 
-    __slots__ = ("U", "D", "V", "exponents", "divisors", "u_det", "v_det")
+    __slots__ = ("U", "D", "V", "exponents", "divisors")
 
-    def __init__(self, U, D, V, exponents=None, divisors=None, u_det=None, v_det=None):
+    def __init__(self, U, D, V, exponents=None, divisors=None):
         self.U = U
         self.D = D
         self.V = V
         self.exponents = exponents
         self.divisors = divisors
-        self.u_det = u_det
-        self.v_det = v_det
 
 
-def smith_normal_form(matrix, track_left=True):
-    """Smith normal form over GF(q^n)[[pi]].
+def smith_normal_form(matrix):
+    """Smith normal form over GF(q^n)[[pi]] of a matrix of monomials.
 
-    Pivot selection takes the entry of minimal certified valuation,
-    breaking ties lexicographically by (row, column).  Eliminated
-    entries are set to exact zero (the cancellation is exact in the
-    DVR even though the stored quotient is truncated).  Raises
-    InsufficientPrecision when a zero sentinel of finite precision
-    could hide a smaller valuation than every certified entry.
+    Pivot selection takes the entry of minimal valuation, breaking ties
+    lexicographically by (row, column).  V is returned as a list of
+    rows; a vector x has quotient coordinates x @ V.  Raises NonMonomial
+    when an elimination step would leave the monomial class.
     """
     field = matrix.field
-    A = matrix.copy()
-    m, n = A.shape
-    U = RingMatrix.identity(field, m) if track_left else None
-    V = RingMatrix.identity(field, n)
-    u_det = LocalSeriesElement.one(field)
-    v_det = LocalSeriesElement.one(field)
+    A = [list(r) for r in matrix.rows]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    zero = LocalMonomial.zero(field)
+    one = LocalMonomial.one(field)
+    V = [[one if i == j else zero for j in range(n)] for i in range(n)]
     exponents = []
-    zero = LocalSeriesElement.zero(field)
 
     for k in range(min(m, n)):
         pivot = None
-        sentinel_floor = INF
+        pv = INF
         for i in range(k, m):
+            row = A[i]
             for j in range(k, n):
-                a = A.rows[i][j]
-                if a.is_sentinel:
-                    if a.prec != INF:
-                        sentinel_floor = min(sentinel_floor, a.prec)
-                    continue
-                if pivot is None or a.val < A.rows[pivot[0]][pivot[1]].val:
+                if row[j].val < pv:
+                    pv = row[j].val
                     pivot = (i, j)
         if pivot is None:
-            if sentinel_floor != INF:
-                raise InsufficientPrecision(
-                    f"remaining block certified zero only up to O(pi^{sentinel_floor})"
-                )
             exponents.extend([INF] * (min(m, n) - k))
             break
-        pv = A.rows[pivot[0]][pivot[1]].val
-        if pv > sentinel_floor:
-            raise InsufficientPrecision(
-                f"pivot valuation {pv} exceeds a sentinel certified only to O(pi^{sentinel_floor})"
-            )
         pi_, pj = pivot
-        if pi_ != k:
-            A.rows[k], A.rows[pi_] = A.rows[pi_], A.rows[k]
-            if track_left:
-                U.rows[k], U.rows[pi_] = U.rows[pi_], U.rows[k]
-            u_det = -u_det
+        A[k], A[pi_] = A[pi_], A[k]
         if pj != k:
-            for row in A.rows:
+            for row in A:
                 row[k], row[pj] = row[pj], row[k]
-            for row in V.rows:
+            for row in V:
                 row[k], row[pj] = row[pj], row[k]
-            v_det = -v_det
-        p = A.rows[k][k]
-        # clear the pivot column; only touch columns where the pivot row
-        # has something to propagate
-        pjs = [j for j in range(k + 1, n) if not A.rows[k][j].is_zero]
-        ujs = [j for j in range(m) if not U.rows[k][j].is_zero] if track_left else ()
-        undecided_rows = []
-        for i in range(m):
-            if i == k:
+        # rows and columns before k are already cleared, so only the
+        # block below and right of the pivot changes
+        prow = A[k]
+        p_inv = prow[k].inverse()
+        pjs = [j for j in range(k + 1, n) if prow[j].coeff]
+        for i in range(k + 1, m):
+            row = A[i]
+            if not row[k].coeff:
                 continue
-            a = A.rows[i][k]
-            if a.is_sentinel:
-                if a.prec != INF and a.prec < pv:
-                    raise InsufficientPrecision(
-                        f"entry certified zero only to O(pi^{a.prec}) below pivot pi^{pv}"
-                    )
-                if a.prec != INF:
-                    undecided_rows.append(i)
-                continue
-            factor = a.divide_exact(p)
-            A.rows[i][k] = zero
+            factor = row[k] * p_inv
+            row[k] = zero
             for j in pjs:
-                A.rows[i][j] = A.rows[i][j] - factor * A.rows[k][j]
-            if track_left:
-                for j in ujs:
-                    U.rows[i][j] = U.rows[i][j] - factor * U.rows[k][j]
-        # clear the pivot row; the pivot column below/above is exact zero
-        # by now, so only the pivot row itself and V change
-        for j in range(n):
-            if j == k:
-                continue
-            a = A.rows[k][j]
-            if a.is_sentinel:
-                if a.prec != INF and a.prec < pv:
-                    raise InsufficientPrecision(
-                        f"entry certified zero only to O(pi^{a.prec}) right of pivot pi^{pv}"
-                    )
-                continue
-            factor = a.divide_exact(p)
-            A.rows[k][j] = zero
-            # rows whose pivot-column entry is an undecided sentinel keep
-            # an O(pi^prec) contribution from this column operation
-            for i in undecided_rows:
-                A.rows[i][j] = A.rows[i][j] - A.rows[i][k] * factor
-            for i in range(n):
-                if not V.rows[i][k].is_zero:
-                    V.rows[i][j] = V.rows[i][j] - V.rows[i][k] * factor
-        # normalize the pivot to an exact power of pi
-        unit = LocalSeriesElement(field, 0, p.coeffs, p.prec - p.val if p.prec != INF else INF)
-        unit_inv = unit.inverse()
-        if track_left:
-            U.rows[k] = [unit_inv * x for x in U.rows[k]]
-        u_det = u_det * unit_inv
-        A.rows[k][k] = LocalSeriesElement.pi_power(field, pv)
+                row[j] = row[j] - factor * prow[j]
+        vks = [i for i in range(n) if V[i][k].coeff]
+        for j in pjs:
+            factor = prow[j] * p_inv
+            prow[j] = zero
+            for i in vks:
+                V[i][j] = V[i][j] - V[i][k] * factor
         exponents.append(pv)
 
     finite = [e for e in exponents if e != INF]
     if finite != sorted(finite):
         raise AssertionError(f"divisor exponents not nondecreasing: {exponents}")
-    D = RingMatrix.zeros(field, m, n)
-    for t, e in enumerate(exponents):
-        if e != INF:
-            D.rows[t][t] = LocalSeriesElement.pi_power(field, int(e))
-    return SmithDecomposition(U, D, V, exponents=exponents, u_det=u_det, v_det=v_det)
+    return SmithDecomposition(None, None, V, exponents=exponents)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ formula recomputed independently, "derived" for a structural fact
 validated through a second route, "trivial" for identities that are
 definitional once the objects exist.
 
-Report shape (schema_version 1): name, config digest, seed, summary
+Report shape (schema_version 2): name, config digest, seed, summary
 counts, the checks sorted by name, and a timing block that callers
 must ignore when comparing runs for determinism.
 """
@@ -44,7 +44,7 @@ from .lattices import (
 )
 from .pel_modules import global_rank_lemma, image_exponent, quotient_structure
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 COCYCLE_TOL = 1e-12
 W_TOL = 1e-10
@@ -283,9 +283,13 @@ def _check_polarization_degree(cfg, ctx):
         trace_index = dual_index_oracle(lat, 1.0)
         computed["trace_form_degree"] = trace_deg
         computed["trace_form_dual_index"] = trace_index
-        expected["trace_form_degree"] = d_abs
-        expected["trace_form_dual_index"] = d_abs * d_abs
-        ok = ok and trace_deg == d_abs and trace_index == d_abs * d_abs
+        expected["trace_form_degree"] = d_abs ** (cfg.r // 2)
+        expected["trace_form_dual_index"] = d_abs**cfg.r
+        ok = (
+            ok
+            and trace_deg == expected["trace_form_degree"]
+            and trace_index == expected["trace_form_dual_index"]
+        )
     return ("pass" if ok else "fail"), computed, expected, ""
 
 
@@ -572,8 +576,9 @@ EXPLANATIONS = {
     "arch.polarization-degree": (
         "Degree of the resolved polarization (expected 1, i.e. principal), "
         "via the integer determinant of the Gram matrix with the elementary"
-        "-divisor index as an independent oracle; in the rank-one quadratic "
-        "case the basic trace form must have degree |discriminant|."
+        "-divisor index as an independent oracle; over a rank-one quadratic "
+        "order the basic trace form must have degree |discriminant|^(r/2) "
+        "and dual index |discriminant|^r."
     ),
     "pipeline.cocycle-jacobian": (
         "Analytic Jacobian of the embedding coordinates against central "

@@ -12,7 +12,7 @@ Complex numbers are encoded as [re, im] pairs, matrices as row lists.
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,7 +104,6 @@ class ArchimedeanData:
 
 @dataclass(frozen=True)
 class Tolerances:
-    local_precision: int = 16
     epsilon: float = 1e-9
 
 
@@ -138,7 +137,7 @@ _TOP_KEYS = {
 }
 _PLACE_KEYS = {"residue_size", "frobenius_power", "conjugation_power", "split"}
 _ARCH_KEYS = {"discriminant", "order_basis", "mu_mode", "mu"}
-_TOL_KEYS = {"local_precision", "epsilon"}
+_TOL_KEYS = {"epsilon"}
 
 
 def config_from_dict(d):
@@ -220,11 +219,7 @@ def config_from_dict(d):
     if "tolerances" in d:
         t = d["tolerances"]
         _check_keys(t, _TOL_KEYS, "tolerances")
-        tol = Tolerances(
-            local_precision=_as_int(t.get("local_precision", 16), "local_precision"),
-            epsilon=_as_number(t.get("epsilon", 1e-9), "epsilon"),
-        )
-        _expect(tol.local_precision >= 4, "local_precision must be at least 4")
+        tol = Tolerances(epsilon=_as_number(t.get("epsilon", 1e-9), "epsilon"))
         _expect(tol.epsilon > 0, "epsilon must be positive")
 
     samples = _as_int(d.get("samples", 20), "samples")
@@ -277,10 +272,7 @@ def config_to_dict(cfg):
         "archimedean": None,
         "samples": cfg.samples,
         "seed": cfg.seed,
-        "tolerances": {
-            "local_precision": cfg.tolerances.local_precision,
-            "epsilon": cfg.tolerances.epsilon,
-        },
+        "tolerances": {"epsilon": cfg.tolerances.epsilon},
         "description": cfg.description,
     }
     if cfg.archimedean is not None:
@@ -300,12 +292,9 @@ def config_digest(cfg):
 
 
 def with_overrides(cfg, seed=None, samples=None):
-    out = cfg
-    if seed is not None:
-        out = replace(out, seed=seed)
-    if samples is not None:
-        out = replace(out, samples=samples)
-    return out
+    """cfg with the given fields replaced, validated like a loaded config."""
+    overrides = {k: v for k, v in {"seed": seed, "samples": samples}.items() if v is not None}
+    return config_from_dict(config_to_dict(cfg) | overrides)
 
 
 def build_embedding(cfg):

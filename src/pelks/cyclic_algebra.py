@@ -7,20 +7,9 @@ x -> x^(q^f) with gcd(f, n) = 1, and a generator u satisfying
     u^n = pi,        u x = tau(x) u   for x in E.
 
 Elements are kept in cyclic coordinates (x_0, ..., x_{n-1}), meaning
-sum x_i u^i with x_i in E.  The faithful matrix model sends x in E to
-diag(x, tau x, ..., tau^{n-1} x) and u to the shift matrix with ones on
-the superdiagonal and pi in the bottom-left corner; cyclic coordinates
-are recovered from the first matrix row.
-
-The involution of the second kind is computed at the matrix level,
-
-    M* = H^{-1} tau(bar(M)^t) H,
-
-with H the antidiagonal permutation and bar = tau^s entrywise (2s = 0
-mod n).  This is an anti-automorphism of the matrix algebra for every
-n, but it maps the cyclic image into itself only for n <= 2; for
-larger n `involution_star` raises ValueError on elements whose image
-leaves the cyclic locus.
+sum x_i u^i with each x_i an exact monomial of E.  Products of elements
+with one nonzero coordinate each, such as the basis zeta^a u^i of the
+maximal order, stay in that class; other sums raise NonMonomial.
 """
 
 from dataclasses import dataclass
@@ -28,8 +17,7 @@ from functools import cached_property
 from math import gcd
 
 from .algebra import (
-    InsufficientPrecision,
-    LocalSeriesElement,
+    LocalMonomial,
     RingMatrix,
     finite_field,
     prime_power,
@@ -72,14 +60,14 @@ class CyclicAlgebraDescriptor:
         # q = p^plog, so x -> x^q is frobenius(plog) at the prime level
         return prime_power(self.residue_size)[1]
 
-    def tau(self, series, power=1):
-        """Apply tau^power to an element of E (coefficientwise)."""
+    def tau(self, x, power=1):
+        """Apply tau^power to an element of E."""
         e = (self._plog * self.frobenius_power * power) % (self._plog * self.n)
-        return series.frobenius(e) if e else series
+        return x.frobenius(e) if e else x
 
-    def bar(self, series):
+    def bar(self, x):
         """The conjugation tau^s on E."""
-        return self.tau(series, self.conjugation_power)
+        return self.tau(x, self.conjugation_power)
 
     # -- element constructors -------------------------------------------
 
@@ -90,23 +78,23 @@ class CyclicAlgebraDescriptor:
         return CyclicAlgebraElement(self, coeffs)
 
     def zero(self):
-        z = LocalSeriesElement.zero(self.field)
+        z = LocalMonomial.zero(self.field)
         return self.element([z] * self.n)
 
     def one(self):
-        return self.scalar(LocalSeriesElement.one(self.field))
+        return self.scalar(LocalMonomial.one(self.field))
 
     def scalar(self, x):
         """Embed x in E as a cyclic element."""
-        z = LocalSeriesElement.zero(self.field)
+        z = LocalMonomial.zero(self.field)
         return self.element([x] + [z] * (self.n - 1))
 
     def u(self):
         if self.n == 1:
-            return self.scalar(LocalSeriesElement.pi_power(self.field, 1))
-        z = LocalSeriesElement.zero(self.field)
+            return self.scalar(LocalMonomial(self.field, 1, self.field.one))
+        z = LocalMonomial.zero(self.field)
         coeffs = [z] * self.n
-        coeffs[1] = LocalSeriesElement.one(self.field)
+        coeffs[1] = LocalMonomial.one(self.field)
         return self.element(coeffs)
 
 
@@ -137,7 +125,7 @@ class CyclicAlgebraElement:
         """
         d = self.descriptor
         n = d.n
-        out = [LocalSeriesElement.zero(d.field) for _ in range(n)]
+        out = [LocalMonomial.zero(d.field) for _ in range(n)]
         for i, xi in enumerate(self.coeffs):
             if xi.is_zero:
                 continue
@@ -151,72 +139,10 @@ class CyclicAlgebraElement:
                 out[k] = out[k] + term
         return CyclicAlgebraElement(d, out)
 
-    def to_matrix(self):
-        """Image in M_n(E): entry (r, c) is tau^r(x_(c-r mod n)), with a
-        factor pi below the diagonal."""
-        d = self.descriptor
-        n = d.n
-        rows = []
-        for r in range(n):
-            row = []
-            for c in range(n):
-                x = d.tau(self.coeffs[(c - r) % n], r)
-                row.append(x.shift(1) if c < r else x)
-            rows.append(row)
-        return RingMatrix(d.field, rows)
-
-    @staticmethod
-    def from_matrix(descriptor, matrix):
-        """Recover cyclic coordinates from the first row, checking that
-        the whole matrix lies in the cyclic image."""
-        cand = CyclicAlgebraElement(descriptor, matrix.rows[0])
-        if not cand.to_matrix().agrees_with(matrix):
-            raise ValueError("matrix is not in the image of the cyclic embedding")
-        return cand
-
-    def in_maximal_order(self):
-        """Whether the element lies in the maximal order O_E + O_E u + ...
-
-        Matrix criterion: valuation >= 0 on and above the diagonal and
-        >= 1 strictly below.  Equivalent to all cyclic coordinates being
-        integral.
-        """
-        M = self.to_matrix()
-        n = self.descriptor.n
-        for r in range(n):
-            for c in range(n):
-                a = M.rows[r][c]
-                need = 1 if c < r else 0
-                if a.is_sentinel:
-                    if a.prec < need:
-                        raise InsufficientPrecision(
-                            f"entry certified only to O(pi^{a.prec}), need >= {need}"
-                        )
-                    continue
-                if a.val < need:
-                    return False
-        return True
-
-    def involution_star(self):
-        """The involution beta -> beta* of the second kind.
-
-        Computed as H^{-1} tau(bar(M)^t) H on the matrix model and pulled
-        back through the cyclic embedding.  Raises ValueError when the
-        image is not cyclic (possible for n >= 3).
-        """
-        d = self.descriptor
-        n = d.n
-        M = self.to_matrix()
-        star = [
-            [d.tau(d.bar(M.rows[n - 1 - j][n - 1 - i])) for j in range(n)]
-            for i in range(n)
-        ]
-        return CyclicAlgebraElement.from_matrix(d, RingMatrix(d.field, star))
-
     def reduced_trace(self):
-        """Trace of the matrix model: Tr_{E/F}(x_0) as a series in E."""
+        """Reduced trace Tr_{E/F}(x_0), as an element of E."""
         d = self.descriptor
-        t = LocalSeriesElement.zero(d.field)
+        t = LocalMonomial.zero(d.field)
         for r in range(d.n):
             t = t + d.tau(self.coeffs[0], r)
         return t
@@ -225,7 +151,7 @@ class CyclicAlgebraElement:
         return (
             isinstance(other, CyclicAlgebraElement)
             and self.descriptor == other.descriptor
-            and all(a.agrees_with(b) for a, b in zip(self.coeffs, other.coeffs))
+            and self.coeffs == other.coeffs
         )
 
     def __repr__(self):
@@ -281,18 +207,17 @@ def discriminant_report(descriptor):
         is_division = True
 
     zeta = field.generator
-    one = LocalSeriesElement.one(field)
     basis = []
     for i in range(n):
         for a in range(n):
-            coeffs = [LocalSeriesElement.zero(field)] * n
-            coeffs[i] = LocalSeriesElement(field, 0, (zeta**a,)) if a else one
+            coeffs = [LocalMonomial.zero(field)] * n
+            coeffs[i] = LocalMonomial(field, 0, zeta**a)
             basis.append(CyclicAlgebraElement(d, coeffs))
     gram = RingMatrix(
         field,
         [[(x * y).reduced_trace() for y in basis] for x in basis],
     )
-    dec = smith_normal_form(gram, track_left=False)
+    dec = smith_normal_form(gram)
     gram_exponent = sum(dec.exponents)
     return DiscriminantReport(
         n=n,

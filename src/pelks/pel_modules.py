@@ -34,12 +34,11 @@ from dataclasses import dataclass, field as dataclass_field
 from .algebra import (
     INF,
     DegenerateTestElement,
-    LocalSeriesElement,
+    LocalMonomial,
     RingMatrix,
     integer_det,
     integer_inverse,
     integer_smith_normal_form,
-    series_valuation,
     smith_normal_form,
 )
 from .cyclic_algebra import discriminant_report
@@ -127,9 +126,9 @@ class TensorSpace:
         return i, j, l, k
 
     def basis_vector(self, i, j, l, k, coeff=None):
-        v = TensorVector(self, [LocalSeriesElement.zero(self.field)] * self.size)
+        v = TensorVector(self, [LocalMonomial.zero(self.field)] * self.size)
         v.coeffs[self.index(i, j, l, k)] = (
-            coeff if coeff is not None else LocalSeriesElement.one(self.field)
+            coeff if coeff is not None else LocalMonomial.one(self.field)
         )
         return v
 
@@ -175,7 +174,7 @@ def find_test_letters(descriptor, mode):
     zeta = field.generator
 
     def orbit(v):
-        return [descriptor.tau(LocalSeriesElement(field, 0, (v,)), a).coeffs[0] for a in range(n)]
+        return [descriptor.tau(LocalMonomial(field, 0, v), a).coeff for a in range(n)]
 
     if mode == "orbit_n":
         for a in range(1, field.size - 1):
@@ -211,7 +210,6 @@ def relation_generators(plain, dual, letters, include_swap=False):
     field = space.field
     n, r = space.n, space.r
     rows = []
-    one = LocalSeriesElement.one(field)
     for i in range(n):
         for j in range(r):
             for l in range(n):
@@ -222,16 +220,16 @@ def relation_generators(plain, dual, letters, include_swap=False):
                     if c:
                         rows.append(
                             space.basis_vector(
-                                i, j, l, k, LocalSeriesElement(field, 0, (c,))
+                                i, j, l, k, LocalMonomial(field, 0, c)
                             )
                         )
                     i2, e1 = plain.u_image(i, j)
                     l2, e2 = dual.u_image(l, k)
                     left = space.basis_vector(
-                        i2, j, l, k, LocalSeriesElement.pi_power(field, e1)
+                        i2, j, l, k, LocalMonomial(field, e1, field.one)
                     )
                     right = space.basis_vector(
-                        i, j, l2, k, LocalSeriesElement.pi_power(field, e2)
+                        i, j, l2, k, LocalMonomial(field, e2, field.one)
                     )
                     rows.append(left - right)
                     if include_swap:
@@ -251,7 +249,7 @@ class _Decomposition:
     def __init__(self, space, rows):
         self.space = space
         matrix = RingMatrix(space.field, [row.coeffs for row in rows])
-        self.dec = smith_normal_form(matrix, track_left=False)
+        self.dec = smith_normal_form(matrix)
         self.exponents = self.dec.exponents
         self.free_slots = [t for t, e in enumerate(self.exponents) if e == INF]
         self.free_slots += list(range(len(self.exponents), space.size))
@@ -262,7 +260,7 @@ class _Decomposition:
 
     def free_coordinates(self, flat):
         """Image of basis class `flat` in the free part of the quotient."""
-        row = self.dec.V.rows[flat]
+        row = self.dec.V[flat]
         return [row[s] for s in self.free_slots]
 
 
@@ -333,14 +331,14 @@ def quotient_structure(descriptor, signature, kind, letters=None):
 
     chains = []
     survivor_flats = set()
-    pi = LocalSeriesElement.pi_power(space.field, 1)
+    pi = LocalMonomial(space.field, 1, space.field.one)
     for (j, k) in pairs:
         chain = _chain_indices(space, j, k)
         survivor_flats.update(chain)
         coords = [dec.free_coordinates(flat) for flat in chain]
         for i0 in range(2, n):
             for a, b in zip(coords[i0], coords[1]):
-                if not a.agrees_with(b):
+                if a != b:
                     violations.append(
                         f"chain ({j},{k}): class {i0 + 1} differs from class 2"
                     )
@@ -348,7 +346,7 @@ def quotient_structure(descriptor, signature, kind, letters=None):
         tail = coords[1] if n > 1 else coords[0]
         if n > 1:
             for a, b in zip(coords[0], tail):
-                if not a.agrees_with(pi * b):
+                if a != pi * b:
                     violations.append(f"chain ({j},{k}): twist C_1 = pi C_2 fails")
                     break
         if all(a.is_zero for a in tail):
@@ -369,7 +367,7 @@ def quotient_structure(descriptor, signature, kind, letters=None):
             space.field,
             [dec.free_coordinates(chain[-1]) for (_, chain) in chains],
         )
-        bdec = smith_normal_form(basis, track_left=False)
+        bdec = smith_normal_form(basis)
         if any(e != 0 for e in bdec.exponents):
             violations.append("surviving lines are not an O_E-basis of the quotient")
 
@@ -455,7 +453,7 @@ def image_exponent(descriptor, signature, kind, letters=None):
         coords = [dec.free_coordinates(flat) for flat in chain]
         vals = []
         for i0, y in enumerate(coords):
-            nonzero = [series_valuation(a) for a in y if not a.is_zero]
+            nonzero = [a.val for a in y if not a.is_zero]
             if not nonzero:
                 violations.append(f"chain ({j},{k}): class {i0 + 1} vanishes")
                 vals.append(None)
@@ -471,7 +469,7 @@ def image_exponent(descriptor, signature, kind, letters=None):
             y, z = coords[i0 - 1], coords[i0]
             for t in range(len(y)):
                 for s in range(t + 1, len(y)):
-                    if not (y[t] * z[s]).agrees_with(y[s] * z[t]):
+                    if y[t] * z[s] != y[s] * z[t]:
                         violations.append(
                             f"chain ({j},{k}): classes {i0} and {i0 + 1} not proportional"
                         )

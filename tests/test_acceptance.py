@@ -11,10 +11,10 @@ import time
 
 import numpy as np
 
-from pelks.algebra import LocalSeriesElement, series_valuation
+from pelks.algebra import LocalMonomial
 from pelks.checks import run_checks
 from pelks.cli import resolve_config
-from pelks.config import with_overrides
+from pelks.config import config_from_dict, with_overrides
 from pelks.cyclic_algebra import CyclicAlgebraDescriptor
 from pelks.domains import HermitianPoint, random_point
 from pelks.kodaira_spencer import (
@@ -80,15 +80,15 @@ def test_quaternion_image_exponent_and_generators():
         letters = find_test_letters(desc, "orbit_n")
         plain, dual = build_module_pair(desc, (1, 0))
         space, rows = relation_generators(plain, dual, letters)
-        pi = LocalSeriesElement.pi_power(space.field, 1)
+        pi = LocalMonomial(space.field, 1, space.field.one)
         dead, twisted = set(), False
         for row in rows:
             c = row.coeffs
-            assert c[3].agrees_with(-(c[0] * pi))
+            assert c[3] == -(c[0] * pi)
             for flat in (1, 2):
                 others = [t for t in range(4) if t != flat]
                 if not c[flat].is_zero and all(c[t].is_zero for t in others):
-                    if series_valuation(c[flat]) == 0:
+                    if c[flat].val == 0:
                         dead.add(flat)
             if not c[0].is_zero:
                 twisted = True
@@ -238,6 +238,30 @@ def test_polarization_degrees():
     index = dual_index_oracle(lat, 1.0)
     assert deg == 4
     assert index == 16 == deg * deg
+
+
+def test_gaussian_trace_form_degree_at_rank_four():
+    # on r = 4 the trace form sees two Gaussian blocks: degree |D|^(r/2)
+    # = 16 and dual index |D|^r = 256
+    cfg = config_from_dict(
+        {
+            "name": "gauss-r4",
+            "type": "A",
+            "n": 1,
+            "r": 4,
+            "signature": [2, 2],
+            "archimedean": {
+                "discriminant": -4,
+                "order_basis": [[[[1, 0]]], [[[0, 1]]]],
+                "mu_mode": "self-dual-auto",
+            },
+            "samples": 2,
+        }
+    )
+    (chk,) = run_checks(cfg, only="arch.polarization-degree")["checks"]
+    assert chk["status"] == "pass"
+    assert chk["computed"]["trace_form_degree"] == 16
+    assert chk["computed"]["trace_form_dual_index"] == 256
 
 
 def test_reports_are_reproducible():

@@ -1,18 +1,18 @@
+from itertools import combinations
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pelks.algebra import (
-    DEFAULT_PRECISION,
     INF,
-    InsufficientPrecision,
-    LocalSeriesElement as S,
+    LocalMonomial as M,
+    NonMonomial,
     RingMatrix,
     finite_field,
     frobenius,
     integer_det,
     integer_inverse,
     integer_smith_normal_form,
-    series_valuation,
     smith_normal_form,
 )
 
@@ -77,161 +77,177 @@ def test_field_construction_is_deterministic():
     assert GF9.modulus == (1, 0, 1)  # x^2 + 1, smallest irreducible over GF(3)
 
 
-# -- local series ------------------------------------------------------------
+# -- local monomials ---------------------------------------------------------
 
 
-@given(_series(GF9), _series(GF9), _series(GF9))
+def _monomials(field):
+    return st.builds(
+        lambda v, code: M(field, v, field(code)),
+        st.integers(-3, 3),
+        st.integers(min_value=0, max_value=field.size - 1),
+    )
+
+
+@given(_monomials(GF9), st.integers(-3, 3), st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
 @settings(max_examples=60)
-def test_series_ring_axioms(a, b, c):
-    assert ((a + b) + c).agrees_with(a + (b + c))
-    assert (a * (b + c)).agrees_with(a * b + a * c)
-    assert (a * b).agrees_with(b * a)
-    assert ((a * b) * c).agrees_with(a * (b * c))
+def test_series_ring_axioms(a, v, x, y, z):
+    # sums stay monomials at a common valuation
+    b, c, d = (M(GF9, v, GF9(code)) for code in (x, y, z))
+    assert (b + c) + d == b + (c + d)
+    assert b + c == c + b
+    assert a * (b + c) == a * b + a * c
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
 
 
-@given(_series(GF9), _series(GF9))
+@given(_monomials(GF9), _monomials(GF9))
 def test_series_valuation_adds_under_product(a, b):
-    assert series_valuation(a * b) == series_valuation(a) + series_valuation(b)
+    assert (a * b).val == a.val + b.val
 
 
-@given(_series(GF25))
+@given(_monomials(GF25))
 def test_series_inverse_roundtrip(a):
-    if a.is_sentinel:
+    if a.is_zero:
         with pytest.raises(ZeroDivisionError):
             a.inverse()
         return
-    assert (a * a.inverse()).agrees_with(S.one(GF25))
+    assert a * a.inverse() == M.one(GF25)
 
 
-def test_series_normalization_strips_leading_zeros():
-    a = S(GF9, 2, (GF9.zero, GF9.one))
-    assert a.val == 3 and a.coeffs == (GF9.one,)
-
-
-def test_zero_sentinel_semantics():
-    exact = S.zero(GF9)
-    assert exact.is_zero and exact.val == INF
-    a = S(GF9, 0, (GF9.one,)).truncate(5)
-    d = a - a
-    assert d.is_sentinel and not d.is_zero and d.prec == 5
-    with pytest.raises(InsufficientPrecision):
-        series_valuation(d)
-    with pytest.raises(InsufficientPrecision):
-        d.coefficient(7)
-
-
-def test_sentinel_precision_propagates_through_product():
-    a = S(GF9, 0, (GF9.one,)).truncate(4)
-    z = a - a              # O(pi^4)
-    b = S.pi_power(GF9, 2)
-    assert (z * b).prec == 6
-    assert (z * S.zero(GF9)).is_zero
-
-
-def test_inverse_of_exact_unit_is_truncated():
-    a = S(GF9, 0, (GF9.one, GF9.generator))
-    inv = a.inverse()
-    assert inv.prec == DEFAULT_PRECISION
+def test_sum_of_different_valuations_is_refused():
+    pi = M(GF9, 1, GF9.one)
+    with pytest.raises(NonMonomial):
+        M.one(GF9) + pi
+    assert (pi - pi).is_zero and (pi - pi).val == INF
+    assert (pi - pi).coeffs == ()
 
 
 def test_frobenius_on_series_is_coefficientwise():
     z = GF9.generator
-    a = S(GF9, -1, (z, GF9.one, z * z))
-    fa = a.frobenius()
-    assert fa.coefficient(-1) == z**3
-    assert fa.coefficient(1) == (z * z) ** 3
+    fa = M(GF9, -1, z).frobenius()
+    assert fa.val == -1 and fa.coeff == z**3
 
 
 # -- Smith normal form over the valuation ring -------------------------------
+#
+# The reference below is independent of the elimination: entries become
+# {valuation: coefficient} polynomials, and determinants are Laplace
+# expansions over them, so binomials that SNF would refuse are fine here.
 
 
-def _mat(field, entries):
-    return RingMatrix(field, [[e for e in row] for row in entries])
+def _poly(x):
+    return {x.val: x.coeff} if x.coeff else {}
+
+
+def _padd(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out[e] + c if e in out else c
+        if not out[e]:
+            del out[e]
+    return out
+
+
+def _pmul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            out = _padd(out, {e1 + e2: c1 * c2})
+    return out
+
+
+def _pdet(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = {}
+    for j, a in enumerate(rows[0]):
+        if a:
+            minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+            term = _pmul(a, _pdet(minor))
+            acc = _padd(acc, term if j % 2 == 0 else {e: -c for e, c in term.items()})
+    return acc
+
+
+def _pval(p):
+    return min(p) if p else INF
 
 
 def test_snf_hand_example():
     # [[pi, 1], [0, pi]] reduces to diag(1, pi^2): the unit pivots first,
     # and the determinant pi^2 lands in the last divisor.
-    pi = S.pi_power(GF9, 1)
-    M = _mat(GF9, [[pi, S.one(GF9)], [S.zero(GF9), pi]])
-    dec = smith_normal_form(M)
+    pi = M(GF9, 1, GF9.one)
+    dec = smith_normal_form(RingMatrix(GF9, [[pi, M.one(GF9)], [M.zero(GF9), pi]]))
     assert dec.exponents == [0, 2]
-    assert (dec.U @ M @ dec.V).agrees_with(dec.D)
 
 
 def test_snf_zero_block_yields_infinite_divisors():
-    z = S.zero(GF9)
-    one = S.one(GF9)
-    M = _mat(GF9, [[one, z], [z, z]])
-    dec = smith_normal_form(M)
+    z = M.zero(GF9)
+    one = M.one(GF9)
+    dec = smith_normal_form(RingMatrix(GF9, [[one, z], [z, z]]))
     assert dec.exponents == [0, INF]
 
 
 def test_snf_exact_cancellation_certifies_rank():
     # rank-one matrix with monomial entries: the elimination pi^2 - pi*pi
-    # must cancel exactly, leaving a certified zero divisor
-    pi = S.pi_power(GF9, 1)
-    M = _mat(GF9, [[S.one(GF9), pi], [pi, pi * pi]])
-    dec = smith_normal_form(M)
+    # must cancel exactly, leaving a zero divisor
+    pi = M(GF9, 1, GF9.one)
+    dec = smith_normal_form(RingMatrix(GF9, [[M.one(GF9), pi], [pi, pi * pi]]))
     assert dec.exponents == [0, INF]
 
 
-def test_snf_insufficient_precision_on_undecided_block():
-    a = S(GF9, 0, (GF9.one,)).truncate(3)
-    undecided = a - a  # O(pi^3)
-    M = _mat(GF9, [[undecided]])
-    with pytest.raises(InsufficientPrecision):
-        smith_normal_form(M)
+def test_snf_refuses_a_binomial():
+    # eliminating the unit pivot leaves pi - 1 in the lower right corner
+    one = M.one(GF9)
+    with pytest.raises(NonMonomial):
+        smith_normal_form(RingMatrix(GF9, [[one, one], [one, M(GF9, 1, GF9.one)]]))
 
 
-def test_snf_sentinel_below_pivot_valuation_raises():
-    a = S(GF9, 0, (GF9.one,)).truncate(2)
-    undecided = a - a  # O(pi^2)
-    M = _mat(GF9, [[S.pi_power(GF9, 5), undecided]])
-    with pytest.raises(InsufficientPrecision):
-        smith_normal_form(M)
+_sparse_entry = st.tuples(st.booleans(), st.integers(1, 8), st.integers(0, 2))
 
 
 @given(
-    st.lists(
-        st.lists(st.tuples(st.integers(0, 8), st.integers(0, 2)), min_size=3, max_size=3),
-        min_size=3,
-        max_size=3,
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.lists(_sparse_entry, min_size=n, max_size=n), min_size=1, max_size=3)
     )
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_snf_random_matrices(entries):
-    M = _mat(GF9, [[S(GF9, v, (GF9(c),)) if c else S.zero(GF9) for c, v in row] for row in entries])
+    rows = [[M(GF9, v, GF9(c)) if keep else M.zero(GF9) for keep, c, v in row] for row in entries]
     try:
-        dec = smith_normal_form(M)
-    except InsufficientPrecision:
-        # honest refusal: a truncated pivot inverse can leave the rank
-        # decision uncertified; correctness is only claimed on success
-        return
-    finite = [e for e in dec.exponents if e != INF]
-    assert finite == sorted(finite)
-    assert (dec.U @ M @ dec.V).agrees_with(dec.D)
-    # unimodularity: tracked determinants are units
-    assert series_valuation(dec.u_det) == 0
-    assert series_valuation(dec.v_det) == 0
-    det = M.det()
-    if not det.is_sentinel:
-        assert sum(dec.exponents) == series_valuation(det)
-    else:
-        assert any(e == INF for e in dec.exponents) or sum(dec.exponents) >= 1
+        dec = smith_normal_form(RingMatrix(GF9, rows))
+    except NonMonomial:
+        assume(False)
+    m, n = len(rows), len(rows[0])
+    P = [[_poly(x) for x in row] for row in rows]
+    # determinantal divisors: the first k exponents sum to the least
+    # valuation of a k x k minor
+    for k in range(1, min(m, n) + 1):
+        least = min(
+            _pval(_pdet([[P[i][j] for j in cols] for i in rs]))
+            for rs in combinations(range(m), k)
+            for cols in combinations(range(n), k)
+        )
+        assert sum(dec.exponents[:k]) == least
+    V = [[_poly(x) for x in row] for row in dec.V]
+    assert _pval(_pdet(V)) == 0
+    free = [t for t in range(n) if t >= len(dec.exponents) or dec.exponents[t] == INF]
+    for i in range(m):
+        for s in free:
+            acc = {}
+            for t in range(n):
+                acc = _padd(acc, _pmul(P[i][t], V[t][s]))
+            assert acc == {}
 
 
 def test_snf_quotient_coordinate_convention():
-    # Z_q[[pi]]^2 modulo the row span of [[pi, 0]]: coordinates of a vector
+    # GF(4)[[pi]]^2 modulo the row span of [[pi, 0]]: coordinates of a vector
     # in the quotient are x @ V; the second slot is free, the first is pi-torsion.
-    pi = S.pi_power(GF4, 1)
-    z = S.zero(GF4)
-    M = _mat(GF4, [[pi, z]])
-    dec = smith_normal_form(M)
+    pi = M(GF4, 1, GF4.one)
+    dec = smith_normal_form(RingMatrix(GF4, [[pi, M.zero(GF4)]]))
     assert dec.exponents == [1]
-    x = RingMatrix(GF4, [[S.one(GF4), S.one(GF4)]])
-    y = x @ dec.V
-    assert not y.rows[0][0].is_sentinel or not y.rows[0][1].is_sentinel
+    x = [M.one(GF4), M.one(GF4)]
+    free = x[0] * dec.V[0][1] + x[1] * dec.V[1][1]
+    assert not free.is_zero
 
 
 # -- integer Smith normal form ------------------------------------------------

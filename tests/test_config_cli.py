@@ -1,6 +1,10 @@
 """Config parsing, check reports, CLI behavior, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,19 @@ from pelks.config import (
 )
 
 FIXTURES = ["quaternion-C", "unitary-A", "siegel-C", "basechange-A"]
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _run(*argv):
+    """Run a Python entry point in a fresh interpreter, importing pelks from src/."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
 
 
 def minimal_unitary(**over):
@@ -54,6 +71,8 @@ def test_unknown_keys_rejected():
         config_from_dict(bad)
     with pytest.raises(ConfigInvalid, match="unknown keys"):
         config_from_dict(minimal_unitary(tolerances={"epsilonn": 1e-9}))
+    with pytest.raises(ConfigInvalid, match="unknown keys"):
+        config_from_dict(minimal_unitary(tolerances={"local_precision": 16}))
 
 
 def test_type_strictness():
@@ -135,7 +154,7 @@ def test_reports_are_deterministic():
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
     names = [c["name"] for c in first["checks"]]
     assert names == sorted(names)
-    assert first["schema_version"] == 1
+    assert first["schema_version"] == 2
     assert first["summary"]["fail"] == 0
 
 
@@ -160,6 +179,10 @@ def test_only_filter():
 
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", "no-such-instance"]) == 2
+    assert "config error" in capsys.readouterr().err
+    stale = tmp_path / "stale.json"
+    stale.write_text(json.dumps(minimal_unitary(tolerances={"local_precision": 16})))
+    assert main(["run", "--config", str(stale)]) == 2
     assert "config error" in capsys.readouterr().err
     assert main(["run", "--config", "quaternion-C", "--only", "nothing*"]) == 2
     capsys.readouterr()
@@ -194,7 +217,7 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert "pipeline.metric-identity" in out
     assert "0 failed" in out
     data = json.loads(report_path.read_text())
-    assert data["schema_version"] == 1
+    assert data["schema_version"] == 2
     assert data["samples"] == 3
     statuses = {c["name"]: c["status"] for c in data["checks"]}
     assert statuses["pipeline.metric-identity"] == "pass"
@@ -229,3 +252,34 @@ def test_honest_failure_exits_one(tmp_path, capsys):
 def test_explain_accepts_place_suffix():
     assert explain("local.image-exponent.q7") == explain("local.image-exponent")
     assert explain("unknown.thing") is None
+
+
+@pytest.mark.parametrize(
+    "flag,value,valid",
+    [
+        ("--seed", "-1", False),
+        ("--seed", "3", True),
+        ("--samples", "0", False),
+        ("--samples", "-3", False),
+        ("--samples", "2", True),
+    ],
+)
+def test_cli_overrides_are_validated(flag, value, valid):
+    proc = _run("-m", "pelks.cli", "run", "--config", "unitary-A", flag, value)
+    assert proc.returncode in (0, 1, 2)
+    assert "Traceback" not in proc.stderr
+    if not valid:
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error:")
+
+
+@pytest.mark.parametrize(
+    "script,args",
+    [
+        ("exponent_sweep.py", ["--residue-sizes", "3", "5"]),
+        ("run_all_fixtures.py", ["--samples", "4"]),
+    ],
+)
+def test_scripts_run_clean(script, args):
+    proc = _run(str(REPO / "scripts" / script), *args)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
