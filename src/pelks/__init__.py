@@ -19,7 +19,6 @@ from pelks.config import (
 )
 from pelks.cyclic_algebra import CyclicAlgebraDescriptor
 from pelks.domains import (
-    BoundedPoint,
     HermitianPoint,
     SiegelPoint,
     petersson_norm,
@@ -41,7 +40,6 @@ from pelks.lattices import (
     RankDeficient,
     RiemannForm,
     build_lattice,
-    build_lattice_bounded,
     covolume_closed_form,
     dual_index_oracle,
     faltings_norm,
@@ -58,7 +56,6 @@ from pelks.pel_modules import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundedPoint",
     "ConfigInvalid",
     "CyclicAlgebraDescriptor",
     "HermitianPoint",
@@ -73,7 +70,6 @@ __all__ = [
     "SingularPairing",
     "assemble_phi",
     "build_lattice",
-    "build_lattice_bounded",
     "cocycle_jacobian",
     "config_digest",
     "config_from_dict",

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fnmatch import fnmatch
 
 import numpy as np
+from numpy.random import default_rng
 
 from .config import build_embedding, config_digest, explicit_mu
 from .cyclic_algebra import CyclicAlgebraDescriptor, discriminant_report
@@ -34,7 +35,6 @@ from .kodaira_spencer import (
     solve_w_vectors,
 )
 from .lattices import (
-    NoSelfDualForm,
     RiemannForm,
     build_lattice,
     covolume_closed_form,
@@ -96,26 +96,26 @@ class _ArchContext:
         self.base_point = None
         if self.emb is None:
             return
-        rng = np.random.default_rng([cfg.seed, 97])
+        rng = default_rng([cfg.seed, 97])
         self.base_point = random_point(cfg.kind, self.genus(), rng)
         explicit = explicit_mu(cfg)
         if explicit is not None:
             self.mu = explicit
             self.mu_source = "explicit"
             return
+        self.mu_source = "auto"
         try:
             lat = build_lattice(self.base_point, self.emb)
             self.solved = solve_self_dual_mu(lat, tol=cfg.tolerances.epsilon)
             self.mu = self.solved.matrix(cfg.n)
-            self.mu_source = "auto"
-        except NoSelfDualForm as exc:
-            self.mu_error = str(exc)
+        except Exception as exc:  # as in run_checks: fail arch.self-dual-mu, skip its dependents
+            self.mu_error = f"{type(exc).__name__}: {exc}"
 
     def genus(self):
         return self.cfg.r // 2 if self.cfg.kind == "A" else self.cfg.r
 
     def sample_points(self, count, salt):
-        rng = np.random.default_rng([self.cfg.seed, salt])
+        rng = default_rng([self.cfg.seed, salt])
         return [random_point(self.cfg.kind, self.genus(), rng) for _ in range(count)]
 
 
@@ -300,7 +300,7 @@ def _check_cocycle(cfg, ctx):
     ana = cocycle_jacobian(emb)
     elements = list(ana.elements)
     if cfg.kind == "A":
-        rng = np.random.default_rng([cfg.seed, 17])
+        rng = default_rng([cfg.seed, 17])
         basis = emb.module_basis()
         for _ in range(3):
             coeffs = rng.integers(-3, 4, size=len(basis))

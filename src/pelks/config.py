@@ -245,10 +245,14 @@ def config_from_dict(d):
 
 def load_config(path):
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             raw = json.load(f)
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid(f"not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot read {path}: {exc.strerror or exc}") from exc
     return config_from_dict(raw)
 
 

@@ -1,27 +1,21 @@
-"""Unbounded and bounded realizations of the relevant symmetric domains.
+"""Points of the unbounded realizations of the relevant symmetric domains.
 
-Type C lives on the Siegel space of symmetric Z with Im Z > 0, acted on
-by Sp(2g, R); type A on the tube of complex g x g matrices with
-positive imaginary part Y = (Z - Z*)/2i, acted on by the unitary group
-of T = [[0, I], [-I, 0]] (so that [Z; I]* T [Z; I] = -2iY).  Both act
-through Z -> (AZ + B)(CZ + D)^{-1}, and both admit the Cayley transport
-to a bounded realization around 0 <-> iI.
+Type C lives on the Siegel space of symmetric g x g complex Z with
+Im Z positive definite; type A on the tube of complex g x g matrices
+with Y = (Z - Z*)/2i positive definite.  Both are acted on through
+Z -> (AZ + B)(CZ + D)^{-1} by the isometry group of
+T = [[0, I], [-I, 0]] (so that [Z; I]* T [Z; I] = -2iY), which scales
+det Y by |det(CZ + D)|^{-2}; the Petersson norm below is a power of
+det Y and transforms by the matching power of that factor.
 
-All matrices are numpy complex arrays; group elements are produced by
-exponentiating Lie algebra elements so that membership is exact up to
-roundoff.
+All matrices are numpy complex arrays.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 _ATOL = 1e-9
-
-
-class NearSingularDenominator(Exception):
-    """Raised when CZ + D (or the Cayley denominator) is too close to singular."""
 
 
 def _as_matrix(m):
@@ -29,12 +23,6 @@ def _as_matrix(m):
     if a.ndim != 2:
         raise ValueError("expected a matrix")
     return a
-
-
-def _guard_invertible(den, label):
-    s = np.linalg.svd(den, compute_uv=False)
-    if s.min() < 1e-12 * max(1.0, s.max()):
-        raise NearSingularDenominator(f"{label} is numerically singular")
 
 
 @dataclass(frozen=True)
@@ -86,101 +74,6 @@ class HermitianPoint:
         return (Z - Z.conj().T) / 2j
 
 
-@dataclass(frozen=True)
-class BoundedPoint:
-    """p x q complex U with I - U*U positive definite."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        U = _as_matrix(self.matrix)
-        object.__setattr__(self, "matrix", U)
-        if np.linalg.norm(U, 2) >= 1:
-            raise ValueError("bounded point must be a strict contraction")
-
-
-@dataclass(frozen=True)
-class DomainGroupElement:
-    """Element of the isometry group, stored as its 2g x 2g matrix.
-
-    kind "C": real symplectic, g^t T g = T; kind "A": unitary of the
-    same form, g* T g = T, with T = [[0, I], [-I, 0]].
-    """
-
-    matrix: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        M = _as_matrix(self.matrix)
-        object.__setattr__(self, "matrix", M)
-        if self.kind not in ("A", "C"):
-            raise ValueError("kind must be 'A' or 'C'")
-        if M.shape[0] != M.shape[1] or M.shape[0] % 2:
-            raise ValueError("group element must be square of even size")
-        if self.group_residual() > 1e-8:
-            raise ValueError("matrix does not preserve the form T")
-
-    @property
-    def genus(self):
-        return self.matrix.shape[0] // 2
-
-    def blocks(self):
-        g = self.genus
-        M = self.matrix
-        return M[:g, :g], M[:g, g:], M[g:, :g], M[g:, g:]
-
-    def group_residual(self):
-        g = self.genus
-        T = np.block(
-            [[np.zeros((g, g)), np.eye(g)], [-np.eye(g), np.zeros((g, g))]]
-        )
-        M = self.matrix
-        left = M.conj().T if self.kind == "A" else M.T
-        return np.linalg.norm(left @ T @ M - T)
-
-    def compose(self, other):
-        return DomainGroupElement(self.matrix @ other.matrix, self.kind)
-
-    def inverse(self):
-        return DomainGroupElement(np.linalg.inv(self.matrix), self.kind)
-
-
-def moebius_act(element, point):
-    """(AZ + B)(CZ + D)^{-1}, returned as the same kind of point."""
-    A, B, C, D = element.blocks()
-    Z = point.matrix
-    den = C @ Z + D
-    _guard_invertible(den, "CZ + D")
-    Z2 = (A @ Z + B) @ np.linalg.inv(den)
-    if isinstance(point, SiegelPoint):
-        Z2 = (Z2 + Z2.T) / 2  # kill symmetric roundoff drift
-        return SiegelPoint(Z2)
-    return HermitianPoint(Z2)
-
-
-def cayley_to_bounded(point):
-    """Z -> (Z - iI)(Z + iI)^{-1}; sends iI to 0."""
-    Z = point.matrix
-    g = Z.shape[0]
-    den = Z + 1j * np.eye(g)
-    _guard_invertible(den, "Z + iI")
-    return BoundedPoint((Z - 1j * np.eye(g)) @ np.linalg.inv(den))
-
-
-def cayley_to_unbounded(point, kind):
-    """U -> i(I + U)(I - U)^{-1}; sends 0 to iI."""
-    U = point.matrix
-    if U.shape[0] != U.shape[1]:
-        raise ValueError("only square bounded points lift to the tube")
-    g = U.shape[0]
-    den = np.eye(g) - U
-    _guard_invertible(den, "I - U")
-    Z = 1j * (np.eye(g) + U) @ np.linalg.inv(den)
-    if kind == "C":
-        return SiegelPoint((Z + Z.T) / 2)
-    return HermitianPoint(Z)
-
-
 def petersson_norm(point, n=1):
     """The canonical top-form norm ||d tau||^n at the point.
 
@@ -197,9 +90,6 @@ def petersson_norm(point, n=1):
     return 2.0 ** (r * r * n / 4) * detY ** (r * n / 2)
 
 
-# -- seeded generators --------------------------------------------------------
-
-
 def random_point(kind, g, rng, spread=0.6):
     """Deterministic random domain point for a seeded generator."""
     if kind == "C":
@@ -211,35 +101,3 @@ def random_point(kind, g, rng, spread=0.6):
     A = rng.normal(scale=spread, size=(g, g)) + 1j * rng.normal(scale=spread, size=(g, g))
     Z = (H + H.conj().T) / 2 + 1j * (np.eye(g) + A @ A.conj().T)
     return HermitianPoint(Z)
-
-
-def random_group_element(kind, g, rng, scale=0.25):
-    """exp of a random Lie algebra element of the isometry group."""
-    if kind == "C":
-        P = rng.normal(scale=scale, size=(g, g))
-        Q = rng.normal(scale=scale, size=(g, g))
-        R = rng.normal(scale=scale, size=(g, g))
-        Q = (Q + Q.T) / 2
-        R = (R + R.T) / 2
-        X = np.block([[P, Q], [R, -P.T]])
-    else:
-        P = rng.normal(scale=scale, size=(g, g)) + 1j * rng.normal(scale=scale, size=(g, g))
-        Q = rng.normal(scale=scale, size=(g, g)) + 1j * rng.normal(scale=scale, size=(g, g))
-        R = rng.normal(scale=scale, size=(g, g)) + 1j * rng.normal(scale=scale, size=(g, g))
-        Q = (Q + Q.conj().T) / 2
-        R = (R + R.conj().T) / 2
-        X = np.block([[P, Q], [R, -P.conj().T]])
-    return DomainGroupElement(expm(X), kind)
-
-
-def stabilizer_element(kind, first, second=None):
-    """Block element fixing iI: two unitaries for type A, one for type C."""
-    first = _as_matrix(first)
-    if kind == "C":
-        P, Q = np.real(first), np.imag(first)
-        return DomainGroupElement(np.block([[P, Q], [-Q, P]]), "C")
-    second = _as_matrix(second)
-    a, b = first, second
-    top = [(a + b) / 2, (-1j * a + 1j * b) / 2]
-    bot = [(1j * a - 1j * b) / 2, (a + b) / 2]
-    return DomainGroupElement(np.block([top, bot]), "A")

@@ -26,9 +26,16 @@ from dataclasses import dataclass
 from math import pi
 
 import numpy as np
+from numpy.random import default_rng
 
 from .domains import HermitianPoint, SiegelPoint, petersson_norm, random_point
-from .lattices import RiemannForm, build_lattice, faltings_norm
+from .lattices import (
+    RiemannForm,
+    build_lattice,
+    embed_labels,
+    faltings_norm,
+    generator_labels,
+)
 from .pel_modules import SignatureMismatch
 
 
@@ -53,21 +60,6 @@ def _domain_index(emb):
     return {lab: t for t, lab in enumerate(domain_coordinates(emb))}
 
 
-def embed_element(emb, point, label):
-    """Image in C^{nr} of one rational element at the domain point."""
-    if emb.kind == "A":
-        z = point.matrix
-        half = emb.r // 2
-        top = np.vstack([z, np.eye(half)])
-        top_c = np.vstack([z.T, np.eye(half)])
-        x = np.asarray(label, dtype=complex)
-        return np.hstack([x @ top, x.conj() @ top_c]).ravel()
-    part, x = label
-    if part == "m":
-        return (np.asarray(x) @ point.matrix).ravel()
-    return np.asarray(x, dtype=complex).ravel()
-
-
 @dataclass(frozen=True)
 class CocycleJacobian:
     tensor: np.ndarray
@@ -83,7 +75,7 @@ def cocycle_jacobian(emb, elements=None):
     depend on where it is taken; the numeric twin below confirms that.
     """
     if elements is None:
-        elements = _default_elements(emb)
+        elements = generator_labels(emb)
     labels = domain_coordinates(emb)
     idx = {lab: t for t, lab in enumerate(labels)}
     n, r = emb.n, emb.r
@@ -128,7 +120,7 @@ def numeric_cocycle_jacobian(emb, point, elements=None, step=0.5, rotate=False):
     the domain.
     """
     if elements is None:
-        elements = _default_elements(emb)
+        elements = generator_labels(emb)
     labels = domain_coordinates(emb)
     h = step * (1j if rotate else 1.0)
     n, r = emb.n, emb.r
@@ -147,17 +139,9 @@ def numeric_cocycle_jacobian(emb, point, elements=None, step=0.5, rotate=False):
             e[b, a] = 1.0
             plus = SiegelPoint(point.matrix + h * e)
             minus = SiegelPoint(point.matrix - h * e)
-        for g, lab_el in enumerate(elements):
-            diff = embed_element(emb, plus, lab_el) - embed_element(emb, minus, lab_el)
-            out[g, :, t] = diff / (2 * h)
+        diff = embed_labels(emb, plus, elements) - embed_labels(emb, minus, elements)
+        out[:, :, t] = diff / (2 * h)
     return CocycleJacobian(out, labels, tuple(elements))
-
-
-def _default_elements(emb):
-    if emb.kind == "A":
-        return tuple(emb.module_basis())
-    basis = emb.module_basis()
-    return tuple(("m", x.real) for x in basis) + tuple(("n", x.real) for x in basis)
 
 
 @dataclass(frozen=True)
@@ -252,7 +236,7 @@ def antilinear_defect(lattice, form, values, w, trials=8, seed=0):
     """Max deviation of anti(2 pi i E(w, .)) from anti(target) on random v."""
     dim = lattice.complex_dim
     f = lattice.basis_real_inv @ np.asarray(values, dtype=complex)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -266,36 +250,6 @@ def antilinear_defect(lattice, form, values, w, trials=8, seed=0):
         lhs = 0.5 * (gv + 1j * giv)
         rhs = 0.5 * (fv + 1j * fiv)
         worst = max(worst, abs(lhs - rhs))
-    return worst
-
-
-def trace_identity_defect(lattice):
-    """Two-route check of the rational trace identity.
-
-    Route one: E_I(e_{i, k + r/2}, beta) equals tr_{F/Q} of entry (i, k)
-    of beta, for every generator beta.  Route two: solving the w
-    equation against that trace functional returns exactly the embedded
-    image of e_{i, k + r/2} divided by 2 pi i.
-    """
-    emb = lattice.embedding
-    if emb.kind != "A":
-        raise ValueError("the trace identity lives on the two-block model")
-    half = emb.r // 2
-    form = RiemannForm(lattice, 1.0)
-    worst = 0.0
-    for i in range(emb.n):
-        for k in range(half):
-            unit = np.zeros((emb.n, emb.r), dtype=complex)
-            unit[i, k + half] = 1.0
-            traces = np.array(
-                [lab[i, k] + np.conj(lab[i, k]) for lab in lattice.labels]
-            )
-            for lab, tr in zip(lattice.labels, traces):
-                lhs = form.rational_pair(unit, lab)
-                worst = max(worst, abs(lhs - tr))
-            w = solve_w_vector(lattice, form, traces)
-            expected = embed_element(emb, lattice.point, unit) / (2j * pi)
-            worst = max(worst, float(np.abs(w - expected).max()))
     return worst
 
 
@@ -433,7 +387,7 @@ def metric_identity_check(emb, mu, signature=None, samples=20, seed=0):
     k0 is r/2 for the two-block model and r + 1 for the classical one;
     the report carries every sampled ratio so a failure shows its shape.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     if emb.kind == "A":
         g = emb.r // 2
         k0 = emb.r // 2

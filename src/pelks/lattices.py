@@ -7,13 +7,15 @@ into r/n column blocks.  A rational point is then an n x r complex matrix
 X whose entries lie in the field; its conjugate model is the entrywise
 conjugate.
 
-Embedding at a domain point Z:
+Embedding at a domain point Z, computed by `embed_labels` alone (the
+lattice build and the numeric cocycle Jacobian both call it):
 
   two conjugate blocks      lambda(X) = (X . [Z; I], conj(X) . [Z^t; I])
   (n x r matrices, r even)
 
   classical mZ + n          lambda(m, n) = m . Z + n
-  (pairs over Q, Z symmetric r x r)
+  (pairs over Q, Z symmetric r x r; a generator is one part, ("m", m)
+  with image m . Z or ("n", n) with image n)
 
 Both land in C^{nr} (row-major flattening of an n x r matrix, so the
 coordinate (i, j) sits at index i*r + j and the column blocks j < r/2,
@@ -35,7 +37,7 @@ from math import isqrt, pi
 import numpy as np
 
 from .algebra import integer_det, integer_smith_normal_form
-from .domains import BoundedPoint, HermitianPoint, SiegelPoint
+from .domains import HermitianPoint, SiegelPoint
 
 
 class RankDeficient(Exception):
@@ -213,12 +215,42 @@ class PeriodLattice:
         vecs = dual_rows[:, :dim] + 1j * dual_rows[:, dim:]
         return PeriodLattice(self.embedding, self.point, vecs, self.labels)
 
-    def scaled(self, c):
-        return PeriodLattice(self.embedding, self.point, c * self.vectors, self.labels)
 
-    def coordinates(self, v):
-        """Real coordinates of v in the generator basis."""
-        return _realify(v) @ self.basis_real_inv
+def generator_labels(emb):
+    """Rational coordinates of the 2nr lattice generators.
+
+    Two-block model: the module basis itself.  Classical model: the
+    ("m", x) parts, then the ("n", x) parts, over the real module basis.
+    """
+    basis = emb.module_basis()
+    if emb.kind == "A":
+        return tuple(basis)
+    return tuple(("m", x.real) for x in basis) + tuple(("n", x.real) for x in basis)
+
+
+def embed_labels(emb, point, labels):
+    """Images in C^{nr} of rational elements at a domain point, one row each.
+
+    labels are n x r matrices for the two-block model and ("m" | "n", x)
+    parts for the classical one, as in the module docstring.
+    """
+    z = point.matrix
+    if emb.kind == "A":
+        half = emb.r // 2
+        top = np.vstack([z, np.eye(half)])
+        top_c = np.vstack([z.T, np.eye(half)])
+        rows = []
+        for label in labels:
+            x = np.asarray(label, dtype=complex)
+            rows.append(np.hstack([x @ top, x.conj() @ top_c]).ravel())
+        return np.stack(rows)
+    rows = []
+    for part, x in labels:
+        if part == "m":
+            rows.append((np.asarray(x) @ z).ravel())
+        else:
+            rows.append(np.asarray(x, dtype=complex).ravel())
+    return np.stack(rows)
 
 
 def build_lattice(point, emb):
@@ -227,59 +259,19 @@ def build_lattice(point, emb):
     Two-block model for kind A (point is a HermitianPoint on r/2), the
     classical mZ + n model for kind C (SiegelPoint on r).
     """
-    basis = emb.module_basis()
     if emb.kind == "A":
         if not isinstance(point, HermitianPoint):
             raise TypeError("kind A embeds at a HermitianPoint")
         half = emb.r // 2
         if emb.r % 2 != 0 or point.matrix.shape != (half, half):
             raise ValueError("domain point must be (r/2) x (r/2)")
-        top = np.vstack([point.matrix, np.eye(half)])
-        top_c = np.vstack([point.matrix.T, np.eye(half)])
-        vecs = []
-        labels = []
-        for x in basis:
-            lam = np.hstack([x @ top, x.conj() @ top_c])
-            vecs.append(lam.ravel())
-            labels.append(x)
-        return PeriodLattice(emb, point, np.stack(vecs), tuple(labels))
-    if not isinstance(point, SiegelPoint):
-        raise TypeError("kind C embeds at a SiegelPoint")
-    if point.matrix.shape != (emb.r, emb.r):
-        raise ValueError("domain point must be r x r")
-    vecs = []
-    labels = []
-    for x in basis:
-        vecs.append((x.real @ point.matrix).ravel())
-        labels.append(("m", x.real))
-    for x in basis:
-        vecs.append(x.real.astype(complex).ravel())
-        labels.append(("n", x.real))
-    return PeriodLattice(emb, point, np.stack(vecs), tuple(labels))
-
-
-def build_lattice_bounded(point, emb):
-    """Period lattice in the bounded realization (any signature p + q = r).
-
-    The column blocks are [U; I_q] and [I_p; U^t]; at U = 0 the generator
-    images are just the split columns (X[:, p:], conj(X)[:, :p]).
-    """
-    if emb.kind != "A":
-        raise ValueError("the bounded realization applies to kind A")
-    if not isinstance(point, BoundedPoint):
-        raise TypeError("expected a BoundedPoint")
-    p, q = point.matrix.shape
-    if p + q != emb.r:
-        raise ValueError("point shape must split r as p + q")
-    top = np.vstack([point.matrix, np.eye(q)])
-    top_c = np.vstack([np.eye(p), point.matrix.T])
-    vecs = []
-    labels = []
-    for x in emb.module_basis():
-        lam = np.hstack([x @ top, x.conj() @ top_c])
-        vecs.append(lam.ravel())
-        labels.append(x)
-    return PeriodLattice(emb, point, np.stack(vecs), tuple(labels))
+    else:
+        if not isinstance(point, SiegelPoint):
+            raise TypeError("kind C embeds at a SiegelPoint")
+        if point.matrix.shape != (emb.r, emb.r):
+            raise ValueError("domain point must be r x r")
+    labels = generator_labels(emb)
+    return PeriodLattice(emb, point, embed_labels(emb, point, labels), labels)
 
 
 def _normalize_mu(mu, n):
@@ -437,10 +429,6 @@ def solve_self_dual_mu(lattice, tol=1e-9):
         trace_covolume=trace_cov,
         covolume_matched=matched,
     )
-
-
-def covolume(lattice):
-    return lattice.covolume()
 
 
 def covolume_closed_form(lattice, mu):

@@ -184,6 +184,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     stale.write_text(json.dumps(minimal_unitary(tolerances={"local_precision": 16})))
     assert main(["run", "--config", str(stale)]) == 2
     assert "config error" in capsys.readouterr().err
+    assert main(["run", "--config", str(tmp_path)]) == 2  # a directory
+    assert "config error" in capsys.readouterr().err
+    latin = tmp_path / "latin.json"
+    text = json.dumps(minimal_unitary(name="caf\u00e9"), ensure_ascii=False)
+    latin.write_bytes(text.encode("latin-1"))  # not UTF-8
+    assert main(["run", "--config", str(latin)]) == 2
+    assert "config error" in capsys.readouterr().err
     assert main(["run", "--config", "quaternion-C", "--only", "nothing*"]) == 2
     capsys.readouterr()
     assert main([]) == 2
@@ -271,6 +278,35 @@ def test_cli_overrides_are_validated(flag, value, valid):
     if not valid:
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error:")
+
+
+def test_unresolvable_base_lattice_fails_without_traceback(tmp_path):
+    # 1e-13 i passes the order checks but embeds real-dependently
+    cfg = minimal_unitary(name="rank-deficient")
+    cfg["archimedean"]["order_basis"] = [[[[1, 0]]], [[[0, 1e-13]]]]
+    path = tmp_path / "rank.json"
+    path.write_text(json.dumps(cfg))
+    proc = _run("-m", "pelks.cli", "run", "--config", str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = {
+        line.split()[1]: line
+        for line in proc.stdout.splitlines()
+        if line[:4] in ("PASS", "FAIL", "SKIP")
+    }
+    assert lines["arch.self-dual-mu"].startswith("FAIL")
+    assert "RankDeficient:" in lines["arch.self-dual-mu"]
+    assert lines["pipeline.metric-identity"].startswith("SKIP")
+
+
+def test_import_loads_no_scipy():
+    proc = _run(
+        "-c",
+        "import sys, pelks, pelks.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(

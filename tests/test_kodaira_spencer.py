@@ -25,7 +25,6 @@ from pelks.kodaira_spencer import (
     cocycle_jacobian,
     coordinate_targets,
     domain_coordinates,
-    embed_element,
     matched_vanishing_defect,
     metric_identity_check,
     numeric_cocycle_jacobian,
@@ -33,7 +32,6 @@ from pelks.kodaira_spencer import (
     psi_modulus_closed_form,
     solve_w_vector,
     solve_w_vectors,
-    trace_identity_defect,
 )
 from pelks.lattices import OrderEmbedding, RiemannForm, build_lattice
 from pelks.pel_modules import SignatureMismatch
@@ -76,13 +74,6 @@ def _instances():
 def test_domain_coordinate_order():
     assert domain_coordinates(gaussian_unitary()) == ((0, 0),)
     assert domain_coordinates(rational_siegel(2)) == ((0, 0), (0, 1), (1, 1))
-
-
-def test_embed_element_matches_lattice_rows():
-    for emb, point, _ in _instances():
-        lat = build_lattice(point, emb)
-        for row, label in zip(lat.vectors, lat.labels):
-            assert np.abs(embed_element(emb, point, label) - row).max() < 1e-12
 
 
 def test_cocycle_hand_entries_two_block():
@@ -147,12 +138,17 @@ def test_cocycle_on_random_integer_elements():
 
 
 def test_w_vectors_match_closed_forms():
+    # each instance at its self-dual mu and at mu = identity; at the identity
+    # the lin and conj w-vectors of (i, k) sum to the image of e_{i, k+r/2}
+    # over 2 pi i, the rational trace identity of the two-block model
     for emb, point, mu in _instances():
         lat = build_lattice(point, emb)
-        ws = solve_w_vectors(lat, RiemannForm(lat, mu))
-        assert set(ws) == set(coordinate_targets(emb))
-        for target, w in ws.items():
-            assert np.abs(w - closed_form_w(emb, mu, target)).max() < 1e-10
+        identity = np.eye(emb.n) if np.ndim(mu) else 1.0
+        for m in (mu, identity):
+            ws = solve_w_vectors(lat, RiemannForm(lat, m))
+            assert set(ws) == set(coordinate_targets(emb))
+            for target, w in ws.items():
+                assert np.abs(w - closed_form_w(emb, m, target)).max() < 1e-10
 
 
 def test_w_hand_values_gaussian():
@@ -203,18 +199,6 @@ def test_singular_pairing_guard():
     values = np.zeros(4, dtype=complex)
     with pytest.raises(SingularPairing, match="condition"):
         solve_w_vector(lat, form, values, cond_limit=1.0)
-
-
-def test_trace_identity():
-    rng = np.random.default_rng(31)
-    for emb, g in [(gaussian_unitary(), 1), (matrix_basechange(), 1)]:
-        for _ in range(3):
-            lat = build_lattice(random_point("A", g, rng), emb)
-            assert trace_identity_defect(lat) < 1e-10
-    with pytest.raises(ValueError, match="two-block"):
-        trace_identity_defect(
-            build_lattice(SiegelPoint([[0.25 + 1.7j]]), rational_siegel(1))
-        )
 
 
 def test_phi_matched_positions_vanish():

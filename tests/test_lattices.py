@@ -10,17 +10,18 @@ n = 1, r = 2, domain coordinate z = x + iy):
   mu = I degree        4 = |d_F|, with dual index 16 = 4^2
 
 Elliptic sanity (Z tau + Z): covolume Im tau, squared norm Im(tau)/pi.
-The bounded-model tests pin the Cayley comparison at the center: right
-multiplication by T = [[1, -i], [1, i]] (block columns) carries the
-order lattice into itself with index 4^n and lambda_{iI}(X T) equals
-2i times the bounded image of X at U = 0.
+The Cayley comparison is pinned at the center: right multiplication by
+T = [[1, -i], [1, i]] (block columns) carries the order lattice into
+itself with index 4^n, and lambda_{iI}(X T) equals 2i times the image of
+X in the bounded realization at U = 0, which is the split columns
+(X[:, r/2:], conj(X)[:, :r/2]).
 """
 
 import numpy as np
 import pytest
 
 from pelks.algebra import integer_det
-from pelks.domains import BoundedPoint, HermitianPoint, SiegelPoint
+from pelks.domains import HermitianPoint, SiegelPoint
 from pelks.lattices import (
     NoSelfDualForm,
     OrderEmbedding,
@@ -28,8 +29,8 @@ from pelks.lattices import (
     RankDeficient,
     RiemannForm,
     build_lattice,
-    build_lattice_bounded,
     covolume_closed_form,
+    embed_labels,
     dual_index_oracle,
     faltings_norm,
     polarization_degree,
@@ -76,13 +77,6 @@ def _module_coordinates(emb, mats):
         assert np.abs(c - np.round(c)).max() < 1e-9
         rows.append([int(round(x)) for x in c])
     return rows
-
-
-def _embed_two_block(x, z):
-    half = z.shape[0]
-    top = np.vstack([z, np.eye(half)])
-    top_c = np.vstack([z.T, np.eye(half)])
-    return np.hstack([x @ top, x.conj() @ top_c]).ravel()
 
 
 def test_order_embedding_rejects_wrong_count():
@@ -186,9 +180,13 @@ def test_covolume_scaling_homogeneity():
     lat = build_lattice(HermitianPoint([[0.2 + 1.3j]]), gaussian_unitary())
     base = lat.covolume()
     real_dim = 2 * lat.complex_dim
-    assert abs(lat.scaled(1.3).covolume() / (base * 1.3**real_dim) - 1) < 1e-9
+
+    def scaled(c):
+        return PeriodLattice(lat.embedding, lat.point, c * lat.vectors, lat.labels)
+
+    assert abs(scaled(1.3).covolume() / (base * 1.3**real_dim) - 1) < 1e-9
     # a unit-modulus complex scale is a rotation, covolume stays put
-    assert abs(lat.scaled(1j).covolume() / base - 1) < 1e-9
+    assert abs(scaled(1j).covolume() / base - 1) < 1e-9
 
 
 def test_duality_inverts_covolume():
@@ -314,45 +312,37 @@ def test_polarization_rejects_non_integral_form():
         polarization_degree(lat, 1.7)
 
 
-def test_bounded_hand_images_at_center():
-    lat = build_lattice_bounded(BoundedPoint([[0.0]]), gaussian_unitary())
-    expected = np.array(
-        [[0, 1], [0, -1j], [1, 0], [1j, 0]], dtype=complex
-    )
-    assert np.abs(lat.vectors - expected).max() < 1e-12
-    assert abs(lat.covolume() - 1.0) < 1e-12
+def _bounded_center_lattice(emb):
+    """Lattice of the bounded realization at U = 0: the split columns."""
+    half = emb.r // 2
+    basis = emb.module_basis()
+    vecs = [np.hstack([x[:, half:], x.conj()[:, :half]]).ravel() for x in basis]
+    return PeriodLattice(emb, None, np.stack(vecs), tuple(basis))
 
 
 def test_bounded_cayley_comparison():
+    # hand images of the Gaussian order at U = 0
+    bounded = _bounded_center_lattice(gaussian_unitary())
+    expected = np.array([[0, 1], [0, -1j], [1, 0], [1j, 0]], dtype=complex)
+    assert np.abs(bounded.vectors - expected).max() < 1e-12
+    assert abs(bounded.covolume() - 1.0) < 1e-12
     # lambda_{iI}(X T) = 2i lambda^b(X) at U = 0, with T integral over the
     # order of column-block index 4^n
     t_block = np.array([[1.0, -1j], [1.0, 1j]])
     for emb, index in [(gaussian_unitary(), 4), (matrix_basechange(), 16)]:
         half = emb.r // 2
-        z_center = 1j * np.eye(half)
+        center = HermitianPoint(1j * np.eye(half))
         moved = [x @ t_block for x in emb.module_basis()]
         coords = _module_coordinates(emb, moved)
         assert abs(integer_det(coords)) == index
-        bounded = build_lattice_bounded(
-            BoundedPoint(np.zeros((half, half))), emb
-        )
-        for k, x in enumerate(emb.module_basis()):
-            lhs = _embed_two_block(x @ t_block, z_center)
-            rhs = 2j * bounded.vectors[k]
-            assert np.abs(lhs - rhs).max() < 1e-12
+        bounded = _bounded_center_lattice(emb)
+        lhs = embed_labels(emb, center, moved)
+        assert np.abs(lhs - 2j * bounded.vectors).max() < 1e-12
         # index accounting: covol(bounded) = |1/2i|^{2nr} index covol(iI)
-        unbounded = build_lattice(HermitianPoint(z_center), emb)
+        unbounded = build_lattice(center, emb)
         n, r = emb.n, emb.r
         predicted = 0.5 ** (2 * n * r) * index * unbounded.covolume()
         assert abs(bounded.covolume() / predicted - 1) < 1e-10
-
-
-def test_bounded_accepts_unequal_signature():
-    emb = OrderEmbedding("A", 1, 3, -4, ([[1.0]], [[1j]]))
-    u = np.array([[0.2, 0.1j]])
-    lat = build_lattice_bounded(BoundedPoint(u), emb)
-    assert lat.vectors.shape == (6, 3)
-    assert lat.covolume() > 0
 
 
 def test_rank_deficient_rejected():
@@ -363,21 +353,8 @@ def test_rank_deficient_rejected():
         PeriodLattice(lat.embedding, lat.point, bad, lat.labels)
 
 
-def test_coordinates_roundtrip():
-    lat = build_lattice(HermitianPoint([[0.3 + 1.1j]]), gaussian_unitary())
-    for k in range(4):
-        c = lat.coordinates(lat.vectors[k])
-        e = np.zeros(4)
-        e[k] = 1
-        assert np.abs(c - e).max() < 1e-10
-    combo = 2 * lat.vectors[0] - 3 * lat.vectors[3]
-    assert np.abs(lat.coordinates(combo) - [2, 0, 0, -3]).max() < 1e-9
-
-
 def test_build_rejects_wrong_point_types():
     with pytest.raises(TypeError):
         build_lattice(SiegelPoint([[1j]]), gaussian_unitary())
     with pytest.raises(TypeError):
         build_lattice(HermitianPoint([[1j]]), rational_siegel(1))
-    with pytest.raises(ValueError, match="kind A"):
-        build_lattice_bounded(BoundedPoint([[0.0]]), rational_siegel(2))
