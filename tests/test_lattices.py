@@ -320,12 +320,16 @@ def _bounded_center_lattice(emb):
     return PeriodLattice(emb, None, np.stack(vecs), tuple(basis))
 
 
+def test_bounded_hand_images_at_center():
+    lat = _bounded_center_lattice(gaussian_unitary())
+    expected = np.array(
+        [[0, 1], [0, -1j], [1, 0], [1j, 0]], dtype=complex
+    )
+    assert np.abs(lat.vectors - expected).max() < 1e-12
+    assert abs(lat.covolume() - 1.0) < 1e-12
+
+
 def test_bounded_cayley_comparison():
-    # hand images of the Gaussian order at U = 0
-    bounded = _bounded_center_lattice(gaussian_unitary())
-    expected = np.array([[0, 1], [0, -1j], [1, 0], [1j, 0]], dtype=complex)
-    assert np.abs(bounded.vectors - expected).max() < 1e-12
-    assert abs(bounded.covolume() - 1.0) < 1e-12
     # lambda_{iI}(X T) = 2i lambda^b(X) at U = 0, with T integral over the
     # order of column-block index 4^n
     t_block = np.array([[1.0, -1j], [1.0, 1j]])
