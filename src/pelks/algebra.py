@@ -2,7 +2,8 @@
 
 Three layers, each used by the layer above:
 
-  * finite fields GF(p^m) with tabulated arithmetic and Frobenius,
+  * finite fields GF(p^m) on discrete-log (exp, log, Zech) tables,
+    where every operation, Frobenius included, is one lookup,
   * exact monomials c*pi^v (or 0) in GF(p^m)((pi)), the only elements
     the local relation and Gram matrices of this package contain,
   * Smith normal form of monomial matrices over the valuation ring
@@ -24,8 +25,11 @@ from functools import lru_cache
 
 INF = float("inf")
 
-# Table-based fields get slow and memory hungry past this many elements;
-# everything in this package lives in far smaller fields.
+# A field costs a pure-Python walk over all its elements and three lists
+# of about `size` entries, rebuilt in every run.  The catalog's fields
+# have at most a few hundred elements, so the cap bounds what a mistyped
+# residue size can cost; a place past it fails its local checks with the
+# refusal raised in FiniteField.
 MAX_FIELD_SIZE = 4096
 
 
@@ -108,77 +112,88 @@ def _find_irreducible(p, m):
 
 
 class FiniteFieldElement:
-    """Element of a tabulated finite field, identified by an integer code."""
+    """Element of a finite field, held as its discrete log to `field.generator` (-1 for 0)."""
 
-    __slots__ = ("field", "code")
+    __slots__ = ("field", "log")
 
-    def __init__(self, field, code):
+    def __init__(self, field, log):
         self.field = field
-        self.code = code
+        self.log = log
+
+    @property
+    def code(self):
+        return self.field._exp[self.log] if self.log >= 0 else 0
 
     def __add__(self, other):
-        return FiniteFieldElement(self.field, self.field._add[self.code][other.code])
+        # g^a + g^b = g^a (1 + g^(b - a)), and the Zech list holds log(1 + g^k)
+        a, b = self.log, other.log
+        if a < 0:
+            return other
+        if b < 0:
+            return self
+        f = self.field
+        z = f._zech[(b - a) % f.order]
+        return FiniteFieldElement(f, -1 if z < 0 else (a + z) % f.order)
 
     def __sub__(self, other):
-        return FiniteFieldElement(
-            self.field, self.field._add[self.code][self.field._neg[other.code]]
-        )
+        return self + (-other)
 
     def __neg__(self):
-        return FiniteFieldElement(self.field, self.field._neg[self.code])
+        if self.log < 0:
+            return self
+        f = self.field
+        return FiniteFieldElement(f, (self.log + f._log[f.p - 1]) % f.order)
 
     def __mul__(self, other):
-        return FiniteFieldElement(self.field, self.field._mul[self.code][other.code])
+        f = self.field
+        if self.log < 0 or other.log < 0:
+            return f.zero
+        return FiniteFieldElement(f, (self.log + other.log) % f.order)
 
     def __pow__(self, e):
-        if self.code == 0:
+        if self.log < 0:
             if e <= 0:
                 raise ZeroDivisionError("0 has no inverse")
             return self
-        order = self.field.size - 1
-        e %= order
-        result = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return FiniteFieldElement(self.field, self.log * e % self.field.order)
 
     def inverse(self):
-        if self.code == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return FiniteFieldElement(self.field, self.field._inv[self.code])
+        return self ** -1
 
     def frobenius(self, e=1):
-        """Apply x -> x^(p^e)."""
-        return self ** (self.field.p**e)
+        """Apply x -> x^(p^e), which multiplies the log by p^e."""
+        if self.log < 0:
+            return self
+        f = self.field
+        return FiniteFieldElement(f, self.log * pow(f.p, e, f.order) % f.order)
 
     def __eq__(self, other):
         return (
             isinstance(other, FiniteFieldElement)
             and self.field is other.field
-            and self.code == other.code
+            and self.log == other.log
         )
 
     def __hash__(self):
-        return hash((id(self.field), self.code))
+        return hash((id(self.field), self.log))
 
     def __bool__(self):
-        return self.code != 0
+        return self.log >= 0
 
     def __repr__(self):
         return f"{self.field}({self.code})"
 
 
 class FiniteField:
-    """GF(p^m) with full addition/multiplication tables.
+    """GF(p^m) on discrete-log tables.
 
-    Elements are integer codes 0 .. p^m - 1, read as base-p digit
+    Elements have integer codes 0 .. p^m - 1, read as base-p digit
     vectors giving the coefficients of 1, x, .., x^(m-1) modulo a fixed
     irreducible polynomial (the lexicographically smallest one, so the
-    construction is deterministic).
+    construction is deterministic).  The generator is the smallest code
+    of full multiplicative order; `_exp` maps a log to its code, `_log`
+    a code to its log (-1 for 0), and the Zech list `_zech` maps k to
+    log(1 + g^k), which makes every field operation one lookup.
     """
 
     def __init__(self, p, m):
@@ -188,53 +203,42 @@ class FiniteField:
         self.p = p
         self.m = m
         self.size = size
+        self.order = size - 1
         self.modulus = _find_irreducible(p, m)
-        decode = [tuple((code // p**t) % p for t in range(m)) for code in range(size)]
-        encode = {c: i for i, c in enumerate(decode)}
+        self._exp = self._power_walk()
+        self._log = [-1] * size
+        for k, code in enumerate(self._exp):
+            self._log[code] = k
+        # adding 1 to a code changes only its constant digit
+        self._zech = [self._log[c - c % p + (c + 1) % p] for c in self._exp]
+        self.zero = FiniteFieldElement(self, -1)
+        self.one = FiniteFieldElement(self, 0)
+        self.generator = FiniteFieldElement(self, 1 % self.order)
 
-        def enc(poly):
-            return encode[tuple(poly[t] if t < len(poly) else 0 for t in range(m))]
-
-        self._add = [
-            [enc([(a[t] + b[t]) % p for t in range(m)]) for b in decode] for a in decode
-        ]
-        self._neg = [enc([(-a[t]) % p for t in range(m)]) for a in decode]
-        self._mul = [
-            [enc(_poly_mul_mod(_poly_trim(a), _poly_trim(b), self.modulus, p)) for b in decode]
-            for a in decode
-        ]
-        one_code = encode[(1,) + (0,) * (m - 1)]
-        self._inv = [0] * size
-        for a in range(1, size):
-            # a^(size-2) = a^(-1), square-and-multiply on codes
-            acc, base, e = one_code, a, size - 2
-            while e:
-                if e & 1:
-                    acc = self._mul[acc][base]
-                base = self._mul[base][base]
-                e >>= 1
-            self._inv[a] = acc
-        self.zero = FiniteFieldElement(self, 0)
-        self.one = FiniteFieldElement(self, encode[(1,) + (0,) * (m - 1)])
-        self.generator = self._find_generator()
-
-    def _find_generator(self):
-        for code in range(1, self.size):
-            x = FiniteFieldElement(self, code)
-            order = 1
-            y = x
-            while y != self.one:
-                y = y * x
-                order += 1
-            if order == self.size - 1:
-                return x
+    def _power_walk(self):
+        """Codes of g^0, .., g^(size-2) for the smallest code g of full order."""
+        p, m = self.p, self.m
+        weights = [p**t for t in range(m)]
+        for g in range(1, self.size):
+            g_poly = _poly_trim(tuple((g // w) % p for w in weights))
+            walk, y = [1], g
+            while y != 1:
+                walk.append(y)
+                poly = _poly_trim(tuple((y // w) % p for w in weights))
+                y = sum(c * w for c, w in zip(_poly_mul_mod(poly, g_poly, self.modulus, p), weights))
+            if len(walk) == self.order:
+                return walk
         raise ValueError("no multiplicative generator found")
 
     def __call__(self, code):
-        return FiniteFieldElement(self, code % self.size if self.m == 1 else code)
+        if self.m == 1:
+            code %= self.size
+        elif not 0 <= code < self.size:
+            raise ValueError(f"{code} is not a code of {self}")
+        return FiniteFieldElement(self, self._log[code])
 
     def elements(self):
-        return [FiniteFieldElement(self, c) for c in range(self.size)]
+        return [self(c) for c in range(self.size)]
 
     def __repr__(self):
         return f"GF({self.p}^{self.m})" if self.m > 1 else f"GF({self.p})"
@@ -258,11 +262,6 @@ def finite_field(q, ext=1):
     """Cached field GF(q^ext) for q a prime power."""
     p, m = prime_power(q)
     return FiniteField(p, m * ext)
-
-
-def frobenius(x, e=1):
-    """x -> x^(p^e) on field elements and on the coefficient of a monomial."""
-    return x.frobenius(e)
 
 
 class LocalMonomial:

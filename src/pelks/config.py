@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cyclic_algebra import CyclicAlgebraDescriptor
 from .lattices import OrderEmbedding
 
 
@@ -173,7 +174,16 @@ def config_from_dict(d):
             split=_as_bool(entry.get("split", False), "split"),
         )
         _expect(place.residue_size >= 2, "residue_size must be at least 2")
-        _expect(not (place.split and n > 1), "split places only occur on n = 1 instances")
+        try:
+            CyclicAlgebraDescriptor(
+                n,
+                place.residue_size,
+                place.frobenius_power,
+                place.conjugation_power,
+                place.split,
+            )
+        except ValueError as exc:
+            raise ConfigInvalid(f"local_places[{i}]: {exc}") from exc
         places.append(place)
 
     arch = None

@@ -65,10 +65,6 @@ class CyclicAlgebraDescriptor:
         e = (self._plog * self.frobenius_power * power) % (self._plog * self.n)
         return x.frobenius(e) if e else x
 
-    def bar(self, x):
-        """The conjugation tau^s on E."""
-        return self.tau(x, self.conjugation_power)
-
     # -- element constructors -------------------------------------------
 
     def element(self, coeffs):

@@ -132,10 +132,6 @@ class OrderEmbedding:
                 out.append(x)
         return out
 
-    @property
-    def generator_count(self):
-        return 2 * self.n * self.r
-
     def trace_covolume(self):
         """Covolume of the module basis under the trace pairing.
 

@@ -74,17 +74,10 @@ class SignedBasisModule:
         """Eigenvalue of the pair (v1, v2) on e_{ij}, 0-based indices."""
         v1, v2 = letters
         p = self.signature[0]
-        n = self.descriptor.n
+        d = self.descriptor
         if self.dual:
-            letter = v2 if j < p else v1
-            power = (n - i) % n
-        else:
-            letter = v1 if j < p else v2
-            power = i
-        e = (self.descriptor._plog * self.descriptor.frobenius_power * power) % (
-            self.descriptor._plog * n
-        )
-        return letter.frobenius(e) if e else letter
+            return d.tau(v2 if j < p else v1, d.n - i)
+        return d.tau(v1 if j < p else v2, i)
 
     def u_image(self, i, j):
         """u . e_{ij} = pi^e . e_{i'j}; returns (i', e), 0-based."""
@@ -125,43 +118,6 @@ class TensorSpace:
         i = flat // (r * n * r)
         return i, j, l, k
 
-    def basis_vector(self, i, j, l, k, coeff=None):
-        v = TensorVector(self, [LocalMonomial.zero(self.field)] * self.size)
-        v.coeffs[self.index(i, j, l, k)] = (
-            coeff if coeff is not None else LocalMonomial.one(self.field)
-        )
-        return v
-
-
-class TensorVector:
-    """A vector in the tensor module, kept as flat O_E coordinates."""
-
-    __slots__ = ("space", "coeffs")
-
-    def __init__(self, space, coeffs):
-        self.space = space
-        self.coeffs = list(coeffs)
-
-    def __sub__(self, other):
-        return TensorVector(
-            self.space, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def scale(self, c):
-        return TensorVector(self.space, [a * c for a in self.coeffs])
-
-    def is_zero(self):
-        return all(a.is_zero for a in self.coeffs)
-
-
-def _check_action_compatibility(descriptor):
-    """The dual table commutes with the u shift only when tau^2 = 1:
-    u.(x.e'_{ik}) carries tau^{n+3-i}(xbar) against tau^{n+1-i}(xbar)."""
-    if descriptor.n > 2:
-        raise ValueError(
-            "dual action tables are compatible with the u shift only for n <= 2"
-        )
-
 
 def find_test_letters(descriptor, mode):
     """Smallest residue pair (v1, v2) separating the twisted actions.
@@ -174,7 +130,7 @@ def find_test_letters(descriptor, mode):
     zeta = field.generator
 
     def orbit(v):
-        return [descriptor.tau(LocalMonomial(field, 0, v), a).coeff for a in range(n)]
+        return [descriptor.tau(v, a) for a in range(n)]
 
     if mode == "orbit_n":
         for a in range(1, field.size - 1):
@@ -200,46 +156,45 @@ def find_test_letters(descriptor, mode):
 
 
 def relation_generators(plain, dual, letters, include_swap=False):
-    """Rows spanning the relation module, as TensorVectors.
+    """Rows spanning the relation module, as lists of LocalMonomial.
 
     For every basis class m (x) m' this yields x.m (x) m' - m (x) x.m'
     (when nonzero) and u.m (x) m' - m (x) u.m'; with include_swap also
-    m (x) m' - swap(m (x) m') once per unordered pair.
+    m (x) m' - swap(m (x) m') once per unordered pair.  Each row has at
+    most two nonzero entries.
     """
     space = TensorSpace(plain, dual)
     field = space.field
     n, r = space.n, space.r
+    zero = LocalMonomial.zero(field)
     rows = []
+
+    def row(*entries):
+        out = [zero] * space.size
+        for flat, val, coeff in entries:
+            out[flat] = out[flat] + LocalMonomial(field, val, coeff)
+        rows.append(out)
+
     for i in range(n):
         for j in range(r):
             for l in range(n):
                 for k in range(r):
+                    flat = space.index(i, j, l, k)
                     c = plain.x_coefficient(letters, i, j) - dual.x_coefficient(
                         letters, l, k
                     )
                     if c:
-                        rows.append(
-                            space.basis_vector(
-                                i, j, l, k, LocalMonomial(field, 0, c)
-                            )
-                        )
+                        row((flat, 0, c))
+                    # for n = 1 both u images land on flat and cancel
                     i2, e1 = plain.u_image(i, j)
                     l2, e2 = dual.u_image(l, k)
-                    left = space.basis_vector(
-                        i2, j, l, k, LocalMonomial(field, e1, field.one)
+                    row(
+                        (space.index(i2, j, l, k), e1, field.one),
+                        (space.index(i, j, l2, k), e2, -field.one),
                     )
-                    right = space.basis_vector(
-                        i, j, l2, k, LocalMonomial(field, e2, field.one)
-                    )
-                    rows.append(left - right)
-                    if include_swap:
-                        flat = space.index(i, j, l, k)
-                        swapped = space.index(l, k, i, j)
-                        if flat < swapped:
-                            rows.append(
-                                space.basis_vector(i, j, l, k)
-                                - space.basis_vector(l, k, i, j)
-                            )
+                    swapped = space.index(l, k, i, j)
+                    if include_swap and flat < swapped:
+                        row((flat, 0, field.one), (swapped, 0, -field.one))
     return space, rows
 
 
@@ -248,8 +203,7 @@ class _Decomposition:
 
     def __init__(self, space, rows):
         self.space = space
-        matrix = RingMatrix(space.field, [row.coeffs for row in rows])
-        self.dec = smith_normal_form(matrix)
+        self.dec = smith_normal_form(RingMatrix(space.field, rows))
         self.exponents = self.dec.exponents
         self.free_slots = [t for t, e in enumerate(self.exponents) if e == INF]
         self.free_slots += list(range(len(self.exponents), space.size))
@@ -271,12 +225,56 @@ def _chain_indices(space, j, k):
     return [space.index(i0, j, (n - i0) % n, k) for i0 in range(n)]
 
 
-def _eligible_pairs(signature, kind):
+def _eligible_pairs(signature, kind, symmetrized):
+    """Column pairs (j, k) that keep a free line; one per unordered pair when symmetrized."""
     p, q = signature
     r = p + q
     if kind == "A":
+        if symmetrized:
+            return [(j, k) for j in range(p) for k in range(p, r)]
         return [(j, k) for j in range(r) for k in range(r) if (j < p) != (k < p)]
+    if symmetrized:
+        return [(j, k) for j in range(r) for k in range(j, r)]
     return [(j, k) for j in range(r) for k in range(r)]
+
+
+def _relation_quotient(descriptor, signature, kind, letters, symmetrized):
+    """Shared start of quotient_structure and image_exponent.
+
+    Validates the input, picks the test letters, decomposes the
+    quotient by the relations (with the swap relations when
+    symmetrized) and records the free-rank and torsion violations.
+    Returns (letters, space, decomposition, eligible pairs, violations).
+    """
+    if kind not in ("A", "C"):
+        raise ValueError(f"kind must be 'A' or 'C', got {kind!r}")
+    if symmetrized and kind == "A" and signature[0] != signature[1]:
+        raise SignatureMismatch(
+            f"image-ideal count needs a balanced signature, got ({signature[0]},{signature[1]})"
+        )
+    if kind == "C" and signature[1] != 0:
+        raise ValueError("symplectic signature must be (r, 0)")
+    # The dual table commutes with the u shift only when tau^2 = 1:
+    # u.(x.e'_{ik}) carries tau^{n+3-i}(xbar) against tau^{n+1-i}(xbar).
+    if descriptor.n > 2:
+        raise ValueError(
+            "dual action tables are compatible with the u shift only for n <= 2"
+        )
+    if letters is None:
+        letters = find_test_letters(descriptor, "strict_2n" if kind == "A" else "orbit_n")
+    plain, dual = build_module_pair(descriptor, signature)
+    space, rows = relation_generators(plain, dual, letters, include_swap=symmetrized)
+    dec = _Decomposition(space, rows)
+    pairs = _eligible_pairs(signature, kind, symmetrized)
+
+    violations = []
+    if dec.free_rank != len(pairs):
+        label = "symmetrized free rank" if symmetrized else "free rank"
+        violations.append(f"{label} {dec.free_rank}, predicted {len(pairs)}")
+    torsion = [e for e in dec.exponents if e != INF and e > 0]
+    if torsion:
+        violations.append(f"unexpected torsion exponents {torsion}")
+    return letters, space, dec, pairs, violations
 
 
 @dataclass
@@ -306,28 +304,11 @@ def quotient_structure(descriptor, signature, kind, letters=None):
     and C_1 = pi C_2, every other class zero, and the surviving lines
     independent.
     """
-    if kind not in ("A", "C"):
-        raise ValueError(f"kind must be 'A' or 'C', got {kind!r}")
-    if kind == "C" and signature[1] != 0:
-        raise ValueError("symplectic signature must be (r, 0)")
-    _check_action_compatibility(descriptor)
-    if letters is None:
-        letters = find_test_letters(descriptor, "strict_2n" if kind == "A" else "orbit_n")
-    plain, dual = build_module_pair(descriptor, signature)
-    space, rows = relation_generators(plain, dual, letters)
-    dec = _Decomposition(space, rows)
+    letters, space, dec, pairs, violations = _relation_quotient(
+        descriptor, signature, kind, letters, symmetrized=False
+    )
     n = space.n
-    pairs = _eligible_pairs(signature, kind)
     expected_rank = len(pairs)
-
-    violations = []
-    if dec.free_rank != expected_rank:
-        violations.append(
-            f"free rank {dec.free_rank}, predicted {expected_rank}"
-        )
-    torsion = [e for e in dec.exponents if e != INF and e > 0]
-    if torsion:
-        violations.append(f"unexpected torsion exponents {torsion}")
 
     chains = []
     survivor_flats = set()
@@ -411,40 +392,12 @@ def image_exponent(descriptor, signature, kind, letters=None):
     class.  The expected total is (discriminant multiplier) x (number
     of unordered eligible pairs).
     """
-    if kind not in ("A", "C"):
-        raise ValueError(f"kind must be 'A' or 'C', got {kind!r}")
-    p, q = signature
-    r = p + q
-    if kind == "A" and p != q:
-        raise SignatureMismatch(
-            f"image-ideal count needs a balanced signature, got ({p},{q})"
-        )
-    if kind == "C" and q != 0:
-        raise ValueError("symplectic signature must be (r, 0)")
-    _check_action_compatibility(descriptor)
-    if letters is None:
-        letters = find_test_letters(descriptor, "strict_2n" if kind == "A" else "orbit_n")
-
+    letters, space, dec, reps, violations = _relation_quotient(
+        descriptor, signature, kind, letters, symmetrized=True
+    )
+    r = sum(signature)
     dim = (r * r) // 4 if kind == "A" else r * (r + 1) // 2
     multiplier = discriminant_report(descriptor).multiplier
-
-    plain, dual = build_module_pair(descriptor, signature)
-    space, rows = relation_generators(plain, dual, letters, include_swap=True)
-    dec = _Decomposition(space, rows)
-
-    if kind == "A":
-        reps = [(j, k) for j in range(p) for k in range(p, r)]
-    else:
-        reps = [(j, k) for j in range(r) for k in range(j, r)]
-
-    violations = []
-    if dec.free_rank != len(reps):
-        violations.append(
-            f"symmetrized free rank {dec.free_rank}, predicted {len(reps)}"
-        )
-    torsion = [e for e in dec.exponents if e != INF and e > 0]
-    if torsion:
-        violations.append(f"unexpected torsion exponents {torsion}")
 
     exponent = 0
     profiles = []

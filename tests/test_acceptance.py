@@ -82,8 +82,7 @@ def test_quaternion_image_exponent_and_generators():
         space, rows = relation_generators(plain, dual, letters)
         pi = LocalMonomial(space.field, 1, space.field.one)
         dead, twisted = set(), False
-        for row in rows:
-            c = row.coeffs
+        for c in rows:
             assert c[3] == -(c[0] * pi)
             for flat in (1, 2):
                 others = [t for t in range(4) if t != flat]

@@ -8,8 +8,8 @@ from pelks.algebra import (
     LocalMonomial as M,
     NonMonomial,
     RingMatrix,
+    _find_irreducible,
     finite_field,
-    frobenius,
     integer_det,
     integer_inverse,
     integer_smith_normal_form,
@@ -23,14 +23,6 @@ GF25 = finite_field(5, 2)
 
 def _elem(field):
     return st.integers(min_value=0, max_value=field.size - 1).map(field)
-
-
-def _series(field, maxlen=4):
-    return st.builds(
-        lambda v, codes: S(field, v, tuple(field(c) for c in codes)),
-        st.integers(min_value=-3, max_value=3),
-        st.lists(st.integers(min_value=0, max_value=field.size - 1), max_size=maxlen),
-    )
 
 
 # -- finite fields -----------------------------------------------------------
@@ -53,8 +45,8 @@ def test_field_inverses(a):
 
 @given(_elem(GF9), _elem(GF9))
 def test_frobenius_is_a_field_automorphism(a, b):
-    assert frobenius(a + b) == frobenius(a) + frobenius(b)
-    assert frobenius(a * b) == frobenius(a) * frobenius(b)
+    assert (a + b).frobenius() == a.frobenius() + b.frobenius()
+    assert (a * b).frobenius() == a.frobenius() * b.frobenius()
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (5, 2)])
@@ -75,6 +67,85 @@ def test_generator_order():
 def test_field_construction_is_deterministic():
     assert finite_field(3, 2) is finite_field(3, 2)
     assert GF9.modulus == (1, 0, 1)  # x^2 + 1, smallest irreducible over GF(3)
+
+
+def test_field_cap_is_refused():
+    with pytest.raises(ValueError, match=r"field GF\(67\^2\) too large"):
+        finite_field(67, 2)
+
+
+# The oracle below is the earlier construction: full addition and
+# multiplication tables over base-p digit vectors, inverses and
+# Frobenius by square-and-multiply, and the generator as the smallest
+# code of full order found by walking its powers.
+
+
+def _table_field(p, m):
+    size = p**m
+    modulus = _find_irreducible(p, m)
+    decode = [tuple((code // p**t) % p for t in range(m)) for code in range(size)]
+    encode = {c: i for i, c in enumerate(decode)}
+
+    def polymul(a, b):
+        prod = [0] * (2 * m - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+        for deg in range(2 * m - 2, m - 1, -1):
+            lead = prod[deg]
+            for t in range(m + 1):
+                prod[deg - m + t] = (prod[deg - m + t] - lead * modulus[t]) % p
+        return encode[tuple(prod[:m])]
+
+    add = [[encode[tuple((x + y) % p for x, y in zip(a, b))] for b in decode] for a in decode]
+    neg = [encode[tuple(-x % p for x in a)] for a in decode]
+    mul = [[polymul(a, b) for b in decode] for a in decode]
+
+    def power(a, e):
+        acc = 1
+        while e:
+            if e & 1:
+                acc = mul[acc][a]
+            a = mul[a][a]
+            e >>= 1
+        return acc
+
+    def order(a):
+        k, y = 1, a
+        while y != 1:
+            y, k = mul[y][a], k + 1
+        return k
+
+    generator = next(a for a in range(1, size) if order(a) == size - 1)
+    return modulus, generator, add, neg, mul, power
+
+
+_SMALL_FIELDS = [
+    (p, m)
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79)
+    for m in range(1, 7)
+    if p**m <= 81
+]
+
+
+@pytest.mark.parametrize("p,m", _SMALL_FIELDS)
+def test_log_tables_match_the_table_oracle(p, m):
+    field = finite_field(p, m)
+    modulus, generator, add, neg, mul, power = _table_field(p, m)
+    assert field.modulus == modulus
+    assert field.generator.code == generator
+    elems = field.elements()
+    assert [x.code for x in elems] == list(range(field.size))
+    for a in elems:
+        assert (-a).code == neg[a.code]
+        if a:
+            assert a.inverse().code == power(a.code, field.size - 2)
+        for e in range(m + 1):
+            assert a.frobenius(e).code == power(a.code, p**e)
+        for b in elems:
+            assert (a + b).code == add[a.code][b.code]
+            assert (a - b).code == add[a.code][neg[b.code]]
+            assert (a * b).code == mul[a.code][b.code]
 
 
 # -- local monomials ---------------------------------------------------------

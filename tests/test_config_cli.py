@@ -122,6 +122,13 @@ def test_invariants_enforced():
                 "local_places": [{"residue_size": 5, "split": True}],
             }
         )
+    # the descriptor's own rules: q a prime power, f prime to n
+    for place, message in (
+        ({"residue_size": 6}, "not a prime power"),
+        ({"residue_size": 5, "frobenius_power": 2}, "prime to n=2"),
+    ):
+        with pytest.raises(ConfigInvalid, match=message):
+            config_from_dict(dict(minimal_unitary(n=2, archimedean=None), local_places=[place]))
     # n must divide r only once archimedean data enters
     config_from_dict(
         {
@@ -191,6 +198,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     latin.write_bytes(text.encode("latin-1"))  # not UTF-8
     assert main(["run", "--config", str(latin)]) == 2
     assert "config error" in capsys.readouterr().err
+    for place in ({"residue_size": 6}, {"residue_size": 5, "frobenius_power": 2}):
+        bad = tmp_path / "bad-place.json"
+        bad.write_text(json.dumps(minimal_unitary(n=2, archimedean=None, local_places=[place])))
+        assert main(["run", "--config", str(bad)]) == 2
+        assert "config error" in capsys.readouterr().err
     assert main(["run", "--config", "quaternion-C", "--only", "nothing*"]) == 2
     capsys.readouterr()
     assert main([]) == 2
@@ -299,6 +311,19 @@ def test_unresolvable_base_lattice_fails_without_traceback(tmp_path):
     assert lines["pipeline.metric-identity"].startswith("SKIP")
 
 
+def test_field_cap_fails_the_local_checks_without_traceback(tmp_path):
+    cfg = {"name": "cap", "type": "C", "n": 2, "r": 1, "signature": [1, 0]}
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps(dict(cfg, local_places=[{"residue_size": 67}])))
+    proc = _run("-m", "pelks.cli", "run", "--config", str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    local = [line for line in proc.stdout.splitlines() if " local." in line]
+    assert len(local) == 3
+    for line in local:
+        assert line.startswith("FAIL") and "field GF(67^2) too large" in line
+
+
 def test_import_loads_no_scipy():
     proc = _run(
         "-c",
@@ -314,8 +339,10 @@ def test_import_loads_no_scipy():
     [
         ("exponent_sweep.py", ["--residue-sizes", "3", "5"]),
         ("run_all_fixtures.py", ["--samples", "4"]),
+        ("exponent_sweep.py", ["--residue-sizes", "17", "31"]),
     ],
 )
 def test_scripts_run_clean(script, args):
     proc = _run(str(REPO / "scripts" / script), *args)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "INCONSISTENT" not in proc.stdout

@@ -108,6 +108,18 @@ def test_gaussian_images_match_hand_values():
     assert np.abs(lat.vectors - expected).max() < 1e-12
 
 
+def test_embed_labels_hand_values_at_rank_four():
+    # r/2 = 2 with the non-symmetric Z = [[i, 1], [0, 2i]], so the
+    # conjugate block conj(X) . [Z^t; I] is not conj(X) . [Z; I]
+    emb = OrderEmbedding("A", 1, 4, -4, ([[1.0]], [[1j]]))
+    point = HermitianPoint([[1j, 1], [0, 2j]])
+    labels = [[[1, 0, 0, 0]], [[0, 1j, 0, 0]], [[0, 0, 1, 0]], [[0, 0, 0, 1]]]
+    expected = np.array(
+        [[1j, 1, 1j, 0], [0, -2, -1j, 2], [1, 0, 1, 0], [0, 1, 0, 1]], dtype=complex
+    )
+    assert np.abs(embed_labels(emb, point, labels) - expected).max() < 1e-12
+
+
 def test_basic_gram_matches_hand_matrix():
     lat = build_lattice(HermitianPoint([[0.3 + 1.1j]]), gaussian_unitary())
     g = RiemannForm(lat, 1.0).gram

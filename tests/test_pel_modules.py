@@ -94,8 +94,7 @@ def test_quaternion_relation_generator_structure():
     pi = LocalMonomial(space.field, 1, space.field.one)
     seen_dead = set()
     seen_twist = False
-    for row in rows:
-        c = row.coeffs
+    for c in rows:
         assert c[3] == -(c[0] * pi)
         for flat in (1, 2):
             if not c[flat].is_zero and all(
