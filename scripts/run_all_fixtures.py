@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Run every bundled fixture and print one summary line each.
+"""Run every packaged fixture and print one summary line each.
+
+The fixtures are the JSON files in the installed `pelks/fixtures`
+directory, the same ones `pelks fixtures list` shows.
 
 Handy before a release: `python3 scripts/run_all_fixtures.py --report-dir
 /tmp/reports` leaves one JSON report per fixture next to the console
@@ -10,12 +13,18 @@ import argparse
 import json
 import pathlib
 import sys
+from importlib import resources
 
 from pelks.checks import run_checks
-from pelks.cli import resolve_config
-from pelks.config import with_overrides
+from pelks.config import config_from_dict, with_overrides
 
-FIXTURES = ["quaternion-C", "unitary-A", "siegel-C", "basechange-A"]
+
+def fixture_configs():
+    """The packaged fixture configs, in file-name order."""
+    entries = sorted((resources.files("pelks") / "fixtures").iterdir(), key=lambda e: e.name)
+    return [
+        config_from_dict(json.loads(e.read_text())) for e in entries if e.name.endswith(".json")
+    ]
 
 
 def main():
@@ -26,8 +35,9 @@ def main():
     args = parser.parse_args()
 
     failures = 0
-    for name in FIXTURES:
-        cfg = with_overrides(resolve_config(name), seed=args.seed, samples=args.samples)
+    for cfg in fixture_configs():
+        name = cfg.name
+        cfg = with_overrides(cfg, seed=args.seed, samples=args.samples)
         report = run_checks(cfg)
         s = report["summary"]
         failures += s["fail"]

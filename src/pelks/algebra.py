@@ -246,6 +246,8 @@ class FiniteField:
 
 def prime_power(q):
     """Write q = p^m, returning (p, m)."""
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
     p = _small_factor(q)
     m = 0
     qq = q

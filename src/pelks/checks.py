@@ -7,20 +7,23 @@ formula recomputed independently, "derived" for a structural fact
 validated through a second route, "trivial" for identities that are
 definitional once the objects exist.
 
-Report shape (schema_version 2): name, config digest, seed, summary
+Every tolerance a check compares against is a module constant here and
+is shown in each report entry's `tolerance`.
+
+Report shape (schema_version 3): name, config digest, seed, summary
 counts, the checks sorted by name, and a timing block that callers
 must ignore when comparing runs for determinism.
 """
 
 import time
-from dataclasses import dataclass
 from fnmatch import fnmatch
+from functools import partial
 
 import numpy as np
 from numpy.random import default_rng
 
 from .config import build_embedding, config_digest, explicit_mu
-from .cyclic_algebra import CyclicAlgebraDescriptor, discriminant_report
+from .cyclic_algebra import discriminant_report
 from .domains import random_point
 from .kodaira_spencer import (
     assemble_phi,
@@ -44,43 +47,14 @@ from .lattices import (
 )
 from .pel_modules import global_rank_lemma, image_exponent, quotient_structure
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
+EPSILON = 1e-9
 COCYCLE_TOL = 1e-12
 W_TOL = 1e-10
 PHI_TOL = 1e-10
 PSI_TOL = 1e-9
 METRIC_TOL = 1e-8
-
-
-@dataclass
-class CheckResult:
-    name: str
-    status: str
-    provenance: str
-    tolerance: object
-    computed: object
-    expected: object
-    detail: str = ""
-
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "status": self.status,
-            "provenance": self.provenance,
-            "tolerance": self.tolerance,
-            "computed": self.computed,
-            "expected": self.expected,
-            "detail": self.detail,
-        }
-
-
-@dataclass
-class _Spec:
-    name: str
-    provenance: str
-    tolerance: object
-    fn: object
 
 
 class _ArchContext:
@@ -106,7 +80,7 @@ class _ArchContext:
         self.mu_source = "auto"
         try:
             lat = build_lattice(self.base_point, self.emb)
-            self.solved = solve_self_dual_mu(lat, tol=cfg.tolerances.epsilon)
+            self.solved = solve_self_dual_mu(lat, tol=EPSILON)
             self.mu = self.solved.matrix(cfg.n)
         except Exception as exc:  # as in run_checks: fail arch.self-dual-mu, skip its dependents
             self.mu_error = f"{type(exc).__name__}: {exc}"
@@ -115,6 +89,8 @@ class _ArchContext:
         return self.cfg.r // 2 if self.cfg.kind == "A" else self.cfg.r
 
     def sample_points(self, count, salt):
+        if count < 1:
+            raise ValueError(f"need at least one sample point, got {count}")
         rng = default_rng([self.cfg.seed, salt])
         return [random_point(self.cfg.kind, self.genus(), rng) for _ in range(count)]
 
@@ -123,18 +99,8 @@ def _skip(reason):
     return "skip", None, None, reason
 
 
-def _descriptor(cfg, place):
-    return CyclicAlgebraDescriptor(
-        cfg.n,
-        place.residue_size,
-        place.frobenius_power,
-        place.conjugation_power,
-        place.split,
-    )
-
-
 def _check_quotient(cfg, place):
-    qs = quotient_structure(_descriptor(cfg, place), cfg.signature, cfg.kind)
+    qs = quotient_structure(place, cfg.signature, cfg.kind)
     computed = {
         "free_rank": qs.free_rank,
         "violations": [str(v) for v in qs.violations],
@@ -145,7 +111,7 @@ def _check_quotient(cfg, place):
 
 
 def _check_exponent(cfg, place):
-    rep = image_exponent(_descriptor(cfg, place), cfg.signature, cfg.kind)
+    rep = image_exponent(place, cfg.signature, cfg.kind)
     computed = {
         "exponent": rep.exponent,
         "dim": rep.dim,
@@ -157,7 +123,7 @@ def _check_exponent(cfg, place):
 
 
 def _check_discriminant(cfg, place):
-    rep = discriminant_report(_descriptor(cfg, place))
+    rep = discriminant_report(place)
     closed = cfg.n * (cfg.n - 1) if rep.is_division else 0
     computed = {
         "disc_exponent": rep.disc_exponent,
@@ -202,9 +168,6 @@ def _mu_to_lists(mu):
 
 
 def _check_self_dual_mu(cfg, ctx):
-    if ctx.emb is None:
-        return _skip("no archimedean data")
-    eps = cfg.tolerances.epsilon
     if ctx.mu_source == "auto":
         if ctx.mu is None:
             return "fail", {"error": ctx.mu_error}, {"unimodular": True}, ctx.mu_error
@@ -216,7 +179,7 @@ def _check_self_dual_mu(cfg, ctx):
             "covolume_matched": sd.covolume_matched,
         }
         expected = {"gram_det": 1.0, "covolume_matched": True}
-        ok = abs(sd.gram_det - 1.0) < eps and sd.covolume_matched
+        ok = abs(sd.gram_det - 1.0) < EPSILON and sd.covolume_matched
         return ("pass" if ok else "fail"), computed, expected, ""
     lat = build_lattice(ctx.base_point, ctx.emb)
     form = RiemannForm(lat, ctx.mu)
@@ -230,15 +193,11 @@ def _check_self_dual_mu(cfg, ctx):
         "gram_det": gdet,
     }
     expected = {"integrality_defect": 0.0, "positive": True, "gram_det": 1.0}
-    ok = defect < eps and positive and abs(gdet - 1.0) < eps
+    ok = defect < EPSILON and positive and abs(gdet - 1.0) < EPSILON
     return ("pass" if ok else "fail"), computed, expected, ""
 
 
 def _check_covolume(cfg, ctx):
-    if ctx.emb is None:
-        return _skip("no archimedean data")
-    if ctx.mu is None:
-        return _skip(f"no resolved polarization: {ctx.mu_error}")
     worst = 0.0
     for point in ctx.sample_points(cfg.samples, 11):
         lat = build_lattice(point, ctx.emb)
@@ -246,20 +205,16 @@ def _check_covolume(cfg, ctx):
         worst = max(worst, abs(lat.covolume() / predicted - 1.0))
     computed = {"max_ratio_defect": worst}
     expected = {"max_ratio_defect": 0.0}
-    eps = cfg.tolerances.epsilon
-    return ("pass" if worst < eps else "fail"), computed, expected, ""
+    return ("pass" if worst < EPSILON else "fail"), computed, expected, ""
 
 
 def _check_duality(cfg, ctx):
-    if ctx.emb is None:
-        return _skip("no archimedean data")
     worst = 0.0
     for point in ctx.sample_points(cfg.samples, 13):
         lat = build_lattice(point, ctx.emb)
         worst = max(worst, abs(lat.covolume() * lat.dual().covolume() - 1.0))
-    eps = cfg.tolerances.epsilon
     return (
-        "pass" if worst < eps else "fail",
+        "pass" if worst < EPSILON else "fail",
         {"max_product_defect": worst},
         {"max_product_defect": 0.0},
         "",
@@ -267,10 +222,6 @@ def _check_duality(cfg, ctx):
 
 
 def _check_polarization_degree(cfg, ctx):
-    if ctx.emb is None:
-        return _skip("no archimedean data")
-    if ctx.mu is None:
-        return _skip(f"no resolved polarization: {ctx.mu_error}")
     lat = build_lattice(ctx.base_point, ctx.emb)
     deg = polarization_degree(lat, ctx.mu)
     index = dual_index_oracle(lat, ctx.mu)
@@ -294,8 +245,6 @@ def _check_polarization_degree(cfg, ctx):
 
 
 def _check_cocycle(cfg, ctx):
-    if ctx.emb is None:
-        return _skip("no archimedean data")
     emb = ctx.emb
     ana = cocycle_jacobian(emb)
     elements = list(ana.elements)
@@ -320,10 +269,6 @@ def _check_cocycle(cfg, ctx):
 
 
 def _check_w_closed_form(cfg, ctx):
-    if ctx.emb is None:
-        return _skip("no archimedean data")
-    if ctx.mu is None:
-        return _skip(f"no resolved polarization: {ctx.mu_error}")
     worst = 0.0
     for point in ctx.sample_points(2, 23):
         lat = build_lattice(point, ctx.emb)
@@ -340,10 +285,6 @@ def _check_w_closed_form(cfg, ctx):
 
 
 def _check_phi_independence(cfg, ctx):
-    if ctx.emb is None:
-        return _skip("no archimedean data")
-    if ctx.mu is None:
-        return _skip(f"no resolved polarization: {ctx.mu_error}")
     tensors = []
     for point in ctx.sample_points(3, 29):
         lat = build_lattice(point, ctx.emb)
@@ -362,10 +303,6 @@ def _check_phi_independence(cfg, ctx):
 
 
 def _check_psi(cfg, ctx):
-    if ctx.emb is None:
-        return _skip("no archimedean data")
-    if ctx.mu is None:
-        return _skip(f"no resolved polarization: {ctx.mu_error}")
     closed = psi_modulus_closed_form(ctx.emb, ctx.mu)
     worst = 0.0
     off = 0.0
@@ -391,10 +328,6 @@ def _check_psi(cfg, ctx):
 
 
 def _check_metric(cfg, ctx):
-    if ctx.emb is None:
-        return _skip("no archimedean data")
-    if ctx.mu is None:
-        return _skip(f"no resolved polarization: {ctx.mu_error}")
     signature = cfg.signature if cfg.kind == "A" else None
     report = metric_identity_check(
         ctx.emb, ctx.mu, signature=signature, samples=cfg.samples, seed=cfg.seed
@@ -414,87 +347,36 @@ def _check_metric(cfg, ctx):
 
 
 def build_specs(cfg, ctx):
+    """The catalog rows (name, provenance, tolerance, prerequisite, check).
+
+    The prerequisite is None, "emb" (archimedean data) or "mu" (a resolved
+    polarization); run_checks skips a row whose prerequisite is missing.
+    `check` takes no arguments and returns (status, computed, expected,
+    detail).
+    """
     specs = []
     for place in cfg.local_places:
         q = place.residue_size
-        specs.append(
-            _Spec(
-                f"local.quotient-structure.q{q}",
-                "derived",
-                "exact",
-                lambda pl=place: _check_quotient(cfg, pl),
-            )
-        )
-        specs.append(
-            _Spec(
-                f"local.image-exponent.q{q}",
-                "closed_form",
-                "exact",
-                lambda pl=place: _check_exponent(cfg, pl),
-            )
-        )
-        specs.append(
-            _Spec(
-                f"local.discriminant.q{q}",
-                "closed_form",
-                "exact",
-                lambda pl=place: _check_discriminant(cfg, pl),
-            )
-        )
-    specs.append(_Spec("global.rank-lemma", "derived", "exact", lambda: _check_rank_lemma(cfg)))
-    eps = cfg.tolerances.epsilon
-    specs.append(
-        _Spec("arch.self-dual-mu", "derived", eps, lambda: _check_self_dual_mu(cfg, ctx))
-    )
-    specs.append(
-        _Spec("arch.lattice-covolume", "closed_form", eps, lambda: _check_covolume(cfg, ctx))
-    )
-    specs.append(
-        _Spec("arch.covolume-duality", "trivial", eps, lambda: _check_duality(cfg, ctx))
-    )
-    specs.append(
-        _Spec(
-            "arch.polarization-degree",
-            "derived",
-            "exact",
-            lambda: _check_polarization_degree(cfg, ctx),
-        )
-    )
-    specs.append(
-        _Spec(
-            "pipeline.cocycle-jacobian",
-            "derived",
-            COCYCLE_TOL,
-            lambda: _check_cocycle(cfg, ctx),
-        )
-    )
-    specs.append(
-        _Spec(
-            "pipeline.w-closed-form",
-            "closed_form" if cfg.kind == "A" else "derived",
-            W_TOL,
-            lambda: _check_w_closed_form(cfg, ctx),
-        )
-    )
-    specs.append(
-        _Spec(
-            "pipeline.phi-z-independence",
-            "derived",
-            PHI_TOL,
-            lambda: _check_phi_independence(cfg, ctx),
-        )
-    )
-    specs.append(
-        _Spec("pipeline.psi-constant", "closed_form", PSI_TOL, lambda: _check_psi(cfg, ctx))
-    )
-    specs.append(
-        _Spec(
-            "pipeline.metric-identity",
-            "closed_form",
-            METRIC_TOL,
-            lambda: _check_metric(cfg, ctx),
-        )
-    )
+        for name, provenance, check in (
+            (f"local.quotient-structure.q{q}", "derived", _check_quotient),
+            (f"local.image-exponent.q{q}", "closed_form", _check_exponent),
+            (f"local.discriminant.q{q}", "closed_form", _check_discriminant),
+        ):
+            specs.append((name, provenance, "exact", None, partial(check, cfg, place)))
+    w_provenance = "closed_form" if cfg.kind == "A" else "derived"
+    specs.append(("global.rank-lemma", "derived", "exact", None, partial(_check_rank_lemma, cfg)))
+    for name, provenance, tolerance, needs, check in (
+        ("arch.self-dual-mu", "derived", EPSILON, "emb", _check_self_dual_mu),
+        ("arch.lattice-covolume", "closed_form", EPSILON, "mu", _check_covolume),
+        ("arch.covolume-duality", "trivial", EPSILON, "emb", _check_duality),
+        ("arch.polarization-degree", "derived", "exact", "mu", _check_polarization_degree),
+        ("pipeline.cocycle-jacobian", "derived", COCYCLE_TOL, "emb", _check_cocycle),
+        ("pipeline.w-closed-form", w_provenance, W_TOL, "mu", _check_w_closed_form),
+        ("pipeline.phi-z-independence", "derived", PHI_TOL, "mu", _check_phi_independence),
+        ("pipeline.psi-constant", "closed_form", PSI_TOL, "mu", _check_psi),
+        ("pipeline.metric-identity", "closed_form", METRIC_TOL, "mu", _check_metric),
+    ):
+        specs.append((name, provenance, tolerance, needs, partial(check, cfg, ctx)))
     return specs
 
 
@@ -502,36 +384,41 @@ def run_checks(cfg, only=None):
     """Run the catalog for one instance and assemble the report dict."""
     t0 = time.perf_counter()
     ctx = _ArchContext(cfg)
-    specs = build_specs(cfg, ctx)
-    if only is not None:
-        specs = [s for s in specs if fnmatch(s.name, only)]
-    results = []
-    for spec in specs:
-        try:
-            status, computed, expected, detail = spec.fn()
-        except Exception as exc:  # a broken check must not abort the others
-            status, computed, expected = "fail", None, None
-            detail = f"{type(exc).__name__}: {exc}"
-        results.append(
-            CheckResult(
-                spec.name, status, spec.provenance, spec.tolerance, computed, expected, detail
-            )
+    checks = []
+    for name, provenance, tolerance, needs, check in build_specs(cfg, ctx):
+        if only is not None and not fnmatch(name, only):
+            continue
+        if needs and ctx.emb is None:
+            outcome = _skip("no archimedean data")
+        elif needs == "mu" and ctx.mu is None:
+            outcome = _skip(f"no resolved polarization: {ctx.mu_error}")
+        else:
+            try:
+                outcome = check()
+            except Exception as exc:  # a broken check must not abort the others
+                outcome = "fail", None, None, f"{type(exc).__name__}: {exc}"
+        status, computed, expected, detail = outcome
+        checks.append(
+            {
+                "name": name,
+                "status": status,
+                "provenance": provenance,
+                "tolerance": tolerance,
+                "computed": computed,
+                "expected": expected,
+                "detail": detail,
+            }
         )
-    results.sort(key=lambda res: res.name)
-    summary = {
-        "pass": sum(1 for res in results if res.status == "pass"),
-        "fail": sum(1 for res in results if res.status == "fail"),
-        "skip": sum(1 for res in results if res.status == "skip"),
-        "total": len(results),
-    }
+    checks.sort(key=lambda res: res["name"])
+    summary = {s: sum(1 for res in checks if res["status"] == s) for s in ("pass", "fail", "skip")}
     return {
         "schema_version": SCHEMA_VERSION,
         "name": cfg.name,
         "config_digest": config_digest(cfg),
         "seed": cfg.seed,
         "samples": cfg.samples,
-        "summary": summary,
-        "checks": [res.to_dict() for res in results],
+        "summary": summary | {"total": len(checks)},
+        "checks": checks,
         "timing": {"total_seconds": time.perf_counter() - t0},
     }
 

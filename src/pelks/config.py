@@ -1,11 +1,11 @@
 """Instance configuration: strict JSON in, frozen dataclasses out.
 
 A config names one PEL instance: the algebra shape (kind, n, r,
-signature), the finite places to test, and the archimedean data (field
-discriminant, order basis, polarization mode).  Parsing is strict on
-purpose: unknown keys, wrong types, or broken invariants raise
-ConfigInvalid rather than guessing, because a silently coerced config
-would defeat the point of a verification run.
+signature), the finite places to test (each a CyclicAlgebraDescriptor),
+and the archimedean data (field discriminant, order basis, polarization
+mode).  Parsing is strict on purpose: unknown keys, wrong types, or
+broken invariants raise ConfigInvalid rather than guessing, because a
+silently coerced config would defeat the point of a verification run.
 
 Complex numbers are encoded as [re, im] pairs, matrices as row lists.
 """
@@ -88,24 +88,11 @@ def _matrix_to_lists(m):
 
 
 @dataclass(frozen=True)
-class LocalPlace:
-    residue_size: int
-    frobenius_power: int = 1
-    conjugation_power: int = 0
-    split: bool = False
-
-
-@dataclass(frozen=True)
 class ArchimedeanData:
     discriminant: int
     order_basis: tuple
     mu_mode: str
     mu: tuple = None
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    epsilon: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -119,7 +106,6 @@ class InstanceConfig:
     archimedean: ArchimedeanData
     samples: int = 20
     seed: int = 0
-    tolerances: Tolerances = Tolerances()
     description: str = ""
 
 
@@ -133,12 +119,10 @@ _TOP_KEYS = {
     "archimedean",
     "samples",
     "seed",
-    "tolerances",
     "description",
 }
 _PLACE_KEYS = {"residue_size", "frobenius_power", "conjugation_power", "split"}
 _ARCH_KEYS = {"discriminant", "order_basis", "mu_mode", "mu"}
-_TOL_KEYS = {"epsilon"}
 
 
 def config_from_dict(d):
@@ -167,24 +151,16 @@ def config_from_dict(d):
     for i, entry in enumerate(d.get("local_places", [])):
         _check_keys(entry, _PLACE_KEYS, f"local_places[{i}]")
         _expect("residue_size" in entry, f"local_places[{i}] needs residue_size")
-        place = LocalPlace(
-            residue_size=_as_int(entry["residue_size"], "residue_size"),
-            frobenius_power=_as_int(entry.get("frobenius_power", 1), "frobenius_power"),
-            conjugation_power=_as_int(entry.get("conjugation_power", 0), "conjugation_power"),
-            split=_as_bool(entry.get("split", False), "split"),
+        fields = (
+            _as_int(entry["residue_size"], "residue_size"),
+            _as_int(entry.get("frobenius_power", 1), "frobenius_power"),
+            _as_int(entry.get("conjugation_power", 0), "conjugation_power"),
+            _as_bool(entry.get("split", False), "split"),
         )
-        _expect(place.residue_size >= 2, "residue_size must be at least 2")
         try:
-            CyclicAlgebraDescriptor(
-                n,
-                place.residue_size,
-                place.frobenius_power,
-                place.conjugation_power,
-                place.split,
-            )
+            places.append(CyclicAlgebraDescriptor(n, *fields))
         except ValueError as exc:
             raise ConfigInvalid(f"local_places[{i}]: {exc}") from exc
-        places.append(place)
 
     arch = None
     if d.get("archimedean") is not None:
@@ -225,13 +201,6 @@ def config_from_dict(d):
             _expect(a.get("mu") is None, "self-dual-auto forbids an explicit mu")
         arch = ArchimedeanData(disc, basis, mu_mode, mu)
 
-    tol = Tolerances()
-    if "tolerances" in d:
-        t = d["tolerances"]
-        _check_keys(t, _TOL_KEYS, "tolerances")
-        tol = Tolerances(epsilon=_as_number(t.get("epsilon", 1e-9), "epsilon"))
-        _expect(tol.epsilon > 0, "epsilon must be positive")
-
     samples = _as_int(d.get("samples", 20), "samples")
     _expect(samples >= 1, "samples must be positive")
     seed = _as_int(d.get("seed", 0), "seed")
@@ -248,7 +217,6 @@ def config_from_dict(d):
         archimedean=arch,
         samples=samples,
         seed=seed,
-        tolerances=tol,
         description=description,
     )
 
@@ -286,7 +254,6 @@ def config_to_dict(cfg):
         "archimedean": None,
         "samples": cfg.samples,
         "seed": cfg.seed,
-        "tolerances": {"epsilon": cfg.tolerances.epsilon},
         "description": cfg.description,
     }
     if cfg.archimedean is not None:

@@ -387,6 +387,8 @@ def metric_identity_check(emb, mu, signature=None, samples=20, seed=0):
     k0 is r/2 for the two-block model and r + 1 for the classical one;
     the report carries every sampled ratio so a failure shows its shape.
     """
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
     rng = default_rng(seed)
     if emb.kind == "A":
         g = emb.r // 2

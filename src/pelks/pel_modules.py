@@ -594,25 +594,22 @@ def global_rank_lemma(p, q, discriminant):
         for i in range(r):
             special = (i == 0 and p > 0) if block == "left" else (i == p and q > 0)
             entries.append((1, 1) if special else one)
-        # the probe is diagonal on classes: (i, j) scales by entries[i]*entries[j]
-        A = [[0] * N for _ in range(N)]
+        # the probe A is diagonal on classes: (i, j) scales by entries[i]*entries[j],
+        # acting by the right-action 2x2 block of multiplication by lam on
+        # Z + Z omega; only the free columns of A V are needed
+        AV = []
         for i in range(r):
             for j in range(r):
                 cls = i * r + j
                 lam = _qmul(entries[i], entries[j], t0, t1)
-                # right-action 2x2 block of multiplication by lam on Z + Z omega
-                A[2 * cls][2 * cls] = lam[0]
-                A[2 * cls][2 * cls + 1] = lam[1]
-                A[2 * cls + 1][2 * cls] = lam[1] * t0
-                A[2 * cls + 1][2 * cls + 1] = lam[0] + lam[1] * t1
-        M = _imatmul(_imatmul(Vinv, A), dec.V)
-        for t in range(N):
-            if t in free_set:
-                continue
-            if any(M[t][s] for s in free_slots):
-                violations.append("probe does not preserve the free part")
-                break
-        F = [[M[t][s] for s in free_slots] for t in free_slots]
+                x, y = dec.V[2 * cls], dec.V[2 * cls + 1]
+                AV.append([lam[0] * x[s] + lam[1] * y[s] for s in free_slots])
+                AV.append([lam[1] * t0 * x[s] + (lam[0] + lam[1] * t1) * y[s] for s in free_slots])
+        # M = V^-1 A V restricted to the free columns
+        M = _imatmul(Vinv, AV)
+        if any(any(M[t]) for t in range(N) if t not in free_set):
+            violations.append("probe does not preserve the free part")
+        F = [M[t] for t in free_slots]
         d = abs(integer_det(F)) if F else 1
         base = abs(_qnorm((1, 1), t0, t1))
         e = 0

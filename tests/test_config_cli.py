@@ -1,14 +1,17 @@
 """Config parsing, check reports, CLI behavior, determinism."""
 
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from pelks.checks import explain, run_checks
+from pelks.checks import EXPLANATIONS, explain, run_checks
 from pelks.cli import main, resolve_config
 from pelks.config import (
     ConfigInvalid,
@@ -73,6 +76,9 @@ def test_unknown_keys_rejected():
         config_from_dict(minimal_unitary(tolerances={"epsilonn": 1e-9}))
     with pytest.raises(ConfigInvalid, match="unknown keys"):
         config_from_dict(minimal_unitary(tolerances={"local_precision": 16}))
+    # tolerances are fixed per check, so the whole section is gone
+    with pytest.raises(ConfigInvalid, match="unknown keys"):
+        config_from_dict(minimal_unitary(tolerances={"epsilon": 1e-9}))
 
 
 def test_type_strictness():
@@ -125,6 +131,7 @@ def test_invariants_enforced():
     # the descriptor's own rules: q a prime power, f prime to n
     for place, message in (
         ({"residue_size": 6}, "not a prime power"),
+        ({"residue_size": 1}, "not a prime power"),
         ({"residue_size": 5, "frobenius_power": 2}, "prime to n=2"),
     ):
         with pytest.raises(ConfigInvalid, match=message):
@@ -161,7 +168,7 @@ def test_reports_are_deterministic():
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
     names = [c["name"] for c in first["checks"]]
     assert names == sorted(names)
-    assert first["schema_version"] == 2
+    assert first["schema_version"] == 3
     assert first["summary"]["fail"] == 0
 
 
@@ -187,10 +194,11 @@ def test_only_filter():
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", "no-such-instance"]) == 2
     assert "config error" in capsys.readouterr().err
-    stale = tmp_path / "stale.json"
-    stale.write_text(json.dumps(minimal_unitary(tolerances={"local_precision": 16})))
-    assert main(["run", "--config", str(stale)]) == 2
-    assert "config error" in capsys.readouterr().err
+    for tolerances in ({"local_precision": 16}, {"epsilon": 1e-9}):
+        stale = tmp_path / "stale.json"
+        stale.write_text(json.dumps(minimal_unitary(tolerances=tolerances)))
+        assert main(["run", "--config", str(stale)]) == 2
+        assert "config error" in capsys.readouterr().err
     assert main(["run", "--config", str(tmp_path)]) == 2  # a directory
     assert "config error" in capsys.readouterr().err
     latin = tmp_path / "latin.json"
@@ -198,11 +206,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     latin.write_bytes(text.encode("latin-1"))  # not UTF-8
     assert main(["run", "--config", str(latin)]) == 2
     assert "config error" in capsys.readouterr().err
-    for place in ({"residue_size": 6}, {"residue_size": 5, "frobenius_power": 2}):
+    for place in (
+        {"residue_size": 6},
+        {"residue_size": 5, "frobenius_power": 2},
+        {"residue_size": 1},
+    ):
         bad = tmp_path / "bad-place.json"
         bad.write_text(json.dumps(minimal_unitary(n=2, archimedean=None, local_places=[place])))
         assert main(["run", "--config", str(bad)]) == 2
-        assert "config error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("config error:")
     assert main(["run", "--config", "quaternion-C", "--only", "nothing*"]) == 2
     capsys.readouterr()
     assert main([]) == 2
@@ -236,7 +248,7 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert "pipeline.metric-identity" in out
     assert "0 failed" in out
     data = json.loads(report_path.read_text())
-    assert data["schema_version"] == 2
+    assert data["schema_version"] == 3
     assert data["samples"] == 3
     statuses = {c["name"]: c["status"] for c in data["checks"]}
     assert statuses["pipeline.metric-identity"] == "pass"
@@ -266,6 +278,24 @@ def test_honest_failure_exits_one(tmp_path, capsys):
         line.startswith("FAIL") and "metric-identity" in line
         for line in out.splitlines()
     )
+
+
+def test_sampled_checks_fail_at_zero_samples():
+    # config parsing refuses samples < 1; the library must refuse them too
+    cfg = dataclasses.replace(resolve_config("unitary-A"), samples=0)
+    statuses = {c["name"]: (c["status"], c["detail"]) for c in run_checks(cfg)["checks"]}
+    for name in ("arch.lattice-covolume", "arch.covolume-duality", "pipeline.metric-identity"):
+        status, detail = statuses[name]
+        assert status == "fail" and detail.startswith("ValueError: need at least one"), name
+
+
+def test_every_reported_check_has_an_explanation():
+    # the catalog and EXPLANATIONS name the same checks, up to the .q{q} place suffix
+    reported = set()
+    for name in FIXTURES:
+        for check in run_checks(with_overrides(resolve_config(name), samples=2))["checks"]:
+            reported.add(re.sub(r"\.q\d+$", "", check["name"]))
+    assert reported == set(EXPLANATIONS)
 
 
 def test_explain_accepts_place_suffix():
@@ -346,3 +376,8 @@ def test_scripts_run_clean(script, args):
     proc = _run(str(REPO / "scripts" / script), *args)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "INCONSISTENT" not in proc.stdout
+    if script == "run_all_fixtures.py":
+        packaged = (resources.files("pelks") / "fixtures").iterdir()
+        names = sorted(e.name[: -len(".json")] for e in packaged if e.name.endswith(".json"))
+        summaries = [line.split()[0] for line in proc.stdout.splitlines() if line[:1] != " "]
+        assert summaries == names

@@ -38,6 +38,12 @@ def test_descriptor_rejects_bad_conjugation_power():
         CyclicAlgebraDescriptor(n=3, residue_size=2, conjugation_power=1)
 
 
+@pytest.mark.parametrize("q", [1, 0, -8])
+def test_descriptor_rejects_residue_size_below_two(q):
+    with pytest.raises(ValueError, match="not a prime power"):
+        CyclicAlgebraDescriptor(n=2, residue_size=q)
+
+
 def test_descriptor_accepts_half_period_conjugation():
     CyclicAlgebraDescriptor(n=4, residue_size=3, conjugation_power=2)
 

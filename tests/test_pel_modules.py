@@ -1,6 +1,12 @@
 import pytest
 
-from pelks.algebra import DegenerateTestElement, LocalMonomial
+from pelks.algebra import (
+    DegenerateTestElement,
+    LocalMonomial,
+    integer_det,
+    integer_inverse,
+    integer_smith_normal_form,
+)
 from pelks.cyclic_algebra import CyclicAlgebraDescriptor
 from pelks.pel_modules import (
     SignatureMismatch,
@@ -198,6 +204,93 @@ def test_global_rank_degenerate_signatures():
     assert rep.consistent and not rep.normalizer_exists
     assert rep.free_rank == 0
     assert rep.torsion_order_matches  # 6 matched classes, each of order 4
+
+
+def _dense_probe_oracle(p, q, disc):
+    """(exponent, preserved) of the left and right probes, by the dense V^-1 A V.
+
+    The relation rows are rebuilt from the definition in the docstring of
+    global_rank_lemma: W = O_F^r with i(beta) = diag(beta 1_p, conj(beta) 1_q),
+    and R spanned over O_F by i(beta)u (x) v - u (x) i(conj(beta))v and by
+    u (x) v - v (x) u.  Class (i, j) of e_i (x) e_j has the Z-coordinates
+    2(ir + j), 2(ir + j) + 1 of its coefficient in Z + Z omega.
+    """
+    t1 = disc % 4  # omega^2 = t0 + t1 omega
+    t0 = (disc - t1) // 4
+    r = p + q
+    N = 2 * r * r
+
+    def mul(a, b):
+        return (a[0] * b[0] + a[1] * b[1] * t0, a[0] * b[1] + a[1] * b[0] + a[1] * b[1] * t1)
+
+    def conj(a):
+        return (a[0] + a[1] * t1, -a[1])
+
+    def sigma(i, a):
+        return a if i < p else conj(a)
+
+    def row(*terms):
+        out = [0] * N
+        for cls, c in terms:
+            out[2 * cls] += c[0]
+            out[2 * cls + 1] += c[1]
+        return out
+
+    scalars = [(1, 0), (0, 1)]
+    rows = []
+    for i in range(r):
+        for j in range(r):
+            for lam in scalars:
+                for beta in scalars:
+                    left = mul(lam, sigma(i, beta))
+                    right = mul(lam, sigma(j, conj(beta)))
+                    rows.append(row((i * r + j, (left[0] - right[0], left[1] - right[1]))))
+                rows.append(row((i * r + j, lam), (j * r + i, (-lam[0], -lam[1]))))
+    rows = [x for x in rows if any(x)]
+    dec = integer_smith_normal_form(rows)
+    free = [t for t, d in enumerate(dec.divisors) if d == 0]
+    free += list(range(len(dec.divisors), N))
+    Vinv = integer_inverse(dec.V)
+    norm = mul((1, 1), conj((1, 1)))[0]
+
+    def matmul(A, B):
+        return [[sum(a * b for a, b in zip(x, col)) for col in zip(*B)] for x in A]
+
+    results = []
+    for special in (0 if p else None, p if q else None):
+        entries = [(1, 1) if i == special else (1, 0) for i in range(r)]
+        A = [[0] * N for _ in range(N)]
+        for i in range(r):
+            for j in range(r):
+                cls = i * r + j
+                lam = mul(entries[i], entries[j])
+                A[2 * cls][2 * cls] = lam[0]
+                A[2 * cls][2 * cls + 1] = lam[1]
+                A[2 * cls + 1][2 * cls] = lam[1] * t0
+                A[2 * cls + 1][2 * cls + 1] = lam[0] + lam[1] * t1
+        M = matmul(matmul(Vinv, A), dec.V)
+        preserved = not any(M[t][s] for t in range(N) if t not in free for s in free)
+        d = abs(integer_det([[M[t][s] for s in free] for t in free])) if free else 1
+        e = 0
+        while d > 1 and d % norm == 0:
+            d //= norm
+            e += 1
+        assert d == 1, (p, q, disc)
+        results.append((e, preserved))
+    return results
+
+
+@pytest.mark.parametrize("disc", [-3, -4, -7])
+def test_rank_lemma_probe_matches_the_dense_oracle(disc):
+    for p in range(4):
+        for q in range(4):
+            if p + q == 0:
+                continue
+            rep = global_rank_lemma(p, q, disc)
+            (left, left_ok), (right, right_ok) = _dense_probe_oracle(p, q, disc)
+            assert left_ok and right_ok, (p, q)
+            assert (rep.probe_left, rep.probe_right) == (left, right), (p, q)
+            assert "probe does not preserve the free part" not in rep.violations
 
 
 def test_global_rank_input_validation():
