@@ -11,7 +11,10 @@ Three layers, each used by the layer above:
 
 A parallel Smith normal form over the rational integers lives here as
 well, since the global rank computations need the same bookkeeping
-(divisors, left and right transforms) over Z instead of a DVR.
+(divisors, left and right transforms) over Z instead of a DVR.  Both
+take dense rows; relation systems are sparse, and `split_blocks` cuts
+them into the connected blocks of their nonzero pattern, which the
+callers reduce one at a time.
 
 Exactness convention: monomials are closed under products, inverses
 and Frobenius, and a sum of two monomials stays one when a summand is
@@ -375,6 +378,43 @@ class SmithDecomposition:
         self.V = V
         self.exponents = exponents
         self.divisors = divisors
+
+
+def split_blocks(rows, ncols, links=()):
+    """Connected blocks of a sparse row system.
+
+    Each row is a list of (column, entry) pairs.  Two columns share a
+    block when one row touches both, or when they form one of the
+    `links` pairs.  Returns (columns, row indices) per block, both
+    ascending, with the blocks ordered by their first column.  A column
+    no row touches is a block without rows; an empty row joins no block.
+    """
+    parent = list(range(ncols))
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    def union(a, b):
+        a, b = find(a), find(b)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+
+    for a, b in links:
+        union(a, b)
+    for row in rows:
+        for c, _ in row[1:]:
+            union(row[0][0], c)
+    # the root of a block is its smallest column, met first in this scan
+    blocks = {}
+    for c in range(ncols):
+        blocks.setdefault(find(c), ([], []))[0].append(c)
+    for i, row in enumerate(rows):
+        if row:
+            blocks[find(row[0][0])][1].append(i)
+    return list(blocks.values())
 
 
 def smith_normal_form(matrix):

@@ -148,7 +148,9 @@ def config_from_dict(d):
         _expect(q == 0, "kind C signature must be [r, 0]")
 
     places = []
-    for i, entry in enumerate(d.get("local_places", [])):
+    places_raw = d.get("local_places", [])
+    _expect(isinstance(places_raw, list), "local_places must be a list")
+    for i, entry in enumerate(places_raw):
         _check_keys(entry, _PLACE_KEYS, f"local_places[{i}]")
         _expect("residue_size" in entry, f"local_places[{i}] needs residue_size")
         fields = (

@@ -19,7 +19,10 @@ unitary case needs v1, v2 with all 2n Galois translates distinct, the
 symplectic case uses v2 = v1 with a full tau orbit.
 
 The quotient of plain (x) dual by the relations x.m (x) m' - m (x) x.m'
-and u.m (x) m' - m (x) u.m' is computed by Smith normal form and checked
+and u.m (x) m' - m (x) u.m' is computed by Smith normal form, one
+connected block of the relation pattern at a time (for n <= 2 a block
+has at most four columns: a u-row joins e_{ij} (x) e'_{lk} to the class
+with both i and l flipped, a swap row joins (j, k) to (k, j)), and checked
 against its predicted shape: one free line per eligible column pair,
 spanned by the chain
 
@@ -40,6 +43,7 @@ from .algebra import (
     integer_inverse,
     integer_smith_normal_form,
     smith_normal_form,
+    split_blocks,
 )
 from .cyclic_algebra import discriminant_report
 
@@ -156,24 +160,25 @@ def find_test_letters(descriptor, mode):
 
 
 def relation_generators(plain, dual, letters, include_swap=False):
-    """Rows spanning the relation module, as lists of LocalMonomial.
+    """Rows spanning the relation module, as sparse (column, LocalMonomial) lists.
 
     For every basis class m (x) m' this yields x.m (x) m' - m (x) x.m'
     (when nonzero) and u.m (x) m' - m (x) u.m'; with include_swap also
     m (x) m' - swap(m (x) m') once per unordered pair.  Each row has at
-    most two nonzero entries.
+    most two entries, all nonzero, in ascending column order; for n = 1
+    the u-row is empty.
     """
     space = TensorSpace(plain, dual)
     field = space.field
     n, r = space.n, space.r
-    zero = LocalMonomial.zero(field)
     rows = []
 
     def row(*entries):
-        out = [zero] * space.size
+        out = {}
         for flat, val, coeff in entries:
-            out[flat] = out[flat] + LocalMonomial(field, val, coeff)
-        rows.append(out)
+            term = LocalMonomial(field, val, coeff)
+            out[flat] = out[flat] + term if flat in out else term
+        rows.append([(flat, a) for flat, a in sorted(out.items()) if a.coeff])
 
     for i in range(n):
         for j in range(r):
@@ -198,24 +203,58 @@ def relation_generators(plain, dual, letters, include_swap=False):
     return space, rows
 
 
+def _dense(rows, cols, row_ids, zero):
+    """Rows `row_ids` of a sparse system as dense rows over `cols`."""
+    local = {c: t for t, c in enumerate(cols)}
+    out = []
+    for i in row_ids:
+        dense = [zero] * len(cols)
+        for c, a in rows[i]:
+            dense[local[c]] = a
+        out.append(dense)
+    return out
+
+
 class _Decomposition:
-    """Quotient coordinates of O_E^N by a relation row span."""
+    """Quotient coordinates of O^ncols by the span of sparse relation rows.
 
-    def __init__(self, space, rows):
-        self.space = space
-        self.dec = smith_normal_form(RingMatrix(space.field, rows))
-        self.exponents = self.dec.exponents
-        self.free_slots = [t for t, e in enumerate(self.exponents) if e == INF]
-        self.free_slots += list(range(len(self.exponents), space.size))
+    The rows are reduced one connected block at a time (split_blocks),
+    so V is block-diagonal: a column's free coordinates are nonzero only
+    in the free slots of its block, and the blocks number the free slots
+    in order.  `exponents` has the layout of one dense Smith normal
+    form: the finite exponents ascending, then +inf up to
+    min(len(rows), ncols).
+    """
 
-    @property
-    def free_rank(self):
-        return len(self.free_slots)
+    def __init__(self, field, rows, ncols):
+        self.zero = LocalMonomial.zero(field)
+        one = LocalMonomial.one(field)
+        self.free_rank = 0
+        self._coords = [None] * ncols
+        finite = []
+        for cols, row_ids in split_blocks(rows, ncols):
+            if row_ids:
+                dec = smith_normal_form(RingMatrix(field, _dense(rows, cols, row_ids, self.zero)))
+                V, exponents = dec.V, dec.exponents
+            else:
+                V = [[one]]  # an untouched column is a block of its own
+                exponents = []
+            finite += [e for e in exponents if e != INF]
+            free = [t for t, e in enumerate(exponents) if e == INF]
+            free += range(len(exponents), len(cols))
+            slots = range(self.free_rank, self.free_rank + len(free))
+            self.free_rank += len(free)
+            for t, c in enumerate(cols):
+                self._coords[c] = [(s, V[t][f]) for s, f in zip(slots, free) if V[t][f].coeff]
+        finite.sort()
+        self.exponents = finite + [INF] * (min(len(rows), ncols) - len(finite))
 
     def free_coordinates(self, flat):
         """Image of basis class `flat` in the free part of the quotient."""
-        row = self.dec.V[flat]
-        return [row[s] for s in self.free_slots]
+        out = [self.zero] * self.free_rank
+        for s, a in self._coords[flat]:
+            out[s] = a
+        return out
 
 
 def _chain_indices(space, j, k):
@@ -264,7 +303,7 @@ def _relation_quotient(descriptor, signature, kind, letters, symmetrized):
         letters = find_test_letters(descriptor, "strict_2n" if kind == "A" else "orbit_n")
     plain, dual = build_module_pair(descriptor, signature)
     space, rows = relation_generators(plain, dual, letters, include_swap=symmetrized)
-    dec = _Decomposition(space, rows)
+    dec = _Decomposition(space.field, rows, space.size)
     pairs = _eligible_pairs(signature, kind, symmetrized)
 
     violations = []
@@ -344,12 +383,11 @@ def quotient_structure(descriptor, signature, kind, letters=None):
             )
 
     if expected_rank and not violations:
-        basis = RingMatrix(
-            space.field,
-            [dec.free_coordinates(chain[-1]) for (_, chain) in chains],
-        )
-        bdec = smith_normal_form(basis)
-        if any(e != 0 for e in bdec.exponents):
+        basis = [
+            [(s, a) for s, a in enumerate(dec.free_coordinates(chain[-1])) if a.coeff]
+            for (_, chain) in chains
+        ]
+        if any(e != 0 for e in _Decomposition(space.field, basis, dec.free_rank).exponents):
             violations.append("surviving lines are not an O_E-basis of the quotient")
 
     return QuotientStructure(
@@ -417,11 +455,13 @@ def image_exponent(descriptor, signature, kind, letters=None):
             continue
         base = min(vals)
         profile = [v - base for v in vals]
-        # proportionality: consecutive classes span the same line
+        # proportionality: consecutive classes span the same line; a
+        # 2x2 minor with a slot outside both supports vanishes
         for i0 in range(1, len(coords)):
             y, z = coords[i0 - 1], coords[i0]
-            for t in range(len(y)):
-                for s in range(t + 1, len(y)):
+            support = [t for t in range(len(y)) if y[t].coeff or z[t].coeff]
+            for a, t in enumerate(support):
+                for s in support[a + 1:]:
                     if y[t] * z[s] != y[s] * z[t]:
                         violations.append(
                             f"chain ({j},{k}): classes {i0} and {i0 + 1} not proportional"
@@ -539,43 +579,24 @@ def global_rank_lemma(p, q, discriminant):
         )
 
     N = 2 * r * r
-    omega = (0, 1)
-    one = (1, 0)
-    gamma = (-t1, 2)  # omega - conj(omega)
-
-    def put(row, cls, lam):
-        row[2 * cls] += lam[0]
-        row[2 * cls + 1] += lam[1]
-
-    def omega_times(lam):
-        return _qmul(omega, lam, t0, t1)
-
-    rows = []
-    for i in range(r):
-        for j in range(r):
-            cls = i * r + j
-            matched = (i < p) == (j < p)
-            if matched:
-                lam = gamma if i < p else (-gamma[0], -gamma[1])
-                for coeff in (lam, omega_times(lam)):
-                    row = [0] * N
-                    put(row, cls, coeff)
-                    rows.append(row)
-            if i < j:
-                for coeff in (one, omega):
-                    row = [0] * N
-                    put(row, cls, coeff)
-                    put(row, j * r + i, (-coeff[0], -coeff[1]))
-                    rows.append(row)
-
-    dec = integer_smith_normal_form(rows)
-    divisors = dec.divisors
-    free_slots = [t for t, d in enumerate(divisors) if d == 0]
-    free_slots += list(range(len(divisors), N))
-    free_rank = len(free_slots)
+    rows = _rank_relations(p, q, t0, t1)
+    # the probe acts on each class by a 2x2 block, so a block must hold
+    # both coordinates of its classes even where no relation row does;
+    # every class carries a relation row, so no block is empty
+    links = [(2 * cls, 2 * cls + 1) for cls in range(r * r)]
+    divisors = []
+    probed = []  # (columns, V, V^-1, free slots) of each block with free slots
+    for cols, row_ids in split_blocks(rows, N, links):
+        dec = integer_smith_normal_form(_dense(rows, cols, row_ids, 0))
+        divisors += dec.divisors
+        free = [t for t, d in enumerate(dec.divisors) if d == 0]
+        free += range(len(dec.divisors), len(cols))
+        if free:
+            probed.append((cols, dec.V, integer_inverse(dec.V), free))
+    free_rank = N - sum(1 for d in divisors if d)
     expected_free = 2 * p * q
 
-    torsion = [d for d in divisors if d > 1]
+    torsion = _invariant_factors([d for d in divisors if d > 1])
     absD = -discriminant
     annihilated = all(absD % d == 0 for d in torsion)
     matched_unordered = p * (p + 1) // 2 + q * (q + 1) // 2
@@ -585,32 +606,36 @@ def global_rank_lemma(p, q, discriminant):
     order_matches = order == absD**matched_unordered
 
     violations = []
-    Vinv = integer_inverse(dec.V)
-    free_set = set(free_slots)
 
     def probe(block):
         """|det| exponent of diag(1 + omega, 1, ...) on the given block."""
         entries = []
         for i in range(r):
             special = (i == 0 and p > 0) if block == "left" else (i == p and q > 0)
-            entries.append((1, 1) if special else one)
+            entries.append((1, 1) if special else (1, 0))
         # the probe A is diagonal on classes: (i, j) scales by entries[i]*entries[j],
         # acting by the right-action 2x2 block of multiplication by lam on
-        # Z + Z omega; only the free columns of A V are needed
-        AV = []
-        for i in range(r):
-            for j in range(r):
-                cls = i * r + j
+        # Z + Z omega.  A keeps every relation block, so V^-1 A V is
+        # block-diagonal and its free part has the product of the blocks'
+        # determinants; only the free columns of A V are needed
+        d, preserved = 1, True
+        for cols, V, Vinv, free in probed:
+            local = {c: t for t, c in enumerate(cols)}
+            AV = [None] * len(cols)
+            for t, c in enumerate(cols):
+                if c % 2:
+                    continue
+                i, j = divmod(c // 2, r)
                 lam = _qmul(entries[i], entries[j], t0, t1)
-                x, y = dec.V[2 * cls], dec.V[2 * cls + 1]
-                AV.append([lam[0] * x[s] + lam[1] * y[s] for s in free_slots])
-                AV.append([lam[1] * t0 * x[s] + (lam[0] + lam[1] * t1) * y[s] for s in free_slots])
-        # M = V^-1 A V restricted to the free columns
-        M = _imatmul(Vinv, AV)
-        if any(any(M[t]) for t in range(N) if t not in free_set):
+                x, y = V[t], V[local[c + 1]]
+                AV[t] = [lam[0] * x[s] + lam[1] * y[s] for s in free]
+                AV[local[c + 1]] = [lam[1] * t0 * x[s] + (lam[0] + lam[1] * t1) * y[s] for s in free]
+            # M = V^-1 A V restricted to the free columns
+            M = _imatmul(Vinv, AV)
+            preserved = preserved and not any(any(M[t]) for t in range(len(cols)) if t not in free)
+            d *= abs(integer_det([M[t] for t in free]))
+        if not preserved:
             violations.append("probe does not preserve the free part")
-        F = [M[t] for t in free_slots]
-        d = abs(integer_det(F)) if F else 1
         base = abs(_qnorm((1, 1), t0, t1))
         e = 0
         while d > 1 and d % base == 0:
@@ -642,6 +667,61 @@ def global_rank_lemma(p, q, discriminant):
         violations=violations,
     )
     return report
+
+
+def _rank_relations(p, q, t0, t1):
+    """Sparse Z-rows of R; class cls = i r + j has coordinates 2 cls, 2 cls + 1."""
+    r = p + q
+    omega = (0, 1)
+    one = (1, 0)
+    gamma = (-t1, 2)  # omega - conj(omega)
+
+    def row(*terms):
+        out = {}
+        for cls, lam in terms:
+            for c, x in ((2 * cls, lam[0]), (2 * cls + 1, lam[1])):
+                out[c] = out.get(c, 0) + x
+        return [(c, x) for c, x in sorted(out.items()) if x]
+
+    rows = []
+    for i in range(r):
+        for j in range(r):
+            cls = i * r + j
+            matched = (i < p) == (j < p)
+            if matched:
+                lam = gamma if i < p else (-gamma[0], -gamma[1])
+                for coeff in (lam, _qmul(omega, lam, t0, t1)):
+                    rows.append(row((cls, coeff)))
+            if i < j:
+                for coeff in (one, omega):
+                    rows.append(row((cls, coeff), (j * r + i, (-coeff[0], -coeff[1]))))
+    return rows
+
+
+def _invariant_factors(orders):
+    """Invariant factors > 1 of the sum of the cyclic groups Z/d, d in `orders`, ascending.
+
+    Per prime, the t-th largest prime-power part of the orders goes into
+    the t-th largest factor.
+    """
+    parts = {}
+    for d in orders:
+        f = 2
+        while d > 1:
+            if f * f > d:
+                f = d
+            pf = 1
+            while d % f == 0:
+                d //= f
+                pf *= f
+            if pf > 1:
+                parts.setdefault(f, []).append(pf)
+            f += 1
+    factors = [1] * max(map(len, parts.values()), default=0)
+    for powers in parts.values():
+        for t, pf in enumerate(sorted(powers, reverse=True)):
+            factors[t] *= pf
+    return sorted(factors)
 
 
 def _imatmul(A, B):

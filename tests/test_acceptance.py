@@ -79,7 +79,9 @@ def test_quaternion_image_exponent_and_generators():
         # pi times flat 3
         letters = find_test_letters(desc, "orbit_n")
         plain, dual = build_module_pair(desc, (1, 0))
-        space, rows = relation_generators(plain, dual, letters)
+        space, sparse = relation_generators(plain, dual, letters)
+        zero = LocalMonomial.zero(space.field)
+        rows = [[dict(row).get(flat, zero) for flat in range(space.size)] for row in sparse]
         pi = LocalMonomial(space.field, 1, space.field.one)
         dead, twisted = set(), False
         for c in rows:

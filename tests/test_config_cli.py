@@ -136,6 +136,9 @@ def test_invariants_enforced():
     ):
         with pytest.raises(ConfigInvalid, match=message):
             config_from_dict(dict(minimal_unitary(n=2, archimedean=None), local_places=[place]))
+    for places in (None, 3, {"residue_size": 3}):
+        with pytest.raises(ConfigInvalid, match="local_places must be a list"):
+            config_from_dict(dict(minimal_unitary(n=2, archimedean=None), local_places=places))
     # n must divide r only once archimedean data enters
     config_from_dict(
         {
@@ -215,6 +218,11 @@ def test_cli_exit_codes(tmp_path, capsys):
         bad.write_text(json.dumps(minimal_unitary(n=2, archimedean=None, local_places=[place])))
         assert main(["run", "--config", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+    for places in (None, 3, {"residue_size": 3}):
+        bad = tmp_path / "bad-places.json"
+        bad.write_text(json.dumps(minimal_unitary(n=2, archimedean=None, local_places=places)))
+        assert main(["run", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("config error: local_places must be a list")
     assert main(["run", "--config", "quaternion-C", "--only", "nothing*"]) == 2
     capsys.readouterr()
     assert main([]) == 2

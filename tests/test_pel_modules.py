@@ -1,11 +1,16 @@
 import pytest
 
+from pelks import pel_modules
 from pelks.algebra import (
+    INF,
     DegenerateTestElement,
     LocalMonomial,
+    RingMatrix,
     integer_det,
     integer_inverse,
     integer_smith_normal_form,
+    smith_normal_form,
+    split_blocks,
 )
 from pelks.cyclic_algebra import CyclicAlgebraDescriptor
 from pelks.pel_modules import (
@@ -23,6 +28,35 @@ from pelks.pel_modules import (
 QUAT = CyclicAlgebraDescriptor(n=2, residue_size=2)
 UNITARY = CyclicAlgebraDescriptor(n=2, residue_size=3, conjugation_power=1)
 SPLIT = CyclicAlgebraDescriptor(n=1, residue_size=5, split=True)
+
+
+def _dense_rows(rows, ncols, zero):
+    """Sparse (column, entry) rows as dense lists of length `ncols`."""
+    out = []
+    for row in rows:
+        dense = [zero] * ncols
+        for c, a in row:
+            dense[c] = a
+        out.append(dense)
+    return out
+
+
+class _DenseDecomposition:
+    """Oracle for pel_modules._Decomposition: one Smith normal form of the whole dense system."""
+
+    def __init__(self, field, rows, ncols):
+        self.dec = smith_normal_form(RingMatrix(field, _dense_rows(rows, ncols, LocalMonomial.zero(field))))
+        self.exponents = self.dec.exponents
+        self.free_slots = [t for t, e in enumerate(self.exponents) if e == INF]
+        self.free_slots += list(range(len(self.exponents), ncols))
+
+    @property
+    def free_rank(self):
+        return len(self.free_slots)
+
+    def free_coordinates(self, flat):
+        row = self.dec.V[flat]
+        return [row[s] for s in self.free_slots]
 
 
 # -- separating letters -------------------------------------------------------
@@ -97,6 +131,7 @@ def test_quaternion_relation_generator_structure():
     letters = find_test_letters(desc, "orbit_n")
     plain, dual = build_module_pair(desc, (1, 0))
     space, rows = relation_generators(plain, dual, letters)
+    rows = _dense_rows(rows, space.size, LocalMonomial.zero(space.field))
     pi = LocalMonomial(space.field, 1, space.field.one)
     seen_dead = set()
     seen_twist = False
@@ -128,6 +163,95 @@ def test_quotient_free_rank(desc, signature, kind, rank):
     qs = quotient_structure(desc, signature, kind)
     assert qs.consistent, qs.violations
     assert qs.free_rank == rank == qs.expected_free_rank
+
+
+def _block_and_dense(monkeypatch, compute):
+    block = compute()
+    made = []
+
+    def dense(field, rows, ncols):
+        made.append(ncols)
+        return _DenseDecomposition(field, rows, ncols)
+
+    with monkeypatch.context() as m:
+        m.setattr(pel_modules, "_Decomposition", dense)
+        oracle = compute()
+    assert made
+    return block, oracle
+
+
+def _local_sweep():
+    for q in (3, 5, 7):
+        desc = CyclicAlgebraDescriptor(n=2, residue_size=q, conjugation_power=1)
+        for p in (1, 2, 3):
+            yield desc, (p, p), "A", True
+        yield desc, (2, 1), "A", False
+    for q in (2, 3, 5):
+        desc = CyclicAlgebraDescriptor(n=2, residue_size=q)
+        for r in (1, 2, 3, 4):
+            yield desc, (r, 0), "C", True
+    yield SPLIT, (1, 1), "A", True
+    yield SPLIT, (2, 2), "A", True
+
+
+def test_block_decomposition_matches_the_dense_oracle(monkeypatch):
+    for desc, signature, kind, with_exponent in _local_sweep():
+        block, oracle = _block_and_dense(
+            monkeypatch, lambda: quotient_structure(desc, signature, kind)
+        )
+        assert block == oracle, (desc, signature)
+        if with_exponent:
+            block, oracle = _block_and_dense(
+                monkeypatch, lambda: image_exponent(desc, signature, kind)
+            )
+            assert block == oracle, (desc, signature)
+
+
+def _assert_partition(rows, ncols, blocks):
+    owner = {}
+    for b, (cols, _) in enumerate(blocks):
+        for c in cols:
+            assert c not in owner
+            owner[c] = b
+    assert sorted(owner) == list(range(ncols))
+    placed = sorted(i for _, row_ids in blocks for i in row_ids)
+    assert placed == [i for i, row in enumerate(rows) if row]
+    for b, (_, row_ids) in enumerate(blocks):
+        for i in row_ids:
+            assert all(owner[c] == b for c, _ in rows[i])
+
+
+def test_relation_rows_split_into_small_blocks(monkeypatch):
+    letters = find_test_letters(UNITARY, "strict_2n")
+    plain, dual = build_module_pair(UNITARY, (3, 3))
+    for swap in (False, True):
+        space, rows = relation_generators(plain, dual, letters, include_swap=swap)
+        blocks = split_blocks(rows, space.size)
+        _assert_partition(rows, space.size, blocks)
+        assert {len(cols) for cols, _ in blocks} <= {2, 4}
+
+    p, r = 4, 8
+    rows = pel_modules._rank_relations(p, p, *pel_modules._omega_data(-4))
+    ncols = 2 * r * r
+    blocks = split_blocks(rows, ncols, [(2 * c, 2 * c + 1) for c in range(r * r)])
+    _assert_partition(rows, ncols, blocks)
+    assert max(len(cols) for cols, _ in blocks) <= 4
+
+    # the reductions themselves see only blocks
+    widths = []
+    for name in ("smith_normal_form", "integer_smith_normal_form"):
+        original = getattr(pel_modules, name)
+
+        def narrow(rows, original=original):
+            matrix = rows.rows if hasattr(rows, "rows") else rows
+            widths.append(len(matrix[0]))
+            return original(rows)
+
+        monkeypatch.setattr(pel_modules, name, narrow)
+    assert quotient_structure(UNITARY, (3, 3), "A").consistent
+    assert image_exponent(UNITARY, (3, 3), "A").consistent
+    assert global_rank_lemma(p, p, -4).consistent
+    assert len(widths) > 100 and max(widths) <= 4
 
 
 # -- image exponents ----------------------------------------------------------
@@ -207,7 +331,8 @@ def test_global_rank_degenerate_signatures():
 
 
 def _dense_probe_oracle(p, q, disc):
-    """(exponent, preserved) of the left and right probes, by the dense V^-1 A V.
+    """Free rank and torsion divisors by one dense integer Smith normal form,
+    then (exponent, preserved) of the left and right probes by the dense V^-1 A V.
 
     The relation rows are rebuilt from the definition in the docstring of
     global_rank_lemma: W = O_F^r with i(beta) = diag(beta 1_p, conj(beta) 1_q),
@@ -256,7 +381,7 @@ def _dense_probe_oracle(p, q, disc):
     def matmul(A, B):
         return [[sum(a * b for a, b in zip(x, col)) for col in zip(*B)] for x in A]
 
-    results = []
+    results = [(len(free), [d for d in dec.divisors if d > 1])]
     for special in (0 if p else None, p if q else None):
         entries = [(1, 1) if i == special else (1, 0) for i in range(r)]
         A = [[0] * N for _ in range(N)]
@@ -287,7 +412,8 @@ def test_rank_lemma_probe_matches_the_dense_oracle(disc):
             if p + q == 0:
                 continue
             rep = global_rank_lemma(p, q, disc)
-            (left, left_ok), (right, right_ok) = _dense_probe_oracle(p, q, disc)
+            (free_rank, torsion), (left, left_ok), (right, right_ok) = _dense_probe_oracle(p, q, disc)
+            assert (rep.free_rank, rep.torsion_divisors) == (free_rank, torsion), (p, q)
             assert left_ok and right_ok, (p, q)
             assert (rep.probe_left, rep.probe_right) == (left, right), (p, q)
             assert "probe does not preserve the free part" not in rep.violations
