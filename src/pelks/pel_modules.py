@@ -227,14 +227,14 @@ class _Decomposition:
     """
 
     def __init__(self, field, rows, ncols):
-        self.zero = LocalMonomial.zero(field)
+        self._zero = LocalMonomial.zero(field)
         one = LocalMonomial.one(field)
         self.free_rank = 0
         self._coords = [None] * ncols
         finite = []
         for cols, row_ids in split_blocks(rows, ncols):
             if row_ids:
-                dec = smith_normal_form(RingMatrix(field, _dense(rows, cols, row_ids, self.zero)))
+                dec = smith_normal_form(RingMatrix(field, _dense(rows, cols, row_ids, self._zero)))
                 V, exponents = dec.V, dec.exponents
             else:
                 V = [[one]]  # an untouched column is a block of its own
@@ -251,7 +251,7 @@ class _Decomposition:
 
     def free_coordinates(self, flat):
         """Image of basis class `flat` in the free part of the quotient."""
-        out = [self.zero] * self.free_rank
+        out = [self._zero] * self.free_rank
         for s, a in self._coords[flat]:
             out[s] = a
         return out

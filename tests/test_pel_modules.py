@@ -242,10 +242,9 @@ def test_relation_rows_split_into_small_blocks(monkeypatch):
     for name in ("smith_normal_form", "integer_smith_normal_form"):
         original = getattr(pel_modules, name)
 
-        def narrow(rows, original=original):
-            matrix = rows.rows if hasattr(rows, "rows") else rows
-            widths.append(len(matrix[0]))
-            return original(rows)
+        def narrow(matrix, original=original):
+            widths.append(len(getattr(matrix, "rows", matrix)[0]))
+            return original(matrix)
 
         monkeypatch.setattr(pel_modules, name, narrow)
     assert quotient_structure(UNITARY, (3, 3), "A").consistent
