@@ -417,18 +417,31 @@ def split_blocks(rows, ncols, links=()):
     return list(blocks.values())
 
 
-def smith_normal_form(matrix):
+def _column_count(A, ncols):
+    """The column count of a row list: ncols, or the first row's length."""
+    if ncols is None:
+        if not A:
+            raise ValueError("a matrix without rows needs ncols")
+        ncols = len(A[0])
+    if any(len(row) != ncols for row in A):
+        raise ValueError(f"every row needs {ncols} entries")
+    return ncols
+
+
+def smith_normal_form(matrix, ncols=None):
     """Smith normal form over GF(q^n)[[pi]] of a matrix of monomials.
 
     Pivot selection takes the entry of minimal valuation, breaking ties
     lexicographically by (row, column).  V is returned as a list of
     rows; a vector x has quotient coordinates x @ V.  Raises NonMonomial
-    when an elimination step would leave the monomial class.
+    when an elimination step would leave the monomial class.  ncols
+    defaults to the first row's length; a matrix without rows needs it,
+    and its V is the identity on ncols columns.
     """
     field = matrix.field
     A = [list(r) for r in matrix.rows]
     m = len(A)
-    n = len(A[0]) if m else 0
+    n = _column_count(A, ncols)
     zero = LocalMonomial.zero(field)
     one = LocalMonomial.one(field)
     V = [[one if i == j else zero for j in range(n)] for i in range(n)]
@@ -490,16 +503,17 @@ def _int_identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def integer_smith_normal_form(rows):
+def integer_smith_normal_form(rows, ncols=None):
     """Smith normal form of an integer matrix, pure Python exact arithmetic.
 
     Returns a SmithDecomposition whose U, D, V are lists of int lists and
     whose `divisors` are the nonnegative elementary divisors d_1 | d_2 | ...
-    (zeros at the end for the free part of the cokernel).
+    (zeros at the end for the free part of the cokernel).  ncols is read
+    as in smith_normal_form.
     """
     A = [list(r) for r in rows]
     m = len(A)
-    n = len(A[0]) if m else 0
+    n = _column_count(A, ncols)
     U = _int_identity(m)
     V = _int_identity(n)
 

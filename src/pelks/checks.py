@@ -17,7 +17,7 @@ must ignore when comparing runs for determinism.
 
 import time
 from fnmatch import fnmatch
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from numpy.random import default_rng
@@ -42,6 +42,7 @@ from .lattices import (
     build_lattice,
     covolume_closed_form,
     dual_index_oracle,
+    generator_labels,
     polarization_degree,
     solve_self_dual_mu,
 )
@@ -58,32 +59,37 @@ METRIC_TOL = 1e-8
 
 
 class _ArchContext:
-    """Embedding and resolved polarization shared across arch checks."""
+    """Embedding and resolved polarization shared across arch checks.
+
+    The embedding is built at once, so a bad order basis is a config
+    error whatever `only` selects; the base lattice (at a seeded point)
+    and mu are built on first use, once each.
+    """
 
     def __init__(self, cfg):
         self.cfg = cfg
         self.emb = build_embedding(cfg)
-        self.mu = None
-        self.mu_source = None
-        self.mu_error = ""
-        self.solved = None
-        self.base_point = None
-        if self.emb is None:
-            return
-        rng = default_rng([cfg.seed, 97])
-        self.base_point = random_point(cfg.kind, self.genus(), rng)
-        explicit = explicit_mu(cfg)
+
+    @cached_property
+    def base_lattice(self):
+        point = random_point(self.cfg.kind, self.genus(), default_rng([self.cfg.seed, 97]))
+        return build_lattice(point, self.emb)
+
+    @cached_property
+    def polarization(self):
+        """(mu, SelfDualMu or None, error): explicit, or solved on the base lattice."""
+        explicit = explicit_mu(self.cfg)
         if explicit is not None:
-            self.mu = explicit
-            self.mu_source = "explicit"
-            return
-        self.mu_source = "auto"
+            return explicit, None, ""
         try:
-            lat = build_lattice(self.base_point, self.emb)
-            self.solved = solve_self_dual_mu(lat, tol=EPSILON)
-            self.mu = self.solved.matrix(cfg.n)
+            solved = solve_self_dual_mu(self.base_lattice, tol=EPSILON)
         except Exception as exc:  # as in run_checks: fail arch.self-dual-mu, skip its dependents
-            self.mu_error = f"{type(exc).__name__}: {exc}"
+            return None, None, f"{type(exc).__name__}: {exc}"
+        return solved.matrix(self.cfg.n), solved, ""
+
+    @property
+    def mu(self):
+        return self.polarization[0]
 
     def genus(self):
         return self.cfg.r // 2 if self.cfg.kind == "A" else self.cfg.r
@@ -168,12 +174,12 @@ def _mu_to_lists(mu):
 
 
 def _check_self_dual_mu(cfg, ctx):
-    if ctx.mu_source == "auto":
-        if ctx.mu is None:
-            return "fail", {"error": ctx.mu_error}, {"unimodular": True}, ctx.mu_error
-        sd = ctx.solved
+    mu, sd, error = ctx.polarization
+    if cfg.archimedean.mu_mode == "self-dual-auto":
+        if mu is None:
+            return "fail", {"error": error}, {"unimodular": True}, error
         computed = {
-            "mu": _mu_to_lists(ctx.mu),
+            "mu": _mu_to_lists(mu),
             "gram_det": sd.gram_det,
             "trace_covolume": sd.trace_covolume,
             "covolume_matched": sd.covolume_matched,
@@ -181,13 +187,12 @@ def _check_self_dual_mu(cfg, ctx):
         expected = {"gram_det": 1.0, "covolume_matched": True}
         ok = abs(sd.gram_det - 1.0) < EPSILON and sd.covolume_matched
         return ("pass" if ok else "fail"), computed, expected, ""
-    lat = build_lattice(ctx.base_point, ctx.emb)
-    form = RiemannForm(lat, ctx.mu)
+    form = RiemannForm(ctx.base_lattice, mu)
     defect = form.integrality_defect()
     positive = form.is_positive()
     gdet = abs(float(np.linalg.det(form.gram)))
     computed = {
-        "mu": _mu_to_lists(ctx.mu),
+        "mu": _mu_to_lists(mu),
         "integrality_defect": defect,
         "positive": positive,
         "gram_det": gdet,
@@ -222,7 +227,7 @@ def _check_duality(cfg, ctx):
 
 
 def _check_polarization_degree(cfg, ctx):
-    lat = build_lattice(ctx.base_point, ctx.emb)
+    lat = ctx.base_lattice
     deg = polarization_degree(lat, ctx.mu)
     index = dual_index_oracle(lat, ctx.mu)
     computed = {"degree": deg, "dual_index": index}
@@ -246,8 +251,7 @@ def _check_polarization_degree(cfg, ctx):
 
 def _check_cocycle(cfg, ctx):
     emb = ctx.emb
-    ana = cocycle_jacobian(emb)
-    elements = list(ana.elements)
+    elements = list(generator_labels(emb))
     if cfg.kind == "A":
         rng = default_rng([cfg.seed, 17])
         basis = emb.module_basis()
@@ -310,8 +314,7 @@ def _check_psi(cfg, ctx):
     for point in ctx.sample_points(2, 31):
         lat = build_lattice(point, ctx.emb)
         phi = assemble_phi(ctx.emb, solve_w_vectors(lat, RiemannForm(lat, ctx.mu)))
-        signature = cfg.signature if cfg.kind == "A" else None
-        psi = psi_constant(phi, ctx.emb, signature)
+        psi = psi_constant(phi, ctx.emb)
         worst = max(worst, abs(psi.modulus - closed))
         off = max(off, psi.off_block_defect)
         if cfg.kind == "A":
@@ -328,10 +331,7 @@ def _check_psi(cfg, ctx):
 
 
 def _check_metric(cfg, ctx):
-    signature = cfg.signature if cfg.kind == "A" else None
-    report = metric_identity_check(
-        ctx.emb, ctx.mu, signature=signature, samples=cfg.samples, seed=cfg.seed
-    )
+    report = metric_identity_check(ctx.emb, ctx.mu, samples=cfg.samples, seed=cfg.seed)
     computed = {
         "max_defect": report.max_defect,
         "exponent": report.exponent,
@@ -391,7 +391,7 @@ def run_checks(cfg, only=None):
         if needs and ctx.emb is None:
             outcome = _skip("no archimedean data")
         elif needs == "mu" and ctx.mu is None:
-            outcome = _skip(f"no resolved polarization: {ctx.mu_error}")
+            outcome = _skip(f"no resolved polarization: {ctx.polarization[2]}")
         else:
             try:
                 outcome = check()

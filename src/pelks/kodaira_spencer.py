@@ -15,6 +15,19 @@ form extensions are R-bilinear.  Domain coordinates are the full
 (r/2) x (r/2) matrix Z for the two-block model and the upper triangle
 of the symmetric r x r matrix for the classical model.
 
+Each model's index map is stated once, as an incidence table of
+triples (fiber coordinate a, target functional tau, domain label t):
+fiber coordinate a moves with domain coordinate t at the rate tau(x)
+of the element x, and no other pair moves.
+
+  two-block   (i r + j,       lin(i, k),  (k, j))   j, k < r/2
+              (i r + r/2 + b, conj(i, k), (b, k))   b, k < r/2
+  classical   (i r + j,       lin(i, c),  (min(c, j), max(c, j)))
+
+The cocycle reads tau off each element, phi adds the w-vector of tau
+into slot (a, t), and the psi block of label (a, b) pairs row column b
+with column a + r/2 (two-block) or a (classical).
+
 The defining equation of a w-vector: the antilinear part of
 v -> 2 pi i E_mu(w, v) equals the antilinear part of the R-linear
 extension of the target functional.  Both sides are determined by
@@ -23,20 +36,21 @@ sets up its square real system.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import pi
 
 import numpy as np
 from numpy.random import default_rng
 
-from .domains import HermitianPoint, SiegelPoint, petersson_norm, random_point
+from .domains import petersson_norm, random_point
 from .lattices import (
     RiemannForm,
     build_lattice,
     embed_labels,
     faltings_norm,
     generator_labels,
+    normalize_mu,
 )
-from .pel_modules import SignatureMismatch
 
 
 class SingularPairing(Exception):
@@ -54,94 +68,6 @@ def domain_coordinates(emb):
         half = emb.r // 2
         return tuple((k, j) for k in range(half) for j in range(half))
     return tuple((a, b) for a in range(emb.r) for b in range(a, emb.r))
-
-
-def _domain_index(emb):
-    return {lab: t for t, lab in enumerate(domain_coordinates(emb))}
-
-
-@dataclass(frozen=True)
-class CocycleJacobian:
-    tensor: np.ndarray
-    domain_labels: tuple
-    elements: tuple
-
-
-def cocycle_jacobian(emb, elements=None):
-    """Analytic Jacobian of the embedding coordinates per element.
-
-    tensor[g, a, t] = d lambda_a(element g) / d (domain coordinate t).
-    The embedding is affine in the domain point, so the tensor does not
-    depend on where it is taken; the numeric twin below confirms that.
-    """
-    if elements is None:
-        elements = generator_labels(emb)
-    labels = domain_coordinates(emb)
-    idx = {lab: t for t, lab in enumerate(labels)}
-    n, r = emb.n, emb.r
-    out = np.zeros((len(elements), n * r, len(labels)), dtype=complex)
-    if emb.kind == "A":
-        half = r // 2
-        for g, x in enumerate(elements):
-            x = np.asarray(x, dtype=complex)
-            for i in range(n):
-                for j in range(half):
-                    for k in range(half):
-                        out[g, i * r + j, idx[(k, j)]] = x[i, k]
-                for j in range(half, r):
-                    b = j - half
-                    for c in range(half):
-                        out[g, i * r + j, idx[(b, c)]] = np.conj(x[i, c])
-        return CocycleJacobian(out, labels, tuple(elements))
-    for g, lab in enumerate(elements):
-        part, x = lab
-        if part == "n":
-            continue
-        x = np.asarray(x)
-        for i in range(n):
-            for j in range(r):
-                for a, b in labels:
-                    val = 0.0
-                    if j == b:
-                        val += x[i, a]
-                    if j == a and a != b:
-                        val += x[i, b]
-                    out[g, i * r + j, idx[(a, b)]] = val
-    return CocycleJacobian(out, labels, tuple(elements))
-
-
-def numeric_cocycle_jacobian(emb, point, elements=None, step=0.5, rotate=False):
-    """Central-difference Jacobian at a point, optionally along i*h.
-
-    The embedding is affine in the point, so the central difference is
-    exact for any step and a large step avoids the 1/h amplification of
-    rounding noise; the rotated direction checks holomorphy.  Keep the
-    step below the spectral floor of Y so the offset points stay inside
-    the domain.
-    """
-    if elements is None:
-        elements = generator_labels(emb)
-    labels = domain_coordinates(emb)
-    h = step * (1j if rotate else 1.0)
-    n, r = emb.n, emb.r
-    out = np.zeros((len(elements), n * r, len(labels)), dtype=complex)
-    for t, lab in enumerate(labels):
-        if emb.kind == "A":
-            half = r // 2
-            e = np.zeros((half, half))
-            e[lab[0], lab[1]] = 1.0
-            plus = HermitianPoint(point.matrix + h * e)
-            minus = HermitianPoint(point.matrix - h * e)
-        else:
-            a, b = lab
-            e = np.zeros((r, r))
-            e[a, b] = 1.0
-            e[b, a] = 1.0
-            plus = SiegelPoint(point.matrix + h * e)
-            minus = SiegelPoint(point.matrix - h * e)
-        diff = embed_labels(emb, plus, elements) - embed_labels(emb, minus, elements)
-        out[:, :, t] = diff / (2 * h)
-    return CocycleJacobian(out, labels, tuple(elements))
 
 
 @dataclass(frozen=True)
@@ -168,15 +94,82 @@ class CoordinateTarget:
         return complex(np.asarray(x)[self.i, self.k])
 
 
-def coordinate_targets(emb):
+@lru_cache(maxsize=32)
+def _incidences(emb):
+    """The model's index map: (fiber coordinate, target, domain label) triples.
+
+    Cached because every w-solve and phi assembly reads it; an embedding
+    hashes by identity.
+    """
+    n, r = emb.n, emb.r
     if emb.kind == "A":
-        half = emb.r // 2
-        lin = [CoordinateTarget("lin", i, k) for i in range(emb.n) for k in range(half)]
-        conj = [CoordinateTarget("conj", i, k) for i in range(emb.n) for k in range(half)]
+        half = r // 2
+        cells = [(i, j, k) for i in range(n) for j in range(half) for k in range(half)]
+        lin = [(i * r + j, CoordinateTarget("lin", i, k), (k, j)) for i, j, k in cells]
+        conj = [(i * r + half + b, CoordinateTarget("conj", i, k), (b, k)) for i, b, k in cells]
         return tuple(lin + conj)
     return tuple(
-        CoordinateTarget("lin", i, k) for i in range(emb.n) for k in range(emb.r)
+        (i * r + j, CoordinateTarget("lin", i, c), (min(c, j), max(c, j)))
+        for i in range(n)
+        for j in range(r)
+        for c in range(r)
     )
+
+
+def coordinate_targets(emb):
+    """The target functionals of the incidence table, each once, in table order."""
+    return tuple(dict.fromkeys(target for _, target, _ in _incidences(emb)))
+
+
+@dataclass(frozen=True)
+class CocycleJacobian:
+    tensor: np.ndarray
+    domain_labels: tuple
+    elements: tuple
+
+
+def cocycle_jacobian(emb, elements=None):
+    """Analytic Jacobian of the embedding coordinates per element.
+
+    tensor[g, a, t] = d lambda_a(element g) / d (domain coordinate t).
+    The embedding is affine in the domain point, so the tensor does not
+    depend on where it is taken; the numeric twin below confirms that.
+    """
+    if elements is None:
+        elements = generator_labels(emb)
+    labels = domain_coordinates(emb)
+    idx = {lab: t for t, lab in enumerate(labels)}
+    out = np.zeros((len(elements), emb.n * emb.r, len(labels)), dtype=complex)
+    for a, target, lab in _incidences(emb):
+        for g, x in enumerate(elements):
+            out[g, a, idx[lab]] = target.value(x, emb.kind)
+    return CocycleJacobian(out, labels, tuple(elements))
+
+
+def numeric_cocycle_jacobian(emb, point, elements=None, step=0.5, rotate=False):
+    """Central-difference Jacobian at a point, optionally along i*h.
+
+    The embedding is affine in the point, so the central difference is
+    exact for any step and a large step avoids the 1/h amplification of
+    rounding noise; the rotated direction checks holomorphy.  Keep the
+    step below the spectral floor of Y so the offset points stay inside
+    the domain.
+    """
+    if elements is None:
+        elements = generator_labels(emb)
+    labels = domain_coordinates(emb)
+    h = step * (1j if rotate else 1.0)
+    out = np.zeros((len(elements), emb.n * emb.r, len(labels)), dtype=complex)
+    for t, (a, b) in enumerate(labels):
+        e = np.zeros(point.matrix.shape)
+        e[a, b] = 1.0
+        if emb.kind == "C":
+            e[b, a] = 1.0  # the classical domain is symmetric
+        plus = type(point)(point.matrix + h * e)
+        minus = type(point)(point.matrix - h * e)
+        diff = embed_labels(emb, plus, elements) - embed_labels(emb, minus, elements)
+        out[:, :, t] = diff / (2 * h)
+    return CocycleJacobian(out, labels, tuple(elements))
 
 
 def solve_w_vector(lattice, form, values, cond_limit=1e12):
@@ -220,37 +213,13 @@ def closed_form_w(emb, mu, target):
     """Predicted w: mu e_{i, k + r/2} / 2 pi i for the plain family of the
     two-block model, mu e_{ik} / 2 pi i for the conjugate family and for
     the classical model."""
-    mu = np.asarray(mu, dtype=complex) * np.eye(emb.n) if np.isscalar(mu) else np.asarray(mu, dtype=complex)
+    mu = normalize_mu(mu, emb.n)
     n, r = emb.n, emb.r
-    if emb.kind == "A" and target.family == "lin":
-        col = target.k + r // 2
-    else:
-        col = target.k
+    col = target.k + r // 2 if emb.kind == "A" and target.family == "lin" else target.k
     w = np.zeros(n * r, dtype=complex)
     for l in range(n):
         w[l * r + col] = mu[l, target.i] / (2j * pi)
     return w
-
-
-def antilinear_defect(lattice, form, values, w, trials=8, seed=0):
-    """Max deviation of anti(2 pi i E(w, .)) from anti(target) on random v."""
-    dim = lattice.complex_dim
-    f = lattice.basis_real_inv @ np.asarray(values, dtype=complex)
-    rng = default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        # f extended R-linearly, then the antilinear half of both sides
-        coords = np.concatenate([v.real, v.imag])
-        coords_i = np.concatenate([-v.imag, v.real])
-        fv = coords @ f
-        fiv = coords_i @ f
-        gv = 2j * pi * form.pair_vectors(w, v)
-        giv = 2j * pi * form.pair_vectors(w, 1j * v)
-        lhs = 0.5 * (gv + 1j * giv)
-        rhs = 0.5 * (fv + 1j * fiv)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
 
 
 @dataclass(frozen=True)
@@ -266,27 +235,13 @@ class PhiTensor:
 
 
 def assemble_phi(emb, ws):
-    idx = _domain_index(emb)
-    n, r = emb.n, emb.r
-    dims = n * r
-    tensor = np.zeros((dims, dims, len(idx)), dtype=complex)
-    if emb.kind == "A":
-        half = r // 2
-        for i in range(n):
-            for j in range(half):
-                for k in range(half):
-                    tensor[i * r + j, :, idx[(k, j)]] += ws[CoordinateTarget("lin", i, k)]
-            for j in range(half, r):
-                b = j - half
-                for k in range(half):
-                    tensor[i * r + j, :, idx[(b, k)]] += ws[CoordinateTarget("conj", i, k)]
-    else:
-        for i in range(n):
-            for j in range(r):
-                for c in range(r):
-                    t = idx[(min(c, j), max(c, j))]
-                    tensor[i * r + j, :, t] += ws[CoordinateTarget("lin", i, c)]
-    return PhiTensor(tensor, tuple(domain_coordinates(emb)), emb.kind, n, r)
+    labels = domain_coordinates(emb)
+    idx = {lab: t for t, lab in enumerate(labels)}
+    dims = emb.n * emb.r
+    tensor = np.zeros((dims, dims, len(labels)), dtype=complex)
+    for a, target, lab in _incidences(emb):
+        tensor[a, :, idx[lab]] += ws[target]
+    return PhiTensor(tensor, labels, emb.kind, emb.n, emb.r)
 
 
 def matched_vanishing_defect(phi):
@@ -317,61 +272,28 @@ class PsiReport:
     off_block_defect: float
 
 
-def psi_constant(phi, emb, signature=None):
+def psi_constant(phi, emb):
     """Product of the block determinants of the contraction.
 
-    Two-block model: block (k, j) pairs dz_{ij} against dz_{l, k+r/2}
-    at domain coordinate (k, j); defined only for balanced signatures.
-    Classical model: block (a, b), a <= b, pairs dz_{ib} against
-    dz_{la} at coordinate (a, b).  Slots of those tensor rows at other
-    domain coordinates are reported as the off-block defect.
+    The block of domain coordinate t = (a, b) pairs dz_{ib} against
+    dz_{l, a + r/2} (two-block model) or dz_{la} (classical model) at
+    t.  Slots of those tensor rows at other domain coordinates are
+    reported as the off-block defect.
     """
-    n, r = emb.n, emb.r
-    idx = _domain_index(emb)
+    r = emb.r
+    shift = r // 2 if emb.kind == "A" else 0
     value = 1.0 + 0j
     off = 0.0
-    if emb.kind == "A":
-        if signature is None or signature[0] != signature[1]:
-            raise SignatureMismatch(
-                f"the contraction needs a balanced signature, got {signature}"
-            )
-        half = r // 2
-        for k in range(half):
-            for j in range(half):
-                t = idx[(k, j)]
-                block = np.empty((n, n), dtype=complex)
-                for l in range(n):
-                    for i in range(n):
-                        row = phi.tensor[i * r + j, l * r + k + half, :]
-                        block[l, i] = row[t]
-                        mask = np.ones(len(idx), dtype=bool)
-                        mask[t] = False
-                        off = max(off, np.abs(row[mask]).max() if mask.any() else 0.0)
-                value *= np.linalg.det(block)
-    else:
-        for a in range(r):
-            for b in range(a, r):
-                t = idx[(a, b)]
-                block = np.empty((n, n), dtype=complex)
-                for l in range(n):
-                    for i in range(n):
-                        row = phi.tensor[i * r + b, l * r + a, :]
-                        block[l, i] = row[t]
-                        mask = np.ones(len(idx), dtype=bool)
-                        mask[t] = False
-                        off = max(off, np.abs(row[mask]).max() if mask.any() else 0.0)
-                value *= np.linalg.det(block)
+    for t, (a, b) in enumerate(domain_coordinates(emb)):
+        rows = phi.tensor[b::r, a + shift :: r, :]  # rows[i, l] is the row of (i, l)
+        value *= np.linalg.det(rows[:, :, t].T)
+        off = max(off, np.abs(np.delete(rows, t, axis=2)).max(initial=0.0))
     return PsiReport(complex(value), float(abs(value)), float(off))
 
 
 def psi_modulus_closed_form(emb, mu):
-    mu = np.asarray(mu, dtype=complex) * np.eye(emb.n) if np.isscalar(mu) else np.asarray(mu, dtype=complex)
-    det_mu = abs(np.linalg.det(mu))
-    if emb.kind == "A":
-        blocks = (emb.r // 2) ** 2
-    else:
-        blocks = emb.r * (emb.r + 1) // 2
-    return float((det_mu / (2 * pi) ** emb.n) ** blocks)
+    det_mu = abs(np.linalg.det(normalize_mu(mu, emb.n)))
+    return float((det_mu / (2 * pi) ** emb.n) ** len(domain_coordinates(emb)))
 
 
 @dataclass(frozen=True)
@@ -381,7 +303,7 @@ class MetricReport:
     exponent: int
 
 
-def metric_identity_check(emb, mu, signature=None, samples=20, seed=0):
+def metric_identity_check(emb, mu, samples=20, seed=0):
     """Sample the identity |c| . ||d tau|| = (lattice norm)^{k0}.
 
     k0 is r/2 for the two-block model and r + 1 for the classical one;
@@ -391,13 +313,9 @@ def metric_identity_check(emb, mu, signature=None, samples=20, seed=0):
         raise ValueError(f"need at least one sample, got {samples}")
     rng = default_rng(seed)
     if emb.kind == "A":
-        g = emb.r // 2
-        k0 = emb.r // 2
-        if signature is None:
-            signature = (g, g)
+        g = k0 = emb.r // 2
     else:
-        g = emb.r
-        k0 = emb.r + 1
+        g, k0 = emb.r, emb.r + 1
     ratios = []
     for _ in range(samples):
         point = random_point(emb.kind, g, rng)
@@ -405,7 +323,7 @@ def metric_identity_check(emb, mu, signature=None, samples=20, seed=0):
         form = RiemannForm(lat, mu)
         ws = solve_w_vectors(lat, form)
         phi = assemble_phi(emb, ws)
-        psi = psi_constant(phi, emb, signature)
+        psi = psi_constant(phi, emb)
         pet = petersson_norm(point, emb.n)
         fal = faltings_norm(lat)
         ratios.append(psi.modulus * pet / fal**k0)

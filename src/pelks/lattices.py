@@ -270,7 +270,8 @@ def build_lattice(point, emb):
     return PeriodLattice(emb, point, embed_labels(emb, point, labels), labels)
 
 
-def _normalize_mu(mu, n):
+def normalize_mu(mu, n):
+    """mu as an invertible n x n complex matrix; a scalar means mu . I_n."""
     if np.isscalar(mu):
         m = complex(mu) * np.eye(n, dtype=complex)
     else:
@@ -296,7 +297,7 @@ class RiemannForm:
     def __init__(self, lattice, mu):
         self.lattice = lattice
         emb = lattice.embedding
-        self.mu = _normalize_mu(mu, emb.n)
+        self.mu = normalize_mu(mu, emb.n)
         self._mu_inv = np.linalg.inv(self.mu)
         if emb.kind == "A":
             if emb.r % 2 != 0:
@@ -336,9 +337,6 @@ class RiemannForm:
             binv = self.lattice.basis_real_inv
             self._extension = binv @ self.gram @ binv.T
         return self._extension
-
-    def pair_vectors(self, v, w):
-        return float(_realify(v) @ self.extension @ _realify(w))
 
     def hermitian_matrix(self):
         """H(v, w) = E(iv, w) + iE(v, w) on the standard complex basis."""
@@ -430,7 +428,7 @@ def solve_self_dual_mu(lattice, tol=1e-9):
 def covolume_closed_form(lattice, mu):
     """Predicted covolume |det mu|^r det(Y)^{2n} (two-block model) or det Y."""
     emb = lattice.embedding
-    mu = _normalize_mu(mu, emb.n)
+    mu = normalize_mu(mu, emb.n)
     det_mu = abs(np.linalg.det(mu))
     y = lattice.point.Y
     det_y = float(np.real(np.linalg.det(y)))

@@ -228,17 +228,13 @@ class _Decomposition:
 
     def __init__(self, field, rows, ncols):
         self._zero = LocalMonomial.zero(field)
-        one = LocalMonomial.one(field)
         self.free_rank = 0
         self._coords = [None] * ncols
         finite = []
         for cols, row_ids in split_blocks(rows, ncols):
-            if row_ids:
-                dec = smith_normal_form(RingMatrix(field, _dense(rows, cols, row_ids, self._zero)))
-                V, exponents = dec.V, dec.exponents
-            else:
-                V = [[one]]  # an untouched column is a block of its own
-                exponents = []
+            dense = _dense(rows, cols, row_ids, self._zero)
+            dec = smith_normal_form(RingMatrix(field, dense), ncols=len(cols))
+            V, exponents = dec.V, dec.exponents
             finite += [e for e in exponents if e != INF]
             free = [t for t, e in enumerate(exponents) if e == INF]
             free += range(len(exponents), len(cols))
@@ -581,13 +577,12 @@ def global_rank_lemma(p, q, discriminant):
     N = 2 * r * r
     rows = _rank_relations(p, q, t0, t1)
     # the probe acts on each class by a 2x2 block, so a block must hold
-    # both coordinates of its classes even where no relation row does;
-    # every class carries a relation row, so no block is empty
+    # both coordinates of its classes even where no relation row does
     links = [(2 * cls, 2 * cls + 1) for cls in range(r * r)]
     divisors = []
     probed = []  # (columns, V, V^-1, free slots) of each block with free slots
     for cols, row_ids in split_blocks(rows, N, links):
-        dec = integer_smith_normal_form(_dense(rows, cols, row_ids, 0))
+        dec = integer_smith_normal_form(_dense(rows, cols, row_ids, 0), ncols=len(cols))
         divisors += dec.divisors
         free = [t for t, d in enumerate(dec.divisors) if d == 0]
         free += range(len(dec.divisors), len(cols))

@@ -186,7 +186,7 @@ def test_psi_modulus_and_phi_independence():
             phi = assemble_phi(emb, solve_w_vectors(lat, RiemannForm(lat, mu)))
             tensors.append(phi.tensor)
         assert np.abs(tensors[0] - tensors[1]).max() < 1e-10
-        psi = psi_constant(phi, emb, (emb.r // 2, emb.r // 2))
+        psi = psi_constant(phi, emb)
         assert abs(psi.modulus - psi_modulus_closed_form(emb, mu)) < 1e-9
         assert psi.off_block_defect < 1e-9
 

@@ -321,12 +321,35 @@ def test_snf_quotient_coordinate_convention():
     assert not free.is_zero
 
 
+def test_snf_of_a_system_without_rows():
+    # no relations: the quotient is free on every column, V the identity
+    dec = smith_normal_form(RingMatrix(GF4, []), ncols=3)
+    assert dec.exponents == []
+    assert [[(x.val, x.coeff) for x in row] for row in dec.V] == [
+        [(0, GF4.one) if i == j else (INF, GF4.zero) for j in range(3)] for i in range(3)
+    ]
+    with pytest.raises(ValueError, match="ncols"):
+        smith_normal_form(RingMatrix(GF4, []))
+    with pytest.raises(ValueError, match="entries"):
+        smith_normal_form(RingMatrix(GF4, [[M.one(GF4)]]), ncols=2)
+
+
 # -- integer Smith normal form ------------------------------------------------
 
 
 def test_integer_snf_hand_example():
     dec = integer_smith_normal_form([[2, 0], [0, 3]])
     assert dec.divisors == [1, 6]
+
+
+def test_integer_snf_of_a_system_without_rows():
+    dec = integer_smith_normal_form([], ncols=3)
+    assert dec.divisors == []
+    assert dec.V == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    with pytest.raises(ValueError, match="ncols"):
+        integer_smith_normal_form([])
+    with pytest.raises(ValueError, match="entries"):
+        integer_smith_normal_form([[1, 2], [3]])
 
 
 def test_integer_snf_transforms_are_unimodular():

@@ -349,6 +349,26 @@ def test_unresolvable_base_lattice_fails_without_traceback(tmp_path):
     assert lines["pipeline.metric-identity"].startswith("SKIP")
 
 
+def test_rank_lemma_alone_builds_no_lattice(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rank lemma needs no lattice, mu or domain point")
+
+    for name in ("build_lattice", "solve_self_dual_mu", "random_point"):
+        monkeypatch.setattr(f"pelks.checks.{name}", refuse)
+    report = run_checks(resolve_config("unitary-A"), only="global.rank-lemma")
+    assert [(c["name"], c["status"]) for c in report["checks"]] == [("global.rank-lemma", "pass")]
+
+
+def test_bad_order_basis_is_a_config_error_under_any_only(tmp_path):
+    cfg = minimal_unitary()
+    cfg["archimedean"]["order_basis"] = [[[[1, 0]]], [[[0, 0.5]]]]  # i/2 squares to -1/4
+    path = tmp_path / "open.json"
+    path.write_text(json.dumps(cfg))
+    proc = _run("-m", "pelks.cli", "run", "--config", str(path), "--only", "global.rank-lemma")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: order basis rejected")
+
+
 def test_field_cap_fails_the_local_checks_without_traceback(tmp_path):
     cfg = {"name": "cap", "type": "C", "n": 2, "r": 1, "signature": [1, 0]}
     path = tmp_path / "cap.json"
@@ -378,6 +398,7 @@ def test_import_loads_no_scipy():
         ("exponent_sweep.py", ["--residue-sizes", "3", "5"]),
         ("run_all_fixtures.py", ["--samples", "4"]),
         ("exponent_sweep.py", ["--residue-sizes", "17", "31"]),
+        ("report_digests.py", ["--workload", "fixtures"]),
     ],
 )
 def test_scripts_run_clean(script, args):
@@ -389,3 +410,7 @@ def test_scripts_run_clean(script, args):
         names = sorted(e.name[: -len(".json")] for e in packaged if e.name.endswith(".json"))
         summaries = [line.split()[0] for line in proc.stdout.splitlines() if line[:1] != " "]
         assert summaries == names
+    if script == "report_digests.py":
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 16  # four fixtures at four pool seeds
+        assert all(re.fullmatch(r"fixtures/[\w-]+/\d+ [0-9a-f]{64}", line) for line in lines)

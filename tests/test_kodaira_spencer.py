@@ -10,6 +10,10 @@ Frozen hand values on the Gaussian rank-one instance (mu = -2):
 Elliptic instance (mu = -1): w = (i/(2 pi)) e_0, psi modulus 1/(2 pi),
 metric exponent 2.  The closed w form mu e_col / (2 pi i) was derived
 once by hand for the classical model and is pinned here, sign included.
+
+The Gaussian instance at r = 4 is the only two-block one with r/2 > 1,
+where the domain labels (k, j) and (j, k) differ; it is what catches a
+transposed incidence in the conjugate block.
 """
 
 import numpy as np
@@ -19,7 +23,6 @@ from pelks.domains import HermitianPoint, SiegelPoint, random_point
 from pelks.kodaira_spencer import (
     CoordinateTarget,
     SingularPairing,
-    antilinear_defect,
     assemble_phi,
     closed_form_w,
     cocycle_jacobian,
@@ -34,11 +37,10 @@ from pelks.kodaira_spencer import (
     solve_w_vectors,
 )
 from pelks.lattices import OrderEmbedding, RiemannForm, build_lattice
-from pelks.pel_modules import SignatureMismatch
 
 
-def gaussian_unitary():
-    return OrderEmbedding("A", 1, 2, -4, ([[1.0]], [[1j]]))
+def gaussian_unitary(r=2):
+    return OrderEmbedding("A", 1, r, -4, ([[1.0]], [[1j]]))
 
 
 def rational_siegel(r):
@@ -68,11 +70,43 @@ def _instances():
             -1.0,
         ),
         (matrix_basechange(), HermitianPoint([[0.4 + 0.9j]]), -2.0 * np.eye(2)),
+        (
+            gaussian_unitary(4),
+            HermitianPoint(
+                np.array([[0.3 + 1.1j, 0.2 + 0.15j], [-0.1 + 0.25j, -0.4 + 0.9j]])
+            ),
+            -2.0,
+        ),
     ]
+
+
+def _genus(emb):
+    return emb.r // 2 if emb.kind == "A" else emb.r
+
+
+def _real(v):
+    return np.concatenate([np.real(v), np.imag(v)])
+
+
+def antilinear_defect(lattice, form, values, w, trials=8, seed=0):
+    """Max deviation of anti(2 pi i E(w, .)) from anti(target) on random v."""
+    dim = lattice.complex_dim
+    f = lattice.basis_real_inv @ np.asarray(values, dtype=complex)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        # f extended R-linearly, then the antilinear half of both sides
+        fv, fiv = _real(v) @ f, _real(1j * v) @ f
+        gv = 2j * np.pi * (_real(w) @ form.extension @ _real(v))
+        giv = 2j * np.pi * (_real(w) @ form.extension @ _real(1j * v))
+        worst = max(worst, abs(0.5 * (gv + 1j * giv) - 0.5 * (fv + 1j * fiv)))
+    return worst
 
 
 def test_domain_coordinate_order():
     assert domain_coordinates(gaussian_unitary()) == ((0, 0),)
+    assert domain_coordinates(gaussian_unitary(4)) == ((0, 0), (0, 1), (1, 0), (1, 1))
     assert domain_coordinates(rational_siegel(2)) == ((0, 0), (0, 1), (1, 1))
 
 
@@ -109,14 +143,10 @@ def test_cocycle_hand_entries_classical():
 
 def test_cocycle_matches_central_differences():
     rng = np.random.default_rng(17)
-    for emb, g in [
-        (gaussian_unitary(), 1),
-        (rational_siegel(2), 2),
-        (matrix_basechange(), 1),
-    ]:
+    for emb, _, _ in _instances():
         ana = cocycle_jacobian(emb).tensor
         for _ in range(5):
-            point = random_point(emb.kind, g, rng)
+            point = random_point(emb.kind, _genus(emb), rng)
             num = numeric_cocycle_jacobian(emb, point).tensor
             rot = numeric_cocycle_jacobian(emb, point, rotate=True).tensor
             assert np.abs(ana - num).max() < 1e-12
@@ -219,10 +249,9 @@ def test_phi_matched_positions_vanish():
 def test_phi_is_point_independent():
     rng = np.random.default_rng(41)
     for emb, _, mu in _instances():
-        g = emb.r // 2 if emb.kind == "A" else emb.r
         tensors = []
         for _ in range(2):
-            lat = build_lattice(random_point(emb.kind, g, rng), emb)
+            lat = build_lattice(random_point(emb.kind, _genus(emb), rng), emb)
             phi = assemble_phi(emb, solve_w_vectors(lat, RiemannForm(lat, mu)))
             tensors.append(phi.tensor)
         assert np.abs(tensors[0] - tensors[1]).max() < 1e-10
@@ -232,8 +261,7 @@ def test_psi_constant_and_closed_form():
     for emb, point, mu in _instances():
         lat = build_lattice(point, emb)
         phi = assemble_phi(emb, solve_w_vectors(lat, RiemannForm(lat, mu)))
-        signature = (emb.r // 2, emb.r // 2) if emb.kind == "A" else None
-        psi = psi_constant(phi, emb, signature)
+        psi = psi_constant(phi, emb)
         assert abs(psi.modulus - psi_modulus_closed_form(emb, mu)) < 1e-9
         assert psi.off_block_defect < 1e-9
 
@@ -242,22 +270,12 @@ def test_psi_hand_value_gaussian():
     emb = gaussian_unitary()
     lat = build_lattice(HermitianPoint([[0.3 + 1.1j]]), emb)
     phi = assemble_phi(emb, solve_w_vectors(lat, RiemannForm(lat, -2.0)))
-    psi = psi_constant(phi, emb, (1, 1))
+    psi = psi_constant(phi, emb)
     assert abs(psi.value - 1j / np.pi) < 1e-12
 
 
-def test_psi_rejects_unbalanced_signature():
-    emb = gaussian_unitary()
-    lat = build_lattice(HermitianPoint([[0.3 + 1.1j]]), emb)
-    phi = assemble_phi(emb, solve_w_vectors(lat, RiemannForm(lat, -2.0)))
-    with pytest.raises(SignatureMismatch):
-        psi_constant(phi, emb, (2, 0))
-    with pytest.raises(SignatureMismatch):
-        psi_constant(phi, emb, None)
-
-
 def test_metric_identity_all_instances():
-    expected_exponent = {"gauss": 1, "sieg1": 2, "sieg2": 3, "bch": 1}
+    expected_exponent = {"gauss": 1, "sieg1": 2, "sieg2": 3, "bch": 1, "gauss4": 2}
     for name, (emb, _, mu) in zip(expected_exponent, _instances()):
         report = metric_identity_check(emb, mu, samples=6, seed=3)
         assert report.exponent == expected_exponent[name]
