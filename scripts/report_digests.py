@@ -4,7 +4,7 @@
 Each line reads `<workload>/<rung>/<seed> <sha256>`.  The configs are
 the benchmark's (perfbench/workloads.py, imported read-only): the four
 fixtures at each of their pool seeds and every local-ladder and
-arch-ladder rung with its `--only` glob, for one benchmark seed.  The
+arch-ladder rung with its `--only` glob, at benchmark seed 1.  The
 `edge` workload adds four configs off the happy path: an unresolvable
 base lattice, a non-unimodular explicit mu, GF(67^2) over the field
 cap, and an unbalanced local-only instance.  A config error is hashed
@@ -50,11 +50,11 @@ def edge_configs():
     ]
 
 
-def workload_configs(name, seed):
-    """(rung, config, only) triples of one workload at one benchmark seed."""
+def workload_configs(name):
+    """(rung, config, only) triples of one workload at benchmark seed 1."""
     if name == "edge":
         return [(rung, cfg, None) for rung, cfg in edge_configs()]
-    workload = build_workload(name, seed, resources.files("pelks") / "fixtures")
+    workload = build_workload(name, seed=1, fixture_dir=resources.files("pelks") / "fixtures")
     return [
         (rung.name, dict(rung.config, seed=config_seed), rung.only)
         for config_seed in workload.seed_pool
@@ -74,11 +74,10 @@ def digest(cfg, only):
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workload", choices=(*WORKLOADS, "edge", "all"), default="all")
-    parser.add_argument("--seed", type=int, default=1, help="benchmark seed (default 1)")
     args = parser.parse_args()
     names = (*WORKLOADS, "edge") if args.workload == "all" else (args.workload,)
     for name in names:
-        for rung, cfg, only in workload_configs(name, args.seed):
+        for rung, cfg, only in workload_configs(name):
             print(f"{name}/{rung}/{cfg.get('seed', 0)} {digest(cfg, only)}")
     return 0
 

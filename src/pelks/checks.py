@@ -18,6 +18,7 @@ must ignore when comparing runs for determinism.
 import time
 from fnmatch import fnmatch
 from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import default_rng
@@ -39,6 +40,7 @@ from .kodaira_spencer import (
 )
 from .lattices import (
     RiemannForm,
+    SelfDualMu,
     build_lattice,
     covolume_closed_form,
     dual_index_oracle,
@@ -56,6 +58,12 @@ W_TOL = 1e-10
 PHI_TOL = 1e-10
 PSI_TOL = 1e-9
 METRIC_TOL = 1e-8
+
+
+class _Polarization(NamedTuple):
+    mu: np.ndarray | None  # None when the solve failed
+    solved: SelfDualMu | None  # None for an explicit mu
+    error: str
 
 
 class _ArchContext:
@@ -77,19 +85,19 @@ class _ArchContext:
 
     @cached_property
     def polarization(self):
-        """(mu, SelfDualMu or None, error): explicit, or solved on the base lattice."""
+        """The explicit mu, or the one solved on the base lattice."""
         explicit = explicit_mu(self.cfg)
         if explicit is not None:
-            return explicit, None, ""
+            return _Polarization(explicit, None, "")
         try:
             solved = solve_self_dual_mu(self.base_lattice, tol=EPSILON)
         except Exception as exc:  # as in run_checks: fail arch.self-dual-mu, skip its dependents
-            return None, None, f"{type(exc).__name__}: {exc}"
-        return solved.matrix(self.cfg.n), solved, ""
+            return _Polarization(None, None, f"{type(exc).__name__}: {exc}")
+        return _Polarization(solved.matrix(self.cfg.n), solved, "")
 
     @property
     def mu(self):
-        return self.polarization[0]
+        return self.polarization.mu
 
     def genus(self):
         return self.cfg.r // 2 if self.cfg.kind == "A" else self.cfg.r
@@ -175,9 +183,9 @@ def _mu_to_lists(mu):
 
 def _check_self_dual_mu(cfg, ctx):
     mu, sd, error = ctx.polarization
-    if cfg.archimedean.mu_mode == "self-dual-auto":
-        if mu is None:
-            return "fail", {"error": error}, {"unimodular": True}, error
+    if mu is None:
+        return "fail", {"error": error}, {"unimodular": True}, error
+    if sd is not None:
         computed = {
             "mu": _mu_to_lists(mu),
             "gram_det": sd.gram_det,
@@ -391,7 +399,7 @@ def run_checks(cfg, only=None):
         if needs and ctx.emb is None:
             outcome = _skip("no archimedean data")
         elif needs == "mu" and ctx.mu is None:
-            outcome = _skip(f"no resolved polarization: {ctx.polarization[2]}")
+            outcome = _skip(f"no resolved polarization: {ctx.polarization.error}")
         else:
             try:
                 outcome = check()

@@ -36,7 +36,6 @@ sets up its square real system.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import pi
 
 import numpy as np
@@ -94,13 +93,8 @@ class CoordinateTarget:
         return complex(np.asarray(x)[self.i, self.k])
 
 
-@lru_cache(maxsize=32)
 def _incidences(emb):
-    """The model's index map: (fiber coordinate, target, domain label) triples.
-
-    Cached because every w-solve and phi assembly reads it; an embedding
-    hashes by identity.
-    """
+    """The model's index map: (fiber coordinate, target, domain label) triples."""
     n, r = emb.n, emb.r
     if emb.kind == "A":
         half = r // 2

@@ -36,7 +36,7 @@ from pelks.kodaira_spencer import (
     solve_w_vector,
     solve_w_vectors,
 )
-from pelks.lattices import OrderEmbedding, RiemannForm, build_lattice
+from pelks.lattices import OrderEmbedding, RiemannForm, _realify, build_lattice
 
 
 def gaussian_unitary(r=2):
@@ -84,10 +84,6 @@ def _genus(emb):
     return emb.r // 2 if emb.kind == "A" else emb.r
 
 
-def _real(v):
-    return np.concatenate([np.real(v), np.imag(v)])
-
-
 def antilinear_defect(lattice, form, values, w, trials=8, seed=0):
     """Max deviation of anti(2 pi i E(w, .)) from anti(target) on random v."""
     dim = lattice.complex_dim
@@ -97,9 +93,9 @@ def antilinear_defect(lattice, form, values, w, trials=8, seed=0):
     for _ in range(trials):
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         # f extended R-linearly, then the antilinear half of both sides
-        fv, fiv = _real(v) @ f, _real(1j * v) @ f
-        gv = 2j * np.pi * (_real(w) @ form.extension @ _real(v))
-        giv = 2j * np.pi * (_real(w) @ form.extension @ _real(1j * v))
+        fv, fiv = _realify(v) @ f, _realify(1j * v) @ f
+        gv = 2j * np.pi * (_realify(w) @ form.extension @ _realify(v))
+        giv = 2j * np.pi * (_realify(w) @ form.extension @ _realify(1j * v))
         worst = max(worst, abs(0.5 * (gv + 1j * giv) - 0.5 * (fv + 1j * fiv)))
     return worst
 

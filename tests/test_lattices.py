@@ -28,6 +28,7 @@ from pelks.lattices import (
     PeriodLattice,
     RankDeficient,
     RiemannForm,
+    _realify,
     build_lattice,
     covolume_closed_form,
     embed_labels,
@@ -62,18 +63,13 @@ def eisenstein_unitary():
     return OrderEmbedding("A", 1, 2, -3, ([[1.0]], [[omega]]))
 
 
-def _flat_real(m):
-    m = np.asarray(m, dtype=complex)
-    return np.concatenate([m.real.ravel(), m.imag.ravel()])
-
-
 def _module_coordinates(emb, mats):
     """Integer coordinates of rational elements over the module basis."""
     basis = emb.module_basis()
-    cols = np.stack([_flat_real(b) for b in basis], axis=1)
+    cols = np.stack([_realify(b) for b in basis], axis=1)
     rows = []
     for m in mats:
-        c = np.linalg.solve(cols, _flat_real(m))
+        c = np.linalg.solve(cols, _realify(m))
         assert np.abs(c - np.round(c)).max() < 1e-9
         rows.append([int(round(x)) for x in c])
     return rows
@@ -215,8 +211,7 @@ def test_duality_inverts_covolume():
 
 def pair_vectors(form, v, w):
     """E_mu of two vectors of C^{nr}, through the form's real extension."""
-    real = [np.concatenate([np.real(u), np.imag(u)]) for u in (v, w)]
-    return float(real[0] @ form.extension @ real[1])
+    return float(_realify(v) @ form.extension @ _realify(w))
 
 
 def test_elliptic_covolume_and_norm():
