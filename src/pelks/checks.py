@@ -70,8 +70,8 @@ class _ArchContext:
     """Embedding and resolved polarization shared across arch checks.
 
     The embedding is built at once, so a bad order basis is a config
-    error whatever `only` selects; the base lattice (at a seeded point)
-    and mu are built on first use, once each.
+    error whatever `only` selects; the base lattice (at a seeded point),
+    mu and its Riemann form are built on first use, once each.
     """
 
     def __init__(self, cfg):
@@ -98,6 +98,10 @@ class _ArchContext:
     @property
     def mu(self):
         return self.polarization.mu
+
+    @cached_property
+    def form(self):
+        return RiemannForm(self.emb, self.mu)
 
     def genus(self):
         return self.cfg.r // 2 if self.cfg.kind == "A" else self.cfg.r
@@ -195,9 +199,9 @@ def _check_self_dual_mu(cfg, ctx):
         expected = {"gram_det": 1.0, "covolume_matched": True}
         ok = abs(sd.gram_det - 1.0) < EPSILON and sd.covolume_matched
         return ("pass" if ok else "fail"), computed, expected, ""
-    form = RiemannForm(ctx.base_lattice, mu)
+    form = ctx.form
     defect = form.integrality_defect()
-    positive = form.is_positive()
+    positive = form.is_positive(ctx.base_lattice)
     gdet = abs(float(np.linalg.det(form.gram)))
     computed = {
         "mu": _mu_to_lists(mu),
@@ -235,16 +239,16 @@ def _check_duality(cfg, ctx):
 
 
 def _check_polarization_degree(cfg, ctx):
-    lat = ctx.base_lattice
-    deg = polarization_degree(lat, ctx.mu)
-    index = dual_index_oracle(lat, ctx.mu)
+    deg = polarization_degree(ctx.form)
+    index = dual_index_oracle(ctx.form)
     computed = {"degree": deg, "dual_index": index}
     expected = {"degree": 1, "dual_index": 1}
     ok = deg == 1 and index == 1
     if cfg.kind == "A" and cfg.n == 1:
         d_abs = abs(cfg.archimedean.discriminant)
-        trace_deg = polarization_degree(lat, 1.0)
-        trace_index = dual_index_oracle(lat, 1.0)
+        trace_form = RiemannForm(ctx.emb, 1.0)
+        trace_deg = polarization_degree(trace_form)
+        trace_index = dual_index_oracle(trace_form)
         computed["trace_form_degree"] = trace_deg
         computed["trace_form_dual_index"] = trace_index
         expected["trace_form_degree"] = d_abs ** (cfg.r // 2)
@@ -284,7 +288,7 @@ def _check_w_closed_form(cfg, ctx):
     worst = 0.0
     for point in ctx.sample_points(2, 23):
         lat = build_lattice(point, ctx.emb)
-        ws = solve_w_vectors(lat, RiemannForm(lat, ctx.mu))
+        ws = solve_w_vectors(lat, ctx.form)
         for target, w in ws.items():
             predicted = closed_form_w(ctx.emb, ctx.mu, target)
             worst = max(worst, float(np.abs(w - predicted).max()))
@@ -300,7 +304,7 @@ def _check_phi_independence(cfg, ctx):
     tensors = []
     for point in ctx.sample_points(3, 29):
         lat = build_lattice(point, ctx.emb)
-        phi = assemble_phi(ctx.emb, solve_w_vectors(lat, RiemannForm(lat, ctx.mu)))
+        phi = assemble_phi(ctx.emb, solve_w_vectors(lat, ctx.form))
         tensors.append(phi.tensor)
     worst = 0.0
     for a in range(len(tensors)):
@@ -321,7 +325,7 @@ def _check_psi(cfg, ctx):
     matched = 0.0
     for point in ctx.sample_points(2, 31):
         lat = build_lattice(point, ctx.emb)
-        phi = assemble_phi(ctx.emb, solve_w_vectors(lat, RiemannForm(lat, ctx.mu)))
+        phi = assemble_phi(ctx.emb, solve_w_vectors(lat, ctx.form))
         psi = psi_constant(phi, ctx.emb)
         worst = max(worst, abs(psi.modulus - closed))
         off = max(off, psi.off_block_defect)

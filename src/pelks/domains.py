@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _ATOL = 1e-9
+_SPREAD = 0.6  # scale of the normal entries of random_point
 
 
 def _as_matrix(m):
@@ -90,14 +91,14 @@ def petersson_norm(point, n=1):
     return 2.0 ** (r * r * n / 4) * detY ** (r * n / 2)
 
 
-def random_point(kind, g, rng, spread=0.6):
-    """Deterministic random domain point for a seeded generator."""
+def random_point(kind, g, rng):
+    """Deterministic random domain point for a seeded generator, Y >= I."""
     if kind == "C":
-        X = rng.normal(scale=spread, size=(g, g))
-        A = rng.normal(scale=spread, size=(g, g))
+        X = rng.normal(scale=_SPREAD, size=(g, g))
+        A = rng.normal(scale=_SPREAD, size=(g, g))
         Z = (X + X.T) / 2 + 1j * (np.eye(g) + A @ A.T)
         return SiegelPoint(Z)
-    H = rng.normal(scale=spread, size=(g, g)) + 1j * rng.normal(scale=spread, size=(g, g))
-    A = rng.normal(scale=spread, size=(g, g)) + 1j * rng.normal(scale=spread, size=(g, g))
+    H = rng.normal(scale=_SPREAD, size=(g, g)) + 1j * rng.normal(scale=_SPREAD, size=(g, g))
+    A = rng.normal(scale=_SPREAD, size=(g, g)) + 1j * rng.normal(scale=_SPREAD, size=(g, g))
     Z = (H + H.conj().T) / 2 + 1j * (np.eye(g) + A @ A.conj().T)
     return HermitianPoint(Z)

@@ -52,6 +52,9 @@ from .lattices import (
 )
 
 
+COND_LIMIT = 1e12  # largest condition number the w-solve accepts
+
+
 class SingularPairing(Exception):
     """The pairing matrix of the w-solve is numerically singular."""
 
@@ -71,26 +74,20 @@ def domain_coordinates(emb):
 
 @dataclass(frozen=True)
 class CoordinateTarget:
-    """Functional picking one matrix entry of a rational element.
+    """Functional picking one matrix entry of a rational label.
 
-    family "lin" reads entry (i, k) of the element itself, "conj" reads
-    the conjugate entry; in the classical model only "lin" occurs and
-    the entry is read from the m part.
+    family "lin" reads entry (i, k) of the label itself, "conj" reads
+    the conjugate entry; in the classical model only "lin" occurs, and
+    k < r reads the m part of [m | n].
     """
 
     family: str
     i: int
     k: int
 
-    def value(self, label, kind):
-        if kind == "A":
-            x = np.asarray(label, dtype=complex)
-            v = x[self.i, self.k]
-            return np.conj(v) if self.family == "conj" else v
-        part, x = label
-        if part != "m":
-            return 0.0
-        return complex(np.asarray(x)[self.i, self.k])
+    def value(self, label):
+        v = label[self.i, self.k]
+        return np.conj(v) if self.family == "conj" else v
 
 
 def _incidences(emb):
@@ -136,23 +133,23 @@ def cocycle_jacobian(emb, elements=None):
     out = np.zeros((len(elements), emb.n * emb.r, len(labels)), dtype=complex)
     for a, target, lab in _incidences(emb):
         for g, x in enumerate(elements):
-            out[g, a, idx[lab]] = target.value(x, emb.kind)
+            out[g, a, idx[lab]] = target.value(x)
     return CocycleJacobian(out, labels, tuple(elements))
 
 
-def numeric_cocycle_jacobian(emb, point, elements=None, step=0.5, rotate=False):
-    """Central-difference Jacobian at a point, optionally along i*h.
+def numeric_cocycle_jacobian(emb, point, elements=None, rotate=False):
+    """Central-difference Jacobian at a point, along h = 0.5 or i*h.
 
     The embedding is affine in the point, so the central difference is
     exact for any step and a large step avoids the 1/h amplification of
-    rounding noise; the rotated direction checks holomorphy.  Keep the
-    step below the spectral floor of Y so the offset points stay inside
-    the domain.
+    rounding noise; the rotated direction checks holomorphy.  The step
+    stays below the spectral floor of Y (at least 1 for `random_point`),
+    so the offset points stay inside the domain.
     """
     if elements is None:
         elements = generator_labels(emb)
     labels = domain_coordinates(emb)
-    h = step * (1j if rotate else 1.0)
+    h = 0.5j if rotate else 0.5
     out = np.zeros((len(elements), emb.n * emb.r, len(labels)), dtype=complex)
     for t, (a, b) in enumerate(labels):
         e = np.zeros(point.matrix.shape)
@@ -166,40 +163,32 @@ def numeric_cocycle_jacobian(emb, point, elements=None, step=0.5, rotate=False):
     return CocycleJacobian(out, labels, tuple(elements))
 
 
-def solve_w_vector(lattice, form, values, cond_limit=1e12):
-    """w with anti(2 pi i E_mu(w, .)) matching anti of the given functional.
+def solve_w_vectors(lattice, form):
+    """All coordinate-target w-vectors, keyed by target: the w with
+    anti(2 pi i E_mu(w, .)) matching anti of the target functional.
 
-    values are the functional's values on the lattice generators; the
-    R-linear extension and its antilinear part are then determined.  The
-    system is square (2nr real unknowns against nr complex equations on
-    the standard basis) and uniquely solvable when the form pairs the
-    two antiholomorphic halves nondegenerately.
+    A target's values on the lattice generators determine its R-linear
+    extension and the antilinear part of it.  Each system is square
+    (2nr real unknowns against nr complex equations on the standard
+    basis) and shares one pairing matrix, uniquely solvable when the
+    form pairs the two antiholomorphic halves nondegenerately.
     """
     dim = lattice.complex_dim
-    f = lattice.basis_real_inv @ np.asarray(values, dtype=complex)
-    gamma = 0.5 * (f[:dim] + 1j * f[dim:])
-    k = form.extension
+    k = form.extension(lattice)
     mc = (pi * 1j) * (k[:, :dim].T + 1j * k[:, dim:].T)
     m_real = np.vstack([mc.real, mc.imag])
     s = np.linalg.svd(m_real, compute_uv=False)
-    if s.min() <= 0 or s.max() / s.min() > cond_limit:
+    if s.min() <= 0 or s.max() / s.min() > COND_LIMIT:
         raise SingularPairing(
             f"pairing condition number {s.max() / max(s.min(), 1e-300):.3e}"
         )
-    rhs = np.concatenate([gamma.real, gamma.imag])
-    sol = np.linalg.solve(m_real, rhs)
-    return sol[:dim] + 1j * sol[dim:]
-
-
-def solve_w_vectors(lattice, form):
-    """All coordinate-target w-vectors, keyed by target."""
-    emb = lattice.embedding
     out = {}
-    for target in coordinate_targets(emb):
-        values = np.array(
-            [target.value(lab, emb.kind) for lab in lattice.labels], dtype=complex
-        )
-        out[target] = solve_w_vector(lattice, form, values)
+    for target in coordinate_targets(lattice.embedding):
+        values = np.array([target.value(lab) for lab in lattice.labels], dtype=complex)
+        f = lattice.basis_real_inv @ values
+        gamma = 0.5 * (f[:dim] + 1j * f[dim:])
+        sol = np.linalg.solve(m_real, np.concatenate([gamma.real, gamma.imag]))
+        out[target] = sol[:dim] + 1j * sol[dim:]
     return out
 
 
@@ -297,7 +286,7 @@ class MetricReport:
     exponent: int
 
 
-def metric_identity_check(emb, mu, samples=20, seed=0):
+def metric_identity_check(emb, mu, samples, seed):
     """Sample the identity |c| . ||d tau|| = (lattice norm)^{k0}.
 
     k0 is r/2 for the two-block model and r + 1 for the classical one;
@@ -310,11 +299,11 @@ def metric_identity_check(emb, mu, samples=20, seed=0):
         g = k0 = emb.r // 2
     else:
         g, k0 = emb.r, emb.r + 1
+    form = RiemannForm(emb, mu)
     ratios = []
     for _ in range(samples):
         point = random_point(emb.kind, g, rng)
         lat = build_lattice(point, emb)
-        form = RiemannForm(lat, mu)
         ws = solve_w_vectors(lat, form)
         phi = assemble_phi(emb, ws)
         psi = psi_constant(phi, emb)

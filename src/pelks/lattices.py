@@ -3,9 +3,10 @@
 Rational skeleton: the module O_B^{r/n} is presented by an order basis of
 n x n complex matrices (the sigma-images of a basis of O_B over the ring
 of integers of the quadratic field, or over Z when the field is Q), placed
-into r/n column blocks.  A rational point is then an n x r complex matrix
-X whose entries lie in the field; its conjugate model is the entrywise
-conjugate.
+into r/n column blocks.  Every lattice generator carries a rational label,
+an n x w matrix: w = r for the two-block model, where the label is a module
+basis element X, and w = 2r for the classical model, where it is [m | n]
+with one of the two parts zero.
 
 Embedding at a domain point Z, computed by `embed_labels` alone (the
 lattice build and the numeric cocycle Jacobian both call it):
@@ -13,22 +14,23 @@ lattice build and the numeric cocycle Jacobian both call it):
   two conjugate blocks      lambda(X) = (X . [Z; I], conj(X) . [Z^t; I])
   (n x r matrices, r even)
 
-  classical mZ + n          lambda(m, n) = m . Z + n
-  (pairs over Q, Z symmetric r x r; a generator is one part, ("m", m)
-  with image m . Z or ("n", n) with image n)
+  classical mZ + n          lambda([m | n]) = m . Z + n
+  (Z symmetric r x r)
 
 Both land in C^{nr} (row-major flattening of an n x r matrix, so the
 coordinate (i, j) sits at index i*r + j and the column blocks j < r/2,
 j >= r/2 are contiguous).
 
-The Riemann form lives on rational coordinates:
+The Riemann form lives on the labels, so its Gram matrix depends on the
+embedding and mu only:
 
   E_mu(X, X') = tr_{F/Q}( trace( mu^{-1} . X . J . conj(X')^t ) ),
 
-with J the standard alternating block matrix and tr_{F/Q}(z) = z + conj(z)
-for an imaginary quadratic field, z for Q.  For pairs (m, n) the matrix
-[m | n] replaces X and J doubles in size.  The extension of E_mu to C^{nr}
-is R-bilinear along the embedding, never the naive complex formula.
+with J the standard alternating block matrix of size w and
+tr_{F/Q}(z) = z + conj(z) for an imaginary quadratic field, z for Q.
+Only the extension of E_mu to C^{nr} and its positivity need a point:
+the extension is R-bilinear along the embedding, never the naive complex
+formula.
 """
 
 from dataclasses import dataclass, field
@@ -59,11 +61,12 @@ def _as_complex(m):
 class OrderEmbedding:
     """An order in B = M_n(F) given by the sigma-images of a Z-basis.
 
-    kind "A" keeps an imaginary quadratic field F (discriminant < 0) and
-    expects 2n^2 basis matrices; kind "C" works over Q (discriminant 1)
-    and expects n^2 real basis matrices.  The basis must be closed under
-    matrix multiplication with integer coefficients: that is the whole
-    ring structure this module ever uses.
+    kind "A" keeps an imaginary quadratic field F (discriminant < 0),
+    needs r even for its two blocks and expects 2n^2 basis matrices;
+    kind "C" works over Q (discriminant 1) and expects n^2 real basis
+    matrices.  The basis must be closed under matrix multiplication with
+    integer coefficients: that is the whole ring structure this module
+    ever uses.
     """
 
     kind: str
@@ -81,6 +84,8 @@ class OrderEmbedding:
             d = self.discriminant
             if d >= 0 or d % 4 not in (0, 1):
                 raise ValueError("kind A needs a negative quadratic discriminant")
+            if self.r % 2 != 0:
+                raise ValueError("kind A needs r even")
             expected = 2 * self.n * self.n
         else:
             if self.discriminant != 1:
@@ -171,9 +176,8 @@ def _realify(v):
 class PeriodLattice:
     """2nr embedded generators spanning C^{nr} over R.
 
-    labels carries the rational coordinates of each generator: an n x r
-    matrix for the two-block model, a ("m" | "n", matrix) pair for the
-    classical model.  vectors[k] is the flattened embedded image.
+    labels carries the rational label of each generator (module
+    docstring); vectors[k] is the flattened embedded image.
     """
 
     embedding: OrderEmbedding
@@ -213,23 +217,22 @@ class PeriodLattice:
 
 
 def generator_labels(emb):
-    """Rational coordinates of the 2nr lattice generators.
+    """Rational labels of the 2nr lattice generators.
 
     Two-block model: the module basis itself.  Classical model: the
-    ("m", x) parts, then the ("n", x) parts, over the real module basis.
+    [x | 0], then the [0 | x], over the real module basis x.
     """
     basis = emb.module_basis()
     if emb.kind == "A":
         return tuple(basis)
-    return tuple(("m", x.real) for x in basis) + tuple(("n", x.real) for x in basis)
+    zero = np.zeros((emb.n, emb.r))
+    return tuple(np.hstack([x.real, zero]) for x in basis) + tuple(
+        np.hstack([zero, x.real]) for x in basis
+    )
 
 
 def embed_labels(emb, point, labels):
-    """Images in C^{nr} of rational elements at a domain point, one row each.
-
-    labels are n x r matrices for the two-block model and ("m" | "n", x)
-    parts for the classical one, as in the module docstring.
-    """
+    """Images in C^{nr} of rational labels at a domain point, one row each."""
     z = point.matrix
     if emb.kind == "A":
         half = emb.r // 2
@@ -240,13 +243,8 @@ def embed_labels(emb, point, labels):
             x = np.asarray(label, dtype=complex)
             rows.append(np.hstack([x @ top, x.conj() @ top_c]).ravel())
         return np.stack(rows)
-    rows = []
-    for part, x in labels:
-        if part == "m":
-            rows.append((np.asarray(x) @ z).ravel())
-        else:
-            rows.append(np.asarray(x, dtype=complex).ravel())
-    return np.stack(rows)
+    r = emb.r
+    return np.stack([(x[:, :r] @ z + x[:, r:]).ravel() for x in labels])
 
 
 def build_lattice(point, emb):
@@ -259,7 +257,7 @@ def build_lattice(point, emb):
         if not isinstance(point, HermitianPoint):
             raise TypeError("kind A embeds at a HermitianPoint")
         half = emb.r // 2
-        if emb.r % 2 != 0 or point.matrix.shape != (half, half):
+        if point.matrix.shape != (half, half):
             raise ValueError("domain point must be (r/2) x (r/2)")
     else:
         if not isinstance(point, SiegelPoint):
@@ -292,78 +290,58 @@ def _alternating_block(half):
 
 
 class RiemannForm:
-    """The alternating form E_mu on a period lattice and its R-extension."""
+    """The alternating form E_mu on the rational labels, and its
+    R-extension along a period lattice."""
 
-    def __init__(self, lattice, mu):
-        self.lattice = lattice
-        emb = lattice.embedding
+    def __init__(self, emb, mu):
+        self.emb = emb
         self.mu = normalize_mu(mu, emb.n)
         self._mu_inv = np.linalg.inv(self.mu)
-        if emb.kind == "A":
-            if emb.r % 2 != 0:
-                raise ValueError("the two-block form needs r even")
-            self._j = _alternating_block(emb.r // 2)
-        else:
-            self._j = _alternating_block(emb.r)
         self._gram = None
-        self._extension = None
-
-    def rational_pair(self, xa, xb):
-        emb = self.lattice.embedding
-        if emb.kind == "A":
-            ma, mb = xa, xb
-        else:
-            ma = _pair_to_row(xa, emb)
-            mb = _pair_to_row(xb, emb)
-        val = np.trace(self._mu_inv @ ma @ self._j @ mb.conj().T)
-        return _field_trace(val, emb.kind)
 
     @property
     def gram(self):
         if self._gram is None:
-            labels = self.lattice.labels
+            labels = generator_labels(self.emb)
+            j = _alternating_block(labels[0].shape[1] // 2)
             k = len(labels)
             g = np.empty((k, k))
             for a in range(k):
+                left = self._mu_inv @ labels[a] @ j
                 for b in range(k):
-                    g[a, b] = self.rational_pair(labels[a], labels[b])
+                    val = np.trace(left @ labels[b].conj().T)
+                    g[a, b] = _field_trace(val, self.emb.kind)
             self._gram = g
         return self._gram
-
-    @property
-    def extension(self):
-        """E_mu in standard real coordinates of C^{nr} (2nr x 2nr)."""
-        if self._extension is None:
-            binv = self.lattice.basis_real_inv
-            self._extension = binv @ self.gram @ binv.T
-        return self._extension
-
-    def hermitian_matrix(self):
-        """H(v, w) = E(iv, w) + iE(v, w) on the standard complex basis."""
-        k = self.extension
-        dim = self.lattice.complex_dim
-        h = k[dim:, :dim] + 1j * k[:dim, :dim]
-        if np.abs(h - h.conj().T).max() > 1e-8 * max(1.0, np.abs(h).max()):
-            raise ValueError("associated form is not Hermitian")
-        return 0.5 * (h + h.conj().T)
-
-    def is_positive(self, tol=1e-10):
-        eigs = np.linalg.eigvalsh(self.hermitian_matrix())
-        return bool(eigs.min() > tol)
 
     def integrality_defect(self):
         g = self.gram
         return float(np.abs(g - np.round(g)).max())
 
+    def integer_gram(self):
+        """The Gram matrix as integer rows; a defect above 1e-9 is an error."""
+        defect = self.integrality_defect()
+        if defect > 1e-9:
+            raise ValueError(f"form is not integral on the lattice ({defect:.3e})")
+        return [[int(x) for x in row] for row in np.round(self.gram).astype(int)]
 
-def _pair_to_row(label, emb):
-    part, x = label
-    m = np.zeros((emb.n, 2 * emb.r), dtype=complex)
-    if part == "m":
-        m[:, : emb.r] = x
-    else:
-        m[:, emb.r :] = x
-    return m
+    def extension(self, lattice):
+        """E_mu in standard real coordinates of C^{nr} (2nr x 2nr)."""
+        binv = lattice.basis_real_inv
+        return binv @ self.gram @ binv.T
+
+    def hermitian_matrix(self, lattice):
+        """H(v, w) = E(iv, w) + iE(v, w) on the standard complex basis."""
+        k = self.extension(lattice)
+        dim = lattice.complex_dim
+        h = k[dim:, :dim] + 1j * k[:dim, :dim]
+        if np.abs(h - h.conj().T).max() > 1e-8 * max(1.0, np.abs(h).max()):
+            raise ValueError("associated form is not Hermitian")
+        return 0.5 * (h + h.conj().T)
+
+    def is_positive(self, lattice):
+        eigs = np.linalg.eigvalsh(self.hermitian_matrix(lattice))
+        return bool(eigs.min() > 1e-10)
 
 
 @dataclass(frozen=True)
@@ -392,7 +370,7 @@ def solve_self_dual_mu(lattice, tol=1e-9):
     honest refusal, not a numerical fallback.
     """
     emb = lattice.embedding
-    base = RiemannForm(lattice, 1.0)
+    base = RiemannForm(emb, 1.0)
     sign_det, logdet = np.linalg.slogdet(base.gram)
     if sign_det == 0:
         raise NoSelfDualForm("basic form is degenerate on the lattice")
@@ -400,10 +378,10 @@ def solve_self_dual_mu(lattice, tol=1e-9):
     c = float(np.exp(logdet / two_nr))
     chosen = None
     for sign in (-1, 1):
-        form = RiemannForm(lattice, sign * c)
+        form = RiemannForm(emb, sign * c)
         if form.integrality_defect() > tol:
             continue
-        if not form.is_positive():
+        if not form.is_positive(lattice):
             continue
         det_mu_gram = abs(np.linalg.det(form.gram))
         chosen = (sign, det_mu_gram)
@@ -443,34 +421,24 @@ def faltings_norm(lattice):
     return float(np.sqrt(lattice.covolume() / pi**nr))
 
 
-def polarization_degree(lattice, mu, tol=1e-9):
+def polarization_degree(form):
     """Index [dual : lattice]^{1/2} of an integral alternating form.
 
-    The Gram matrix is rounded to integers (a defect above tol is an
-    error), the index is |det|, and the degree is its exact integer
-    square root; alternating integer forms in even rank always have a
-    perfect-square determinant, so a failed isqrt means a real bug.
+    The index is |det| of the integer Gram matrix, and the degree is its
+    exact integer square root; alternating integer forms in even rank
+    always have a perfect-square determinant, so a failed isqrt means a
+    real bug.
     """
-    form = RiemannForm(lattice, mu)
-    defect = form.integrality_defect()
-    if defect > tol:
-        raise ValueError(f"form is not integral on the lattice ({defect:.3e})")
-    g = [[int(x) for x in row] for row in np.round(form.gram).astype(int)]
-    index = abs(integer_det(g))
+    index = abs(integer_det(form.integer_gram()))
     deg = isqrt(index)
     if deg * deg != index:
         raise ValueError("alternating Gram determinant is not a perfect square")
     return deg
 
 
-def dual_index_oracle(lattice, mu, tol=1e-9):
+def dual_index_oracle(form):
     """Independent route to [dual : lattice]: elementary divisors of Gram."""
-    form = RiemannForm(lattice, mu)
-    if form.integrality_defect() > tol:
-        raise ValueError("form is not integral on the lattice")
-    g = [[int(x) for x in row] for row in np.round(form.gram).astype(int)]
-    divisors = integer_smith_normal_form(g).divisors
     index = 1
-    for d in divisors:
+    for d in integer_smith_normal_form(form.integer_gram()).divisors:
         index *= d
     return abs(index)

@@ -16,7 +16,7 @@ from pelks.checks import run_checks
 from pelks.cli import resolve_config
 from pelks.config import config_from_dict, with_overrides
 from pelks.cyclic_algebra import CyclicAlgebraDescriptor
-from pelks.domains import HermitianPoint, random_point
+from pelks.domains import random_point
 from pelks.kodaira_spencer import (
     assemble_phi,
     closed_form_w,
@@ -153,8 +153,9 @@ def test_cocycle_jacobian_against_central_differences():
         if emb.kind == "A":
             elements = [combo]
         else:
-            part = "m" if trials % 2 else "n"
-            elements = [(part, combo.real)]
+            zero = np.zeros_like(combo.real)
+            parts = [combo.real, zero] if trials % 2 else [zero, combo.real]
+            elements = [np.hstack(parts)]
         point = random_point(emb.kind, g, rng)
         ana = cocycle_jacobian(emb, elements=elements).tensor
         rotate = bool(trials % 2)
@@ -170,7 +171,7 @@ def test_w_vector_closed_form():
     emb = gaussian_unitary()
     for _ in range(10):
         lat = build_lattice(random_point("A", 1, rng), emb)
-        form = RiemannForm(lat, -2.0)
+        form = RiemannForm(emb, -2.0)
         ws = solve_w_vectors(lat, form)
         for target in coordinate_targets(emb):
             expected = closed_form_w(emb, -2.0, target)
@@ -183,7 +184,7 @@ def test_psi_modulus_and_phi_independence():
         tensors = []
         for _ in range(2):
             lat = build_lattice(random_point("A", emb.r // 2, rng), emb)
-            phi = assemble_phi(emb, solve_w_vectors(lat, RiemannForm(lat, mu)))
+            phi = assemble_phi(emb, solve_w_vectors(lat, RiemannForm(emb, mu)))
             tensors.append(phi.tensor)
         assert np.abs(tensors[0] - tensors[1]).max() < 1e-10
         psi = psi_constant(phi, emb)
@@ -222,21 +223,15 @@ def test_metric_identity_end_to_end():
 
 
 def test_polarization_degrees():
-    cases = [
-        (build_lattice(HermitianPoint([[0.3 + 1.1j]]), gaussian_unitary()), -2.0),
-        (
-            build_lattice(HermitianPoint([[0.4 + 0.9j]]), matrix_basechange()),
-            -2.0 * np.eye(2),
-        ),
-    ]
-    for lat, mu in cases:
-        assert polarization_degree(lat, mu) == 1
-        assert dual_index_oracle(lat, mu) == 1
+    for emb, mu in ((gaussian_unitary(), -2.0), (matrix_basechange(), -2.0 * np.eye(2))):
+        form = RiemannForm(emb, mu)
+        assert polarization_degree(form) == 1
+        assert dual_index_oracle(form) == 1
     # the plain trace form on the Gaussian order: degree = |field
     # discriminant| = 4, dual index its square
-    lat = build_lattice(HermitianPoint([[0.3 + 1.1j]]), gaussian_unitary())
-    deg = polarization_degree(lat, 1.0)
-    index = dual_index_oracle(lat, 1.0)
+    trace_form = RiemannForm(gaussian_unitary(), 1.0)
+    deg = polarization_degree(trace_form)
+    index = dual_index_oracle(trace_form)
     assert deg == 4
     assert index == 16 == deg * deg
 

@@ -90,6 +90,11 @@ def test_order_embedding_rejects_dependent_basis():
         OrderEmbedding("A", 1, 2, -4, ([[1.0]], [[1.0]]))
 
 
+def test_order_embedding_rejects_odd_rank_for_kind_a():
+    with pytest.raises(ValueError, match="r even"):
+        OrderEmbedding("A", 1, 3, -4, ([[1.0]], [[1j]]))
+
+
 def test_order_embedding_rejects_complex_entries_over_q():
     with pytest.raises(ValueError, match="must be real"):
         OrderEmbedding("C", 1, 2, 1, ([[1j]],))
@@ -118,7 +123,7 @@ def test_embed_labels_hand_values_at_rank_four():
 
 def test_basic_gram_matches_hand_matrix():
     lat = build_lattice(HermitianPoint([[0.3 + 1.1j]]), gaussian_unitary())
-    g = RiemannForm(lat, 1.0).gram
+    g = RiemannForm(lat.embedding, 1.0).gram
     hand = np.array(
         [
             [0, 0, -2, 0],
@@ -154,7 +159,7 @@ def test_gram_alternating_and_integral():
         ),
     ]
     for lat, mu in cases:
-        g = RiemannForm(lat, mu).gram
+        g = RiemannForm(lat.embedding, mu).gram
         assert np.abs(g + g.T).max() < 1e-9
         assert np.abs(g - np.round(g)).max() < 1e-9
 
@@ -209,9 +214,9 @@ def test_duality_inverts_covolume():
         assert np.abs(again.vectors - lat.vectors).max() < 1e-9
 
 
-def pair_vectors(form, v, w):
+def pair_vectors(form, lattice, v, w):
     """E_mu of two vectors of C^{nr}, through the form's real extension."""
-    return float(_realify(v) @ form.extension @ _realify(w))
+    return float(_realify(v) @ form.extension(lattice) @ _realify(w))
 
 
 def test_elliptic_covolume_and_norm():
@@ -225,11 +230,11 @@ def test_hand_value_of_associated_hermitian_form():
     # E_I(i v3, v3) = -2 / y for the third generator (1, 1)
     y = 1.1
     lat = build_lattice(HermitianPoint([[0.3 + y * 1j]]), gaussian_unitary())
-    form = RiemannForm(lat, 1.0)
+    form = RiemannForm(lat.embedding, 1.0)
     v3 = lat.vectors[2]
-    val = pair_vectors(form, 1j * v3, v3)
+    val = pair_vectors(form, lat, 1j * v3, v3)
     assert abs(val + 2 / y) < 1e-10
-    assert not form.is_positive()
+    assert not form.is_positive(lat)
 
 
 def test_positivity_selects_the_sign():
@@ -237,20 +242,20 @@ def test_positivity_selects_the_sign():
     for _ in range(4):
         z = rng.normal() + (0.6 + rng.random()) * 1j
         lat = build_lattice(HermitianPoint([[z]]), gaussian_unitary())
-        assert RiemannForm(lat, -2.0).is_positive()
-        assert not RiemannForm(lat, 2.0).is_positive()
-        h = RiemannForm(lat, -2.0).hermitian_matrix()
+        assert RiemannForm(lat.embedding, -2.0).is_positive(lat)
+        assert not RiemannForm(lat.embedding, 2.0).is_positive(lat)
+        h = RiemannForm(lat.embedding, -2.0).hermitian_matrix(lat)
         assert np.abs(h - h.conj().T).max() < 1e-10
 
 
 def test_pair_vectors_matches_gram_and_alternates():
     lat = build_lattice(HermitianPoint([[0.7 + 1.2j]]), gaussian_unitary())
-    form = RiemannForm(lat, -2.0)
+    form = RiemannForm(lat.embedding, -2.0)
     for a in range(4):
         for b in range(4):
             va, vb = lat.vectors[a], lat.vectors[b]
-            assert abs(pair_vectors(form, va, vb) - form.gram[a, b]) < 1e-10
-            assert abs(pair_vectors(form, va, vb) + pair_vectors(form, vb, va)) < 1e-10
+            assert abs(pair_vectors(form, lat, va, vb) - form.gram[a, b]) < 1e-10
+            assert abs(pair_vectors(form, lat, va, vb) + pair_vectors(form, lat, vb, va)) < 1e-10
 
 
 def test_solve_self_dual_gaussian():
@@ -292,37 +297,36 @@ def test_solve_self_dual_refuses_eisenstein():
 
 def test_polarization_degree_self_dual_is_one():
     cases = [
-        (build_lattice(HermitianPoint([[0.3 + 1.1j]]), gaussian_unitary()), -2.0),
-        (build_lattice(SiegelPoint([[0.25 + 1.7j]]), rational_siegel(1)), -1.0),
-        (
-            build_lattice(HermitianPoint([[0.4 + 0.9j]]), matrix_basechange()),
-            -2.0 * np.eye(2),
-        ),
+        (gaussian_unitary(), -2.0),
+        (rational_siegel(1), -1.0),
+        (matrix_basechange(), -2.0 * np.eye(2)),
     ]
-    for lat, mu in cases:
-        assert polarization_degree(lat, mu) == 1
-        assert dual_index_oracle(lat, mu) == 1
+    for emb, mu in cases:
+        form = RiemannForm(emb, mu)
+        assert polarization_degree(form) == 1
+        assert dual_index_oracle(form) == 1
 
 
 def test_polarization_degree_of_trace_form():
-    lat = build_lattice(HermitianPoint([[0.3 + 1.1j]]), gaussian_unitary())
-    deg = polarization_degree(lat, 1.0)
+    form = RiemannForm(gaussian_unitary(), 1.0)
+    deg = polarization_degree(form)
     assert deg == 4
-    index = dual_index_oracle(lat, 1.0)
+    index = dual_index_oracle(form)
     assert index == 16
     assert deg * deg == index
 
 
 def test_polarization_degree_rescaling():
     # mu -> mu / k multiplies E by k, hence the degree by k^{nr}
-    lat = build_lattice(HermitianPoint([[0.3 + 1.1j]]), gaussian_unitary())
-    assert polarization_degree(lat, -2.0 / 3.0) == 9
+    assert polarization_degree(RiemannForm(gaussian_unitary(), -2.0 / 3.0)) == 9
 
 
 def test_polarization_rejects_non_integral_form():
-    lat = build_lattice(HermitianPoint([[0.3 + 1.1j]]), gaussian_unitary())
+    form = RiemannForm(gaussian_unitary(), 1.7)
     with pytest.raises(ValueError, match="not integral"):
-        polarization_degree(lat, 1.7)
+        polarization_degree(form)
+    with pytest.raises(ValueError, match="not integral"):
+        dual_index_oracle(form)
 
 
 def _bounded_center_lattice(emb):
