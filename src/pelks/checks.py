@@ -263,13 +263,15 @@ def _check_polarization_degree(cfg, ctx):
 
 def _check_cocycle(cfg, ctx):
     emb = ctx.emb
-    elements = list(generator_labels(emb))
+    elements = generator_labels(emb)
     if cfg.kind == "A":
         rng = default_rng([cfg.seed, 17])
         basis = emb.module_basis()
-        for _ in range(3):
-            coeffs = rng.integers(-3, 4, size=len(basis))
-            elements.append(sum(c * b for c, b in zip(coeffs, basis)))
+        extra = [
+            sum(c * b for c, b in zip(rng.integers(-3, 4, size=len(basis)), basis))
+            for _ in range(3)
+        ]
+        elements = np.concatenate([elements, extra])
     ana = cocycle_jacobian(emb, elements=elements)
     worst = 0.0
     for point in ctx.sample_points(max(2, cfg.samples // 4), 19):

@@ -6,7 +6,8 @@
   pelks explain <check-name>
 
 Exit codes: 0 when every executed check passes (skips are fine), 1 when
-at least one check fails, 2 on configuration or usage errors.
+at least one check fails, 2 on configuration or usage errors, including a
+report path that cannot be written.
 """
 
 import argparse
@@ -85,9 +86,13 @@ def _cmd_run(args):
         f"({cfg.name}, seed {cfg.seed}, samples {cfg.samples})"
     )
     if args.report:
-        Path(args.report).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
+        try:
+            Path(args.report).write_text(
+                json.dumps(report, indent=2, sort_keys=True) + "\n"
+            )
+        except OSError as exc:
+            print(f"report error: {exc}", file=sys.stderr)
+            return 2
         print(f"report written to {args.report}")
     return 1 if s["fail"] else 0
 

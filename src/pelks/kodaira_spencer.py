@@ -182,14 +182,19 @@ def solve_w_vectors(lattice, form):
         raise SingularPairing(
             f"pairing condition number {s.max() / max(s.min(), 1e-300):.3e}"
         )
-    out = {}
-    for target in coordinate_targets(lattice.embedding):
-        values = np.array([target.value(lab) for lab in lattice.labels], dtype=complex)
-        f = lattice.basis_real_inv @ values
-        gamma = 0.5 * (f[:dim] + 1j * f[dim:])
-        sol = np.linalg.solve(m_real, np.concatenate([gamma.real, gamma.imag]))
-        out[target] = sol[:dim] + 1j * sol[dim:]
-    return out
+    targets = coordinate_targets(lattice.embedding)
+    # values[t, g] is target t read off generator g, every target at once
+    values = lattice.labels[:, [t.i for t in targets], [t.k for t in targets]].T
+    conj = np.array([t.family == "conj" for t in targets])
+    values = np.where(conj[:, None], values.conj(), values)
+    f = (lattice.basis_real_inv @ values[..., None])[..., 0]
+    gamma = 0.5 * (f[:, :dim] + 1j * f[:, dim:])
+    rhs = np.hstack([gamma.real, gamma.imag])
+    # one square system per target: a single multi-column solve would
+    # round differently from the per-target solve
+    m_all = np.broadcast_to(m_real, (len(targets),) + m_real.shape)
+    sol = np.linalg.solve(m_all, rhs[..., None])[..., 0]
+    return dict(zip(targets, sol[:, :dim] + 1j * sol[:, dim:]))
 
 
 def closed_form_w(emb, mu, target):

@@ -6,7 +6,9 @@ of integers of the quadratic field, or over Z when the field is Q), placed
 into r/n column blocks.  Every lattice generator carries a rational label,
 an n x w matrix: w = r for the two-block model, where the label is a module
 basis element X, and w = 2r for the classical model, where it is [m | n]
-with one of the two parts zero.
+with one of the two parts zero.  The 2nr labels are kept stacked, as one
+complex (2nr, n, w) array, and every kernel below works on that stack in
+one batched numpy operation rather than label by label.
 
 Embedding at a domain point Z, computed by `embed_labels` alone (the
 lattice build and the numeric cocycle Jacobian both call it):
@@ -19,7 +21,7 @@ lattice build and the numeric cocycle Jacobian both call it):
 
 Both land in C^{nr} (row-major flattening of an n x r matrix, so the
 coordinate (i, j) sits at index i*r + j and the column blocks j < r/2,
-j >= r/2 are contiguous).
+j >= r/2 are contiguous); row k of the result is the image of label k.
 
 The Riemann form lives on the labels, so its Gram matrix depends on the
 embedding and mu only:
@@ -28,9 +30,10 @@ embedding and mu only:
 
 with J the standard alternating block matrix of size w and
 tr_{F/Q}(z) = z + conj(z) for an imaginary quadratic field, z for Q.
-Only the extension of E_mu to C^{nr} and its positivity need a point:
-the extension is R-bilinear along the embedding, never the naive complex
-formula.
+The same field-trace pairing, with mu = I and J = I, is the trace form of
+`OrderEmbedding.trace_covolume`.  Only the extension of E_mu to C^{nr} and
+its positivity need a point: the extension is R-bilinear along the
+embedding, never the naive complex formula.
 """
 
 from dataclasses import dataclass, field
@@ -106,36 +109,28 @@ class OrderEmbedding:
 
     def _check_closure(self, mats):
         # Products of basis elements must decompose over the basis with
-        # integer coefficients; this is the structure-constant sanity check.
-        cols = np.stack(
-            [np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in mats],
-            axis=1,
-        )
+        # integer coefficients; this is the structure-constant sanity check,
+        # one least-squares solve with every product as a column.
+        stack = np.stack(mats)
+        cols = _real_rows(stack).T
         if np.linalg.matrix_rank(cols) < len(mats):
             raise ValueError("order basis matrices are rationally dependent")
-        for a in mats:
-            for b in mats:
-                prod = a @ b
-                rhs = np.concatenate([prod.real.ravel(), prod.imag.ravel()])
-                coeff, residual, _, _ = np.linalg.lstsq(cols, rhs, rcond=None)
-                recon = cols @ coeff
-                if np.abs(recon - rhs).max() > 1e-9:
-                    raise ValueError("order basis is not multiplicatively closed")
-                if np.abs(coeff - np.round(coeff)).max() > 1e-9:
-                    raise ValueError(
-                        "order basis products need integer coefficients"
-                    )
+        prods = (stack[:, None] @ stack[None, :]).reshape(-1, self.n, self.n)
+        rhs = _real_rows(prods).T
+        coeff = np.linalg.lstsq(cols, rhs, rcond=None)[0]
+        if np.abs(cols @ coeff - rhs).max() > 1e-9:
+            raise ValueError("order basis is not multiplicatively closed")
+        if np.abs(coeff - np.round(coeff)).max() > 1e-9:
+            raise ValueError("order basis products need integer coefficients")
 
     def module_basis(self):
-        """Rational basis of O_B^{r/n} as n x r matrices (block placement)."""
-        out = []
-        blocks = self.r // self.n
+        """Rational basis of O_B^{r/n} as a stack of n x r matrices: one
+        column block after the other, each taking the whole order basis."""
+        n, blocks = self.n, self.r // self.n
+        out = np.zeros((blocks, len(self.matrices), n, self.r), dtype=complex)
         for c in range(blocks):
-            for m in self.matrices:
-                x = np.zeros((self.n, self.r), dtype=complex)
-                x[:, c * self.n : (c + 1) * self.n] = m
-                out.append(x)
-        return out
+            out[c, :, :, c * n : (c + 1) * n] = self.matrices
+        return out.reshape(-1, n, self.r)
 
     def trace_covolume(self):
         """Covolume of the module basis under the trace pairing.
@@ -145,45 +140,40 @@ class OrderEmbedding:
         normalization that the self-dual form calibrates against.
         """
         basis = self.module_basis()
-        k = len(basis)
-        g = np.empty((k, k))
-        for a in range(k):
-            for b in range(k):
-                val = np.trace(basis[a] @ basis[b].conj().T)
-                g[a, b] = _field_trace(val, self.kind)
-        sign, logdet = np.linalg.slogdet(g)
+        sign, logdet = np.linalg.slogdet(_trace_pairing(basis, basis, self.kind))
         if sign <= 0:
             raise RankDeficient("trace pairing degenerate on the order basis")
         return float(np.exp(0.5 * logdet))
 
 
-def _field_trace(z, kind):
-    if kind == "A":
-        out = z + np.conj(z)
-    else:
-        out = z
-    if abs(out.imag) > 1e-9 * max(1.0, abs(out)):
+def _trace_pairing(left, right, kind):
+    """tr_{F/Q}(trace(left[a] . conj(right[b])^t)) for every pair of the
+    two stacks; an entry whose field trace is not real is an error."""
+    z = np.einsum("anw,bnw->ab", left, right.conj())
+    out = z + z.conj() if kind == "A" else z
+    if (np.abs(out.imag) > 1e-9 * np.maximum(1.0, np.abs(out))).any():
         raise ValueError("field trace did not come out real")
-    return float(out.real)
+    return out.real
 
 
-def _realify(v):
-    v = np.asarray(v, dtype=complex).ravel()
-    return np.concatenate([v.real, v.imag])
+def _real_rows(stack):
+    """One real row per item of a complex stack: real parts, then imaginary."""
+    flat = stack.reshape(len(stack), -1)
+    return np.hstack([flat.real, flat.imag])
 
 
 @dataclass(frozen=True, eq=False)
 class PeriodLattice:
     """2nr embedded generators spanning C^{nr} over R.
 
-    labels carries the rational label of each generator (module
-    docstring); vectors[k] is the flattened embedded image.
+    labels stacks the rational labels of the generators (module
+    docstring); vectors[k] is the flattened embedded image of labels[k].
     """
 
     embedding: OrderEmbedding
     point: object
     vectors: np.ndarray
-    labels: tuple
+    labels: np.ndarray
     basis_real: np.ndarray = field(default=None, repr=False)
     basis_real_inv: np.ndarray = field(default=None, repr=False)
 
@@ -193,7 +183,7 @@ class PeriodLattice:
         count, dim = vecs.shape
         if count != 2 * dim:
             raise ValueError("a full lattice needs 2nr generators in C^{nr}")
-        b = np.stack([_realify(v) for v in vecs])
+        b = _real_rows(vecs)
         s = np.linalg.svd(b, compute_uv=False)
         if s.min() < 1e-10 * max(1.0, s.max()):
             raise RankDeficient("embedded generators are real-linearly dependent")
@@ -217,34 +207,34 @@ class PeriodLattice:
 
 
 def generator_labels(emb):
-    """Rational labels of the 2nr lattice generators.
+    """Rational labels of the 2nr lattice generators, one complex
+    (2nr, n, w) stack.
 
     Two-block model: the module basis itself.  Classical model: the
     [x | 0], then the [0 | x], over the real module basis x.
     """
     basis = emb.module_basis()
     if emb.kind == "A":
-        return tuple(basis)
-    zero = np.zeros((emb.n, emb.r))
-    return tuple(np.hstack([x.real, zero]) for x in basis) + tuple(
-        np.hstack([zero, x.real]) for x in basis
+        return basis
+    x = basis.real.astype(complex)
+    zero = np.zeros_like(x)
+    return np.concatenate(
+        [np.concatenate([x, zero], axis=2), np.concatenate([zero, x], axis=2)]
     )
 
 
 def embed_labels(emb, point, labels):
-    """Images in C^{nr} of rational labels at a domain point, one row each."""
+    """Images in C^{nr} of a stack of rational labels at a domain point,
+    one row each."""
+    x = np.asarray(labels, dtype=complex)
     z = point.matrix
     if emb.kind == "A":
-        half = emb.r // 2
-        top = np.vstack([z, np.eye(half)])
-        top_c = np.vstack([z.T, np.eye(half)])
-        rows = []
-        for label in labels:
-            x = np.asarray(label, dtype=complex)
-            rows.append(np.hstack([x @ top, x.conj() @ top_c]).ravel())
-        return np.stack(rows)
+        eye = np.eye(emb.r // 2)
+        plain = x @ np.vstack([z, eye])
+        conj = x.conj() @ np.vstack([z.T, eye])
+        return np.concatenate([plain, conj], axis=2).reshape(len(x), -1)
     r = emb.r
-    return np.stack([(x[:, :r] @ z + x[:, r:]).ravel() for x in labels])
+    return (x[..., :r] @ z + x[..., r:]).reshape(len(x), -1)
 
 
 def build_lattice(point, emb):
@@ -303,15 +293,9 @@ class RiemannForm:
     def gram(self):
         if self._gram is None:
             labels = generator_labels(self.emb)
-            j = _alternating_block(labels[0].shape[1] // 2)
-            k = len(labels)
-            g = np.empty((k, k))
-            for a in range(k):
-                left = self._mu_inv @ labels[a] @ j
-                for b in range(k):
-                    val = np.trace(left @ labels[b].conj().T)
-                    g[a, b] = _field_trace(val, self.emb.kind)
-            self._gram = g
+            j = _alternating_block(labels.shape[2] // 2)
+            left = self._mu_inv @ labels @ j
+            self._gram = _trace_pairing(left, labels, self.emb.kind)
         return self._gram
 
     def integrality_defect(self):

@@ -236,6 +236,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out
     for name in FIXTURES:
         assert name in out
+    unwritable = tmp_path / "no" / "such" / "dir" / "x.json"
+    proc = _run("-m", "pelks.cli", "run", "--config", "unitary-A", "--report", str(unwritable))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("report error:")
 
 
 def test_cli_run_and_report(tmp_path, capsys):

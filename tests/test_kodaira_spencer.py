@@ -20,6 +20,8 @@ import numpy as np
 import pytest
 
 from pelks import kodaira_spencer
+from pelks.checks import run_checks
+from pelks.cli import resolve_config
 from pelks.domains import HermitianPoint, SiegelPoint, random_point
 from pelks.kodaira_spencer import (
     CoordinateTarget,
@@ -36,7 +38,16 @@ from pelks.kodaira_spencer import (
     psi_modulus_closed_form,
     solve_w_vectors,
 )
-from pelks.lattices import OrderEmbedding, RiemannForm, _realify, build_lattice
+from pelks.lattices import (
+    OrderEmbedding,
+    RiemannForm,
+    _alternating_block,
+    build_lattice,
+    embed_labels,
+    generator_labels,
+    normalize_mu,
+    solve_self_dual_mu,
+)
 
 
 def gaussian_unitary(r=2):
@@ -47,7 +58,7 @@ def rational_siegel(r):
     return OrderEmbedding("C", 1, r, 1, ([[1.0]],))
 
 
-def matrix_basechange():
+def matrix_basechange(r=2):
     mats = []
     for scale in (1.0, 1j):
         for a in range(2):
@@ -55,7 +66,7 @@ def matrix_basechange():
                 e = np.zeros((2, 2), dtype=complex)
                 e[a, b] = scale
                 mats.append(e)
-    return OrderEmbedding("A", 2, 2, -4, tuple(mats))
+    return OrderEmbedding("A", 2, r, -4, tuple(mats))
 
 
 def _instances():
@@ -82,6 +93,11 @@ def _instances():
 
 def _genus(emb):
     return emb.r // 2 if emb.kind == "A" else emb.r
+
+
+def _realify(v):
+    v = np.asarray(v, dtype=complex).ravel()
+    return np.concatenate([v.real, v.imag])
 
 
 def antilinear_defect(lattice, form, values, w, trials=8, seed=0):
@@ -286,3 +302,137 @@ def test_metric_identity_all_instances():
         assert report.exponent == expected_exponent[name]
         assert report.max_defect < 1e-10
         assert len(report.ratios) == 6
+
+
+# The per-item loops that the batched kernels replaced, kept as oracles:
+# the batched kernels must reproduce them bit for bit.
+
+
+def _module_basis_loop(emb):
+    out = []
+    n = emb.n
+    for c in range(emb.r // n):
+        for m in emb.matrices:
+            x = np.zeros((n, emb.r), dtype=complex)
+            x[:, c * n : (c + 1) * n] = m
+            out.append(x)
+    return out
+
+
+def _labels_loop(emb):
+    """Labels one by one, real [x | 0] and [0 | x] in the classical model."""
+    basis = _module_basis_loop(emb)
+    if emb.kind == "A":
+        return basis
+    zero = np.zeros((emb.n, emb.r))
+    return [np.hstack([x.real, zero]) for x in basis] + [
+        np.hstack([zero, x.real]) for x in basis
+    ]
+
+
+def _embed_loop(emb, point, labels):
+    z = point.matrix
+    if emb.kind == "A":
+        half = emb.r // 2
+        top = np.vstack([z, np.eye(half)])
+        top_c = np.vstack([z.T, np.eye(half)])
+        rows = []
+        for label in labels:
+            x = np.asarray(label, dtype=complex)
+            rows.append(np.hstack([x @ top, x.conj() @ top_c]).ravel())
+        return np.stack(rows)
+    r = emb.r
+    return np.stack([(x[:, :r] @ z + x[:, r:]).ravel() for x in labels])
+
+
+def _field_trace_loop(z, kind):
+    out = z + np.conj(z) if kind == "A" else z
+    assert abs(out.imag) <= 1e-9 * max(1.0, abs(out))
+    return float(out.real)
+
+
+def _gram_loop(emb, mu):
+    labels = _labels_loop(emb)
+    mu_inv = np.linalg.inv(normalize_mu(mu, emb.n))
+    j = _alternating_block(labels[0].shape[1] // 2)
+    k = len(labels)
+    g = np.empty((k, k))
+    for a in range(k):
+        left = mu_inv @ labels[a] @ j
+        for b in range(k):
+            g[a, b] = _field_trace_loop(np.trace(left @ labels[b].conj().T), emb.kind)
+    return g
+
+
+def _trace_covolume_loop(emb):
+    basis = _module_basis_loop(emb)
+    k = len(basis)
+    g = np.empty((k, k))
+    for a in range(k):
+        for b in range(k):
+            g[a, b] = _field_trace_loop(np.trace(basis[a] @ basis[b].conj().T), emb.kind)
+    return float(np.exp(0.5 * np.linalg.slogdet(g)[1]))
+
+
+def _w_loop(lattice, form):
+    dim = lattice.complex_dim
+    k = form.extension(lattice)
+    mc = (np.pi * 1j) * (k[:, :dim].T + 1j * k[:, dim:].T)
+    m_real = np.vstack([mc.real, mc.imag])
+    out = {}
+    for target in coordinate_targets(lattice.embedding):
+        values = np.array([target.value(lab) for lab in lattice.labels], dtype=complex)
+        f = lattice.basis_real_inv @ values
+        gamma = 0.5 * (f[:dim] + 1j * f[dim:])
+        sol = np.linalg.solve(m_real, np.concatenate([gamma.real, gamma.imag]))
+        out[target] = sol[:dim] + 1j * sol[dim:]
+    return out
+
+
+def _oracle_sweep():
+    """`_instances()` and two larger ladder shapes, each at its own point
+    and mu, at a random point, at the self-dual mu of that point, and at
+    mu = 1.7, whose Gram entries are not integers."""
+    rng = np.random.default_rng(29)
+    cases = [(emb, mu, point) for emb, point, mu in _instances()]
+    cases += [(rational_siegel(8), -1.0, None), (matrix_basechange(6), -2.0 * np.eye(2), None)]
+    for emb, mu, point in cases:
+        for p in (point, random_point(emb.kind, _genus(emb), rng)):
+            if p is not None:
+                yield emb, p, mu
+        p = random_point(emb.kind, _genus(emb), rng)
+        yield emb, p, solve_self_dual_mu(build_lattice(p, emb)).matrix(emb.n)
+        yield emb, p, 1.7
+
+
+def test_batched_kernels_equal_their_loops():
+    for emb, point, mu in _oracle_sweep():
+        labels = generator_labels(emb)
+        width = emb.r if emb.kind == "A" else 2 * emb.r
+        assert labels.shape == (2 * emb.n * emb.r, emb.n, width)
+        assert np.array_equal(labels, np.stack(_labels_loop(emb)))
+        assert np.array_equal(
+            embed_labels(emb, point, labels), _embed_loop(emb, point, _labels_loop(emb))
+        )
+        form = RiemannForm(emb, mu)
+        assert np.array_equal(form.gram, _gram_loop(emb, mu))
+        assert emb.trace_covolume() == _trace_covolume_loop(emb)
+        lat = build_lattice(point, emb)
+        ws, oracle = solve_w_vectors(lat, form), _w_loop(lat, form)
+        assert list(ws) == list(oracle)
+        for target in oracle:
+            assert np.array_equal(ws[target], oracle[target])
+
+
+def test_cocycle_check_fails_on_a_nonlinear_embedding(monkeypatch):
+    # the numeric twin reads the real embedding, so a term quadratic in Z
+    # moves its central differences off the analytic Jacobian
+    cfg = resolve_config("siegel-C")
+    assert run_checks(cfg, only="pipeline.cocycle-jacobian")["checks"][0]["status"] == "pass"
+
+    def bent(emb, point, labels):
+        return embed_labels(emb, point, labels) + 1e-6 * point.matrix[0, 0] ** 2
+
+    monkeypatch.setattr(kodaira_spencer, "embed_labels", bent)
+    checks = run_checks(cfg, only="pipeline.cocycle-jacobian")["checks"]
+    assert [c["status"] for c in checks] == ["fail"]

@@ -28,7 +28,6 @@ from pelks.lattices import (
     PeriodLattice,
     RankDeficient,
     RiemannForm,
-    _realify,
     build_lattice,
     covolume_closed_form,
     embed_labels,
@@ -61,6 +60,11 @@ def matrix_basechange():
 def eisenstein_unitary():
     omega = 0.5 + 0.5j * np.sqrt(3.0)
     return OrderEmbedding("A", 1, 2, -3, ([[1.0]], [[omega]]))
+
+
+def _realify(v):
+    v = np.asarray(v, dtype=complex).ravel()
+    return np.concatenate([v.real, v.imag])
 
 
 def _module_coordinates(emb, mats):
@@ -334,7 +338,7 @@ def _bounded_center_lattice(emb):
     half = emb.r // 2
     basis = emb.module_basis()
     vecs = [np.hstack([x[:, half:], x.conj()[:, :half]]).ravel() for x in basis]
-    return PeriodLattice(emb, None, np.stack(vecs), tuple(basis))
+    return PeriodLattice(emb, None, np.stack(vecs), basis)
 
 
 def test_bounded_hand_images_at_center():
