@@ -23,7 +23,7 @@ def row(desc, signature, kind):
         # type A needs 2n distinct Frobenius translates of a residue
         # pair; the smallest fields cannot supply one
         return "n/a (field too small)"
-    flag = "" if rep.consistent else "  <-- INCONSISTENT"
+    flag = "" if (rep.exponent, rep.violations) == (rep.expected, []) else "  <-- INCONSISTENT"
     return f"{rep.exponent:3d} (want {rep.expected}){flag}"
 
 

@@ -7,15 +7,21 @@ formula recomputed independently, "derived" for a structural fact
 validated through a second route, "trivial" for identities that are
 definitional once the objects exist.
 
-Every tolerance a check compares against is a module constant here and
-is shown in each report entry's `tolerance`.
+A check only computes: it returns (computed, expected), raises Skip
+when it does not apply, and any other exception fails it.  The verdict
+rule, the one pass/fail decision in the package: a check passes when
+every expected key is present in `computed`, each float expected value
+lies strictly within the row's tolerance, and every other value (every
+value, on an `exact` row) is equal.  Every tolerance is a module
+constant here and is shown in each report entry's `tolerance`.
 
-Report shape (schema_version 3): name, config digest, seed, summary
+Report shape (schema_version 4): name, config digest, seed, summary
 counts, the checks sorted by name, and a timing block that callers
 must ignore when comparing runs for determinism.
 """
 
 import time
+from collections.abc import Callable
 from fnmatch import fnmatch
 from functools import cached_property, partial
 from typing import NamedTuple
@@ -50,7 +56,7 @@ from .lattices import (
 )
 from .pel_modules import global_rank_lemma, image_exponent, quotient_structure
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 EPSILON = 1e-9
 COCYCLE_TOL = 1e-12
@@ -60,10 +66,18 @@ PSI_TOL = 1e-9
 METRIC_TOL = 1e-8
 
 
+class Skip(Exception):
+    """The check does not apply to this instance; the message says why."""
+
+
+def _describe(exc):
+    return f"{type(exc).__name__}: {exc}"
+
+
 class _Polarization(NamedTuple):
     mu: np.ndarray | None  # None when the solve failed
     solved: SelfDualMu | None  # None for an explicit mu
-    error: str
+    error: Exception | None  # what the solve raised
 
 
 class _ArchContext:
@@ -88,12 +102,12 @@ class _ArchContext:
         """The explicit mu, or the one solved on the base lattice."""
         explicit = explicit_mu(self.cfg)
         if explicit is not None:
-            return _Polarization(explicit, None, "")
+            return _Polarization(explicit, None, None)
         try:
-            solved = solve_self_dual_mu(self.base_lattice, tol=EPSILON)
-        except Exception as exc:  # as in run_checks: fail arch.self-dual-mu, skip its dependents
-            return _Polarization(None, None, f"{type(exc).__name__}: {exc}")
-        return _Polarization(solved.matrix(self.cfg.n), solved, "")
+            solved = solve_self_dual_mu(self.base_lattice)
+        except Exception as exc:  # fails arch.self-dual-mu, skips its dependents
+            return _Polarization(None, None, exc)
+        return _Polarization(solved.matrix(self.cfg.n), solved, None)
 
     @property
     def mu(self):
@@ -113,19 +127,10 @@ class _ArchContext:
         return [random_point(self.cfg.kind, self.genus(), rng) for _ in range(count)]
 
 
-def _skip(reason):
-    return "skip", None, None, reason
-
-
 def _check_quotient(cfg, place):
     qs = quotient_structure(place, cfg.signature, cfg.kind)
-    computed = {
-        "free_rank": qs.free_rank,
-        "violations": [str(v) for v in qs.violations],
-    }
-    expected = {"free_rank": qs.expected_free_rank, "violations": []}
-    ok = qs.consistent and qs.free_rank == qs.expected_free_rank
-    return ("pass" if ok else "fail"), computed, expected, ""
+    computed = {"free_rank": qs.free_rank, "violations": [str(v) for v in qs.violations]}
+    return computed, {"free_rank": qs.expected_free_rank, "violations": []}
 
 
 def _check_exponent(cfg, place):
@@ -136,8 +141,7 @@ def _check_exponent(cfg, place):
         "multiplier": rep.multiplier,
         "violations": [str(v) for v in rep.violations],
     }
-    expected = {"exponent": rep.expected, "violations": []}
-    return ("pass" if rep.consistent else "fail"), computed, expected, ""
+    return computed, {"exponent": rep.expected, "violations": []}
 
 
 def _check_discriminant(cfg, place):
@@ -153,32 +157,31 @@ def _check_discriminant(cfg, place):
         "gram_exponent": closed,
         "multiplier": 1 if rep.is_division else 0,
     }
-    ok = (
-        rep.consistent
-        and rep.disc_exponent == closed
-        and rep.multiplier == expected["multiplier"]
-    )
-    return ("pass" if ok else "fail"), computed, expected, ""
+    return computed, expected
 
 
-def _check_rank_lemma(cfg):
+def _check_rank_lemma(cfg, ctx):
     if cfg.archimedean is None:
-        return _skip("needs an imaginary quadratic field (no archimedean data)")
+        raise Skip("needs an imaginary quadratic field (no archimedean data)")
     if cfg.kind != "A":
-        return _skip("the rank lemma is stated over an imaginary quadratic field")
+        raise Skip("the rank lemma is stated over an imaginary quadratic field")
     p, q = cfg.signature
     rep = global_rank_lemma(p, q, cfg.archimedean.discriminant)
     computed = {
         "free_rank": rep.free_rank,
         "torsion_annihilated": rep.torsion_annihilated,
+        "torsion_order_matches": rep.torsion_order_matches,
         "normalizer_exists": rep.normalizer_exists,
+        "violations": rep.violations,
     }
     expected = {
         "free_rank": rep.expected_free_rank,
         "torsion_annihilated": True,
+        "torsion_order_matches": True,
         "normalizer_exists": rep.expected_normalizer,
+        "violations": [],
     }
-    return ("pass" if rep.consistent else "fail"), computed, expected, ""
+    return computed, expected
 
 
 def _mu_to_lists(mu):
@@ -187,8 +190,8 @@ def _mu_to_lists(mu):
 
 def _check_self_dual_mu(cfg, ctx):
     mu, sd, error = ctx.polarization
-    if mu is None:
-        return "fail", {"error": error}, {"unimodular": True}, error
+    if error is not None:
+        raise error
     if sd is not None:
         computed = {
             "mu": _mu_to_lists(mu),
@@ -196,22 +199,15 @@ def _check_self_dual_mu(cfg, ctx):
             "trace_covolume": sd.trace_covolume,
             "covolume_matched": sd.covolume_matched,
         }
-        expected = {"gram_det": 1.0, "covolume_matched": True}
-        ok = abs(sd.gram_det - 1.0) < EPSILON and sd.covolume_matched
-        return ("pass" if ok else "fail"), computed, expected, ""
+        return computed, {"gram_det": 1.0, "covolume_matched": True}
     form = ctx.form
-    defect = form.integrality_defect()
-    positive = form.is_positive(ctx.base_lattice)
-    gdet = abs(float(np.linalg.det(form.gram)))
     computed = {
         "mu": _mu_to_lists(mu),
-        "integrality_defect": defect,
-        "positive": positive,
-        "gram_det": gdet,
+        "integrality_defect": form.integrality_defect(),
+        "positive": form.is_positive(ctx.base_lattice),
+        "gram_det": abs(float(np.linalg.det(form.gram))),
     }
-    expected = {"integrality_defect": 0.0, "positive": True, "gram_det": 1.0}
-    ok = defect < EPSILON and positive and abs(gdet - 1.0) < EPSILON
-    return ("pass" if ok else "fail"), computed, expected, ""
+    return computed, {"integrality_defect": 0.0, "positive": True, "gram_det": 1.0}
 
 
 def _check_covolume(cfg, ctx):
@@ -220,9 +216,7 @@ def _check_covolume(cfg, ctx):
         lat = build_lattice(point, ctx.emb)
         predicted = covolume_closed_form(lat, ctx.mu)
         worst = max(worst, abs(lat.covolume() / predicted - 1.0))
-    computed = {"max_ratio_defect": worst}
-    expected = {"max_ratio_defect": 0.0}
-    return ("pass" if worst < EPSILON else "fail"), computed, expected, ""
+    return {"max_ratio_defect": worst}, {"max_ratio_defect": 0.0}
 
 
 def _check_duality(cfg, ctx):
@@ -230,35 +224,20 @@ def _check_duality(cfg, ctx):
     for point in ctx.sample_points(cfg.samples, 13):
         lat = build_lattice(point, ctx.emb)
         worst = max(worst, abs(lat.covolume() * lat.dual().covolume() - 1.0))
-    return (
-        "pass" if worst < EPSILON else "fail",
-        {"max_product_defect": worst},
-        {"max_product_defect": 0.0},
-        "",
-    )
+    return {"max_product_defect": worst}, {"max_product_defect": 0.0}
 
 
 def _check_polarization_degree(cfg, ctx):
-    deg = polarization_degree(ctx.form)
-    index = dual_index_oracle(ctx.form)
-    computed = {"degree": deg, "dual_index": index}
+    computed = {"degree": polarization_degree(ctx.form), "dual_index": dual_index_oracle(ctx.form)}
     expected = {"degree": 1, "dual_index": 1}
-    ok = deg == 1 and index == 1
     if cfg.kind == "A" and cfg.n == 1:
         d_abs = abs(cfg.archimedean.discriminant)
         trace_form = RiemannForm(ctx.emb, 1.0)
-        trace_deg = polarization_degree(trace_form)
-        trace_index = dual_index_oracle(trace_form)
-        computed["trace_form_degree"] = trace_deg
-        computed["trace_form_dual_index"] = trace_index
+        computed["trace_form_degree"] = polarization_degree(trace_form)
+        computed["trace_form_dual_index"] = dual_index_oracle(trace_form)
         expected["trace_form_degree"] = d_abs ** (cfg.r // 2)
         expected["trace_form_dual_index"] = d_abs**cfg.r
-        ok = (
-            ok
-            and trace_deg == expected["trace_form_degree"]
-            and trace_index == expected["trace_form_dual_index"]
-        )
-    return ("pass" if ok else "fail"), computed, expected, ""
+    return computed, expected
 
 
 def _check_cocycle(cfg, ctx):
@@ -278,12 +257,7 @@ def _check_cocycle(cfg, ctx):
         for rotate in (False, True):
             num = numeric_cocycle_jacobian(emb, point, elements=elements, rotate=rotate)
             worst = max(worst, float(np.abs(ana.tensor - num.tensor).max()))
-    return (
-        "pass" if worst < COCYCLE_TOL else "fail",
-        {"max_defect": worst},
-        {"max_defect": 0.0},
-        "",
-    )
+    return {"max_defect": worst}, {"max_defect": 0.0}
 
 
 def _check_w_closed_form(cfg, ctx):
@@ -294,12 +268,8 @@ def _check_w_closed_form(cfg, ctx):
         for target, w in ws.items():
             predicted = closed_form_w(ctx.emb, ctx.mu, target)
             worst = max(worst, float(np.abs(w - predicted).max()))
-    return (
-        "pass" if worst < W_TOL else "fail",
-        {"max_defect": worst, "targets": len(coordinate_targets(ctx.emb))},
-        {"max_defect": 0.0},
-        "",
-    )
+    computed = {"max_defect": worst, "targets": len(coordinate_targets(ctx.emb))}
+    return computed, {"max_defect": 0.0}
 
 
 def _check_phi_independence(cfg, ctx):
@@ -312,12 +282,7 @@ def _check_phi_independence(cfg, ctx):
     for a in range(len(tensors)):
         for b in range(a + 1, len(tensors)):
             worst = max(worst, float(np.abs(tensors[a] - tensors[b]).max()))
-    return (
-        "pass" if worst < PHI_TOL else "fail",
-        {"max_pairwise_defect": worst},
-        {"max_pairwise_defect": 0.0},
-        "",
-    )
+    return {"max_pairwise_defect": worst}, {"max_pairwise_defect": 0.0}
 
 
 def _check_psi(cfg, ctx):
@@ -339,9 +304,7 @@ def _check_psi(cfg, ctx):
         "matched_defect": matched,
         "closed_form_modulus": closed,
     }
-    expected = {"modulus_defect": 0.0, "off_block_defect": 0.0, "matched_defect": 0.0}
-    ok = worst < PSI_TOL and off < PSI_TOL and matched < PSI_TOL
-    return ("pass" if ok else "fail"), computed, expected, ""
+    return computed, {"modulus_defect": 0.0, "off_block_defect": 0.0, "matched_defect": 0.0}
 
 
 def _check_metric(cfg, ctx):
@@ -351,47 +314,118 @@ def _check_metric(cfg, ctx):
         "exponent": report.exponent,
         "first_ratio": report.ratios[0],
     }
-    expected = {"max_defect": 0.0, "first_ratio": 1.0}
-    return (
-        "pass" if report.max_defect < METRIC_TOL else "fail",
-        computed,
-        expected,
-        "",
-    )
+    return computed, {"max_defect": 0.0, "first_ratio": 1.0}
 
 
-def build_specs(cfg, ctx):
-    """The catalog rows (name, provenance, tolerance, prerequisite, check).
+class _Row(NamedTuple):
+    """One catalog row; `check` returns (computed, expected).
 
-    The prerequisite is None, "emb" (archimedean data) or "mu" (a resolved
-    polarization); run_checks skips a row whose prerequisite is missing.
-    `check` takes no arguments and returns (status, computed, expected,
-    detail).
+    `needs` is "place" (one row per finite place, named .q{q}, with
+    `check(cfg, place)`), or else `check(cfg, ctx)` with the prerequisite
+    None, "emb" (archimedean data) or "mu" (a resolved polarization).
     """
-    specs = []
-    for place in cfg.local_places:
-        q = place.residue_size
-        for name, provenance, check in (
-            (f"local.quotient-structure.q{q}", "derived", _check_quotient),
-            (f"local.image-exponent.q{q}", "closed_form", _check_exponent),
-            (f"local.discriminant.q{q}", "closed_form", _check_discriminant),
-        ):
-            specs.append((name, provenance, "exact", None, partial(check, cfg, place)))
-    w_provenance = "closed_form" if cfg.kind == "A" else "derived"
-    specs.append(("global.rank-lemma", "derived", "exact", None, partial(_check_rank_lemma, cfg)))
-    for name, provenance, tolerance, needs, check in (
-        ("arch.self-dual-mu", "derived", EPSILON, "emb", _check_self_dual_mu),
-        ("arch.lattice-covolume", "closed_form", EPSILON, "mu", _check_covolume),
-        ("arch.covolume-duality", "trivial", EPSILON, "emb", _check_duality),
-        ("arch.polarization-degree", "derived", "exact", "mu", _check_polarization_degree),
-        ("pipeline.cocycle-jacobian", "derived", COCYCLE_TOL, "emb", _check_cocycle),
-        ("pipeline.w-closed-form", w_provenance, W_TOL, "mu", _check_w_closed_form),
-        ("pipeline.phi-z-independence", "derived", PHI_TOL, "mu", _check_phi_independence),
-        ("pipeline.psi-constant", "closed_form", PSI_TOL, "mu", _check_psi),
-        ("pipeline.metric-identity", "closed_form", METRIC_TOL, "mu", _check_metric),
-    ):
-        specs.append((name, provenance, tolerance, needs, partial(check, cfg, ctx)))
-    return specs
+
+    name: str
+    provenance: str
+    tolerance: float | str
+    needs: str | None
+    check: Callable
+    explanation: str
+
+
+CATALOG = (
+    _Row("local.quotient-structure", "derived", "exact", "place", _check_quotient,
+         "Quotient of the tensor module by the twisted-action and shift "
+         "relations at one finite place: recomputes the surviving basis "
+         "classes, the free rank, and the shift-twist profile, and compares "
+         "against the predicted structure."),
+    _Row("local.image-exponent", "closed_form", "exact", "place", _check_exponent,
+         "Valuation of the image ideal after symmetrization at one finite "
+         "place: elementary divisors of the relation matrix over the series "
+         "ring, summed, against multiplier times block count."),
+    _Row("local.discriminant", "closed_form", "exact", "place", _check_discriminant,
+         "Discriminant exponent of the maximal order, recomputed from the "
+         "reduced trace Gram matrix and compared with n(n-1) in the division "
+         "case, 0 in the split case."),
+    _Row("global.rank-lemma", "derived", "exact", None, _check_rank_lemma,
+         "Free rank and torsion of the global tensor construction over the "
+         "quadratic order: rank 2pq, torsion annihilated by the discriminant "
+         "and of the predicted order, and the normalizing element exists "
+         "exactly in balanced signature."),
+    _Row("arch.self-dual-mu", "derived", EPSILON, "emb", _check_self_dual_mu,
+         "Finds (or verifies) the scalar polarization parameter making the "
+         "Riemann form unimodular on the period lattice, with the sign pinned "
+         "by positivity and the modulus cross-checked against the trace-form "
+         "covolume of the order."),
+    _Row("arch.lattice-covolume", "closed_form", EPSILON, "mu", _check_covolume,
+         "Euclidean covolume of the period lattice against the closed form "
+         "|det mu|^r det(Y)^{2n} (two-block model) or det Y (classical), over "
+         "sampled domain points."),
+    _Row("arch.covolume-duality", "trivial", EPSILON, "emb", _check_duality,
+         "The Euclidean dual lattice has reciprocal covolume; the product "
+         "must be 1 at every sampled point."),
+    _Row("arch.polarization-degree", "derived", "exact", "mu", _check_polarization_degree,
+         "Degree of the resolved polarization (expected 1, i.e. principal), "
+         "via the integer determinant of the Gram matrix with the elementary"
+         "-divisor index as an independent oracle; over a rank-one quadratic "
+         "order the basic trace form must have degree |discriminant|^(r/2) "
+         "and dual index |discriminant|^r."),
+    _Row("pipeline.cocycle-jacobian", "derived", COCYCLE_TOL, "emb", _check_cocycle,
+         "Analytic Jacobian of the embedding coordinates against central "
+         "differences through the actual embedding, in two independent "
+         "complex directions; the map is affine so agreement is exact up to "
+         "rounding."),
+    # closed_form for kind A; the symplectic sign is derived (see _expand)
+    _Row("pipeline.w-closed-form", "closed_form", W_TOL, "mu", _check_w_closed_form,
+         "The numerically solved w-vectors (antilinear matching through the "
+         "polarization form) against the closed form mu e / 2 pi i."),
+    _Row("pipeline.phi-z-independence", "derived", PHI_TOL, "mu", _check_phi_independence,
+         "The assembled phi tensor must not depend on the domain point; it "
+         "is recomputed from scratch at independently sampled points."),
+    _Row("pipeline.psi-constant", "closed_form", PSI_TOL, "mu", _check_psi,
+         "Block determinants of the quadratic contraction: product modulus "
+         "against (|det mu| / (2 pi)^n)^{blocks}, off-block and matched-slot "
+         "entries against zero."),
+    _Row("pipeline.metric-identity", "closed_form", METRIC_TOL, "mu", _check_metric,
+         "The headline comparison: |psi| times the canonical domain norm "
+         "equals the lattice norm to the power r/2 (two-block) or r+1 "
+         "(classical), sampled over random domain points."),
+)
+
+EXPLANATIONS = {row.name: row.explanation for row in CATALOG}
+
+
+def verdict(computed, expected, tolerance):
+    """The verdict rule: "pass" or "fail" for one check's (computed, expected)."""
+
+    def agrees(got, want):
+        if isinstance(want, float) and tolerance != "exact":
+            return abs(got - want) < tolerance
+        return got == want
+
+    ok = all(key in computed and agrees(computed[key], want) for key, want in expected.items())
+    return "pass" if ok else "fail"
+
+
+def _expand(cfg, ctx):
+    """(row, check thunk) for every catalog row of one config, place rows
+    renamed per place."""
+    for row in CATALOG:
+        if row.needs == "place":
+            for place in cfg.local_places:
+                named = row._replace(name=f"{row.name}.q{place.residue_size}")
+                yield named, partial(row.check, cfg, place)
+        elif row.name == "pipeline.w-closed-form" and cfg.kind != "A":
+            yield row._replace(provenance="derived"), partial(row.check, cfg, ctx)
+        else:
+            yield row, partial(row.check, cfg, ctx)
+
+
+def _prerequisite(needs, ctx):
+    if needs in ("emb", "mu") and ctx.emb is None:
+        raise Skip("no archimedean data")
+    if needs == "mu" and ctx.mu is None:
+        raise Skip(f"no resolved polarization: {_describe(ctx.polarization.error)}")
 
 
 def run_checks(cfg, only=None):
@@ -399,25 +433,24 @@ def run_checks(cfg, only=None):
     t0 = time.perf_counter()
     ctx = _ArchContext(cfg)
     checks = []
-    for name, provenance, tolerance, needs, check in build_specs(cfg, ctx):
-        if only is not None and not fnmatch(name, only):
+    for row, check in _expand(cfg, ctx):
+        if only is not None and not fnmatch(row.name, only):
             continue
-        if needs and ctx.emb is None:
-            outcome = _skip("no archimedean data")
-        elif needs == "mu" and ctx.mu is None:
-            outcome = _skip(f"no resolved polarization: {ctx.polarization.error}")
-        else:
-            try:
-                outcome = check()
-            except Exception as exc:  # a broken check must not abort the others
-                outcome = "fail", None, None, f"{type(exc).__name__}: {exc}"
-        status, computed, expected, detail = outcome
+        computed = expected = None
+        try:
+            _prerequisite(row.needs, ctx)
+            computed, expected = check()
+            status, detail = verdict(computed, expected, row.tolerance), ""
+        except Skip as skip:
+            status, detail = "skip", str(skip)
+        except Exception as exc:  # a broken check must not abort the others
+            status, detail = "fail", _describe(exc)
         checks.append(
             {
-                "name": name,
+                "name": row.name,
                 "status": status,
-                "provenance": provenance,
-                "tolerance": tolerance,
+                "provenance": row.provenance,
+                "tolerance": row.tolerance,
                 "computed": computed,
                 "expected": expected,
                 "detail": detail,
@@ -435,77 +468,6 @@ def run_checks(cfg, only=None):
         "checks": checks,
         "timing": {"total_seconds": time.perf_counter() - t0},
     }
-
-
-EXPLANATIONS = {
-    "local.quotient-structure": (
-        "Quotient of the tensor module by the twisted-action and shift "
-        "relations at one finite place: recomputes the surviving basis "
-        "classes, the free rank, and the shift-twist profile, and compares "
-        "against the predicted structure."
-    ),
-    "local.image-exponent": (
-        "Valuation of the image ideal after symmetrization at one finite "
-        "place: elementary divisors of the relation matrix over the series "
-        "ring, summed, against multiplier times block count."
-    ),
-    "local.discriminant": (
-        "Discriminant exponent of the maximal order, recomputed from the "
-        "reduced trace Gram matrix and compared with n(n-1) in the division "
-        "case, 0 in the split case."
-    ),
-    "global.rank-lemma": (
-        "Free rank and torsion of the global tensor construction over the "
-        "quadratic order: rank 2pq, torsion annihilated by the discriminant, "
-        "and the normalizing element exists exactly in balanced signature."
-    ),
-    "arch.self-dual-mu": (
-        "Finds (or verifies) the scalar polarization parameter making the "
-        "Riemann form unimodular on the period lattice, with the sign pinned "
-        "by positivity and the modulus cross-checked against the trace-form "
-        "covolume of the order."
-    ),
-    "arch.lattice-covolume": (
-        "Euclidean covolume of the period lattice against the closed form "
-        "|det mu|^r det(Y)^{2n} (two-block model) or det Y (classical), over "
-        "sampled domain points."
-    ),
-    "arch.covolume-duality": (
-        "The Euclidean dual lattice has reciprocal covolume; the product "
-        "must be 1 at every sampled point."
-    ),
-    "arch.polarization-degree": (
-        "Degree of the resolved polarization (expected 1, i.e. principal), "
-        "via the integer determinant of the Gram matrix with the elementary"
-        "-divisor index as an independent oracle; over a rank-one quadratic "
-        "order the basic trace form must have degree |discriminant|^(r/2) "
-        "and dual index |discriminant|^r."
-    ),
-    "pipeline.cocycle-jacobian": (
-        "Analytic Jacobian of the embedding coordinates against central "
-        "differences through the actual embedding, in two independent "
-        "complex directions; the map is affine so agreement is exact up to "
-        "rounding."
-    ),
-    "pipeline.w-closed-form": (
-        "The numerically solved w-vectors (antilinear matching through the "
-        "polarization form) against the closed form mu e / 2 pi i."
-    ),
-    "pipeline.phi-z-independence": (
-        "The assembled phi tensor must not depend on the domain point; it "
-        "is recomputed from scratch at independently sampled points."
-    ),
-    "pipeline.psi-constant": (
-        "Block determinants of the quadratic contraction: product modulus "
-        "against (|det mu| / (2 pi)^n)^{blocks}, off-block and matched-slot "
-        "entries against zero."
-    ),
-    "pipeline.metric-identity": (
-        "The headline comparison: |psi| times the canonical domain norm "
-        "equals the lattice norm to the power r/2 (two-block) or r+1 "
-        "(classical), sampled over random domain points."
-    ),
-}
 
 
 def explain(name):

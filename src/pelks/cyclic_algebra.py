@@ -175,10 +175,6 @@ class DiscriminantReport:
     multiplier: int
     gram_exponent: int
 
-    @property
-    def consistent(self):
-        return self.disc_exponent == self.gram_exponent
-
 
 def discriminant_report(descriptor):
     """Discriminant data for B, cross-checked on the trace Gram matrix.

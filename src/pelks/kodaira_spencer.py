@@ -238,19 +238,8 @@ def matched_vanishing_defect(phi):
         raise ValueError("matched vanishing concerns the two-block model")
     n, r = phi.n, phi.r
     half = r // 2
-    worst = 0.0
-    for i in range(n):
-        for j in range(half):
-            for l in range(n):
-                for m in range(half):
-                    worst = max(worst, np.abs(phi.tensor[i * r + j, l * r + m, :]).max())
-                    worst = max(
-                        worst,
-                        np.abs(
-                            phi.tensor[i * r + j + half, l * r + m + half, :]
-                        ).max(),
-                    )
-    return float(worst)
+    slots = np.abs(phi.tensor).reshape(n, r, n, r, -1)
+    return float(np.maximum(slots[:, :half, :, :half].max(), slots[:, half:, :, half:].max()))
 
 
 @dataclass(frozen=True)

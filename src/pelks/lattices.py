@@ -344,7 +344,7 @@ class SelfDualMu:
         return self.value * np.eye(n, dtype=complex)
 
 
-def solve_self_dual_mu(lattice, tol=1e-9):
+def solve_self_dual_mu(lattice):
     """Search the real scalar family mu = c . I_n for a unimodular form.
 
     The modulus is pinned by the Gram determinant of the basic form
@@ -363,7 +363,7 @@ def solve_self_dual_mu(lattice, tol=1e-9):
     chosen = None
     for sign in (-1, 1):
         form = RiemannForm(emb, sign * c)
-        if form.integrality_defect() > tol:
+        if form.integrality_defect() > 1e-9:
             continue
         if not form.is_positive(lattice):
             continue

@@ -273,7 +273,7 @@ def _eligible_pairs(signature, kind, symmetrized):
     return [(j, k) for j in range(r) for k in range(r)]
 
 
-def _relation_quotient(descriptor, signature, kind, letters, symmetrized):
+def _relation_quotient(descriptor, signature, kind, symmetrized):
     """Shared start of quotient_structure and image_exponent.
 
     Validates the input, picks the test letters, decomposes the
@@ -295,8 +295,7 @@ def _relation_quotient(descriptor, signature, kind, letters, symmetrized):
         raise ValueError(
             "dual action tables are compatible with the u shift only for n <= 2"
         )
-    if letters is None:
-        letters = find_test_letters(descriptor, "strict_2n" if kind == "A" else "orbit_n")
+    letters = find_test_letters(descriptor, "strict_2n" if kind == "A" else "orbit_n")
     plain, dual = build_module_pair(descriptor, signature)
     space, rows = relation_generators(plain, dual, letters, include_swap=symmetrized)
     dec = _Decomposition(space.field, rows, space.size)
@@ -326,12 +325,8 @@ class QuotientStructure:
     chains: list
     violations: list = dataclass_field(default_factory=list)
 
-    @property
-    def consistent(self):
-        return not self.violations
 
-
-def quotient_structure(descriptor, signature, kind, letters=None):
+def quotient_structure(descriptor, signature, kind):
     """Quotient of the tensor module by the x- and u-relations.
 
     Validates the predicted structure: the quotient is O_E-free, one
@@ -340,7 +335,7 @@ def quotient_structure(descriptor, signature, kind, letters=None):
     independent.
     """
     letters, space, dec, pairs, violations = _relation_quotient(
-        descriptor, signature, kind, letters, symmetrized=False
+        descriptor, signature, kind, symmetrized=False
     )
     n = space.n
     expected_rank = len(pairs)
@@ -413,12 +408,8 @@ class ImageExponentReport:
     chain_profiles: list
     violations: list = dataclass_field(default_factory=list)
 
-    @property
-    def consistent(self):
-        return not self.violations and self.exponent == self.expected
 
-
-def image_exponent(descriptor, signature, kind, letters=None):
+def image_exponent(descriptor, signature, kind):
     """pi-exponent of the image ideal after symmetrization.
 
     Adds the swap relations to the x- and u-relations, then reads off
@@ -427,7 +418,7 @@ def image_exponent(descriptor, signature, kind, letters=None):
     of unordered eligible pairs).
     """
     letters, space, dec, reps, violations = _relation_quotient(
-        descriptor, signature, kind, letters, symmetrized=True
+        descriptor, signature, kind, symmetrized=True
     )
     r = sum(signature)
     dim = (r * r) // 4 if kind == "A" else r * (r + 1) // 2
@@ -531,16 +522,6 @@ class GlobalRankReport:
     expected_normalizer: bool
     violations: list = dataclass_field(default_factory=list)
 
-    @property
-    def consistent(self):
-        return (
-            not self.violations
-            and self.free_rank == self.expected_free_rank
-            and self.torsion_annihilated
-            and self.torsion_order_matches
-            and self.normalizer_exists == self.expected_normalizer
-        )
-
 
 def global_rank_lemma(p, q, discriminant):
     """Rank and normalizer count for (W (x)_{O_F} W) / R over Z[omega].
@@ -559,21 +540,6 @@ def global_rank_lemma(p, q, discriminant):
         raise ValueError("signature must be nonnegative")
     t0, t1 = _omega_data(discriminant)
     r = p + q
-    if r == 0:
-        return GlobalRankReport(
-            signature=(p, q),
-            discriminant=discriminant,
-            free_rank=0,
-            expected_free_rank=0,
-            torsion_divisors=[],
-            torsion_annihilated=True,
-            torsion_order_matches=True,
-            probe_left=0,
-            probe_right=0,
-            normalizer_exists=True,
-            expected_normalizer=True,
-        )
-
     N = 2 * r * r
     rows = _rank_relations(p, q, t0, t1)
     # the probe acts on each class by a 2x2 block, so a block must hold

@@ -70,7 +70,7 @@ def test_quaternion_image_exponent_and_generators():
     for q in (2, 3, 5):
         desc = CyclicAlgebraDescriptor(n=2, residue_size=q)
         rep = image_exponent(desc, (1, 0), "C")
-        assert rep.consistent, rep.violations
+        assert (rep.exponent, rep.violations) == (rep.expected, [])
         assert rep.exponent == 1
         assert rep.dim == 1 and rep.multiplier == 1
         # relation generators: with basis x(x)x', x(x)y', y(x)x', y(x)y'
@@ -103,18 +103,18 @@ def test_unitary_image_exponents_and_quotient_shape():
     desc = CyclicAlgebraDescriptor(n=2, residue_size=3, conjugation_power=1)
 
     rep = image_exponent(desc, (1, 1), "A")
-    assert rep.consistent, rep.violations
+    assert (rep.exponent, rep.violations) == (rep.expected, [])
     assert rep.exponent == 1
     rep4 = image_exponent(desc, (2, 2), "A")
-    assert rep4.consistent, rep4.violations
+    assert (rep4.exponent, rep4.violations) == (rep4.expected, [])
     assert rep4.exponent == 4
     assert [profile for _, profile in rep4.chain_profiles] == [[1, 0]] * 4
 
     # quotient survivors and the pi-twist C_1 = pi C_2 are audited
-    # inside quotient_structure; consistency means every chain passed
+    # inside quotient_structure; no violations means every chain passed
     for signature, rank in (((1, 1), 2), ((2, 2), 8)):
         qs = quotient_structure(desc, signature, "A")
-        assert qs.consistent, qs.violations
+        assert qs.violations == []
         assert qs.free_rank == rank
         assert len(qs.eligible_pairs) == rank
     assert time.perf_counter() - start < 5.0
@@ -124,7 +124,7 @@ def test_global_rank_lemma_sweep():
     for p in range(5):
         for q in range(5):
             rep = global_rank_lemma(p, q, -4)
-            assert rep.consistent, (p, q, rep.violations)
+            assert (rep.torsion_annihilated, rep.torsion_order_matches, rep.violations) == (True, True, []), (p, q)
             # free rank pq over the quadratic order, 2pq over the integers
             assert rep.free_rank == 2 * p * q
             assert rep.normalizer_exists == (p == q)
@@ -133,7 +133,9 @@ def test_global_rank_lemma_sweep():
             assert all(4 % d == 0 for d in rep.torsion_divisors)
     for disc in (-3, -7, -8):
         rep = global_rank_lemma(2, 2, disc)
-        assert rep.consistent, rep.violations
+        assert (rep.free_rank, rep.torsion_annihilated, rep.torsion_order_matches, rep.normalizer_exists, rep.violations) == (
+            rep.expected_free_rank, True, True, rep.expected_normalizer, []
+        )
         assert all((-disc) % d == 0 for d in rep.torsion_divisors)
 
 

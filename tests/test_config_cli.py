@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from pelks.checks import EXPLANATIONS, explain, run_checks
+import pelks.checks
+from pelks.checks import EXPLANATIONS, explain, run_checks, verdict
 from pelks.cli import main, resolve_config
 from pelks.config import (
     ConfigInvalid,
@@ -171,7 +172,7 @@ def test_reports_are_deterministic():
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
     names = [c["name"] for c in first["checks"]]
     assert names == sorted(names)
-    assert first["schema_version"] == 3
+    assert first["schema_version"] == 4
     assert first["summary"]["fail"] == 0
 
 
@@ -261,7 +262,7 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert "pipeline.metric-identity" in out
     assert "0 failed" in out
     data = json.loads(report_path.read_text())
-    assert data["schema_version"] == 3
+    assert data["schema_version"] == 4
     assert data["samples"] == 3
     statuses = {c["name"]: c["status"] for c in data["checks"]}
     assert statuses["pipeline.metric-identity"] == "pass"
@@ -352,6 +353,42 @@ def test_unresolvable_base_lattice_fails_without_traceback(tmp_path):
     assert lines["arch.self-dual-mu"].startswith("FAIL")
     assert "RankDeficient:" in lines["arch.self-dual-mu"]
     assert lines["pipeline.metric-identity"].startswith("SKIP")
+    entries = {c["name"]: c for c in run_checks(config_from_dict(cfg))["checks"]}
+    failed = entries["arch.self-dual-mu"]
+    assert (failed["computed"], failed["expected"]) == (None, None)
+    assert failed["detail"].startswith("RankDeficient: ")
+    assert entries["pipeline.metric-identity"]["detail"] == f"no resolved polarization: {failed['detail']}"
+
+
+def test_verdict_rule():
+    expected = {"defect": 0.0, "ok": True, "violations": []}
+    computed = {"defect": 1e-10, "ok": True, "violations": [], "extra": "not judged"}
+    assert verdict(computed, expected, 1e-9) == "pass"
+    assert verdict({"defect": 1e-10, "ok": True}, expected, 1e-9) == "fail"  # a missing key
+    assert verdict(dict(computed, defect=1e-9), expected, 1e-9) == "fail"  # strict <
+    assert verdict(dict(computed, defect=-1e-10), expected, 1e-9) == "pass"
+    assert verdict(dict(computed, defect=float("nan")), expected, 1e-9) == "fail"
+    assert verdict(dict(computed, ok=False), expected, 1e-9) == "fail"
+    assert verdict(dict(computed, violations=["x"]), expected, 1e-9) == "fail"
+    # an exact row compares floats by equality; ints are always exact
+    assert verdict(computed, expected, "exact") == "fail"
+    assert verdict(dict(computed, defect=0.0), expected, "exact") == "pass"
+    assert verdict({"degree": 2}, {"degree": 1}, 1e-9) == "fail"
+    assert verdict({}, {}, "exact") == "pass"
+
+
+@pytest.mark.parametrize("field,value", [("torsion_order_matches", False), ("violations", ["probe"])])
+def test_rank_lemma_fails_on_every_field_it_judges(monkeypatch, field, value):
+    real = pelks.checks.global_rank_lemma
+
+    def broken(p, q, discriminant):
+        return dataclasses.replace(real(p, q, discriminant), **{field: value})
+
+    monkeypatch.setattr(pelks.checks, "global_rank_lemma", broken)
+    (entry,) = run_checks(resolve_config("unitary-A"), only="global.rank-lemma")["checks"]
+    assert entry["status"] == "fail"
+    assert entry["computed"][field] == value
+    assert entry["computed"]["free_rank"] == entry["expected"]["free_rank"]
 
 
 def test_rank_lemma_alone_builds_no_lattice(monkeypatch):

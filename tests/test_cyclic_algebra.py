@@ -94,7 +94,6 @@ def test_division_algebra_discriminant(desc, expected):
     assert rep.multiplier == 1
     assert rep.disc_exponent == expected
     assert rep.gram_exponent == expected
-    assert rep.consistent
 
 
 def test_split_discriminant_vanishes():
@@ -103,4 +102,3 @@ def test_split_discriminant_vanishes():
     assert rep.multiplier == 0
     assert rep.disc_exponent == 0
     assert rep.gram_exponent == 0
-    assert rep.consistent

@@ -16,6 +16,8 @@ where the domain labels (k, j) and (j, k) differ; it is what catches a
 transposed incidence in the conjugate block.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -389,6 +391,19 @@ def _w_loop(lattice, form):
     return out
 
 
+def _matched_loop(phi):
+    n, r = phi.n, phi.r
+    half = r // 2
+    worst = 0.0
+    for i in range(n):
+        for j in range(half):
+            for l in range(n):
+                for m in range(half):
+                    worst = max(worst, np.abs(phi.tensor[i * r + j, l * r + m, :]).max())
+                    worst = max(worst, np.abs(phi.tensor[i * r + j + half, l * r + m + half, :]).max())
+    return float(worst)
+
+
 def _oracle_sweep():
     """`_instances()` and two larger ladder shapes, each at its own point
     and mu, at a random point, at the self-dual mu of that point, and at
@@ -406,6 +421,7 @@ def _oracle_sweep():
 
 
 def test_batched_kernels_equal_their_loops():
+    rng = np.random.default_rng(31)
     for emb, point, mu in _oracle_sweep():
         labels = generator_labels(emb)
         width = emb.r if emb.kind == "A" else 2 * emb.r
@@ -422,6 +438,12 @@ def test_batched_kernels_equal_their_loops():
         assert list(ws) == list(oracle)
         for target in oracle:
             assert np.array_equal(ws[target], oracle[target])
+        if emb.kind == "A":
+            phi = assemble_phi(emb, ws)
+            noise = rng.normal(size=phi.tensor.shape) + 1j * rng.normal(size=phi.tensor.shape)
+            for tensor in (phi.tensor, noise):
+                phi = dataclasses.replace(phi, tensor=tensor)
+                assert matched_vanishing_defect(phi) == _matched_loop(phi)
 
 
 def test_cocycle_check_fails_on_a_nonlinear_embedding(monkeypatch):

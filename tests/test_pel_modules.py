@@ -14,6 +14,7 @@ from pelks.algebra import (
 )
 from pelks.cyclic_algebra import CyclicAlgebraDescriptor
 from pelks.pel_modules import (
+    GlobalRankReport,
     SignatureMismatch,
     SignedBasisModule,
     TensorSpace,
@@ -118,7 +119,7 @@ def test_dual_action_commutes_only_in_low_degree():
 def test_quaternion_quotient_structure(q):
     desc = CyclicAlgebraDescriptor(n=2, residue_size=q)
     qs = quotient_structure(desc, (1, 0), "C")
-    assert qs.consistent, qs.violations
+    assert qs.violations == []
     assert qs.free_rank == 1
     assert qs.eligible_pairs == [(0, 0)]
 
@@ -161,7 +162,7 @@ def test_quaternion_relation_generator_structure():
 )
 def test_quotient_free_rank(desc, signature, kind, rank):
     qs = quotient_structure(desc, signature, kind)
-    assert qs.consistent, qs.violations
+    assert qs.violations == []
     assert qs.free_rank == rank == qs.expected_free_rank
 
 
@@ -247,9 +248,11 @@ def test_relation_rows_split_into_small_blocks(monkeypatch):
             return original(matrix, ncols=ncols)
 
         monkeypatch.setattr(pel_modules, name, narrow)
-    assert quotient_structure(UNITARY, (3, 3), "A").consistent
-    assert image_exponent(UNITARY, (3, 3), "A").consistent
-    assert global_rank_lemma(p, p, -4).consistent
+    assert quotient_structure(UNITARY, (3, 3), "A").violations == []
+    rep = image_exponent(UNITARY, (3, 3), "A")
+    assert (rep.exponent, rep.violations) == (rep.expected, [])
+    got, want = rank_lemma_fields(global_rank_lemma(p, p, -4))
+    assert got == want
     assert len(widths) > 100 and max(widths) <= 4
 
 
@@ -260,26 +263,26 @@ def test_relation_rows_split_into_small_blocks(monkeypatch):
 def test_quaternion_image_exponent(q):
     desc = CyclicAlgebraDescriptor(n=2, residue_size=q)
     rep = image_exponent(desc, (1, 0), "C")
-    assert rep.consistent, rep.violations
+    assert (rep.exponent, rep.violations) == (rep.expected, [])
     assert rep.exponent == 1
     assert rep.chain_profiles == [((0, 0), [1, 0])]
 
 
 def test_unitary_image_exponents():
     rep = image_exponent(UNITARY, (1, 1), "A")
-    assert rep.consistent, rep.violations
+    assert (rep.exponent, rep.violations) == (rep.expected, [])
     assert rep.exponent == 1
     assert rep.chain_profiles == [((0, 1), [1, 0])]
 
     rep4 = image_exponent(UNITARY, (2, 2), "A")
-    assert rep4.consistent, rep4.violations
+    assert (rep4.exponent, rep4.violations) == (rep4.expected, [])
     assert rep4.exponent == 4
     assert [prof for _, prof in rep4.chain_profiles] == [[1, 0]] * 4
 
 
 def test_split_place_exponent_vanishes():
     rep = image_exponent(SPLIT, (1, 1), "A")
-    assert rep.consistent, rep.violations
+    assert (rep.exponent, rep.violations) == (rep.expected, [])
     assert rep.exponent == 0
     assert rep.multiplier == 0
 
@@ -291,18 +294,25 @@ def test_unbalanced_unitary_signature_is_rejected():
 
 def test_symplectic_rank_two_exponent():
     rep = image_exponent(UNITARY, (2, 0), "C")
-    assert rep.consistent, rep.violations
+    assert (rep.exponent, rep.violations) == (rep.expected, [])
     assert rep.exponent == 3  # r(r+1)/2 chains, one pi each
 
 
 # -- global rank lemma --------------------------------------------------------
 
 
+def rank_lemma_fields(rep):
+    """(computed, predicted) for every field the rank lemma is judged on."""
+    got = (rep.free_rank, rep.torsion_annihilated, rep.torsion_order_matches, rep.normalizer_exists, rep.violations)
+    return got, (rep.expected_free_rank, True, True, rep.expected_normalizer, [])
+
+
 def test_global_rank_sweep_gaussian():
     for p in range(5):
         for q in range(5):
             rep = global_rank_lemma(p, q, -4)
-            assert rep.consistent, (p, q, rep.violations)
+            got, want = rank_lemma_fields(rep)
+            assert got == want, (p, q)
             assert rep.free_rank == 2 * p * q
             assert rep.normalizer_exists == (p == q)
             assert all(4 % d == 0 for d in rep.torsion_divisors)
@@ -311,20 +321,38 @@ def test_global_rank_sweep_gaussian():
 @pytest.mark.parametrize("disc", [-7, -3, -8])
 def test_global_rank_other_discriminants(disc):
     rep = global_rank_lemma(2, 2, disc)
-    assert rep.consistent, rep.violations
+    got, want = rank_lemma_fields(rep)
+    assert got == want
     assert rep.free_rank == 8
     assert rep.probe_left == rep.probe_right == 2
     assert rep.torsion_annihilated and rep.torsion_order_matches
     lop = global_rank_lemma(1, 2, disc)
-    assert lop.consistent and not lop.normalizer_exists
+    got, want = rank_lemma_fields(lop)
+    assert got == want and not lop.normalizer_exists
     assert (lop.probe_left, lop.probe_right) == (2, 1)
 
 
 def test_global_rank_degenerate_signatures():
-    rep = global_rank_lemma(0, 0, -4)
-    assert rep.normalizer_exists and rep.free_rank == 0
+    # the empty signature takes the general path: no relations, no torsion,
+    # both probes trivial
+    for disc in (-3, -4, -7, -8, -15):
+        assert global_rank_lemma(0, 0, disc) == GlobalRankReport(
+            signature=(0, 0),
+            discriminant=disc,
+            free_rank=0,
+            expected_free_rank=0,
+            torsion_divisors=[],
+            torsion_annihilated=True,
+            torsion_order_matches=True,
+            probe_left=0,
+            probe_right=0,
+            normalizer_exists=True,
+            expected_normalizer=True,
+            violations=[],
+        )
     rep = global_rank_lemma(3, 0, -4)
-    assert rep.consistent and not rep.normalizer_exists
+    got, want = rank_lemma_fields(rep)
+    assert got == want and not rep.normalizer_exists
     assert rep.free_rank == 0
     assert rep.torsion_order_matches  # 6 matched classes, each of order 4
 
