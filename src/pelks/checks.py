@@ -15,6 +15,10 @@ lies strictly within the row's tolerance, and every other value (every
 value, on an `exact` row) is equal.  Every tolerance is a module
 constant here and is shown in each report entry's `tolerance`.
 
+A sampled check reports the worst per-sample defect through `_worst`,
+which keeps a NaN, so a NaN defect fails; `--report` writes it as the
+`NaN` token of Python's json, which `json.loads` reads back.
+
 Report shape (schema_version 4): name, config digest, seed, summary
 counts, the checks sorted by name, and a timing block that callers
 must ignore when comparing runs for determinism.
@@ -24,6 +28,7 @@ import time
 from collections.abc import Callable
 from fnmatch import fnmatch
 from functools import cached_property, partial
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +42,7 @@ from .kodaira_spencer import (
     closed_form_w,
     cocycle_jacobian,
     coordinate_targets,
+    domain_genus,
     matched_vanishing_defect,
     metric_identity_check,
     numeric_cocycle_jacobian,
@@ -70,6 +76,11 @@ class Skip(Exception):
     """The check does not apply to this instance; the message says why."""
 
 
+def _worst(defects):
+    """The largest of the per-sample defects; NaN if any of them is NaN."""
+    return float(np.max(list(defects)))
+
+
 def _describe(exc):
     return f"{type(exc).__name__}: {exc}"
 
@@ -94,7 +105,7 @@ class _ArchContext:
 
     @cached_property
     def base_lattice(self):
-        point = random_point(self.cfg.kind, self.genus(), default_rng([self.cfg.seed, 97]))
+        point = random_point(self.cfg.kind, domain_genus(self.emb), default_rng([self.cfg.seed, 97]))
         return build_lattice(point, self.emb)
 
     @cached_property
@@ -117,14 +128,19 @@ class _ArchContext:
     def form(self):
         return RiemannForm(self.emb, self.mu)
 
-    def genus(self):
-        return self.cfg.r // 2 if self.cfg.kind == "A" else self.cfg.r
-
     def sample_points(self, count, salt):
         if count < 1:
             raise ValueError(f"need at least one sample point, got {count}")
         rng = default_rng([self.cfg.seed, salt])
-        return [random_point(self.cfg.kind, self.genus(), rng) for _ in range(count)]
+        return [random_point(self.cfg.kind, domain_genus(self.emb), rng) for _ in range(count)]
+
+    def lattices(self, count, salt):
+        """Period lattices at `sample_points(count, salt)`, all drawn first."""
+        return [build_lattice(point, self.emb) for point in self.sample_points(count, salt)]
+
+    def phis(self, count, salt):
+        """The phi tensors assembled on `lattices(count, salt)`."""
+        return [assemble_phi(self.emb, solve_w_vectors(lat, self.form)) for lat in self.lattices(count, salt)]
 
 
 def _check_quotient(cfg, place):
@@ -211,20 +227,18 @@ def _check_self_dual_mu(cfg, ctx):
 
 
 def _check_covolume(cfg, ctx):
-    worst = 0.0
-    for point in ctx.sample_points(cfg.samples, 11):
-        lat = build_lattice(point, ctx.emb)
-        predicted = covolume_closed_form(lat, ctx.mu)
-        worst = max(worst, abs(lat.covolume() / predicted - 1.0))
-    return {"max_ratio_defect": worst}, {"max_ratio_defect": 0.0}
+    defect = _worst(
+        abs(lat.covolume() / covolume_closed_form(lat, ctx.mu) - 1.0)
+        for lat in ctx.lattices(cfg.samples, 11)
+    )
+    return {"max_ratio_defect": defect}, {"max_ratio_defect": 0.0}
 
 
 def _check_duality(cfg, ctx):
-    worst = 0.0
-    for point in ctx.sample_points(cfg.samples, 13):
-        lat = build_lattice(point, ctx.emb)
-        worst = max(worst, abs(lat.covolume() * lat.dual().covolume() - 1.0))
-    return {"max_product_defect": worst}, {"max_product_defect": 0.0}
+    defect = _worst(
+        abs(lat.covolume() * lat.dual().covolume() - 1.0) for lat in ctx.lattices(cfg.samples, 13)
+    )
+    return {"max_product_defect": defect}, {"max_product_defect": 0.0}
 
 
 def _check_polarization_degree(cfg, ctx):
@@ -252,56 +266,38 @@ def _check_cocycle(cfg, ctx):
         ]
         elements = np.concatenate([elements, extra])
     ana = cocycle_jacobian(emb, elements=elements)
-    worst = 0.0
-    for point in ctx.sample_points(max(2, cfg.samples // 4), 19):
-        for rotate in (False, True):
-            num = numeric_cocycle_jacobian(emb, point, elements=elements, rotate=rotate)
-            worst = max(worst, float(np.abs(ana.tensor - num.tensor).max()))
-    return {"max_defect": worst}, {"max_defect": 0.0}
+    defect = _worst(
+        np.abs(ana.tensor - numeric_cocycle_jacobian(emb, point, elements=elements, rotate=rotate).tensor).max()
+        for point in ctx.sample_points(max(2, cfg.samples // 4), 19)
+        for rotate in (False, True)
+    )
+    return {"max_defect": defect}, {"max_defect": 0.0}
 
 
 def _check_w_closed_form(cfg, ctx):
-    worst = 0.0
-    for point in ctx.sample_points(2, 23):
-        lat = build_lattice(point, ctx.emb)
-        ws = solve_w_vectors(lat, ctx.form)
-        for target, w in ws.items():
-            predicted = closed_form_w(ctx.emb, ctx.mu, target)
-            worst = max(worst, float(np.abs(w - predicted).max()))
-    computed = {"max_defect": worst, "targets": len(coordinate_targets(ctx.emb))}
+    defect = _worst(
+        np.abs(w - closed_form_w(ctx.emb, ctx.mu, target)).max()
+        for lat in ctx.lattices(2, 23)
+        for target, w in solve_w_vectors(lat, ctx.form).items()
+    )
+    computed = {"max_defect": defect, "targets": len(coordinate_targets(ctx.emb))}
     return computed, {"max_defect": 0.0}
 
 
 def _check_phi_independence(cfg, ctx):
-    tensors = []
-    for point in ctx.sample_points(3, 29):
-        lat = build_lattice(point, ctx.emb)
-        phi = assemble_phi(ctx.emb, solve_w_vectors(lat, ctx.form))
-        tensors.append(phi.tensor)
-    worst = 0.0
-    for a in range(len(tensors)):
-        for b in range(a + 1, len(tensors)):
-            worst = max(worst, float(np.abs(tensors[a] - tensors[b]).max()))
-    return {"max_pairwise_defect": worst}, {"max_pairwise_defect": 0.0}
+    tensors = [phi.tensor for phi in ctx.phis(3, 29)]
+    defect = _worst(np.abs(a - b).max() for a, b in combinations(tensors, 2))
+    return {"max_pairwise_defect": defect}, {"max_pairwise_defect": 0.0}
 
 
 def _check_psi(cfg, ctx):
     closed = psi_modulus_closed_form(ctx.emb, ctx.mu)
-    worst = 0.0
-    off = 0.0
-    matched = 0.0
-    for point in ctx.sample_points(2, 31):
-        lat = build_lattice(point, ctx.emb)
-        phi = assemble_phi(ctx.emb, solve_w_vectors(lat, ctx.form))
-        psi = psi_constant(phi, ctx.emb)
-        worst = max(worst, abs(psi.modulus - closed))
-        off = max(off, psi.off_block_defect)
-        if cfg.kind == "A":
-            matched = max(matched, matched_vanishing_defect(phi))
+    phis = ctx.phis(2, 31)
+    psis = [psi_constant(phi, ctx.emb) for phi in phis]
     computed = {
-        "modulus_defect": worst,
-        "off_block_defect": off,
-        "matched_defect": matched,
+        "modulus_defect": _worst(abs(psi.modulus - closed) for psi in psis),
+        "off_block_defect": _worst(psi.off_block_defect for psi in psis),
+        "matched_defect": _worst(map(matched_vanishing_defect, phis)) if cfg.kind == "A" else 0.0,
         "closed_form_modulus": closed,
     }
     return computed, {"modulus_defect": 0.0, "off_block_defect": 0.0, "matched_defect": 0.0}

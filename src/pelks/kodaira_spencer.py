@@ -72,6 +72,11 @@ def domain_coordinates(emb):
     return tuple((a, b) for a in range(emb.r) for b in range(a, emb.r))
 
 
+def domain_genus(emb):
+    """Size of the domain's matrices: r/2 (two-block) or r (classical)."""
+    return emb.r // 2 if emb.kind == "A" else emb.r
+
+
 @dataclass(frozen=True)
 class CoordinateTarget:
     """Functional picking one matrix entry of a rational label.
@@ -260,12 +265,12 @@ def psi_constant(phi, emb):
     r = emb.r
     shift = r // 2 if emb.kind == "A" else 0
     value = 1.0 + 0j
-    off = 0.0
+    off = []
     for t, (a, b) in enumerate(domain_coordinates(emb)):
         rows = phi.tensor[b::r, a + shift :: r, :]  # rows[i, l] is the row of (i, l)
         value *= np.linalg.det(rows[:, :, t].T)
-        off = max(off, np.abs(np.delete(rows, t, axis=2)).max(initial=0.0))
-    return PsiReport(complex(value), float(abs(value)), float(off))
+        off.append(np.abs(np.delete(rows, t, axis=2)).max(initial=0.0))
+    return PsiReport(complex(value), float(abs(value)), float(np.max(off)))
 
 
 def psi_modulus_closed_form(emb, mu):
@@ -289,14 +294,11 @@ def metric_identity_check(emb, mu, samples, seed):
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     rng = default_rng(seed)
-    if emb.kind == "A":
-        g = k0 = emb.r // 2
-    else:
-        g, k0 = emb.r, emb.r + 1
+    k0 = emb.r // 2 if emb.kind == "A" else emb.r + 1
     form = RiemannForm(emb, mu)
     ratios = []
     for _ in range(samples):
-        point = random_point(emb.kind, g, rng)
+        point = random_point(emb.kind, domain_genus(emb), rng)
         lat = build_lattice(point, emb)
         ws = solve_w_vectors(lat, form)
         phi = assemble_phi(emb, ws)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,9 +10,11 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pelks.checks
+import pelks.kodaira_spencer
 from pelks.checks import EXPLANATIONS, explain, run_checks, verdict
 from pelks.cli import main, resolve_config
 from pelks.config import (
@@ -20,6 +23,7 @@ from pelks.config import (
     config_from_dict,
     with_overrides,
 )
+from pelks.lattices import PeriodLattice
 
 FIXTURES = ["quaternion-C", "unitary-A", "siegel-C", "basechange-A"]
 REPO = Path(__file__).resolve().parents[1]
@@ -301,6 +305,46 @@ def test_sampled_checks_fail_at_zero_samples():
     for name in ("arch.lattice-covolume", "arch.covolume-duality", "pipeline.metric-identity"):
         status, detail = statuses[name]
         assert status == "fail" and detail.startswith("ValueError: need at least one"), name
+
+
+def _returns_nan(real):
+    return lambda *args, **kwargs: float("nan")
+
+
+def _one_nan_entry(real):
+    """`real` with the first entry of its array result (or of the result's
+    `tensor`) set to NaN."""
+
+    def broken(*args, **kwargs):
+        out = real(*args, **kwargs)
+        array = np.array(getattr(out, "tensor", out))
+        array.flat[0] = np.nan
+        return dataclasses.replace(out, tensor=array) if hasattr(out, "tensor") else array
+
+    return broken
+
+
+@pytest.mark.parametrize(
+    "owner,attr,breaker,check,key",
+    [
+        (pelks.checks, "covolume_closed_form", _returns_nan, "arch.lattice-covolume", "max_ratio_defect"),
+        (PeriodLattice, "covolume", _returns_nan, "arch.covolume-duality", "max_product_defect"),
+        (pelks.checks, "numeric_cocycle_jacobian", _one_nan_entry, "pipeline.cocycle-jacobian", "max_defect"),
+        (pelks.checks, "closed_form_w", _one_nan_entry, "pipeline.w-closed-form", "max_defect"),
+        (pelks.checks, "assemble_phi", _one_nan_entry, "pipeline.phi-z-independence", "max_pairwise_defect"),
+        (pelks.checks, "assemble_phi", _one_nan_entry, "pipeline.psi-constant", "matched_defect"),
+        (pelks.checks, "psi_modulus_closed_form", _returns_nan, "pipeline.psi-constant", "modulus_defect"),
+        (pelks.kodaira_spencer, "petersson_norm", _returns_nan, "pipeline.metric-identity", "max_defect"),
+    ],
+)
+def test_a_nan_defect_fails_its_check(monkeypatch, owner, attr, breaker, check, key):
+    monkeypatch.setattr(owner, attr, breaker(getattr(owner, attr)))
+    cfg = with_overrides(resolve_config("unitary-A"), samples=2)
+    (entry,) = run_checks(cfg, only=check)["checks"]
+    assert entry["status"] == "fail"
+    assert math.isnan(entry["computed"][key])
+    # --report writes the NaN as json's NaN token, which reads back as NaN
+    assert math.isnan(json.loads(json.dumps(entry))["computed"][key])
 
 
 def test_every_reported_check_has_an_explanation():

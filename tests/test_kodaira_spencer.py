@@ -33,6 +33,7 @@ from pelks.kodaira_spencer import (
     cocycle_jacobian,
     coordinate_targets,
     domain_coordinates,
+    domain_genus,
     matched_vanishing_defect,
     metric_identity_check,
     numeric_cocycle_jacobian,
@@ -91,10 +92,6 @@ def _instances():
             -2.0,
         ),
     ]
-
-
-def _genus(emb):
-    return emb.r // 2 if emb.kind == "A" else emb.r
 
 
 def _realify(v):
@@ -161,7 +158,7 @@ def test_cocycle_matches_central_differences():
     for emb, _, _ in _instances():
         ana = cocycle_jacobian(emb).tensor
         for _ in range(5):
-            point = random_point(emb.kind, _genus(emb), rng)
+            point = random_point(emb.kind, domain_genus(emb), rng)
             num = numeric_cocycle_jacobian(emb, point).tensor
             rot = numeric_cocycle_jacobian(emb, point, rotate=True).tensor
             assert np.abs(ana - num).max() < 1e-12
@@ -274,7 +271,7 @@ def test_phi_is_point_independent():
     for emb, _, mu in _instances():
         tensors = []
         for _ in range(2):
-            lat = build_lattice(random_point(emb.kind, _genus(emb), rng), emb)
+            lat = build_lattice(random_point(emb.kind, domain_genus(emb), rng), emb)
             phi = assemble_phi(emb, solve_w_vectors(lat, RiemannForm(emb, mu)))
             tensors.append(phi.tensor)
         assert np.abs(tensors[0] - tensors[1]).max() < 1e-10
@@ -287,6 +284,16 @@ def test_psi_constant_and_closed_form():
         psi = psi_constant(phi, emb)
         assert abs(psi.modulus - psi_modulus_closed_form(emb, mu)) < 1e-9
         assert psi.off_block_defect < 1e-9
+
+
+def test_psi_off_block_defect_keeps_a_nan():
+    emb, point, mu = _instances()[-1]  # r = 4: four domain coordinates
+    phi = assemble_phi(emb, solve_w_vectors(build_lattice(point, emb), RiemannForm(emb, mu)))
+    tensor = phi.tensor.copy()
+    tensor[0, 2, 1] = np.nan  # row (0, 0 + r/2) of label (0, 0), read at label (0, 1)
+    psi = psi_constant(dataclasses.replace(phi, tensor=tensor), emb)
+    assert np.isfinite(psi.modulus)
+    assert np.isnan(psi.off_block_defect)
 
 
 def test_psi_hand_value_gaussian():
@@ -412,10 +419,10 @@ def _oracle_sweep():
     cases = [(emb, mu, point) for emb, point, mu in _instances()]
     cases += [(rational_siegel(8), -1.0, None), (matrix_basechange(6), -2.0 * np.eye(2), None)]
     for emb, mu, point in cases:
-        for p in (point, random_point(emb.kind, _genus(emb), rng)):
+        for p in (point, random_point(emb.kind, domain_genus(emb), rng)):
             if p is not None:
                 yield emb, p, mu
-        p = random_point(emb.kind, _genus(emb), rng)
+        p = random_point(emb.kind, domain_genus(emb), rng)
         yield emb, p, solve_self_dual_mu(build_lattice(p, emb)).matrix(emb.n)
         yield emb, p, 1.7
 
