@@ -77,8 +77,9 @@ class Skip(Exception):
 
 
 def _worst(defects):
-    """The largest of the per-sample defects; NaN if any of them is NaN."""
-    return float(np.max(list(defects)))
+    """The largest of the per-sample defects (an array or a list); NaN if
+    any of them is NaN."""
+    return float(np.max(defects))
 
 
 def _describe(exc):
@@ -129,18 +130,17 @@ class _ArchContext:
         return RiemannForm(self.emb, self.mu)
 
     def sample_points(self, count, salt):
-        if count < 1:
-            raise ValueError(f"need at least one sample point, got {count}")
+        """A stack of `count` domain points from the stream (seed, salt)."""
         rng = default_rng([self.cfg.seed, salt])
-        return [random_point(self.cfg.kind, domain_genus(self.emb), rng) for _ in range(count)]
+        return random_point(self.cfg.kind, domain_genus(self.emb), rng, count)
 
     def lattices(self, count, salt):
-        """Period lattices at `sample_points(count, salt)`, all drawn first."""
-        return [build_lattice(point, self.emb) for point in self.sample_points(count, salt)]
+        """The period lattice stack at `sample_points(count, salt)`."""
+        return build_lattice(self.sample_points(count, salt), self.emb)
 
     def phis(self, count, salt):
-        """The phi tensors assembled on `lattices(count, salt)`."""
-        return [assemble_phi(self.emb, solve_w_vectors(lat, self.form)) for lat in self.lattices(count, salt)]
+        """The phi tensor stack assembled on `lattices(count, salt)`."""
+        return assemble_phi(self.emb, solve_w_vectors(self.lattices(count, salt), self.form))
 
 
 def _check_quotient(cfg, place):
@@ -227,17 +227,14 @@ def _check_self_dual_mu(cfg, ctx):
 
 
 def _check_covolume(cfg, ctx):
-    defect = _worst(
-        abs(lat.covolume() / covolume_closed_form(lat, ctx.mu) - 1.0)
-        for lat in ctx.lattices(cfg.samples, 11)
-    )
+    lat = ctx.lattices(cfg.samples, 11)
+    defect = _worst(np.abs(lat.covolume() / covolume_closed_form(lat, ctx.mu) - 1.0))
     return {"max_ratio_defect": defect}, {"max_ratio_defect": 0.0}
 
 
 def _check_duality(cfg, ctx):
-    defect = _worst(
-        abs(lat.covolume() * lat.dual().covolume() - 1.0) for lat in ctx.lattices(cfg.samples, 13)
-    )
+    lat = ctx.lattices(cfg.samples, 13)
+    defect = _worst(np.abs(lat.covolume() * lat.dual().covolume() - 1.0))
     return {"max_product_defect": defect}, {"max_product_defect": 0.0}
 
 
@@ -266,38 +263,37 @@ def _check_cocycle(cfg, ctx):
         ]
         elements = np.concatenate([elements, extra])
     ana = cocycle_jacobian(emb, elements=elements)
+    points = ctx.sample_points(max(2, cfg.samples // 4), 19)
     defect = _worst(
-        np.abs(ana.tensor - numeric_cocycle_jacobian(emb, point, elements=elements, rotate=rotate).tensor).max()
-        for point in ctx.sample_points(max(2, cfg.samples // 4), 19)
-        for rotate in (False, True)
+        [
+            np.abs(ana.tensor - numeric_cocycle_jacobian(emb, points, elements=elements, rotate=rotate).tensor).max()
+            for rotate in (False, True)
+        ]
     )
     return {"max_defect": defect}, {"max_defect": 0.0}
 
 
 def _check_w_closed_form(cfg, ctx):
-    defect = _worst(
-        np.abs(w - closed_form_w(ctx.emb, ctx.mu, target)).max()
-        for lat in ctx.lattices(2, 23)
-        for target, w in solve_w_vectors(lat, ctx.form).items()
-    )
+    ws = solve_w_vectors(ctx.lattices(2, 23), ctx.form)
+    defect = _worst([np.abs(w - closed_form_w(ctx.emb, ctx.mu, target)).max() for target, w in ws.items()])
     computed = {"max_defect": defect, "targets": len(coordinate_targets(ctx.emb))}
     return computed, {"max_defect": 0.0}
 
 
 def _check_phi_independence(cfg, ctx):
-    tensors = [phi.tensor for phi in ctx.phis(3, 29)]
-    defect = _worst(np.abs(a - b).max() for a, b in combinations(tensors, 2))
+    tensors = ctx.phis(3, 29).tensor
+    defect = _worst([np.abs(a - b).max() for a, b in combinations(tensors, 2)])
     return {"max_pairwise_defect": defect}, {"max_pairwise_defect": 0.0}
 
 
 def _check_psi(cfg, ctx):
     closed = psi_modulus_closed_form(ctx.emb, ctx.mu)
     phis = ctx.phis(2, 31)
-    psis = [psi_constant(phi, ctx.emb) for phi in phis]
+    psi = psi_constant(phis, ctx.emb)
     computed = {
-        "modulus_defect": _worst(abs(psi.modulus - closed) for psi in psis),
-        "off_block_defect": _worst(psi.off_block_defect for psi in psis),
-        "matched_defect": _worst(map(matched_vanishing_defect, phis)) if cfg.kind == "A" else 0.0,
+        "modulus_defect": _worst(np.abs(psi.modulus - closed)),
+        "off_block_defect": _worst(psi.off_block_defect),
+        "matched_defect": matched_vanishing_defect(phis) if cfg.kind == "A" else 0.0,
         "closed_form_modulus": closed,
     }
     return computed, {"modulus_defect": 0.0, "off_block_defect": 0.0, "matched_defect": 0.0}

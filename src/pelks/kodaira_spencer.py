@@ -33,15 +33,23 @@ v -> 2 pi i E_mu(w, v) equals the antilinear part of the R-linear
 extension of the target functional.  Both sides are determined by
 their values on the standard complex basis, which is how the solver
 sets up its square real system.
+
+Every sampled object carries the leading sample axis of its points
+(`domains`): a lattice stack gives w-vectors of shape (..., nr), phi
+tensors (..., nr, nr, labels) and one psi value per sample; the
+numeric cocycle Jacobian at a point stack is (..., elements, nr,
+labels).  The metric identity draws all its samples as one stack.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from math import pi
+from operator import mul
 
 import numpy as np
 from numpy.random import default_rng
 
-from .domains import petersson_norm, random_point
+from .domains import per_sample, petersson_norm, random_point
 from .lattices import (
     RiemannForm,
     build_lattice,
@@ -143,34 +151,38 @@ def cocycle_jacobian(emb, elements=None):
 
 
 def numeric_cocycle_jacobian(emb, point, elements=None, rotate=False):
-    """Central-difference Jacobian at a point, along h = 0.5 or i*h.
+    """Central-difference Jacobian at a point (or a point stack), along
+    h = 0.5 or i*h.
 
     The embedding is affine in the point, so the central difference is
     exact for any step and a large step avoids the 1/h amplification of
     rounding noise; the rotated direction checks holomorphy.  The step
     stays below the spectral floor of Y (at least 1 for `random_point`),
-    so the offset points stay inside the domain.
+    so the offset points stay inside the domain.  All offset points are
+    validated and embedded as one stack.
     """
     if elements is None:
         elements = generator_labels(emb)
     labels = domain_coordinates(emb)
     h = 0.5j if rotate else 0.5
-    out = np.zeros((len(elements), emb.n * emb.r, len(labels)), dtype=complex)
-    for t, (a, b) in enumerate(labels):
-        e = np.zeros(point.matrix.shape)
-        e[a, b] = 1.0
-        if emb.kind == "C":
-            e[b, a] = 1.0  # the classical domain is symmetric
-        plus = type(point)(point.matrix + h * e)
-        minus = type(point)(point.matrix - h * e)
-        diff = embed_labels(emb, plus, elements) - embed_labels(emb, minus, elements)
-        out[:, :, t] = diff / (2 * h)
+    steps = np.zeros((len(labels),) + point.matrix.shape[-2:])
+    rows, cols = np.array(labels).T
+    steps[np.arange(len(labels)), rows, cols] = 1.0
+    if emb.kind == "C":
+        steps[np.arange(len(labels)), cols, rows] = 1.0  # the classical domain is symmetric
+    z = point.matrix[..., None, :, :]  # broadcast over the steps
+    offsets = type(point)(np.stack([z + h * steps, z - h * steps]))
+    plus, minus = embed_labels(emb, offsets, elements)
+    plus -= minus  # in place, to keep the peak memory of a large stack down
+    plus /= 2 * h
+    out = np.moveaxis(plus, -3, -1)  # the domain label goes last
     return CocycleJacobian(out, labels, tuple(elements))
 
 
 def solve_w_vectors(lattice, form):
     """All coordinate-target w-vectors, keyed by target: the w with
-    anti(2 pi i E_mu(w, .)) matching anti of the target functional.
+    anti(2 pi i E_mu(w, .)) matching anti of the target functional;
+    shape (..., nr) on a lattice stack.
 
     A target's values on the lattice generators determine its R-linear
     extension and the antilinear part of it.  Each system is square
@@ -179,27 +191,30 @@ def solve_w_vectors(lattice, form):
     form pairs the two antiholomorphic halves nondegenerately.
     """
     dim = lattice.complex_dim
-    k = form.extension(lattice)
-    mc = (pi * 1j) * (k[:, :dim].T + 1j * k[:, dim:].T)
-    m_real = np.vstack([mc.real, mc.imag])
+    kt = np.swapaxes(form.extension(lattice), -1, -2)
+    mc = (pi * 1j) * (kt[..., :dim, :] + 1j * kt[..., dim:, :])
+    m_real = np.concatenate([mc.real, mc.imag], axis=-2)
     s = np.linalg.svd(m_real, compute_uv=False)
-    if s.min() <= 0 or s.max() / s.min() > COND_LIMIT:
-        raise SingularPairing(
-            f"pairing condition number {s.max() / max(s.min(), 1e-300):.3e}"
-        )
+    s_min, s_max = s.min(axis=-1), s.max(axis=-1)
+    cond = s_max / np.maximum(s_min, 1e-300)
+    singular = ((s_min <= 0) | (cond > COND_LIMIT)).ravel()
+    if singular.any():
+        raise SingularPairing(f"pairing condition number {cond.ravel()[singular.argmax()]:.3e}")
     targets = coordinate_targets(lattice.embedding)
     # values[t, g] is target t read off generator g, every target at once
     values = lattice.labels[:, [t.i for t in targets], [t.k for t in targets]].T
     conj = np.array([t.family == "conj" for t in targets])
     values = np.where(conj[:, None], values.conj(), values)
-    f = (lattice.basis_real_inv @ values[..., None])[..., 0]
-    gamma = 0.5 * (f[:, :dim] + 1j * f[:, dim:])
-    rhs = np.hstack([gamma.real, gamma.imag])
-    # one square system per target: a single multi-column solve would
-    # round differently from the per-target solve
-    m_all = np.broadcast_to(m_real, (len(targets),) + m_real.shape)
+    binv = lattice.basis_real_inv[..., None, :, :]  # broadcast over the targets
+    f = (binv @ values[..., None])[..., 0]
+    gamma = 0.5 * (f[..., :dim] + 1j * f[..., dim:])
+    rhs = np.concatenate([gamma.real, gamma.imag], axis=-1)
+    # one square system per sample and target: a single multi-column
+    # solve would round differently from the per-target solve
+    m_all = np.broadcast_to(m_real[..., None, :, :], rhs.shape + rhs.shape[-1:])
     sol = np.linalg.solve(m_all, rhs[..., None])[..., 0]
-    return dict(zip(targets, sol[:, :dim] + 1j * sol[:, dim:]))
+    w = sol[..., :dim] + 1j * sol[..., dim:]
+    return dict(zip(targets, np.moveaxis(w, -2, 0)))
 
 
 def closed_form_w(emb, mu, target):
@@ -228,27 +243,35 @@ class PhiTensor:
 
 
 def assemble_phi(emb, ws):
+    """phi from the w-vectors: one tensor, or a stack of them from the
+    w-vectors of a lattice stack."""
     labels = domain_coordinates(emb)
     idx = {lab: t for t, lab in enumerate(labels)}
     dims = emb.n * emb.r
-    tensor = np.zeros((dims, dims, len(labels)), dtype=complex)
+    batch = np.shape(next(iter(ws.values())))[:-1]
+    tensor = np.zeros(batch + (dims, dims, len(labels)), dtype=complex)
     for a, target, lab in _incidences(emb):
-        tensor[a, :, idx[lab]] += ws[target]
+        tensor[..., a, :, idx[lab]] += ws[target]
     return PhiTensor(tensor, labels, emb.kind, emb.n, emb.r)
 
 
 def matched_vanishing_defect(phi):
-    """Both-plain and both-conjugate tensor slots must vanish."""
+    """Both-plain and both-conjugate tensor slots must vanish: the largest
+    of them over the whole stack."""
     if phi.kind != "A":
         raise ValueError("matched vanishing concerns the two-block model")
     n, r = phi.n, phi.r
     half = r // 2
-    slots = np.abs(phi.tensor).reshape(n, r, n, r, -1)
-    return float(np.maximum(slots[:, :half, :, :half].max(), slots[:, half:, :, half:].max()))
+    slots = np.abs(phi.tensor).reshape(phi.tensor.shape[:-3] + (n, r, n, r, -1))
+    plain = slots[..., :half, :, :half, :].max()
+    return float(np.maximum(plain, slots[..., half:, :, half:, :].max()))
 
 
 @dataclass(frozen=True)
 class PsiReport:
+    """psi of one phi tensor, or of each tensor of a stack (then every
+    field is an array over the samples)."""
+
     value: complex
     modulus: float
     off_block_defect: float
@@ -264,13 +287,19 @@ def psi_constant(phi, emb):
     """
     r = emb.r
     shift = r // 2 if emb.kind == "A" else 0
-    value = 1.0 + 0j
-    off = []
-    for t, (a, b) in enumerate(domain_coordinates(emb)):
-        rows = phi.tensor[b::r, a + shift :: r, :]  # rows[i, l] is the row of (i, l)
-        value *= np.linalg.det(rows[:, :, t].T)
-        off.append(np.abs(np.delete(rows, t, axis=2)).max(initial=0.0))
-    return PsiReport(complex(value), float(abs(value)), float(np.max(off)))
+    labels = domain_coordinates(emb)
+    dets, off = [], []
+    for t, (a, b) in enumerate(labels):
+        rows = phi.tensor[..., b::r, a + shift :: r, :]  # rows[..., i, l, :] is the row of (i, l)
+        dets.append(np.linalg.det(np.swapaxes(rows[..., t], -1, -2)))
+        others = np.arange(len(labels)) != t
+        off.append(np.abs(rows[..., others]).max(axis=(-3, -2, -1), initial=0.0))
+    # the product in scalar complex arithmetic, sample by sample: numpy's
+    # vectorised complex multiply can differ from the scalar one by one ULP
+    per_label = np.stack(dets, axis=-1)
+    value = np.array([reduce(mul, row, 1.0 + 0j) for row in per_label.reshape(-1, len(labels))])
+    value = value.reshape(per_label.shape[:-1])
+    return PsiReport(value[()], per_sample(abs, value), np.max(off, axis=0)[()])
 
 
 def psi_modulus_closed_form(emb, mu):
@@ -290,21 +319,11 @@ def metric_identity_check(emb, mu, samples, seed):
 
     k0 is r/2 for the two-block model and r + 1 for the classical one;
     the report carries every sampled ratio so a failure shows its shape.
+    All samples go through the pipeline as one stack.
     """
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
-    rng = default_rng(seed)
+    points = random_point(emb.kind, domain_genus(emb), default_rng(seed), samples)
     k0 = emb.r // 2 if emb.kind == "A" else emb.r + 1
-    form = RiemannForm(emb, mu)
-    ratios = []
-    for _ in range(samples):
-        point = random_point(emb.kind, domain_genus(emb), rng)
-        lat = build_lattice(point, emb)
-        ws = solve_w_vectors(lat, form)
-        phi = assemble_phi(emb, ws)
-        psi = psi_constant(phi, emb)
-        pet = petersson_norm(point, emb.n)
-        fal = faltings_norm(lat)
-        ratios.append(psi.modulus * pet / fal**k0)
-    arr = np.asarray(ratios)
-    return MetricReport(tuple(float(x) for x in arr), float(np.abs(arr - 1).max()), k0)
+    lat = build_lattice(points, emb)
+    psi = psi_constant(assemble_phi(emb, solve_w_vectors(lat, RiemannForm(emb, mu))), emb)
+    ratios = psi.modulus * petersson_norm(points, emb.n) / per_sample(lambda f: float(f) ** k0, faltings_norm(lat))
+    return MetricReport(tuple(float(x) for x in ratios), float(np.abs(ratios - 1).max()), k0)

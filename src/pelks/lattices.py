@@ -23,6 +23,12 @@ Both land in C^{nr} (row-major flattening of an n x r matrix, so the
 coordinate (i, j) sits at index i*r + j and the column blocks j < r/2,
 j >= r/2 are contiguous); row k of the result is the image of label k.
 
+Points carry a leading sample axis (`domains`): at a (..., g, g) stack
+of points the images are a (..., 2nr, nr) stack, a `PeriodLattice`
+holds one lattice per point, and its covolume, dual and closed forms
+come out per sample, shape (...); one point is the case with no
+sample axis.
+
 The Riemann form lives on the labels, so its Gram matrix depends on the
 embedding and mu only:
 
@@ -42,7 +48,7 @@ from math import isqrt, pi
 import numpy as np
 
 from .algebra import integer_det, integer_smith_normal_form
-from .domains import HermitianPoint, SiegelPoint
+from .domains import HermitianPoint, SiegelPoint, per_sample
 
 
 class RankDeficient(Exception):
@@ -162,10 +168,12 @@ def _real_rows(stack):
 
 @dataclass(frozen=True, eq=False)
 class PeriodLattice:
-    """2nr embedded generators spanning C^{nr} over R.
+    """2nr embedded generators spanning C^{nr} over R, or a stack of such
+    lattices, one per point of a point stack.
 
     labels stacks the rational labels of the generators (module
-    docstring); vectors[k] is the flattened embedded image of labels[k].
+    docstring), shared by every lattice of a stack; vectors[..., k, :]
+    is the flattened embedded image of labels[k].
     """
 
     embedding: OrderEmbedding
@@ -178,29 +186,29 @@ class PeriodLattice:
     def __post_init__(self):
         vecs = np.asarray(self.vectors, dtype=complex)
         object.__setattr__(self, "vectors", vecs)
-        count, dim = vecs.shape
+        count, dim = vecs.shape[-2:]
         if count != 2 * dim:
             raise ValueError("a full lattice needs 2nr generators in C^{nr}")
-        b = _real_rows(vecs)
+        b = np.concatenate([vecs.real, vecs.imag], axis=-1)
         s = np.linalg.svd(b, compute_uv=False)
-        if s.min() < 1e-10 * max(1.0, s.max()):
+        if (s.min(axis=-1) < 1e-10 * np.maximum(1.0, s.max(axis=-1))).any():
             raise RankDeficient("embedded generators are real-linearly dependent")
         object.__setattr__(self, "basis_real", b)
         object.__setattr__(self, "basis_real_inv", np.linalg.inv(b))
 
     @property
     def complex_dim(self):
-        return self.vectors.shape[1]
+        return self.vectors.shape[-1]
 
     def covolume(self):
         sign, logdet = np.linalg.slogdet(self.basis_real)
-        return float(np.exp(logdet))
+        return per_sample(np.exp, logdet)
 
     def dual(self):
         """Euclidean dual lattice: real dual basis of the generators."""
-        dual_rows = self.basis_real_inv.T
+        dual_rows = np.swapaxes(self.basis_real_inv, -1, -2)
         dim = self.complex_dim
-        vecs = dual_rows[:, :dim] + 1j * dual_rows[:, dim:]
+        vecs = dual_rows[..., :dim] + 1j * dual_rows[..., dim:]
         return PeriodLattice(self.embedding, self.point, vecs, self.labels)
 
 
@@ -223,20 +231,23 @@ def generator_labels(emb):
 
 def embed_labels(emb, point, labels):
     """Images in C^{nr} of a stack of rational labels at a domain point,
-    one row each."""
+    one row each; (..., labels, nr) at a (..., g, g) point stack."""
     x = np.asarray(labels, dtype=complex)
-    z = point.matrix
+    z = point.matrix[..., None, :, :]  # broadcast over the labels
+    shape = z.shape[:-3] + (len(x), -1)
     if emb.kind == "A":
-        eye = np.eye(emb.r // 2)
-        plain = x @ np.vstack([z, eye])
-        conj = x.conj() @ np.vstack([z.T, eye])
-        return np.concatenate([plain, conj], axis=2).reshape(len(x), -1)
+        eye = np.broadcast_to(np.eye(emb.r // 2), z.shape)
+        plain = x @ np.concatenate([z, eye], axis=-2)
+        conj = x.conj() @ np.concatenate([np.swapaxes(z, -1, -2), eye], axis=-2)
+        return np.concatenate([plain, conj], axis=-1).reshape(shape)
     r = emb.r
-    return (x[..., :r] @ z + x[..., r:]).reshape(len(x), -1)
+    out = x[..., :r] @ z
+    out += x[..., r:]  # in place: at the cocycle check's offset stack this is the largest array
+    return out.reshape(shape)
 
 
 def build_lattice(point, emb):
-    """Period lattice at an interior domain point.
+    """Period lattice at an interior domain point (a stack at a stack).
 
     Two-block model for kind A (point is a HermitianPoint on r/2), the
     classical mZ + n model for kind C (SiegelPoint on r).
@@ -245,12 +256,12 @@ def build_lattice(point, emb):
         if not isinstance(point, HermitianPoint):
             raise TypeError("kind A embeds at a HermitianPoint")
         half = emb.r // 2
-        if point.matrix.shape != (half, half):
+        if point.matrix.shape[-2:] != (half, half):
             raise ValueError("domain point must be (r/2) x (r/2)")
     else:
         if not isinstance(point, SiegelPoint):
             raise TypeError("kind C embeds at a SiegelPoint")
-        if point.matrix.shape != (emb.r, emb.r):
+        if point.matrix.shape[-2:] != (emb.r, emb.r):
             raise ValueError("domain point must be r x r")
     labels = generator_labels(emb)
     return PeriodLattice(emb, point, embed_labels(emb, point, labels), labels)
@@ -310,16 +321,17 @@ class RiemannForm:
     def extension(self, lattice):
         """E_mu in standard real coordinates of C^{nr} (2nr x 2nr)."""
         binv = lattice.basis_real_inv
-        return binv @ self.gram @ binv.T
+        return binv @ self.gram @ np.swapaxes(binv, -1, -2)
 
     def hermitian_matrix(self, lattice):
         """H(v, w) = E(iv, w) + iE(v, w) on the standard complex basis."""
         k = self.extension(lattice)
         dim = lattice.complex_dim
-        h = k[dim:, :dim] + 1j * k[:dim, :dim]
-        if np.abs(h - h.conj().T).max() > 1e-8 * max(1.0, np.abs(h).max()):
+        h = k[..., dim:, :dim] + 1j * k[..., :dim, :dim]
+        h_star = np.swapaxes(h, -1, -2).conj()
+        if np.abs(h - h_star).max() > 1e-8 * max(1.0, np.abs(h).max()):
             raise ValueError("associated form is not Hermitian")
-        return 0.5 * (h + h.conj().T)
+        return 0.5 * (h + h_star)
 
     def is_positive(self, lattice):
         eigs = np.linalg.eigvalsh(self.hermitian_matrix(lattice))
@@ -386,21 +398,21 @@ def solve_self_dual_mu(lattice):
 
 
 def covolume_closed_form(lattice, mu):
-    """Predicted covolume |det mu|^r det(Y)^{2n} (two-block model) or det Y."""
+    """Predicted covolume |det mu|^r det(Y)^{2n} (two-block model) or det Y,
+    per sample."""
     emb = lattice.embedding
     mu = normalize_mu(mu, emb.n)
     det_mu = abs(np.linalg.det(mu))
-    y = lattice.point.Y
-    det_y = float(np.real(np.linalg.det(y)))
+    det_y = np.real(np.linalg.det(lattice.point.Y))
     if emb.kind == "A":
-        return det_mu ** emb.r * det_y ** (2 * emb.n)
-    return det_y
+        return per_sample(lambda d: det_mu ** emb.r * float(d) ** (2 * emb.n), det_y)
+    return per_sample(float, det_y)
 
 
 def faltings_norm(lattice):
     """Norm of the wedge of all dz: square root of covolume / pi^{nr}."""
     nr = lattice.complex_dim
-    return float(np.sqrt(lattice.covolume() / pi**nr))
+    return per_sample(np.sqrt, lattice.covolume() / pi**nr)
 
 
 def polarization_degree(form):

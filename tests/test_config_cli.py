@@ -311,17 +311,27 @@ def _returns_nan(real):
     return lambda *args, **kwargs: float("nan")
 
 
-def _one_nan_entry(real):
-    """`real` with the first entry of its array result (or of the result's
-    `tensor`) set to NaN."""
+def _nan_at(real, index):
+    """`real` with entry `index` of its flattened array result (or of the
+    result's `tensor`) set to NaN."""
 
     def broken(*args, **kwargs):
         out = real(*args, **kwargs)
         array = np.array(getattr(out, "tensor", out))
-        array.flat[0] = np.nan
+        array.flat[index] = np.nan
         return dataclasses.replace(out, tensor=array) if hasattr(out, "tensor") else array
 
     return broken
+
+
+def _one_nan_entry(real):
+    """NaN in the first entry: on a sample stack, in the first sample."""
+    return _nan_at(real, 0)
+
+
+def _last_nan_entry(real):
+    """NaN in the last entry: on a sample stack, in the last sample only."""
+    return _nan_at(real, -1)
 
 
 @pytest.mark.parametrize(
@@ -335,6 +345,13 @@ def _one_nan_entry(real):
         (pelks.checks, "assemble_phi", _one_nan_entry, "pipeline.psi-constant", "matched_defect"),
         (pelks.checks, "psi_modulus_closed_form", _returns_nan, "pipeline.psi-constant", "modulus_defect"),
         (pelks.kodaira_spencer, "petersson_norm", _returns_nan, "pipeline.metric-identity", "max_defect"),
+        # the same checks with the NaN in the last sample of the stack only
+        (pelks.checks, "covolume_closed_form", _last_nan_entry, "arch.lattice-covolume", "max_ratio_defect"),
+        (PeriodLattice, "covolume", _last_nan_entry, "arch.covolume-duality", "max_product_defect"),
+        (pelks.checks, "numeric_cocycle_jacobian", _last_nan_entry, "pipeline.cocycle-jacobian", "max_defect"),
+        (pelks.checks, "assemble_phi", _last_nan_entry, "pipeline.phi-z-independence", "max_pairwise_defect"),
+        (pelks.checks, "assemble_phi", _last_nan_entry, "pipeline.psi-constant", "matched_defect"),
+        (pelks.kodaira_spencer, "petersson_norm", _last_nan_entry, "pipeline.metric-identity", "max_defect"),
     ],
 )
 def test_a_nan_defect_fails_its_check(monkeypatch, owner, attr, breaker, check, key):

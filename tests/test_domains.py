@@ -88,3 +88,27 @@ def test_point_validation():
         SiegelPoint(np.array([[1j, 0.5], [0.0, 1j]]))  # not symmetric
     with pytest.raises(ValueError):
         HermitianPoint(np.array([[-1j]]))  # negative Y
+
+
+def _refusal(point_type, matrix):
+    with pytest.raises(ValueError) as refused:
+        point_type(matrix)
+    return str(refused.value)
+
+
+@pytest.mark.parametrize("kind", ["C", "A"])
+def test_a_stack_with_one_bad_point_is_refused(kind):
+    # the bad member is the last one, so a check of the first alone misses it
+    point_type = SiegelPoint if kind == "C" else HermitianPoint
+    good = random_point(kind, 2, np.random.default_rng(13), 4).matrix
+    assert point_type(good).matrix.shape == (4, 2, 2)
+    singular = good.copy()
+    z = singular[-1]
+    singular[-1] = z.real if kind == "C" else (z + z.conj().T) / 2  # Y = 0
+    bad = [singular]
+    if kind == "C":
+        skew = good.copy()
+        skew[-1, 0, 1] += 0.5
+        bad.append(skew)
+    for stack in bad:
+        assert _refusal(point_type, stack) == _refusal(point_type, stack[-1])

@@ -22,9 +22,9 @@ import numpy as np
 import pytest
 
 from pelks import kodaira_spencer
-from pelks.checks import run_checks
+from pelks.checks import _ArchContext, run_checks
 from pelks.cli import resolve_config
-from pelks.domains import HermitianPoint, SiegelPoint, random_point
+from pelks.domains import _SPREAD, HermitianPoint, SiegelPoint, petersson_norm, random_point
 from pelks.kodaira_spencer import (
     CoordinateTarget,
     SingularPairing,
@@ -46,6 +46,7 @@ from pelks.lattices import (
     RiemannForm,
     _alternating_block,
     build_lattice,
+    covolume_closed_form,
     embed_labels,
     generator_labels,
     normalize_mu,
@@ -453,6 +454,145 @@ def test_batched_kernels_equal_their_loops():
                 assert matched_vanishing_defect(phi) == _matched_loop(phi)
 
 
+# The per-sample loops that the sample axis replaced, kept as oracles:
+# every kernel on a point stack must reproduce them bit for bit.  The
+# scalar finishing steps are Python float arithmetic, as they were.
+
+
+def _point_loop(kind, g, rng):
+    """One point per call, drawn as `random_point` drew it sample by sample."""
+    if kind == "C":
+        X = rng.normal(scale=_SPREAD, size=(g, g))
+        A = rng.normal(scale=_SPREAD, size=(g, g))
+        return SiegelPoint((X + X.T) / 2 + 1j * (np.eye(g) + A @ A.T))
+    H = rng.normal(scale=_SPREAD, size=(g, g)) + 1j * rng.normal(scale=_SPREAD, size=(g, g))
+    A = rng.normal(scale=_SPREAD, size=(g, g)) + 1j * rng.normal(scale=_SPREAD, size=(g, g))
+    return HermitianPoint((H + H.conj().T) / 2 + 1j * (np.eye(g) + A @ A.conj().T))
+
+
+def _cocycle_loop(emb, point, elements, rotate):
+    """The numeric Jacobian one offset point at a time, each validated and
+    embedded on its own."""
+    labels = domain_coordinates(emb)
+    h = 0.5j if rotate else 0.5
+    out = np.zeros((len(elements), emb.n * emb.r, len(labels)), dtype=complex)
+    for t, (a, b) in enumerate(labels):
+        e = np.zeros(point.matrix.shape)
+        e[a, b] = 1.0
+        if emb.kind == "C":
+            e[b, a] = 1.0
+        plus = type(point)(point.matrix + h * e)
+        minus = type(point)(point.matrix - h * e)
+        out[:, :, t] = (embed_labels(emb, plus, elements) - embed_labels(emb, minus, elements)) / (2 * h)
+    return out
+
+
+def _covolume_loop(lat):
+    return float(np.exp(np.linalg.slogdet(lat.basis_real)[1]))
+
+
+def _det_y_loop(point):
+    return float(np.linalg.det(point.Y).real)
+
+
+def _closed_form_loop(lat, mu):
+    emb = lat.embedding
+    det_mu = abs(np.linalg.det(normalize_mu(mu, emb.n)))
+    det_y = _det_y_loop(lat.point)
+    return det_mu**emb.r * det_y ** (2 * emb.n) if emb.kind == "A" else det_y
+
+
+def _petersson_loop(point, n):
+    det_y = _det_y_loop(point)
+    if isinstance(point, SiegelPoint):
+        r = point.genus
+        return 2.0 ** (r * (r + 1) / 2) * det_y ** ((r + 1) / 2)
+    r = 2 * point.genus
+    return 2.0 ** (r * r * n / 4) * det_y ** (r * n / 2)
+
+
+def _psi_loop(phi, emb):
+    """(value, modulus, off-block defect), one domain label after the other."""
+    r = emb.r
+    shift = r // 2 if emb.kind == "A" else 0
+    value = 1.0 + 0j
+    off = []
+    for t, (a, b) in enumerate(domain_coordinates(emb)):
+        rows = phi.tensor[b::r, a + shift :: r, :]
+        value *= np.linalg.det(rows[:, :, t].T)
+        off.append(np.abs(np.delete(rows, t, axis=2)).max(initial=0.0))
+    return complex(value), float(abs(value)), float(np.max(off))
+
+
+def _metric_loop(emb, mu, samples, seed):
+    """The sampled ratios of the metric identity, one sample at a time."""
+    rng = np.random.default_rng(seed)
+    k0 = emb.r // 2 if emb.kind == "A" else emb.r + 1
+    form = RiemannForm(emb, mu)
+    ratios = []
+    for _ in range(samples):
+        point = _point_loop(emb.kind, domain_genus(emb), rng)
+        lat = build_lattice(point, emb)
+        _, modulus, _ = _psi_loop(assemble_phi(emb, solve_w_vectors(lat, form)), emb)
+        fal = float(np.sqrt(_covolume_loop(lat) / np.pi**lat.complex_dim))
+        ratios.append(modulus * _petersson_loop(point, emb.n) / fal**k0)
+    return ratios
+
+
+def _assert_stack_matches_loop(emb, mu, points):
+    """Every sampled kernel at the stack of `points` against the same
+    kernel one point at a time."""
+    stack = type(points[0])(np.stack([p.matrix for p in points]))
+    lat = build_lattice(stack, emb)
+    singles = [build_lattice(p, emb) for p in points]
+    assert np.array_equal(lat.basis_real_inv, np.stack([one.basis_real_inv for one in singles]))
+    assert list(lat.covolume()) == [_covolume_loop(one) for one in singles]
+    assert list(lat.dual().covolume()) == [_covolume_loop(one.dual()) for one in singles]
+    assert list(covolume_closed_form(lat, mu)) == [_closed_form_loop(one, mu) for one in singles]
+    assert list(petersson_norm(stack, emb.n)) == [_petersson_loop(p, emb.n) for p in points]
+    form = RiemannForm(emb, mu)
+    ws = solve_w_vectors(lat, form)
+    single_ws = [solve_w_vectors(one, form) for one in singles]
+    for target, w in ws.items():
+        assert np.array_equal(w, np.stack([one[target] for one in single_ws]))
+    phi = assemble_phi(emb, ws)
+    single_phis = [assemble_phi(emb, one) for one in single_ws]
+    assert np.array_equal(phi.tensor, np.stack([one.tensor for one in single_phis]))
+    psi = psi_constant(phi, emb)
+    oracle = [_psi_loop(one, emb) for one in single_phis]
+    assert list(psi.value) == [v for v, _, _ in oracle]
+    assert list(psi.modulus) == [m for _, m, _ in oracle]
+    assert list(psi.off_block_defect) == [o for _, _, o in oracle]
+    elements = generator_labels(emb)
+    for rotate in (False, True):
+        num = numeric_cocycle_jacobian(emb, stack, rotate=rotate).tensor
+        assert np.array_equal(num, np.stack([_cocycle_loop(emb, p, elements, rotate) for p in points]))
+
+
+def _fixture_cases():
+    """(emb, mu, samples, seed) of the three archimedean fixtures."""
+    for name in ("unitary-A", "basechange-A", "siegel-C"):
+        cfg = resolve_config(name)
+        ctx = _ArchContext(cfg)
+        yield ctx.emb, ctx.mu, cfg.samples, cfg.seed
+
+
+def test_sample_axis_equals_the_per_sample_loops():
+    cases = [(emb, mu, 3, seed, point) for seed, (emb, point, mu) in enumerate(_oracle_sweep())]
+    cases += [(emb, mu, samples, seed, None) for emb, mu, samples, seed in _fixture_cases()]
+    for emb, mu, samples, seed, point in cases:
+        g = domain_genus(emb)
+        stack = random_point(emb.kind, g, np.random.default_rng([seed, 11]), samples)
+        rng = np.random.default_rng([seed, 11])
+        points = [_point_loop(emb.kind, g, rng) for _ in range(samples)]
+        assert np.array_equal(stack.matrix, np.stack([p.matrix for p in points]))
+        _assert_stack_matches_loop(emb, mu, points + ([point] if point is not None else []))
+        report = metric_identity_check(emb, mu, samples=samples, seed=seed)
+        oracle = _metric_loop(emb, mu, samples, seed)
+        assert list(report.ratios) == oracle
+        assert report.max_defect == float(np.abs(np.array(oracle) - 1).max())
+
+
 def test_cocycle_check_fails_on_a_nonlinear_embedding(monkeypatch):
     # the numeric twin reads the real embedding, so a term quadratic in Z
     # moves its central differences off the analytic Jacobian
@@ -460,8 +600,10 @@ def test_cocycle_check_fails_on_a_nonlinear_embedding(monkeypatch):
     assert run_checks(cfg, only="pipeline.cocycle-jacobian")["checks"][0]["status"] == "pass"
 
     def bent(emb, point, labels):
-        return embed_labels(emb, point, labels) + 1e-6 * point.matrix[0, 0] ** 2
+        square = point.matrix[..., 0, 0] ** 2  # one per point of the stack
+        return embed_labels(emb, point, labels) + 1e-6 * square[..., None, None]
 
     monkeypatch.setattr(kodaira_spencer, "embed_labels", bent)
     checks = run_checks(cfg, only="pipeline.cocycle-jacobian")["checks"]
-    assert [c["status"] for c in checks] == ["fail"]
+    assert [(c["status"], c["detail"]) for c in checks] == [("fail", "")]
+    assert checks[0]["computed"]["max_defect"] > 1e-7
