@@ -5,10 +5,11 @@ Each line reads `<workload>/<rung>/<seed> <sha256>`.  The configs are
 the benchmark's (perfbench/workloads.py, imported read-only): the four
 fixtures at each of their pool seeds and every local-ladder and
 arch-ladder rung with its `--only` glob, at benchmark seed 1.  The
-`edge` workload adds four configs off the happy path: an unresolvable
+`edge` workload adds five configs off the happy path: an unresolvable
 base lattice, a non-unimodular explicit mu, GF(67^2) over the field
-cap, and an unbalanced local-only instance.  A config error is hashed
-as its `config error:` message.
+cap, an unbalanced local-only instance, and a kind-A n = 3 local-only
+instance at q = 2.  A config error is hashed as its `config error:`
+message.
 
 Reports are deterministic up to `timing`, so two source trees give the
 same reports exactly when their outputs match:
@@ -47,6 +48,8 @@ def edge_configs():
         ("explicit-mu-not-unimodular", _unitary(archimedean=arch | {"mu_mode": "explicit", "mu": [[[-1, 0]]]})),
         ("gf67-over-cap", _unitary(type="C", n=2, signature=[2, 0], local_places=[{"residue_size": 67}], archimedean=None)),
         ("unbalanced-local-only", _unitary(r=3, signature=[2, 1], local_places=[{"residue_size": 5, "conjugation_power": 1}], archimedean=None)),
+        # pins the n > 2 refusal of the local quotient (ROADMAP item 7)
+        ("cubic-local-only", _unitary(n=3, local_places=[{"residue_size": 2}], archimedean=None)),
     ]
 
 

@@ -19,7 +19,7 @@ A sampled check reports the worst per-sample defect through `_worst`,
 which keeps a NaN, so a NaN defect fails; `--report` writes it as the
 `NaN` token of Python's json, which `json.loads` reads back.
 
-Report shape (schema_version 4): name, config digest, seed, summary
+Report shape (schema_version 5): name, config digest, seed, summary
 counts, the checks sorted by name, and a timing block that callers
 must ignore when comparing runs for determinism.
 """
@@ -62,7 +62,7 @@ from .lattices import (
 )
 from .pel_modules import global_rank_lemma, image_exponent, quotient_structure
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 EPSILON = 1e-9
 COCYCLE_TOL = 1e-12
@@ -281,9 +281,12 @@ def _check_w_closed_form(cfg, ctx):
 
 
 def _check_phi_independence(cfg, ctx):
-    tensors = ctx.phis(3, 29).tensor
-    defect = _worst([np.abs(a - b).max() for a, b in combinations(tensors, 2)])
-    return {"max_pairwise_defect": defect}, {"max_pairwise_defect": 0.0}
+    tensors = ctx.phis(3, 29).tensor  # (sample, a, b, t)
+    computed = {
+        "max_pairwise_defect": _worst([np.abs(a - b).max() for a, b in combinations(tensors, 2)]),
+        "symmetry_defect": _worst(np.abs(tensors - np.swapaxes(tensors, -3, -2))),
+    }
+    return computed, {"max_pairwise_defect": 0.0, "symmetry_defect": 0.0}
 
 
 def _check_psi(cfg, ctx):
@@ -373,7 +376,10 @@ CATALOG = (
          "polarization form) against the closed form mu e / 2 pi i."),
     _Row("pipeline.phi-z-independence", "derived", PHI_TOL, "mu", _check_phi_independence,
          "The assembled phi tensor must not depend on the domain point; it "
-         "is recomputed from scratch at independently sampled points."),
+         "is recomputed from scratch at independently sampled points.  Each "
+         "sample must also be symmetric in its two fiber slots, as the "
+         "Kodaira-Spencer map factors through Sym^2 omega; this ties the "
+         "conjugate-family rows of phi to the plain ones."),
     _Row("pipeline.psi-constant", "closed_form", PSI_TOL, "mu", _check_psi,
          "Block determinants of the quadratic contraction: product modulus "
          "against (|det mu| / (2 pi)^n)^{blocks}, off-block and matched-slot "

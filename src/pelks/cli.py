@@ -38,9 +38,7 @@ def resolve_config(spec):
 
 
 def _fmt_num(v):
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, int):
+    if isinstance(v, int):  # bool included
         return str(v)
     if v == 0:
         return "0"
@@ -50,16 +48,12 @@ def _fmt_num(v):
 def _brief(chk):
     if chk["status"] == "skip":
         return chk["detail"]
-    comp = chk["computed"]
     bits = []
-    if isinstance(comp, dict):
-        for key, val in comp.items():
-            if isinstance(val, (bool, int, float)):
-                bits.append(f"{key}={_fmt_num(val)}")
-            if len(bits) == 3:
-                break
-    elif comp is not None:
-        bits.append(str(comp))
+    for key, val in (chk["computed"] or {}).items():
+        if isinstance(val, (bool, int, float)):
+            bits.append(f"{key}={_fmt_num(val)}")
+        if len(bits) == 3:
+            break
     text = " ".join(bits)
     if chk["status"] == "fail" and chk["detail"]:
         text = f"{text} {chk['detail']}".strip()
@@ -98,8 +92,6 @@ def _cmd_run(args):
 
 
 def _cmd_fixtures(args):
-    if args.action != "list":
-        return 2
     rows = []
     for entry in sorted(_fixture_dir().iterdir(), key=lambda e: e.name):
         if not entry.name.endswith(".json"):

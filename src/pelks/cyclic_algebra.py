@@ -65,34 +65,6 @@ class CyclicAlgebraDescriptor:
         e = (self._plog * self.frobenius_power * power) % (self._plog * self.n)
         return x.frobenius(e) if e else x
 
-    # -- element constructors -------------------------------------------
-
-    def element(self, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != self.n:
-            raise ValueError(f"expected {self.n} cyclic coordinates")
-        return CyclicAlgebraElement(self, coeffs)
-
-    def zero(self):
-        z = LocalMonomial.zero(self.field)
-        return self.element([z] * self.n)
-
-    def one(self):
-        return self.scalar(LocalMonomial.one(self.field))
-
-    def scalar(self, x):
-        """Embed x in E as a cyclic element."""
-        z = LocalMonomial.zero(self.field)
-        return self.element([x] + [z] * (self.n - 1))
-
-    def u(self):
-        if self.n == 1:
-            return self.scalar(LocalMonomial(self.field, 1, self.field.one))
-        z = LocalMonomial.zero(self.field)
-        coeffs = [z] * self.n
-        coeffs[1] = LocalMonomial.one(self.field)
-        return self.element(coeffs)
-
 
 class CyclicAlgebraElement:
     """An element sum x_i u^i of a cyclic algebra, x_i in E."""

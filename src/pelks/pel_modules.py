@@ -1,4 +1,4 @@
-"""Signed basis modules over a local cyclic algebra and their tensor quotients.
+"""Twisted modules over a local cyclic algebra and their tensor quotients.
 
 The local input is a cyclic algebra descriptor together with a signature
 (p, q).  The plain module has O_E-basis e_{ij}, 1 <= i <= n and
@@ -13,10 +13,14 @@ and the dual module has basis e'_{ij} with the conjugate twisted action
     x . e'_{ij} = tau^{n+1-i}(xbar) e'_{ij}  (j <= p)
     x . e'_{ij} = tau^{n+1-i}(x) e'_{ij}     (j > p)
 
-and the same u shift.  Test elements are taken at a place split in the
-top field, so x is a residue pair (v1, v2) with xbar = (v2, v1); the
-unitary case needs v1, v2 with all 2n Galois translates distinct, the
-symplectic case uses v2 = v1 with a full tau orbit.
+and the same u shift.  So a module is one table of eigenvalues
+(`x_eigenvalues`, with dual=True for the dual one) and the shared shift
+`u_image`, and the class e_{ij} (x) e'_{lk} is column
+`flat_index(n, r, i, j, l, k)` of plain (x) dual.  Test elements are
+taken at a place split in the top field, so x is a residue pair
+(v1, v2) with xbar = (v2, v1); the unitary case needs v1, v2 with all
+2n Galois translates distinct, the symplectic case uses v2 = v1 with a
+full tau orbit.
 
 The quotient of plain (x) dual by the relations x.m (x) m' - m (x) x.m'
 and u.m (x) m' - m (x) u.m' is computed by Smith normal form, one
@@ -52,115 +56,64 @@ class SignatureMismatch(Exception):
     """Raised when an image-ideal count needs p = q but the signature differs."""
 
 
-@dataclass(frozen=True)
-class SignedBasisModule:
-    """One side of the tensor pairing: basis e_{ij} with twisted action."""
-
-    descriptor: object
-    signature: tuple
-    dual: bool = False
-
-    def __post_init__(self):
-        p, q = self.signature
-        if p < 0 or q < 0 or p + q < 1:
-            raise ValueError(f"bad signature {self.signature}")
-
-    @property
-    def columns(self):
-        return self.signature[0] + self.signature[1]
-
-    @property
-    def rank(self):
-        """Rank over O_E."""
-        return self.descriptor.n * self.columns
-
-    def x_coefficient(self, letters, i, j):
-        """Eigenvalue of the pair (v1, v2) on e_{ij}, 0-based indices."""
-        v1, v2 = letters
-        p = self.signature[0]
-        d = self.descriptor
-        if self.dual:
-            return d.tau(v2 if j < p else v1, d.n - i)
-        return d.tau(v1 if j < p else v2, i)
-
-    def u_image(self, i, j):
-        """u . e_{ij} = pi^e . e_{i'j}; returns (i', e), 0-based."""
-        if i == 0:
-            return self.descriptor.n - 1, 1
-        return i - 1, 0
+def x_eigenvalues(descriptor, signature, letters, dual=False):
+    """n x (p + q) table of the eigenvalues of the pair (v1, v2), 0-based:
+    row i, column j holds its eigenvalue on e_{ij}, or on e'_{ij} when
+    `dual` (the two twisted actions of the module docstring)."""
+    v1, v2 = letters
+    p, q = signature
+    n = descriptor.n
+    if dual:
+        return [[descriptor.tau(v2 if j < p else v1, n - i) for j in range(p + q)] for i in range(n)]
+    return [[descriptor.tau(v1 if j < p else v2, i) for j in range(p + q)] for i in range(n)]
 
 
-def build_module_pair(descriptor, signature):
-    plain = SignedBasisModule(descriptor, signature, dual=False)
-    dual = SignedBasisModule(descriptor, signature, dual=True)
-    return plain, dual
+def u_image(n, i):
+    """u . e_{ij} = pi^e e_{i'j} on both modules; returns (i', e), 0-based."""
+    if i == 0:
+        return n - 1, 1
+    return i - 1, 0
 
 
-class TensorSpace:
-    """Index bookkeeping for plain (x) dual over O_E."""
-
-    def __init__(self, plain, dual):
-        if plain.descriptor != dual.descriptor or plain.columns != dual.columns:
-            raise ValueError("tensor factors must share local data")
-        self.plain = plain
-        self.dual = dual
-        self.n = plain.descriptor.n
-        self.r = plain.columns
-        self.field = plain.descriptor.field
-        self.size = (self.n * self.r) ** 2
-
-    def index(self, i, j, l, k):
-        """Flat column of e_{ij} (x) e'_{lk}, all indices 0-based."""
-        n, r = self.n, self.r
-        return ((i * r + j) * n + l) * r + k
-
-    def unpack(self, flat):
-        n, r = self.n, self.r
-        k = flat % r
-        l = (flat // r) % n
-        j = (flat // (r * n)) % r
-        i = flat // (r * n * r)
-        return i, j, l, k
+def flat_index(n, r, i, j, l, k):
+    """Flat column of e_{ij} (x) e'_{lk}, all indices 0-based."""
+    return ((i * r + j) * n + l) * r + k
 
 
-def find_test_letters(descriptor, mode):
+def unflat_index(n, r, flat):
+    """(i, j, l, k) with flat_index(n, r, i, j, l, k) == flat."""
+    flat, k = divmod(flat, r)
+    flat, l = divmod(flat, n)
+    i, j = divmod(flat, r)
+    return i, j, l, k
+
+
+def find_test_letters(descriptor, kind):
     """Smallest residue pair (v1, v2) separating the twisted actions.
 
-    mode "orbit_n": v2 = v1 and the n translates tau^a(v1) are distinct.
-    mode "strict_2n": all 2n translates of v1 and v2 are distinct.
+    Kind "A": all 2n translates tau^a(v1), tau^a(v2) are distinct.
+    Kind "C": v2 = v1 and the n translates tau^a(v1) are distinct.
     """
     field = descriptor.field
     n = descriptor.n
     zeta = field.generator
-
-    def orbit(v):
-        return [descriptor.tau(v, a) for a in range(n)]
-
-    if mode == "orbit_n":
-        for a in range(1, field.size - 1):
-            v = zeta**a
-            tr = orbit(v)
-            if len(set(tr)) == n:
-                return v, v
-        raise DegenerateTestElement(
-            f"no residue element with a full tau orbit in GF({field.size})"
-        )
-    if mode == "strict_2n":
-        for a in range(1, field.size - 1):
-            for b in range(1, field.size - 1):
-                if a == b:
-                    continue
-                tr = orbit(zeta**a) + orbit(zeta**b)
-                if len(set(tr)) == 2 * n:
-                    return zeta**a, zeta**b
-        raise DegenerateTestElement(
-            f"no separating residue pair with 2n distinct translates in GF({field.size})"
-        )
-    raise ValueError(f"unknown separating mode {mode!r}")
+    steps = range(1, field.size - 1)
+    if kind == "A":
+        pairs = ((a, b) for a in steps for b in steps if a != b)
+        width, missing = 2 * n, "separating residue pair with 2n distinct translates"
+    else:
+        pairs = ((a, a) for a in steps)
+        width, missing = n, "residue element with a full tau orbit"
+    for a, b in pairs:
+        translates = {descriptor.tau(v, t) for v in (zeta**a, zeta**b) for t in range(n)}
+        if len(translates) == width:
+            return zeta**a, zeta**b
+    raise DegenerateTestElement(f"no {missing} in GF({field.size})")
 
 
-def relation_generators(plain, dual, letters, include_swap=False):
-    """Rows spanning the relation module, as sparse (column, LocalMonomial) lists.
+def relation_generators(descriptor, signature, letters, include_swap=False):
+    """Columns and rows of the relation module, rows as sparse (column,
+    LocalMonomial) lists; returns (ncols, rows).
 
     For every basis class m (x) m' this yields x.m (x) m' - m (x) x.m'
     (when nonzero) and u.m (x) m' - m (x) u.m'; with include_swap also
@@ -168,9 +121,10 @@ def relation_generators(plain, dual, letters, include_swap=False):
     most two entries, all nonzero, in ascending column order; for n = 1
     the u-row is empty.
     """
-    space = TensorSpace(plain, dual)
-    field = space.field
-    n, r = space.n, space.r
+    field = descriptor.field
+    n, r = descriptor.n, sum(signature)
+    plain = x_eigenvalues(descriptor, signature, letters)
+    dual = x_eigenvalues(descriptor, signature, letters, dual=True)
     rows = []
 
     def row(*entries):
@@ -184,23 +138,21 @@ def relation_generators(plain, dual, letters, include_swap=False):
         for j in range(r):
             for l in range(n):
                 for k in range(r):
-                    flat = space.index(i, j, l, k)
-                    c = plain.x_coefficient(letters, i, j) - dual.x_coefficient(
-                        letters, l, k
-                    )
+                    flat = flat_index(n, r, i, j, l, k)
+                    c = plain[i][j] - dual[l][k]
                     if c:
                         row((flat, 0, c))
                     # for n = 1 both u images land on flat and cancel
-                    i2, e1 = plain.u_image(i, j)
-                    l2, e2 = dual.u_image(l, k)
+                    i2, e1 = u_image(n, i)
+                    l2, e2 = u_image(n, l)
                     row(
-                        (space.index(i2, j, l, k), e1, field.one),
-                        (space.index(i, j, l2, k), e2, -field.one),
+                        (flat_index(n, r, i2, j, l, k), e1, field.one),
+                        (flat_index(n, r, i, j, l2, k), e2, -field.one),
                     )
-                    swapped = space.index(l, k, i, j)
+                    swapped = flat_index(n, r, l, k, i, j)
                     if include_swap and flat < swapped:
                         row((flat, 0, field.one), (swapped, 0, -field.one))
-    return space, rows
+    return (n * r) ** 2, rows
 
 
 def _dense(rows, cols, row_ids, zero):
@@ -253,11 +205,10 @@ class _Decomposition:
         return out
 
 
-def _chain_indices(space, j, k):
+def _chain_indices(n, r, j, k):
     """Flat indices of C_1, ..., C_n with C_i = e_{ij} (x) e'_{l(i)k},
     l(i) = n + 2 - i cyclically (0-based: l0 = (n - i0) mod n)."""
-    n = space.n
-    return [space.index(i0, j, (n - i0) % n, k) for i0 in range(n)]
+    return [flat_index(n, r, i0, j, (n - i0) % n, k) for i0 in range(n)]
 
 
 def _eligible_pairs(signature, kind, symmetrized):
@@ -279,15 +230,16 @@ def _relation_quotient(descriptor, signature, kind, symmetrized):
     Validates the input, picks the test letters, decomposes the
     quotient by the relations (with the swap relations when
     symmetrized) and records the free-rank and torsion violations.
-    Returns (letters, space, decomposition, eligible pairs, violations).
+    Returns (letters, decomposition, eligible pairs, violations).
     """
     if kind not in ("A", "C"):
         raise ValueError(f"kind must be 'A' or 'C', got {kind!r}")
-    if symmetrized and kind == "A" and signature[0] != signature[1]:
-        raise SignatureMismatch(
-            f"image-ideal count needs a balanced signature, got ({signature[0]},{signature[1]})"
-        )
-    if kind == "C" and signature[1] != 0:
+    p, q = signature
+    if p < 0 or q < 0 or p + q < 1:
+        raise ValueError(f"bad signature {signature}")
+    if symmetrized and kind == "A" and p != q:
+        raise SignatureMismatch(f"image-ideal count needs a balanced signature, got ({p},{q})")
+    if kind == "C" and q != 0:
         raise ValueError("symplectic signature must be (r, 0)")
     # The dual table commutes with the u shift only when tau^2 = 1:
     # u.(x.e'_{ik}) carries tau^{n+3-i}(xbar) against tau^{n+1-i}(xbar).
@@ -295,10 +247,9 @@ def _relation_quotient(descriptor, signature, kind, symmetrized):
         raise ValueError(
             "dual action tables are compatible with the u shift only for n <= 2"
         )
-    letters = find_test_letters(descriptor, "strict_2n" if kind == "A" else "orbit_n")
-    plain, dual = build_module_pair(descriptor, signature)
-    space, rows = relation_generators(plain, dual, letters, include_swap=symmetrized)
-    dec = _Decomposition(space.field, rows, space.size)
+    letters = find_test_letters(descriptor, kind)
+    ncols, rows = relation_generators(descriptor, signature, letters, include_swap=symmetrized)
+    dec = _Decomposition(descriptor.field, rows, ncols)
     pairs = _eligible_pairs(signature, kind, symmetrized)
 
     violations = []
@@ -308,7 +259,7 @@ def _relation_quotient(descriptor, signature, kind, symmetrized):
     torsion = [e for e in dec.exponents if e != INF and e > 0]
     if torsion:
         violations.append(f"unexpected torsion exponents {torsion}")
-    return letters, space, dec, pairs, violations
+    return letters, dec, pairs, violations
 
 
 @dataclass
@@ -334,17 +285,18 @@ def quotient_structure(descriptor, signature, kind):
     and C_1 = pi C_2, every other class zero, and the surviving lines
     independent.
     """
-    letters, space, dec, pairs, violations = _relation_quotient(
+    letters, dec, pairs, violations = _relation_quotient(
         descriptor, signature, kind, symmetrized=False
     )
-    n = space.n
+    field = descriptor.field
+    n, r = descriptor.n, sum(signature)
     expected_rank = len(pairs)
 
     chains = []
     survivor_flats = set()
-    pi = LocalMonomial(space.field, 1, space.field.one)
+    pi = LocalMonomial(field, 1, field.one)
     for (j, k) in pairs:
-        chain = _chain_indices(space, j, k)
+        chain = _chain_indices(n, r, j, k)
         survivor_flats.update(chain)
         coords = [dec.free_coordinates(flat) for flat in chain]
         for i0 in range(2, n):
@@ -364,11 +316,11 @@ def quotient_structure(descriptor, signature, kind):
             violations.append(f"chain ({j},{k}): surviving class vanishes")
         chains.append(((j, k), chain))
 
-    for flat in range(space.size):
+    for flat in range((n * r) ** 2):
         if flat in survivor_flats:
             continue
         if not all(a.is_zero for a in dec.free_coordinates(flat)):
-            i, j, l, k = space.unpack(flat)
+            i, j, l, k = unflat_index(n, r, flat)
             violations.append(
                 f"class e_({i + 1}{j + 1}) (x) e'_({l + 1}{k + 1}) should die but survives"
             )
@@ -378,7 +330,7 @@ def quotient_structure(descriptor, signature, kind):
             [(s, a) for s, a in enumerate(dec.free_coordinates(chain[-1])) if a.coeff]
             for (_, chain) in chains
         ]
-        if any(e != 0 for e in _Decomposition(space.field, basis, dec.free_rank).exponents):
+        if any(e != 0 for e in _Decomposition(field, basis, dec.free_rank).exponents):
             violations.append("surviving lines are not an O_E-basis of the quotient")
 
     return QuotientStructure(
@@ -417,17 +369,17 @@ def image_exponent(descriptor, signature, kind):
     class.  The expected total is (discriminant multiplier) x (number
     of unordered eligible pairs).
     """
-    letters, space, dec, reps, violations = _relation_quotient(
+    _, dec, reps, violations = _relation_quotient(
         descriptor, signature, kind, symmetrized=True
     )
-    r = sum(signature)
+    n, r = descriptor.n, sum(signature)
     dim = (r * r) // 4 if kind == "A" else r * (r + 1) // 2
     multiplier = discriminant_report(descriptor).multiplier
 
     exponent = 0
     profiles = []
     for (j, k) in reps:
-        chain = _chain_indices(space, j, k)
+        chain = _chain_indices(n, r, j, k)
         coords = [dec.free_coordinates(flat) for flat in chain]
         vals = []
         for i0, y in enumerate(coords):

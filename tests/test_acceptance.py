@@ -37,7 +37,6 @@ from pelks.lattices import (
     polarization_degree,
 )
 from pelks.pel_modules import (
-    build_module_pair,
     find_test_letters,
     global_rank_lemma,
     image_exponent,
@@ -77,12 +76,11 @@ def test_quaternion_image_exponent_and_generators():
         # at flats 0..3, the mixed flats 1 and 2 die by unit rows and
         # the only surviving constraint is the pi-twist tying flat 0 to
         # pi times flat 3
-        letters = find_test_letters(desc, "orbit_n")
-        plain, dual = build_module_pair(desc, (1, 0))
-        space, sparse = relation_generators(plain, dual, letters)
-        zero = LocalMonomial.zero(space.field)
-        rows = [[dict(row).get(flat, zero) for flat in range(space.size)] for row in sparse]
-        pi = LocalMonomial(space.field, 1, space.field.one)
+        letters = find_test_letters(desc, "C")
+        ncols, sparse = relation_generators(desc, (1, 0), letters)
+        zero = LocalMonomial.zero(desc.field)
+        rows = [[dict(row).get(flat, zero) for flat in range(ncols)] for row in sparse]
+        pi = LocalMonomial(desc.field, 1, desc.field.one)
         dead, twisted = set(), False
         for c in rows:
             assert c[3] == -(c[0] * pi)

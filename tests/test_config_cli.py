@@ -176,7 +176,7 @@ def test_reports_are_deterministic():
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
     names = [c["name"] for c in first["checks"]]
     assert names == sorted(names)
-    assert first["schema_version"] == 4
+    assert first["schema_version"] == 5
     assert first["summary"]["fail"] == 0
 
 
@@ -266,7 +266,7 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert "pipeline.metric-identity" in out
     assert "0 failed" in out
     data = json.loads(report_path.read_text())
-    assert data["schema_version"] == 4
+    assert data["schema_version"] == 5
     assert data["samples"] == 3
     statuses = {c["name"]: c["status"] for c in data["checks"]}
     assert statuses["pipeline.metric-identity"] == "pass"
@@ -342,6 +342,7 @@ def _last_nan_entry(real):
         (pelks.checks, "numeric_cocycle_jacobian", _one_nan_entry, "pipeline.cocycle-jacobian", "max_defect"),
         (pelks.checks, "closed_form_w", _one_nan_entry, "pipeline.w-closed-form", "max_defect"),
         (pelks.checks, "assemble_phi", _one_nan_entry, "pipeline.phi-z-independence", "max_pairwise_defect"),
+        (pelks.checks, "assemble_phi", _one_nan_entry, "pipeline.phi-z-independence", "symmetry_defect"),
         (pelks.checks, "assemble_phi", _one_nan_entry, "pipeline.psi-constant", "matched_defect"),
         (pelks.checks, "psi_modulus_closed_form", _returns_nan, "pipeline.psi-constant", "modulus_defect"),
         (pelks.kodaira_spencer, "petersson_norm", _returns_nan, "pipeline.metric-identity", "max_defect"),
@@ -362,6 +363,26 @@ def test_a_nan_defect_fails_its_check(monkeypatch, owner, attr, breaker, check, 
     assert math.isnan(entry["computed"][key])
     # --report writes the NaN as json's NaN token, which reads back as NaN
     assert math.isnan(json.loads(json.dumps(entry))["computed"][key])
+
+
+def _without_conj_rows(real):
+    """`real` fed zero w-vectors at every conjugate-family target, so phi
+    loses its conjugate rows."""
+
+    def broken(emb, ws):
+        return real(emb, {t: w if t.family == "lin" else np.zeros_like(w) for t, w in ws.items()})
+
+    return broken
+
+
+@pytest.mark.parametrize("fixture", ["unitary-A", "basechange-A"])
+def test_a_phi_without_its_conjugate_rows_fails_the_symmetry_claim(monkeypatch, fixture):
+    monkeypatch.setattr(pelks.checks, "assemble_phi", _without_conj_rows(pelks.checks.assemble_phi))
+    cfg = with_overrides(resolve_config(fixture), samples=2)
+    (entry,) = run_checks(cfg, only="pipeline.phi-z-independence")["checks"]
+    assert entry["status"] == "fail"
+    assert entry["computed"]["max_pairwise_defect"] < 1e-10  # still point-independent
+    assert entry["computed"]["symmetry_defect"] > 0.1
 
 
 def test_every_reported_check_has_an_explanation():

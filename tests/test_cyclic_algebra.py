@@ -2,12 +2,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pelks.algebra import LocalMonomial as M
-from pelks.cyclic_algebra import CyclicAlgebraDescriptor, discriminant_report
+from pelks.cyclic_algebra import CyclicAlgebraDescriptor, CyclicAlgebraElement, discriminant_report
 
 QUAT = CyclicAlgebraDescriptor(n=2, residue_size=2)
 BC = CyclicAlgebraDescriptor(n=2, residue_size=3, conjugation_power=1)
 CUBIC = CyclicAlgebraDescriptor(n=3, residue_size=2)
 SPLIT = CyclicAlgebraDescriptor(n=1, residue_size=5, split=True)
+
+
+def _scalar(desc, x):
+    """x in E as the cyclic element x u^0."""
+    return CyclicAlgebraElement(desc, [x] + [M.zero(desc.field)] * (desc.n - 1))
+
+
+def _u(desc):
+    """The generator u as the cyclic element 1 u^1 (n >= 2)."""
+    coeffs = [M.zero(desc.field)] * desc.n
+    coeffs[1] = M.one(desc.field)
+    return CyclicAlgebraElement(desc, coeffs)
 
 
 def _terms(desc):
@@ -18,7 +30,7 @@ def _terms(desc):
         code, v, i = data
         coeffs = [M.zero(field)] * desc.n
         coeffs[i] = M(field, v, field(code))
-        return desc.element(coeffs)
+        return CyclicAlgebraElement(desc, coeffs)
 
     return st.tuples(
         st.integers(1, field.size - 1), st.integers(0, 2), st.integers(0, desc.n - 1)
@@ -61,24 +73,24 @@ def test_split_descriptor_needs_degree_one():
 def test_multiplication_is_associative_and_distributive(a, b, c, code):
     assert (a * b) * c == a * (b * c)
     # c2 shares the slot and valuation of c, so c + c2 is again a term
-    c2 = BC.element([M(BC.field, x.val, BC.field(code)) if x.coeff else x for x in c.coeffs])
+    c2 = CyclicAlgebraElement(BC, [M(BC.field, x.val, BC.field(code)) if x.coeff else x for x in c.coeffs])
     assert a * (c + c2) == a * c + a * c2
 
 
 def test_u_commutation_rule():
     for desc in (QUAT, BC, CUBIC):
-        u = desc.u()
-        zeta = desc.scalar(M(desc.field, 0, desc.field.generator))
-        tau_zeta = desc.scalar(desc.tau(zeta.coeffs[0]))
+        u = _u(desc)
+        zeta = _scalar(desc, M(desc.field, 0, desc.field.generator))
+        tau_zeta = _scalar(desc, desc.tau(zeta.coeffs[0]))
         assert u * zeta == tau_zeta * u
 
 
 def test_u_power_is_uniformizer():
     for desc in (QUAT, BC, CUBIC):
-        acc = desc.one()
+        acc = _scalar(desc, M.one(desc.field))
         for _ in range(desc.n):
-            acc = acc * desc.u()
-        assert acc == desc.scalar(M(desc.field, 1, desc.field.one))
+            acc = acc * _u(desc)
+        assert acc == _scalar(desc, M(desc.field, 1, desc.field.one))
 
 
 # -- discriminant -------------------------------------------------------------

@@ -1,6 +1,8 @@
 import pytest
 
 from pelks import pel_modules
+from functools import partial
+
 from pelks.algebra import (
     INF,
     DegenerateTestElement,
@@ -16,14 +18,15 @@ from pelks.cyclic_algebra import CyclicAlgebraDescriptor
 from pelks.pel_modules import (
     GlobalRankReport,
     SignatureMismatch,
-    SignedBasisModule,
-    TensorSpace,
-    build_module_pair,
     find_test_letters,
+    flat_index,
     global_rank_lemma,
     image_exponent,
     quotient_structure,
     relation_generators,
+    u_image,
+    unflat_index,
+    x_eigenvalues,
 )
 
 QUAT = CyclicAlgebraDescriptor(n=2, residue_size=2)
@@ -60,11 +63,34 @@ class _DenseDecomposition:
         return [row[s] for s in self.free_slots]
 
 
+class _TamperedDecomposition:
+    """pel_modules._Decomposition with the free coordinates of some classes
+    replaced: zero at the flats in `zeroed`, a unit first coordinate at
+    the flats in `revived`."""
+
+    def __init__(self, field, rows, ncols, zeroed=(), revived=()):
+        self.dec = _DECOMPOSITION(field, rows, ncols)
+        self.free_rank, self.exponents = self.dec.free_rank, self.dec.exponents
+        self.zero, self.unit = LocalMonomial.zero(field), LocalMonomial.one(field)
+        self.zeroed, self.revived = set(zeroed), set(revived)
+
+    def free_coordinates(self, flat):
+        coords = self.dec.free_coordinates(flat)
+        if flat in self.zeroed:
+            return [self.zero] * len(coords)
+        if flat in self.revived:
+            return [self.unit] + coords[1:]
+        return coords
+
+
+_DECOMPOSITION = pel_modules._Decomposition
+
+
 # -- separating letters -------------------------------------------------------
 
 
 def test_orbit_letters_are_deterministic():
-    v1, v2 = find_test_letters(QUAT, "orbit_n")
+    v1, v2 = find_test_letters(QUAT, "C")
     assert v1 == v2 == QUAT.field.generator
 
 
@@ -72,8 +98,8 @@ def test_strict_letters_need_a_big_enough_residue_field():
     # GF(4) has only one Galois orbit of generators, so two disjoint
     # 2-element orbits cannot fit
     with pytest.raises(DegenerateTestElement):
-        find_test_letters(QUAT, "strict_2n")
-    v1, v2 = find_test_letters(UNITARY, "strict_2n")
+        find_test_letters(QUAT, "A")
+    v1, v2 = find_test_letters(UNITARY, "A")
     z = UNITARY.field.generator
     assert (v1, v2) == (z, z * z)
     translates = {v1, v2, UNITARY.field(0) + v1.frobenius(), v2.frobenius()}
@@ -84,29 +110,25 @@ def test_strict_letters_need_a_big_enough_residue_field():
 
 
 def test_plain_action_commutes_with_u_shift():
-    plain = SignedBasisModule(UNITARY, (1, 1))
-    letters = find_test_letters(UNITARY, "strict_2n")
+    letters = find_test_letters(UNITARY, "A")
+    plain = x_eigenvalues(UNITARY, (1, 1), letters)
+    tau_plain = x_eigenvalues(UNITARY, (1, 1), tuple(v.frobenius() for v in letters))
     n = UNITARY.n
     for i in range(n):
         for j in range(2):
-            i2, _ = plain.u_image(i, j)
+            i2, _ = u_image(n, i)
             # u . (x . e) and (tau x) . (u . e) carry the same eigenvalue
-            lhs = plain.x_coefficient(letters, i, j)
-            tau_letters = tuple(v.frobenius() for v in letters)
-            rhs = plain.x_coefficient(tau_letters, i2, j)
-            assert lhs == rhs
+            assert plain[i][j] == tau_plain[i2][j]
 
 
 def test_dual_action_commutes_only_in_low_degree():
-    dual = SignedBasisModule(UNITARY, (1, 1), dual=True)
-    letters = find_test_letters(UNITARY, "strict_2n")
+    letters = find_test_letters(UNITARY, "A")
+    dual = x_eigenvalues(UNITARY, (1, 1), letters, dual=True)
+    tau_dual = x_eigenvalues(UNITARY, (1, 1), tuple(v.frobenius() for v in letters), dual=True)
     for i in range(2):
         for j in range(2):
-            i2, _ = dual.u_image(i, j)
-            lhs = dual.x_coefficient(letters, i, j)
-            tau_letters = tuple(v.frobenius() for v in letters)
-            rhs = dual.x_coefficient(tau_letters, i2, j)
-            assert lhs == rhs
+            i2, _ = u_image(2, i)
+            assert dual[i][j] == tau_dual[i2][j]
     cubic = CyclicAlgebraDescriptor(n=3, residue_size=2)
     with pytest.raises(ValueError):
         quotient_structure(cubic, (1, 0), "C")
@@ -129,11 +151,10 @@ def test_quaternion_relation_generator_structure():
     # 0, 1, 2, 3; the relations reduce to unit multiples of flats 1 and
     # 2 plus the single twist  x (x) x' - pi . y (x) y'
     desc = CyclicAlgebraDescriptor(n=2, residue_size=3)
-    letters = find_test_letters(desc, "orbit_n")
-    plain, dual = build_module_pair(desc, (1, 0))
-    space, rows = relation_generators(plain, dual, letters)
-    rows = _dense_rows(rows, space.size, LocalMonomial.zero(space.field))
-    pi = LocalMonomial(space.field, 1, space.field.one)
+    letters = find_test_letters(desc, "C")
+    ncols, rows = relation_generators(desc, (1, 0), letters)
+    rows = _dense_rows(rows, ncols, LocalMonomial.zero(desc.field))
+    pi = LocalMonomial(desc.field, 1, desc.field.one)
     seen_dead = set()
     seen_twist = False
     for c in rows:
@@ -164,6 +185,40 @@ def test_quotient_free_rank(desc, signature, kind, rank):
     qs = quotient_structure(desc, signature, kind)
     assert qs.violations == []
     assert qs.free_rank == rank == qs.expected_free_rank
+
+
+def test_quotient_audits_report_a_vanished_survivor_and_a_revived_class(monkeypatch):
+    # UNITARY at (2, 1): n = 2, r = 3; the chain of the eligible pair
+    # (0, 2) is e_13 (x) e'_13, e_23 (x) e'_23, and e_21 (x) e'_13 must die
+    n, r = 2, 3
+    survivor = flat_index(n, r, 1, 0, 1, 2)
+    dead = flat_index(n, r, 1, 0, 0, 2)
+    tampered = partial(_TamperedDecomposition, zeroed={survivor}, revived={dead})
+    monkeypatch.setattr(pel_modules, "_Decomposition", tampered)
+    violations = quotient_structure(UNITARY, (2, 1), "A").violations
+    assert "chain (0,2): surviving class vanishes" in violations
+    assert "class e_(21) (x) e'_(13) should die but survives" in violations
+    assert len(violations) == 3  # the third: C_1 = pi C_2 fails against a zero C_2
+    assert "chain (0,2): twist C_1 = pi C_2 fails" in violations
+
+
+def test_image_exponent_audit_reports_a_vanished_chain_class(monkeypatch):
+    first = flat_index(2, 2, 0, 0, 0, 1)  # C_1 = e_11 (x) e'_12 of the pair (0, 1)
+    monkeypatch.setattr(pel_modules, "_Decomposition", partial(_TamperedDecomposition, zeroed={first}))
+    rep = image_exponent(UNITARY, (1, 1), "A")
+    assert rep.violations == ["chain (0,1): class 1 vanishes"]
+    assert rep.chain_profiles == [((0, 1), [None, 0])]
+    assert rep.exponent != rep.expected
+
+
+def test_image_exponent_audit_reports_classes_off_one_line(monkeypatch):
+    # C_2 = e_22 (x) e'_24 of the pair (1, 3) gains a coordinate C_1 lacks;
+    # the profile still reads [1, 0], only the audit sees it
+    second = flat_index(2, 4, 1, 1, 1, 3)
+    monkeypatch.setattr(pel_modules, "_Decomposition", partial(_TamperedDecomposition, revived={second}))
+    rep = image_exponent(UNITARY, (2, 2), "A")
+    assert rep.violations == ["chain (1,3): classes 1 and 2 not proportional"]
+    assert rep.exponent == rep.expected
 
 
 def _block_and_dense(monkeypatch, compute):
@@ -223,12 +278,11 @@ def _assert_partition(rows, ncols, blocks):
 
 
 def test_relation_rows_split_into_small_blocks(monkeypatch):
-    letters = find_test_letters(UNITARY, "strict_2n")
-    plain, dual = build_module_pair(UNITARY, (3, 3))
+    letters = find_test_letters(UNITARY, "A")
     for swap in (False, True):
-        space, rows = relation_generators(plain, dual, letters, include_swap=swap)
-        blocks = split_blocks(rows, space.size)
-        _assert_partition(rows, space.size, blocks)
+        ncols, rows = relation_generators(UNITARY, (3, 3), letters, include_swap=swap)
+        blocks = split_blocks(rows, ncols)
+        _assert_partition(rows, ncols, blocks)
         assert {len(cols) for cols, _ in blocks} <= {2, 4}
 
     p, r = 4, 8
@@ -290,6 +344,14 @@ def test_split_place_exponent_vanishes():
 def test_unbalanced_unitary_signature_is_rejected():
     with pytest.raises(SignatureMismatch):
         image_exponent(UNITARY, (2, 1), "A")
+
+
+@pytest.mark.parametrize("signature,kind", [((0, 0), "C"), ((0, 0), "A"), ((-1, 2), "A"), ((2, -1), "C")])
+def test_bad_signature_is_refused(signature, kind):
+    with pytest.raises(ValueError, match="bad signature"):
+        quotient_structure(UNITARY, signature, kind)
+    with pytest.raises(ValueError, match="bad signature"):
+        image_exponent(UNITARY, signature, kind)
 
 
 def test_symplectic_rank_two_exponent():
@@ -457,14 +519,13 @@ def test_global_rank_input_validation():
 
 
 def test_tensor_index_roundtrip():
-    plain, dual = build_module_pair(UNITARY, (2, 1))
-    space = TensorSpace(plain, dual)
+    n, r = UNITARY.n, 3
     flat = 0
-    for i in range(space.n):
-        for j in range(space.r):
-            for l in range(space.n):
-                for k in range(space.r):
-                    assert space.index(i, j, l, k) == flat
-                    assert space.unpack(flat) == (i, j, l, k)
+    for i in range(n):
+        for j in range(r):
+            for l in range(n):
+                for k in range(r):
+                    assert flat_index(n, r, i, j, l, k) == flat
+                    assert unflat_index(n, r, flat) == (i, j, l, k)
                     flat += 1
-    assert flat == space.size
+    assert flat == relation_generators(UNITARY, (2, 1), find_test_letters(UNITARY, "A"))[0]
