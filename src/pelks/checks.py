@@ -24,6 +24,7 @@ counts, the checks sorted by name, and a timing block that callers
 must ignore when comparing runs for determinism.
 """
 
+import re
 import time
 from collections.abc import Callable
 from fnmatch import fnmatch
@@ -34,14 +35,13 @@ from typing import NamedTuple
 import numpy as np
 from numpy.random import default_rng
 
-from .config import build_embedding, config_digest, explicit_mu
+from .config import build_embedding, config_digest, explicit_mu, matrix_to_lists
 from .cyclic_algebra import discriminant_report
 from .domains import random_point
 from .kodaira_spencer import (
     assemble_phi,
     closed_form_w,
     cocycle_jacobian,
-    coordinate_targets,
     domain_genus,
     matched_vanishing_defect,
     metric_identity_check,
@@ -139,7 +139,7 @@ class _ArchContext:
         return build_lattice(self.sample_points(count, salt), self.emb)
 
     def phis(self, count, salt):
-        """The phi tensor stack assembled on `lattices(count, salt)`."""
+        """The phi stack assembled on `lattices(count, salt)`."""
         return assemble_phi(self.emb, solve_w_vectors(self.lattices(count, salt), self.form))
 
 
@@ -162,7 +162,7 @@ def _check_exponent(cfg, place):
 
 def _check_discriminant(cfg, place):
     rep = discriminant_report(place)
-    closed = cfg.n * (cfg.n - 1) if rep.is_division else 0
+    closed = cfg.n * (cfg.n - 1) if place.is_division else 0
     computed = {
         "disc_exponent": rep.disc_exponent,
         "gram_exponent": rep.gram_exponent,
@@ -171,7 +171,7 @@ def _check_discriminant(cfg, place):
     expected = {
         "disc_exponent": closed,
         "gram_exponent": closed,
-        "multiplier": 1 if rep.is_division else 0,
+        "multiplier": 1 if place.is_division else 0,
     }
     return computed, expected
 
@@ -200,17 +200,13 @@ def _check_rank_lemma(cfg, ctx):
     return computed, expected
 
 
-def _mu_to_lists(mu):
-    return [[[z.real, z.imag] for z in row] for row in np.asarray(mu, dtype=complex)]
-
-
 def _check_self_dual_mu(cfg, ctx):
     mu, sd, error = ctx.polarization
     if error is not None:
         raise error
     if sd is not None:
         computed = {
-            "mu": _mu_to_lists(mu),
+            "mu": matrix_to_lists(mu),
             "gram_det": sd.gram_det,
             "trace_covolume": sd.trace_covolume,
             "covolume_matched": sd.covolume_matched,
@@ -218,7 +214,7 @@ def _check_self_dual_mu(cfg, ctx):
         return computed, {"gram_det": 1.0, "covolume_matched": True}
     form = ctx.form
     computed = {
-        "mu": _mu_to_lists(mu),
+        "mu": matrix_to_lists(mu),
         "integrality_defect": form.integrality_defect(),
         "positive": form.is_positive(ctx.base_lattice),
         "gram_det": abs(float(np.linalg.det(form.gram))),
@@ -266,7 +262,7 @@ def _check_cocycle(cfg, ctx):
     points = ctx.sample_points(max(2, cfg.samples // 4), 19)
     defect = _worst(
         [
-            np.abs(ana.tensor - numeric_cocycle_jacobian(emb, points, elements=elements, rotate=rotate).tensor).max()
+            np.abs(ana - numeric_cocycle_jacobian(emb, points, elements=elements, rotate=rotate)).max()
             for rotate in (False, True)
         ]
     )
@@ -274,14 +270,13 @@ def _check_cocycle(cfg, ctx):
 
 
 def _check_w_closed_form(cfg, ctx):
-    ws = solve_w_vectors(ctx.lattices(2, 23), ctx.form)
-    defect = _worst([np.abs(w - closed_form_w(ctx.emb, ctx.mu, target)).max() for target, w in ws.items()])
-    computed = {"max_defect": defect, "targets": len(coordinate_targets(ctx.emb))}
+    ws = solve_w_vectors(ctx.lattices(2, 23), ctx.form)  # (sample, target, nr)
+    computed = {"max_defect": _worst(np.abs(ws - closed_form_w(ctx.emb, ctx.mu))), "targets": ws.shape[-2]}
     return computed, {"max_defect": 0.0}
 
 
 def _check_phi_independence(cfg, ctx):
-    tensors = ctx.phis(3, 29).tensor  # (sample, a, b, t)
+    tensors = ctx.phis(3, 29)  # (sample, a, b, t)
     computed = {
         "max_pairwise_defect": _worst([np.abs(a - b).max() for a, b in combinations(tensors, 2)]),
         "symmetry_defect": _worst(np.abs(tensors - np.swapaxes(tensors, -3, -2))),
@@ -296,7 +291,7 @@ def _check_psi(cfg, ctx):
     computed = {
         "modulus_defect": _worst(np.abs(psi.modulus - closed)),
         "off_block_defect": _worst(psi.off_block_defect),
-        "matched_defect": matched_vanishing_defect(phis) if cfg.kind == "A" else 0.0,
+        "matched_defect": matched_vanishing_defect(phis, ctx.emb) if cfg.kind == "A" else 0.0,
         "closed_form_modulus": closed,
     }
     return computed, {"modulus_defect": 0.0, "off_block_defect": 0.0, "matched_defect": 0.0}
@@ -469,10 +464,11 @@ def run_checks(cfg, only=None):
 
 
 def explain(name):
-    """Explanation text for a check name, tolerating the .q{q} suffix."""
+    """Explanation text for a check name; a place row also answers to its
+    per-place name, the row name with a .q{q} suffix."""
     if name in EXPLANATIONS:
         return EXPLANATIONS[name]
-    parts = name.rsplit(".", 1)
-    if len(parts) == 2 and parts[0] in EXPLANATIONS:
-        return EXPLANATIONS[parts[0]]
+    place = re.fullmatch(r"(.+)\.q[0-9]+", name)
+    if place and any(row.needs == "place" and row.name == place[1] for row in CATALOG):
+        return EXPLANATIONS[place[1]]
     return None

@@ -83,7 +83,7 @@ def _parse_matrix(value, n, label):
     return tuple(rows)
 
 
-def _matrix_to_lists(m):
+def matrix_to_lists(m):
     return [[[z.real, z.imag] for z in row] for row in m]
 
 
@@ -262,9 +262,9 @@ def config_to_dict(cfg):
         a = cfg.archimedean
         out["archimedean"] = {
             "discriminant": a.discriminant,
-            "order_basis": [_matrix_to_lists(m) for m in a.order_basis],
+            "order_basis": [matrix_to_lists(m) for m in a.order_basis],
             "mu_mode": a.mu_mode,
-            "mu": _matrix_to_lists(a.mu) if a.mu is not None else None,
+            "mu": matrix_to_lists(a.mu) if a.mu is not None else None,
         }
     return out
 

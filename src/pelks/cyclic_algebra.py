@@ -50,6 +50,11 @@ class CyclicAlgebraDescriptor:
         if self.split and self.n > 1:
             raise ValueError("split places reduce to n = 1; build the reduced descriptor")
 
+    @property
+    def is_division(self):
+        """B is a division algebra: a nonsplit place with n > 1."""
+        return not self.split and self.n > 1
+
     @cached_property
     def field(self):
         """Residue field GF(q^n) of E."""
@@ -142,7 +147,6 @@ class DiscriminantReport:
     """
 
     n: int
-    is_division: bool
     disc_exponent: int
     multiplier: int
     gram_exponent: int
@@ -161,15 +165,6 @@ def discriminant_report(descriptor):
     d = descriptor
     n = d.n
     field = d.field
-    if d.split or n == 1:
-        closed = 0
-        multiplier = 0
-        is_division = False
-    else:
-        closed = n * (n - 1)
-        multiplier = 1
-        is_division = True
-
     zeta = field.generator
     basis = []
     for i in range(n):
@@ -185,8 +180,7 @@ def discriminant_report(descriptor):
     gram_exponent = sum(dec.exponents)
     return DiscriminantReport(
         n=n,
-        is_division=is_division,
-        disc_exponent=closed,
-        multiplier=multiplier,
+        disc_exponent=n * (n - 1) if d.is_division else 0,
+        multiplier=int(d.is_division),
         gram_exponent=int(gram_exponent),
     )

@@ -15,7 +15,7 @@ form extensions are R-bilinear.  Domain coordinates are the full
 (r/2) x (r/2) matrix Z for the two-block model and the upper triangle
 of the symmetric r x r matrix for the classical model.
 
-Each model's index map is stated once, as an incidence table of
+Each model's index map is stated once, by `_incidences`, as a table of
 triples (fiber coordinate a, target functional tau, domain label t):
 fiber coordinate a moves with domain coordinate t at the rate tau(x)
 of the element x, and no other pair moves.
@@ -24,9 +24,15 @@ of the element x, and no other pair moves.
               (i r + r/2 + b, conj(i, k), (b, k))   b, k < r/2
   classical   (i r + j,       lin(i, c),  (min(c, j), max(c, j)))
 
-The cocycle reads tau off each element, phi adds the w-vector of tau
-into slot (a, t), and the psi block of label (a, b) pairs row column b
-with column a + r/2 (two-block) or a (classical).
+A target is an integer row (i, k, conj): it reads entry (i, k) of a
+label, conjugated when conj is 1 (only the two-block model has conj
+rows; in the classical model k < r reads the m part of [m | n]).  The
+table itself is three parallel index arrays: fiber coordinate, target
+row and domain label position, one entry per triple, no (a, t) pair
+twice.  The cocycle reads the targets off each element and scatters
+them to (a, t), phi scatters the w-vector of each target into slot
+(a, t), and the psi block of label (a, b) pairs row column b with
+column a + r/2 (two-block) or a (classical).
 
 The defining equation of a w-vector: the antilinear part of
 v -> 2 pi i E_mu(w, v) equals the antilinear part of the R-linear
@@ -34,11 +40,12 @@ extension of the target functional.  Both sides are determined by
 their values on the standard complex basis, which is how the solver
 sets up its square real system.
 
-Every sampled object carries the leading sample axis of its points
-(`domains`): a lattice stack gives w-vectors of shape (..., nr), phi
-tensors (..., nr, nr, labels) and one psi value per sample; the
-numeric cocycle Jacobian at a point stack is (..., elements, nr,
-labels).  The metric identity draws all its samples as one stack.
+Every result is a plain array.  Sampled ones carry the leading sample
+axis of their points (`domains`): a lattice stack gives w-vectors of
+shape (..., targets, nr), phi tensors (..., nr, nr, labels) and one
+psi value per sample; the cocycle Jacobian is (elements, nr, labels),
+its numeric twin at a point stack (..., elements, nr, labels).  The
+metric identity draws all its samples as one stack.
 """
 
 from dataclasses import dataclass
@@ -85,69 +92,56 @@ def domain_genus(emb):
     return emb.r // 2 if emb.kind == "A" else emb.r
 
 
-@dataclass(frozen=True)
-class CoordinateTarget:
-    """Functional picking one matrix entry of a rational label.
-
-    family "lin" reads entry (i, k) of the label itself, "conj" reads
-    the conjugate entry; in the classical model only "lin" occurs, and
-    k < r reads the m part of [m | n].
-    """
-
-    family: str
-    i: int
-    k: int
-
-    def value(self, label):
-        v = label[self.i, self.k]
-        return np.conj(v) if self.family == "conj" else v
-
-
 def _incidences(emb):
-    """The model's index map: (fiber coordinate, target, domain label) triples."""
+    """The model's index map: (targets, fiber, target, label).
+
+    `targets` holds the target functionals as (i, k, conj) rows, each
+    once, in table order; `fiber`, `target` and `label` are parallel,
+    one entry per incidence: the fiber coordinate, the row of
+    `targets`, and the position of the domain label.
+    """
     n, r = emb.n, emb.r
     if emb.kind == "A":
         half = r // 2
         cells = [(i, j, k) for i in range(n) for j in range(half) for k in range(half)]
-        lin = [(i * r + j, CoordinateTarget("lin", i, k), (k, j)) for i, j, k in cells]
-        conj = [(i * r + half + b, CoordinateTarget("conj", i, k), (b, k)) for i, b, k in cells]
-        return tuple(lin + conj)
-    return tuple(
-        (i * r + j, CoordinateTarget("lin", i, c), (min(c, j), max(c, j)))
-        for i in range(n)
-        for j in range(r)
-        for c in range(r)
+        table = [(i * r + j, (i, k, 0), (k, j)) for i, j, k in cells]
+        table += [(i * r + half + b, (i, k, 1), (b, k)) for i, b, k in cells]
+    else:
+        cells = [(i, j, c) for i in range(n) for j in range(r) for c in range(r)]
+        table = [(i * r + j, (i, c, 0), (min(c, j), max(c, j))) for i, j, c in cells]
+    fiber, functional, label = zip(*table)
+    row = {tau: s for s, tau in enumerate(dict.fromkeys(functional))}
+    position = {lab: t for t, lab in enumerate(domain_coordinates(emb))}
+    return (
+        np.array(list(row)),
+        np.array(fiber),
+        np.array([row[tau] for tau in functional]),
+        np.array([position[lab] for lab in label]),
     )
 
 
-def coordinate_targets(emb):
-    """The target functionals of the incidence table, each once, in table order."""
-    return tuple(dict.fromkeys(target for _, target, _ in _incidences(emb)))
-
-
-@dataclass(frozen=True)
-class CocycleJacobian:
-    tensor: np.ndarray
-    domain_labels: tuple
-    elements: tuple
+def target_values(targets, labels):
+    """Every target read off a label stack: (..., n, w) labels give
+    (..., targets) values."""
+    i, k, conj = targets.T
+    values = labels[..., i, k]
+    return np.where(conj == 1, values.conj(), values)
 
 
 def cocycle_jacobian(emb, elements=None):
     """Analytic Jacobian of the embedding coordinates per element.
 
-    tensor[g, a, t] = d lambda_a(element g) / d (domain coordinate t).
-    The embedding is affine in the domain point, so the tensor does not
+    out[g, a, t] = d lambda_a(element g) / d (domain coordinate t).
+    The embedding is affine in the domain point, so the array does not
     depend on where it is taken; the numeric twin below confirms that.
     """
     if elements is None:
         elements = generator_labels(emb)
-    labels = domain_coordinates(emb)
-    idx = {lab: t for t, lab in enumerate(labels)}
-    out = np.zeros((len(elements), emb.n * emb.r, len(labels)), dtype=complex)
-    for a, target, lab in _incidences(emb):
-        for g, x in enumerate(elements):
-            out[g, a, idx[lab]] = target.value(x)
-    return CocycleJacobian(out, labels, tuple(elements))
+    targets, fiber, target, label = _incidences(emb)
+    values = target_values(targets, np.asarray(elements))
+    out = np.zeros((len(values), emb.n * emb.r, len(domain_coordinates(emb))), dtype=complex)
+    out[:, fiber, label] = values[:, target]
+    return out
 
 
 def numeric_cocycle_jacobian(emb, point, elements=None, rotate=False):
@@ -175,14 +169,13 @@ def numeric_cocycle_jacobian(emb, point, elements=None, rotate=False):
     plus, minus = embed_labels(emb, offsets, elements)
     plus -= minus  # in place, to keep the peak memory of a large stack down
     plus /= 2 * h
-    out = np.moveaxis(plus, -3, -1)  # the domain label goes last
-    return CocycleJacobian(out, labels, tuple(elements))
+    return np.moveaxis(plus, -3, -1)  # the domain label goes last
 
 
 def solve_w_vectors(lattice, form):
-    """All coordinate-target w-vectors, keyed by target: the w with
-    anti(2 pi i E_mu(w, .)) matching anti of the target functional;
-    shape (..., nr) on a lattice stack.
+    """The w-vector of every target, in the row order of the targets:
+    the w with anti(2 pi i E_mu(w, .)) matching anti of the target
+    functional; shape (..., targets, nr) on a lattice stack.
 
     A target's values on the lattice generators determine its R-linear
     extension and the antilinear part of it.  Each system is square
@@ -200,11 +193,8 @@ def solve_w_vectors(lattice, form):
     singular = ((s_min <= 0) | (cond > COND_LIMIT)).ravel()
     if singular.any():
         raise SingularPairing(f"pairing condition number {cond.ravel()[singular.argmax()]:.3e}")
-    targets = coordinate_targets(lattice.embedding)
     # values[t, g] is target t read off generator g, every target at once
-    values = lattice.labels[:, [t.i for t in targets], [t.k for t in targets]].T
-    conj = np.array([t.family == "conj" for t in targets])
-    values = np.where(conj[:, None], values.conj(), values)
+    values = target_values(_incidences(lattice.embedding)[0], lattice.labels).T
     binv = lattice.basis_real_inv[..., None, :, :]  # broadcast over the targets
     f = (binv @ values[..., None])[..., 0]
     gamma = 0.5 * (f[..., :dim] + 1j * f[..., dim:])
@@ -213,64 +203,51 @@ def solve_w_vectors(lattice, form):
     # solve would round differently from the per-target solve
     m_all = np.broadcast_to(m_real[..., None, :, :], rhs.shape + rhs.shape[-1:])
     sol = np.linalg.solve(m_all, rhs[..., None])[..., 0]
-    w = sol[..., :dim] + 1j * sol[..., dim:]
-    return dict(zip(targets, np.moveaxis(w, -2, 0)))
+    return sol[..., :dim] + 1j * sol[..., dim:]
 
 
-def closed_form_w(emb, mu, target):
-    """Predicted w: mu e_{i, k + r/2} / 2 pi i for the plain family of the
-    two-block model, mu e_{ik} / 2 pi i for the conjugate family and for
-    the classical model."""
+def closed_form_w(emb, mu):
+    """Predicted w of every target, in the row order of the targets:
+    mu e_{i, k + r/2} / 2 pi i for the plain family of the two-block
+    model, mu e_{ik} / 2 pi i for the conjugate family and for the
+    classical model."""
     mu = normalize_mu(mu, emb.n)
     n, r = emb.n, emb.r
-    col = target.k + r // 2 if emb.kind == "A" and target.family == "lin" else target.k
-    w = np.zeros(n * r, dtype=complex)
-    for l in range(n):
-        w[l * r + col] = mu[l, target.i] / (2j * pi)
-    return w
-
-
-@dataclass(frozen=True)
-class PhiTensor:
-    """phi as a tensor: tensor[a, b, t] is the dz_b coefficient of the
-    dZ_t-component of phi(dz_a)."""
-
-    tensor: np.ndarray
-    domain_labels: tuple
-    kind: str
-    n: int
-    r: int
+    i, k, conj = _incidences(emb)[0].T
+    shift = r // 2 if emb.kind == "A" else 0
+    w = np.zeros((len(i), n, r), dtype=complex)  # w[t, l, c] is entry l r + c
+    w[np.arange(len(i)), :, k + shift * (1 - conj)] = (mu[:, i] / (2j * pi)).T
+    return w.reshape(len(i), n * r)
 
 
 def assemble_phi(emb, ws):
-    """phi from the w-vectors: one tensor, or a stack of them from the
-    w-vectors of a lattice stack."""
-    labels = domain_coordinates(emb)
-    idx = {lab: t for t, lab in enumerate(labels)}
+    """phi from the w-vectors, as the array whose [a, b, t] is the dz_b
+    coefficient of the dZ_t-component of phi(dz_a); one per sample of
+    the w-vectors of a lattice stack."""
+    _, fiber, target, label = _incidences(emb)
     dims = emb.n * emb.r
-    batch = np.shape(next(iter(ws.values())))[:-1]
-    tensor = np.zeros(batch + (dims, dims, len(labels)), dtype=complex)
-    for a, target, lab in _incidences(emb):
-        tensor[..., a, :, idx[lab]] += ws[target]
-    return PhiTensor(tensor, labels, emb.kind, emb.n, emb.r)
+    phi = np.zeros(ws.shape[:-2] + (dims, dims, len(domain_coordinates(emb))), dtype=complex)
+    # the two index arrays around the slice put the incidence axis first
+    phi[..., fiber, :, label] += np.moveaxis(ws[..., target, :], -2, 0)
+    return phi
 
 
-def matched_vanishing_defect(phi):
-    """Both-plain and both-conjugate tensor slots must vanish: the largest
+def matched_vanishing_defect(phi, emb):
+    """Both-plain and both-conjugate phi slots must vanish: the largest
     of them over the whole stack."""
-    if phi.kind != "A":
+    if emb.kind != "A":
         raise ValueError("matched vanishing concerns the two-block model")
-    n, r = phi.n, phi.r
+    n, r = emb.n, emb.r
     half = r // 2
-    slots = np.abs(phi.tensor).reshape(phi.tensor.shape[:-3] + (n, r, n, r, -1))
+    slots = np.abs(phi).reshape(phi.shape[:-3] + (n, r, n, r, -1))
     plain = slots[..., :half, :, :half, :].max()
     return float(np.maximum(plain, slots[..., half:, :, half:, :].max()))
 
 
 @dataclass(frozen=True)
 class PsiReport:
-    """psi of one phi tensor, or of each tensor of a stack (then every
-    field is an array over the samples)."""
+    """psi of one phi array, or of each phi of a stack (then every field
+    is an array over the samples)."""
 
     value: complex
     modulus: float
@@ -282,7 +259,7 @@ def psi_constant(phi, emb):
 
     The block of domain coordinate t = (a, b) pairs dz_{ib} against
     dz_{l, a + r/2} (two-block model) or dz_{la} (classical model) at
-    t.  Slots of those tensor rows at other domain coordinates are
+    t.  Slots of those phi rows at other domain coordinates are
     reported as the off-block defect.
     """
     r = emb.r
@@ -290,7 +267,7 @@ def psi_constant(phi, emb):
     labels = domain_coordinates(emb)
     dets, off = [], []
     for t, (a, b) in enumerate(labels):
-        rows = phi.tensor[..., b::r, a + shift :: r, :]  # rows[..., i, l, :] is the row of (i, l)
+        rows = phi[..., b::r, a + shift :: r, :]  # rows[..., i, l, :] is the row of (i, l)
         dets.append(np.linalg.det(np.swapaxes(rows[..., t], -1, -2)))
         others = np.arange(len(labels)) != t
         off.append(np.abs(rows[..., others]).max(axis=(-3, -2, -1), initial=0.0))

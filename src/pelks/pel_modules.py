@@ -49,7 +49,6 @@ from .algebra import (
     smith_normal_form,
     split_blocks,
 )
-from .cyclic_algebra import discriminant_report
 
 
 class SignatureMismatch(Exception):
@@ -374,7 +373,7 @@ def image_exponent(descriptor, signature, kind):
     )
     n, r = descriptor.n, sum(signature)
     dim = (r * r) // 4 if kind == "A" else r * (r + 1) // 2
-    multiplier = discriminant_report(descriptor).multiplier
+    multiplier = int(descriptor.is_division)
 
     exponent = 0
     profiles = []

@@ -21,7 +21,6 @@ from pelks.kodaira_spencer import (
     assemble_phi,
     closed_form_w,
     cocycle_jacobian,
-    coordinate_targets,
     metric_identity_check,
     numeric_cocycle_jacobian,
     psi_constant,
@@ -157,11 +156,11 @@ def test_cocycle_jacobian_against_central_differences():
             parts = [combo.real, zero] if trials % 2 else [zero, combo.real]
             elements = [np.hstack(parts)]
         point = random_point(emb.kind, g, rng)
-        ana = cocycle_jacobian(emb, elements=elements).tensor
+        ana = cocycle_jacobian(emb, elements=elements)
         rotate = bool(trials % 2)
         num = numeric_cocycle_jacobian(
             emb, point, elements=elements, rotate=rotate
-        ).tensor
+        )
         assert np.abs(ana - num).max() < 1e-12, (emb.kind, trials)
         trials += 1
 
@@ -173,9 +172,9 @@ def test_w_vector_closed_form():
         lat = build_lattice(random_point("A", 1, rng), emb)
         form = RiemannForm(emb, -2.0)
         ws = solve_w_vectors(lat, form)
-        for target in coordinate_targets(emb):
-            expected = closed_form_w(emb, -2.0, target)
-            assert np.abs(ws[target] - expected).max() < 1e-10
+        expected = closed_form_w(emb, -2.0)
+        assert ws.shape == expected.shape == (2, 2)  # the lin and conj targets of (0, 0)
+        assert np.abs(ws - expected).max() < 1e-10
 
 
 def test_psi_modulus_and_phi_independence():
@@ -185,7 +184,7 @@ def test_psi_modulus_and_phi_independence():
         for _ in range(2):
             lat = build_lattice(random_point("A", emb.r // 2, rng), emb)
             phi = assemble_phi(emb, solve_w_vectors(lat, RiemannForm(emb, mu)))
-            tensors.append(phi.tensor)
+            tensors.append(phi)
         assert np.abs(tensors[0] - tensors[1]).max() < 1e-10
         psi = psi_constant(phi, emb)
         assert abs(psi.modulus - psi_modulus_closed_form(emb, mu)) < 1e-9

@@ -102,7 +102,7 @@ def test_u_power_is_uniformizer():
 )
 def test_division_algebra_discriminant(desc, expected):
     rep = discriminant_report(desc)
-    assert rep.is_division
+    assert desc.is_division
     assert rep.multiplier == 1
     assert rep.disc_exponent == expected
     assert rep.gram_exponent == expected
@@ -110,7 +110,8 @@ def test_division_algebra_discriminant(desc, expected):
 
 def test_split_discriminant_vanishes():
     rep = discriminant_report(SPLIT)
-    assert not rep.is_division
+    assert not SPLIT.is_division
+    assert not CyclicAlgebraDescriptor(n=1, residue_size=5).is_division
     assert rep.multiplier == 0
     assert rep.disc_exponent == 0
     assert rep.gram_exponent == 0

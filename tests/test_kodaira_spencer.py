@@ -16,8 +16,6 @@ where the domain labels (k, j) and (j, k) differ; it is what catches a
 transposed incidence in the conjugate block.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -26,12 +24,11 @@ from pelks.checks import _ArchContext, run_checks
 from pelks.cli import resolve_config
 from pelks.domains import _SPREAD, HermitianPoint, SiegelPoint, petersson_norm, random_point
 from pelks.kodaira_spencer import (
-    CoordinateTarget,
     SingularPairing,
+    _incidences,
     assemble_phi,
     closed_form_w,
     cocycle_jacobian,
-    coordinate_targets,
     domain_coordinates,
     domain_genus,
     matched_vanishing_defect,
@@ -40,6 +37,7 @@ from pelks.kodaira_spencer import (
     psi_constant,
     psi_modulus_closed_form,
     solve_w_vectors,
+    target_values,
 )
 from pelks.lattices import (
     OrderEmbedding,
@@ -117,6 +115,17 @@ def antilinear_defect(lattice, form, values, w, trials=8, seed=0):
     return worst
 
 
+def _target_value(target, label):
+    """Target (i, k, conj) read off one label, entry by entry."""
+    i, k, conj = target
+    return np.conj(label[i, k]) if conj else label[i, k]
+
+
+def _target_row(emb, target):
+    """The row of `target` in the model's targets."""
+    return [tuple(t) for t in _incidences(emb)[0]].index(target)
+
+
 def test_domain_coordinate_order():
     assert domain_coordinates(gaussian_unitary()) == ((0, 0),)
     assert domain_coordinates(gaussian_unitary(4)) == ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -133,35 +142,35 @@ def test_cocycle_hand_entries_two_block():
         [[0.0], [0.0]],
         [[0.0], [0.0]],
     ]
-    assert np.abs(jac.tensor - np.array(expected)).max() < 1e-12
+    assert np.abs(jac - np.array(expected)).max() < 1e-12
 
 
 def test_cocycle_hand_entries_classical():
     emb = rational_siegel(2)
     jac = cocycle_jacobian(emb)
-    idx = {lab: t for t, lab in enumerate(jac.domain_labels)}
+    idx = {lab: t for t, lab in enumerate(domain_coordinates(emb))}
     # m-part (1, 0): lambda = (T00, T01)
-    m0 = jac.tensor[0]
+    m0 = jac[0]
     assert abs(m0[0, idx[(0, 0)]] - 1) < 1e-12
     assert abs(m0[1, idx[(0, 1)]] - 1) < 1e-12
     assert abs(m0[0, idx[(0, 1)]]) < 1e-12
     # m-part (0, 1): lambda = (T01, T11), diagonal slot has no doubling
-    m1 = jac.tensor[1]
+    m1 = jac[1]
     assert abs(m1[0, idx[(0, 1)]] - 1) < 1e-12
     assert abs(m1[1, idx[(1, 1)]] - 1) < 1e-12
     assert abs(m1[1, idx[(0, 1)]]) < 1e-12
     # n-parts are constant in the point
-    assert np.abs(jac.tensor[2:]).max() == 0.0
+    assert np.abs(jac[2:]).max() == 0.0
 
 
 def test_cocycle_matches_central_differences():
     rng = np.random.default_rng(17)
     for emb, _, _ in _instances():
-        ana = cocycle_jacobian(emb).tensor
+        ana = cocycle_jacobian(emb)
         for _ in range(5):
             point = random_point(emb.kind, domain_genus(emb), rng)
-            num = numeric_cocycle_jacobian(emb, point).tensor
-            rot = numeric_cocycle_jacobian(emb, point, rotate=True).tensor
+            num = numeric_cocycle_jacobian(emb, point)
+            rot = numeric_cocycle_jacobian(emb, point, rotate=True)
             assert np.abs(ana - num).max() < 1e-12
             assert np.abs(ana - rot).max() < 1e-12
 
@@ -174,9 +183,9 @@ def test_cocycle_on_random_integer_elements():
     for _ in range(6):
         coeffs = rng.integers(-4, 5, size=len(basis))
         elements.append(sum(c * b for c, b in zip(coeffs, basis)))
-    ana = cocycle_jacobian(emb, elements=elements).tensor
+    ana = cocycle_jacobian(emb, elements=elements)
     point = random_point("A", 1, rng)
-    num = numeric_cocycle_jacobian(emb, point, elements=elements).tensor
+    num = numeric_cocycle_jacobian(emb, point, elements=elements)
     assert np.abs(ana - num).max() < 1e-12
 
 
@@ -189,17 +198,16 @@ def test_w_vectors_match_closed_forms():
         identity = np.eye(emb.n) if np.ndim(mu) else 1.0
         for m in (mu, identity):
             ws = solve_w_vectors(lat, RiemannForm(emb, m))
-            assert set(ws) == set(coordinate_targets(emb))
-            for target, w in ws.items():
-                assert np.abs(w - closed_form_w(emb, m, target)).max() < 1e-10
+            assert ws.shape == (len(_incidences(emb)[0]), emb.n * emb.r)
+            assert np.abs(ws - closed_form_w(emb, m)).max() < 1e-10
 
 
 def test_w_hand_values_gaussian():
     emb = gaussian_unitary()
     lat = build_lattice(HermitianPoint([[0.3 + 1.1j]]), emb)
     ws = solve_w_vectors(lat, RiemannForm(emb, -2.0))
-    lin = ws[CoordinateTarget("lin", 0, 0)]
-    conj = ws[CoordinateTarget("conj", 0, 0)]
+    lin = ws[_target_row(emb, (0, 0, 0))]
+    conj = ws[_target_row(emb, (0, 0, 1))]
     assert np.abs(lin - np.array([0, 1j / np.pi])).max() < 1e-12
     assert np.abs(conj - np.array([1j / np.pi, 0])).max() < 1e-12
 
@@ -208,7 +216,7 @@ def test_w_hand_value_elliptic():
     emb = rational_siegel(1)
     lat = build_lattice(SiegelPoint([[0.25 + 1.7j]]), emb)
     ws = solve_w_vectors(lat, RiemannForm(emb, -1.0))
-    w = ws[CoordinateTarget("lin", 0, 0)]
+    w = ws[_target_row(emb, (0, 0, 0))]
     assert np.abs(w - np.array([1j / (2 * np.pi)])).max() < 1e-12
 
 
@@ -217,18 +225,18 @@ def test_w_defining_equation_on_random_vectors():
         lat = build_lattice(point, emb)
         form = RiemannForm(emb, mu)
         ws = solve_w_vectors(lat, form)
-        for target in coordinate_targets(emb)[:2]:
-            values = np.array([target.value(lab) for lab in lat.labels], dtype=complex)
-            assert antilinear_defect(lat, form, values, ws[target]) < 1e-10
+        for row, target in enumerate(_incidences(emb)[0][:2]):
+            values = np.array([_target_value(target, lab) for lab in lat.labels], dtype=complex)
+            assert antilinear_defect(lat, form, values, ws[row]) < 1e-10
 
 
 def test_w_scales_inversely_with_form():
     # doubling mu halves E_mu, so w must double to keep the pairing
     emb = gaussian_unitary()
     lat = build_lattice(HermitianPoint([[0.3 + 1.1j]]), emb)
-    target = CoordinateTarget("lin", 0, 0)
-    w2 = solve_w_vectors(lat, RiemannForm(emb, -2.0))[target]
-    w4 = solve_w_vectors(lat, RiemannForm(emb, -4.0))[target]
+    row = _target_row(emb, (0, 0, 0))
+    w2 = solve_w_vectors(lat, RiemannForm(emb, -2.0))[row]
+    w4 = solve_w_vectors(lat, RiemannForm(emb, -4.0))[row]
     assert np.abs(w4 - 2 * w2).max() < 1e-12
 
 
@@ -247,12 +255,12 @@ def test_phi_matched_positions_vanish():
             continue
         lat = build_lattice(point, emb)
         phi = assemble_phi(emb, solve_w_vectors(lat, RiemannForm(emb, mu)))
-        assert matched_vanishing_defect(phi) < 1e-12
+        assert matched_vanishing_defect(phi, emb) < 1e-12
     with pytest.raises(ValueError, match="two-block"):
         emb = rational_siegel(1)
         lat = build_lattice(SiegelPoint([[0.25 + 1.7j]]), emb)
         matched_vanishing_defect(
-            assemble_phi(emb, solve_w_vectors(lat, RiemannForm(emb, -1.0)))
+            assemble_phi(emb, solve_w_vectors(lat, RiemannForm(emb, -1.0))), emb
         )
 
 
@@ -262,7 +270,7 @@ def test_phi_is_symmetric_in_its_fiber_slots():
     # of the two-block model take part, so a lost conj incidence shows here
     for emb, point, mu in _instances():
         lat = build_lattice(point, emb)
-        tensor = assemble_phi(emb, solve_w_vectors(lat, RiemannForm(emb, mu))).tensor
+        tensor = assemble_phi(emb, solve_w_vectors(lat, RiemannForm(emb, mu)))
         assert np.abs(tensor).max() > 0.1
         assert np.abs(tensor - tensor.transpose(1, 0, 2)).max() < 1e-12
 
@@ -273,8 +281,7 @@ def test_phi_is_point_independent():
         tensors = []
         for _ in range(2):
             lat = build_lattice(random_point(emb.kind, domain_genus(emb), rng), emb)
-            phi = assemble_phi(emb, solve_w_vectors(lat, RiemannForm(emb, mu)))
-            tensors.append(phi.tensor)
+            tensors.append(assemble_phi(emb, solve_w_vectors(lat, RiemannForm(emb, mu))))
         assert np.abs(tensors[0] - tensors[1]).max() < 1e-10
 
 
@@ -290,9 +297,8 @@ def test_psi_constant_and_closed_form():
 def test_psi_off_block_defect_keeps_a_nan():
     emb, point, mu = _instances()[-1]  # r = 4: four domain coordinates
     phi = assemble_phi(emb, solve_w_vectors(build_lattice(point, emb), RiemannForm(emb, mu)))
-    tensor = phi.tensor.copy()
-    tensor[0, 2, 1] = np.nan  # row (0, 0 + r/2) of label (0, 0), read at label (0, 1)
-    psi = psi_constant(dataclasses.replace(phi, tensor=tensor), emb)
+    phi[0, 2, 1] = np.nan  # row (0, 0 + r/2) of label (0, 0), read at label (0, 1)
+    psi = psi_constant(phi, emb)
     assert np.isfinite(psi.modulus)
     assert np.isnan(psi.off_block_defect)
 
@@ -384,31 +390,91 @@ def _trace_covolume_loop(emb):
     return float(np.exp(0.5 * np.linalg.slogdet(g)[1]))
 
 
+def _incidence_loop(emb):
+    """The index map as triples (fiber coordinate, (i, k, conj) target,
+    domain label), the table of the module docstring written out."""
+    n, r = emb.n, emb.r
+    if emb.kind == "A":
+        half = r // 2
+        cells = [(i, j, k) for i in range(n) for j in range(half) for k in range(half)]
+        lin = [(i * r + j, (i, k, 0), (k, j)) for i, j, k in cells]
+        conj = [(i * r + half + b, (i, k, 1), (b, k)) for i, b, k in cells]
+        return lin + conj
+    return [
+        (i * r + j, (i, c, 0), (min(c, j), max(c, j)))
+        for i in range(n)
+        for j in range(r)
+        for c in range(r)
+    ]
+
+
+def _target_loop(emb):
+    """The targets of the incidence triples, each once, in table order."""
+    return list(dict.fromkeys(target for _, target, _ in _incidence_loop(emb)))
+
+
+def _cocycle_jacobian_loop(emb, elements):
+    """The analytic Jacobian one incidence and one element at a time."""
+    labels = domain_coordinates(emb)
+    idx = {lab: t for t, lab in enumerate(labels)}
+    out = np.zeros((len(elements), emb.n * emb.r, len(labels)), dtype=complex)
+    for a, target, lab in _incidence_loop(emb):
+        for g, x in enumerate(elements):
+            out[g, a, idx[lab]] = _target_value(target, x)
+    return out
+
+
+def _phi_loop(emb, ws):
+    """phi one incidence at a time, from w-vectors in target row order."""
+    labels = domain_coordinates(emb)
+    idx = {lab: t for t, lab in enumerate(labels)}
+    row = {target: s for s, target in enumerate(_target_loop(emb))}
+    dims = emb.n * emb.r
+    phi = np.zeros(ws.shape[:-2] + (dims, dims, len(labels)), dtype=complex)
+    for a, target, lab in _incidence_loop(emb):
+        phi[..., a, :, idx[lab]] += ws[..., row[target], :]
+    return phi
+
+
+def _closed_form_w_loop(emb, mu):
+    """The closed-form w-vectors one target and one fiber row at a time."""
+    mu = normalize_mu(mu, emb.n)
+    n, r = emb.n, emb.r
+    out = []
+    for i, k, conj in _target_loop(emb):
+        col = k + r // 2 if emb.kind == "A" and not conj else k
+        w = np.zeros(n * r, dtype=complex)
+        for l in range(n):
+            w[l * r + col] = mu[l, i] / (2j * np.pi)
+        out.append(w)
+    return np.stack(out)
+
+
 def _w_loop(lattice, form):
     dim = lattice.complex_dim
     k = form.extension(lattice)
     mc = (np.pi * 1j) * (k[:, :dim].T + 1j * k[:, dim:].T)
     m_real = np.vstack([mc.real, mc.imag])
-    out = {}
-    for target in coordinate_targets(lattice.embedding):
-        values = np.array([target.value(lab) for lab in lattice.labels], dtype=complex)
+    out = []
+    for target in _target_loop(lattice.embedding):
+        values = np.array([_target_value(target, lab) for lab in lattice.labels], dtype=complex)
         f = lattice.basis_real_inv @ values
         gamma = 0.5 * (f[:dim] + 1j * f[dim:])
         sol = np.linalg.solve(m_real, np.concatenate([gamma.real, gamma.imag]))
-        out[target] = sol[:dim] + 1j * sol[dim:]
-    return out
+        out.append(sol[:dim] + 1j * sol[dim:])
+    return np.stack(out)
 
 
-def _matched_loop(phi):
-    n, r = phi.n, phi.r
+def _matched_loop(phi, emb):
+    n, r = emb.n, emb.r
     half = r // 2
     worst = 0.0
     for i in range(n):
         for j in range(half):
             for l in range(n):
                 for m in range(half):
-                    worst = max(worst, np.abs(phi.tensor[i * r + j, l * r + m, :]).max())
-                    worst = max(worst, np.abs(phi.tensor[i * r + j + half, l * r + m + half, :]).max())
+                    worst = max(worst, np.abs(phi[i * r + j, l * r + m, :]).max())
+                    worst = max(worst, np.abs(phi[i * r + j + half, l * r + m + half, :]).max())
     return float(worst)
 
 
@@ -442,16 +508,13 @@ def test_batched_kernels_equal_their_loops():
         assert np.array_equal(form.gram, _gram_loop(emb, mu))
         assert emb.trace_covolume() == _trace_covolume_loop(emb)
         lat = build_lattice(point, emb)
-        ws, oracle = solve_w_vectors(lat, form), _w_loop(lat, form)
-        assert list(ws) == list(oracle)
-        for target in oracle:
-            assert np.array_equal(ws[target], oracle[target])
+        ws = solve_w_vectors(lat, form)
+        assert np.array_equal(ws, _w_loop(lat, form))
         if emb.kind == "A":
             phi = assemble_phi(emb, ws)
-            noise = rng.normal(size=phi.tensor.shape) + 1j * rng.normal(size=phi.tensor.shape)
-            for tensor in (phi.tensor, noise):
-                phi = dataclasses.replace(phi, tensor=tensor)
-                assert matched_vanishing_defect(phi) == _matched_loop(phi)
+            noise = rng.normal(size=phi.shape) + 1j * rng.normal(size=phi.shape)
+            for tensor in (phi, noise):
+                assert matched_vanishing_defect(tensor, emb) == _matched_loop(tensor, emb)
 
 
 # The per-sample loops that the sample axis replaced, kept as oracles:
@@ -518,7 +581,7 @@ def _psi_loop(phi, emb):
     value = 1.0 + 0j
     off = []
     for t, (a, b) in enumerate(domain_coordinates(emb)):
-        rows = phi.tensor[b::r, a + shift :: r, :]
+        rows = phi[b::r, a + shift :: r, :]
         value *= np.linalg.det(rows[:, :, t].T)
         off.append(np.abs(np.delete(rows, t, axis=2)).max(initial=0.0))
     return complex(value), float(abs(value)), float(np.max(off))
@@ -553,11 +616,10 @@ def _assert_stack_matches_loop(emb, mu, points):
     form = RiemannForm(emb, mu)
     ws = solve_w_vectors(lat, form)
     single_ws = [solve_w_vectors(one, form) for one in singles]
-    for target, w in ws.items():
-        assert np.array_equal(w, np.stack([one[target] for one in single_ws]))
+    assert np.array_equal(ws, np.stack(single_ws))
     phi = assemble_phi(emb, ws)
     single_phis = [assemble_phi(emb, one) for one in single_ws]
-    assert np.array_equal(phi.tensor, np.stack([one.tensor for one in single_phis]))
+    assert np.array_equal(phi, np.stack(single_phis))
     psi = psi_constant(phi, emb)
     oracle = [_psi_loop(one, emb) for one in single_phis]
     assert list(psi.value) == [v for v, _, _ in oracle]
@@ -565,7 +627,7 @@ def _assert_stack_matches_loop(emb, mu, points):
     assert list(psi.off_block_defect) == [o for _, _, o in oracle]
     elements = generator_labels(emb)
     for rotate in (False, True):
-        num = numeric_cocycle_jacobian(emb, stack, rotate=rotate).tensor
+        num = numeric_cocycle_jacobian(emb, stack, rotate=rotate)
         assert np.array_equal(num, np.stack([_cocycle_loop(emb, p, elements, rotate) for p in points]))
 
 
@@ -591,6 +653,30 @@ def test_sample_axis_equals_the_per_sample_loops():
         oracle = _metric_loop(emb, mu, samples, seed)
         assert list(report.ratios) == oracle
         assert report.max_defect == float(np.abs(np.array(oracle) - 1).max())
+
+
+def test_index_arrays_equal_the_incidence_loops():
+    # the cocycle, phi (also on a two-sample stack) and the closed-form w
+    # read off the index arrays against the per-incidence loops they replaced
+    cases = [(emb, mu, [point]) for emb, point, mu in _oracle_sweep()]
+    for emb, mu, _, seed in _fixture_cases():
+        stack = random_point(emb.kind, domain_genus(emb), np.random.default_rng(seed), 2)
+        cases.append((emb, mu, [stack]))
+    for emb, mu, points in cases:
+        assert [tuple(t) for t in _incidences(emb)[0]] == _target_loop(emb)
+        elements = generator_labels(emb)
+        assert np.array_equal(cocycle_jacobian(emb), _cocycle_jacobian_loop(emb, elements))
+        assert np.array_equal(
+            cocycle_jacobian(emb, elements[::-3]), _cocycle_jacobian_loop(emb, elements[::-3])
+        )
+        assert np.array_equal(closed_form_w(emb, mu), _closed_form_w_loop(emb, mu))
+        for point in points:
+            ws = solve_w_vectors(build_lattice(point, emb), RiemannForm(emb, mu))
+            assert np.array_equal(assemble_phi(emb, ws), _phi_loop(emb, ws))
+        values = target_values(_incidences(emb)[0], elements)
+        assert np.array_equal(
+            values, [[_target_value(t, x) for t in _target_loop(emb)] for x in elements]
+        )
 
 
 def test_cocycle_check_fails_on_a_nonlinear_embedding(monkeypatch):

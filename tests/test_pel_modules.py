@@ -66,16 +66,17 @@ class _DenseDecomposition:
 class _TamperedDecomposition:
     """pel_modules._Decomposition with the free coordinates of some classes
     replaced: zero at the flats in `zeroed`, a unit first coordinate at
-    the flats in `revived`."""
+    the flats in `revived`, and every coordinate times pi if `scaled`."""
 
-    def __init__(self, field, rows, ncols, zeroed=(), revived=()):
+    def __init__(self, field, rows, ncols, zeroed=(), revived=(), scaled=False):
         self.dec = _DECOMPOSITION(field, rows, ncols)
         self.free_rank, self.exponents = self.dec.free_rank, self.dec.exponents
         self.zero, self.unit = LocalMonomial.zero(field), LocalMonomial.one(field)
         self.zeroed, self.revived = set(zeroed), set(revived)
+        self.factor = LocalMonomial(field, 1, field.one) if scaled else self.unit
 
     def free_coordinates(self, flat):
-        coords = self.dec.free_coordinates(flat)
+        coords = [self.factor * a for a in self.dec.free_coordinates(flat)]
         if flat in self.zeroed:
             return [self.zero] * len(coords)
         if flat in self.revived:
@@ -200,6 +201,16 @@ def test_quotient_audits_report_a_vanished_survivor_and_a_revived_class(monkeypa
     assert "class e_(21) (x) e'_(13) should die but survives" in violations
     assert len(violations) == 3  # the third: C_1 = pi C_2 fails against a zero C_2
     assert "chain (0,2): twist C_1 = pi C_2 fails" in violations
+
+
+def test_quotient_audit_reports_lines_that_are_not_a_basis(monkeypatch):
+    # every class times pi keeps each twist C_1 = pi C_2 and leaves the dead
+    # classes zero, so only the last audit sees that the surviving lines
+    # span pi times the quotient
+    monkeypatch.setattr(pel_modules, "_Decomposition", partial(_TamperedDecomposition, scaled=True))
+    for signature in ((2, 1), (2, 2)):
+        violations = quotient_structure(UNITARY, signature, "A").violations
+        assert violations == ["surviving lines are not an O_E-basis of the quotient"]
 
 
 def test_image_exponent_audit_reports_a_vanished_chain_class(monkeypatch):
