@@ -14,7 +14,11 @@ well, since the global rank computations need the same bookkeeping
 (divisors, left and right transforms) over Z instead of a DVR.  Both
 take dense rows; relation systems are sparse, and `split_blocks` cuts
 them into the connected blocks of their nonzero pattern, which the
-callers reduce one at a time.
+callers reduce one at a time.  The integer determinant and inverse are
+Bareiss (fraction-free) eliminations, so no rational number is ever
+formed, and they raise ValueError on input they cannot handle: a
+non-integer or non-square matrix, or a singular or non-unimodular one
+to invert.
 
 Exactness convention: monomials are closed under products, inverses
 and Frobenius, and a sum of two monomials stays one when a summand is
@@ -23,14 +27,15 @@ instead of being approximated, so every run checks that its local
 arithmetic was exact.
 """
 
-from fractions import Fraction
 from functools import lru_cache
+from operator import index
 
 INF = float("inf")
 
-# A field costs a pure-Python walk over all its elements and three lists
-# of about `size` entries, rebuilt in every run.  The catalog's fields
-# have at most a few hundred elements, so the cap bounds what a mistyped
+# A field costs a pure-Python walk over the generator's orbit (a few
+# square-and-multiply powers reject each smaller code) and three lists of
+# about `size` entries, rebuilt in every run.  The catalog's fields have
+# at most a few hundred elements, so the cap bounds what a mistyped
 # residue size can cost; a place past it fails its local checks with the
 # refusal raised in FiniteField.
 MAX_FIELD_SIZE = 4096
@@ -51,6 +56,17 @@ def _small_factor(n):
             return d
         d += 1
     return n
+
+
+def _prime_factors(n):
+    """The distinct primes dividing n, ascending."""
+    primes = []
+    while n > 1:
+        d = _small_factor(n)
+        primes.append(d)
+        while n % d == 0:
+            n //= d
+    return primes
 
 
 def _poly_trim(c):
@@ -194,9 +210,10 @@ class FiniteField:
     vectors giving the coefficients of 1, x, .., x^(m-1) modulo a fixed
     irreducible polynomial (the lexicographically smallest one, so the
     construction is deterministic).  The generator is the smallest code
-    of full multiplicative order; `_exp` maps a log to its code, `_log`
-    a code to its log (-1 for 0), and the Zech list `_zech` maps k to
-    log(1 + g^k), which makes every field operation one lookup.
+    of full multiplicative order, found by a prime-order test on each
+    candidate; `_exp` maps a log to its code, `_log` a code to its log
+    (-1 for 0), and the Zech list `_zech` maps k to log(1 + g^k), which
+    makes every field operation one lookup.
     """
 
     def __init__(self, p, m):
@@ -219,16 +236,37 @@ class FiniteField:
         self.generator = FiniteFieldElement(self, 1 % self.order)
 
     def _power_walk(self):
-        """Codes of g^0, .., g^(size-2) for the smallest code g of full order."""
-        p, m = self.p, self.m
+        """Codes of g^0, .., g^(size-2) for the smallest code g of full order.
+
+        A candidate g falls short of full order exactly when
+        g^((size-1)/l) = 1 for a prime l dividing size - 1; those are
+        skipped by square-and-multiply, so only the generator's orbit is
+        walked.
+        """
+        p, m, modulus = self.p, self.m, self.modulus
         weights = [p**t for t in range(m)]
+
+        def poly(code):
+            return _poly_trim(tuple((code // w) % p for w in weights))
+
+        def power(g_poly, e):
+            acc = (1,)
+            while e:
+                if e & 1:
+                    acc = _poly_mul_mod(acc, g_poly, modulus, p)
+                g_poly = _poly_mul_mod(g_poly, g_poly, modulus, p)
+                e >>= 1
+            return acc
+
+        cofactors = [self.order // ell for ell in _prime_factors(self.order)]
         for g in range(1, self.size):
-            g_poly = _poly_trim(tuple((g // w) % p for w in weights))
+            g_poly = poly(g)
+            if any(power(g_poly, e) == (1,) for e in cofactors):
+                continue
             walk, y = [1], g
             while y != 1:
                 walk.append(y)
-                poly = _poly_trim(tuple((y // w) % p for w in weights))
-                y = sum(c * w for c, w in zip(_poly_mul_mod(poly, g_poly, self.modulus, p), weights))
+                y = sum(c * w for c, w in zip(_poly_mul_mod(poly(y), g_poly, modulus, p), weights))
             if len(walk) == self.order:
                 return walk
         raise ValueError("no multiplicative generator found")
@@ -591,44 +629,67 @@ def integer_smith_normal_form(rows, ncols=None):
     return SmithDecomposition(U, A, V, divisors=divisors)
 
 
+def _square_integer_rows(rows):
+    """A copy of a square matrix as lists of Python ints; anything else is refused."""
+    n = len(rows)
+    try:
+        a = [[index(x) for x in row] for row in rows]
+    except TypeError:
+        raise ValueError("expected integer entries") from None
+    if any(len(row) != n for row in a):
+        raise ValueError(f"expected a square matrix with {n} columns")
+    return a
+
+
 def integer_det(rows):
-    """Exact determinant of a square integer matrix via fraction-free elimination."""
-    a = [[Fraction(x) for x in row] for row in rows]
+    """Exact determinant of a square integer matrix by Bareiss elimination.
+
+    Step k replaces each lower row by (pivot * row - row[k] * pivot row)
+    divided by the previous pivot.  That division is exact, since every
+    entry is a minor of the input, so the work stays in integers.
+    """
+    a = _square_integer_rows(rows)
     n = len(a)
-    det = Fraction(1)
+    sign, prev = 1, 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
+        # a[i] holds columns k .. n-1 of row i
+        piv = next((i for i in range(k, n) if a[i][0]), None)
         if piv is None:
             return 0
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
+            sign = -sign
+        pivot, top = a[k][0], a[k][1:]
         for i in range(k + 1, n):
-            f = a[i][k] * inv
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    assert det.denominator == 1
-    return int(det)
+            f, row = a[i][0], a[i][1:]
+            a[i] = [(pivot * x - f * y) // prev for x, y in zip(row, top)]
+        prev = pivot
+    return sign * prev
 
 
 def integer_inverse(rows):
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    """Exact inverse of a unimodular integer matrix.
+
+    Fraction-free Gauss-Jordan elimination (the Bareiss step on every
+    other row) takes [A | I] to [d I | d A^-1], where d is the
+    determinant of A with its rows permuted.  A singular A, or one with
+    d != +-1, has no integer inverse and raises ValueError.
+    """
+    a = _square_integer_rows(rows)
+    n = len(a)
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev = 1
     for k in range(n):
-        piv = next(i for i in range(k, n) if a[i][k])
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            raise ValueError("singular matrix has no inverse")
         a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
+        pivot, top = a[k][k], a[k]
         for i in range(n):
-            if i != k and a[i][k]:
+            if i != k:
                 f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    out = []
-    for i in range(n):
-        row = a[i][n:]
-        assert all(x.denominator == 1 for x in row)
-        out.append([int(x) for x in row])
-    return out
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = pivot
+    if prev not in (1, -1):
+        raise ValueError(f"determinant {prev} is not a unit: no integer inverse")
+    return [[prev * x for x in row[n:]] for row in a]

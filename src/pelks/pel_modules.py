@@ -23,12 +23,16 @@ taken at a place split in the top field, so x is a residue pair
 full tau orbit.
 
 The quotient of plain (x) dual by the relations x.m (x) m' - m (x) x.m'
-and u.m (x) m' - m (x) u.m' is computed by Smith normal form, one
-connected block of the relation pattern at a time (for n <= 2 a block
-has at most four columns: a u-row joins e_{ij} (x) e'_{lk} to the class
-with both i and l flipped, a swap row joins (j, k) to (k, j)), and checked
-against its predicted shape: one free line per eligible column pair,
-spanned by the chain
+and u.m (x) m' - m (x) u.m' is computed by Smith normal form.  The
+rows are built once per place (descriptor, signature, kind) and shared
+by quotient_structure and image_exponent; the symmetrized system is the
+same rows plus the swap rows.  A presolve first lets every x-row with a
+unit entry kill its class (most classes: their two eigenvalues differ),
+and the rest is reduced one connected block of the relation pattern at
+a time (for n <= 2 a block has at most four columns: a u-row joins
+e_{ij} (x) e'_{lk} to the class with both i and l flipped, a swap row
+joins (j, k) to (k, j)).  The result is checked against its predicted
+shape: one free line per eligible column pair, spanned by the chain
 
     e_{1j} (x) e'_{1k} = pi e_{2j} (x) e'_{nk} = pi e_{ij} (x) e'_{(n+2-i)k},
 
@@ -37,6 +41,7 @@ the image ideal.
 """
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 
 from .algebra import (
     INF,
@@ -110,15 +115,14 @@ def find_test_letters(descriptor, kind):
     raise DegenerateTestElement(f"no {missing} in GF({field.size})")
 
 
-def relation_generators(descriptor, signature, letters, include_swap=False):
+def relation_generators(descriptor, signature, letters):
     """Columns and rows of the relation module, rows as sparse (column,
-    LocalMonomial) lists; returns (ncols, rows).
+    LocalMonomial) tuples; returns (ncols, rows).
 
     For every basis class m (x) m' this yields x.m (x) m' - m (x) x.m'
-    (when nonzero) and u.m (x) m' - m (x) u.m'; with include_swap also
-    m (x) m' - swap(m (x) m') once per unordered pair.  Each row has at
-    most two entries, all nonzero, in ascending column order; for n = 1
-    the u-row is empty.
+    (when nonzero) and u.m (x) m' - m (x) u.m'.  Each row has at most
+    two entries, all nonzero, in ascending column order; for n = 1 the
+    u-row is empty.  The symmetrized system adds `_swap_rows`.
     """
     field = descriptor.field
     n, r = descriptor.n, sum(signature)
@@ -131,7 +135,7 @@ def relation_generators(descriptor, signature, letters, include_swap=False):
         for flat, val, coeff in entries:
             term = LocalMonomial(field, val, coeff)
             out[flat] = out[flat] + term if flat in out else term
-        rows.append([(flat, a) for flat, a in sorted(out.items()) if a.coeff])
+        rows.append(tuple((flat, a) for flat, a in sorted(out.items()) if a.coeff))
 
     for i in range(n):
         for j in range(r):
@@ -148,10 +152,36 @@ def relation_generators(descriptor, signature, letters, include_swap=False):
                         (flat_index(n, r, i2, j, l, k), e1, field.one),
                         (flat_index(n, r, i, j, l2, k), e2, -field.one),
                     )
-                    swapped = flat_index(n, r, l, k, i, j)
-                    if include_swap and flat < swapped:
-                        row((flat, 0, field.one), (swapped, 0, -field.one))
     return (n * r) ** 2, rows
+
+
+def _swap_rows(descriptor, signature):
+    """The rows m (x) m' - swap(m (x) m'), once per unordered pair of
+    distinct classes, in the row format of relation_generators."""
+    field = descriptor.field
+    n, r = descriptor.n, sum(signature)
+    one = LocalMonomial.one(field)
+    minus_one = -one
+    rows = []
+    for flat in range((n * r) ** 2):
+        i, j, l, k = unflat_index(n, r, flat)
+        swapped = flat_index(n, r, l, k, i, j)
+        if flat < swapped:
+            rows.append(((flat, one), (swapped, minus_one)))
+    return rows
+
+
+@lru_cache(maxsize=16)
+def _relation_system(descriptor, signature, kind):
+    """(letters, ncols, x/u rows, swap rows) of one place.
+
+    quotient_structure and image_exponent ask for the same system, so it
+    is built once per (descriptor, signature, kind); the rows are shared
+    tuples that no caller mutates.
+    """
+    letters = find_test_letters(descriptor, kind)
+    ncols, rows = relation_generators(descriptor, signature, letters)
+    return letters, ncols, tuple(rows), tuple(_swap_rows(descriptor, signature))
 
 
 def _dense(rows, cols, row_ids, zero):
@@ -169,21 +199,28 @@ def _dense(rows, cols, row_ids, zero):
 class _Decomposition:
     """Quotient coordinates of O^ncols by the span of sparse relation rows.
 
-    The rows are reduced one connected block at a time (split_blocks),
-    so V is block-diagonal: a column's free coordinates are nonzero only
-    in the free slots of its block, and the blocks number the free slots
-    in order.  `exponents` has the layout of one dense Smith normal
-    form: the finite exponents ascending, then +inf up to
+    Presolve: a row with one entry, of valuation 0, kills its column,
+    which is then zero in the quotient; the killed columns are dropped
+    from every other row.  What remains is reduced one connected block
+    at a time (split_blocks), so V is block-diagonal: a column's free
+    coordinates are nonzero only in the free slots of its block, and the
+    blocks number the free slots in order.  `exponents` has the layout
+    of one dense Smith normal form of all the rows: the finite exponents
+    ascending (a 0 per killed column), then +inf up to
     min(len(rows), ncols).
     """
 
     def __init__(self, field, rows, ncols):
-        self._zero = LocalMonomial.zero(field)
+        killed = {row[0][0] for row in rows if len(row) == 1 and row[0][1].val == 0}
+        rest = [[(c, a) for c, a in row if c not in killed] for row in rows]
         self.free_rank = 0
-        self._coords = [None] * ncols
-        finite = []
-        for cols, row_ids in split_blocks(rows, ncols):
-            dense = _dense(rows, cols, row_ids, self._zero)
+        self._terms = [[] for _ in range(ncols)]
+        finite = [0] * len(killed)
+        zero = LocalMonomial.zero(field)
+        for cols, row_ids in split_blocks(rest, ncols):
+            if cols[0] in killed:  # alone in its block, since no row touches it
+                continue
+            dense = _dense(rest, cols, row_ids, zero)
             dec = smith_normal_form(RingMatrix(field, dense), ncols=len(cols))
             V, exponents = dec.V, dec.exponents
             finite += [e for e in exponents if e != INF]
@@ -192,16 +229,14 @@ class _Decomposition:
             slots = range(self.free_rank, self.free_rank + len(free))
             self.free_rank += len(free)
             for t, c in enumerate(cols):
-                self._coords[c] = [(s, V[t][f]) for s, f in zip(slots, free) if V[t][f].coeff]
+                self._terms[c] = [(s, V[t][f]) for s, f in zip(slots, free) if V[t][f].coeff]
         finite.sort()
         self.exponents = finite + [INF] * (min(len(rows), ncols) - len(finite))
 
-    def free_coordinates(self, flat):
-        """Image of basis class `flat` in the free part of the quotient."""
-        out = [self._zero] * self.free_rank
-        for s, a in self._coords[flat]:
-            out[s] = a
-        return out
+    def free_terms(self, flat):
+        """Image of basis class `flat` in the free part of the quotient, as
+        its nonzero (slot, coordinate) pairs in slot order."""
+        return self._terms[flat]
 
 
 def _chain_indices(n, r, j, k):
@@ -246,9 +281,8 @@ def _relation_quotient(descriptor, signature, kind, symmetrized):
         raise ValueError(
             "dual action tables are compatible with the u shift only for n <= 2"
         )
-    letters = find_test_letters(descriptor, kind)
-    ncols, rows = relation_generators(descriptor, signature, letters, include_swap=symmetrized)
-    dec = _Decomposition(descriptor.field, rows, ncols)
+    letters, ncols, rows, swaps = _relation_system(descriptor, signature, kind)
+    dec = _Decomposition(descriptor.field, rows + swaps if symmetrized else rows, ncols)
     pairs = _eligible_pairs(signature, kind, symmetrized)
 
     violations = []
@@ -297,38 +331,26 @@ def quotient_structure(descriptor, signature, kind):
     for (j, k) in pairs:
         chain = _chain_indices(n, r, j, k)
         survivor_flats.update(chain)
-        coords = [dec.free_coordinates(flat) for flat in chain]
+        terms = [dec.free_terms(flat) for flat in chain]
         for i0 in range(2, n):
-            for a, b in zip(coords[i0], coords[1]):
-                if a != b:
-                    violations.append(
-                        f"chain ({j},{k}): class {i0 + 1} differs from class 2"
-                    )
-                    break
-        tail = coords[1] if n > 1 else coords[0]
-        if n > 1:
-            for a, b in zip(coords[0], tail):
-                if a != pi * b:
-                    violations.append(f"chain ({j},{k}): twist C_1 = pi C_2 fails")
-                    break
-        if all(a.is_zero for a in tail):
+            if terms[i0] != terms[1]:
+                violations.append(f"chain ({j},{k}): class {i0 + 1} differs from class 2")
+        tail = terms[1] if n > 1 else terms[0]
+        if n > 1 and terms[0] != [(s, pi * a) for s, a in tail]:
+            violations.append(f"chain ({j},{k}): twist C_1 = pi C_2 fails")
+        if not tail:
             violations.append(f"chain ({j},{k}): surviving class vanishes")
         chains.append(((j, k), chain))
 
     for flat in range((n * r) ** 2):
-        if flat in survivor_flats:
-            continue
-        if not all(a.is_zero for a in dec.free_coordinates(flat)):
+        if flat not in survivor_flats and dec.free_terms(flat):
             i, j, l, k = unflat_index(n, r, flat)
             violations.append(
                 f"class e_({i + 1}{j + 1}) (x) e'_({l + 1}{k + 1}) should die but survives"
             )
 
     if expected_rank and not violations:
-        basis = [
-            [(s, a) for s, a in enumerate(dec.free_coordinates(chain[-1])) if a.coeff]
-            for (_, chain) in chains
-        ]
+        basis = [dec.free_terms(chain[-1]) for (_, chain) in chains]
         if any(e != 0 for e in _Decomposition(field, basis, dec.free_rank).exponents):
             violations.append("surviving lines are not an O_E-basis of the quotient")
 
@@ -375,19 +397,19 @@ def image_exponent(descriptor, signature, kind):
     dim = (r * r) // 4 if kind == "A" else r * (r + 1) // 2
     multiplier = int(descriptor.is_division)
 
+    zero = LocalMonomial.zero(descriptor.field)
     exponent = 0
     profiles = []
     for (j, k) in reps:
         chain = _chain_indices(n, r, j, k)
-        coords = [dec.free_coordinates(flat) for flat in chain]
+        terms = [dec.free_terms(flat) for flat in chain]
         vals = []
-        for i0, y in enumerate(coords):
-            nonzero = [a.val for a in y if not a.is_zero]
-            if not nonzero:
+        for i0, y in enumerate(terms):
+            if not y:
                 violations.append(f"chain ({j},{k}): class {i0 + 1} vanishes")
                 vals.append(None)
             else:
-                vals.append(min(nonzero))
+                vals.append(min(a.val for _, a in y))
         if any(v is None for v in vals):
             profiles.append(((j, k), vals))
             continue
@@ -395,19 +417,15 @@ def image_exponent(descriptor, signature, kind):
         profile = [v - base for v in vals]
         # proportionality: consecutive classes span the same line; a
         # 2x2 minor with a slot outside both supports vanishes
-        for i0 in range(1, len(coords)):
-            y, z = coords[i0 - 1], coords[i0]
-            support = [t for t in range(len(y)) if y[t].coeff or z[t].coeff]
-            for a, t in enumerate(support):
-                for s in support[a + 1:]:
-                    if y[t] * z[s] != y[s] * z[t]:
-                        violations.append(
-                            f"chain ({j},{k}): classes {i0} and {i0 + 1} not proportional"
-                        )
-                        break
-                else:
-                    continue
-                break
+        for i0 in range(1, len(terms)):
+            y, z = dict(terms[i0 - 1]), dict(terms[i0])
+            support = sorted(y.keys() | z.keys())
+            if any(
+                y.get(t, zero) * z.get(s, zero) != y.get(s, zero) * z.get(t, zero)
+                for a, t in enumerate(support)
+                for s in support[a + 1:]
+            ):
+                violations.append(f"chain ({j},{k}): classes {i0} and {i0 + 1} not proportional")
         exponent += sum(profile)
         profiles.append(((j, k), profile))
 

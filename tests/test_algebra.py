@@ -1,14 +1,20 @@
+import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from pelks import pel_modules
 from pelks.algebra import (
     INF,
     LocalMonomial as M,
     NonMonomial,
     RingMatrix,
     _find_irreducible,
+    _poly_mul_mod,
+    _poly_trim,
+    _small_factor,
     finite_field,
     integer_det,
     integer_inverse,
@@ -146,6 +152,35 @@ def test_log_tables_match_the_table_oracle(p, m):
             assert (a + b).code == add[a.code][b.code]
             assert (a - b).code == add[a.code][neg[b.code]]
             assert (a * b).code == mul[a.code][b.code]
+
+
+def _walk_every_candidate(field):
+    """The earlier generator search: walk the whole orbit of each code in
+    turn until one has full order; returns its table of powers."""
+    p, m = field.p, field.m
+    weights = [p**t for t in range(m)]
+    for g in range(1, field.size):
+        g_poly = _poly_trim(tuple((g // w) % p for w in weights))
+        walk, y = [1], g
+        while y != 1:
+            walk.append(y)
+            poly = _poly_trim(tuple((y // w) % p for w in weights))
+            y = sum(c * w for c, w in zip(_poly_mul_mod(poly, g_poly, field.modulus, p), weights))
+        if len(walk) == field.order:
+            return walk
+    raise AssertionError("no generator")
+
+
+# every field of at most 300 elements: these hold all the fields that the
+# fixtures, the benchmark ladders and the digest configs build (the
+# largest is GF(17^2))
+_CATALOG_FIELDS = [(p, m) for p in range(2, 300) if _small_factor(p) == p for m in range(1, 9) if p**m <= 300]
+
+
+def test_generator_search_matches_the_full_walk():
+    for p, m in _CATALOG_FIELDS:
+        field = finite_field(p, m)
+        assert field._exp == _walk_every_candidate(field), (p, m)
 
 
 # -- local monomials ---------------------------------------------------------
@@ -386,3 +421,131 @@ def test_integer_inverse_roundtrip():
     n = 3
     prod = [[sum(A[i][t] * B[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
     assert prod == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_integer_kernels_refuse_instead_of_asserting():
+    # ValueError, not an assert that python -O strips
+    for singular in ([[0]], [[1, 2], [2, 4]], [[0, 0], [0, 0]]):
+        with pytest.raises(ValueError, match="singular"):
+            integer_inverse(singular)
+    for not_unimodular in ([[2]], [[2, 1], [1, 2]], [[-3]]):
+        with pytest.raises(ValueError, match="not a unit"):
+            integer_inverse(not_unimodular)
+    for kernel in (integer_det, integer_inverse):
+        for bad in ([[Fraction(1, 2)]], [[1.0]], [[1, 2]], [[1], [2]]):
+            with pytest.raises(ValueError):
+                kernel(bad)
+
+
+# The oracles below are the earlier kernels: Gaussian elimination over
+# fractions.Fraction.
+
+
+def _fraction_det(rows):
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        inv = 1 / a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] * inv
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    assert det.denominator == 1
+    return int(det)
+
+
+def _fraction_inverse(rows):
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    for k in range(n):
+        piv = next(i for i in range(k, n) if a[i][k])
+        a[k], a[piv] = a[piv], a[k]
+        inv = 1 / a[k][k]
+        a[k] = [x * inv for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k]:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    out = []
+    for i in range(n):
+        row = a[i][n:]
+        assert all(x.denominator == 1 for x in row)
+        out.append([int(x) for x in row])
+    return out
+
+
+def _assert_kernels_match_the_oracles(rows):
+    det = _fraction_det(rows)
+    assert integer_det(rows) == det, rows
+    if det in (1, -1):
+        assert integer_inverse(rows) == _fraction_inverse(rows), rows
+    else:
+        with pytest.raises(ValueError):
+            integer_inverse(rows)
+
+
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+@example([])
+@settings(max_examples=120, deadline=None)
+def test_integer_kernels_match_the_fraction_oracles(rows):
+    _assert_kernels_match_the_oracles(rows)
+    # a repeated row makes it singular
+    if rows:
+        _assert_kernels_match_the_oracles(rows[:-1] + rows[:1])
+
+
+def _unimodular(n, rng, steps):
+    """A product of `steps` random elementary integer matrices and sign flips."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            a[i] = [-x for x in a[i]]
+        else:
+            c = rng.randint(-3, 3)
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    return a
+
+
+def test_integer_kernels_match_the_oracles_on_unimodular_products():
+    rng = random.Random(5)
+    for n in range(1, 9):
+        for _ in range(12):
+            a = _unimodular(n, rng, 3 * n)
+            assert abs(_fraction_det(a)) == 1
+            _assert_kernels_match_the_oracles(a)
+
+
+def test_integer_kernels_match_the_oracles_on_the_rank_lemma(monkeypatch):
+    seen = []
+
+    def recording(name):
+        kernel = getattr(pel_modules, name)
+
+        def record(rows):
+            seen.append(rows)
+            return kernel(rows)
+
+        return record
+
+    for name in ("integer_det", "integer_inverse"):
+        monkeypatch.setattr(pel_modules, name, recording(name))
+    for disc in (-3, -4, -7):
+        for p in range(5):
+            for q in range(5):
+                pel_modules.global_rank_lemma(p, q, disc)
+    assert len(seen) > 100
+    for rows in seen:
+        _assert_kernels_match_the_oracles(rows)

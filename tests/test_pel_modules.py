@@ -46,10 +46,11 @@ def _dense_rows(rows, ncols, zero):
 
 
 class _DenseDecomposition:
-    """Oracle for pel_modules._Decomposition: one Smith normal form of the whole dense system."""
+    """Oracle for pel_modules._Decomposition: one Smith normal form of the
+    whole dense system, with no presolve and no blocks."""
 
     def __init__(self, field, rows, ncols):
-        self.dec = smith_normal_form(RingMatrix(field, _dense_rows(rows, ncols, LocalMonomial.zero(field))))
+        self.dec = smith_normal_form(RingMatrix(field, _dense_rows(rows, ncols, LocalMonomial.zero(field))), ncols=ncols)
         self.exponents = self.dec.exponents
         self.free_slots = [t for t, e in enumerate(self.exponents) if e == INF]
         self.free_slots += list(range(len(self.exponents), ncols))
@@ -58,9 +59,9 @@ class _DenseDecomposition:
     def free_rank(self):
         return len(self.free_slots)
 
-    def free_coordinates(self, flat):
+    def free_terms(self, flat):
         row = self.dec.V[flat]
-        return [row[s] for s in self.free_slots]
+        return [(s, row[f]) for s, f in enumerate(self.free_slots) if row[f].coeff]
 
 
 class _TamperedDecomposition:
@@ -71,17 +72,17 @@ class _TamperedDecomposition:
     def __init__(self, field, rows, ncols, zeroed=(), revived=(), scaled=False):
         self.dec = _DECOMPOSITION(field, rows, ncols)
         self.free_rank, self.exponents = self.dec.free_rank, self.dec.exponents
-        self.zero, self.unit = LocalMonomial.zero(field), LocalMonomial.one(field)
+        self.unit = LocalMonomial.one(field)
         self.zeroed, self.revived = set(zeroed), set(revived)
         self.factor = LocalMonomial(field, 1, field.one) if scaled else self.unit
 
-    def free_coordinates(self, flat):
-        coords = [self.factor * a for a in self.dec.free_coordinates(flat)]
+    def free_terms(self, flat):
+        terms = [(s, self.factor * a) for s, a in self.dec.free_terms(flat)]
         if flat in self.zeroed:
-            return [self.zero] * len(coords)
+            return []
         if flat in self.revived:
-            return [self.unit] + coords[1:]
-        return coords
+            return [(0, self.unit)] + [(s, a) for s, a in terms if s != 0]
+        return terms
 
 
 _DECOMPOSITION = pel_modules._Decomposition
@@ -291,7 +292,9 @@ def _assert_partition(rows, ncols, blocks):
 def test_relation_rows_split_into_small_blocks(monkeypatch):
     letters = find_test_letters(UNITARY, "A")
     for swap in (False, True):
-        ncols, rows = relation_generators(UNITARY, (3, 3), letters, include_swap=swap)
+        ncols, rows = relation_generators(UNITARY, (3, 3), letters)
+        if swap:
+            rows += pel_modules._swap_rows(UNITARY, (3, 3))
         blocks = split_blocks(rows, ncols)
         _assert_partition(rows, ncols, blocks)
         assert {len(cols) for cols, _ in blocks} <= {2, 4}
@@ -299,11 +302,23 @@ def test_relation_rows_split_into_small_blocks(monkeypatch):
     p, r = 4, 8
     rows = pel_modules._rank_relations(p, p, *pel_modules._omega_data(-4))
     ncols = 2 * r * r
-    blocks = split_blocks(rows, ncols, [(2 * c, 2 * c + 1) for c in range(r * r)])
-    _assert_partition(rows, ncols, blocks)
-    assert max(len(cols) for cols, _ in blocks) <= 4
+    rank_blocks = split_blocks(rows, ncols, [(2 * c, 2 * c + 1) for c in range(r * r)])
+    _assert_partition(rows, ncols, rank_blocks)
+    assert max(len(cols) for cols, _ in rank_blocks) <= 4
 
-    # the reductions themselves see only blocks
+    # the reductions see only the blocks that survive the presolve: those of
+    # the relation rows, of the basis audit's rows and of the symmetrized rows
+    qs = quotient_structure(UNITARY, (3, 3), "A")
+    ncols, rows = relation_generators(UNITARY, (3, 3), letters)
+    dec = pel_modules._Decomposition(UNITARY.field, rows, ncols)
+    basis = [dec.free_terms(chain[-1]) for _, chain in qs.chains]
+    sym_rows = rows + pel_modules._swap_rows(UNITARY, (3, 3))
+    surviving = [
+        *_presolved_blocks(rows, ncols),
+        *_presolved_blocks(basis, dec.free_rank),
+        *_presolved_blocks(sym_rows, ncols),
+    ]
+    expected = len(surviving) + len(rank_blocks)
     widths = []
     for name in ("smith_normal_form", "integer_smith_normal_form"):
         original = getattr(pel_modules, name)
@@ -318,7 +333,57 @@ def test_relation_rows_split_into_small_blocks(monkeypatch):
     assert (rep.exponent, rep.violations) == (rep.expected, [])
     got, want = rank_lemma_fields(global_rank_lemma(p, p, -4))
     assert got == want
-    assert len(widths) > 100 and max(widths) <= 4
+    assert len(widths) == expected and max(widths) <= 4
+
+
+def _presolved_blocks(rows, ncols):
+    """Columns of the blocks that reach a Smith normal form: every row with
+    one unit entry kills its column, and split_blocks cuts the other rows,
+    less the killed columns, into blocks."""
+    killed = {row[0][0] for row in rows if len(row) == 1 and row[0][1].val == 0}
+    rest = [[(c, a) for c, a in row if c not in killed] for row in rows]
+    return [cols for cols, _ in split_blocks(rest, ncols) if cols[0] not in killed]
+
+
+def _presolve_systems():
+    """(name, field, rows, ncols), one hand-built system per presolve path."""
+    field = UNITARY.field
+    z = field.generator
+
+    def m(val, coeff=field.one):
+        return LocalMonomial(field, val, coeff)
+
+    return [
+        # column 1 dies by the unit row and also sits in a u-row, whose
+        # other entry is left as pi-torsion
+        ("unit row and u-row", field, [[(1, m(0, z))], [(0, m(1)), (1, m(0, -field.one))]], 3),
+        ("duplicate unit rows", field, [[(0, m(0))], [(0, m(0, z))], [(1, m(1)), (2, m(0))]], 3),
+        # pi . e_0 = 0 is torsion, not a kill
+        ("valuation-1 single entry", field, [[(0, m(1))], [(1, m(1)), (2, m(1, z))]], 3),
+        ("row left empty", field, [[(0, m(0))], [(1, m(0, z))], [(0, m(2)), (1, m(2))]], 3),
+        ("no rows", field, [], 2),
+    ]
+
+
+@pytest.mark.parametrize("name,field,rows,ncols", _presolve_systems(), ids=[s[0] for s in _presolve_systems()])
+def test_presolve_matches_the_dense_oracle(name, field, rows, ncols):
+    dec = pel_modules._Decomposition(field, rows, ncols)
+    oracle = _DenseDecomposition(field, rows, ncols)
+    assert (dec.exponents, dec.free_rank) == (oracle.exponents, oracle.free_rank)
+    # whether a class survives does not depend on the basis of the free part
+    alive = [bool(dec.free_terms(c)) for c in range(ncols)]
+    assert alive == [bool(oracle.free_terms(c)) for c in range(ncols)]
+
+
+def test_presolve_paths_are_taken():
+    # the hand-built systems above really exercise what they are named for
+    systems = {name: (rows, ncols) for name, _, rows, ncols in _presolve_systems()}
+    rows, ncols = systems["unit row and u-row"]
+    assert _presolved_blocks(rows, ncols) == [[0], [2]]
+    rows, ncols = systems["valuation-1 single entry"]
+    assert _presolved_blocks(rows, ncols) == [[0], [1, 2]]
+    rows, ncols = systems["row left empty"]
+    assert _presolved_blocks(rows, ncols) == [[2]]
 
 
 # -- image exponents ----------------------------------------------------------
