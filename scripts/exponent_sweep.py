@@ -18,13 +18,14 @@ from pelks.pel_modules import image_exponent
 
 def row(desc, signature, kind):
     try:
-        rep = image_exponent(desc, signature, kind)
+        computed, expected = image_exponent(desc, signature, kind)
     except DegenerateTestElement:
         # type A needs 2n distinct Frobenius translates of a residue
         # pair; the smallest fields cannot supply one
         return "n/a (field too small)"
-    flag = "" if (rep.exponent, rep.violations) == (rep.expected, []) else "  <-- INCONSISTENT"
-    return f"{rep.exponent:3d} (want {rep.expected}){flag}"
+    consistent = (computed["exponent"], computed["violations"]) == (expected["exponent"], [])
+    flag = "" if consistent else "  <-- INCONSISTENT"
+    return f"{computed['exponent']:3d} (want {expected['exponent']}){flag}"
 
 
 def main():

@@ -278,9 +278,6 @@ class FiniteField:
             raise ValueError(f"{code} is not a code of {self}")
         return FiniteFieldElement(self, self._log[code])
 
-    def elements(self):
-        return [self(c) for c in range(self.size)]
-
     def __repr__(self):
         return f"GF({self.p}^{self.m})" if self.m > 1 else f"GF({self.p})"
 
@@ -399,22 +396,16 @@ class RingMatrix:
 
 
 class SmithDecomposition:
-    """Result of Smith normal form.
+    """Result of the integer Smith normal form: U @ A @ V = D with U, V
+    unimodular lists of int lists, and `divisors` the nonnegative
+    elementary divisors."""
 
-    Over Z, U @ A @ V = D with U, V unimodular lists of int lists, and
-    `divisors` holds the nonnegative elementary divisors.  Over the
-    valuation ring only V is kept, and `exponents` lists the pi-adic
-    exponents of the diagonal divisors in nondecreasing order; +inf
-    marks an exactly zero divisor.
-    """
+    __slots__ = ("U", "D", "V", "divisors")
 
-    __slots__ = ("U", "D", "V", "exponents", "divisors")
-
-    def __init__(self, U, D, V, exponents=None, divisors=None):
+    def __init__(self, U, D, V, divisors):
         self.U = U
         self.D = D
         self.V = V
-        self.exponents = exponents
         self.divisors = divisors
 
 
@@ -470,8 +461,10 @@ def smith_normal_form(matrix, ncols=None):
     """Smith normal form over GF(q^n)[[pi]] of a matrix of monomials.
 
     Pivot selection takes the entry of minimal valuation, breaking ties
-    lexicographically by (row, column).  V is returned as a list of
-    rows; a vector x has quotient coordinates x @ V.  Raises NonMonomial
+    lexicographically by (row, column).  Returns (V, exponents): V as a
+    list of rows, so a vector x has quotient coordinates x @ V, and the
+    pi-adic exponents of the diagonal divisors in nondecreasing order,
+    +inf marking an exactly zero divisor.  Raises NonMonomial
     when an elimination step would leave the monomial class.  ncols
     defaults to the first row's length; a matrix without rows needs it,
     and its V is the identity on ncols columns.
@@ -528,7 +521,7 @@ def smith_normal_form(matrix, ncols=None):
     finite = [e for e in exponents if e != INF]
     if finite != sorted(finite):
         raise AssertionError(f"divisor exponents not nondecreasing: {exponents}")
-    return SmithDecomposition(None, None, V, exponents=exponents)
+    return V, exponents
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +619,7 @@ def integer_smith_normal_form(rows, ncols=None):
             raise AssertionError(f"divisor chain broken: {divisors}")
         if a == 0 and b != 0:
             raise AssertionError(f"zero divisor precedes nonzero: {divisors}")
-    return SmithDecomposition(U, A, V, divisors=divisors)
+    return SmithDecomposition(U, A, V, divisors)
 
 
 def _square_integer_rows(rows):

@@ -80,16 +80,6 @@ class CyclicAlgebraElement:
         self.descriptor = descriptor
         self.coeffs = tuple(coeffs)
 
-    def __add__(self, other):
-        d = self.descriptor
-        return CyclicAlgebraElement(d, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return CyclicAlgebraElement(self.descriptor, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         """Product using u^n = pi and u x = tau(x) u.
 
@@ -120,13 +110,6 @@ class CyclicAlgebraElement:
             t = t + d.tau(self.coeffs[0], r)
         return t
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CyclicAlgebraElement)
-            and self.descriptor == other.descriptor
-            and self.coeffs == other.coeffs
-        )
-
     def __repr__(self):
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -135,25 +118,9 @@ class CyclicAlgebraElement:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class DiscriminantReport:
-    """Local discriminant exponent and the image-ideal multiplier.
-
-    `disc_exponent` is the pi-exponent of the discriminant of the
-    maximal order, `multiplier` the factor n_v entering image-ideal
-    counts (1 for the ramified division algebra, 0 when split), and
-    `gram_exponent` the independent recomputation from the reduced
-    trace Gram matrix.
-    """
-
-    n: int
-    disc_exponent: int
-    multiplier: int
-    gram_exponent: int
-
-
 def discriminant_report(descriptor):
-    """Discriminant data for B, cross-checked on the trace Gram matrix.
+    """Discriminant data of B from its reduced trace Gram matrix, as
+    (computed, expected).
 
     The maximal order has O_F-basis {zeta^a u^i} with zeta a residue
     generator.  The Gram matrix of the reduced trace pairing on that
@@ -161,6 +128,12 @@ def discriminant_report(descriptor):
     block is the unit trace form of the residue extension, and each of
     the n - 1 blocks with i + j = n picks up one factor pi per row,
     giving valuation n per block and n(n-1) in total.
+
+    Computed: the Gram exponent (the sum of the Smith exponents) is the
+    discriminant exponent, and the image-ideal multiplier n_v is 1
+    exactly when it is positive (the place ramifies).  Expected: the
+    closed form n(n-1) and multiplier 1 for a division algebra, 0 and 0
+    when split.
     """
     d = descriptor
     n = d.n
@@ -176,11 +149,16 @@ def discriminant_report(descriptor):
         field,
         [[(x * y).reduced_trace() for y in basis] for x in basis],
     )
-    dec = smith_normal_form(gram)
-    gram_exponent = sum(dec.exponents)
-    return DiscriminantReport(
-        n=n,
-        disc_exponent=n * (n - 1) if d.is_division else 0,
-        multiplier=int(d.is_division),
-        gram_exponent=int(gram_exponent),
-    )
+    gram_exponent = int(sum(smith_normal_form(gram)[1]))
+    closed = n * (n - 1) if d.is_division else 0
+    computed = {
+        "disc_exponent": gram_exponent,
+        "gram_exponent": gram_exponent,
+        "multiplier": int(gram_exponent > 0),
+    }
+    expected = {
+        "disc_exponent": closed,
+        "gram_exponent": closed,
+        "multiplier": int(d.is_division),
+    }
+    return computed, expected

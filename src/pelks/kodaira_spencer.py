@@ -40,15 +40,16 @@ extension of the target functional.  Both sides are determined by
 their values on the standard complex basis, which is how the solver
 sets up its square real system.
 
-Every result is a plain array.  Sampled ones carry the leading sample
-axis of their points (`domains`): a lattice stack gives w-vectors of
-shape (..., targets, nr), phi tensors (..., nr, nr, labels) and one
-psi value per sample; the cocycle Jacobian is (elements, nr, labels),
-its numeric twin at a point stack (..., elements, nr, labels).  The
-metric identity draws all its samples as one stack.
+Every result is a plain array, or a pair with one.  Sampled ones carry
+the leading sample axis of their points (`domains`): a lattice stack
+gives w-vectors of shape (..., targets, nr), phi tensors
+(..., nr, nr, labels) and one psi value and off-block defect per
+sample; the cocycle Jacobian is (elements, nr, labels), its numeric
+twin at a point stack (..., elements, nr, labels).  The metric
+identity draws all its samples as one stack and returns one ratio per
+sample, with the exponent k0.
 """
 
-from dataclasses import dataclass
 from functools import reduce
 from math import pi
 from operator import mul
@@ -244,18 +245,9 @@ def matched_vanishing_defect(phi, emb):
     return float(np.maximum(plain, slots[..., half:, :, half:, :].max()))
 
 
-@dataclass(frozen=True)
-class PsiReport:
-    """psi of one phi array, or of each phi of a stack (then every field
-    is an array over the samples)."""
-
-    value: complex
-    modulus: float
-    off_block_defect: float
-
-
 def psi_constant(phi, emb):
-    """Product of the block determinants of the contraction.
+    """Product of the block determinants of the contraction, as
+    (value, off_block_defect), each one per sample of a phi stack.
 
     The block of domain coordinate t = (a, b) pairs dz_{ib} against
     dz_{l, a + r/2} (two-block model) or dz_{la} (classical model) at
@@ -276,7 +268,7 @@ def psi_constant(phi, emb):
     per_label = np.stack(dets, axis=-1)
     value = np.array([reduce(mul, row, 1.0 + 0j) for row in per_label.reshape(-1, len(labels))])
     value = value.reshape(per_label.shape[:-1])
-    return PsiReport(value[()], per_sample(abs, value), np.max(off, axis=0)[()])
+    return value[()], np.max(off, axis=0)[()]
 
 
 def psi_modulus_closed_form(emb, mu):
@@ -284,23 +276,17 @@ def psi_modulus_closed_form(emb, mu):
     return float((det_mu / (2 * pi) ** emb.n) ** len(domain_coordinates(emb)))
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    ratios: tuple
-    max_defect: float
-    exponent: int
-
-
 def metric_identity_check(emb, mu, samples, seed):
     """Sample the identity |c| . ||d tau|| = (lattice norm)^{k0}.
 
-    k0 is r/2 for the two-block model and r + 1 for the classical one;
-    the report carries every sampled ratio so a failure shows its shape.
-    All samples go through the pipeline as one stack.
+    k0 is r/2 for the two-block model and r + 1 for the classical one.
+    Returns (ratios, k0): the ratio of the two sides at every sample,
+    which the identity sets to 1.  All samples go through the pipeline
+    as one stack.
     """
     points = random_point(emb.kind, domain_genus(emb), default_rng(seed), samples)
     k0 = emb.r // 2 if emb.kind == "A" else emb.r + 1
     lat = build_lattice(points, emb)
-    psi = psi_constant(assemble_phi(emb, solve_w_vectors(lat, RiemannForm(emb, mu))), emb)
-    ratios = psi.modulus * petersson_norm(points, emb.n) / per_sample(lambda f: float(f) ** k0, faltings_norm(lat))
-    return MetricReport(tuple(float(x) for x in ratios), float(np.abs(ratios - 1).max()), k0)
+    value, _ = psi_constant(assemble_phi(emb, solve_w_vectors(lat, RiemannForm(emb, mu))), emb)
+    lattice_side = per_sample(lambda f: float(f) ** k0, faltings_norm(lat))
+    return per_sample(abs, value) * petersson_norm(points, emb.n) / lattice_side, k0

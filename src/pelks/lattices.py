@@ -338,30 +338,14 @@ class RiemannForm:
         return bool(eigs.min() > 1e-10)
 
 
-@dataclass(frozen=True)
-class SelfDualMu:
-    scale: float
-    sign: int
-    gram_det: float
-    trace_covolume: float
-    covolume_matched: bool
-
-    @property
-    def value(self):
-        return self.sign * self.scale
-
-    def matrix(self, n):
-        return self.value * np.eye(n, dtype=complex)
-
-
 def solve_self_dual_mu(lattice):
     """Search the real scalar family mu = c . I_n for a unimodular form.
 
     The modulus is pinned by the Gram determinant of the basic form
     (mu = I): |c| = |det G_I|^{1/(2nr)}.  The sign is pinned by positive
-    definiteness of H = E(i., .) + iE(., .).  Both candidates failing
-    integrality or positivity is reported as NoSelfDualForm; that is an
-    honest refusal, not a numerical fallback.
+    definiteness of H = E(i., .) + iE(., .).  Returns the signed scalar
+    c.  Both candidates failing integrality or positivity is reported as
+    NoSelfDualForm; that is an honest refusal, not a numerical fallback.
     """
     emb = lattice.embedding
     base = RiemannForm(emb, 1.0)
@@ -370,30 +354,12 @@ def solve_self_dual_mu(lattice):
         raise NoSelfDualForm("basic form is degenerate on the lattice")
     two_nr = 2 * emb.n * emb.r
     c = float(np.exp(logdet / two_nr))
-    chosen = None
     for sign in (-1, 1):
         form = RiemannForm(emb, sign * c)
-        if form.integrality_defect() > 1e-9:
-            continue
-        if not form.is_positive(lattice):
-            continue
-        det_mu_gram = abs(np.linalg.det(form.gram))
-        chosen = (sign, det_mu_gram)
-        break
-    if chosen is None:
-        raise NoSelfDualForm(
-            f"no real scalar mu with |c| = {c:.6g} is unimodular and positive"
-        )
-    sign, det_mu_gram = chosen
-    trace_cov = emb.trace_covolume()
-    det_mu_power = c ** (emb.n * emb.r)
-    matched = abs(det_mu_power / trace_cov - 1.0) < 1e-6
-    return SelfDualMu(
-        scale=c,
-        sign=sign,
-        gram_det=det_mu_gram,
-        trace_covolume=trace_cov,
-        covolume_matched=matched,
+        if form.integrality_defect() <= 1e-9 and form.is_positive(lattice):
+            return sign * c
+    raise NoSelfDualForm(
+        f"no real scalar mu with |c| = {c:.6g} is unimodular and positive"
     )
 
 

@@ -37,11 +37,14 @@ shape: one free line per eligible column pair, spanned by the chain
     e_{1j} (x) e'_{1k} = pi e_{2j} (x) e'_{nk} = pi e_{ij} (x) e'_{(n+2-i)k},
 
 whose pi-exponent profile (1, 0, ..., 0) is the local contribution to
-the image ideal.
+the image ideal.  quotient_structure, image_exponent and
+global_rank_lemma return the check catalog's (computed, expected) pair
+themselves: the free rank, exponent or torsion next to its prediction,
+and every failed audit as a line of `violations`.
 """
 
-from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
+from math import prod
 
 from .algebra import (
     INF,
@@ -173,7 +176,7 @@ def _swap_rows(descriptor, signature):
 
 @lru_cache(maxsize=16)
 def _relation_system(descriptor, signature, kind):
-    """(letters, ncols, x/u rows, swap rows) of one place.
+    """(ncols, x/u rows, swap rows) of one place.
 
     quotient_structure and image_exponent ask for the same system, so it
     is built once per (descriptor, signature, kind); the rows are shared
@@ -181,7 +184,7 @@ def _relation_system(descriptor, signature, kind):
     """
     letters = find_test_letters(descriptor, kind)
     ncols, rows = relation_generators(descriptor, signature, letters)
-    return letters, ncols, tuple(rows), tuple(_swap_rows(descriptor, signature))
+    return ncols, tuple(rows), tuple(_swap_rows(descriptor, signature))
 
 
 def _dense(rows, cols, row_ids, zero):
@@ -221,8 +224,7 @@ class _Decomposition:
             if cols[0] in killed:  # alone in its block, since no row touches it
                 continue
             dense = _dense(rest, cols, row_ids, zero)
-            dec = smith_normal_form(RingMatrix(field, dense), ncols=len(cols))
-            V, exponents = dec.V, dec.exponents
+            V, exponents = smith_normal_form(RingMatrix(field, dense), ncols=len(cols))
             finite += [e for e in exponents if e != INF]
             free = [t for t, e in enumerate(exponents) if e == INF]
             free += range(len(exponents), len(cols))
@@ -261,10 +263,10 @@ def _eligible_pairs(signature, kind, symmetrized):
 def _relation_quotient(descriptor, signature, kind, symmetrized):
     """Shared start of quotient_structure and image_exponent.
 
-    Validates the input, picks the test letters, decomposes the
-    quotient by the relations (with the swap relations when
-    symmetrized) and records the free-rank and torsion violations.
-    Returns (letters, decomposition, eligible pairs, violations).
+    Validates the input, decomposes the quotient by the relations (with
+    the swap relations when symmetrized) and records the free-rank and
+    torsion violations.  Returns (decomposition, eligible pairs,
+    violations).
     """
     if kind not in ("A", "C"):
         raise ValueError(f"kind must be 'A' or 'C', got {kind!r}")
@@ -281,7 +283,7 @@ def _relation_quotient(descriptor, signature, kind, symmetrized):
         raise ValueError(
             "dual action tables are compatible with the u shift only for n <= 2"
         )
-    letters, ncols, rows, swaps = _relation_system(descriptor, signature, kind)
+    ncols, rows, swaps = _relation_system(descriptor, signature, kind)
     dec = _Decomposition(descriptor.field, rows + swaps if symmetrized else rows, ncols)
     pairs = _eligible_pairs(signature, kind, symmetrized)
 
@@ -292,40 +294,25 @@ def _relation_quotient(descriptor, signature, kind, symmetrized):
     torsion = [e for e in dec.exponents if e != INF and e > 0]
     if torsion:
         violations.append(f"unexpected torsion exponents {torsion}")
-    return letters, dec, pairs, violations
-
-
-@dataclass
-class QuotientStructure:
-    """Computed shape of (plain (x) dual) / relations, with its audit trail."""
-
-    signature: tuple
-    kind: str
-    letters: tuple
-    free_rank: int
-    expected_free_rank: int
-    exponents: list
-    eligible_pairs: list
-    chains: list
-    violations: list = dataclass_field(default_factory=list)
+    return dec, pairs, violations
 
 
 def quotient_structure(descriptor, signature, kind):
-    """Quotient of the tensor module by the x- and u-relations.
+    """Quotient of the tensor module by the x- and u-relations, as
+    (computed, expected) free rank and violations.
 
     Validates the predicted structure: the quotient is O_E-free, one
     line per eligible (j, k) with the chain classes equal from C_2 on
     and C_1 = pi C_2, every other class zero, and the surviving lines
     independent.
     """
-    letters, dec, pairs, violations = _relation_quotient(
+    dec, pairs, violations = _relation_quotient(
         descriptor, signature, kind, symmetrized=False
     )
     field = descriptor.field
     n, r = descriptor.n, sum(signature)
-    expected_rank = len(pairs)
 
-    chains = []
+    last_classes = []
     survivor_flats = set()
     pi = LocalMonomial(field, 1, field.one)
     for (j, k) in pairs:
@@ -340,7 +327,7 @@ def quotient_structure(descriptor, signature, kind):
             violations.append(f"chain ({j},{k}): twist C_1 = pi C_2 fails")
         if not tail:
             violations.append(f"chain ({j},{k}): surviving class vanishes")
-        chains.append(((j, k), chain))
+        last_classes.append(chain[-1])
 
     for flat in range((n * r) ** 2):
         if flat not in survivor_flats and dec.free_terms(flat):
@@ -349,57 +336,35 @@ def quotient_structure(descriptor, signature, kind):
                 f"class e_({i + 1}{j + 1}) (x) e'_({l + 1}{k + 1}) should die but survives"
             )
 
-    if expected_rank and not violations:
-        basis = [dec.free_terms(chain[-1]) for (_, chain) in chains]
+    if pairs and not violations:
+        basis = [dec.free_terms(flat) for flat in last_classes]
         if any(e != 0 for e in _Decomposition(field, basis, dec.free_rank).exponents):
             violations.append("surviving lines are not an O_E-basis of the quotient")
 
-    return QuotientStructure(
-        signature=signature,
-        kind=kind,
-        letters=letters,
-        free_rank=dec.free_rank,
-        expected_free_rank=expected_rank,
-        exponents=list(dec.exponents),
-        eligible_pairs=pairs,
-        chains=chains,
-        violations=violations,
-    )
-
-
-@dataclass
-class ImageExponentReport:
-    """Image-ideal exponent at one place, with per-chain profiles."""
-
-    signature: tuple
-    kind: str
-    exponent: int
-    expected: int
-    dim: int
-    multiplier: int
-    free_rank: int
-    chain_profiles: list
-    violations: list = dataclass_field(default_factory=list)
+    computed = {"free_rank": dec.free_rank, "violations": violations}
+    return computed, {"free_rank": len(pairs), "violations": []}
 
 
 def image_exponent(descriptor, signature, kind):
-    """pi-exponent of the image ideal after symmetrization.
+    """pi-exponent of the image ideal after symmetrization, as
+    (computed, expected).
 
     Adds the swap relations to the x- and u-relations, then reads off
     the valuation profile of each merged chain against its primitive
-    class.  The expected total is (discriminant multiplier) x (number
-    of unordered eligible pairs).
+    class; each profile must be (multiplier, 0, ..., 0).  The expected
+    total is (discriminant multiplier) x (number of unordered eligible
+    pairs).
     """
-    _, dec, reps, violations = _relation_quotient(
+    dec, reps, violations = _relation_quotient(
         descriptor, signature, kind, symmetrized=True
     )
     n, r = descriptor.n, sum(signature)
     dim = (r * r) // 4 if kind == "A" else r * (r + 1) // 2
     multiplier = int(descriptor.is_division)
+    predicted = [multiplier] + [0] * (n - 1)
 
     zero = LocalMonomial.zero(descriptor.field)
     exponent = 0
-    profiles = []
     for (j, k) in reps:
         chain = _chain_indices(n, r, j, k)
         terms = [dec.free_terms(flat) for flat in chain]
@@ -411,10 +376,11 @@ def image_exponent(descriptor, signature, kind):
             else:
                 vals.append(min(a.val for _, a in y))
         if any(v is None for v in vals):
-            profiles.append(((j, k), vals))
             continue
         base = min(vals)
         profile = [v - base for v in vals]
+        if profile != predicted:
+            violations.append(f"chain ({j},{k}): pi-exponent profile {profile}, predicted {predicted}")
         # proportionality: consecutive classes span the same line; a
         # 2x2 minor with a slot outside both supports vanishes
         for i0 in range(1, len(terms)):
@@ -427,19 +393,9 @@ def image_exponent(descriptor, signature, kind):
             ):
                 violations.append(f"chain ({j},{k}): classes {i0} and {i0 + 1} not proportional")
         exponent += sum(profile)
-        profiles.append(((j, k), profile))
 
-    return ImageExponentReport(
-        signature=signature,
-        kind=kind,
-        exponent=exponent,
-        expected=multiplier * dim,
-        dim=dim,
-        multiplier=multiplier,
-        free_rank=dec.free_rank,
-        chain_profiles=profiles,
-        violations=violations,
-    )
+    computed = {"exponent": exponent, "dim": dim, "multiplier": multiplier, "violations": violations}
+    return computed, {"exponent": multiplier * dim, "violations": []}
 
 
 # -- global rank lemma --------------------------------------------------------
@@ -474,24 +430,6 @@ def _qnorm(a, t0, t1):
     return n[0]
 
 
-@dataclass
-class GlobalRankReport:
-    """Free rank, torsion, and determinant-line probes of (W (x) W) / R."""
-
-    signature: tuple
-    discriminant: int
-    free_rank: int
-    expected_free_rank: int
-    torsion_divisors: list
-    torsion_annihilated: bool
-    torsion_order_matches: bool
-    probe_left: int
-    probe_right: int
-    normalizer_exists: bool
-    expected_normalizer: bool
-    violations: list = dataclass_field(default_factory=list)
-
-
 def global_rank_lemma(p, q, discriminant):
     """Rank and normalizer count for (W (x)_{O_F} W) / R over Z[omega].
 
@@ -501,7 +439,8 @@ def global_rank_lemma(p, q, discriminant):
     mismatched classes, with each matched class contributing torsion
     killed by the discriminant.  A determinant normalizer exists
     exactly for balanced signatures, probed by the action of
-    diag(1 + omega, 1, ..., 1) on each block.
+    diag(1 + omega, 1, ..., 1) on each block.  Returns (computed,
+    expected) free rank, torsion, normalizer and violations.
     """
     if discriminant >= 0:
         raise ValueError("expected the discriminant of an imaginary quadratic order")
@@ -524,16 +463,12 @@ def global_rank_lemma(p, q, discriminant):
         if free:
             probed.append((cols, dec.V, integer_inverse(dec.V), free))
     free_rank = N - sum(1 for d in divisors if d)
-    expected_free = 2 * p * q
 
-    torsion = _invariant_factors([d for d in divisors if d > 1])
+    # the torsion is the sum of the Z/d over the block divisors d > 1: |D|
+    # kills it when it kills each of them, and its order is their product
+    torsion = [d for d in divisors if d > 1]
     absD = -discriminant
-    annihilated = all(absD % d == 0 for d in torsion)
     matched_unordered = p * (p + 1) // 2 + q * (q + 1) // 2
-    order = 1
-    for d in torsion:
-        order *= d
-    order_matches = order == absD**matched_unordered
 
     violations = []
 
@@ -580,23 +515,21 @@ def global_rank_lemma(p, q, discriminant):
     b = probe("right")
     if p * q and (a != q or b != p):
         violations.append(f"probe exponents ({a}, {b}) differ from ({q}, {p})")
-    exists = (a == b) if p * q else (p == q)
-
-    report = GlobalRankReport(
-        signature=(p, q),
-        discriminant=discriminant,
-        free_rank=free_rank,
-        expected_free_rank=expected_free,
-        torsion_divisors=torsion,
-        torsion_annihilated=annihilated,
-        torsion_order_matches=order_matches,
-        probe_left=a,
-        probe_right=b,
-        normalizer_exists=exists,
-        expected_normalizer=p == q,
-        violations=violations,
-    )
-    return report
+    computed = {
+        "free_rank": free_rank,
+        "torsion_annihilated": all(absD % d == 0 for d in torsion),
+        "torsion_order_matches": prod(torsion) == absD**matched_unordered,
+        "normalizer_exists": (a == b) if p * q else (p == q),
+        "violations": violations,
+    }
+    expected = {
+        "free_rank": 2 * p * q,
+        "torsion_annihilated": True,
+        "torsion_order_matches": True,
+        "normalizer_exists": p == q,
+        "violations": [],
+    }
+    return computed, expected
 
 
 def _rank_relations(p, q, t0, t1):
@@ -626,32 +559,6 @@ def _rank_relations(p, q, t0, t1):
                 for coeff in (one, omega):
                     rows.append(row((cls, coeff), (j * r + i, (-coeff[0], -coeff[1]))))
     return rows
-
-
-def _invariant_factors(orders):
-    """Invariant factors > 1 of the sum of the cyclic groups Z/d, d in `orders`, ascending.
-
-    Per prime, the t-th largest prime-power part of the orders goes into
-    the t-th largest factor.
-    """
-    parts = {}
-    for d in orders:
-        f = 2
-        while d > 1:
-            if f * f > d:
-                f = d
-            pf = 1
-            while d % f == 0:
-                d //= f
-                pf *= f
-            if pf > 1:
-                parts.setdefault(f, []).append(pf)
-            f += 1
-    factors = [1] * max(map(len, parts.values()), default=0)
-    for powers in parts.values():
-        for t, pf in enumerate(sorted(powers, reverse=True)):
-            factors[t] *= pf
-    return sorted(factors)
 
 
 def _imatmul(A, B):

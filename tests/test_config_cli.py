@@ -468,7 +468,8 @@ def test_rank_lemma_fails_on_every_field_it_judges(monkeypatch, field, value):
     real = pelks.checks.global_rank_lemma
 
     def broken(p, q, discriminant):
-        return dataclasses.replace(real(p, q, discriminant), **{field: value})
+        computed, expected = real(p, q, discriminant)
+        return computed | {field: value}, expected
 
     monkeypatch.setattr(pelks.checks, "global_rank_lemma", broken)
     (entry,) = run_checks(resolve_config("unitary-A"), only="global.rank-lemma")["checks"]

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from pelks.algebra import integer_det
+from pelks.checks import COVOLUME_TOL
 from pelks.domains import HermitianPoint, SiegelPoint
 from pelks.lattices import (
     NoSelfDualForm,
@@ -262,34 +263,35 @@ def test_pair_vectors_matches_gram_and_alternates():
             assert abs(pair_vectors(form, lat, va, vb) + pair_vectors(form, lat, vb, va)) < 1e-10
 
 
+def _assert_self_dual(lat, mu, trace_covolume):
+    """mu = c I_n makes the form unimodular, and |c|^{nr} is the
+    trace-form covolume of the order."""
+    emb = lat.embedding
+    assert abs(abs(np.linalg.det(RiemannForm(emb, mu).gram)) - 1.0) < 1e-9
+    assert abs(emb.trace_covolume() - trace_covolume) < 1e-9
+    assert abs(abs(mu) ** (emb.n * emb.r) / trace_covolume - 1.0) < COVOLUME_TOL
+
+
 def test_solve_self_dual_gaussian():
     lat = build_lattice(HermitianPoint([[0.3 + 1.1j]]), gaussian_unitary())
     mu = solve_self_dual_mu(lat)
-    assert mu.sign == -1
-    assert abs(mu.scale - 2.0) < 1e-9
-    assert abs(mu.value + 2.0) < 1e-9
-    assert abs(mu.gram_det - 1.0) < 1e-9
-    assert abs(mu.trace_covolume - 4.0) < 1e-9
-    assert mu.covolume_matched
-    assert np.abs(mu.matrix(1) - np.array([[-2.0]])).max() < 1e-9
+    assert abs(mu + 2.0) < 1e-9
+    _assert_self_dual(lat, mu, 4.0)
 
 
 def test_solve_self_dual_siegel():
     zm = np.array([[0.2 + 1.4j, 0.1 + 0.2j], [0.1 + 0.2j, -0.3 + 1.1j]])
     lat = build_lattice(SiegelPoint(zm), rational_siegel(2))
     mu = solve_self_dual_mu(lat)
-    assert abs(mu.value + 1.0) < 1e-9
-    assert abs(mu.trace_covolume - 1.0) < 1e-9
-    assert mu.covolume_matched
+    assert abs(mu + 1.0) < 1e-9
+    _assert_self_dual(lat, mu, 1.0)
 
 
 def test_solve_self_dual_basechange():
     lat = build_lattice(HermitianPoint([[0.4 + 0.9j]]), matrix_basechange())
     mu = solve_self_dual_mu(lat)
-    assert abs(mu.value + 2.0) < 1e-9
-    assert abs(mu.trace_covolume - 16.0) < 1e-9
-    assert mu.covolume_matched
-    assert np.abs(mu.matrix(2) + 2 * np.eye(2)).max() < 1e-9
+    assert abs(mu + 2.0) < 1e-9
+    _assert_self_dual(lat, mu, 16.0)
 
 
 def test_solve_self_dual_refuses_eisenstein():

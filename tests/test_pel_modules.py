@@ -2,6 +2,7 @@ import pytest
 
 from pelks import pel_modules
 from functools import partial
+from math import prod
 
 from pelks.algebra import (
     INF,
@@ -14,9 +15,9 @@ from pelks.algebra import (
     smith_normal_form,
     split_blocks,
 )
+from pelks.checks import verdict
 from pelks.cyclic_algebra import CyclicAlgebraDescriptor
 from pelks.pel_modules import (
-    GlobalRankReport,
     SignatureMismatch,
     find_test_letters,
     flat_index,
@@ -50,8 +51,8 @@ class _DenseDecomposition:
     whole dense system, with no presolve and no blocks."""
 
     def __init__(self, field, rows, ncols):
-        self.dec = smith_normal_form(RingMatrix(field, _dense_rows(rows, ncols, LocalMonomial.zero(field))), ncols=ncols)
-        self.exponents = self.dec.exponents
+        dense = RingMatrix(field, _dense_rows(rows, ncols, LocalMonomial.zero(field)))
+        self.V, self.exponents = smith_normal_form(dense, ncols=ncols)
         self.free_slots = [t for t, e in enumerate(self.exponents) if e == INF]
         self.free_slots += list(range(len(self.exponents), ncols))
 
@@ -60,7 +61,7 @@ class _DenseDecomposition:
         return len(self.free_slots)
 
     def free_terms(self, flat):
-        row = self.dec.V[flat]
+        row = self.V[flat]
         return [(s, row[f]) for s, f in enumerate(self.free_slots) if row[f].coeff]
 
 
@@ -142,10 +143,8 @@ def test_dual_action_commutes_only_in_low_degree():
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_quaternion_quotient_structure(q):
     desc = CyclicAlgebraDescriptor(n=2, residue_size=q)
-    qs = quotient_structure(desc, (1, 0), "C")
-    assert qs.violations == []
-    assert qs.free_rank == 1
-    assert qs.eligible_pairs == [(0, 0)]
+    computed, expected = quotient_structure(desc, (1, 0), "C")
+    assert computed == expected == {"free_rank": 1, "violations": []}
 
 
 def test_quaternion_relation_generator_structure():
@@ -184,9 +183,8 @@ def test_quaternion_relation_generator_structure():
     ],
 )
 def test_quotient_free_rank(desc, signature, kind, rank):
-    qs = quotient_structure(desc, signature, kind)
-    assert qs.violations == []
-    assert qs.free_rank == rank == qs.expected_free_rank
+    computed, expected = quotient_structure(desc, signature, kind)
+    assert computed == expected == {"free_rank": rank, "violations": []}
 
 
 def test_quotient_audits_report_a_vanished_survivor_and_a_revived_class(monkeypatch):
@@ -197,7 +195,7 @@ def test_quotient_audits_report_a_vanished_survivor_and_a_revived_class(monkeypa
     dead = flat_index(n, r, 1, 0, 0, 2)
     tampered = partial(_TamperedDecomposition, zeroed={survivor}, revived={dead})
     monkeypatch.setattr(pel_modules, "_Decomposition", tampered)
-    violations = quotient_structure(UNITARY, (2, 1), "A").violations
+    violations = quotient_structure(UNITARY, (2, 1), "A")[0]["violations"]
     assert "chain (0,2): surviving class vanishes" in violations
     assert "class e_(21) (x) e'_(13) should die but survives" in violations
     assert len(violations) == 3  # the third: C_1 = pi C_2 fails against a zero C_2
@@ -210,17 +208,30 @@ def test_quotient_audit_reports_lines_that_are_not_a_basis(monkeypatch):
     # span pi times the quotient
     monkeypatch.setattr(pel_modules, "_Decomposition", partial(_TamperedDecomposition, scaled=True))
     for signature in ((2, 1), (2, 2)):
-        violations = quotient_structure(UNITARY, signature, "A").violations
+        violations = quotient_structure(UNITARY, signature, "A")[0]["violations"]
         assert violations == ["surviving lines are not an O_E-basis of the quotient"]
 
 
 def test_image_exponent_audit_reports_a_vanished_chain_class(monkeypatch):
     first = flat_index(2, 2, 0, 0, 0, 1)  # C_1 = e_11 (x) e'_12 of the pair (0, 1)
     monkeypatch.setattr(pel_modules, "_Decomposition", partial(_TamperedDecomposition, zeroed={first}))
-    rep = image_exponent(UNITARY, (1, 1), "A")
-    assert rep.violations == ["chain (0,1): class 1 vanishes"]
-    assert rep.chain_profiles == [((0, 1), [None, 0])]
-    assert rep.exponent != rep.expected
+    computed, expected = image_exponent(UNITARY, (1, 1), "A")
+    # a chain with a vanished class has no profile and adds nothing
+    assert computed["violations"] == ["chain (0,1): class 1 vanishes"]
+    assert (computed["exponent"], expected["exponent"]) == (0, 1)
+
+
+def test_image_exponent_audit_reports_a_wrong_profile(monkeypatch):
+    # C_1 = e_11 (x) e'_14 of the pair (0, 3) gains a unit coordinate, so
+    # both classes have valuation 0 and the profile reads [0, 0]
+    first = flat_index(2, 4, 0, 0, 0, 3)
+    monkeypatch.setattr(pel_modules, "_Decomposition", partial(_TamperedDecomposition, revived={first}))
+    computed, expected = image_exponent(UNITARY, (2, 2), "A")
+    assert computed["violations"] == [
+        "chain (0,3): pi-exponent profile [0, 0], predicted [1, 0]",
+        "chain (0,3): classes 1 and 2 not proportional",
+    ]
+    assert (computed["exponent"], expected["exponent"]) == (3, 4)
 
 
 def test_image_exponent_audit_reports_classes_off_one_line(monkeypatch):
@@ -228,9 +239,9 @@ def test_image_exponent_audit_reports_classes_off_one_line(monkeypatch):
     # the profile still reads [1, 0], only the audit sees it
     second = flat_index(2, 4, 1, 1, 1, 3)
     monkeypatch.setattr(pel_modules, "_Decomposition", partial(_TamperedDecomposition, revived={second}))
-    rep = image_exponent(UNITARY, (2, 2), "A")
-    assert rep.violations == ["chain (1,3): classes 1 and 2 not proportional"]
-    assert rep.exponent == rep.expected
+    computed, expected = image_exponent(UNITARY, (2, 2), "A")
+    assert computed["violations"] == ["chain (1,3): classes 1 and 2 not proportional"]
+    assert computed["exponent"] == expected["exponent"]
 
 
 def _block_and_dense(monkeypatch, compute):
@@ -308,10 +319,10 @@ def test_relation_rows_split_into_small_blocks(monkeypatch):
 
     # the reductions see only the blocks that survive the presolve: those of
     # the relation rows, of the basis audit's rows and of the symmetrized rows
-    qs = quotient_structure(UNITARY, (3, 3), "A")
     ncols, rows = relation_generators(UNITARY, (3, 3), letters)
     dec = pel_modules._Decomposition(UNITARY.field, rows, ncols)
-    basis = [dec.free_terms(chain[-1]) for _, chain in qs.chains]
+    pairs = pel_modules._eligible_pairs((3, 3), "A", symmetrized=False)
+    basis = [dec.free_terms(pel_modules._chain_indices(2, 6, j, k)[-1]) for j, k in pairs]
     sym_rows = rows + pel_modules._swap_rows(UNITARY, (3, 3))
     surviving = [
         *_presolved_blocks(rows, ncols),
@@ -328,11 +339,9 @@ def test_relation_rows_split_into_small_blocks(monkeypatch):
             return original(matrix, ncols=ncols)
 
         monkeypatch.setattr(pel_modules, name, narrow)
-    assert quotient_structure(UNITARY, (3, 3), "A").violations == []
-    rep = image_exponent(UNITARY, (3, 3), "A")
-    assert (rep.exponent, rep.violations) == (rep.expected, [])
-    got, want = rank_lemma_fields(global_rank_lemma(p, p, -4))
-    assert got == want
+    assert verdict(*quotient_structure(UNITARY, (3, 3), "A"), "exact") == "pass"
+    assert verdict(*image_exponent(UNITARY, (3, 3), "A"), "exact") == "pass"
+    assert verdict(*global_rank_lemma(p, p, -4), "exact") == "pass"
     assert len(widths) == expected and max(widths) <= 4
 
 
@@ -387,34 +396,31 @@ def test_presolve_paths_are_taken():
 
 
 # -- image exponents ----------------------------------------------------------
+# no violations means every chain profile read (multiplier, 0, ..., 0)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_quaternion_image_exponent(q):
     desc = CyclicAlgebraDescriptor(n=2, residue_size=q)
-    rep = image_exponent(desc, (1, 0), "C")
-    assert (rep.exponent, rep.violations) == (rep.expected, [])
-    assert rep.exponent == 1
-    assert rep.chain_profiles == [((0, 0), [1, 0])]
+    computed, expected = image_exponent(desc, (1, 0), "C")
+    assert computed == {"exponent": 1, "dim": 1, "multiplier": 1, "violations": []}
+    assert expected == {"exponent": 1, "violations": []}
 
 
 def test_unitary_image_exponents():
-    rep = image_exponent(UNITARY, (1, 1), "A")
-    assert (rep.exponent, rep.violations) == (rep.expected, [])
-    assert rep.exponent == 1
-    assert rep.chain_profiles == [((0, 1), [1, 0])]
+    computed, expected = image_exponent(UNITARY, (1, 1), "A")
+    assert computed == {"exponent": 1, "dim": 1, "multiplier": 1, "violations": []}
+    assert expected["exponent"] == 1
 
-    rep4 = image_exponent(UNITARY, (2, 2), "A")
-    assert (rep4.exponent, rep4.violations) == (rep4.expected, [])
-    assert rep4.exponent == 4
-    assert [prof for _, prof in rep4.chain_profiles] == [[1, 0]] * 4
+    computed, expected = image_exponent(UNITARY, (2, 2), "A")
+    assert computed == {"exponent": 4, "dim": 4, "multiplier": 1, "violations": []}
+    assert expected["exponent"] == 4
 
 
 def test_split_place_exponent_vanishes():
-    rep = image_exponent(SPLIT, (1, 1), "A")
-    assert (rep.exponent, rep.violations) == (rep.expected, [])
-    assert rep.exponent == 0
-    assert rep.multiplier == 0
+    computed, expected = image_exponent(SPLIT, (1, 1), "A")
+    assert computed == {"exponent": 0, "dim": 1, "multiplier": 0, "violations": []}
+    assert expected["exponent"] == 0
 
 
 def test_unbalanced_unitary_signature_is_rejected():
@@ -431,68 +437,50 @@ def test_bad_signature_is_refused(signature, kind):
 
 
 def test_symplectic_rank_two_exponent():
-    rep = image_exponent(UNITARY, (2, 0), "C")
-    assert (rep.exponent, rep.violations) == (rep.expected, [])
-    assert rep.exponent == 3  # r(r+1)/2 chains, one pi each
+    computed, expected = image_exponent(UNITARY, (2, 0), "C")
+    assert computed == {"exponent": 3, "dim": 3, "multiplier": 1, "violations": []}  # r(r+1)/2 chains, one pi each
+    assert expected["exponent"] == 3
 
 
 # -- global rank lemma --------------------------------------------------------
-
-
-def rank_lemma_fields(rep):
-    """(computed, predicted) for every field the rank lemma is judged on."""
-    got = (rep.free_rank, rep.torsion_annihilated, rep.torsion_order_matches, rep.normalizer_exists, rep.violations)
-    return got, (rep.expected_free_rank, True, True, rep.expected_normalizer, [])
+# no violations means both probe exponents equal (q, p) when pq > 0
 
 
 def test_global_rank_sweep_gaussian():
     for p in range(5):
         for q in range(5):
-            rep = global_rank_lemma(p, q, -4)
-            got, want = rank_lemma_fields(rep)
-            assert got == want, (p, q)
-            assert rep.free_rank == 2 * p * q
-            assert rep.normalizer_exists == (p == q)
-            assert all(4 % d == 0 for d in rep.torsion_divisors)
+            computed, expected = global_rank_lemma(p, q, -4)
+            assert computed == expected, (p, q)
+            assert expected["free_rank"] == 2 * p * q
+            assert expected["normalizer_exists"] == (p == q)
 
 
 @pytest.mark.parametrize("disc", [-7, -3, -8])
 def test_global_rank_other_discriminants(disc):
-    rep = global_rank_lemma(2, 2, disc)
-    got, want = rank_lemma_fields(rep)
-    assert got == want
-    assert rep.free_rank == 8
-    assert rep.probe_left == rep.probe_right == 2
-    assert rep.torsion_annihilated and rep.torsion_order_matches
-    lop = global_rank_lemma(1, 2, disc)
-    got, want = rank_lemma_fields(lop)
-    assert got == want and not lop.normalizer_exists
-    assert (lop.probe_left, lop.probe_right) == (2, 1)
+    computed, expected = global_rank_lemma(2, 2, disc)
+    assert computed == expected
+    assert computed["free_rank"] == 8 and computed["normalizer_exists"]
+    assert computed["torsion_annihilated"] and computed["torsion_order_matches"]
+    computed, expected = global_rank_lemma(1, 2, disc)
+    assert computed == expected and not computed["normalizer_exists"]
 
 
 def test_global_rank_degenerate_signatures():
     # the empty signature takes the general path: no relations, no torsion,
     # both probes trivial
+    empty = {
+        "free_rank": 0,
+        "torsion_annihilated": True,
+        "torsion_order_matches": True,
+        "normalizer_exists": True,
+        "violations": [],
+    }
     for disc in (-3, -4, -7, -8, -15):
-        assert global_rank_lemma(0, 0, disc) == GlobalRankReport(
-            signature=(0, 0),
-            discriminant=disc,
-            free_rank=0,
-            expected_free_rank=0,
-            torsion_divisors=[],
-            torsion_annihilated=True,
-            torsion_order_matches=True,
-            probe_left=0,
-            probe_right=0,
-            normalizer_exists=True,
-            expected_normalizer=True,
-            violations=[],
-        )
-    rep = global_rank_lemma(3, 0, -4)
-    got, want = rank_lemma_fields(rep)
-    assert got == want and not rep.normalizer_exists
-    assert rep.free_rank == 0
-    assert rep.torsion_order_matches  # 6 matched classes, each of order 4
+        assert global_rank_lemma(0, 0, disc) == (empty, empty)
+    computed, expected = global_rank_lemma(3, 0, -4)
+    assert computed == expected and not computed["normalizer_exists"]
+    assert computed["free_rank"] == 0
+    assert computed["torsion_order_matches"]  # 6 matched classes, each of order 4
 
 
 def _dense_probe_oracle(p, q, disc):
@@ -576,12 +564,18 @@ def test_rank_lemma_probe_matches_the_dense_oracle(disc):
         for q in range(4):
             if p + q == 0:
                 continue
-            rep = global_rank_lemma(p, q, disc)
+            computed, _ = global_rank_lemma(p, q, disc)
             (free_rank, torsion), (left, left_ok), (right, right_ok) = _dense_probe_oracle(p, q, disc)
-            assert (rep.free_rank, rep.torsion_divisors) == (free_rank, torsion), (p, q)
+            matched = p * (p + 1) // 2 + q * (q + 1) // 2
+            assert computed["free_rank"] == free_rank, (p, q)
+            assert computed["torsion_annihilated"] == all(-disc % d == 0 for d in torsion), (p, q)
+            assert computed["torsion_order_matches"] == (prod(torsion) == (-disc) ** matched), (p, q)
             assert left_ok and right_ok, (p, q)
-            assert (rep.probe_left, rep.probe_right) == (left, right), (p, q)
-            assert "probe does not preserve the free part" not in rep.violations
+            assert computed["normalizer_exists"] == (left == right if p * q else p == q), (p, q)
+            # the block probes report a violation unless they read (q, p)
+            if p * q:
+                assert (left, right) == (q, p), (p, q)
+            assert computed["violations"] == [], (p, q)
 
 
 def test_global_rank_input_validation():
