@@ -1,13 +1,17 @@
 """Exact local arithmetic.
 
-Three layers, each used by the layer above:
+Two layers, the second using the first:
 
-  * finite fields GF(p^m) on discrete-log (exp, log, Zech) tables,
-    where every operation, Frobenius included, is one lookup,
   * exact monomials c*pi^v (or 0) in GF(p^m)((pi)), the only elements
-    the local relation and Gram matrices of this package contain,
+    the local relation and Gram matrices of this package contain; a
+    residue element of GF(p^m) is the case v = 0, and c is held as its
+    discrete log to the field generator, so every operation, Frobenius
+    included, is one table lookup,
   * Smith normal form of monomial matrices over the valuation ring
     GF(p^m)[[pi]], tracking the right transform.
+
+GF(p^m) is GF(p)[x] modulo its smallest primitive polynomial, with x as
+the generator: building a field is one walk over the powers of x.
 
 A parallel Smith normal form over the rational integers lives here as
 well, since the global rank computations need the same bookkeeping
@@ -32,12 +36,13 @@ from operator import index
 
 INF = float("inf")
 
-# A field costs a pure-Python walk over the generator's orbit (a few
-# square-and-multiply powers reject each smaller code) and three lists of
-# about `size` entries, rebuilt in every run.  The catalog's fields have
-# at most a few hundred elements, so the cap bounds what a mistyped
-# residue size can cost; a place past it fails its local checks with the
-# refusal raised in FiniteField.
+# A field costs pure-Python walks over the powers of x, one per modulus
+# candidate until a primitive one turns up, and three lists of about
+# `size` entries, rebuilt in every run.  The catalog's fields have at
+# most a few hundred elements and build in about a millisecond; at the
+# cap the slowest, GF(2^12), takes under 0.1 s.  The cap bounds what a
+# mistyped residue size can cost; a place past it fails its local
+# checks with the refusal raised in FiniteField.
 MAX_FIELD_SIZE = 4096
 
 
@@ -58,162 +63,50 @@ def _small_factor(n):
     return n
 
 
-def _prime_factors(n):
-    """The distinct primes dividing n, ascending."""
-    primes = []
-    while n > 1:
-        d = _small_factor(n)
-        primes.append(d)
-        while n % d == 0:
-            n //= d
-    return primes
+def _primitive_walk(p, m):
+    """(modulus, codes of x^0, .., x^(p^m - 2)) for the smallest primitive
+    polynomial of degree m over GF(p).
 
-
-def _poly_trim(c):
-    while c and c[-1] == 0:
-        c = c[:-1]
-    return c
-
-
-def _poly_mul_mod(a, b, modulus, p):
-    # a, b, modulus are little-endian coefficient tuples over GF(p),
-    # modulus monic of degree m.
-    m = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            prod[i + j] = (prod[i + j] + ai * bj) % p
-    for deg in range(len(prod) - 1, m - 1, -1):
-        lead = prod[deg]
-        if lead == 0:
-            continue
-        prod[deg] = 0
-        for t in range(m + 1):
-            prod[deg - m + t] = (prod[deg - m + t] - lead * modulus[t]) % p
-    return _poly_trim(tuple(prod[:m]))
-
-
-def _poly_divides(div, poly, p):
-    # Trial division of little-endian polys over GF(p); returns True on zero remainder.
-    rem = list(poly)
-    dn = len(div) - 1
-    inv_lead = pow(div[-1], p - 2, p) if p > 2 else div[-1]
-    while len(rem) - 1 >= dn and any(rem):
-        rem = _poly_trim(rem)
-        if not rem or len(rem) - 1 < dn:
-            break
-        shift = len(rem) - 1 - dn
-        factor = (rem[-1] * inv_lead) % p
-        for t in range(dn + 1):
-            rem[shift + t] = (rem[shift + t] - factor * div[t]) % p
-        rem = list(_poly_trim(tuple(rem)))
-    return not any(rem)
-
-
-def _find_irreducible(p, m):
-    # Lexicographically smallest monic irreducible of degree m over GF(p).
-    if m == 1:
-        return (0, 1)
-    lower = []
-    for deg in range(1, m // 2 + 1):
-        for code in range(p**deg):
-            c = [(code // p**t) % p for t in range(deg)] + [1]
-            lower.append(tuple(c))
+    Candidates are the monic polynomials with a nonzero constant term,
+    in code order.  x is a unit modulo each, so its powers return to 1;
+    they take all p^m - 1 steps exactly when the candidate is
+    irreducible and x generates the multiplicative group.
+    """
+    order = p**m - 1
+    top_weight = p ** (m - 1)
+    weights = [p**t for t in range(m)]
     for code in range(p**m):
-        cand = tuple((code // p**t) % p for t in range(m)) + (1,)
-        if cand[0] == 0:
+        if not code % p:
             continue
-        if all(not _poly_divides(d, cand, p) for d in lower):
-            return cand
-    raise ValueError(f"no irreducible of degree {m} over GF({p})")
-
-
-class FiniteFieldElement:
-    """Element of a finite field, held as its discrete log to `field.generator` (-1 for 0)."""
-
-    __slots__ = ("field", "log")
-
-    def __init__(self, field, log):
-        self.field = field
-        self.log = log
-
-    @property
-    def code(self):
-        return self.field._exp[self.log] if self.log >= 0 else 0
-
-    def __add__(self, other):
-        # g^a + g^b = g^a (1 + g^(b - a)), and the Zech list holds log(1 + g^k)
-        a, b = self.log, other.log
-        if a < 0:
-            return other
-        if b < 0:
-            return self
-        f = self.field
-        z = f._zech[(b - a) % f.order]
-        return FiniteFieldElement(f, -1 if z < 0 else (a + z) % f.order)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        if self.log < 0:
-            return self
-        f = self.field
-        return FiniteFieldElement(f, (self.log + f._log[f.p - 1]) % f.order)
-
-    def __mul__(self, other):
-        f = self.field
-        if self.log < 0 or other.log < 0:
-            return f.zero
-        return FiniteFieldElement(f, (self.log + other.log) % f.order)
-
-    def __pow__(self, e):
-        if self.log < 0:
-            if e <= 0:
-                raise ZeroDivisionError("0 has no inverse")
-            return self
-        return FiniteFieldElement(self.field, self.log * e % self.field.order)
-
-    def inverse(self):
-        return self ** -1
-
-    def frobenius(self, e=1):
-        """Apply x -> x^(p^e), which multiplies the log by p^e."""
-        if self.log < 0:
-            return self
-        f = self.field
-        return FiniteFieldElement(f, self.log * pow(f.p, e, f.order) % f.order)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteFieldElement)
-            and self.field is other.field
-            and self.log == other.log
-        )
-
-    def __hash__(self):
-        return hash((id(self.field), self.log))
-
-    def __bool__(self):
-        return self.log >= 0
-
-    def __repr__(self):
-        return f"{self.field}({self.code})"
+        low = [code // w % p for w in weights]
+        walk = [1]
+        while len(walk) < order:
+            # x * y: shift the digits up, then add top * x^m, which is
+            # -top * (c_0 + c_1 x + .. + c_(m-1) x^(m-1)), digit by digit
+            top, y = divmod(walk[-1], top_weight)
+            y *= p
+            if top:
+                for w, c in zip(weights, low):
+                    d = y // w % p
+                    y += ((d - top * c) % p - d) * w
+            if y == 1:
+                break
+            walk.append(y)
+        else:
+            return (*low, 1), walk
+    raise ValueError(f"no primitive polynomial of degree {m} over GF({p})")
 
 
 class FiniteField:
     """GF(p^m) on discrete-log tables.
 
     Elements have integer codes 0 .. p^m - 1, read as base-p digit
-    vectors giving the coefficients of 1, x, .., x^(m-1) modulo a fixed
-    irreducible polynomial (the lexicographically smallest one, so the
-    construction is deterministic).  The generator is the smallest code
-    of full multiplicative order, found by a prime-order test on each
-    candidate; `_exp` maps a log to its code, `_log` a code to its log
-    (-1 for 0), and the Zech list `_zech` maps k to log(1 + g^k), which
-    makes every field operation one lookup.
+    vectors giving the coefficients of 1, x, .., x^(m-1) modulo the
+    smallest primitive polynomial `modulus` (little-endian, monic), so
+    x is the generator and the construction is deterministic.  `_exp`
+    maps a log to its code, `_log` a code to its log (-1 for 0), and the
+    Zech list `_zech` maps k to log(1 + x^k), which makes every field
+    operation one lookup.  Elements are LocalMonomial at valuation 0.
     """
 
     def __init__(self, p, m):
@@ -224,59 +117,22 @@ class FiniteField:
         self.m = m
         self.size = size
         self.order = size - 1
-        self.modulus = _find_irreducible(p, m)
-        self._exp = self._power_walk()
+        self.modulus, self._exp = _primitive_walk(p, m)
         self._log = [-1] * size
         for k, code in enumerate(self._exp):
             self._log[code] = k
         # adding 1 to a code changes only its constant digit
         self._zech = [self._log[c - c % p + (c + 1) % p] for c in self._exp]
-        self.zero = FiniteFieldElement(self, -1)
-        self.one = FiniteFieldElement(self, 0)
-        self.generator = FiniteFieldElement(self, 1 % self.order)
-
-    def _power_walk(self):
-        """Codes of g^0, .., g^(size-2) for the smallest code g of full order.
-
-        A candidate g falls short of full order exactly when
-        g^((size-1)/l) = 1 for a prime l dividing size - 1; those are
-        skipped by square-and-multiply, so only the generator's orbit is
-        walked.
-        """
-        p, m, modulus = self.p, self.m, self.modulus
-        weights = [p**t for t in range(m)]
-
-        def poly(code):
-            return _poly_trim(tuple((code // w) % p for w in weights))
-
-        def power(g_poly, e):
-            acc = (1,)
-            while e:
-                if e & 1:
-                    acc = _poly_mul_mod(acc, g_poly, modulus, p)
-                g_poly = _poly_mul_mod(g_poly, g_poly, modulus, p)
-                e >>= 1
-            return acc
-
-        cofactors = [self.order // ell for ell in _prime_factors(self.order)]
-        for g in range(1, self.size):
-            g_poly = poly(g)
-            if any(power(g_poly, e) == (1,) for e in cofactors):
-                continue
-            walk, y = [1], g
-            while y != 1:
-                walk.append(y)
-                y = sum(c * w for c, w in zip(_poly_mul_mod(poly(y), g_poly, modulus, p), weights))
-            if len(walk) == self.order:
-                return walk
-        raise ValueError("no multiplicative generator found")
+        self.zero = LocalMonomial(self, INF, -1)
+        self.one = LocalMonomial(self, 0, 0)
+        self.generator = LocalMonomial(self, 0, 1 % self.order)
 
     def __call__(self, code):
         if self.m == 1:
             code %= self.size
         elif not 0 <= code < self.size:
             raise ValueError(f"{code} is not a code of {self}")
-        return FiniteFieldElement(self, self._log[code])
+        return LocalMonomial(self, 0, self._log[code])
 
     def __repr__(self):
         return f"GF({self.p}^{self.m})" if self.m > 1 else f"GF({self.p})"
@@ -307,79 +163,96 @@ def finite_field(q, ext=1):
 class LocalMonomial:
     """An exact element c*pi^val of GF(p^m)((pi)), or 0 (val = +inf).
 
-    `coeffs` is (c,) for a nonzero element and () for zero.
+    c is held as its discrete log `log` to the field generator (-1 for
+    0); a residue element of GF(p^m) is the case val = 0.  Truthiness is
+    the zero test, and `coeffs` is (c,) for a nonzero element, c as a
+    residue element, and () for zero.
     """
 
-    __slots__ = ("field", "val", "coeff")
+    __slots__ = ("field", "val", "log")
 
-    def __init__(self, field, val, coeff):
+    def __init__(self, field, val, log):
         self.field = field
-        self.val = val if coeff else INF
-        self.coeff = coeff
-
-    @staticmethod
-    def zero(field):
-        return LocalMonomial(field, INF, field.zero)
-
-    @staticmethod
-    def one(field):
-        return LocalMonomial(field, 0, field.one)
+        self.val = val if log >= 0 else INF
+        self.log = log
 
     @property
-    def is_zero(self):
-        return not self.coeff
+    def code(self):
+        """The code of c in the field (0 for zero)."""
+        return self.field._exp[self.log] if self.log >= 0 else 0
 
     @property
     def coeffs(self):
-        return (self.coeff,) if self.coeff else ()
+        return (LocalMonomial(self.field, 0, self.log),) if self.log >= 0 else ()
+
+    def __bool__(self):
+        return self.log >= 0
 
     def __add__(self, other):
-        if not self.coeff:
+        # x^a + x^b = x^a (1 + x^(b - a)), and the Zech list holds log(1 + x^k)
+        a, b = self.log, other.log
+        if a < 0:
             return other
-        if not other.coeff:
+        if b < 0:
             return self
         if self.val != other.val:
             raise NonMonomial(f"{self} + {other} is not a monomial")
-        return LocalMonomial(self.field, self.val, self.coeff + other.coeff)
+        f = self.field
+        z = f._zech[(b - a) % f.order]
+        return LocalMonomial(f, self.val, -1 if z < 0 else (a + z) % f.order)
 
     def __neg__(self):
-        return LocalMonomial(self.field, self.val, -self.coeff)
+        if self.log < 0:
+            return self
+        f = self.field
+        return LocalMonomial(f, self.val, (self.log + f._log[f.p - 1]) % f.order)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if not (self.coeff and other.coeff):
-            return LocalMonomial.zero(self.field)
-        return LocalMonomial(self.field, self.val + other.val, self.coeff * other.coeff)
+        f = self.field
+        if self.log < 0 or other.log < 0:
+            return f.zero
+        return LocalMonomial(f, self.val + other.val, (self.log + other.log) % f.order)
+
+    def __pow__(self, e):
+        """c^e * pi^(val e); 0 has no power e <= 0."""
+        if self.log < 0:
+            if e <= 0:
+                raise ZeroDivisionError("0 has no inverse")
+            return self
+        return LocalMonomial(self.field, self.val * e, self.log * e % self.field.order)
 
     def inverse(self):
-        if not self.coeff:
-            raise ZeroDivisionError("0 has no inverse")
-        return LocalMonomial(self.field, -self.val, self.coeff.inverse())
+        return self ** -1
 
     def shift(self, e):
         """Multiply by pi^e."""
-        return LocalMonomial(self.field, self.val + e, self.coeff)
+        return LocalMonomial(self.field, self.val + e, self.log)
 
     def frobenius(self, e=1):
-        return LocalMonomial(self.field, self.val, self.coeff.frobenius(e))
+        """Apply c -> c^(p^e), which multiplies the log by p^e."""
+        if self.log < 0:
+            return self
+        f = self.field
+        return LocalMonomial(f, self.val, self.log * pow(f.p, e, f.order) % f.order)
 
     def __eq__(self, other):
         return (
             isinstance(other, LocalMonomial)
             and self.field is other.field
             and self.val == other.val
-            and self.coeff == other.coeff
+            and self.log == other.log
         )
 
     def __hash__(self):
-        return hash((id(self.field), self.val, self.coeff))
+        return hash((id(self.field), self.val, self.log))
 
     def __repr__(self):
-        if not self.coeff:
+        if self.log < 0:
             return "0"
-        c, e = self.coeff.code, self.val
+        c, e = self.code, self.val
         if e == 0:
             return f"{c}"
         return f"{c}*pi^{e}" if c != 1 else f"pi^{e}"
@@ -473,8 +346,7 @@ def smith_normal_form(matrix, ncols=None):
     A = [list(r) for r in matrix.rows]
     m = len(A)
     n = _column_count(A, ncols)
-    zero = LocalMonomial.zero(field)
-    one = LocalMonomial.one(field)
+    zero, one = field.zero, field.one
     V = [[one if i == j else zero for j in range(n)] for i in range(n)]
     exponents = []
 
@@ -501,16 +373,16 @@ def smith_normal_form(matrix, ncols=None):
         # block below and right of the pivot changes
         prow = A[k]
         p_inv = prow[k].inverse()
-        pjs = [j for j in range(k + 1, n) if prow[j].coeff]
+        pjs = [j for j in range(k + 1, n) if prow[j]]
         for i in range(k + 1, m):
             row = A[i]
-            if not row[k].coeff:
+            if not row[k]:
                 continue
             factor = row[k] * p_inv
             row[k] = zero
             for j in pjs:
                 row[j] = row[j] - factor * prow[j]
-        vks = [i for i in range(n) if V[i][k].coeff]
+        vks = [i for i in range(n) if V[i][k]]
         for j in pjs:
             factor = prow[j] * p_inv
             prow[j] = zero

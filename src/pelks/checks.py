@@ -15,8 +15,12 @@ the place and the skip rules.  The verdict
 rule, the one pass/fail decision in the package: a check passes when
 every expected key is present in `computed`, each float expected value
 lies strictly within the row's tolerance, and every other value (every
-value, on an `exact` row) is equal.  Every tolerance is a module
-constant here and is shown in each report entry's `tolerance`.
+value, on an `exact` row) is equal.  Every catalog tolerance is a
+module constant here and is shown in each report entry's `tolerance`.
+Before it applies, three thresholds of `lattices` decide
+arch.self-dual-mu and arch.polarization-degree: INTEGRALITY_TOL (a Gram
+matrix is integral), HERMITIAN_TOL and POSITIVITY_TOL (the associated
+form is Hermitian and positive).
 
 A sampled check reports the worst per-sample defect through `_worst`,
 which keeps a NaN, so a NaN defect fails; `--report` writes it as the

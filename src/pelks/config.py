@@ -160,9 +160,16 @@ def config_from_dict(d):
             _as_bool(entry.get("split", False), "split"),
         )
         try:
-            places.append(CyclicAlgebraDescriptor(n, *fields))
+            place = CyclicAlgebraDescriptor(n, *fields)
         except ValueError as exc:
             raise ConfigInvalid(f"local_places[{i}]: {exc}") from exc
+        # Albert: an involution of the first kind needs Brauer order <= 2,
+        # and a local division algebra of degree n has order n
+        _expect(
+            kind == "A" or not place.is_division or n <= 2,
+            f"local_places[{i}]: kind C admits no division place of degree n={n} > 2",
+        )
+        places.append(place)
 
     arch = None
     if d.get("archimedean") is not None:

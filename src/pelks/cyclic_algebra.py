@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .algebra import (
-    LocalMonomial,
-    RingMatrix,
-    finite_field,
-    prime_power,
-    smith_normal_form,
-)
+from .algebra import RingMatrix, finite_field, prime_power, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -88,12 +82,12 @@ class CyclicAlgebraElement:
         """
         d = self.descriptor
         n = d.n
-        out = [LocalMonomial.zero(d.field) for _ in range(n)]
+        out = [d.field.zero] * n
         for i, xi in enumerate(self.coeffs):
-            if xi.is_zero:
+            if not xi:
                 continue
             for j, yj in enumerate(other.coeffs):
-                if yj.is_zero:
+                if not yj:
                     continue
                 k, wrap = (i + j) % n, (i + j) // n
                 term = xi * d.tau(yj, i)
@@ -105,7 +99,7 @@ class CyclicAlgebraElement:
     def reduced_trace(self):
         """Reduced trace Tr_{E/F}(x_0), as an element of E."""
         d = self.descriptor
-        t = LocalMonomial.zero(d.field)
+        t = d.field.zero
         for r in range(d.n):
             t = t + d.tau(self.coeffs[0], r)
         return t
@@ -113,7 +107,7 @@ class CyclicAlgebraElement:
     def __repr__(self):
         parts = []
         for i, c in enumerate(self.coeffs):
-            if not c.is_zero:
+            if c:
                 parts.append(f"({c})" + ("" if i == 0 else f"*u^{i}" if i > 1 else "*u"))
         return " + ".join(parts) if parts else "0"
 
@@ -142,8 +136,8 @@ def discriminant_report(descriptor):
     basis = []
     for i in range(n):
         for a in range(n):
-            coeffs = [LocalMonomial.zero(field)] * n
-            coeffs[i] = LocalMonomial(field, 0, zeta**a)
+            coeffs = [field.zero] * n
+            coeffs[i] = zeta**a
             basis.append(CyclicAlgebraElement(d, coeffs))
     gram = RingMatrix(
         field,

@@ -50,6 +50,14 @@ import numpy as np
 from .algebra import integer_det, integer_smith_normal_form
 from .domains import HermitianPoint, SiegelPoint, per_sample
 
+# Thresholds that decide arch.self-dual-mu and arch.polarization-degree
+# before any catalog tolerance applies: the largest |G - round(G)| of an
+# integral Gram matrix, the relative defect H - H* of a Hermitian
+# associated form, and the least eigenvalue of a positive one.
+INTEGRALITY_TOL = 1e-9
+HERMITIAN_TOL = 1e-8
+POSITIVITY_TOL = 1e-10
+
 
 class RankDeficient(Exception):
     """The embedded generators do not span R^{2nr}."""
@@ -312,9 +320,9 @@ class RiemannForm:
         return float(np.abs(g - np.round(g)).max())
 
     def integer_gram(self):
-        """The Gram matrix as integer rows; a defect above 1e-9 is an error."""
+        """The Gram matrix as integer rows; a defect above INTEGRALITY_TOL is an error."""
         defect = self.integrality_defect()
-        if defect > 1e-9:
+        if defect > INTEGRALITY_TOL:
             raise ValueError(f"form is not integral on the lattice ({defect:.3e})")
         return [[int(x) for x in row] for row in np.round(self.gram).astype(int)]
 
@@ -329,13 +337,13 @@ class RiemannForm:
         dim = lattice.complex_dim
         h = k[..., dim:, :dim] + 1j * k[..., :dim, :dim]
         h_star = np.swapaxes(h, -1, -2).conj()
-        if np.abs(h - h_star).max() > 1e-8 * max(1.0, np.abs(h).max()):
+        if np.abs(h - h_star).max() > HERMITIAN_TOL * max(1.0, np.abs(h).max()):
             raise ValueError("associated form is not Hermitian")
         return 0.5 * (h + h_star)
 
     def is_positive(self, lattice):
         eigs = np.linalg.eigvalsh(self.hermitian_matrix(lattice))
-        return bool(eigs.min() > 1e-10)
+        return bool(eigs.min() > POSITIVITY_TOL)
 
 
 def solve_self_dual_mu(lattice):
@@ -356,7 +364,7 @@ def solve_self_dual_mu(lattice):
     c = float(np.exp(logdet / two_nr))
     for sign in (-1, 1):
         form = RiemannForm(emb, sign * c)
-        if form.integrality_defect() <= 1e-9 and form.is_positive(lattice):
+        if form.integrality_defect() <= INTEGRALITY_TOL and form.is_positive(lattice):
             return sign * c
     raise NoSelfDualForm(
         f"no real scalar mu with |c| = {c:.6g} is unimodular and positive"

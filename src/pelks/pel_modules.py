@@ -49,7 +49,6 @@ from math import prod
 from .algebra import (
     INF,
     DegenerateTestElement,
-    LocalMonomial,
     RingMatrix,
     integer_det,
     integer_inverse,
@@ -120,14 +119,14 @@ def find_test_letters(descriptor, kind):
 
 def relation_generators(descriptor, signature, letters):
     """Columns and rows of the relation module, rows as sparse (column,
-    LocalMonomial) tuples; returns (ncols, rows).
+    monomial) tuples; returns (ncols, rows).
 
     For every basis class m (x) m' this yields x.m (x) m' - m (x) x.m'
     (when nonzero) and u.m (x) m' - m (x) u.m'.  Each row has at most
     two entries, all nonzero, in ascending column order; for n = 1 the
     u-row is empty.  The symmetrized system adds `_swap_rows`.
     """
-    field = descriptor.field
+    one = descriptor.field.one
     n, r = descriptor.n, sum(signature)
     plain = x_eigenvalues(descriptor, signature, letters)
     dual = x_eigenvalues(descriptor, signature, letters, dual=True)
@@ -135,10 +134,9 @@ def relation_generators(descriptor, signature, letters):
 
     def row(*entries):
         out = {}
-        for flat, val, coeff in entries:
-            term = LocalMonomial(field, val, coeff)
+        for flat, term in entries:
             out[flat] = out[flat] + term if flat in out else term
-        rows.append(tuple((flat, a) for flat, a in sorted(out.items()) if a.coeff))
+        rows.append(tuple((flat, a) for flat, a in sorted(out.items()) if a))
 
     for i in range(n):
         for j in range(r):
@@ -147,13 +145,13 @@ def relation_generators(descriptor, signature, letters):
                     flat = flat_index(n, r, i, j, l, k)
                     c = plain[i][j] - dual[l][k]
                     if c:
-                        row((flat, 0, c))
+                        row((flat, c))
                     # for n = 1 both u images land on flat and cancel
                     i2, e1 = u_image(n, i)
                     l2, e2 = u_image(n, l)
                     row(
-                        (flat_index(n, r, i2, j, l, k), e1, field.one),
-                        (flat_index(n, r, i, j, l2, k), e2, -field.one),
+                        (flat_index(n, r, i2, j, l, k), one.shift(e1)),
+                        (flat_index(n, r, i, j, l2, k), -one.shift(e2)),
                     )
     return (n * r) ** 2, rows
 
@@ -161,9 +159,8 @@ def relation_generators(descriptor, signature, letters):
 def _swap_rows(descriptor, signature):
     """The rows m (x) m' - swap(m (x) m'), once per unordered pair of
     distinct classes, in the row format of relation_generators."""
-    field = descriptor.field
     n, r = descriptor.n, sum(signature)
-    one = LocalMonomial.one(field)
+    one = descriptor.field.one
     minus_one = -one
     rows = []
     for flat in range((n * r) ** 2):
@@ -219,11 +216,10 @@ class _Decomposition:
         self.free_rank = 0
         self._terms = [[] for _ in range(ncols)]
         finite = [0] * len(killed)
-        zero = LocalMonomial.zero(field)
         for cols, row_ids in split_blocks(rest, ncols):
             if cols[0] in killed:  # alone in its block, since no row touches it
                 continue
-            dense = _dense(rest, cols, row_ids, zero)
+            dense = _dense(rest, cols, row_ids, field.zero)
             V, exponents = smith_normal_form(RingMatrix(field, dense), ncols=len(cols))
             finite += [e for e in exponents if e != INF]
             free = [t for t, e in enumerate(exponents) if e == INF]
@@ -231,7 +227,7 @@ class _Decomposition:
             slots = range(self.free_rank, self.free_rank + len(free))
             self.free_rank += len(free)
             for t, c in enumerate(cols):
-                self._terms[c] = [(s, V[t][f]) for s, f in zip(slots, free) if V[t][f].coeff]
+                self._terms[c] = [(s, V[t][f]) for s, f in zip(slots, free) if V[t][f]]
         finite.sort()
         self.exponents = finite + [INF] * (min(len(rows), ncols) - len(finite))
 
@@ -314,7 +310,7 @@ def quotient_structure(descriptor, signature, kind):
 
     last_classes = []
     survivor_flats = set()
-    pi = LocalMonomial(field, 1, field.one)
+    pi = field.one.shift(1)
     for (j, k) in pairs:
         chain = _chain_indices(n, r, j, k)
         survivor_flats.update(chain)
@@ -363,7 +359,7 @@ def image_exponent(descriptor, signature, kind):
     multiplier = int(descriptor.is_division)
     predicted = [multiplier] + [0] * (n - 1)
 
-    zero = LocalMonomial.zero(descriptor.field)
+    zero = descriptor.field.zero
     exponent = 0
     for (j, k) in reps:
         chain = _chain_indices(n, r, j, k)

@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 
-from pelks.algebra import LocalMonomial
 from pelks.checks import run_checks
 from pelks.cli import resolve_config
 from pelks.config import config_from_dict, with_overrides
@@ -76,18 +75,18 @@ def test_quaternion_image_exponent_and_generators():
         # pi times flat 3
         letters = find_test_letters(desc, "C")
         ncols, sparse = relation_generators(desc, (1, 0), letters)
-        zero = LocalMonomial.zero(desc.field)
+        zero = desc.field.zero
         rows = [[dict(row).get(flat, zero) for flat in range(ncols)] for row in sparse]
-        pi = LocalMonomial(desc.field, 1, desc.field.one)
+        pi = desc.field.one.shift(1)
         dead, twisted = set(), False
         for c in rows:
             assert c[3] == -(c[0] * pi)
             for flat in (1, 2):
                 others = [t for t in range(4) if t != flat]
-                if not c[flat].is_zero and all(c[t].is_zero for t in others):
+                if c[flat] and not any(c[t] for t in others):
                     if c[flat].val == 0:
                         dead.add(flat)
-            if not c[0].is_zero:
+            if c[0]:
                 twisted = True
         assert dead == {1, 2}
         assert twisted

@@ -8,12 +8,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 from pelks import pel_modules
 from pelks.algebra import (
     INF,
-    LocalMonomial as M,
+    MAX_FIELD_SIZE,
+    FiniteField,
     NonMonomial,
     RingMatrix,
-    _find_irreducible,
-    _poly_mul_mod,
-    _poly_trim,
     _small_factor,
     finite_field,
     integer_det,
@@ -72,7 +70,14 @@ def test_generator_order():
 
 def test_field_construction_is_deterministic():
     assert finite_field(3, 2) is finite_field(3, 2)
-    assert GF9.modulus == (1, 0, 1)  # x^2 + 1, smallest irreducible over GF(3)
+    # x^2 + x + 2: x^2 + 1 is the smallest irreducible over GF(3), but x
+    # has order 4 modulo it
+    assert GF9.modulus == (2, 1, 1)
+    assert GF9.generator.code == 3
+    # a prime field's modulus is x + c0 with -c0 the smallest primitive
+    # root of the form -c: 3 modulo 5
+    assert finite_field(5).modulus == (2, 1)
+    assert finite_field(5).generator.code == 3
 
 
 def test_field_cap_is_refused():
@@ -80,32 +85,74 @@ def test_field_cap_is_refused():
         finite_field(67, 2)
 
 
-# The oracle below is the earlier construction: full addition and
-# multiplication tables over base-p digit vectors, inverses and
-# Frobenius by square-and-multiply, and the generator as the smallest
-# code of full order found by walking its powers.
+@pytest.mark.parametrize("p,m", [(2, 12), (3, 7), (4093, 1)])
+def test_fields_at_the_cap_build(p, m):
+    # the slowest builds under the cap (GF(2^12) about 0.08 s on a shared
+    # 2-vCPU host, the three together under 0.2 s); the powers of x must
+    # reach every nonzero code exactly once
+    field = FiniteField(p, m)
+    assert field.size <= MAX_FIELD_SIZE
+    assert sorted(field._exp) == list(range(1, field.size))
+    assert field._exp[:2] == [1, field.generator.code]
+
+
+# The oracle below builds each field from scratch.  It tries the monic
+# polynomials of degree m with a nonzero constant term in code order,
+# multiplies digit vectors by schoolbook products reduced modulo each,
+# and keeps the first candidate in which x has order p^m - 1.  Full
+# addition and multiplication tables over that modulus then give every
+# operation; inverses and Frobenius come by square-and-multiply.
+
+
+def _digits(code, p, m):
+    return tuple((code // p**t) % p for t in range(m))
+
+
+def _code(digits, p):
+    return sum(d * p**t for t, d in enumerate(digits))
+
+
+def _mulmod(a, b, modulus, p):
+    """Product of two little-endian polynomials over GF(p), reduced modulo
+    the monic `modulus` to its degree m digits."""
+    m = len(modulus) - 1
+    prod = [0] * max(len(a) + len(b) - 1, m)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    for deg in range(len(prod) - 1, m - 1, -1):
+        lead = prod[deg]
+        for t in range(m + 1):
+            prod[deg - m + t] = (prod[deg - m + t] - lead * modulus[t]) % p
+    return tuple(prod[:m])
+
+
+def _oracle_powers(p, m):
+    """(modulus, codes of x^0, .., x^(p^m - 2)) by the naive search."""
+    size = p**m
+    one = _digits(1, p, m)
+    for code in range(size):
+        modulus = _digits(code, p, m) + (1,)
+        if modulus[0] == 0:
+            continue
+        x = _mulmod((0, 1), (1,), modulus, p)
+        powers, y = [one], _mulmod(one, x, modulus, p)
+        while y != one and len(powers) < size:
+            powers.append(y)
+            y = _mulmod(y, x, modulus, p)
+        if len(powers) == size - 1:
+            return modulus, [_code(y, p) for y in powers]
+    raise AssertionError(f"no primitive polynomial of degree {m} over GF({p})")
 
 
 def _table_field(p, m):
     size = p**m
-    modulus = _find_irreducible(p, m)
-    decode = [tuple((code // p**t) % p for t in range(m)) for code in range(size)]
+    modulus, powers = _oracle_powers(p, m)
+    decode = [_digits(code, p, m) for code in range(size)]
     encode = {c: i for i, c in enumerate(decode)}
-
-    def polymul(a, b):
-        prod = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-        for deg in range(2 * m - 2, m - 1, -1):
-            lead = prod[deg]
-            for t in range(m + 1):
-                prod[deg - m + t] = (prod[deg - m + t] - lead * modulus[t]) % p
-        return encode[tuple(prod[:m])]
-
     add = [[encode[tuple((x + y) % p for x, y in zip(a, b))] for b in decode] for a in decode]
     neg = [encode[tuple(-x % p for x in a)] for a in decode]
-    mul = [[polymul(a, b) for b in decode] for a in decode]
+    mul = [[encode[_mulmod(a, b, modulus, p)] for b in decode] for a in decode]
 
     def power(a, e):
         acc = 1
@@ -116,14 +163,7 @@ def _table_field(p, m):
             e >>= 1
         return acc
 
-    def order(a):
-        k, y = 1, a
-        while y != 1:
-            y, k = mul[y][a], k + 1
-        return k
-
-    generator = next(a for a in range(1, size) if order(a) == size - 1)
-    return modulus, generator, add, neg, mul, power
+    return modulus, powers[1 % len(powers)], add, neg, mul, power
 
 
 _SMALL_FIELDS = [
@@ -154,23 +194,6 @@ def test_log_tables_match_the_table_oracle(p, m):
             assert (a * b).code == mul[a.code][b.code]
 
 
-def _walk_every_candidate(field):
-    """The earlier generator search: walk the whole orbit of each code in
-    turn until one has full order; returns its table of powers."""
-    p, m = field.p, field.m
-    weights = [p**t for t in range(m)]
-    for g in range(1, field.size):
-        g_poly = _poly_trim(tuple((g // w) % p for w in weights))
-        walk, y = [1], g
-        while y != 1:
-            walk.append(y)
-            poly = _poly_trim(tuple((y // w) % p for w in weights))
-            y = sum(c * w for c, w in zip(_poly_mul_mod(poly, g_poly, field.modulus, p), weights))
-        if len(walk) == field.order:
-            return walk
-    raise AssertionError("no generator")
-
-
 # every field of at most 300 elements: these hold all the fields that the
 # fixtures, the benchmark ladders and the digest configs build (the
 # largest is GF(17^2))
@@ -178,9 +201,10 @@ _CATALOG_FIELDS = [(p, m) for p in range(2, 300) if _small_factor(p) == p for m 
 
 
 def test_generator_search_matches_the_full_walk():
+    # _exp is the oracle's walk over the powers of x, modulus included
     for p, m in _CATALOG_FIELDS:
         field = finite_field(p, m)
-        assert field._exp == _walk_every_candidate(field), (p, m)
+        assert (field.modulus, field._exp) == _oracle_powers(p, m), (p, m)
 
 
 # -- local monomials ---------------------------------------------------------
@@ -188,7 +212,7 @@ def test_generator_search_matches_the_full_walk():
 
 def _monomials(field):
     return st.builds(
-        lambda v, code: M(field, v, field(code)),
+        lambda v, code: field(code).shift(v),
         st.integers(-3, 3),
         st.integers(min_value=0, max_value=field.size - 1),
     )
@@ -198,7 +222,7 @@ def _monomials(field):
 @settings(max_examples=60)
 def test_series_ring_axioms(a, v, x, y, z):
     # sums stay monomials at a common valuation
-    b, c, d = (M(GF9, v, GF9(code)) for code in (x, y, z))
+    b, c, d = (GF9(code).shift(v) for code in (x, y, z))
     assert (b + c) + d == b + (c + d)
     assert b + c == c + b
     assert a * (b + c) == a * b + a * c
@@ -213,25 +237,45 @@ def test_series_valuation_adds_under_product(a, b):
 
 @given(_monomials(GF25))
 def test_series_inverse_roundtrip(a):
-    if a.is_zero:
+    if not a:
         with pytest.raises(ZeroDivisionError):
             a.inverse()
         return
-    assert a * a.inverse() == M.one(GF25)
+    assert a * a.inverse() == GF25.one
+
+
+@given(_monomials(GF25), st.integers(-4, 4))
+def test_series_powers_match_repeated_products(a, e):
+    # c^e pi^(val e): a negative power of a nonzero monomial is a power of
+    # its inverse, and 0 has no power e <= 0
+    if not a:
+        if e <= 0:
+            with pytest.raises(ZeroDivisionError):
+                a**e
+        else:
+            assert a**e == GF25.zero
+        return
+    base = a if e >= 0 else a.inverse()
+    product = GF25.one
+    for _ in range(abs(e)):
+        product = product * base
+    assert a**e == product
+    assert (a**e).val == a.val * e
+    assert a**e * a**-e == GF25.one
 
 
 def test_sum_of_different_valuations_is_refused():
-    pi = M(GF9, 1, GF9.one)
+    pi = GF9.one.shift(1)
     with pytest.raises(NonMonomial):
-        M.one(GF9) + pi
-    assert (pi - pi).is_zero and (pi - pi).val == INF
+        GF9.one + pi
+    assert not (pi - pi) and (pi - pi).val == INF
     assert (pi - pi).coeffs == ()
 
 
 def test_frobenius_on_series_is_coefficientwise():
     z = GF9.generator
-    fa = M(GF9, -1, z).frobenius()
-    assert fa.val == -1 and fa.coeff == z**3
+    fa = z.shift(-1).frobenius()
+    assert fa.val == -1 and fa.coeffs == (z**3,)
 
 
 # -- Smith normal form over the valuation ring -------------------------------
@@ -242,7 +286,7 @@ def test_frobenius_on_series_is_coefficientwise():
 
 
 def _poly(x):
-    return {x.val: x.coeff} if x.coeff else {}
+    return {x.val: c for c in x.coeffs}
 
 
 def _padd(p, q):
@@ -281,14 +325,13 @@ def _pval(p):
 def test_snf_hand_example():
     # [[pi, 1], [0, pi]] reduces to diag(1, pi^2): the unit pivots first,
     # and the determinant pi^2 lands in the last divisor.
-    pi = M(GF9, 1, GF9.one)
-    _, exponents = smith_normal_form(RingMatrix(GF9, [[pi, M.one(GF9)], [M.zero(GF9), pi]]))
+    pi = GF9.one.shift(1)
+    _, exponents = smith_normal_form(RingMatrix(GF9, [[pi, GF9.one], [GF9.zero, pi]]))
     assert exponents == [0, 2]
 
 
 def test_snf_zero_block_yields_infinite_divisors():
-    z = M.zero(GF9)
-    one = M.one(GF9)
+    z, one = GF9.zero, GF9.one
     _, exponents = smith_normal_form(RingMatrix(GF9, [[one, z], [z, z]]))
     assert exponents == [0, INF]
 
@@ -296,16 +339,16 @@ def test_snf_zero_block_yields_infinite_divisors():
 def test_snf_exact_cancellation_certifies_rank():
     # rank-one matrix with monomial entries: the elimination pi^2 - pi*pi
     # must cancel exactly, leaving a zero divisor
-    pi = M(GF9, 1, GF9.one)
-    _, exponents = smith_normal_form(RingMatrix(GF9, [[M.one(GF9), pi], [pi, pi * pi]]))
+    pi = GF9.one.shift(1)
+    _, exponents = smith_normal_form(RingMatrix(GF9, [[GF9.one, pi], [pi, pi * pi]]))
     assert exponents == [0, INF]
 
 
 def test_snf_refuses_a_binomial():
     # eliminating the unit pivot leaves pi - 1 in the lower right corner
-    one = M.one(GF9)
+    one = GF9.one
     with pytest.raises(NonMonomial):
-        smith_normal_form(RingMatrix(GF9, [[one, one], [one, M(GF9, 1, GF9.one)]]))
+        smith_normal_form(RingMatrix(GF9, [[one, one], [one, one.shift(1)]]))
 
 
 _sparse_entry = st.tuples(st.booleans(), st.integers(1, 8), st.integers(0, 2))
@@ -318,7 +361,7 @@ _sparse_entry = st.tuples(st.booleans(), st.integers(1, 8), st.integers(0, 2))
 )
 @settings(max_examples=80, deadline=None)
 def test_snf_random_matrices(entries):
-    rows = [[M(GF9, v, GF9(c)) if keep else M.zero(GF9) for keep, c, v in row] for row in entries]
+    rows = [[GF9(c).shift(v) if keep else GF9.zero for keep, c, v in row] for row in entries]
     try:
         V, exponents = smith_normal_form(RingMatrix(GF9, rows))
     except NonMonomial:
@@ -348,25 +391,23 @@ def test_snf_random_matrices(entries):
 def test_snf_quotient_coordinate_convention():
     # GF(4)[[pi]]^2 modulo the row span of [[pi, 0]]: coordinates of a vector
     # in the quotient are x @ V; the second slot is free, the first is pi-torsion.
-    pi = M(GF4, 1, GF4.one)
-    V, exponents = smith_normal_form(RingMatrix(GF4, [[pi, M.zero(GF4)]]))
+    pi = GF4.one.shift(1)
+    V, exponents = smith_normal_form(RingMatrix(GF4, [[pi, GF4.zero]]))
     assert exponents == [1]
-    x = [M.one(GF4), M.one(GF4)]
+    x = [GF4.one, GF4.one]
     free = x[0] * V[0][1] + x[1] * V[1][1]
-    assert not free.is_zero
+    assert free
 
 
 def test_snf_of_a_system_without_rows():
     # no relations: the quotient is free on every column, V the identity
     V, exponents = smith_normal_form(RingMatrix(GF4, []), ncols=3)
     assert exponents == []
-    assert [[(x.val, x.coeff) for x in row] for row in V] == [
-        [(0, GF4.one) if i == j else (INF, GF4.zero) for j in range(3)] for i in range(3)
-    ]
+    assert V == [[GF4.one if i == j else GF4.zero for j in range(3)] for i in range(3)]
     with pytest.raises(ValueError, match="ncols"):
         smith_normal_form(RingMatrix(GF4, []))
     with pytest.raises(ValueError, match="entries"):
-        smith_normal_form(RingMatrix(GF4, [[M.one(GF4)]]), ncols=2)
+        smith_normal_form(RingMatrix(GF4, [[GF4.one]]), ncols=2)
 
 
 # -- integer Smith normal form ------------------------------------------------

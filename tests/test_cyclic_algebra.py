@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pelks.algebra import LocalMonomial as M
 from pelks.cyclic_algebra import CyclicAlgebraDescriptor, CyclicAlgebraElement, discriminant_report
 
 QUAT = CyclicAlgebraDescriptor(n=2, residue_size=2)
@@ -12,13 +11,13 @@ SPLIT = CyclicAlgebraDescriptor(n=1, residue_size=5, split=True)
 
 def _scalar(desc, x):
     """x in E as the cyclic element x u^0."""
-    return CyclicAlgebraElement(desc, [x] + [M.zero(desc.field)] * (desc.n - 1))
+    return CyclicAlgebraElement(desc, [x] + [desc.field.zero] * (desc.n - 1))
 
 
 def _u(desc):
     """The generator u as the cyclic element 1 u^1 (n >= 2)."""
-    coeffs = [M.zero(desc.field)] * desc.n
-    coeffs[1] = M.one(desc.field)
+    coeffs = [desc.field.zero] * desc.n
+    coeffs[1] = desc.field.one
     return CyclicAlgebraElement(desc, coeffs)
 
 
@@ -28,8 +27,8 @@ def _terms(desc):
 
     def build(data):
         code, v, i = data
-        coeffs = [M.zero(field)] * desc.n
-        coeffs[i] = M(field, v, field(code))
+        coeffs = [field.zero] * desc.n
+        coeffs[i] = field(code).shift(v)
         return CyclicAlgebraElement(desc, coeffs)
 
     return st.tuples(
@@ -77,17 +76,17 @@ def test_multiplication_is_associative(a, b, c):
 def test_u_commutation_rule():
     for desc in (QUAT, BC, CUBIC):
         u = _u(desc)
-        zeta = _scalar(desc, M(desc.field, 0, desc.field.generator))
+        zeta = _scalar(desc, desc.field.generator)
         tau_zeta = _scalar(desc, desc.tau(zeta.coeffs[0]))
         assert (u * zeta).coeffs == (tau_zeta * u).coeffs
 
 
 def test_u_power_is_uniformizer():
     for desc in (QUAT, BC, CUBIC):
-        acc = _scalar(desc, M.one(desc.field))
+        acc = _scalar(desc, desc.field.one)
         for _ in range(desc.n):
             acc = acc * _u(desc)
-        assert acc.coeffs == _scalar(desc, M(desc.field, 1, desc.field.one)).coeffs
+        assert acc.coeffs == _scalar(desc, desc.field.one.shift(1)).coeffs
 
 
 # -- discriminant -------------------------------------------------------------

@@ -7,7 +7,6 @@ from math import prod
 from pelks.algebra import (
     INF,
     DegenerateTestElement,
-    LocalMonomial,
     RingMatrix,
     integer_det,
     integer_inverse,
@@ -51,7 +50,7 @@ class _DenseDecomposition:
     whole dense system, with no presolve and no blocks."""
 
     def __init__(self, field, rows, ncols):
-        dense = RingMatrix(field, _dense_rows(rows, ncols, LocalMonomial.zero(field)))
+        dense = RingMatrix(field, _dense_rows(rows, ncols, field.zero))
         self.V, self.exponents = smith_normal_form(dense, ncols=ncols)
         self.free_slots = [t for t, e in enumerate(self.exponents) if e == INF]
         self.free_slots += list(range(len(self.exponents), ncols))
@@ -62,7 +61,7 @@ class _DenseDecomposition:
 
     def free_terms(self, flat):
         row = self.V[flat]
-        return [(s, row[f]) for s, f in enumerate(self.free_slots) if row[f].coeff]
+        return [(s, row[f]) for s, f in enumerate(self.free_slots) if row[f]]
 
 
 class _TamperedDecomposition:
@@ -73,9 +72,9 @@ class _TamperedDecomposition:
     def __init__(self, field, rows, ncols, zeroed=(), revived=(), scaled=False):
         self.dec = _DECOMPOSITION(field, rows, ncols)
         self.free_rank, self.exponents = self.dec.free_rank, self.dec.exponents
-        self.unit = LocalMonomial.one(field)
+        self.unit = field.one
         self.zeroed, self.revived = set(zeroed), set(revived)
-        self.factor = LocalMonomial(field, 1, field.one) if scaled else self.unit
+        self.factor = field.one.shift(1) if scaled else self.unit
 
     def free_terms(self, flat):
         terms = [(s, self.factor * a) for s, a in self.dec.free_terms(flat)]
@@ -154,19 +153,17 @@ def test_quaternion_relation_generator_structure():
     desc = CyclicAlgebraDescriptor(n=2, residue_size=3)
     letters = find_test_letters(desc, "C")
     ncols, rows = relation_generators(desc, (1, 0), letters)
-    rows = _dense_rows(rows, ncols, LocalMonomial.zero(desc.field))
-    pi = LocalMonomial(desc.field, 1, desc.field.one)
+    rows = _dense_rows(rows, ncols, desc.field.zero)
+    pi = desc.field.one.shift(1)
     seen_dead = set()
     seen_twist = False
     for c in rows:
         assert c[3] == -(c[0] * pi)
         for flat in (1, 2):
-            if not c[flat].is_zero and all(
-                c[t].is_zero for t in (0, 1, 2, 3) if t != flat
-            ):
+            if c[flat] and not any(c[t] for t in (0, 1, 2, 3) if t != flat):
                 if c[flat].val == 0:
                     seen_dead.add(flat)
-        if not c[0].is_zero:
+        if c[0]:
             seen_twist = True
     assert seen_dead == {1, 2}
     assert seen_twist
@@ -360,7 +357,7 @@ def _presolve_systems():
     z = field.generator
 
     def m(val, coeff=field.one):
-        return LocalMonomial(field, val, coeff)
+        return coeff.shift(val)
 
     return [
         # column 1 dies by the unit row and also sits in a u-row, whose
