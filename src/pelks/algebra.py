@@ -41,7 +41,9 @@ INF = float("inf")
 # `size` entries, rebuilt in every run.  The catalog's fields have at
 # most a few hundred elements and build in about a millisecond; at the
 # cap the slowest, GF(2^12), takes under 0.1 s.  The cap bounds what a
-# mistyped residue size can cost; a place past it fails its local
+# mistyped residue size can cost: a residue size q past it is refused
+# when the place is built (a config error), before q is factored; a
+# place whose q is within it but whose GF(q^n) is not fails its local
 # checks with the refusal raised in FiniteField.
 MAX_FIELD_SIZE = 4096
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .algebra import RingMatrix, finite_field, prime_power, smith_normal_form
+from .algebra import MAX_FIELD_SIZE, RingMatrix, finite_field, prime_power, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,8 @@ class CyclicAlgebraDescriptor:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("degree n must be positive")
+        if self.residue_size > MAX_FIELD_SIZE:  # before factoring q, which trial-divides up to sqrt(q)
+            raise ValueError(f"residue size {self.residue_size} exceeds the field cap {MAX_FIELD_SIZE}")
         prime_power(self.residue_size)  # validates q
         if gcd(self.frobenius_power, self.n) != 1:
             raise ValueError(

@@ -44,10 +44,11 @@ Every result is a plain array, or a pair with one.  Sampled ones carry
 the leading sample axis of their points (`domains`): a lattice stack
 gives w-vectors of shape (..., targets, nr), phi tensors
 (..., nr, nr, labels) and one psi value and off-block defect per
-sample; the cocycle Jacobian is (elements, nr, labels), its numeric
-twin at a point stack (..., elements, nr, labels).  The metric
-identity draws all its samples as one stack and returns one ratio per
-sample, with the exponent k0.
+sample; the cocycle Jacobian is (elements, nr, labels), and its
+numeric twin at a stack of points the (points - 1, elements, nr)
+image differences from the first point.  The metric identity draws
+all its samples as one stack and returns one ratio per sample, with
+the exponent k0.
 """
 
 from functools import reduce
@@ -145,32 +146,18 @@ def cocycle_jacobian(emb, elements=None):
     return out
 
 
-def numeric_cocycle_jacobian(emb, point, elements=None, rotate=False):
-    """Central-difference Jacobian at a point (or a point stack), along
-    h = 0.5 or i*h.
+def numeric_cocycle_jacobian(emb, points, elements):
+    """How the images of `elements` move across a point stack: the
+    image at each point after the first minus the image at the first,
+    shape (points - 1, elements, nr).
 
-    The embedding is affine in the point, so the central difference is
-    exact for any step and a large step avoids the 1/h amplification of
-    rounding noise; the rotated direction checks holomorphy.  The step
-    stays below the spectral floor of Y (at least 1 for `random_point`),
-    so the offset points stay inside the domain.  All offset points are
-    validated and embedded as one stack.
+    The embedding is affine and holomorphic in the point, so each
+    difference is the analytic Jacobian applied to Z_s - Z_0, exact up
+    to rounding; the point differences are generic complex matrices, so
+    a dependence on conj(Z) moves them too.
     """
-    if elements is None:
-        elements = generator_labels(emb)
-    labels = domain_coordinates(emb)
-    h = 0.5j if rotate else 0.5
-    steps = np.zeros((len(labels),) + point.matrix.shape[-2:])
-    rows, cols = np.array(labels).T
-    steps[np.arange(len(labels)), rows, cols] = 1.0
-    if emb.kind == "C":
-        steps[np.arange(len(labels)), cols, rows] = 1.0  # the classical domain is symmetric
-    z = point.matrix[..., None, :, :]  # broadcast over the steps
-    offsets = type(point)(np.stack([z + h * steps, z - h * steps]))
-    plus, minus = embed_labels(emb, offsets, elements)
-    plus -= minus  # in place, to keep the peak memory of a large stack down
-    plus /= 2 * h
-    return np.moveaxis(plus, -3, -1)  # the domain label goes last
+    images = embed_labels(emb, points, elements)
+    return images[1:] - images[0]
 
 
 def solve_w_vectors(lattice, form):

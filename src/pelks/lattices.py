@@ -249,9 +249,7 @@ def embed_labels(emb, point, labels):
         conj = x.conj() @ np.concatenate([np.swapaxes(z, -1, -2), eye], axis=-2)
         return np.concatenate([plain, conj], axis=-1).reshape(shape)
     r = emb.r
-    out = x[..., :r] @ z
-    out += x[..., r:]  # in place: at the cocycle check's offset stack this is the largest array
-    return out.reshape(shape)
+    return (x[..., :r] @ z + x[..., r:]).reshape(shape)
 
 
 def build_lattice(point, emb):

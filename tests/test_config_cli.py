@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -515,6 +516,18 @@ def test_field_cap_fails_the_local_checks_without_traceback(tmp_path):
     assert len(local) == 3
     for line in local:
         assert line.startswith("FAIL") and "field GF(67^2) too large" in line
+
+
+def test_residue_size_past_the_field_cap_is_a_config_error(tmp_path, capsys):
+    # 2^89 - 1 is prime: trial division up to its square root would not finish
+    cfg = {"name": "big", "type": "C", "n": 2, "r": 1, "signature": [1, 0]}
+    config_from_dict(dict(cfg, local_places=[{"residue_size": 4096}]))  # the cap itself is a residue size
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(dict(cfg, local_places=[{"residue_size": 2**89 - 1}])))
+    start = time.perf_counter()
+    assert main(["run", "--config", str(path)]) == 2
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().err.startswith("config error: local_places[0]: residue size")
 
 
 def test_import_loads_no_scipy():

@@ -22,6 +22,7 @@ import pytest
 from pelks import kodaira_spencer
 from pelks.checks import _ArchContext, run_checks
 from pelks.cli import resolve_config
+from pelks.config import config_from_dict
 from pelks.domains import _SPREAD, HermitianPoint, SiegelPoint, per_sample, petersson_norm, random_point
 from pelks.kodaira_spencer import (
     SingularPairing,
@@ -163,16 +164,33 @@ def test_cocycle_hand_entries_classical():
     assert np.abs(jac[2:]).max() == 0.0
 
 
+def _cocycle_loop(emb, point, elements, rotate):
+    """The coordinate central differences of the embedding, one offset
+    point at a time, each validated and embedded on its own: the
+    Jacobian at every domain coordinate along the step h = 0.5, or
+    h = 0.5i when `rotate`, which also checks holomorphy."""
+    labels = domain_coordinates(emb)
+    h = 0.5j if rotate else 0.5
+    out = np.zeros((len(elements), emb.n * emb.r, len(labels)), dtype=complex)
+    for t, (a, b) in enumerate(labels):
+        e = np.zeros(point.matrix.shape)
+        e[a, b] = 1.0
+        if emb.kind == "C":
+            e[b, a] = 1.0
+        plus = type(point)(point.matrix + h * e)
+        minus = type(point)(point.matrix - h * e)
+        out[:, :, t] = (embed_labels(emb, plus, elements) - embed_labels(emb, minus, elements)) / (2 * h)
+    return out
+
+
 def test_cocycle_matches_central_differences():
     rng = np.random.default_rng(17)
     for emb, _, _ in _instances():
         ana = cocycle_jacobian(emb)
         for _ in range(5):
             point = random_point(emb.kind, domain_genus(emb), rng)
-            num = numeric_cocycle_jacobian(emb, point)
-            rot = numeric_cocycle_jacobian(emb, point, rotate=True)
-            assert np.abs(ana - num).max() < 1e-12
-            assert np.abs(ana - rot).max() < 1e-12
+            for rotate in (False, True):
+                assert np.abs(ana - _cocycle_loop(emb, point, generator_labels(emb), rotate)).max() < 1e-12
 
 
 def test_cocycle_on_random_integer_elements():
@@ -185,8 +203,8 @@ def test_cocycle_on_random_integer_elements():
         elements.append(sum(c * b for c, b in zip(coeffs, basis)))
     ana = cocycle_jacobian(emb, elements=elements)
     point = random_point("A", 1, rng)
-    num = numeric_cocycle_jacobian(emb, point, elements=elements)
-    assert np.abs(ana - num).max() < 1e-12
+    for rotate in (False, True):
+        assert np.abs(ana - _cocycle_loop(emb, point, elements, rotate)).max() < 1e-12
 
 
 def test_w_vectors_match_closed_forms():
@@ -533,23 +551,6 @@ def _point_loop(kind, g, rng):
     return HermitianPoint((H + H.conj().T) / 2 + 1j * (np.eye(g) + A @ A.conj().T))
 
 
-def _cocycle_loop(emb, point, elements, rotate):
-    """The numeric Jacobian one offset point at a time, each validated and
-    embedded on its own."""
-    labels = domain_coordinates(emb)
-    h = 0.5j if rotate else 0.5
-    out = np.zeros((len(elements), emb.n * emb.r, len(labels)), dtype=complex)
-    for t, (a, b) in enumerate(labels):
-        e = np.zeros(point.matrix.shape)
-        e[a, b] = 1.0
-        if emb.kind == "C":
-            e[b, a] = 1.0
-        plus = type(point)(point.matrix + h * e)
-        minus = type(point)(point.matrix - h * e)
-        out[:, :, t] = (embed_labels(emb, plus, elements) - embed_labels(emb, minus, elements)) / (2 * h)
-    return out
-
-
 def _covolume_loop(lat):
     return float(np.exp(np.linalg.slogdet(lat.basis_real)[1]))
 
@@ -626,9 +627,9 @@ def _assert_stack_matches_loop(emb, mu, points):
     assert list(per_sample(abs, value)) == [m for _, m, _ in oracle]
     assert list(off_block_defect) == [o for _, _, o in oracle]
     elements = generator_labels(emb)
-    for rotate in (False, True):
-        num = numeric_cocycle_jacobian(emb, stack, rotate=rotate)
-        assert np.array_equal(num, np.stack([_cocycle_loop(emb, p, elements, rotate) for p in points]))
+    images = [embed_labels(emb, p, elements) for p in points]
+    num = numeric_cocycle_jacobian(emb, stack, elements)
+    assert np.array_equal(num, np.stack([image - images[0] for image in images[1:]]))
 
 
 def _fixture_cases():
@@ -679,7 +680,7 @@ def test_index_arrays_equal_the_incidence_loops():
 
 def test_cocycle_check_fails_on_a_nonlinear_embedding(monkeypatch):
     # the numeric twin reads the real embedding, so a term quadratic in Z
-    # moves its central differences off the analytic Jacobian
+    # moves its point differences off the analytic Jacobian
     cfg = resolve_config("siegel-C")
     assert run_checks(cfg, only="pipeline.cocycle-jacobian")["checks"][0]["status"] == "pass"
 
@@ -691,3 +692,65 @@ def test_cocycle_check_fails_on_a_nonlinear_embedding(monkeypatch):
     checks = run_checks(cfg, only="pipeline.cocycle-jacobian")["checks"]
     assert [(c["status"], c["detail"]) for c in checks] == [("fail", "")]
     assert checks[0]["computed"]["max_defect"] > 1e-7
+
+
+def _conj_column_zeroed(real):
+    """`real` with every target read unconjugated."""
+
+    def broken(emb):
+        targets, fiber, target, label = real(emb)
+        return targets * [1, 1, 0], fiber, target, label
+
+    return broken
+
+
+def _plain_labels_transposed(real):
+    """`real` with the plain family scattered to label (j, k) instead of (k, j)."""
+
+    def broken(emb):
+        targets, fiber, target, label = real(emb)
+        labels = domain_coordinates(emb)
+        transpose = np.array([labels.index((j, k)) for k, j in labels])
+        plain = targets[target, 2] == 0
+        return targets, fiber, target, np.where(plain, transpose[label], label)
+
+    return broken
+
+
+def _plus(term):
+    """A breaker adding 1e-6 term(Z[0, 0]) to every image."""
+
+    def breaker(real):
+        def broken(emb, point, labels):
+            return real(emb, point, labels) + 1e-6 * term(point.matrix[..., 0, 0])[..., None, None]
+
+        return broken
+
+    return breaker
+
+
+def _gaussian_r4():
+    """Gaussian rank four, as the benchmark's arch ladder builds it."""
+    arch = {"discriminant": -4, "order_basis": [[[[1, 0]]], [[[0, 1]]]], "mu_mode": "self-dual-auto", "mu": None}
+    return config_from_dict({"name": "gauss-r4", "type": "A", "n": 1, "r": 4, "signature": [2, 2], "archimedean": arch})
+
+
+@pytest.mark.parametrize(
+    "attr,breaker,config",
+    [
+        ("_incidences", _conj_column_zeroed, lambda: resolve_config("unitary-A")),
+        ("_incidences", _plain_labels_transposed, _gaussian_r4),
+        ("embed_labels", _plus(np.conj), lambda: resolve_config("unitary-A")),
+        # Im Z is constant along a real coordinate step: of the central
+        # differences, only the rotated one sees this term
+        ("embed_labels", _plus(np.imag), lambda: resolve_config("unitary-A")),
+    ],
+    ids=["conj-column-zeroed", "plain-labels-transposed", "plus-conj-z", "plus-im-z"],
+)
+def test_cocycle_check_fails_on_a_wrong_index_map_or_embedding(monkeypatch, attr, breaker, config):
+    cfg = config()
+    assert run_checks(cfg, only="pipeline.cocycle-jacobian")["checks"][0]["status"] == "pass"
+    monkeypatch.setattr(kodaira_spencer, attr, breaker(getattr(kodaira_spencer, attr)))
+    checks = run_checks(cfg, only="pipeline.cocycle-jacobian")["checks"]
+    assert [(c["status"], c["detail"]) for c in checks] == [("fail", "")]
+    assert checks[0]["computed"]["max_defect"] > 1e-8
