@@ -42,9 +42,10 @@ INF = float("inf")
 # most a few hundred elements and build in about a millisecond; at the
 # cap the slowest, GF(2^12), takes under 0.1 s.  The cap bounds what a
 # mistyped residue size can cost: a residue size q past it is refused
-# when the place is built (a config error), before q is factored; a
-# place whose q is within it but whose GF(q^n) is not fails its local
-# checks with the refusal raised in FiniteField.
+# when the place is built (a config error), and `finite_field` refuses
+# any GF(q^ext) past it, each before q is factored; a place whose q is
+# within the cap but whose GF(q^n) is not fails its local checks with
+# that refusal.
 MAX_FIELD_SIZE = 4096
 
 
@@ -157,7 +158,12 @@ def prime_power(q):
 
 @lru_cache(maxsize=None)
 def finite_field(q, ext=1):
-    """Cached field GF(q^ext) for q a prime power."""
+    """Cached field GF(q^ext) for q a prime power.  A q^ext past the cap
+    is refused before q is factored, which trial-divides up to sqrt(q)."""
+    if ext < 1:
+        raise ValueError(f"extension degree {ext} is not positive")
+    if q**ext > MAX_FIELD_SIZE:
+        raise ValueError(f"field GF({q}^{ext}) too large for table construction")
     p, m = prime_power(q)
     return FiniteField(p, m * ext)
 

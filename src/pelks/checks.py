@@ -20,7 +20,15 @@ module constant here and is shown in each report entry's `tolerance`.
 Before it applies, three thresholds of `lattices` decide
 arch.self-dual-mu and arch.polarization-degree: INTEGRALITY_TOL (a Gram
 matrix is integral), HERMITIAN_TOL and POSITIVITY_TOL (the associated
-form is Hermitian and positive).
+form is Hermitian and positive).  Four invertibility guards refuse
+before any check computes: RANK_TOL (a period lattice, `RankDeficient`),
+MU_TOL (a singular mu), the rank tolerance of an order basis (a config
+error) and `kodaira_spencer.COND_LIMIT` (the w-solve's pairing,
+`SingularPairing`).  Each is decided by `lattices.checked_inverse` from
+the Frobenius norms of the matrix and of its inverse, which bound the
+singular values from the refusing side: it refuses whatever a
+singular-value test at the same threshold refuses, and some matrices
+within a factor of their size of it.
 
 A sampled check reports the worst per-sample defect through `_worst`,
 which keeps a NaN, so a NaN defect fails; `--report` writes it as the

@@ -51,7 +51,7 @@ all its samples as one stack and returns one ratio per sample, with
 the exponent k0.
 """
 
-from functools import reduce
+from functools import lru_cache, reduce
 from math import pi
 from operator import mul
 
@@ -62,6 +62,7 @@ from .domains import per_sample, petersson_norm, random_point
 from .lattices import (
     RiemannForm,
     build_lattice,
+    checked_inverse,
     embed_labels,
     faltings_norm,
     generator_labels,
@@ -69,7 +70,9 @@ from .lattices import (
 )
 
 
-COND_LIMIT = 1e12  # largest condition number the w-solve accepts
+# largest condition number the w-solve accepts, read as the bound
+# |M|_F |M^{-1}|_F of its pairing matrix M (`lattices.checked_inverse`)
+COND_LIMIT = 1e12
 
 
 class SingularPairing(Exception):
@@ -94,13 +97,16 @@ def domain_genus(emb):
     return emb.r // 2 if emb.kind == "A" else emb.r
 
 
+@lru_cache(maxsize=16)
 def _incidences(emb):
     """The model's index map: (targets, fiber, target, label).
 
     `targets` holds the target functionals as (i, k, conj) rows, each
     once, in table order; `fiber`, `target` and `label` are parallel,
     one entry per incidence: the fiber coordinate, the row of
-    `targets`, and the position of the domain label.
+    `targets`, and the position of the domain label.  Built once per
+    embedding (an embedding hashes by identity), so the arrays are
+    read-only.
     """
     n, r = emb.n, emb.r
     if emb.kind == "A":
@@ -114,12 +120,15 @@ def _incidences(emb):
     fiber, functional, label = zip(*table)
     row = {tau: s for s, tau in enumerate(dict.fromkeys(functional))}
     position = {lab: t for t, lab in enumerate(domain_coordinates(emb))}
-    return (
+    out = (
         np.array(list(row)),
         np.array(fiber),
         np.array([row[tau] for tau in functional]),
         np.array([position[lab] for lab in label]),
     )
+    for array in out:
+        array.setflags(write=False)
+    return out
 
 
 def target_values(targets, labels):
@@ -169,28 +178,22 @@ def solve_w_vectors(lattice, form):
     extension and the antilinear part of it.  Each system is square
     (2nr real unknowns against nr complex equations on the standard
     basis) and shares one pairing matrix, uniquely solvable when the
-    form pairs the two antiholomorphic halves nondegenerately.
+    form pairs the two antiholomorphic halves nondegenerately.  The
+    pairing matrix is inverted once per sample, and every target's
+    right-hand side goes through that inverse in one matrix product.
     """
     dim = lattice.complex_dim
     kt = np.swapaxes(form.extension(lattice), -1, -2)
     mc = (pi * 1j) * (kt[..., :dim, :] + 1j * kt[..., dim:, :])
     m_real = np.concatenate([mc.real, mc.imag], axis=-2)
-    s = np.linalg.svd(m_real, compute_uv=False)
-    s_min, s_max = s.min(axis=-1), s.max(axis=-1)
-    cond = s_max / np.maximum(s_min, 1e-300)
-    singular = ((s_min <= 0) | (cond > COND_LIMIT)).ravel()
-    if singular.any():
-        raise SingularPairing(f"pairing condition number {cond.ravel()[singular.argmax()]:.3e}")
+    singular = SingularPairing(f"pairing condition number not below {COND_LIMIT:.3e}")
+    m_inv = checked_inverse(m_real, 1 / COND_LIMIT, singular, floor=0.0)
     # values[t, g] is target t read off generator g, every target at once
     values = target_values(_incidences(lattice.embedding)[0], lattice.labels).T
-    binv = lattice.basis_real_inv[..., None, :, :]  # broadcast over the targets
-    f = (binv @ values[..., None])[..., 0]
+    f = values @ np.swapaxes(lattice.basis_real_inv, -1, -2)  # f[..., t, :] = B^{-1} values[t]
     gamma = 0.5 * (f[..., :dim] + 1j * f[..., dim:])
     rhs = np.concatenate([gamma.real, gamma.imag], axis=-1)
-    # one square system per sample and target: a single multi-column
-    # solve would round differently from the per-target solve
-    m_all = np.broadcast_to(m_real[..., None, :, :], rhs.shape + rhs.shape[-1:])
-    sol = np.linalg.solve(m_all, rhs[..., None])[..., 0]
+    sol = rhs @ np.swapaxes(m_inv, -1, -2)
     return sol[..., :dim] + 1j * sol[..., dim:]
 
 
@@ -244,15 +247,19 @@ def psi_constant(phi, emb):
     r = emb.r
     shift = r // 2 if emb.kind == "A" else 0
     labels = domain_coordinates(emb)
-    dets, off = [], []
+    # every block at once: blocks[..., t, l, i] is the slot
+    # (i r + b, l r + a + shift, t) of label t = (a, b)
+    label_a, label_b = np.array(labels).T[..., None, None]
+    step = r * np.arange(emb.n)
+    blocks = phi[..., label_b + step, label_a + shift + step[:, None], np.arange(len(labels))[:, None, None]]
+    per_label = np.linalg.det(blocks)
+    off = []
     for t, (a, b) in enumerate(labels):
         rows = phi[..., b::r, a + shift :: r, :]  # rows[..., i, l, :] is the row of (i, l)
-        dets.append(np.linalg.det(np.swapaxes(rows[..., t], -1, -2)))
         others = np.arange(len(labels)) != t
         off.append(np.abs(rows[..., others]).max(axis=(-3, -2, -1), initial=0.0))
     # the product in scalar complex arithmetic, sample by sample: numpy's
     # vectorised complex multiply can differ from the scalar one by one ULP
-    per_label = np.stack(dets, axis=-1)
     value = np.array([reduce(mul, row, 1.0 + 0j) for row in per_label.reshape(-1, len(labels))])
     value = value.reshape(per_label.shape[:-1])
     return value[()], np.max(off, axis=0)[()]

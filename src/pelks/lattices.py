@@ -29,6 +29,11 @@ holds one lattice per point, and its covolume, dual and closed forms
 come out per sample, shape (...); one point is the case with no
 sample axis.
 
+Every invertibility guard (the lattice rank, mu, the order closure and
+the pairing of the w-solve) is decided by `checked_inverse` on the
+inverse the caller needs anyway, from Frobenius-norm bounds on the
+singular values, so no guard runs a singular value decomposition.
+
 The Riemann form lives on the labels, so its Gram matrix depends on the
 embedding and mu only:
 
@@ -57,6 +62,11 @@ from .domains import HermitianPoint, SiegelPoint, per_sample
 INTEGRALITY_TOL = 1e-9
 HERMITIAN_TOL = 1e-8
 POSITIVITY_TOL = 1e-10
+# Invertibility guards (`checked_inverse`): the least smallest singular
+# value, relative to max(1, largest), of the real basis of a period
+# lattice and of the polarization parameter mu.
+RANK_TOL = 1e-10
+MU_TOL = 1e-12
 
 
 class RankDeficient(Exception):
@@ -65,6 +75,31 @@ class RankDeficient(Exception):
 
 class NoSelfDualForm(Exception):
     """No admissible mu makes the Riemann form unimodular on the lattice."""
+
+
+def checked_inverse(a, tol, refusal, floor=1.0):
+    """The inverse of a matrix, or of every matrix of a stack, whose
+    singular values pass s_min >= tol * max(floor, s_max); otherwise
+    raises `refusal`, an exception instance.
+
+    The test reads Frobenius norms, which bound the singular values from
+    the refusing side: s_max <= |a|_F and s_min >= 1 / |a^{-1}|_F.  It
+    accepts only when tol * max(floor, |a|_F) * |a^{-1}|_F < 1, so it
+    refuses every matrix the singular values refuse, and some more
+    within a factor of the matrix size of the threshold.  An exactly
+    singular matrix (where `inv` raises) and one holding a NaN or an inf
+    are refused too.
+    """
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        raise refusal from None
+    with np.errstate(invalid="ignore", over="ignore"):
+        size = np.maximum(floor, np.linalg.norm(a, axis=(-2, -1)))
+        margin = tol * size * np.linalg.norm(inv, axis=(-2, -1))
+    if not (margin < 1).all():
+        raise refusal
+    return inv
 
 
 def _as_complex(m):
@@ -123,15 +158,19 @@ class OrderEmbedding:
 
     def _check_closure(self, mats):
         # Products of basis elements must decompose over the basis with
-        # integer coefficients; this is the structure-constant sanity check,
-        # one least-squares solve with every product as a column.
+        # integer coefficients; this is the structure-constant sanity check.
+        # The basis has as many elements as M_n(C) (A) or M_n(R) (C) has
+        # real dimensions, so its coordinate matrix is square: kind C drops
+        # the imaginary rows, which __post_init__ bounds by 1e-12.  The rank
+        # tolerance is numpy's default one for 2n^2 coordinates.
         stack = np.stack(mats)
-        cols = _real_rows(stack).T
-        if np.linalg.matrix_rank(cols) < len(mats):
-            raise ValueError("order basis matrices are rationally dependent")
         prods = (stack[:, None] @ stack[None, :]).reshape(-1, self.n, self.n)
-        # full rank at this count spans M_n(C) (A) or M_n(R) (C): every product decomposes
-        coeff = np.linalg.lstsq(cols, _real_rows(prods).T, rcond=None)[0]
+        cols, prod_cols = _real_rows(stack).T, _real_rows(prods).T
+        if self.kind == "C":
+            cols, prod_cols = cols[: len(mats)], prod_cols[: len(mats)]
+        tol = 2 * self.n * self.n * np.finfo(float).eps
+        dependent = ValueError("order basis matrices are rationally dependent")
+        coeff = checked_inverse(cols, tol, dependent, floor=0.0) @ prod_cols
         if np.abs(coeff - np.round(coeff)).max() > 1e-9:
             raise ValueError("order basis products need integer coefficients")
 
@@ -181,7 +220,10 @@ class PeriodLattice:
 
     labels stacks the rational labels of the generators (module
     docstring), shared by every lattice of a stack; vectors[..., k, :]
-    is the flattened embedded image of labels[k].
+    is the flattened embedded image of labels[k].  basis_real holds the
+    real rows [Re | Im] of the vectors and basis_real_inv its inverse;
+    both are computed, and the rank checked, unless the caller passes
+    them (the dual lattice has them from its primal).
     """
 
     embedding: OrderEmbedding
@@ -197,12 +239,12 @@ class PeriodLattice:
         count, dim = vecs.shape[-2:]
         if count != 2 * dim:
             raise ValueError("a full lattice needs 2nr generators in C^{nr}")
+        if self.basis_real_inv is not None:
+            return
         b = np.concatenate([vecs.real, vecs.imag], axis=-1)
-        s = np.linalg.svd(b, compute_uv=False)
-        if (s.min(axis=-1) < 1e-10 * np.maximum(1.0, s.max(axis=-1))).any():
-            raise RankDeficient("embedded generators are real-linearly dependent")
+        dependent = RankDeficient("embedded generators are real-linearly dependent")
         object.__setattr__(self, "basis_real", b)
-        object.__setattr__(self, "basis_real_inv", np.linalg.inv(b))
+        object.__setattr__(self, "basis_real_inv", checked_inverse(b, RANK_TOL, dependent))
 
     @property
     def complex_dim(self):
@@ -213,11 +255,15 @@ class PeriodLattice:
         return per_sample(np.exp, logdet)
 
     def dual(self):
-        """Euclidean dual lattice: real dual basis of the generators."""
+        """Euclidean dual lattice: real dual basis of the generators, the
+        rows of B^{-T}, whose inverse is B^T exactly."""
         dual_rows = np.swapaxes(self.basis_real_inv, -1, -2)
         dim = self.complex_dim
         vecs = dual_rows[..., :dim] + 1j * dual_rows[..., dim:]
-        return PeriodLattice(self.embedding, self.point, vecs, self.labels)
+        return PeriodLattice(
+            self.embedding, self.point, vecs, self.labels,
+            basis_real=dual_rows, basis_real_inv=np.swapaxes(self.basis_real, -1, -2),
+        )
 
 
 def generator_labels(emb):
@@ -273,18 +319,21 @@ def build_lattice(point, emb):
     return PeriodLattice(emb, point, embed_labels(emb, point, labels), labels)
 
 
-def normalize_mu(mu, n):
-    """mu as an invertible n x n complex matrix; a scalar means mu . I_n."""
+def _mu_and_inverse(mu, n):
+    """mu as an n x n complex matrix (a scalar means mu . I_n) and its
+    inverse; a singular mu is a ValueError."""
     if np.isscalar(mu):
         m = complex(mu) * np.eye(n, dtype=complex)
     else:
         m = np.asarray(mu, dtype=complex)
     if m.shape != (n, n):
         raise ValueError("mu must be n x n")
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.min() < 1e-12 * max(1.0, s.max()):
-        raise ValueError("mu is singular")
-    return m
+    return m, checked_inverse(m, MU_TOL, ValueError("mu is singular"))
+
+
+def normalize_mu(mu, n):
+    """mu as an invertible n x n complex matrix; a scalar means mu . I_n."""
+    return _mu_and_inverse(mu, n)[0]
 
 
 def _alternating_block(half):
@@ -300,8 +349,7 @@ class RiemannForm:
 
     def __init__(self, emb, mu):
         self.emb = emb
-        self.mu = normalize_mu(mu, emb.n)
-        self._mu_inv = np.linalg.inv(self.mu)
+        self.mu, self._mu_inv = _mu_and_inverse(mu, emb.n)
         self._gram = None
 
     @property

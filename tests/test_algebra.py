@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -83,6 +84,15 @@ def test_field_construction_is_deterministic():
 def test_field_cap_is_refused():
     with pytest.raises(ValueError, match=r"field GF\(67\^2\) too large"):
         finite_field(67, 2)
+
+
+def test_field_cap_is_refused_before_factoring():
+    # 2^61 - 1 is prime: factoring it by trial division would not finish
+    start = time.perf_counter()
+    for q, ext in ((2**61 - 1, 1), (2**89 - 1, 1), (2**61 - 1, 2), (2, 13)):
+        with pytest.raises(ValueError, match="too large"):
+            finite_field(q, ext)
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("p,m", [(2, 12), (3, 7), (4093, 1)])

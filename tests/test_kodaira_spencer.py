@@ -527,7 +527,9 @@ def test_batched_kernels_equal_their_loops():
         assert emb.trace_covolume() == _trace_covolume_loop(emb)
         lat = build_lattice(point, emb)
         ws = solve_w_vectors(lat, form)
-        assert np.array_equal(ws, _w_loop(lat, form))
+        # the solve multiplies by the inverse of the pairing matrix, the
+        # loop runs one LU solve per target: equal up to rounding
+        assert np.abs(ws - _w_loop(lat, form)).max() <= 1e-13 * np.abs(ws).max()
         if emb.kind == "A":
             phi = assemble_phi(emb, ws)
             noise = rng.normal(size=phi.shape) + 1j * rng.normal(size=phi.shape)
