@@ -5,10 +5,10 @@ Each line reads `<workload>/<rung>/<seed> <sha256>`.  The configs are
 the benchmark's (perfbench/workloads.py, imported read-only): the four
 fixtures at each of their pool seeds and every local-ladder and
 arch-ladder rung with its `--only` glob, at benchmark seed 1.  The
-`edge` workload adds five configs off the happy path: an unresolvable
-base lattice, a non-unimodular explicit mu, GF(67^2) over the field
-cap, an unbalanced local-only instance, and a kind-A n = 3 local-only
-instance at q = 2.  A config error is hashed as its `config error:`
+`edge` workload adds six configs off the happy path: an unresolvable
+base lattice, a non-unimodular explicit mu, a singular explicit mu,
+GF(67^2) over the field cap, an unbalanced local-only instance, and a
+kind-A n = 3 local-only instance at q = 2.  A config error is hashed as its `config error:`
 message.
 
 Reports are deterministic up to `timing`, so two source trees give the
@@ -58,6 +58,8 @@ def edge_configs():
         # 1e-13 i passes the order checks but embeds real-dependently
         ("unresolvable-lattice", _unitary(archimedean=arch | {"order_basis": [[[[1, 0]]], [[[0, 1e-13]]]]})),
         ("explicit-mu-not-unimodular", _unitary(archimedean=arch | {"mu_mode": "explicit", "mu": [[[-1, 0]]]})),
+        # the mu-dependent checks fail on the refusal; they are not skipped
+        ("explicit-mu-singular", _unitary(archimedean=arch | {"mu_mode": "explicit", "mu": [[[0, 0]]]})),
         ("gf67-over-cap", _unitary(type="C", n=2, signature=[2, 0], local_places=[{"residue_size": 67}], archimedean=None)),
         ("unbalanced-local-only", _unitary(r=3, signature=[2, 1], local_places=[{"residue_size": 5, "conjugation_power": 1}], archimedean=None)),
         # pins the n > 2 refusal of the local quotient (ROADMAP item 7)

@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.random import default_rng
 
-from .config import build_embedding, config_digest, explicit_mu, matrix_to_lists
+from .config import build_embedding, config_digest, matrix_to_lists
 from .cyclic_algebra import discriminant_report
 from .domains import per_sample, random_point
 from .kodaira_spencer import (
@@ -109,13 +109,14 @@ class _ArchContext:
 
     The embedding is built at once, so a bad order basis is a config
     error whatever `only` selects; the base lattice (at a seeded point),
-    mu and its Riemann form are built on first use, once each.
+    the trace form and the polarization's Riemann form are built on
+    first use, once each.
     """
 
     def __init__(self, cfg):
         self.cfg = cfg
         self.emb = build_embedding(cfg)
-        self.mu_error = None  # what the solve of mu raised, if it did
+        self.form_error = None  # what the solve of mu raised, if it did
 
     @cached_property
     def base_lattice(self):
@@ -123,21 +124,24 @@ class _ArchContext:
         return build_lattice(point, self.emb)
 
     @cached_property
-    def mu(self):
-        """The explicit mu, or the one solved on the base lattice; None,
-        with the exception in `mu_error`, when the solve raised."""
-        explicit = explicit_mu(self.cfg)
-        if explicit is not None:
-            return explicit
-        try:
-            return solve_self_dual_mu(self.base_lattice) * np.eye(self.cfg.n, dtype=complex)
-        except Exception as exc:  # fails arch.self-dual-mu, skips its dependents
-            self.mu_error = exc
-            return None
+    def trace_form(self):
+        """The basic form, mu = 1: where the solve starts, and the trace
+        form of the kind-A n = 1 degree check."""
+        return RiemannForm(self.emb, 1.0)
 
     @cached_property
     def form(self):
-        return RiemannForm(self.emb, self.mu)
+        """The Riemann form of the explicit mu, which raises when that mu
+        is singular, or of the mu solved on the base lattice; None, with
+        the exception in `form_error`, when the solve raised."""
+        explicit = self.cfg.archimedean.mu
+        if explicit is not None:
+            return RiemannForm(self.emb, explicit)
+        try:
+            return solve_self_dual_mu(self.trace_form, self.base_lattice)
+        except Exception as exc:  # fails arch.self-dual-mu, skips its dependents
+            self.form_error = exc
+            return None
 
     def sample_points(self, count, salt):
         """A stack of `count` domain points from the stream (seed, salt)."""
@@ -175,22 +179,22 @@ def _check_rank_lemma(cfg, ctx):
 
 
 def _check_self_dual_mu(cfg, ctx):
-    if ctx.mu is None:
-        raise ctx.mu_error
     form = ctx.form
+    if form is None:
+        raise ctx.form_error
     gram_det = abs(float(np.linalg.det(form.gram)))
     if cfg.archimedean.mu is None:  # solved on the base lattice
         trace_covolume = ctx.emb.trace_covolume()
-        det_mu_power = abs(complex(ctx.mu[0, 0])) ** (cfg.n * cfg.r)  # mu = c I_n
+        det_mu_power = abs(complex(form.mu[0, 0])) ** (cfg.n * cfg.r)  # mu = c I_n
         computed = {
-            "mu": matrix_to_lists(ctx.mu),
+            "mu": matrix_to_lists(form.mu),
             "gram_det": gram_det,
             "trace_covolume": trace_covolume,
             "covolume_matched": abs(det_mu_power / trace_covolume - 1.0) < COVOLUME_TOL,
         }
         return computed, {"gram_det": 1.0, "covolume_matched": True}
     computed = {
-        "mu": matrix_to_lists(ctx.mu),
+        "mu": matrix_to_lists(form.mu),
         "integrality_defect": form.integrality_defect(),
         "positive": form.is_positive(ctx.base_lattice),
         "gram_det": gram_det,
@@ -200,7 +204,7 @@ def _check_self_dual_mu(cfg, ctx):
 
 def _check_covolume(cfg, ctx):
     lat = ctx.lattices(cfg.samples, 11)
-    defect = _worst(np.abs(lat.covolume() / covolume_closed_form(lat, ctx.mu) - 1.0))
+    defect = _worst(np.abs(lat.covolume() / covolume_closed_form(lat, ctx.form) - 1.0))
     return {"max_ratio_defect": defect}, {"max_ratio_defect": 0.0}
 
 
@@ -215,9 +219,8 @@ def _check_polarization_degree(cfg, ctx):
     expected = {"degree": 1, "dual_index": 1}
     if cfg.kind == "A" and cfg.n == 1:
         d_abs = abs(cfg.archimedean.discriminant)
-        trace_form = RiemannForm(ctx.emb, 1.0)
-        computed["trace_form_degree"] = polarization_degree(trace_form)
-        computed["trace_form_dual_index"] = dual_index_oracle(trace_form)
+        computed["trace_form_degree"] = polarization_degree(ctx.trace_form)
+        computed["trace_form_dual_index"] = dual_index_oracle(ctx.trace_form)
         expected["trace_form_degree"] = d_abs ** (cfg.r // 2)
         expected["trace_form_dual_index"] = d_abs**cfg.r
     return computed, expected
@@ -246,7 +249,7 @@ def _check_cocycle(cfg, ctx):
 
 def _check_w_closed_form(cfg, ctx):
     ws = solve_w_vectors(ctx.lattices(2, 23), ctx.form)  # (sample, target, nr)
-    computed = {"max_defect": _worst(np.abs(ws - closed_form_w(ctx.emb, ctx.mu))), "targets": ws.shape[-2]}
+    computed = {"max_defect": _worst(np.abs(ws - closed_form_w(ctx.form))), "targets": ws.shape[-2]}
     return computed, {"max_defect": 0.0}
 
 
@@ -260,7 +263,7 @@ def _check_phi_independence(cfg, ctx):
 
 
 def _check_psi(cfg, ctx):
-    closed = psi_modulus_closed_form(ctx.emb, ctx.mu)
+    closed = psi_modulus_closed_form(ctx.form)
     phis = ctx.phis(2, 31)
     value, off_block_defect = psi_constant(phis, ctx.emb)
     computed = {
@@ -273,7 +276,7 @@ def _check_psi(cfg, ctx):
 
 
 def _check_metric(cfg, ctx):
-    ratios, k0 = metric_identity_check(ctx.emb, ctx.mu, samples=cfg.samples, seed=cfg.seed)
+    ratios, k0 = metric_identity_check(ctx.form, samples=cfg.samples, seed=cfg.seed)
     computed = {
         "max_defect": _worst(np.abs(ratios - 1)),
         "exponent": k0,
@@ -392,8 +395,8 @@ def _expand(cfg, ctx):
 def _prerequisite(needs, ctx):
     if needs in ("emb", "mu") and ctx.emb is None:
         raise Skip("no archimedean data")
-    if needs == "mu" and ctx.mu is None:
-        raise Skip(f"no resolved polarization: {_describe(ctx.mu_error)}")
+    if needs == "mu" and ctx.form is None:
+        raise Skip(f"no resolved polarization: {_describe(ctx.form_error)}")
 
 
 def run_checks(cfg, only=None):

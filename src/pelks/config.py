@@ -12,6 +12,7 @@ Complex numbers are encoded as [re, im] pairs, matrices as row lists.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,12 @@ def _as_number(value, label):
         isinstance(value, (int, float)) and not isinstance(value, bool),
         f"{label} must be a number",
     )
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer past the float range
+        number = math.inf
+    _expect(math.isfinite(number), f"{label} must be a finite number")
+    return number
 
 
 def _as_bool(value, label):
@@ -296,9 +302,3 @@ def build_embedding(cfg):
         return OrderEmbedding(cfg.kind, cfg.n, cfg.r, cfg.archimedean.discriminant, mats)
     except ValueError as exc:
         raise ConfigInvalid(f"order basis rejected: {exc}") from exc
-
-
-def explicit_mu(cfg):
-    if cfg.archimedean is None or cfg.archimedean.mu is None:
-        return None
-    return np.array(cfg.archimedean.mu, dtype=complex)

@@ -60,13 +60,11 @@ from numpy.random import default_rng
 
 from .domains import per_sample, petersson_norm, random_point
 from .lattices import (
-    RiemannForm,
     build_lattice,
     checked_inverse,
     embed_labels,
     faltings_norm,
     generator_labels,
-    normalize_mu,
 )
 
 
@@ -197,12 +195,12 @@ def solve_w_vectors(lattice, form):
     return sol[..., :dim] + 1j * sol[..., dim:]
 
 
-def closed_form_w(emb, mu):
+def closed_form_w(form):
     """Predicted w of every target, in the row order of the targets:
     mu e_{i, k + r/2} / 2 pi i for the plain family of the two-block
     model, mu e_{ik} / 2 pi i for the conjugate family and for the
-    classical model."""
-    mu = normalize_mu(mu, emb.n)
+    classical model, for the mu of `form`."""
+    emb, mu = form.emb, form.mu
     n, r = emb.n, emb.r
     i, k, conj = _incidences(emb)[0].T
     shift = r // 2 if emb.kind == "A" else 0
@@ -265,22 +263,25 @@ def psi_constant(phi, emb):
     return value[()], np.max(off, axis=0)[()]
 
 
-def psi_modulus_closed_form(emb, mu):
-    det_mu = abs(np.linalg.det(normalize_mu(mu, emb.n)))
-    return float((det_mu / (2 * pi) ** emb.n) ** len(domain_coordinates(emb)))
+def psi_modulus_closed_form(form):
+    """|psi| predicted for the mu of `form`: (|det mu| / (2 pi)^n)^blocks."""
+    emb = form.emb
+    return float((form.det_mu / (2 * pi) ** emb.n) ** len(domain_coordinates(emb)))
 
 
-def metric_identity_check(emb, mu, samples, seed):
-    """Sample the identity |c| . ||d tau|| = (lattice norm)^{k0}.
+def metric_identity_check(form, samples, seed):
+    """Sample the identity |c| . ||d tau|| = (lattice norm)^{k0} for the
+    polarization `form`.
 
     k0 is r/2 for the two-block model and r + 1 for the classical one.
     Returns (ratios, k0): the ratio of the two sides at every sample,
     which the identity sets to 1.  All samples go through the pipeline
     as one stack.
     """
+    emb = form.emb
     points = random_point(emb.kind, domain_genus(emb), default_rng(seed), samples)
     k0 = emb.r // 2 if emb.kind == "A" else emb.r + 1
     lat = build_lattice(points, emb)
-    value, _ = psi_constant(assemble_phi(emb, solve_w_vectors(lat, RiemannForm(emb, mu))), emb)
+    value, _ = psi_constant(assemble_phi(emb, solve_w_vectors(lat, form)), emb)
     lattice_side = per_sample(lambda f: float(f) ** k0, faltings_norm(lat))
     return per_sample(abs, value) * petersson_norm(points, emb.n) / lattice_side, k0

@@ -319,23 +319,6 @@ def build_lattice(point, emb):
     return PeriodLattice(emb, point, embed_labels(emb, point, labels), labels)
 
 
-def _mu_and_inverse(mu, n):
-    """mu as an n x n complex matrix (a scalar means mu . I_n) and its
-    inverse; a singular mu is a ValueError."""
-    if np.isscalar(mu):
-        m = complex(mu) * np.eye(n, dtype=complex)
-    else:
-        m = np.asarray(mu, dtype=complex)
-    if m.shape != (n, n):
-        raise ValueError("mu must be n x n")
-    return m, checked_inverse(m, MU_TOL, ValueError("mu is singular"))
-
-
-def normalize_mu(mu, n):
-    """mu as an invertible n x n complex matrix; a scalar means mu . I_n."""
-    return _mu_and_inverse(mu, n)[0]
-
-
 def _alternating_block(half):
     j = np.zeros((2 * half, 2 * half))
     j[:half, half:] = -np.eye(half)
@@ -345,11 +328,25 @@ def _alternating_block(half):
 
 class RiemannForm:
     """The alternating form E_mu on the rational labels, and its
-    R-extension along a period lattice."""
+    R-extension along a period lattice.
+
+    The one holder of the polarization: mu as an n x n complex matrix (a
+    scalar means mu . I_n), its inverse and det_mu = |det mu|.  A mu of
+    the wrong shape, or one that fails the MU_TOL guard, is a ValueError.
+    """
 
     def __init__(self, emb, mu):
+        n = emb.n
+        if np.isscalar(mu):
+            m = complex(mu) * np.eye(n, dtype=complex)
+        else:
+            m = np.asarray(mu, dtype=complex)
+        if m.shape != (n, n):
+            raise ValueError("mu must be n x n")
         self.emb = emb
-        self.mu, self._mu_inv = _mu_and_inverse(mu, emb.n)
+        self.mu = m
+        self._mu_inv = checked_inverse(m, MU_TOL, ValueError("mu is singular"))
+        self.det_mu = abs(np.linalg.det(m))
         self._gram = None
 
     @property
@@ -392,17 +389,17 @@ class RiemannForm:
         return bool(eigs.min() > POSITIVITY_TOL)
 
 
-def solve_self_dual_mu(lattice):
+def solve_self_dual_mu(base, lattice):
     """Search the real scalar family mu = c . I_n for a unimodular form.
 
-    The modulus is pinned by the Gram determinant of the basic form
-    (mu = I): |c| = |det G_I|^{1/(2nr)}.  The sign is pinned by positive
-    definiteness of H = E(i., .) + iE(., .).  Returns the signed scalar
-    c.  Both candidates failing integrality or positivity is reported as
-    NoSelfDualForm; that is an honest refusal, not a numerical fallback.
+    The modulus is pinned by the Gram determinant of `base`, the basic
+    form (mu = I): |c| = |det G_I|^{1/(2nr)}.  The sign is pinned by
+    positive definiteness of H = E(i., .) + iE(., .) on `lattice`.
+    Returns the accepted form, of mu = c . I_n.  Both candidates failing
+    integrality or positivity is reported as NoSelfDualForm; that is an
+    honest refusal, not a numerical fallback.
     """
-    emb = lattice.embedding
-    base = RiemannForm(emb, 1.0)
+    emb = base.emb
     sign_det, logdet = np.linalg.slogdet(base.gram)
     if sign_det == 0:
         raise NoSelfDualForm("basic form is degenerate on the lattice")
@@ -411,21 +408,19 @@ def solve_self_dual_mu(lattice):
     for sign in (-1, 1):
         form = RiemannForm(emb, sign * c)
         if form.integrality_defect() <= INTEGRALITY_TOL and form.is_positive(lattice):
-            return sign * c
+            return form
     raise NoSelfDualForm(
         f"no real scalar mu with |c| = {c:.6g} is unimodular and positive"
     )
 
 
-def covolume_closed_form(lattice, mu):
+def covolume_closed_form(lattice, form):
     """Predicted covolume |det mu|^r det(Y)^{2n} (two-block model) or det Y,
-    per sample."""
+    per sample, for the mu of `form`."""
     emb = lattice.embedding
-    mu = normalize_mu(mu, emb.n)
-    det_mu = abs(np.linalg.det(mu))
     det_y = np.real(np.linalg.det(lattice.point.Y))
     if emb.kind == "A":
-        return per_sample(lambda d: det_mu ** emb.r * float(d) ** (2 * emb.n), det_y)
+        return per_sample(lambda d: form.det_mu ** emb.r * float(d) ** (2 * emb.n), det_y)
     return per_sample(float, det_y)
 
 

@@ -6,8 +6,12 @@ duplicate a few unit tests on purpose: this file is the short list a
 referee would run first.
 """
 
+import contextlib
+import io
 import json
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -171,7 +175,7 @@ def test_w_vector_closed_form():
         lat = build_lattice(random_point("A", 1, rng), emb)
         form = RiemannForm(emb, -2.0)
         ws = solve_w_vectors(lat, form)
-        expected = closed_form_w(emb, -2.0)
+        expected = closed_form_w(form)
         assert ws.shape == expected.shape == (2, 2)  # the lin and conj targets of (0, 0)
         assert np.abs(ws - expected).max() < 1e-10
 
@@ -179,23 +183,25 @@ def test_w_vector_closed_form():
 def test_psi_modulus_and_phi_independence():
     rng = np.random.default_rng(6)
     for emb, mu in ((gaussian_unitary(), -2.0), (matrix_basechange(), -2.0 * np.eye(2))):
+        form = RiemannForm(emb, mu)
         tensors = []
         for _ in range(2):
             lat = build_lattice(random_point("A", emb.r // 2, rng), emb)
-            phi = assemble_phi(emb, solve_w_vectors(lat, RiemannForm(emb, mu)))
+            phi = assemble_phi(emb, solve_w_vectors(lat, form))
             tensors.append(phi)
         assert np.abs(tensors[0] - tensors[1]).max() < 1e-10
         value, off_block_defect = psi_constant(phi, emb)
-        assert abs(abs(value) - psi_modulus_closed_form(emb, mu)) < 1e-9
+        assert abs(abs(value) - psi_modulus_closed_form(form)) < 1e-9
         assert off_block_defect < 1e-9
 
 
 def test_covolume_formula_and_duality():
     rng = np.random.default_rng(7)
     for emb, mu in ((gaussian_unitary(), -2.0), (matrix_basechange(), -2.0 * np.eye(2))):
+        form = RiemannForm(emb, mu)
         for _ in range(20):
             lat = build_lattice(random_point("A", emb.r // 2, rng), emb)
-            assert abs(lat.covolume() / covolume_closed_form(lat, mu) - 1) < 1e-9
+            assert abs(lat.covolume() / covolume_closed_form(lat, form) - 1) < 1e-9
     instances = [
         (gaussian_unitary(), "A", 1),
         (rational_siegel(1), "C", 1),
@@ -215,7 +221,7 @@ def test_metric_identity_end_to_end():
         assert check["status"] == "pass", check["detail"]
         assert check["computed"]["max_defect"] < 1e-8
     # the classical family covers both ranks; rerun the small one directly
-    ratios, k0 = metric_identity_check(rational_siegel(1), -1.0, samples=20, seed=0)
+    ratios, k0 = metric_identity_check(RiemannForm(rational_siegel(1), -1.0), samples=20, seed=0)
     assert np.abs(ratios - 1).max() < 1e-8
     assert (ratios.shape, k0) == ((20,), 2)
 
@@ -266,3 +272,15 @@ def test_reports_are_reproducible():
         first.pop("timing")
         second.pop("timing")
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+
+def test_readme_library_example_runs():
+    # the README's "Library use" block, run as written
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"## Library use\n\n```python\n(.*?)```", readme, re.S)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    k0, defect = out.getvalue().split()
+    assert k0 == "1"
+    assert float(defect) < 1e-12

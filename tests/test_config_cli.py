@@ -21,6 +21,7 @@ from pelks.config import (
     ConfigInvalid,
     config_digest,
     config_from_dict,
+    config_to_dict,
     with_overrides,
 )
 from pelks.kodaira_spencer import _incidences
@@ -451,6 +452,41 @@ def test_unresolvable_base_lattice_fails_without_traceback(tmp_path):
     assert (failed["computed"], failed["expected"]) == (None, None)
     assert failed["detail"].startswith("RankDeficient: ")
     assert entries["pipeline.metric-identity"]["detail"] == f"no resolved polarization: {failed['detail']}"
+
+
+def _unitary_with(**arch):
+    """The unitary-A fixture as a dict, its archimedean block updated."""
+    cfg = config_to_dict(resolve_config("unitary-A"))
+    cfg["archimedean"] |= arch
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "arch,key",
+    [
+        ({"order_basis": [[[[math.nan, 0]]], [[[0, 1]]]]}, "order_basis[0][0][0][0]"),
+        ({"mu_mode": "explicit", "mu": [[[math.nan, 0]]]}, "mu[0][0][0]"),
+        ({"mu_mode": "explicit", "mu": [[[-2, math.inf]]]}, "mu[0][0][1]"),
+        ({"mu_mode": "explicit", "mu": [[[10**400, 0]]]}, "mu[0][0][0]"),  # past the float range
+    ],
+)
+def test_a_non_finite_config_number_is_a_config_error(tmp_path, arch, key):
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(_unitary_with(**arch)))  # json writes NaN and Infinity tokens
+    proc = _run("-m", "pelks.cli", "run", "--config", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"config error: {key} must be a finite number")
+
+
+def test_a_singular_explicit_mu_fails_every_check_that_needs_mu():
+    cfg = config_from_dict(_unitary_with(mu_mode="explicit", mu=[[[0, 0]]]))
+    entries = {c["name"]: c for c in run_checks(cfg, only="[ap]*")["checks"]}
+    passing = {"arch.covolume-duality", "pipeline.cocycle-jacobian"}
+    assert {name for name, c in entries.items() if c["status"] == "pass"} == passing
+    failed = {name: c["detail"] for name, c in entries.items() if name not in passing}
+    assert len(failed) == 7
+    assert set(failed.values()) == {"ValueError: mu is singular"}
 
 
 def test_verdict_rule():

@@ -31,8 +31,8 @@ from pelks.lattices import (
     OrderEmbedding,
     PeriodLattice,
     RankDeficient,
+    RiemannForm,
     build_lattice,
-    normalize_mu,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,9 +78,14 @@ def _lattice_site(b):
     return False
 
 
+def _matrix_units(n):
+    """M_n(Z) inside M_n(Q): kind C with r = n, whose forms take an n x n mu."""
+    return OrderEmbedding("C", n, n, 1, tuple(np.eye(n * n).reshape(n * n, n, n)))
+
+
 def _mu_site(m):
     try:
-        normalize_mu(m, len(m))
+        RiemannForm(_matrix_units(len(m)), m)
     except ValueError as exc:
         assert str(exc) == "mu is singular"
         return True

@@ -48,7 +48,6 @@ from pelks.lattices import (
     covolume_closed_form,
     embed_labels,
     generator_labels,
-    normalize_mu,
     solve_self_dual_mu,
 )
 
@@ -215,9 +214,10 @@ def test_w_vectors_match_closed_forms():
         lat = build_lattice(point, emb)
         identity = np.eye(emb.n) if np.ndim(mu) else 1.0
         for m in (mu, identity):
-            ws = solve_w_vectors(lat, RiemannForm(emb, m))
+            form = RiemannForm(emb, m)
+            ws = solve_w_vectors(lat, form)
             assert ws.shape == (len(_incidences(emb)[0]), emb.n * emb.r)
-            assert np.abs(ws - closed_form_w(emb, m)).max() < 1e-10
+            assert np.abs(ws - closed_form_w(form)).max() < 1e-10
 
 
 def test_w_hand_values_gaussian():
@@ -306,9 +306,10 @@ def test_phi_is_point_independent():
 def test_psi_constant_and_closed_form():
     for emb, point, mu in _instances():
         lat = build_lattice(point, emb)
-        phi = assemble_phi(emb, solve_w_vectors(lat, RiemannForm(emb, mu)))
+        form = RiemannForm(emb, mu)
+        phi = assemble_phi(emb, solve_w_vectors(lat, form))
         value, off_block_defect = psi_constant(phi, emb)
-        assert abs(abs(value) - psi_modulus_closed_form(emb, mu)) < 1e-9
+        assert abs(abs(value) - psi_modulus_closed_form(form)) < 1e-9
         assert off_block_defect < 1e-9
 
 
@@ -332,7 +333,7 @@ def test_psi_hand_value_gaussian():
 def test_metric_identity_all_instances():
     expected_exponent = {"gauss": 1, "sieg1": 2, "sieg2": 3, "bch": 1, "gauss4": 2}
     for name, (emb, _, mu) in zip(expected_exponent, _instances()):
-        ratios, k0 = metric_identity_check(emb, mu, samples=6, seed=3)
+        ratios, k0 = metric_identity_check(RiemannForm(emb, mu), samples=6, seed=3)
         assert k0 == expected_exponent[name]
         assert np.abs(ratios - 1).max() < 1e-10
         assert ratios.shape == (6,)
@@ -385,9 +386,14 @@ def _field_trace_loop(z, kind):
     return float(out.real)
 
 
+def _mu_matrix(mu, n):
+    """mu as an n x n complex matrix; a scalar means mu . I_n."""
+    return complex(mu) * np.eye(n, dtype=complex) if np.isscalar(mu) else np.asarray(mu, dtype=complex)
+
+
 def _gram_loop(emb, mu):
     labels = _labels_loop(emb)
-    mu_inv = np.linalg.inv(normalize_mu(mu, emb.n))
+    mu_inv = np.linalg.inv(_mu_matrix(mu, emb.n))
     j = _alternating_block(labels[0].shape[1] // 2)
     k = len(labels)
     g = np.empty((k, k))
@@ -456,7 +462,7 @@ def _phi_loop(emb, ws):
 
 def _closed_form_w_loop(emb, mu):
     """The closed-form w-vectors one target and one fiber row at a time."""
-    mu = normalize_mu(mu, emb.n)
+    mu = _mu_matrix(mu, emb.n)
     n, r = emb.n, emb.r
     out = []
     for i, k, conj in _target_loop(emb):
@@ -508,7 +514,7 @@ def _oracle_sweep():
             if p is not None:
                 yield emb, p, mu
         p = random_point(emb.kind, domain_genus(emb), rng)
-        yield emb, p, solve_self_dual_mu(build_lattice(p, emb)) * np.eye(emb.n, dtype=complex)
+        yield emb, p, solve_self_dual_mu(RiemannForm(emb, 1.0), build_lattice(p, emb)).mu
         yield emb, p, 1.7
 
 
@@ -563,7 +569,7 @@ def _det_y_loop(point):
 
 def _closed_form_loop(lat, mu):
     emb = lat.embedding
-    det_mu = abs(np.linalg.det(normalize_mu(mu, emb.n)))
+    det_mu = abs(np.linalg.det(_mu_matrix(mu, emb.n)))
     det_y = _det_y_loop(lat.point)
     return det_mu**emb.r * det_y ** (2 * emb.n) if emb.kind == "A" else det_y
 
@@ -614,9 +620,9 @@ def _assert_stack_matches_loop(emb, mu, points):
     assert np.array_equal(lat.basis_real_inv, np.stack([one.basis_real_inv for one in singles]))
     assert list(lat.covolume()) == [_covolume_loop(one) for one in singles]
     assert list(lat.dual().covolume()) == [_covolume_loop(one.dual()) for one in singles]
-    assert list(covolume_closed_form(lat, mu)) == [_closed_form_loop(one, mu) for one in singles]
-    assert list(petersson_norm(stack, emb.n)) == [_petersson_loop(p, emb.n) for p in points]
     form = RiemannForm(emb, mu)
+    assert list(covolume_closed_form(lat, form)) == [_closed_form_loop(one, mu) for one in singles]
+    assert list(petersson_norm(stack, emb.n)) == [_petersson_loop(p, emb.n) for p in points]
     ws = solve_w_vectors(lat, form)
     single_ws = [solve_w_vectors(one, form) for one in singles]
     assert np.array_equal(ws, np.stack(single_ws))
@@ -639,7 +645,7 @@ def _fixture_cases():
     for name in ("unitary-A", "basechange-A", "siegel-C"):
         cfg = resolve_config(name)
         ctx = _ArchContext(cfg)
-        yield ctx.emb, ctx.mu, cfg.samples, cfg.seed
+        yield ctx.emb, ctx.form.mu, cfg.samples, cfg.seed
 
 
 def test_sample_axis_equals_the_per_sample_loops():
@@ -652,7 +658,7 @@ def test_sample_axis_equals_the_per_sample_loops():
         points = [_point_loop(emb.kind, g, rng) for _ in range(samples)]
         assert np.array_equal(stack.matrix, np.stack([p.matrix for p in points]))
         _assert_stack_matches_loop(emb, mu, points + ([point] if point is not None else []))
-        ratios, _ = metric_identity_check(emb, mu, samples=samples, seed=seed)
+        ratios, _ = metric_identity_check(RiemannForm(emb, mu), samples=samples, seed=seed)
         assert list(ratios) == _metric_loop(emb, mu, samples, seed)
 
 
@@ -670,9 +676,10 @@ def test_index_arrays_equal_the_incidence_loops():
         assert np.array_equal(
             cocycle_jacobian(emb, elements[::-3]), _cocycle_jacobian_loop(emb, elements[::-3])
         )
-        assert np.array_equal(closed_form_w(emb, mu), _closed_form_w_loop(emb, mu))
+        form = RiemannForm(emb, mu)
+        assert np.array_equal(closed_form_w(form), _closed_form_w_loop(emb, mu))
         for point in points:
-            ws = solve_w_vectors(build_lattice(point, emb), RiemannForm(emb, mu))
+            ws = solve_w_vectors(build_lattice(point, emb), form)
             assert np.array_equal(assemble_phi(emb, ws), _phi_loop(emb, ws))
         values = target_values(_incidences(emb)[0], elements)
         assert np.array_equal(

@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 from pelks.algebra import integer_det
-from pelks.checks import COVOLUME_TOL
+from pelks.checks import COVOLUME_TOL, run_checks
+from pelks.cli import resolve_config
 from pelks.domains import HermitianPoint, SiegelPoint
 from pelks.lattices import (
     NoSelfDualForm,
@@ -180,10 +181,10 @@ def test_covolume_closed_form_across_points():
     for _ in range(5):
         z = rng.normal() + (0.5 + rng.random() * 2) * 1j
         lat = build_lattice(HermitianPoint([[z]]), gaussian_unitary())
-        assert abs(lat.covolume() / covolume_closed_form(lat, -2.0) - 1) < 1e-9
+        assert abs(lat.covolume() / covolume_closed_form(lat, RiemannForm(lat.embedding, -2.0)) - 1) < 1e-9
         lat = build_lattice(HermitianPoint([[z]]), matrix_basechange())
-        mu = -2.0 * np.eye(2)
-        assert abs(lat.covolume() / covolume_closed_form(lat, mu) - 1) < 1e-9
+        form = RiemannForm(lat.embedding, -2.0 * np.eye(2))
+        assert abs(lat.covolume() / covolume_closed_form(lat, form) - 1) < 1e-9
     for _ in range(5):
         x = rng.normal(size=(2, 2))
         y = rng.normal(size=(2, 2)) * 0.3
@@ -191,7 +192,7 @@ def test_covolume_closed_form_across_points():
         lat = build_lattice(SiegelPoint(zm), rational_siegel(2))
         det_y = np.linalg.det(lat.point.Y)
         assert abs(lat.covolume() / det_y - 1) < 1e-9
-        assert abs(covolume_closed_form(lat, -1.0) / det_y - 1) < 1e-12
+        assert abs(covolume_closed_form(lat, RiemannForm(lat.embedding, -1.0)) / det_y - 1) < 1e-12
 
 
 def test_covolume_scaling_homogeneity():
@@ -263,42 +264,66 @@ def test_pair_vectors_matches_gram_and_alternates():
             assert abs(pair_vectors(form, lat, va, vb) + pair_vectors(form, lat, vb, va)) < 1e-10
 
 
-def _assert_self_dual(lat, mu, trace_covolume):
-    """mu = c I_n makes the form unimodular, and |c|^{nr} is the
-    trace-form covolume of the order."""
-    emb = lat.embedding
-    assert abs(abs(np.linalg.det(RiemannForm(emb, mu).gram)) - 1.0) < 1e-9
+def _solve(lat):
+    """The self-dual form on `lat`, solved from the basic form."""
+    return solve_self_dual_mu(RiemannForm(lat.embedding, 1.0), lat)
+
+
+def _assert_self_dual(form, c, trace_covolume):
+    """The solved form has mu = c I_n, up to rounding of c, is unimodular,
+    and |c|^{nr} is the trace-form covolume of the order."""
+    emb = form.emb
+    mu = form.mu[0, 0]
+    assert abs(mu - c) < 1e-9
+    assert np.array_equal(form.mu, mu * np.eye(emb.n))
+    assert abs(abs(np.linalg.det(form.gram)) - 1.0) < 1e-9
     assert abs(emb.trace_covolume() - trace_covolume) < 1e-9
     assert abs(abs(mu) ** (emb.n * emb.r) / trace_covolume - 1.0) < COVOLUME_TOL
 
 
 def test_solve_self_dual_gaussian():
     lat = build_lattice(HermitianPoint([[0.3 + 1.1j]]), gaussian_unitary())
-    mu = solve_self_dual_mu(lat)
-    assert abs(mu + 2.0) < 1e-9
-    _assert_self_dual(lat, mu, 4.0)
+    _assert_self_dual(_solve(lat), -2.0, 4.0)
 
 
 def test_solve_self_dual_siegel():
     zm = np.array([[0.2 + 1.4j, 0.1 + 0.2j], [0.1 + 0.2j, -0.3 + 1.1j]])
     lat = build_lattice(SiegelPoint(zm), rational_siegel(2))
-    mu = solve_self_dual_mu(lat)
-    assert abs(mu + 1.0) < 1e-9
-    _assert_self_dual(lat, mu, 1.0)
+    _assert_self_dual(_solve(lat), -1.0, 1.0)
 
 
 def test_solve_self_dual_basechange():
     lat = build_lattice(HermitianPoint([[0.4 + 0.9j]]), matrix_basechange())
-    mu = solve_self_dual_mu(lat)
-    assert abs(mu + 2.0) < 1e-9
-    _assert_self_dual(lat, mu, 16.0)
+    _assert_self_dual(_solve(lat), -2.0, 16.0)
 
 
 def test_solve_self_dual_refuses_eisenstein():
     # |det G_I|^{1/4} = sqrt(3) there, and G_I / sqrt(3) is not integral
     lat = build_lattice(HermitianPoint([[0.2 + 1.0j]]), eisenstein_unitary())
     with pytest.raises(NoSelfDualForm):
-        solve_self_dual_mu(lat)
+        _solve(lat)
+
+
+@pytest.mark.parametrize(
+    "fixture,forms",
+    [
+        ("unitary-A", 2),  # the trace form, shared by the solve and the degree check, and the solved form
+        ("siegel-C", 2),  # the trace form the solve starts from and the solved form
+        ("basechange-A", 1),  # the explicit mu's form
+    ],
+)
+def test_a_verdict_builds_each_riemann_form_once(monkeypatch, fixture, forms):
+    built = []
+    real = RiemannForm.__init__
+
+    def counted(self, emb, mu):
+        built.append(mu)
+        real(self, emb, mu)
+
+    monkeypatch.setattr(RiemannForm, "__init__", counted)
+    report = run_checks(resolve_config(fixture), only="[ap]*")
+    assert report["summary"]["fail"] == 0
+    assert len(built) == forms
 
 
 def test_polarization_degree_self_dual_is_one():
