@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""Time and peak memory of every archimedean check alone, up the rank ladder.
+
+For the gauss (kind A, n = 1, the Gaussian order), basechange (kind A,
+n = 2, matrix units over the Gaussian integers, explicit mu = -2) and
+siegel (kind C, n = 1, over Z) families at r = 2, 4, 8, 16, 24, 32 up to
+`--max-r`, each arch.* and pipeline.* check runs alone in a forked child
+at 20 samples.  One line per (rung, check) gives the check's status, the
+milliseconds `run_checks` took in the child, and the child's peak RSS
+in MB, read from wait4; the child starts from this process, which has
+imported numpy and pelks and built nothing else.
+
+    PYTHONPATH=src python3 scripts/scale_ladder.py --max-r 32 --seed 1
+
+It exits 1 when a child ends without reporting, and 0 otherwise; a
+failing check is a finding, printed as FAIL with its detail.
+"""
+
+import argparse
+import json
+import os
+import sys
+import time
+
+from pelks.checks import CATALOG, run_checks
+from pelks.config import config_from_dict
+
+RANKS = (2, 4, 8, 16, 24, 32)
+SAMPLES = 20
+CHECKS = tuple(row.name for row in CATALOG if row.name.startswith(("arch.", "pipeline.")))
+
+
+def _cx(z):
+    return [complex(z).real, complex(z).imag]
+
+
+def family_config(family, r, seed):
+    """The config of one rung: `family` at rank r."""
+    if family == "basechange":
+        units = [[[_cx(s if (k, l) == (i, j) else 0) for l in range(2)] for k in range(2)]
+                 for s in (1, 1j) for i in range(2) for j in range(2)]
+        kind, n, disc, basis, mu = "A", 2, -4, units, [[_cx(-2), _cx(0)], [_cx(0), _cx(-2)]]
+    elif family == "gauss":
+        kind, n, disc, basis, mu = "A", 1, -4, [[[_cx(1)]], [[_cx(1j)]]], None
+    else:
+        kind, n, disc, basis, mu = "C", 1, 1, [[[_cx(1)]]], None
+    arch = {
+        "discriminant": disc,
+        "order_basis": basis,
+        "mu_mode": "explicit" if mu is not None else "self-dual-auto",
+        "mu": mu,
+    }
+    signature = [r // 2, r // 2] if kind == "A" else [r, 0]
+    return config_from_dict(
+        {"name": f"{family}-r{r}", "type": kind, "n": n, "r": r, "signature": signature,
+         "archimedean": arch, "samples": SAMPLES, "seed": seed}
+    )
+
+
+def forked_check(cfg, name):
+    """(status, detail, ms, peak RSS MB) of check `name` run alone in a
+    forked child; status "crash" when the child reported nothing."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_fd)
+        try:
+            start = time.perf_counter()
+            (entry,) = run_checks(cfg, only=name)["checks"]
+            out = [entry["status"], entry["detail"], 1e3 * (time.perf_counter() - start)]
+            with os.fdopen(write_fd, "w") as pipe:
+                pipe.write(json.dumps(out))
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    with os.fdopen(read_fd) as pipe:
+        data = pipe.read()
+    _, status, usage = os.wait4(pid, 0)
+    rss_mb = usage.ru_maxrss / 1024
+    if status != 0 or not data:
+        return "crash", f"wait status {status}", float("nan"), rss_mb
+    return (*json.loads(data), rss_mb)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--max-r", type=int, default=32, help="largest rank to run (default 32)")
+    parser.add_argument("--seed", type=int, default=1, help="config seed of every rung (default 1)")
+    args = parser.parse_args(argv)
+    crashed = False
+    print(f"{'rung':<16} {'check':<30} {'status':<6} {'ms':>8} {'MB':>7}")
+    for family in ("gauss", "basechange", "siegel"):
+        for r in (r for r in RANKS if r <= args.max_r):
+            cfg = family_config(family, r, args.seed)
+            for name in CHECKS:
+                status, detail, ms, rss_mb = forked_check(cfg, name)
+                crashed |= status == "crash"
+                line = f"{cfg.name:<16} {name:<30} {status.upper():<6} {ms:8.1f} {rss_mb:7.1f}"
+                print(f"{line}  {detail}" if detail else line, flush=True)
+    return 1 if crashed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

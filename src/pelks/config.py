@@ -21,6 +21,11 @@ from .cyclic_algebra import CyclicAlgebraDescriptor
 from .lattices import OrderEmbedding
 
 
+# the sampled checks hold every sample's lattice at once, a few (2nr)^2
+# float arrays each: 10^4 samples add about 60 MB at the fixtures' nr <= 4
+MAX_SAMPLES = 10_000
+
+
 class ConfigInvalid(Exception):
     """The configuration is malformed or violates an instance invariant."""
 
@@ -218,6 +223,7 @@ def config_from_dict(d):
 
     samples = _as_int(d.get("samples", 20), "samples")
     _expect(samples >= 1, "samples must be positive")
+    _expect(samples <= MAX_SAMPLES, f"samples must be at most {MAX_SAMPLES}")
     seed = _as_int(d.get("seed", 0), "seed")
     _expect(seed >= 0, "seed must be nonnegative")
     description = _as_str(d.get("description", ""), "description")

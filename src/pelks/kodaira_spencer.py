@@ -30,9 +30,13 @@ rows; in the classical model k < r reads the m part of [m | n]).  The
 table itself is three parallel index arrays: fiber coordinate, target
 row and domain label position, one entry per triple, no (a, t) pair
 twice.  The cocycle reads the targets off each element and scatters
-them to (a, t), phi scatters the w-vector of each target into slot
-(a, t), and the psi block of label (a, b) pairs row column b with
-column a + r/2 (two-block) or a (classical).
+them to (a, t).  phi is the (nr, nr, labels) array whose slot (a, :, t)
+is the w-vector of the target at (a, t) and zero off the incidences,
+so it is kept as its incidence rows alone, one w-vector per triple.
+Its consumers read those rows through index pairs built once per
+embedding (`_row_index`): the psi block of label (a, b) pairs row
+column b with column a + r/2 (two-block) or a (classical), and the
+off-block, matched and mirrored slots are gathers of their own.
 
 The defining equation of a w-vector: the antilinear part of
 v -> 2 pi i E_mu(w, v) equals the antilinear part of the R-linear
@@ -42,8 +46,8 @@ sets up its square real system.
 
 Every result is a plain array, or a pair with one.  Sampled ones carry
 the leading sample axis of their points (`domains`): a lattice stack
-gives w-vectors of shape (..., targets, nr), phi tensors
-(..., nr, nr, labels) and one psi value and off-block defect per
+gives w-vectors of shape (..., targets, nr), phi rows
+(..., incidences, nr) and one psi value and off-block defect per
 sample; the cocycle Jacobian is (elements, nr, labels), and its
 numeric twin at a stack of points the (points - 1, elements, nr)
 image differences from the first point.  The metric identity draws
@@ -54,6 +58,7 @@ the exponent k0.
 from functools import lru_cache, reduce
 from math import pi
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import default_rng
@@ -127,6 +132,45 @@ def _incidences(emb):
     for array in out:
         array.setflags(write=False)
     return out
+
+
+class _RowIndex(NamedTuple):
+    """Slots of phi as (row, column) index pairs into its incidence rows."""
+
+    block: tuple  # [t, l, i] reads slot (i r + b, l r + a + shift, t) of label t = (a, b)
+    off: tuple  # the slots of every block's rows and columns at the other labels
+    mirror: tuple  # [e, b] reads slot (b, fiber[e], label[e]), or the zero pad row E
+    matched: tuple  # the both-plain and both-conjugate slots; None in the classical model
+
+
+@lru_cache(maxsize=16)
+def _row_index(emb):
+    """The index pairs of `_RowIndex` for one embedding, read-only, built
+    once next to `_incidences`."""
+    _, fiber, _, label = _incidences(emb)
+    n, r = emb.n, emb.r
+    count = len(fiber)
+    a, b = np.array(domain_coordinates(emb)).T
+    shift = r // 2 if emb.kind == "A" else 0
+    step = r * np.arange(n)
+    slot = np.full((n * r, len(a)), count)  # the row of (fiber, label); count where empty
+    slot[fiber, label] = np.arange(count)
+    labels = np.arange(len(a))
+    block = (slot[b[:, None, None] + step, labels[:, None, None]], (a + shift)[:, None, None] + step[:, None])
+    # row e lies in the block rows of every label (a, b) whose b is its fiber column
+    e, t = np.nonzero(((fiber % r)[:, None] == b) & (label[:, None] != labels))
+    off = (e[:, None], (a[t] + shift)[:, None] + step)
+    mirror = (slot[:, label].T, fiber[:, None])
+    matched = None
+    if emb.kind == "A":
+        family = shift * ((fiber % r) >= shift)
+        cols = (step[:, None] + np.arange(shift)).ravel()
+        matched = (np.arange(count)[:, None], family[:, None] + cols)
+    index = _RowIndex(block, off, mirror, matched)
+    for pair in index:
+        for array in pair or ():
+            array.setflags(write=False)
+    return index
 
 
 def target_values(targets, labels):
@@ -210,57 +254,55 @@ def closed_form_w(form):
 
 
 def assemble_phi(emb, ws):
-    """phi from the w-vectors, as the array whose [a, b, t] is the dz_b
-    coefficient of the dZ_t-component of phi(dz_a); one per sample of
-    the w-vectors of a lattice stack."""
-    _, fiber, target, label = _incidences(emb)
-    dims = emb.n * emb.r
-    phi = np.zeros(ws.shape[:-2] + (dims, dims, len(domain_coordinates(emb))), dtype=complex)
-    # the two index arrays around the slice put the incidence axis first
-    phi[..., fiber, :, label] += np.moveaxis(ws[..., target, :], -2, 0)
-    return phi
+    """phi from the w-vectors, as its incidence rows: row e holds the dz_b
+    coefficients, over b, of the dZ_{label[e]}-component of
+    phi(dz_{fiber[e]}), shape (..., incidences, nr) on the w-vectors of
+    a lattice stack.  Every slot of phi off the incidences is zero."""
+    return ws[..., _incidences(emb)[2], :]
 
 
 def matched_vanishing_defect(phi, emb):
     """Both-plain and both-conjugate phi slots must vanish: the largest
-    of them over the whole stack."""
+    of them over the whole stack of incidence rows."""
     if emb.kind != "A":
         raise ValueError("matched vanishing concerns the two-block model")
-    n, r = emb.n, emb.r
-    half = r // 2
-    slots = np.abs(phi).reshape(phi.shape[:-3] + (n, r, n, r, -1))
-    plain = slots[..., :half, :, :half, :].max()
-    return float(np.maximum(plain, slots[..., half:, :, half:, :].max()))
+    rows, cols = _row_index(emb).matched
+    return float(np.abs(phi[..., rows, cols]).max())
+
+
+def symmetry_defect(phi, emb):
+    """phi must be symmetric in its two fiber slots: the largest
+    |phi[a, b, t] - phi[b, a, t]| over the whole stack of incidence rows.
+
+    Each row (a, t) is compared with the slots (b, a, t) that mirror it,
+    a zero pad row standing in where (b, t) is no incidence; a slot pair
+    with neither (a, t) nor (b, t) an incidence is zero on both sides.
+    """
+    rows, cols = _row_index(emb).mirror
+    padded = np.concatenate([phi, np.zeros_like(phi[..., :1, :])], axis=-2)
+    return float(np.abs(phi - padded[..., rows, cols]).max())
 
 
 def psi_constant(phi, emb):
     """Product of the block determinants of the contraction, as
-    (value, off_block_defect), each one per sample of a phi stack.
+    (value, off_block_defect), each one per sample of a stack of phi's
+    incidence rows.
 
     The block of domain coordinate t = (a, b) pairs dz_{ib} against
     dz_{l, a + r/2} (two-block model) or dz_{la} (classical model) at
     t.  Slots of those phi rows at other domain coordinates are
     reported as the off-block defect.
     """
-    r = emb.r
-    shift = r // 2 if emb.kind == "A" else 0
-    labels = domain_coordinates(emb)
-    # every block at once: blocks[..., t, l, i] is the slot
-    # (i r + b, l r + a + shift, t) of label t = (a, b)
-    label_a, label_b = np.array(labels).T[..., None, None]
-    step = r * np.arange(emb.n)
-    blocks = phi[..., label_b + step, label_a + shift + step[:, None], np.arange(len(labels))[:, None, None]]
-    per_label = np.linalg.det(blocks)
-    off = []
-    for t, (a, b) in enumerate(labels):
-        rows = phi[..., b::r, a + shift :: r, :]  # rows[..., i, l, :] is the row of (i, l)
-        others = np.arange(len(labels)) != t
-        off.append(np.abs(rows[..., others]).max(axis=(-3, -2, -1), initial=0.0))
+    index = _row_index(emb)
+    rows, cols = index.block
+    per_label = np.linalg.det(phi[..., rows, cols])
+    rows, cols = index.off
+    off = np.abs(phi[..., rows, cols]).max(axis=(-2, -1), initial=0.0)
     # the product in scalar complex arithmetic, sample by sample: numpy's
     # vectorised complex multiply can differ from the scalar one by one ULP
-    value = np.array([reduce(mul, row, 1.0 + 0j) for row in per_label.reshape(-1, len(labels))])
+    value = np.array([reduce(mul, row, 1.0 + 0j) for row in per_label.reshape(-1, per_label.shape[-1])])
     value = value.reshape(per_label.shape[:-1])
-    return value[()], np.max(off, axis=0)[()]
+    return value[()], off[()]
 
 
 def psi_modulus_closed_form(form):

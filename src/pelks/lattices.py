@@ -48,11 +48,12 @@ embedding, never the naive complex formula.
 """
 
 from dataclasses import dataclass, field
-from math import isqrt, pi
+from functools import lru_cache
+from math import isqrt, pi, prod
 
 import numpy as np
 
-from .algebra import integer_det, integer_smith_normal_form
+from .algebra import integer_det, integer_smith_normal_form, split_blocks
 from .domains import HermitianPoint, SiegelPoint, per_sample
 
 # Thresholds that decide arch.self-dual-mu and arch.polarization-degree
@@ -266,21 +267,24 @@ class PeriodLattice:
         )
 
 
+@lru_cache(maxsize=16)
 def generator_labels(emb):
     """Rational labels of the 2nr lattice generators, one complex
-    (2nr, n, w) stack.
+    (2nr, n, w) stack, built once per embedding (an embedding hashes by
+    identity), so the array is read-only.
 
     Two-block model: the module basis itself.  Classical model: the
     [x | 0], then the [0 | x], over the real module basis x.
     """
-    basis = emb.module_basis()
-    if emb.kind == "A":
-        return basis
-    x = basis.real.astype(complex)
-    zero = np.zeros_like(x)
-    return np.concatenate(
-        [np.concatenate([x, zero], axis=2), np.concatenate([zero, x], axis=2)]
-    )
+    labels = emb.module_basis()
+    if emb.kind == "C":
+        x = labels.real.astype(complex)
+        zero = np.zeros_like(x)
+        labels = np.concatenate(
+            [np.concatenate([x, zero], axis=2), np.concatenate([zero, x], axis=2)]
+        )
+    labels.setflags(write=False)
+    return labels
 
 
 def embed_labels(emb, point, labels):
@@ -430,15 +434,29 @@ def faltings_norm(lattice):
     return per_sample(np.sqrt, lattice.covolume() / pi**nr)
 
 
+def _blockwise(rows, measure):
+    """The product of `measure` over the connected blocks of a square
+    integer matrix (`algebra.split_blocks`), each block passed as its own
+    matrix; 0 when a block has more rows than columns or fewer, as the
+    matrix is then singular."""
+    sparse = [[(c, x) for c, x in enumerate(row) if x] for row in rows]
+    out = 1
+    for cols, ids in split_blocks(sparse, len(rows)):
+        if len(ids) != len(cols):
+            return 0
+        out *= measure([[rows[i][c] for c in cols] for i in ids])
+    return out
+
+
 def polarization_degree(form):
     """Index [dual : lattice]^{1/2} of an integral alternating form.
 
-    The index is |det| of the integer Gram matrix, and the degree is its
-    exact integer square root; alternating integer forms in even rank
-    always have a perfect-square determinant, so a failed isqrt means a
-    real bug.
+    The index is |det| of the integer Gram matrix, taken block by block,
+    and the degree is its exact integer square root; alternating integer
+    forms in even rank always have a perfect-square determinant, so a
+    failed isqrt means a real bug.
     """
-    index = abs(integer_det(form.integer_gram()))
+    index = _blockwise(form.integer_gram(), lambda block: abs(integer_det(block)))
     deg = isqrt(index)
     if deg * deg != index:
         raise ValueError("alternating Gram determinant is not a perfect square")
@@ -446,8 +464,6 @@ def polarization_degree(form):
 
 
 def dual_index_oracle(form):
-    """Independent route to [dual : lattice]: elementary divisors of Gram."""
-    index = 1
-    for d in integer_smith_normal_form(form.integer_gram()).divisors:
-        index *= d
-    return abs(index)
+    """Independent route to [dual : lattice]: elementary divisors of Gram,
+    block by block."""
+    return _blockwise(form.integer_gram(), lambda block: prod(integer_smith_normal_form(block).divisors))

@@ -18,6 +18,7 @@ import pelks.kodaira_spencer
 from pelks.checks import EXPLANATIONS, explain, run_checks, verdict
 from pelks.cli import main, resolve_config
 from pelks.config import (
+    MAX_SAMPLES,
     ConfigInvalid,
     config_digest,
     config_from_dict,
@@ -95,6 +96,16 @@ def test_type_strictness():
         config_from_dict(minimal_unitary(samples="many"))
     with pytest.raises(ConfigInvalid, match="string"):
         config_from_dict(minimal_unitary(name=7))
+
+
+def test_sample_count_is_capped():
+    # refused at parse time, before any sample is drawn
+    assert config_from_dict(minimal_unitary(samples=MAX_SAMPLES)).samples == MAX_SAMPLES
+    for samples in (MAX_SAMPLES + 1, 10**23):
+        with pytest.raises(ConfigInvalid, match=f"samples must be at most {MAX_SAMPLES}$"):
+            config_from_dict(minimal_unitary(samples=samples))
+        with pytest.raises(ConfigInvalid, match=f"samples must be at most {MAX_SAMPLES}$"):
+            with_overrides(resolve_config("unitary-A"), samples=samples)
 
 
 def test_invariants_enforced():
@@ -419,6 +430,7 @@ def test_explain_accepts_place_suffix():
         ("--samples", "0", False),
         ("--samples", "-3", False),
         ("--samples", "2", True),
+        ("--samples", "100000000000000000000000", False),
     ],
 )
 def test_cli_overrides_are_validated(flag, value, valid):
@@ -582,6 +594,7 @@ def test_import_loads_no_scipy():
         ("exponent_sweep.py", ["--residue-sizes", "3", "5"]),
         ("exponent_sweep.py", ["--residue-sizes", "17", "31"]),
         ("report_digests.py", ["--workload", "fixtures"]),
+        ("scale_ladder.py", ["--max-r", "4"]),
     ],
 )
 def test_scripts_run_clean(script, args):
@@ -592,3 +605,7 @@ def test_scripts_run_clean(script, args):
         lines = proc.stdout.splitlines()
         assert len(lines) == 16  # four fixtures at four pool seeds
         assert all(re.fullmatch(r"fixtures/[\w-]+/\d+ [0-9a-f]{64}", line) for line in lines)
+    if script == "scale_ladder.py":
+        rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+        assert len(rows) == 3 * 2 * 9  # three families at r = 2, 4, nine arch checks each
+        assert all(row[2] == "PASS" and len(row) == 5 for row in rows)

@@ -16,6 +16,8 @@ where the domain labels (k, j) and (j, k) differ; it is what catches a
 transposed incidence in the conjugate block.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from pelks.domains import _SPREAD, HermitianPoint, SiegelPoint, per_sample, pete
 from pelks.kodaira_spencer import (
     SingularPairing,
     _incidences,
+    _row_index,
     assemble_phi,
     closed_form_w,
     cocycle_jacobian,
@@ -38,6 +41,7 @@ from pelks.kodaira_spencer import (
     psi_constant,
     psi_modulus_closed_form,
     solve_w_vectors,
+    symmetry_defect,
     target_values,
 )
 from pelks.lattices import (
@@ -288,8 +292,10 @@ def test_phi_is_symmetric_in_its_fiber_slots():
     # of the two-block model take part, so a lost conj incidence shows here
     for emb, point, mu in _instances():
         lat = build_lattice(point, emb)
-        tensor = assemble_phi(emb, solve_w_vectors(lat, RiemannForm(emb, mu)))
-        assert np.abs(tensor).max() > 0.1
+        phi = assemble_phi(emb, solve_w_vectors(lat, RiemannForm(emb, mu)))
+        assert np.abs(phi).max() > 0.1
+        assert symmetry_defect(phi, emb) < 1e-12
+        tensor = _phi_dense(emb, phi)
         assert np.abs(tensor - tensor.transpose(1, 0, 2)).max() < 1e-12
 
 
@@ -316,7 +322,11 @@ def test_psi_constant_and_closed_form():
 def test_psi_off_block_defect_keeps_a_nan():
     emb, point, mu = _instances()[-1]  # r = 4: four domain coordinates
     phi = assemble_phi(emb, solve_w_vectors(build_lattice(point, emb), RiemannForm(emb, mu)))
-    phi[0, 2, 1] = np.nan  # row (0, 0 + r/2) of label (0, 0), read at label (0, 1)
+    # the incidence row of fiber 0 at label (1, 0), read at column 0 + r/2:
+    # a slot of the block of label (0, 0) at another label
+    _, fiber, _, label = _incidences(emb)
+    e = list(zip(fiber, label)).index((0, domain_coordinates(emb).index((1, 0))))
+    phi[e, 2] = np.nan
     value, off_block_defect = psi_constant(phi, emb)
     assert np.isfinite(value)
     assert np.isnan(off_block_defect)
@@ -328,6 +338,21 @@ def test_psi_hand_value_gaussian():
     phi = assemble_phi(emb, solve_w_vectors(lat, RiemannForm(emb, -2.0)))
     value, _ = psi_constant(phi, emb)
     assert abs(value - 1j / np.pi) < 1e-12
+
+
+def test_phi_chain_memory_at_siegel_rank_32():
+    # the w-solve, phi's incidence rows and psi at 20 samples stay within
+    # 32 MiB traced; the dense (20, 32, 32, 528) phi tensor was 173 MB
+    emb = rational_siegel(32)
+    lat = build_lattice(random_point("C", 32, np.random.default_rng(1), 20), emb)
+    tracemalloc.start()
+    try:
+        value, off_block_defect = psi_constant(assemble_phi(emb, solve_w_vectors(lat, RiemannForm(emb, -1.0))), emb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value.shape == off_block_defect.shape == (20,)
+    assert peak < 32 * 2**20
 
 
 def test_metric_identity_all_instances():
@@ -448,6 +473,18 @@ def _cocycle_jacobian_loop(emb, elements):
     return out
 
 
+def _phi_dense(emb, rows):
+    """The dense phi tensor (..., nr, nr, labels) scattered from its
+    incidence rows, whose [a, b, t] is the dz_b coefficient of the
+    dZ_t-component of phi(dz_a); zero off the incidences."""
+    _, fiber, _, label = _incidences(emb)
+    dims = emb.n * emb.r
+    phi = np.zeros(rows.shape[:-2] + (dims, dims, len(domain_coordinates(emb))), dtype=complex)
+    # the two index arrays around the slice put the incidence axis first
+    phi[..., fiber, :, label] += np.moveaxis(rows, -2, 0)
+    return phi
+
+
 def _phi_loop(emb, ws):
     """phi one incidence at a time, from w-vectors in target row order."""
     labels = domain_coordinates(emb)
@@ -536,11 +573,17 @@ def test_batched_kernels_equal_their_loops():
         # the solve multiplies by the inverse of the pairing matrix, the
         # loop runs one LU solve per target: equal up to rounding
         assert np.abs(ws - _w_loop(lat, form)).max() <= 1e-13 * np.abs(ws).max()
-        if emb.kind == "A":
-            phi = assemble_phi(emb, ws)
-            noise = rng.normal(size=phi.shape) + 1j * rng.normal(size=phi.shape)
-            for tensor in (phi, noise):
-                assert matched_vanishing_defect(tensor, emb) == _matched_loop(tensor, emb)
+        # the row kernels on phi and on noise rows against the dense tensor
+        phi = assemble_phi(emb, ws)
+        noise = rng.normal(size=phi.shape) + 1j * rng.normal(size=phi.shape)
+        for rows in (phi, noise):
+            tensor = _phi_dense(emb, rows)
+            if emb.kind == "A":
+                assert matched_vanishing_defect(rows, emb) == _matched_loop(tensor, emb)
+            swapped = np.abs(tensor - tensor.transpose(1, 0, 2)).max()
+            assert symmetry_defect(rows, emb) == swapped
+            value, off_block_defect = psi_constant(rows, emb)
+            assert (value, off_block_defect) == _psi_loop(tensor, emb)[::2]
 
 
 # The per-sample loops that the sample axis replaced, kept as oracles:
@@ -605,7 +648,7 @@ def _metric_loop(emb, mu, samples, seed):
     for _ in range(samples):
         point = _point_loop(emb.kind, domain_genus(emb), rng)
         lat = build_lattice(point, emb)
-        _, modulus, _ = _psi_loop(assemble_phi(emb, solve_w_vectors(lat, form)), emb)
+        _, modulus, _ = _psi_loop(_phi_loop(emb, solve_w_vectors(lat, form)), emb)
         fal = float(np.sqrt(_covolume_loop(lat) / np.pi**lat.complex_dim))
         ratios.append(modulus * _petersson_loop(point, emb.n) / fal**k0)
     return ratios
@@ -630,7 +673,7 @@ def _assert_stack_matches_loop(emb, mu, points):
     single_phis = [assemble_phi(emb, one) for one in single_ws]
     assert np.array_equal(phi, np.stack(single_phis))
     value, off_block_defect = psi_constant(phi, emb)
-    oracle = [_psi_loop(one, emb) for one in single_phis]
+    oracle = [_psi_loop(_phi_loop(emb, one), emb) for one in single_ws]
     assert list(value) == [v for v, _, _ in oracle]
     assert list(per_sample(abs, value)) == [m for _, m, _ in oracle]
     assert list(off_block_defect) == [o for _, _, o in oracle]
@@ -671,6 +714,8 @@ def test_index_arrays_equal_the_incidence_loops():
         cases.append((emb, mu, [stack]))
     for emb, mu, points in cases:
         assert [tuple(t) for t in _incidences(emb)[0]] == _target_loop(emb)
+        assert _row_index(emb) is _row_index(emb)
+        assert not any(array.flags.writeable for pair in _row_index(emb) for array in pair or ())
         elements = generator_labels(emb)
         assert np.array_equal(cocycle_jacobian(emb), _cocycle_jacobian_loop(emb, elements))
         assert np.array_equal(
@@ -680,7 +725,7 @@ def test_index_arrays_equal_the_incidence_loops():
         assert np.array_equal(closed_form_w(form), _closed_form_w_loop(emb, mu))
         for point in points:
             ws = solve_w_vectors(build_lattice(point, emb), form)
-            assert np.array_equal(assemble_phi(emb, ws), _phi_loop(emb, ws))
+            assert np.array_equal(_phi_dense(emb, assemble_phi(emb, ws)), _phi_loop(emb, ws))
         values = target_values(_incidences(emb)[0], elements)
         assert np.array_equal(
             values, [[_target_value(t, x) for t in _target_loop(emb)] for x in elements]

@@ -20,7 +20,9 @@ X in the bounded realization at U = 0, which is the split columns
 import numpy as np
 import pytest
 
-from pelks.algebra import integer_det
+from math import prod
+
+from pelks.algebra import integer_det, integer_smith_normal_form
 from pelks.checks import COVOLUME_TOL, run_checks
 from pelks.cli import resolve_config
 from pelks.domains import HermitianPoint, SiegelPoint
@@ -30,11 +32,13 @@ from pelks.lattices import (
     PeriodLattice,
     RankDeficient,
     RiemannForm,
+    _blockwise,
     build_lattice,
     covolume_closed_form,
     embed_labels,
     dual_index_oracle,
     faltings_norm,
+    generator_labels,
     polarization_degree,
     solve_self_dual_mu,
 )
@@ -350,6 +354,81 @@ def test_polarization_degree_of_trace_form():
 def test_polarization_degree_rescaling():
     # mu -> mu / k multiplies E by k, hence the degree by k^{nr}
     assert polarization_degree(RiemannForm(gaussian_unitary(), -2.0 / 3.0)) == 9
+
+
+def _dense_index(rows):
+    """|det| and the product of the elementary divisors, on the whole matrix."""
+    return abs(integer_det(rows)), prod(integer_smith_normal_form(rows).divisors)
+
+
+def _block_index(rows):
+    return (
+        _blockwise(rows, lambda block: abs(integer_det(block))),
+        _blockwise(rows, lambda block: prod(integer_smith_normal_form(block).divisors)),
+    )
+
+
+def _sparse_integer_matrices(rng):
+    """Random sparse square integer matrices: block diagonal ones under a
+    row and a column permutation, and ones made singular by a zero row, a
+    zero column, a repeated row, or a block with one row fewer than its
+    columns."""
+    for _ in range(40):
+        sizes = rng.integers(1, 4, size=rng.integers(1, 5))
+        dim = int(sizes.sum())
+        a = np.zeros((dim, dim), dtype=int)
+        start = 0
+        for size in sizes:
+            block = rng.integers(-3, 4, size=(size, size)) * (rng.random((size, size)) < 0.7)
+            a[start : start + size, start : start + size] = block
+            start += size
+        a = a[rng.permutation(dim)][:, rng.permutation(dim)]
+        yield a
+        if dim > 1:
+            zero_row, zero_col, repeated = (a.copy() for _ in range(3))
+            zero_row[rng.integers(dim)] = 0
+            zero_col[:, rng.integers(dim)] = 0
+            repeated[0] = repeated[1]
+            yield from (zero_row, zero_col, repeated)
+    # rows 0 and 1 share column 0 alone, column 1 sits in no row
+    yield np.array([[2, 0, 0], [3, 0, 0], [0, 0, 5]])
+
+
+def test_blockwise_index_equals_the_dense_path():
+    rng = np.random.default_rng(43)
+    singular = 0
+    for a in _sparse_integer_matrices(rng):
+        rows = a.tolist()
+        dense = _dense_index(rows)
+        assert _block_index(rows) == dense
+        singular += dense[0] == 0
+    assert singular > 20
+
+
+def test_blockwise_index_on_ladder_forms():
+    # the monomial Gram matrices of the benchmark's largest arch rungs, at
+    # the trace form and at the self-dual (or explicit) mu
+    basechange = matrix_basechange()
+    cases = [
+        (OrderEmbedding("A", 1, 8, -4, ([[1.0]], [[1j]])), HermitianPoint(np.eye(4) * 1j), None),
+        (rational_siegel(8), SiegelPoint(np.eye(8) * 1j), None),
+        (OrderEmbedding("A", 2, 6, -4, basechange.matrices), HermitianPoint(np.eye(3) * 1j), -2.0 * np.eye(2)),
+    ]
+    for emb, point, mu in cases:
+        base = RiemannForm(emb, 1.0)
+        form = solve_self_dual_mu(base, build_lattice(point, emb)) if mu is None else RiemannForm(emb, mu)
+        for f in (base, form):
+            dense = _dense_index(f.integer_gram())
+            assert (polarization_degree(f) ** 2, dual_index_oracle(f)) == dense
+        assert dense == (1, 1)
+
+
+def test_generator_labels_are_cached_and_read_only():
+    for emb in (gaussian_unitary(), rational_siegel(2), matrix_basechange()):
+        labels = generator_labels(emb)
+        assert generator_labels(emb) is labels
+        with pytest.raises(ValueError, match="read-only"):
+            labels[0, 0, 0] = 7
 
 
 def test_polarization_rejects_non_integral_form():
