@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
-"""Time and peak memory of every archimedean check alone, up the rank ladder.
+"""Time and peak memory of every check alone, up the rank ladder.
 
 For the gauss (kind A, n = 1, the Gaussian order), basechange (kind A,
 n = 2, matrix units over the Gaussian integers, explicit mu = -2) and
-siegel (kind C, n = 1, over Z) families at r = 2, 4, 8, 16, 24, 32 up to
-`--max-r`, each arch.* and pipeline.* check runs alone in a forked child
-at 20 samples.  One line per (rung, check) gives the check's status, the
-milliseconds `run_checks` took in the child, and the child's peak RSS
-in MB, read from wait4; the child starts from this process, which has
-imported numpy and pelks and built nothing else.
+siegel (kind C, n = 1, over Z) families, each arch.* and pipeline.*
+check runs alone; for the local families A2 (kind A, n = 2, q = 7,
+signature (r/2, r/2)) and C2 (kind C, n = 2, q = 5, signature (r, 0)),
+each local.* check of the place; for rank (the gauss config), the
+global.rank-lemma check over the Gaussian order.  Every family runs at
+r = 2, 4, 8, 16, 24, 32 up to `--max-r`, each check alone in a forked
+child at 20 samples.  One line per (rung, check) gives the check's
+status, the milliseconds `run_checks` took in the child, and the
+child's peak RSS in MB, read from wait4; the child starts from this
+process, which has imported numpy and pelks and built nothing else.
 
     PYTHONPATH=src python3 scripts/scale_ladder.py --max-r 32 --seed 1
 
@@ -27,20 +31,40 @@ from pelks.config import config_from_dict
 
 RANKS = (2, 4, 8, 16, 24, 32)
 SAMPLES = 20
-CHECKS = tuple(row.name for row in CATALOG if row.name.startswith(("arch.", "pipeline.")))
+ARCH_CHECKS = tuple(row.name for row in CATALOG if row.name.startswith(("arch.", "pipeline.")))
+LOCAL_CHECKS = tuple(row.name for row in CATALOG if row.needs == "place")
+PLACES = {"A2": ("A", 7), "C2": ("C", 5)}  # kind and residue size of the n = 2 place
+FAMILIES = ("gauss", "basechange", "siegel", "A2", "C2", "rank")
 
 
 def _cx(z):
     return [complex(z).real, complex(z).imag]
 
 
+def family_checks(family):
+    """Names of the checks that `family` runs, one forked child each."""
+    if family in PLACES:
+        return tuple(f"{name}.q{PLACES[family][1]}" for name in LOCAL_CHECKS)
+    if family == "rank":
+        return ("global.rank-lemma",)
+    return ARCH_CHECKS
+
+
 def family_config(family, r, seed):
     """The config of one rung: `family` at rank r."""
+    if family in PLACES:
+        kind, q = PLACES[family]
+        place = {"residue_size": q, "conjugation_power": int(kind == "A")}
+        signature = [r // 2, r // 2] if kind == "A" else [r, 0]
+        return config_from_dict(
+            {"name": f"{family}-r{r}", "type": kind, "n": 2, "r": r, "signature": signature,
+             "local_places": [place], "samples": SAMPLES, "seed": seed}
+        )
     if family == "basechange":
         units = [[[_cx(s if (k, l) == (i, j) else 0) for l in range(2)] for k in range(2)]
                  for s in (1, 1j) for i in range(2) for j in range(2)]
         kind, n, disc, basis, mu = "A", 2, -4, units, [[_cx(-2), _cx(0)], [_cx(0), _cx(-2)]]
-    elif family == "gauss":
+    elif family in ("gauss", "rank"):
         kind, n, disc, basis, mu = "A", 1, -4, [[[_cx(1)]], [[_cx(1j)]]], None
     else:
         kind, n, disc, basis, mu = "C", 1, 1, [[[_cx(1)]]], None
@@ -89,10 +113,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     crashed = False
     print(f"{'rung':<16} {'check':<30} {'status':<6} {'ms':>8} {'MB':>7}")
-    for family in ("gauss", "basechange", "siegel"):
+    for family in FAMILIES:
         for r in (r for r in RANKS if r <= args.max_r):
             cfg = family_config(family, r, args.seed)
-            for name in CHECKS:
+            for name in family_checks(family):
                 status, detail, ms, rss_mb = forked_check(cfg, name)
                 crashed |= status == "crash"
                 line = f"{cfg.name:<16} {name:<30} {status.upper():<6} {ms:8.1f} {rss_mb:7.1f}"

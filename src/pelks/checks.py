@@ -35,8 +35,9 @@ which keeps a NaN, so a NaN defect fails; `--report` writes it as the
 `NaN` token of Python's json, which `json.loads` reads back.
 
 Report shape (schema_version 5): name, config digest, seed, summary
-counts, the checks sorted by name, and a timing block that callers
-must ignore when comparing runs for determinism.
+counts, the checks sorted by name, and a timing block (the total and
+the seconds per check name) that callers must ignore when comparing runs
+for determinism.
 """
 
 import re
@@ -404,10 +405,11 @@ def run_checks(cfg, only=None):
     """Run the catalog for one instance and assemble the report dict."""
     t0 = time.perf_counter()
     ctx = _ArchContext(cfg)
-    checks = []
+    checks, seconds = [], {}
     for row, check in _expand(cfg, ctx):
         if only is not None and not fnmatch(row.name, only):
             continue
+        start = time.perf_counter()
         computed = expected = None
         try:
             _prerequisite(row.needs, ctx)
@@ -417,6 +419,7 @@ def run_checks(cfg, only=None):
             status, detail = "skip", str(skip)
         except Exception as exc:  # a broken check must not abort the others
             status, detail = "fail", _describe(exc)
+        seconds[row.name] = seconds.get(row.name, 0.0) + time.perf_counter() - start
         checks.append(
             {
                 "name": row.name,
@@ -438,7 +441,7 @@ def run_checks(cfg, only=None):
         "samples": cfg.samples,
         "summary": summary | {"total": len(checks)},
         "checks": checks,
-        "timing": {"total_seconds": time.perf_counter() - t0},
+        "timing": {"total_seconds": time.perf_counter() - t0, "checks": dict(sorted(seconds.items()))},
     }
 
 

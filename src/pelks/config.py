@@ -165,10 +165,10 @@ def config_from_dict(d):
         _check_keys(entry, _PLACE_KEYS, f"local_places[{i}]")
         _expect("residue_size" in entry, f"local_places[{i}] needs residue_size")
         fields = (
-            _as_int(entry["residue_size"], "residue_size"),
-            _as_int(entry.get("frobenius_power", 1), "frobenius_power"),
-            _as_int(entry.get("conjugation_power", 0), "conjugation_power"),
-            _as_bool(entry.get("split", False), "split"),
+            _as_int(entry["residue_size"], f"local_places[{i}].residue_size"),
+            _as_int(entry.get("frobenius_power", 1), f"local_places[{i}].frobenius_power"),
+            _as_int(entry.get("conjugation_power", 0), f"local_places[{i}].conjugation_power"),
+            _as_bool(entry.get("split", False), f"local_places[{i}].split"),
         )
         try:
             place = CyclicAlgebraDescriptor(n, *fields)

@@ -31,8 +31,12 @@ unit entry kill its class (most classes: their two eigenvalues differ),
 and the rest is reduced one connected block of the relation pattern at
 a time (for n <= 2 a block has at most four columns: a u-row joins
 e_{ij} (x) e'_{lk} to the class with both i and l flipped, a swap row
-joins (j, k) to (k, j)).  The result is checked against its predicted
-shape: one free line per eligible column pair, spanned by the chain
+joins (j, k) to (k, j)).  The relation modules are symmetric, so their
+blocks repeat: each distinct block (its dense entries and its width) is
+reduced once per call, and the rank lemma reuses the inverse and the
+probe determinant of a repeated block the same way.  The result is
+checked against its predicted shape: one free line per eligible column
+pair, spanned by the chain
 
     e_{1j} (x) e'_{1k} = pi e_{2j} (x) e'_{nk} = pi e_{ij} (x) e'_{(n+2-i)k},
 
@@ -184,6 +188,11 @@ def _relation_system(descriptor, signature, kind):
     return ncols, tuple(rows), tuple(_swap_rows(descriptor, signature))
 
 
+def _block_key(dense, cols):
+    """A block's dense rows and width: blocks with equal keys reduce alike."""
+    return len(cols), tuple(map(tuple, dense))
+
+
 def _dense(rows, cols, row_ids, zero):
     """Rows `row_ids` of a sparse system as dense rows over `cols`."""
     local = {c: t for t, c in enumerate(cols)}
@@ -202,9 +211,10 @@ class _Decomposition:
     Presolve: a row with one entry, of valuation 0, kills its column,
     which is then zero in the quotient; the killed columns are dropped
     from every other row.  What remains is reduced one connected block
-    at a time (split_blocks), so V is block-diagonal: a column's free
-    coordinates are nonzero only in the free slots of its block, and the
-    blocks number the free slots in order.  `exponents` has the layout
+    at a time (split_blocks), and blocks with equal dense rows share one
+    reduction, so V is block-diagonal: a column's free coordinates are
+    nonzero only in the free slots of its block, and the blocks number
+    the free slots in order.  `exponents` has the layout
     of one dense Smith normal form of all the rows: the finite exponents
     ascending (a 0 per killed column), then +inf up to
     min(len(rows), ncols).
@@ -216,11 +226,15 @@ class _Decomposition:
         self.free_rank = 0
         self._terms = [[] for _ in range(ncols)]
         finite = [0] * len(killed)
+        reduced = {}  # one Smith normal form per distinct block
         for cols, row_ids in split_blocks(rest, ncols):
             if cols[0] in killed:  # alone in its block, since no row touches it
                 continue
             dense = _dense(rest, cols, row_ids, field.zero)
-            V, exponents = smith_normal_form(RingMatrix(field, dense), ncols=len(cols))
+            key = _block_key(dense, cols)
+            if key not in reduced:
+                reduced[key] = smith_normal_form(RingMatrix(field, dense), ncols=len(cols))
+            V, exponents = reduced[key]
             finite += [e for e in exponents if e != INF]
             free = [t for t, e in enumerate(exponents) if e == INF]
             free += range(len(exponents), len(cols))
@@ -450,14 +464,20 @@ def global_rank_lemma(p, q, discriminant):
     # both coordinates of its classes even where no relation row does
     links = [(2 * cls, 2 * cls + 1) for cls in range(r * r)]
     divisors = []
-    probed = []  # (columns, V, V^-1, free slots) of each block with free slots
+    reduced = {}  # block key -> (divisors, V, V^-1, free slots), once per distinct block
+    probed = []  # (block key, columns, V, V^-1, free slots) of each block with free slots
     for cols, row_ids in split_blocks(rows, N, links):
-        dec = integer_smith_normal_form(_dense(rows, cols, row_ids, 0), ncols=len(cols))
-        divisors += dec.divisors
-        free = [t for t, d in enumerate(dec.divisors) if d == 0]
-        free += range(len(dec.divisors), len(cols))
+        dense = _dense(rows, cols, row_ids, 0)
+        key = _block_key(dense, cols)
+        if key not in reduced:
+            dec = integer_smith_normal_form(dense, ncols=len(cols))
+            free = [t for t, d in enumerate(dec.divisors) if d == 0]
+            free += range(len(dec.divisors), len(cols))
+            reduced[key] = dec.divisors, dec.V, integer_inverse(dec.V) if free else None, free
+        block_divisors, V, Vinv, free = reduced[key]
+        divisors += block_divisors
         if free:
-            probed.append((cols, dec.V, integer_inverse(dec.V), free))
+            probed.append((key, cols, V, Vinv, free))
     free_rank = N - sum(1 for d in divisors if d)
 
     # the torsion is the sum of the Z/d over the block divisors d > 1: |D|
@@ -467,6 +487,10 @@ def global_rank_lemma(p, q, discriminant):
     matched_unordered = p * (p + 1) // 2 + q * (q + 1) // 2
 
     violations = []
+    # (block key, lam of each class) -> (|det|, preserved): a block holds
+    # both coordinates of each of its classes, adjacent, so V and the
+    # class scalars fix the block's part of the probe
+    probed_blocks = {}
 
     def probe(block):
         """|det| exponent of diag(1 + omega, 1, ...) on the given block."""
@@ -480,21 +504,24 @@ def global_rank_lemma(p, q, discriminant):
         # block-diagonal and its free part has the product of the blocks'
         # determinants; only the free columns of A V are needed
         d, preserved = 1, True
-        for cols, V, Vinv, free in probed:
-            local = {c: t for t, c in enumerate(cols)}
-            AV = [None] * len(cols)
-            for t, c in enumerate(cols):
-                if c % 2:
-                    continue
-                i, j = divmod(c // 2, r)
-                lam = _qmul(entries[i], entries[j], t0, t1)
-                x, y = V[t], V[local[c + 1]]
-                AV[t] = [lam[0] * x[s] + lam[1] * y[s] for s in free]
-                AV[local[c + 1]] = [lam[1] * t0 * x[s] + (lam[0] + lam[1] * t1) * y[s] for s in free]
-            # M = V^-1 A V restricted to the free columns
-            M = _imatmul(Vinv, AV)
-            preserved = preserved and not any(any(M[t]) for t in range(len(cols)) if t not in free)
-            d *= abs(integer_det([M[t] for t in free]))
+        for key, cols, V, Vinv, free in probed:
+            classes = (divmod(c // 2, r) for c in cols[::2])
+            lams = tuple(_qmul(entries[i], entries[j], t0, t1) for i, j in classes)
+            if (key, lams) not in probed_blocks:
+                AV = [None] * len(cols)
+                for t, lam in zip(range(0, len(cols), 2), lams):
+                    x, y = V[t], V[t + 1]
+                    AV[t] = [lam[0] * x[s] + lam[1] * y[s] for s in free]
+                    AV[t + 1] = [lam[1] * t0 * x[s] + (lam[0] + lam[1] * t1) * y[s] for s in free]
+                # M = V^-1 A V restricted to the free columns
+                M = _imatmul(Vinv, AV)
+                probed_blocks[key, lams] = (
+                    abs(integer_det([M[t] for t in free])),
+                    not any(any(M[t]) for t in range(len(cols)) if t not in free),
+                )
+            block_det, block_preserved = probed_blocks[key, lams]
+            preserved = preserved and block_preserved
+            d *= block_det
         if not preserved:
             violations.append("probe does not preserve the free part")
         base = abs(_qnorm((1, 1), t0, t1))

@@ -274,6 +274,15 @@ def test_reports_are_reproducible():
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
+def test_timing_gives_seconds_per_check():
+    cfg = with_overrides(resolve_config("unitary-A"), samples=4)
+    for only in (None, "local.*"):
+        report = run_checks(cfg, only=only)
+        seconds = report["timing"]["checks"]
+        assert seconds and list(seconds) == [chk["name"] for chk in report["checks"]]
+        assert all(s >= 0 for s in seconds.values())
+
+
 def test_readme_library_example_runs():
     # the README's "Library use" block, run as written
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

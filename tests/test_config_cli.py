@@ -578,6 +578,22 @@ def test_residue_size_past_the_field_cap_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: local_places[0]: residue size")
 
 
+def test_a_bad_place_field_names_its_key_path(tmp_path):
+    cfg = {"name": "places", "type": "C", "n": 2, "r": 1, "signature": [1, 0]}
+    places = [{"residue_size": 3}, {"residue_size": 5}, {"residue_size": 7}]
+    for key, value in (("frobenius_power", "1"), ("conjugation_power", 0.0), ("split", 1)):
+        bad = [dict(pl) for pl in places]
+        bad[2][key] = value
+        with pytest.raises(ConfigInvalid, match=rf"^local_places\[2\]\.{key} must be"):
+            config_from_dict(dict(cfg, local_places=bad))
+    places[1]["residue_size"] = "5"
+    path = tmp_path / "places.json"
+    path.write_text(json.dumps(dict(cfg, local_places=places)))
+    proc = _run("-m", "pelks.cli", "run", "--config", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: local_places[1].residue_size must be an integer")
+
+
 def test_import_loads_no_scipy():
     proc = _run(
         "-c",
@@ -607,5 +623,7 @@ def test_scripts_run_clean(script, args):
         assert all(re.fullmatch(r"fixtures/[\w-]+/\d+ [0-9a-f]{64}", line) for line in lines)
     if script == "scale_ladder.py":
         rows = [line.split() for line in proc.stdout.splitlines()[1:]]
-        assert len(rows) == 3 * 2 * 9  # three families at r = 2, 4, nine arch checks each
+        # three arch families at r = 2, 4 with nine checks each, A2 and C2 with three
+        # local checks each, and the rank lemma
+        assert len(rows) == 3 * 2 * 9 + 2 * 2 * 3 + 2
         assert all(row[2] == "PASS" and len(row) == 5 for row in rows)

@@ -308,25 +308,30 @@ def test_relation_rows_split_into_small_blocks(monkeypatch):
         assert {len(cols) for cols, _ in blocks} <= {2, 4}
 
     p, r = 4, 8
-    rows = pel_modules._rank_relations(p, p, *pel_modules._omega_data(-4))
+    rank_rows = pel_modules._rank_relations(p, p, *pel_modules._omega_data(-4))
     ncols = 2 * r * r
-    rank_blocks = split_blocks(rows, ncols, [(2 * c, 2 * c + 1) for c in range(r * r)])
-    _assert_partition(rows, ncols, rank_blocks)
+    rank_blocks = split_blocks(rank_rows, ncols, [(2 * c, 2 * c + 1) for c in range(r * r)])
+    _assert_partition(rank_rows, ncols, rank_blocks)
     assert max(len(cols) for cols, _ in rank_blocks) <= 4
 
     # the reductions see only the blocks that survive the presolve: those of
-    # the relation rows, of the basis audit's rows and of the symmetrized rows
+    # the relation rows, of the basis audit's rows and of the symmetrized
+    # rows; each reduction call reduces each distinct block once
     ncols, rows = relation_generators(UNITARY, (3, 3), letters)
     dec = pel_modules._Decomposition(UNITARY.field, rows, ncols)
     pairs = pel_modules._eligible_pairs((3, 3), "A", symmetrized=False)
     basis = [dec.free_terms(pel_modules._chain_indices(2, 6, j, k)[-1]) for j, k in pairs]
     sym_rows = rows + pel_modules._swap_rows(UNITARY, (3, 3))
-    surviving = [
-        *_presolved_blocks(rows, ncols),
-        *_presolved_blocks(basis, dec.free_rank),
-        *_presolved_blocks(sym_rows, ncols),
-    ]
-    expected = len(surviving) + len(rank_blocks)
+    zero = UNITARY.field.zero
+    expected = _distinct_blocks(rank_rows, rank_blocks, 0) + sum(
+        _distinct_blocks(*_presolve(system, width), zero)
+        for system, width in ((rows, ncols), (basis, dec.free_rank), (sym_rows, ncols))
+    )
+    surviving = sum(
+        len(_presolved_blocks(system, width))
+        for system, width in ((rows, ncols), (basis, dec.free_rank), (sym_rows, ncols))
+    )
+    assert expected < surviving + len(rank_blocks)  # the relation modules repeat their blocks
     widths = []
     for name in ("smith_normal_form", "integer_smith_normal_form"):
         original = getattr(pel_modules, name)
@@ -342,13 +347,109 @@ def test_relation_rows_split_into_small_blocks(monkeypatch):
     assert len(widths) == expected and max(widths) <= 4
 
 
-def _presolved_blocks(rows, ncols):
-    """Columns of the blocks that reach a Smith normal form: every row with
-    one unit entry kills its column, and split_blocks cuts the other rows,
-    less the killed columns, into blocks."""
+def _presolve(rows, ncols):
+    """(rows less the killed columns, blocks that reach a Smith normal form):
+    every row with one unit entry kills its column, and split_blocks cuts
+    the other rows, less the killed columns, into blocks."""
     killed = {row[0][0] for row in rows if len(row) == 1 and row[0][1].val == 0}
     rest = [[(c, a) for c, a in row if c not in killed] for row in rows]
-    return [cols for cols, _ in split_blocks(rest, ncols) if cols[0] not in killed]
+    return rest, [(cols, ids) for cols, ids in split_blocks(rest, ncols) if cols[0] not in killed]
+
+
+def _presolved_blocks(rows, ncols):
+    """Columns of the blocks that reach a Smith normal form."""
+    return [cols for cols, _ in _presolve(rows, ncols)[1]]
+
+
+def _distinct_blocks(rows, blocks, zero):
+    """How many of `blocks` differ as dense matrices, by width or by an entry."""
+    return len({
+        (len(cols), tuple(tuple(dict(rows[i]).get(c, zero) for c in cols) for i in ids))
+        for cols, ids in blocks
+    })
+
+
+def _every_block_reduced(monkeypatch, compute):
+    """compute() with no block reused: every block key is new, so the
+    per-call dicts of reduced blocks and probe determinants never hit."""
+    with monkeypatch.context() as m:
+        m.setattr(pel_modules, "_block_key", lambda dense, cols: object())
+        return compute()
+
+
+def _count_calls(monkeypatch, name, calls):
+    """Count the calls of pel_modules' `name` into the list `calls`."""
+    original = getattr(pel_modules, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pel_modules, name, counted)
+
+
+def _dedup_sweep_systems():
+    """(descriptor, signature, kind): n in {1, 2}, kinds A and C, q in
+    {2, 3, 4, 5, 7, 9}, r <= 6, each place whose test letters exist."""
+    for n in (1, 2):
+        for q in (2, 3, 4, 5, 7, 9):
+            for kind in ("A", "C"):
+                desc = CyclicAlgebraDescriptor(n=n, residue_size=q, conjugation_power=int(n == 2 and kind == "A"))
+                try:
+                    find_test_letters(desc, kind)
+                except DegenerateTestElement:
+                    continue
+                for r in range(1, 7):
+                    yield desc, ((r // 2, r - r // 2) if kind == "A" else (r, 0)), kind
+
+
+def test_block_dedup_matches_reducing_every_block(monkeypatch):
+    def outcome(field, rows, ncols):
+        dec = pel_modules._Decomposition(field, rows, ncols)
+        return dec.free_rank, dec.exponents, [dec.free_terms(flat) for flat in range(ncols)]
+
+    # two blocks of one shape that differ in their entries, and a repeat
+    field = UNITARY.field
+    one, pi = field.one, field.one.shift(1)
+    systems = [(field, [[(0, one), (1, -pi)], [(2, pi), (3, -one)], [(4, one), (5, -pi)]], 6)]
+    places = list(_dedup_sweep_systems())
+    assert {(d.n, kind) for d, _, kind in places} == {(1, "A"), (1, "C"), (2, "A"), (2, "C")}
+    for desc, signature, kind in places:
+        ncols, rows, swaps = pel_modules._relation_system(desc, signature, kind)
+        systems += [(desc.field, rows, ncols), (desc.field, rows + swaps, ncols)]
+    calls, oracle_calls = [], []
+    for system in systems:
+        with monkeypatch.context() as m:
+            _count_calls(m, "smith_normal_form", calls)
+            fast = outcome(*system)
+        with monkeypatch.context() as m:
+            _count_calls(m, "smith_normal_form", oracle_calls)
+            slow = _every_block_reduced(m, lambda: outcome(*system))
+        assert fast == slow, system
+    assert len(calls) < len(oracle_calls)
+
+
+def test_rank_lemma_dedup_matches_reducing_every_block(monkeypatch):
+    calls, oracle_calls = [], []
+    for disc in (-3, -4, -7, -8, -15):
+        for p in range(5):
+            for q in range(5):
+                r = p + q
+                rows = pel_modules._rank_relations(p, q, *pel_modules._omega_data(disc))
+                for cols, _ in split_blocks(rows, 2 * r * r, [(2 * c, 2 * c + 1) for c in range(r * r)]):
+                    # the probe reads a block as adjacent coordinate pairs of its classes
+                    assert all(c % 2 == 0 for c in cols[::2]) and cols[1::2] == [c + 1 for c in cols[::2]]
+                with monkeypatch.context() as m:
+                    for name in ("integer_smith_normal_form", "integer_inverse", "integer_det"):
+                        _count_calls(m, name, calls)
+                    fast = global_rank_lemma(p, q, disc)
+                with monkeypatch.context() as m:
+                    for name in ("integer_smith_normal_form", "integer_inverse", "integer_det"):
+                        _count_calls(m, name, oracle_calls)
+                    slow = _every_block_reduced(m, lambda: global_rank_lemma(p, q, disc))
+                assert fast == slow, (p, q, disc)
+    for name in ("integer_smith_normal_form", "integer_inverse", "integer_det"):
+        assert calls.count(name) < oracle_calls.count(name), name
 
 
 def _presolve_systems():
