@@ -16,8 +16,11 @@ process, which has imported numpy and pelks and built nothing else.
 
     PYTHONPATH=src python3 scripts/scale_ladder.py --max-r 32 --seed 1
 
-It exits 1 when a child ends without reporting, and 0 otherwise; a
-failing check is a finding, printed as FAIL with its detail.
+`--family NAME`, repeatable, runs only the named families, in the
+order above (`--family A2 --family C2 --family rank` measures the local
+half alone).  It exits 1 when a child ends without reporting, and 0
+otherwise; a failing check is a finding, printed as FAIL with its
+detail.
 """
 
 import argparse
@@ -110,10 +113,14 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-r", type=int, default=32, help="largest rank to run (default 32)")
     parser.add_argument("--seed", type=int, default=1, help="config seed of every rung (default 1)")
+    parser.add_argument(
+        "--family", action="append", choices=FAMILIES, metavar="NAME",
+        help=f"run only this family; repeatable (default: all of {', '.join(FAMILIES)})",
+    )
     args = parser.parse_args(argv)
     crashed = False
     print(f"{'rung':<16} {'check':<30} {'status':<6} {'ms':>8} {'MB':>7}")
-    for family in FAMILIES:
+    for family in (f for f in FAMILIES if args.family is None or f in args.family):
         for r in (r for r in RANKS if r <= args.max_r):
             cfg = family_config(family, r, args.seed)
             for name in family_checks(family):

@@ -180,6 +180,10 @@ def config_from_dict(d):
             kind == "A" or not place.is_division or n <= 2,
             f"local_places[{i}]: kind C admits no division place of degree n={n} > 2",
         )
+        _expect(
+            all(pl.residue_size != place.residue_size for pl in places),
+            f"local_places[{i}].residue_size {place.residue_size} repeats an earlier place's",
+        )
         places.append(place)
 
     arch = None

@@ -436,15 +436,20 @@ def faltings_norm(lattice):
 
 def _blockwise(rows, measure):
     """The product of `measure` over the connected blocks of a square
-    integer matrix (`algebra.split_blocks`), each block passed as its own
-    matrix; 0 when a block has more rows than columns or fewer, as the
-    matrix is then singular."""
+    integer matrix (`algebra.split_blocks`), each distinct block measured
+    once, as its own matrix; 0 when a block has more rows than columns or
+    fewer, as the matrix is then singular."""
     sparse = [[(c, x) for c, x in enumerate(row) if x] for row in rows]
     out = 1
+    measured = {}  # dense rows of a block -> its measure
     for cols, ids in split_blocks(sparse, len(rows)):
         if len(ids) != len(cols):
             return 0
-        out *= measure([[rows[i][c] for c in cols] for i in ids])
+        block = [[rows[i][c] for c in cols] for i in ids]
+        key = tuple(map(tuple, block))
+        if key not in measured:
+            measured[key] = measure(block)
+        out *= measured[key]
     return out
 
 

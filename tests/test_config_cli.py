@@ -594,6 +594,21 @@ def test_a_bad_place_field_names_its_key_path(tmp_path):
     assert proc.stderr.startswith("config error: local_places[1].residue_size must be an integer")
 
 
+def test_a_repeated_residue_size_is_a_config_error(tmp_path):
+    # a place's checks are named .q<residue_size>, so two places with one
+    # residue size would give report entries that --only cannot tell apart
+    cfg = {"name": "places", "type": "C", "n": 2, "r": 1, "signature": [1, 0]}
+    places = [{"residue_size": 3}, {"residue_size": 3, "frobenius_power": 3}]
+    with pytest.raises(ConfigInvalid, match=r"^local_places\[1\]\.residue_size 3 repeats"):
+        config_from_dict(dict(cfg, local_places=places))
+    path = tmp_path / "places.json"
+    path.write_text(json.dumps(dict(cfg, local_places=[{"residue_size": 5}, {"residue_size": 3}, places[0]])))
+    proc = _run("-m", "pelks.cli", "run", "--config", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: local_places[2].residue_size 3 repeats an earlier place's")
+    assert "Traceback" not in proc.stdout + proc.stderr
+
+
 def test_import_loads_no_scipy():
     proc = _run(
         "-c",
@@ -611,6 +626,7 @@ def test_import_loads_no_scipy():
         ("exponent_sweep.py", ["--residue-sizes", "17", "31"]),
         ("report_digests.py", ["--workload", "fixtures"]),
         ("scale_ladder.py", ["--max-r", "4"]),
+        ("scale_ladder.py", ["--max-r", "8", "--family", "rank", "--family", "C2"]),
     ],
 )
 def test_scripts_run_clean(script, args):
@@ -623,7 +639,12 @@ def test_scripts_run_clean(script, args):
         assert all(re.fullmatch(r"fixtures/[\w-]+/\d+ [0-9a-f]{64}", line) for line in lines)
     if script == "scale_ladder.py":
         rows = [line.split() for line in proc.stdout.splitlines()[1:]]
-        # three arch families at r = 2, 4 with nine checks each, A2 and C2 with three
-        # local checks each, and the rank lemma
-        assert len(rows) == 3 * 2 * 9 + 2 * 2 * 3 + 2
         assert all(row[2] == "PASS" and len(row) == 5 for row in rows)
+        if "--family" in args:
+            # C2 before rank, as the families are listed, at r = 2, 4, 8
+            rungs = [f"C2-r{r}" for r in (2, 4, 8) for _ in range(3)] + ["rank-r2", "rank-r4", "rank-r8"]
+            assert [row[0] for row in rows] == rungs
+        else:
+            # three arch families at r = 2, 4 with nine checks each, A2 and C2 with
+            # three local checks each, and the rank lemma
+            assert len(rows) == 3 * 2 * 9 + 2 * 2 * 3 + 2

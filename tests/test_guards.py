@@ -8,8 +8,9 @@ test they replaced stays here as an oracle.  On matrices with prescribed
 singular values on both sides of each threshold, every site must refuse
 whatever its oracle refuses, and accept once the smallest singular value
 clears the threshold by the matrix size; NaN, inf and an exactly singular
-matrix get the site's own refusal.  The last test runs whole reports with
-numpy's SVD-based routines disabled.
+matrix get the site's own refusal.  The SVD test runs whole reports with
+numpy's SVD-based routines disabled; the last test runs the local reports
+with the full-row relation builders disabled.
 """
 
 import importlib.util
@@ -19,7 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pelks import kodaira_spencer
+import relation_oracle
+from pelks import kodaira_spencer, pel_modules
 from pelks.checks import run_checks
 from pelks.cli import resolve_config
 from pelks.config import config_from_dict
@@ -212,12 +214,16 @@ def test_guard_refuses_nan_inf_and_singular(name):
     assert site(np.zeros_like(good))
 
 
-def _ladder_configs():
+def _report_digests():
     spec = importlib.util.spec_from_file_location("report_digests", ROOT / "scripts" / "report_digests.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def _ladder_configs():
     shapes = ("gauss-r4", "basechange-r4", "siegel-r4")
-    return [(cfg, only) for rung, cfg, only in script.workload_configs("arch-ladder") if rung in shapes]
+    return [(cfg, only) for rung, cfg, only in _report_digests().workload_configs("arch-ladder") if rung in shapes]
 
 
 def test_reports_need_no_singular_value_decomposition(monkeypatch):
@@ -239,3 +245,44 @@ def test_reports_need_no_singular_value_decomposition(monkeypatch):
     after = [strip(run_checks(cfg, only=only)) for cfg, only in cases]
     assert after == before
     assert all(report["summary"]["fail"] == 0 for report in after)
+
+
+def test_local_reports_never_build_the_full_relation_rows(monkeypatch):
+    # the 35 local configs pinned in local_report_digests.txt keep their
+    # digests with every full-row builder refusing to run, and every system
+    # the verdicts build is presolved: no row touches a killed class, none
+    # is empty, and the rows number fewer than the full system's
+    script = _report_digests()
+    pinned = dict(line.split() for line in (ROOT / "tests" / "local_report_digests.txt").read_text().splitlines())
+    configs = {
+        f"{name}/{rung}/{cfg.get('seed', 0)}": (cfg, only)
+        for name in ("local-ladder", "edge")
+        for rung, cfg, only in script.workload_configs(name)
+        if f"{name}/{rung}/{cfg.get('seed', 0)}" in pinned
+    }
+    assert sorted(configs) == sorted(pinned) and len(configs) == 35
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full relation rows were generated")
+
+    for name in ("_relation_rows", "_swap_rows", "_relation_system"):
+        monkeypatch.setattr(relation_oracle, name, refuse)
+    built = []
+    generators = pel_modules.relation_generators
+
+    def presolved(descriptor, signature, letters):
+        system = generators(descriptor, signature, letters)
+        built.append(system)
+        return system
+
+    monkeypatch.setattr(pel_modules, "relation_generators", presolved)
+    pel_modules._local_system.cache_clear()
+    try:
+        digests = {key: script.digest(cfg, only) for key, (cfg, only) in configs.items()}
+    finally:
+        pel_modules._local_system.cache_clear()
+    assert digests == pinned
+    assert len(built) > 20
+    for ncols, rows, swaps, killed, (nrows, nswaps) in built:
+        assert all(row and all(c not in killed for c, _ in row) for row in rows + swaps)
+        assert len(rows) + len(swaps) < nrows + nswaps

@@ -17,14 +17,18 @@ X in the bounded realization at U = 0, which is the split columns
 (X[:, r/2:], conj(X)[:, :r/2]).
 """
 
+import importlib.util
+from math import prod
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from math import prod
-
-from pelks.algebra import integer_det, integer_smith_normal_form
+from pelks import lattices
+from pelks.algebra import integer_det, integer_smith_normal_form, split_blocks
 from pelks.checks import COVOLUME_TOL, run_checks
 from pelks.cli import resolve_config
+from pelks.config import config_from_dict
 from pelks.domains import HermitianPoint, SiegelPoint
 from pelks.lattices import (
     NoSelfDualForm,
@@ -421,6 +425,54 @@ def test_blockwise_index_on_ladder_forms():
             dense = _dense_index(f.integer_gram())
             assert (polarization_degree(f) ** 2, dual_index_oracle(f)) == dense
         assert dense == (1, 1)
+
+
+def _every_block_measured(rows, measure):
+    """_blockwise with no block reused: `measure` runs on every block."""
+    sparse = [[(c, x) for c, x in enumerate(row) if x] for row in rows]
+    out = 1
+    for cols, ids in split_blocks(sparse, len(rows)):
+        if len(ids) != len(cols):
+            return 0
+        out *= measure([[rows[i][c] for c in cols] for i in ids])
+    return out
+
+
+def _gram_matrices(monkeypatch, configs):
+    """Every integer Gram matrix that arch.polarization-degree reduces on `configs`."""
+    grams = []
+    original = lattices._blockwise
+
+    def recording(rows, measure):
+        grams.append(rows)
+        return original(rows, measure)
+
+    with monkeypatch.context() as m:
+        m.setattr(lattices, "_blockwise", recording)
+        for cfg in configs:
+            (entry,) = run_checks(cfg, only="arch.polarization-degree")["checks"]
+            assert entry["status"] == "pass", cfg.name
+    return grams
+
+
+def test_blockwise_measures_each_distinct_block_once(monkeypatch):
+    # the Gram matrices of every arch-ladder rung and of the fixtures, whose
+    # blocks repeat: the dedup measures fewer blocks and gives the same product
+    path = Path(__file__).resolve().parents[1] / "scripts" / "report_digests.py"
+    spec = importlib.util.spec_from_file_location("report_digests", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    configs = [config_from_dict(cfg) for _, cfg, _ in script.workload_configs("arch-ladder")]
+    configs += [resolve_config(name) for name in ("unitary-A", "basechange-A", "siegel-C")]
+    grams = _gram_matrices(monkeypatch, configs)
+    assert len(grams) >= 2 * len(configs)
+    measures = (lambda block: abs(integer_det(block)), lambda block: prod(integer_smith_normal_form(block).divisors))
+    deduped, every = [], []
+    for rows in grams:
+        for measure in measures:
+            fast = _blockwise(rows, lambda block: deduped.append(block) or measure(block))
+            assert fast == _every_block_measured(rows, lambda block: every.append(block) or measure(block))
+    assert len(deduped) < len(every) // 2
 
 
 def test_generator_labels_are_cached_and_read_only():

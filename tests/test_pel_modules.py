@@ -28,6 +28,13 @@ from pelks.pel_modules import (
     unflat_index,
     x_eigenvalues,
 )
+from relation_oracle import (
+    _FullRowDecomposition,
+    _presolve_rows,
+    _relation_rows,
+    _relation_system,
+    _swap_rows,
+)
 
 QUAT = CyclicAlgebraDescriptor(n=2, residue_size=2)
 UNITARY = CyclicAlgebraDescriptor(n=2, residue_size=3, conjugation_power=1)
@@ -69,8 +76,8 @@ class _TamperedDecomposition:
     replaced: zero at the flats in `zeroed`, a unit first coordinate at
     the flats in `revived`, and every coordinate times pi if `scaled`."""
 
-    def __init__(self, field, rows, ncols, zeroed=(), revived=(), scaled=False):
-        self.dec = _DECOMPOSITION(field, rows, ncols)
+    def __init__(self, field, ncols, killed, rows, nrows, zeroed=(), revived=(), scaled=False):
+        self.dec = _DECOMPOSITION(field, ncols, killed, rows, nrows)
         self.free_rank, self.exponents = self.dec.free_rank, self.dec.exponents
         self.unit = field.one
         self.zeroed, self.revived = set(zeroed), set(revived)
@@ -152,7 +159,7 @@ def test_quaternion_relation_generator_structure():
     # 2 plus the single twist  x (x) x' - pi . y (x) y'
     desc = CyclicAlgebraDescriptor(n=2, residue_size=3)
     letters = find_test_letters(desc, "C")
-    ncols, rows = relation_generators(desc, (1, 0), letters)
+    ncols, rows = _relation_rows(desc, (1, 0), letters)
     rows = _dense_rows(rows, ncols, desc.field.zero)
     pi = desc.field.one.shift(1)
     seen_dead = set()
@@ -167,6 +174,13 @@ def test_quaternion_relation_generator_structure():
             seen_twist = True
     assert seen_dead == {1, 2}
     assert seen_twist
+    # the presolved system holds only the twists: the two u-rows that
+    # reach the surviving flats 0 and 3, and no x-row
+    ncols, rows, swaps, killed, counts = relation_generators(desc, (1, 0), letters)
+    assert (ncols, killed, counts) == (4, {1, 2}, (6, 1))
+    assert len(rows) == 2 and swaps == ()
+    for c in _dense_rows(rows, ncols, desc.field.zero):
+        assert c[0] and c[3] == -(c[0] * pi) and not (c[1] or c[2])
 
 
 @pytest.mark.parametrize(
@@ -242,14 +256,24 @@ def test_image_exponent_audit_reports_classes_off_one_line(monkeypatch):
 
 
 def _block_and_dense(monkeypatch, compute):
+    """compute() as it runs, and with every decomposition replaced by one
+    dense Smith normal form of the full system: all the generated rows of
+    the place, and the basis audit's rows before any presolve."""
     block = compute()
     made = []
 
-    def dense(field, rows, ncols):
+    def full_system(descriptor, signature, kind):
+        ncols, rows, swaps = _relation_system(descriptor, signature, kind)
+        return ncols, tuple(rows), tuple(swaps), frozenset(), (len(rows), len(swaps))
+
+    def dense(field, ncols, killed, rows, nrows):
+        assert not killed and nrows == len(rows)
         made.append(ncols)
         return _DenseDecomposition(field, rows, ncols)
 
     with monkeypatch.context() as m:
+        m.setattr(pel_modules, "_local_system", full_system)
+        m.setattr(pel_modules, "_presolve", lambda rows: (set(), rows, len(rows)))
         m.setattr(pel_modules, "_Decomposition", dense)
         oracle = compute()
     assert made
@@ -300,9 +324,9 @@ def _assert_partition(rows, ncols, blocks):
 def test_relation_rows_split_into_small_blocks(monkeypatch):
     letters = find_test_letters(UNITARY, "A")
     for swap in (False, True):
-        ncols, rows = relation_generators(UNITARY, (3, 3), letters)
+        ncols, rows = _relation_rows(UNITARY, (3, 3), letters)
         if swap:
-            rows += pel_modules._swap_rows(UNITARY, (3, 3))
+            rows += _swap_rows(UNITARY, (3, 3))
         blocks = split_blocks(rows, ncols)
         _assert_partition(rows, ncols, blocks)
         assert {len(cols) for cols, _ in blocks} <= {2, 4}
@@ -317,11 +341,11 @@ def test_relation_rows_split_into_small_blocks(monkeypatch):
     # the reductions see only the blocks that survive the presolve: those of
     # the relation rows, of the basis audit's rows and of the symmetrized
     # rows; each reduction call reduces each distinct block once
-    ncols, rows = relation_generators(UNITARY, (3, 3), letters)
-    dec = pel_modules._Decomposition(UNITARY.field, rows, ncols)
+    ncols, rows = _relation_rows(UNITARY, (3, 3), letters)
+    dec = _FullRowDecomposition(UNITARY.field, rows, ncols)
     pairs = pel_modules._eligible_pairs((3, 3), "A", symmetrized=False)
     basis = [dec.free_terms(pel_modules._chain_indices(2, 6, j, k)[-1]) for j, k in pairs]
-    sym_rows = rows + pel_modules._swap_rows(UNITARY, (3, 3))
+    sym_rows = rows + _swap_rows(UNITARY, (3, 3))
     zero = UNITARY.field.zero
     expected = _distinct_blocks(rank_rows, rank_blocks, 0) + sum(
         _distinct_blocks(*_presolve(system, width), zero)
@@ -374,6 +398,7 @@ def _every_block_reduced(monkeypatch, compute):
     per-call dicts of reduced blocks and probe determinants never hit."""
     with monkeypatch.context() as m:
         m.setattr(pel_modules, "_block_key", lambda dense, cols: object())
+        m.setattr(pel_modules, "_series_block_key", lambda rows, cols, row_ids: object())
         return compute()
 
 
@@ -388,35 +413,36 @@ def _count_calls(monkeypatch, name, calls):
     monkeypatch.setattr(pel_modules, name, counted)
 
 
-def _dedup_sweep_systems():
+def _sweep_places(residue_sizes, max_r):
     """(descriptor, signature, kind): n in {1, 2}, kinds A and C, q in
-    {2, 3, 4, 5, 7, 9}, r <= 6, each place whose test letters exist."""
+    `residue_sizes`, r <= max_r, each place whose test letters exist."""
     for n in (1, 2):
-        for q in (2, 3, 4, 5, 7, 9):
+        for q in residue_sizes:
             for kind in ("A", "C"):
                 desc = CyclicAlgebraDescriptor(n=n, residue_size=q, conjugation_power=int(n == 2 and kind == "A"))
                 try:
                     find_test_letters(desc, kind)
                 except DegenerateTestElement:
                     continue
-                for r in range(1, 7):
+                for r in range(1, max_r + 1):
                     yield desc, ((r // 2, r - r // 2) if kind == "A" else (r, 0)), kind
 
 
 def test_block_dedup_matches_reducing_every_block(monkeypatch):
-    def outcome(field, rows, ncols):
-        dec = pel_modules._Decomposition(field, rows, ncols)
+    def outcome(field, ncols, killed, rows, nrows):
+        dec = pel_modules._Decomposition(field, ncols, killed, rows, nrows)
         return dec.free_rank, dec.exponents, [dec.free_terms(flat) for flat in range(ncols)]
 
     # two blocks of one shape that differ in their entries, and a repeat
     field = UNITARY.field
     one, pi = field.one, field.one.shift(1)
-    systems = [(field, [[(0, one), (1, -pi)], [(2, pi), (3, -one)], [(4, one), (5, -pi)]], 6)]
-    places = list(_dedup_sweep_systems())
+    hand = [[(0, one), (1, -pi)], [(2, pi), (3, -one)], [(4, one), (5, -pi)]]
+    systems = [(field, 6, *pel_modules._presolve(hand))]
+    places = list(_sweep_places((2, 3, 4, 5, 7, 9), 6))
     assert {(d.n, kind) for d, _, kind in places} == {(1, "A"), (1, "C"), (2, "A"), (2, "C")}
     for desc, signature, kind in places:
-        ncols, rows, swaps = pel_modules._relation_system(desc, signature, kind)
-        systems += [(desc.field, rows, ncols), (desc.field, rows + swaps, ncols)]
+        ncols, rows, swaps, killed, (nrows, nswaps) = pel_modules._local_system(desc, signature, kind)
+        systems += [(desc.field, ncols, killed, rows, nrows), (desc.field, ncols, killed, rows + swaps, nrows + nswaps)]
     calls, oracle_calls = [], []
     for system in systems:
         with monkeypatch.context() as m:
@@ -452,6 +478,32 @@ def test_rank_lemma_dedup_matches_reducing_every_block(monkeypatch):
         assert calls.count(name) < oracle_calls.count(name), name
 
 
+def test_presolved_system_matches_the_presolve_of_the_full_rows():
+    # the builder's killed set, rows and row counts against the presolve of
+    # every generated row, and its decomposition against the one the full
+    # rows fed before the builder presolved them, symmetrized or not.  For
+    # n <= 2 both ends of a u- or swap row survive or die together, so no
+    # place row loses just one end; _presolve's drop has the hand systems below
+    places = list(_sweep_places((2, 3, 4, 5, 7, 8, 9), 8))
+    assert {(d.n, kind) for d, _, kind in places} == {(1, "A"), (1, "C"), (2, "A"), (2, "C")}
+    assert {d.residue_size for d, _, _ in places} == {2, 3, 4, 5, 7, 8, 9}
+    for desc, signature, kind in places:
+        letters = find_test_letters(desc, kind)
+        ncols, rows, swaps, killed, (nrows, nswaps) = relation_generators(desc, signature, letters)
+        full_ncols, full_rows = _relation_rows(desc, signature, letters)
+        full_swaps = _swap_rows(desc, signature)
+        assert ncols == full_ncols, (desc, signature, kind)
+        for symmetrized in (False, True):
+            system = list(rows + swaps if symmetrized else rows)
+            full = full_rows + full_swaps if symmetrized else full_rows
+            count = nrows + nswaps if symmetrized else nrows
+            assert (set(killed), system, count) == _presolve_rows(full), (desc, signature, kind, symmetrized)
+            dec = pel_modules._Decomposition(desc.field, ncols, killed, system, count)
+            oracle = _FullRowDecomposition(desc.field, full, ncols)
+            assert (dec.free_rank, dec.exponents) == (oracle.free_rank, oracle.exponents)
+            assert [dec.free_terms(c) for c in range(ncols)] == [oracle.free_terms(c) for c in range(ncols)]
+
+
 def _presolve_systems():
     """(name, field, rows, ncols), one hand-built system per presolve path."""
     field = UNITARY.field
@@ -474,7 +526,7 @@ def _presolve_systems():
 
 @pytest.mark.parametrize("name,field,rows,ncols", _presolve_systems(), ids=[s[0] for s in _presolve_systems()])
 def test_presolve_matches_the_dense_oracle(name, field, rows, ncols):
-    dec = pel_modules._Decomposition(field, rows, ncols)
+    dec = pel_modules._Decomposition(field, ncols, *pel_modules._presolve(rows))
     oracle = _DenseDecomposition(field, rows, ncols)
     assert (dec.exponents, dec.free_rank) == (oracle.exponents, oracle.free_rank)
     # whether a class survives does not depend on the basis of the free part
