@@ -17,12 +17,13 @@ A parallel Smith normal form over the rational integers lives here as
 well, since the global rank computations need the same bookkeeping
 (divisors, left and right transforms) over Z instead of a DVR.  Both
 take dense rows; relation systems are sparse, and `split_blocks` cuts
-them into the connected blocks of their nonzero pattern, which the
-callers reduce one at a time.  The integer determinant and inverse are
-Bareiss (fraction-free) eliminations, so no rational number is ever
-formed, and they raise ValueError on input they cannot handle: a
-non-integer or non-square matrix, or a singular or non-unimodular one
-to invert.
+them into the connected blocks of their nonzero pattern, which every
+caller reduces through `reduce_blocks`, once per distinct block: the
+relation modules and Gram matrices repeat their blocks.  The integer
+determinant and inverse are Bareiss (fraction-free) eliminations, so no
+rational number is ever formed, and they raise ValueError on input they
+cannot handle: a non-integer or non-square matrix, or a singular or
+non-unimodular one to invert.
 
 Exactness convention: monomials are closed under products, inverses
 and Frobenius, and a sum of two monomials stays one when a summand is
@@ -255,7 +256,7 @@ class LocalMonomial:
         )
 
     def __hash__(self):
-        return hash((id(self.field), self.val, self.log))
+        return self.log  # equal monomials share a log; block keys hash every entry
 
     def __repr__(self):
         if self.log < 0:
@@ -325,6 +326,26 @@ def split_blocks(rows, ncols, links=()):
         if row:
             blocks[find(row[0][0])][1].append(i)
     return list(blocks.values())
+
+
+def reduce_blocks(rows, blocks, reduce, zero):
+    """(columns, reduce(dense rows, width)) for each (columns, row ids)
+    block of `split_blocks`, with `zero` off the rows' entries.  `reduce`
+    runs once per distinct block: the key is the width and the rows in
+    block-local columns, entries as they are, so with each row's nonzero
+    entries in ascending column order equal keys are equal dense blocks.
+    """
+    reduced = {}  # key -> the block's reduction, for this call
+    for cols, row_ids in blocks:
+        local = dict(zip(cols, range(len(cols))))
+        key = len(cols), tuple([tuple([(local[c], a) for c, a in rows[i]]) for i in row_ids])
+        if key not in reduced:
+            dense = [[zero] * len(cols) for _ in row_ids]
+            for line, sparse in zip(dense, key[1]):
+                for t, a in sparse:
+                    line[t] = a
+            reduced[key] = reduce(dense, len(cols))
+        yield cols, reduced[key]
 
 
 def _column_count(A, ncols):

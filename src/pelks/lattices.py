@@ -53,7 +53,7 @@ from math import isqrt, pi, prod
 
 import numpy as np
 
-from .algebra import integer_det, integer_smith_normal_form, split_blocks
+from .algebra import integer_det, integer_smith_normal_form, reduce_blocks, split_blocks
 from .domains import HermitianPoint, SiegelPoint, per_sample
 
 # Thresholds that decide arch.self-dual-mu and arch.polarization-degree
@@ -437,20 +437,14 @@ def faltings_norm(lattice):
 def _blockwise(rows, measure):
     """The product of `measure` over the connected blocks of a square
     integer matrix (`algebra.split_blocks`), each distinct block measured
-    once, as its own matrix; 0 when a block has more rows than columns or
-    fewer, as the matrix is then singular."""
+    once, as its own matrix (`algebra.reduce_blocks`); 0, with nothing
+    measured, when a block has more rows than columns or fewer, as the
+    matrix is then singular."""
     sparse = [[(c, x) for c, x in enumerate(row) if x] for row in rows]
-    out = 1
-    measured = {}  # dense rows of a block -> its measure
-    for cols, ids in split_blocks(sparse, len(rows)):
-        if len(ids) != len(cols):
-            return 0
-        block = [[rows[i][c] for c in cols] for i in ids]
-        key = tuple(map(tuple, block))
-        if key not in measured:
-            measured[key] = measure(block)
-        out *= measured[key]
-    return out
+    blocks = split_blocks(sparse, len(rows))
+    if any(len(ids) != len(cols) for cols, ids in blocks):
+        return 0
+    return prod(m for _, m in reduce_blocks(sparse, blocks, lambda block, width: measure(block), 0))
 
 
 def polarization_degree(form):

@@ -25,14 +25,15 @@ full tau orbit.
 The quotient of plain (x) dual by the relations x.m (x) m' - m (x) x.m'
 and u.m (x) m' - m (x) u.m' (and, symmetrized, m (x) m' minus its swap)
 is computed by Smith normal form.  The x-row of a class kills it when
-its two eigenvalues differ, as most do, so each place's system is built
-presolved: the killed classes and only the u- and swap rows that reach a
-survivor.  The survivors are reduced one connected block at a time (for
-n <= 2 at most four columns: a u-row joins e_{ij} (x) e'_{lk} to the
-class with i and l flipped, a swap row (j, k) to (k, j)), each distinct
-block once per call, as the rank lemma does with its blocks.  The
-result is checked against its predicted shape: one free line per
-eligible column pair, spanned by the chain
+its two eigenvalues differ, as most do, so each place's system lives on
+its surviving classes only: their columns and the u- and swap rows that
+reach them.  It is reduced one connected block at a time (for n <= 2 at
+most four columns: a u-row joins e_{ij} (x) e'_{lk} to the class with i
+and l flipped, a swap row (j, k) to (k, j)), each distinct block once
+per call by `algebra.reduce_blocks`, which the rank lemma's integer
+blocks go through as well.  The result is checked against its
+predicted shape: one free line per eligible column pair, spanned by the
+chain
 
     e_{1j} (x) e'_{1k} = pi e_{2j} (x) e'_{nk} = pi e_{ij} (x) e'_{(n+2-i)k},
 
@@ -43,7 +44,7 @@ themselves: the free rank, exponent or torsion next to its prediction,
 and every failed audit as a line of `violations`.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import prod
 
 from .algebra import (
@@ -53,6 +54,7 @@ from .algebra import (
     integer_det,
     integer_inverse,
     integer_smith_normal_form,
+    reduce_blocks,
     smith_normal_form,
     split_blocks,
 )
@@ -118,19 +120,17 @@ def find_test_letters(descriptor, kind):
 
 
 def relation_generators(descriptor, signature, letters):
-    """The presolved relation system of one place: (ncols, rows, swaps,
-    killed, (nrows, nswaps)).
+    """The relation system of one place on its surviving classes:
+    (columns, rows, swaps).
 
-    The full system has an x-row and a u-row per class and, symmetrized,
-    a swap row per unordered pair of distinct classes; nrows and nswaps
-    count them.  `killed` holds the classes whose two eigenvalues differ
-    (by discrete log), each killed by its unit x-row.  `rows` and `swaps`
-    are the u- and swap rows less the killed columns, the empty ones left
-    out, in the full system's order, as (column, monomial) tuples in
-    ascending column order.
+    A class whose two eigenvalues differ (by discrete log) is killed by
+    its unit x-row, so `columns` are the other flat classes, ascending.
+    `rows` and `swaps` are the u-rows and the swap rows (one per unordered
+    pair of distinct classes) that reach a survivor, in flat order, as
+    (position in columns, monomial) tuples in ascending position.  For
+    n <= 2 (tau^2 = 1) both ends of such a row survive; a dead end raises.
     """
     n, r = descriptor.n, sum(signature)
-    ncols = (n * r) ** 2
     plain = x_eigenvalues(descriptor, signature, letters)
     dual = x_eigenvalues(descriptor, signature, letters, dual=True)
     duals = {}  # discrete log -> the dual positions (l, k) of that eigenvalue
@@ -138,22 +138,23 @@ def relation_generators(descriptor, signature, letters):
         for k in range(r):
             duals.setdefault(dual[l][k].log, []).append((l, k))
     cells = [(i, j, l, k) for i in range(n) for j in range(r) for l, k in duals.get(plain[i][j].log, ())]
-    alive = {flat_index(n, r, *cell) for cell in cells}
-    # the u-row of (i, j, l, k) reaches (i - 1, j, l, k) and (i, j, l - 1, k);
-    # for n = 1 both are the class itself and cancel, so no u-row is left
-    steps = ((1, 0), (0, 1)) if n > 1 else ()
-    sources = {flat_index(n, r, (i + a) % n, j, (l + b) % n, k) for i, j, l, k in cells for a, b in steps}
+    columns = sorted(flat_index(n, r, *cell) for cell in cells)
+    position = {flat: t for t, flat in enumerate(columns)}
     one, rows = descriptor.field.one, []
     pis, minus = (one, one.shift(1)), (-one, -one.shift(1))  # +-pi^e
-    for i, j, l, k in (unflat_index(n, r, flat) for flat in sorted(sources)):
+    # the u-row of (i, j, l, k) reaches (i - 1, j, l, k) and (i, j, l - 1, k);
+    # when tau^2 = 1 the second end survives with the first, so the rows that
+    # reach a survivor are those of the survivors' i-shifts; for n = 1 both
+    # ends are the class itself and cancel, so no u-row is left
+    sources = sorted({((i + 1) % n, j, l, k) for i, j, l, k in cells}) if n > 1 else ()
+    for i, j, l, k in sources:  # flat order is the order of (i, j, l, k)
         (i2, e1), (l2, e2) = u_image(n, i), u_image(n, l)
         ends = [(flat_index(n, r, i2, j, l, k), pis[e1]), (flat_index(n, r, i, j, l2, k), minus[e2])]
-        rows.append(tuple(e for e in sorted(ends) if e[0] in alive))
+        rows.append(tuple(sorted((position[flat], a) for flat, a in ends)))
     pairs = {(flat_index(n, r, i, j, l, k), flat_index(n, r, l, k, i, j)) for i, j, l, k in cells}
     pairs = sorted({(min(pair), max(pair)) for pair in pairs if pair[0] != pair[1]})
-    swaps = [tuple(e for e in ((a, one), (b, minus[0])) if e[0] in alive) for a, b in pairs]
-    killed = frozenset(range(ncols)).difference(alive)
-    return ncols, tuple(rows), tuple(swaps), killed, (len(killed) + ncols, (ncols - n * r) // 2)
+    swaps = [((position[a], one), (position[b], minus[0])) for a, b in pairs]
+    return tuple(columns), tuple(rows), tuple(swaps)
 
 
 @lru_cache(maxsize=16)
@@ -163,73 +164,33 @@ def _local_system(descriptor, signature, kind):
     return relation_generators(descriptor, signature, find_test_letters(descriptor, kind))
 
 
-def _presolve(rows):
-    """(killed, rows, nrows) of any sparse system, the form _Decomposition
-    takes: a row with one entry, of valuation 0, kills its column; the rows
-    lose the killed columns, and those left empty are dropped."""
-    killed = {row[0][0] for row in rows if len(row) == 1 and row[0][1].val == 0}
-    rest = [kept for row in rows if (kept := [(c, a) for c, a in row if c not in killed])]
-    return killed, rest, len(rows)
-
-
-def _block_key(dense, cols):
-    """A block's dense rows and width: blocks with equal keys reduce alike."""
-    return len(cols), tuple(map(tuple, dense))
-
-
-def _series_block_key(rows, cols, row_ids):
-    """_block_key's counterpart for monomial rows, read off the sparse rows
-    with each entry as its (val, log) ints: no dense row, no monomial hash."""
-    local = {c: t for t, c in enumerate(cols)}
-    return len(cols), tuple(tuple((local[c], a.val, a.log) for c, a in rows[i]) for i in row_ids)
-
-
-def _dense(rows, cols, row_ids, zero):
-    """Rows `row_ids` of a sparse system as dense rows over `cols`."""
-    local = {c: t for t, c in enumerate(cols)}
-    out = [[zero] * len(cols) for _ in row_ids]
-    for dense, i in zip(out, row_ids):
-        for c, a in rows[i]:
-            dense[local[c]] = a
-    return out
+def _series_reduction(field, dense, width):
+    """(V, positive finite exponents, free columns) of one dense block."""
+    V, exponents = smith_normal_form(RingMatrix(field, dense), ncols=width)
+    free = [t for t, e in enumerate(exponents) if e == INF] + list(range(len(exponents), width))
+    return V, [e for e in exponents if 0 < e < INF], free
 
 
 class _Decomposition:
-    """Quotient coordinates of O^ncols by a presolved system of `nrows` rows.
+    """Quotient coordinates of O^columns by a sparse system whose rows
+    index positions in `columns` (the form of relation_generators).
 
-    A `killed` column has a unit single-entry row, not passed, and is zero
-    in the quotient; `rows` are the other nonempty rows less the killed
-    columns (the form of relation_generators and _presolve).  Each
-    distinct connected block is reduced once, so V is block-diagonal and
-    the blocks number the free slots in order.  `exponents` has the layout
-    of one dense Smith normal form of the system: the finite exponents
-    ascending (a 0 per killed column), then +inf up to min(nrows, ncols).
+    Each distinct connected block is reduced once (algebra.reduce_blocks),
+    so V is block-diagonal and the blocks number the free slots in order.
+    `torsion` holds the positive finite exponents, ascending.
     """
 
-    def __init__(self, field, ncols, killed, rows, nrows):
-        self.free_rank = 0
-        self._terms = {}
-        finite = [0] * len(killed)
-        reduced = {}  # block key -> (V, finite exponents, free columns)
-        for cols, row_ids in split_blocks(rows, ncols):
-            if cols[0] in killed:  # alone in its block: no row touches it
-                continue
-            key = _series_block_key(rows, cols, row_ids)
-            if key not in reduced:
-                dense = RingMatrix(field, _dense(rows, cols, row_ids, field.zero))
-                V, exponents = smith_normal_form(dense, ncols=len(cols))
-                free = [t for t, e in enumerate(exponents) if e == INF]
-                free += range(len(exponents), len(cols))
-                reduced[key] = V, [e for e in exponents if e != INF], free
-            V, block_finite, free = reduced[key]
-            finite += block_finite
+    def __init__(self, field, columns, rows):
+        self.free_rank, self.torsion, self._terms = 0, [], {}
+        reduce = partial(_series_reduction, field)
+        for cols, (V, torsion, free) in reduce_blocks(rows, split_blocks(rows, len(columns)), reduce, field.zero):
+            self.torsion += torsion
             slots = range(self.free_rank, self.free_rank + len(free))
             self.free_rank += len(free)
             for t, c in enumerate(cols):
                 if terms := [(s, V[t][f]) for s, f in zip(slots, free) if V[t][f]]:
-                    self._terms[c] = terms
-        finite.sort()
-        self.exponents = finite + [INF] * (min(nrows, ncols) - len(finite))
+                    self._terms[columns[c]] = terms
+        self.torsion.sort()
 
     def free_terms(self, flat):
         """Image of basis class `flat` in the free part of the quotient, as
@@ -279,18 +240,16 @@ def _relation_quotient(descriptor, signature, kind, symmetrized):
         raise ValueError(
             "dual action tables are compatible with the u shift only for n <= 2"
         )
-    ncols, rows, swaps, killed, (nrows, nswaps) = _local_system(descriptor, signature, kind)
-    rows, nrows = (rows + swaps, nrows + nswaps) if symmetrized else (rows, nrows)
-    dec = _Decomposition(descriptor.field, ncols, killed, rows, nrows)
+    columns, rows, swaps = _local_system(descriptor, signature, kind)
+    dec = _Decomposition(descriptor.field, columns, rows + swaps if symmetrized else rows)
     pairs = _eligible_pairs(signature, kind, symmetrized)
 
     violations = []
     if dec.free_rank != len(pairs):
         label = "symmetrized free rank" if symmetrized else "free rank"
         violations.append(f"{label} {dec.free_rank}, predicted {len(pairs)}")
-    torsion = [e for e in dec.exponents if e != INF and e > 0]
-    if torsion:
-        violations.append(f"unexpected torsion exponents {torsion}")
+    if dec.torsion:
+        violations.append(f"unexpected torsion exponents {dec.torsion}")
     return dec, pairs, violations
 
 
@@ -334,8 +293,9 @@ def quotient_structure(descriptor, signature, kind):
             )
 
     if pairs and not violations:
-        basis = [dec.free_terms(flat) for flat in last_classes]
-        if any(e != 0 for e in _Decomposition(field, dec.free_rank, *_presolve(basis)).exponents):
+        # a square system: the lines are a basis iff every exponent is 0
+        audit = _Decomposition(field, range(dec.free_rank), [dec.free_terms(flat) for flat in last_classes])
+        if audit.free_rank or audit.torsion:
             violations.append("surviving lines are not an O_E-basis of the quotient")
 
     computed = {"free_rank": dec.free_rank, "violations": violations}
@@ -451,20 +411,12 @@ def global_rank_lemma(p, q, discriminant):
     # both coordinates of its classes even where no relation row does
     links = [(2 * cls, 2 * cls + 1) for cls in range(r * r)]
     divisors = []
-    reduced = {}  # block key -> (divisors, V, V^-1, free slots), once per distinct block
-    probed = []  # (block key, columns, V, V^-1, free slots) of each block with free slots
-    for cols, row_ids in split_blocks(rows, N, links):
-        dense = _dense(rows, cols, row_ids, 0)
-        key = _block_key(dense, cols)
-        if key not in reduced:
-            dec = integer_smith_normal_form(dense, ncols=len(cols))
-            free = [t for t, d in enumerate(dec.divisors) if d == 0]
-            free += range(len(dec.divisors), len(cols))
-            reduced[key] = dec.divisors, dec.V, integer_inverse(dec.V) if free else None, free
-        block_divisors, V, Vinv, free = reduced[key]
+    probed = []  # (columns, V, V^-1, free slots, probe dict) of each block with free slots
+    blocks = split_blocks(rows, N, links)
+    for cols, (block_divisors, V, Vinv, free, probes) in reduce_blocks(rows, blocks, _integer_reduction, 0):
         divisors += block_divisors
         if free:
-            probed.append((key, cols, V, Vinv, free))
+            probed.append((cols, V, Vinv, free, probes))
     free_rank = N - sum(1 for d in divisors if d)
 
     # the torsion is the sum of the Z/d over the block divisors d > 1: |D|
@@ -474,10 +426,6 @@ def global_rank_lemma(p, q, discriminant):
     matched_unordered = p * (p + 1) // 2 + q * (q + 1) // 2
 
     violations = []
-    # (block key, lam of each class) -> (|det|, preserved): a block holds
-    # both coordinates of each of its classes, adjacent, so V and the
-    # class scalars fix the block's part of the probe
-    probed_blocks = {}
 
     def probe(block):
         """|det| exponent of diag(1 + omega, 1, ...) on the given block."""
@@ -491,10 +439,10 @@ def global_rank_lemma(p, q, discriminant):
         # block-diagonal and its free part has the product of the blocks'
         # determinants; only the free columns of A V are needed
         d, preserved = 1, True
-        for key, cols, V, Vinv, free in probed:
+        for cols, V, Vinv, free, probes in probed:
             classes = (divmod(c // 2, r) for c in cols[::2])
             lams = tuple(_qmul(entries[i], entries[j], t0, t1) for i, j in classes)
-            if (key, lams) not in probed_blocks:
+            if lams not in probes:
                 AV = [None] * len(cols)
                 for t, lam in zip(range(0, len(cols), 2), lams):
                     x, y = V[t], V[t + 1]
@@ -502,11 +450,11 @@ def global_rank_lemma(p, q, discriminant):
                     AV[t + 1] = [lam[1] * t0 * x[s] + (lam[0] + lam[1] * t1) * y[s] for s in free]
                 # M = V^-1 A V restricted to the free columns
                 M = _imatmul(Vinv, AV)
-                probed_blocks[key, lams] = (
+                probes[lams] = (
                     abs(integer_det([M[t] for t in free])),
                     not any(any(M[t]) for t in range(len(cols)) if t not in free),
                 )
-            block_det, block_preserved = probed_blocks[key, lams]
+            block_det, block_preserved = probes[lams]
             preserved = preserved and block_preserved
             d *= block_det
         if not preserved:
@@ -540,6 +488,17 @@ def global_rank_lemma(p, q, discriminant):
         "violations": [],
     }
     return computed, expected
+
+
+def _integer_reduction(dense, width):
+    """(divisors, V, V^-1 if any column is free, free columns, probe dict)
+    of one dense block.  A block holds both coordinates of each of its
+    classes, adjacent, so V and the class scalars fix the block's part of
+    the probe: the dict keeps it per scalar tuple, for every block that
+    shares this reduction."""
+    dec = integer_smith_normal_form(dense, ncols=width)
+    free = [t for t, d in enumerate(dec.divisors) if d == 0] + list(range(len(dec.divisors), width))
+    return dec.divisors, dec.V, integer_inverse(dec.V) if free else None, free, {}
 
 
 def _rank_relations(p, q, t0, t1):

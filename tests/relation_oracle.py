@@ -10,7 +10,12 @@ pair of distinct classes.  Rows are tuples of (column, monomial) pairs
 in ascending column order.  `_presolve_rows` is the presolve that the
 verdict path used to run on these rows, and `_FullRowDecomposition` the
 decomposition it fed: split over every column, killed columns skipped,
-blocks keyed by their dense monomial rows.
+blocks keyed by their dense monomial rows.  `_presolve_rows` also gives
+the full system's row count, which `relation_generators` no longer
+carries.
+
+`reduce_every_block` is `algebra.reduce_blocks` without its dedup: the
+double that the dedup tests swap in to reduce every block on its own.
 """
 
 from pelks.algebra import INF, RingMatrix, smith_normal_form, split_blocks
@@ -86,16 +91,16 @@ def _presolve_rows(rows):
 class _FullRowDecomposition:
     """The decomposition of a full sparse system as the verdict path ran it
     before it built the presolved system directly: the presolve above, then
-    split_blocks over every column, skipping the killed ones, one Smith
-    normal form per distinct dense block, and the exponents laid out as
-    one dense Smith normal form of all the rows."""
+    split_blocks over every column, skipping the killed ones, and one
+    Smith normal form per distinct dense block.  `torsion` holds the
+    positive finite exponents, ascending."""
 
     def __init__(self, field, rows, ncols):
         killed = {row[0][0] for row in rows if len(row) == 1 and row[0][1].val == 0}
         rest = [[(c, a) for c, a in row if c not in killed] for row in rows]
         self.free_rank = 0
         self._terms = [[] for _ in range(ncols)]
-        finite = [0] * len(killed)
+        finite = []
         reduced = {}
         for cols, row_ids in split_blocks(rest, ncols):
             if cols[0] in killed:
@@ -118,8 +123,19 @@ class _FullRowDecomposition:
             self.free_rank += len(free)
             for t, c in enumerate(cols):
                 self._terms[c] = [(s, V[t][f]) for s, f in zip(slots, free) if V[t][f]]
-        finite.sort()
-        self.exponents = finite + [INF] * (min(len(rows), ncols) - len(finite))
+        self.torsion = sorted(e for e in finite if e > 0)
 
     def free_terms(self, flat):
         return self._terms[flat]
+
+
+def reduce_every_block(rows, blocks, reduce, zero):
+    """(columns, reduce(dense rows, width)) for every block, `reduce` run
+    on each, so no block shares a reduction (or a probe dict in one)."""
+    for cols, row_ids in blocks:
+        local = {c: t for t, c in enumerate(cols)}
+        dense = [[zero] * len(cols) for _ in row_ids]
+        for line, i in zip(dense, row_ids):
+            for c, a in rows[i]:
+                line[local[c]] = a
+        yield cols, reduce(dense, len(cols))

@@ -18,7 +18,9 @@ from pelks.algebra import (
     integer_det,
     integer_inverse,
     integer_smith_normal_form,
+    reduce_blocks,
     smith_normal_form,
+    split_blocks,
 )
 
 GF9 = finite_field(3, 2)
@@ -600,3 +602,46 @@ def test_integer_kernels_match_the_oracles_on_the_rank_lemma(monkeypatch):
     assert len(seen) > 100
     for rows in seen:
         _assert_kernels_match_the_oracles(rows)
+
+
+# -- blocks of sparse systems -------------------------------------------------
+
+
+def _series_snf(dense, width):
+    try:
+        return smith_normal_form(RingMatrix(GF9, dense), ncols=width)
+    except NonMonomial:
+        return "NonMonomial"
+
+
+# entry alphabet, zero and a reduction per entry type; few entries make
+# repeated blocks likely
+_BLOCK_SYSTEMS = {
+    "integer": ([-2, -1, 1, 2], 0, lambda dense, width: integer_smith_normal_form(dense, ncols=width).divisors),
+    "monomial": ([GF9.one, -GF9.one, GF9.generator, GF9.one.shift(1)], GF9.zero, _series_snf),
+}
+
+
+@pytest.mark.parametrize("entries", sorted(_BLOCK_SYSTEMS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_reduce_blocks_shares_a_reduction_exactly_between_equal_blocks(entries, data):
+    alphabet, zero, reduce = _BLOCK_SYSTEMS[entries]
+    ncols = data.draw(st.integers(1, 6))
+    drawn = data.draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), st.sampled_from(alphabet), max_size=3), max_size=6))
+    rows = [sorted(row.items()) for row in drawn]
+    blocks = split_blocks(rows, ncols)
+    calls = []
+
+    def fresh(dense, width):
+        calls.append(width)
+        return [reduce(dense, width)]  # a new list per call, so a shared reduction is the same object
+
+    out = list(reduce_blocks(rows, blocks, fresh, zero))
+    assert [cols for cols, _ in out] == [cols for cols, _ in blocks]
+    dense = [(len(cols), [[dict(rows[i]).get(c, zero) for c in cols] for i in ids]) for cols, ids in blocks]
+    for (_, shared), (width, block) in zip(out, dense):
+        assert shared == [reduce(block, width)]
+    for a, b in combinations(range(len(out)), 2):
+        assert (out[a][1] is out[b][1]) == (dense[a] == dense[b]), (rows, a, b)
+    assert len(calls) == len([block for t, block in enumerate(dense) if block not in dense[:t]])

@@ -627,6 +627,7 @@ def test_import_loads_no_scipy():
         ("report_digests.py", ["--workload", "fixtures"]),
         ("scale_ladder.py", ["--max-r", "4"]),
         ("scale_ladder.py", ["--max-r", "8", "--family", "rank", "--family", "C2"]),
+        ("ab_local.py", [str(REPO / "src"), str(REPO / "src"), "--rounds", "2"]),
     ],
 )
 def test_scripts_run_clean(script, args):
@@ -648,3 +649,9 @@ def test_scripts_run_clean(script, args):
             # three arch families at r = 2, 4 with nine checks each, A2 and C2 with
             # three local checks each, and the rank lemma
             assert len(rows) == 3 * 2 * 9 + 2 * 2 * 3 + 2
+    if script == "ab_local.py":
+        # one tree against itself: the results agree, and each side has its row
+        header, parent, change, wins = proc.stdout.splitlines()
+        assert header.split() == ["side", "min_ms", "p25_ms", "median_ms"]
+        assert [parent.split()[0], change.split()[0]] == ["parent", "change"]
+        assert re.fullmatch(r"change faster in \d of 2 rounds, parent in \d", wins)

@@ -250,8 +250,8 @@ def test_reports_need_no_singular_value_decomposition(monkeypatch):
 def test_local_reports_never_build_the_full_relation_rows(monkeypatch):
     # the 35 local configs pinned in local_report_digests.txt keep their
     # digests with every full-row builder refusing to run, and every system
-    # the verdicts build is presolved: no row touches a killed class, none
-    # is empty, and the rows number fewer than the full system's
+    # the verdicts build is presolved: it has fewer columns and rows than
+    # the full system, and no row is empty or reaches past its columns
     script = _report_digests()
     pinned = dict(line.split() for line in (ROOT / "tests" / "local_report_digests.txt").read_text().splitlines())
     configs = {
@@ -265,6 +265,7 @@ def test_local_reports_never_build_the_full_relation_rows(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the full relation rows were generated")
 
+    full_rows, full_swaps = relation_oracle._relation_rows, relation_oracle._swap_rows
     for name in ("_relation_rows", "_swap_rows", "_relation_system"):
         monkeypatch.setattr(relation_oracle, name, refuse)
     built = []
@@ -272,7 +273,7 @@ def test_local_reports_never_build_the_full_relation_rows(monkeypatch):
 
     def presolved(descriptor, signature, letters):
         system = generators(descriptor, signature, letters)
-        built.append(system)
+        built.append(((descriptor, signature, letters), system))
         return system
 
     monkeypatch.setattr(pel_modules, "relation_generators", presolved)
@@ -283,6 +284,8 @@ def test_local_reports_never_build_the_full_relation_rows(monkeypatch):
         pel_modules._local_system.cache_clear()
     assert digests == pinned
     assert len(built) > 20
-    for ncols, rows, swaps, killed, (nrows, nswaps) in built:
-        assert all(row and all(c not in killed for c, _ in row) for row in rows + swaps)
-        assert len(rows) + len(swaps) < nrows + nswaps
+    for (descriptor, signature, letters), (columns, rows, swaps) in built:
+        ncols, full = full_rows(descriptor, signature, letters)
+        assert all(row and all(0 <= t < len(columns) for t, _ in row) for row in rows + swaps)
+        assert len(columns) < ncols
+        assert len(rows) + len(swaps) < len(full) + len(full_swaps(descriptor, signature))

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from pelks import lattices
-from pelks.algebra import integer_det, integer_smith_normal_form, split_blocks
+from pelks.algebra import integer_det, integer_smith_normal_form
 from pelks.checks import COVOLUME_TOL, run_checks
 from pelks.cli import resolve_config
 from pelks.config import config_from_dict
@@ -46,6 +46,7 @@ from pelks.lattices import (
     polarization_degree,
     solve_self_dual_mu,
 )
+from relation_oracle import reduce_every_block
 
 
 def gaussian_unitary():
@@ -407,6 +408,11 @@ def test_blockwise_index_equals_the_dense_path():
         assert _block_index(rows) == dense
         singular += dense[0] == 0
     assert singular > 20
+    # a block with more rows than columns gives 0 before any block, even an
+    # earlier square one, is measured
+    measured = []
+    assert _blockwise([[5, 0, 0], [0, 2, 0], [0, 3, 0]], lambda block: measured.append(block) or 1) == 0
+    assert measured == []
 
 
 def test_blockwise_index_on_ladder_forms():
@@ -425,17 +431,6 @@ def test_blockwise_index_on_ladder_forms():
             dense = _dense_index(f.integer_gram())
             assert (polarization_degree(f) ** 2, dual_index_oracle(f)) == dense
         assert dense == (1, 1)
-
-
-def _every_block_measured(rows, measure):
-    """_blockwise with no block reused: `measure` runs on every block."""
-    sparse = [[(c, x) for c, x in enumerate(row) if x] for row in rows]
-    out = 1
-    for cols, ids in split_blocks(sparse, len(rows)):
-        if len(ids) != len(cols):
-            return 0
-        out *= measure([[rows[i][c] for c in cols] for i in ids])
-    return out
 
 
 def _gram_matrices(monkeypatch, configs):
@@ -471,7 +466,10 @@ def test_blockwise_measures_each_distinct_block_once(monkeypatch):
     for rows in grams:
         for measure in measures:
             fast = _blockwise(rows, lambda block: deduped.append(block) or measure(block))
-            assert fast == _every_block_measured(rows, lambda block: every.append(block) or measure(block))
+            with monkeypatch.context() as m:
+                m.setattr(lattices, "reduce_blocks", reduce_every_block)
+                slow = _blockwise(rows, lambda block: every.append(block) or measure(block))
+            assert fast == slow
     assert len(deduped) < len(every) // 2
 
 

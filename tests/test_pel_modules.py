@@ -34,6 +34,7 @@ from relation_oracle import (
     _relation_rows,
     _relation_system,
     _swap_rows,
+    reduce_every_block,
 )
 
 QUAT = CyclicAlgebraDescriptor(n=2, residue_size=2)
@@ -58,9 +59,10 @@ class _DenseDecomposition:
 
     def __init__(self, field, rows, ncols):
         dense = RingMatrix(field, _dense_rows(rows, ncols, field.zero))
-        self.V, self.exponents = smith_normal_form(dense, ncols=ncols)
-        self.free_slots = [t for t, e in enumerate(self.exponents) if e == INF]
-        self.free_slots += list(range(len(self.exponents), ncols))
+        self.V, exponents = smith_normal_form(dense, ncols=ncols)
+        self.torsion = [e for e in exponents if 0 < e < INF]
+        self.free_slots = [t for t, e in enumerate(exponents) if e == INF]
+        self.free_slots += list(range(len(exponents), ncols))
 
     @property
     def free_rank(self):
@@ -76,9 +78,9 @@ class _TamperedDecomposition:
     replaced: zero at the flats in `zeroed`, a unit first coordinate at
     the flats in `revived`, and every coordinate times pi if `scaled`."""
 
-    def __init__(self, field, ncols, killed, rows, nrows, zeroed=(), revived=(), scaled=False):
-        self.dec = _DECOMPOSITION(field, ncols, killed, rows, nrows)
-        self.free_rank, self.exponents = self.dec.free_rank, self.dec.exponents
+    def __init__(self, field, columns, rows, zeroed=(), revived=(), scaled=False):
+        self.dec = _DECOMPOSITION(field, columns, rows)
+        self.free_rank, self.torsion = self.dec.free_rank, self.dec.torsion
         self.unit = field.one
         self.zeroed, self.revived = set(zeroed), set(revived)
         self.factor = field.one.shift(1) if scaled else self.unit
@@ -174,13 +176,13 @@ def test_quaternion_relation_generator_structure():
             seen_twist = True
     assert seen_dead == {1, 2}
     assert seen_twist
-    # the presolved system holds only the twists: the two u-rows that
-    # reach the surviving flats 0 and 3, and no x-row
-    ncols, rows, swaps, killed, counts = relation_generators(desc, (1, 0), letters)
-    assert (ncols, killed, counts) == (4, {1, 2}, (6, 1))
+    # the presolved system lives on the surviving flats 0 and 3 and holds
+    # only the twists: the two u-rows that reach them, and no x-row
+    columns, rows, swaps = relation_generators(desc, (1, 0), letters)
+    assert columns == (0, 3)
     assert len(rows) == 2 and swaps == ()
-    for c in _dense_rows(rows, ncols, desc.field.zero):
-        assert c[0] and c[3] == -(c[0] * pi) and not (c[1] or c[2])
+    for c in _dense_rows(rows, len(columns), desc.field.zero):
+        assert c[0] and c[1] == -(c[0] * pi)
 
 
 @pytest.mark.parametrize(
@@ -258,22 +260,21 @@ def test_image_exponent_audit_reports_classes_off_one_line(monkeypatch):
 def _block_and_dense(monkeypatch, compute):
     """compute() as it runs, and with every decomposition replaced by one
     dense Smith normal form of the full system: all the generated rows of
-    the place, and the basis audit's rows before any presolve."""
+    the place on every column, and the basis audit's rows."""
     block = compute()
     made = []
 
     def full_system(descriptor, signature, kind):
         ncols, rows, swaps = _relation_system(descriptor, signature, kind)
-        return ncols, tuple(rows), tuple(swaps), frozenset(), (len(rows), len(swaps))
+        return range(ncols), tuple(rows), tuple(swaps)
 
-    def dense(field, ncols, killed, rows, nrows):
-        assert not killed and nrows == len(rows)
-        made.append(ncols)
-        return _DenseDecomposition(field, rows, ncols)
+    def dense(field, columns, rows):
+        assert columns == range(len(columns))
+        made.append(len(columns))
+        return _DenseDecomposition(field, rows, len(columns))
 
     with monkeypatch.context() as m:
         m.setattr(pel_modules, "_local_system", full_system)
-        m.setattr(pel_modules, "_presolve", lambda rows: (set(), rows, len(rows)))
         m.setattr(pel_modules, "_Decomposition", dense)
         oracle = compute()
     assert made
@@ -338,24 +339,20 @@ def test_relation_rows_split_into_small_blocks(monkeypatch):
     _assert_partition(rank_rows, ncols, rank_blocks)
     assert max(len(cols) for cols, _ in rank_blocks) <= 4
 
-    # the reductions see only the blocks that survive the presolve: those of
-    # the relation rows, of the basis audit's rows and of the symmetrized
-    # rows; each reduction call reduces each distinct block once
+    # the series reductions see only the blocks of the surviving classes of
+    # the relation rows and of the symmetrized rows, and every block of the
+    # basis audit's rows; each reduction call reduces each distinct block once
     ncols, rows = _relation_rows(UNITARY, (3, 3), letters)
     dec = _FullRowDecomposition(UNITARY.field, rows, ncols)
     pairs = pel_modules._eligible_pairs((3, 3), "A", symmetrized=False)
     basis = [dec.free_terms(pel_modules._chain_indices(2, 6, j, k)[-1]) for j, k in pairs]
     sym_rows = rows + _swap_rows(UNITARY, (3, 3))
     zero = UNITARY.field.zero
-    expected = _distinct_blocks(rank_rows, rank_blocks, 0) + sum(
-        _distinct_blocks(*_presolve(system, width), zero)
-        for system, width in ((rows, ncols), (basis, dec.free_rank), (sym_rows, ncols))
-    )
-    surviving = sum(
-        len(_presolved_blocks(system, width))
-        for system, width in ((rows, ncols), (basis, dec.free_rank), (sym_rows, ncols))
-    )
-    assert expected < surviving + len(rank_blocks)  # the relation modules repeat their blocks
+    systems = [_surviving_blocks(rows, ncols), _surviving_blocks(sym_rows, ncols)]
+    systems.append((basis, split_blocks(basis, dec.free_rank)))
+    expected = _distinct_blocks(rank_rows, rank_blocks, 0) + sum(_distinct_blocks(*system, zero) for system in systems)
+    every = len(rank_blocks) + sum(len(blocks) for _, blocks in systems)
+    assert expected < every  # the relation modules repeat their blocks
     widths = []
     for name in ("smith_normal_form", "integer_smith_normal_form"):
         original = getattr(pel_modules, name)
@@ -371,18 +368,14 @@ def test_relation_rows_split_into_small_blocks(monkeypatch):
     assert len(widths) == expected and max(widths) <= 4
 
 
-def _presolve(rows, ncols):
-    """(rows less the killed columns, blocks that reach a Smith normal form):
-    every row with one unit entry kills its column, and split_blocks cuts
-    the other rows, less the killed columns, into blocks."""
+def _surviving_blocks(rows, ncols):
+    """(rows less the killed columns, the blocks of the surviving columns)
+    of a full place system: every row with one unit entry kills its
+    column, and split_blocks cuts the other rows, less the killed columns,
+    into blocks."""
     killed = {row[0][0] for row in rows if len(row) == 1 and row[0][1].val == 0}
     rest = [[(c, a) for c, a in row if c not in killed] for row in rows]
     return rest, [(cols, ids) for cols, ids in split_blocks(rest, ncols) if cols[0] not in killed]
-
-
-def _presolved_blocks(rows, ncols):
-    """Columns of the blocks that reach a Smith normal form."""
-    return [cols for cols, _ in _presolve(rows, ncols)[1]]
 
 
 def _distinct_blocks(rows, blocks, zero):
@@ -394,11 +387,9 @@ def _distinct_blocks(rows, blocks, zero):
 
 
 def _every_block_reduced(monkeypatch, compute):
-    """compute() with no block reused: every block key is new, so the
-    per-call dicts of reduced blocks and probe determinants never hit."""
+    """compute() with every block reduced on its own."""
     with monkeypatch.context() as m:
-        m.setattr(pel_modules, "_block_key", lambda dense, cols: object())
-        m.setattr(pel_modules, "_series_block_key", lambda rows, cols, row_ids: object())
+        m.setattr(pel_modules, "reduce_blocks", reduce_every_block)
         return compute()
 
 
@@ -429,20 +420,20 @@ def _sweep_places(residue_sizes, max_r):
 
 
 def test_block_dedup_matches_reducing_every_block(monkeypatch):
-    def outcome(field, ncols, killed, rows, nrows):
-        dec = pel_modules._Decomposition(field, ncols, killed, rows, nrows)
-        return dec.free_rank, dec.exponents, [dec.free_terms(flat) for flat in range(ncols)]
+    def outcome(field, columns, rows):
+        dec = pel_modules._Decomposition(field, columns, rows)
+        return dec.free_rank, dec.torsion, [dec.free_terms(flat) for flat in columns]
 
     # two blocks of one shape that differ in their entries, and a repeat
     field = UNITARY.field
     one, pi = field.one, field.one.shift(1)
     hand = [[(0, one), (1, -pi)], [(2, pi), (3, -one)], [(4, one), (5, -pi)]]
-    systems = [(field, 6, *pel_modules._presolve(hand))]
+    systems = [(field, range(6), hand)]
     places = list(_sweep_places((2, 3, 4, 5, 7, 9), 6))
     assert {(d.n, kind) for d, _, kind in places} == {(1, "A"), (1, "C"), (2, "A"), (2, "C")}
     for desc, signature, kind in places:
-        ncols, rows, swaps, killed, (nrows, nswaps) = pel_modules._local_system(desc, signature, kind)
-        systems += [(desc.field, ncols, killed, rows, nrows), (desc.field, ncols, killed, rows + swaps, nrows + nswaps)]
+        columns, rows, swaps = pel_modules._local_system(desc, signature, kind)
+        systems += [(desc.field, columns, rows), (desc.field, columns, rows + swaps)]
     calls, oracle_calls = [], []
     for system in systems:
         with monkeypatch.context() as m:
@@ -479,33 +470,38 @@ def test_rank_lemma_dedup_matches_reducing_every_block(monkeypatch):
 
 
 def test_presolved_system_matches_the_presolve_of_the_full_rows():
-    # the builder's killed set, rows and row counts against the presolve of
-    # every generated row, and its decomposition against the one the full
-    # rows fed before the builder presolved them, symmetrized or not.  For
-    # n <= 2 both ends of a u- or swap row survive or die together, so no
-    # place row loses just one end; _presolve's drop has the hand systems below
+    # relation_generators' columns against the complement of the killed
+    # set, its rows, mapped back to flats, against the presolve of every
+    # generated row, and its decomposition against the one the full rows
+    # fed before they were presolved, symmetrized or not.  For n <= 2 both
+    # ends of a u- or swap row survive or die together, so no place row
+    # loses just one end
     places = list(_sweep_places((2, 3, 4, 5, 7, 8, 9), 8))
     assert {(d.n, kind) for d, _, kind in places} == {(1, "A"), (1, "C"), (2, "A"), (2, "C")}
     assert {d.residue_size for d, _, _ in places} == {2, 3, 4, 5, 7, 8, 9}
     for desc, signature, kind in places:
         letters = find_test_letters(desc, kind)
-        ncols, rows, swaps, killed, (nrows, nswaps) = relation_generators(desc, signature, letters)
-        full_ncols, full_rows = _relation_rows(desc, signature, letters)
+        columns, rows, swaps = relation_generators(desc, signature, letters)
+        ncols, full_rows = _relation_rows(desc, signature, letters)
         full_swaps = _swap_rows(desc, signature)
-        assert ncols == full_ncols, (desc, signature, kind)
         for symmetrized in (False, True):
-            system = list(rows + swaps if symmetrized else rows)
+            system = rows + swaps if symmetrized else rows
             full = full_rows + full_swaps if symmetrized else full_rows
-            count = nrows + nswaps if symmetrized else nrows
-            assert (set(killed), system, count) == _presolve_rows(full), (desc, signature, kind, symmetrized)
-            dec = pel_modules._Decomposition(desc.field, ncols, killed, system, count)
+            killed, presolved, _ = _presolve_rows(full)
+            assert columns == tuple(c for c in range(ncols) if c not in killed), (desc, signature, kind)
+            flats = [tuple((columns[t], a) for t, a in row) for row in system]
+            assert flats == presolved, (desc, signature, kind, symmetrized)
+            dec = pel_modules._Decomposition(desc.field, columns, system)
             oracle = _FullRowDecomposition(desc.field, full, ncols)
-            assert (dec.free_rank, dec.exponents) == (oracle.free_rank, oracle.exponents)
+            assert (dec.free_rank, dec.torsion) == (oracle.free_rank, oracle.torsion)
             assert [dec.free_terms(c) for c in range(ncols)] == [oracle.free_terms(c) for c in range(ncols)]
 
 
 def _presolve_systems():
-    """(name, field, rows, ncols), one hand-built system per presolve path."""
+    """(name, field, rows, ncols): hand-built systems with the rows that
+    relation_generators leaves out of a place's system (a unit
+    single-entry row: alone, repeated, or sharing its column with another
+    row) next to rows it keeps, decomposed as they stand."""
     field = UNITARY.field
     z = field.generator
 
@@ -526,23 +522,12 @@ def _presolve_systems():
 
 @pytest.mark.parametrize("name,field,rows,ncols", _presolve_systems(), ids=[s[0] for s in _presolve_systems()])
 def test_presolve_matches_the_dense_oracle(name, field, rows, ncols):
-    dec = pel_modules._Decomposition(field, ncols, *pel_modules._presolve(rows))
+    dec = pel_modules._Decomposition(field, range(ncols), rows)
     oracle = _DenseDecomposition(field, rows, ncols)
-    assert (dec.exponents, dec.free_rank) == (oracle.exponents, oracle.free_rank)
+    assert (dec.free_rank, dec.torsion) == (oracle.free_rank, oracle.torsion)
     # whether a class survives does not depend on the basis of the free part
     alive = [bool(dec.free_terms(c)) for c in range(ncols)]
     assert alive == [bool(oracle.free_terms(c)) for c in range(ncols)]
-
-
-def test_presolve_paths_are_taken():
-    # the hand-built systems above really exercise what they are named for
-    systems = {name: (rows, ncols) for name, _, rows, ncols in _presolve_systems()}
-    rows, ncols = systems["unit row and u-row"]
-    assert _presolved_blocks(rows, ncols) == [[0], [2]]
-    rows, ncols = systems["valuation-1 single entry"]
-    assert _presolved_blocks(rows, ncols) == [[0], [1, 2]]
-    rows, ncols = systems["row left empty"]
-    assert _presolved_blocks(rows, ncols) == [[2]]
 
 
 # -- image exponents ----------------------------------------------------------
@@ -748,4 +733,4 @@ def test_tensor_index_roundtrip():
                     assert flat_index(n, r, i, j, l, k) == flat
                     assert unflat_index(n, r, flat) == (i, j, l, k)
                     flat += 1
-    assert flat == relation_generators(UNITARY, (2, 1), find_test_letters(UNITARY, "A"))[0]
+    assert flat == _relation_rows(UNITARY, (2, 1), find_test_letters(UNITARY, "A"))[0]
