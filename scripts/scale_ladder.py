@@ -10,9 +10,13 @@ each local.* check of the place; for rank (the gauss config), the
 global.rank-lemma check over the Gaussian order.  Every family runs at
 r = 2, 4, 8, 16, 24, 32 up to `--max-r`, each check alone in a forked
 child at 20 samples.  One line per (rung, check) gives the check's
-status, the milliseconds `run_checks` took in the child, and the
-child's peak RSS in MB, read from wait4; the child starts from this
-process, which has imported numpy and pelks and built nothing else.
+status, the milliseconds `run_checks` took in the child, the child's
+peak RSS in MB, read from wait4, and the child's RSS growth over
+`run_checks` in MB (RssAnon + RssFile of /proc/self/status after less
+before, `-` where that file is absent); the child starts from this
+process, which has imported numpy and pelks and built nothing else, so
+the peak includes what the child inherits and the growth is what the
+check itself touches.
 
     PYTHONPATH=src python3 scripts/scale_ladder.py --max-r 32 --seed 1
 
@@ -84,17 +88,33 @@ def family_config(family, r, seed):
     )
 
 
+def resident_kb():
+    """RssAnon + RssFile of this process in kB, or None where
+    /proc/self/status is absent or lacks them."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            fields = dict(line.split(":", 1) for line in status)
+        return sum(int(fields[key].split()[0]) for key in ("RssAnon", "RssFile"))
+    except (OSError, KeyError, ValueError):
+        return None
+
+
 def forked_check(cfg, name):
-    """(status, detail, ms, peak RSS MB) of check `name` run alone in a
-    forked child; status "crash" when the child reported nothing."""
+    """(status, detail, ms, peak RSS MB, RSS growth MB or None) of check
+    `name` run alone in a forked child; status "crash" when the child
+    reported nothing."""
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
         os.close(read_fd)
         try:
+            before = resident_kb()
             start = time.perf_counter()
             (entry,) = run_checks(cfg, only=name)["checks"]
-            out = [entry["status"], entry["detail"], 1e3 * (time.perf_counter() - start)]
+            ms = 1e3 * (time.perf_counter() - start)
+            after = resident_kb()
+            growth = None if before is None or after is None else (after - before) / 1024
+            out = [entry["status"], entry["detail"], ms, growth]
             with os.fdopen(write_fd, "w") as pipe:
                 pipe.write(json.dumps(out))
         finally:
@@ -105,8 +125,9 @@ def forked_check(cfg, name):
     _, status, usage = os.wait4(pid, 0)
     rss_mb = usage.ru_maxrss / 1024
     if status != 0 or not data:
-        return "crash", f"wait status {status}", float("nan"), rss_mb
-    return (*json.loads(data), rss_mb)
+        return "crash", f"wait status {status}", float("nan"), rss_mb, None
+    check_status, detail, ms, growth = json.loads(data)
+    return check_status, detail, ms, rss_mb, growth
 
 
 def main(argv=None):
@@ -119,14 +140,15 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
     crashed = False
-    print(f"{'rung':<16} {'check':<30} {'status':<6} {'ms':>8} {'MB':>7}")
+    print(f"{'rung':<16} {'check':<30} {'status':<6} {'ms':>8} {'MB':>7} {'dMB':>6}")
     for family in (f for f in FAMILIES if args.family is None or f in args.family):
         for r in (r for r in RANKS if r <= args.max_r):
             cfg = family_config(family, r, args.seed)
             for name in family_checks(family):
-                status, detail, ms, rss_mb = forked_check(cfg, name)
+                status, detail, ms, rss_mb, growth = forked_check(cfg, name)
                 crashed |= status == "crash"
-                line = f"{cfg.name:<16} {name:<30} {status.upper():<6} {ms:8.1f} {rss_mb:7.1f}"
+                grown = "-" if growth is None else f"{growth:.2f}"
+                line = f"{cfg.name:<16} {name:<30} {status.upper():<6} {ms:8.1f} {rss_mb:7.1f} {grown:>6}"
                 print(f"{line}  {detail}" if detail else line, flush=True)
     return 1 if crashed else 0
 

@@ -24,11 +24,13 @@ form is Hermitian and positive).  Four invertibility guards refuse
 before any check computes: RANK_TOL (a period lattice, `RankDeficient`),
 MU_TOL (a singular mu), the rank tolerance of an order basis (a config
 error) and `kodaira_spencer.COND_LIMIT` (the w-solve's pairing,
-`SingularPairing`).  Each is decided by `lattices.checked_inverse` from
-the Frobenius norms of the matrix and of its inverse, which bound the
-singular values from the refusing side: it refuses whatever a
-singular-value test at the same threshold refuses, and some matrices
-within a factor of their size of it.
+`SingularPairing`).  Each is decided from the Frobenius norms of the
+matrix and of its inverse, which bound the singular values from the
+refusing side: it refuses whatever a singular-value test at the same
+threshold refuses, and some matrices within a factor of their size of
+it.  `lattices.checked_inverse` applies that rule with numpy; the order
+basis applies it in plain Python (`lattices.OrderEmbedding`), so the
+embedding that every verdict with archimedean data builds runs no numpy.
 
 A sampled check reports the worst per-sample defect through `_worst`,
 which keeps a NaN, so a NaN defect fails; `--report` writes it as the

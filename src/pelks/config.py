@@ -15,8 +15,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cyclic_algebra import CyclicAlgebraDescriptor
 from .lattices import OrderEmbedding
 
@@ -307,8 +305,8 @@ def build_embedding(cfg):
     """OrderEmbedding from the archimedean block, or None without one."""
     if cfg.archimedean is None:
         return None
-    mats = tuple(np.array(m, dtype=complex) for m in cfg.archimedean.order_basis)
+    a = cfg.archimedean
     try:
-        return OrderEmbedding(cfg.kind, cfg.n, cfg.r, cfg.archimedean.discriminant, mats)
+        return OrderEmbedding(cfg.kind, cfg.n, cfg.r, a.discriminant, a.order_basis)
     except ValueError as exc:
         raise ConfigInvalid(f"order basis rejected: {exc}") from exc

@@ -29,10 +29,13 @@ holds one lattice per point, and its covolume, dual and closed forms
 come out per sample, shape (...); one point is the case with no
 sample axis.
 
-Every invertibility guard (the lattice rank, mu, the order closure and
-the pairing of the w-solve) is decided by `checked_inverse` on the
-inverse the caller needs anyway, from Frobenius-norm bounds on the
-singular values, so no guard runs a singular value decomposition.
+Every invertibility guard is decided on the inverse the caller needs
+anyway, from Frobenius-norm bounds on the singular values, so no guard
+runs a singular value decomposition.  `checked_inverse` decides three of
+them with numpy: the lattice rank, mu and the pairing of the w-solve.
+The fourth, the order closure, applies the same rule in plain Python to
+a Gauss-Jordan inverse, so that building an `OrderEmbedding` runs no
+numpy.
 
 The Riemann form lives on the labels, so its Gram matrix depends on the
 embedding and mu only:
@@ -47,9 +50,10 @@ its positivity need a point: the extension is R-bilinear along the
 embedding, never the naive complex formula.
 """
 
+import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
-from math import isqrt, pi, prod
+from functools import cached_property, lru_cache
+from math import isfinite, isqrt, pi, prod, sqrt
 
 import numpy as np
 
@@ -103,11 +107,36 @@ def checked_inverse(a, tol, refusal, floor=1.0):
     return inv
 
 
-def _as_complex(m):
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError("order basis entries must be matrices")
-    return a
+def _as_matrix(m):
+    """An order basis element as a tuple of rows of Python complex numbers."""
+    try:
+        return tuple(tuple(complex(z) for z in row) for row in m)
+    except TypeError:
+        raise ValueError("order basis entries must be matrices") from None
+
+
+def _gauss_jordan_inverse(a, refusal):
+    """The inverse of a square matrix of floats, given as rows, by
+    Gauss-Jordan elimination with partial pivoting; raises `refusal` on
+    an exactly zero pivot.  A NaN or an inf comes through to the inverse."""
+    size = len(a)
+    work = [list(row) + [float(i == j) for j in range(size)] for i, row in enumerate(a)]
+    for col in range(size):
+        pivot = max(range(col, size), key=lambda i: abs(work[i][col]))
+        work[col], work[pivot] = work[pivot], work[col]
+        pivot_value = work[col][col]
+        if pivot_value == 0:
+            raise refusal
+        top = work[col] = [x / pivot_value for x in work[col]]
+        for i, row in enumerate(work):
+            factor = row[col]
+            if i != col and factor:
+                work[i] = [x - factor * y for x, y in zip(row, top)]
+    return [row[size:] for row in work]
+
+
+def _frobenius(rows):
+    return sqrt(sum(x * x for row in rows for x in row))
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +149,11 @@ class OrderEmbedding:
     matrices.  The basis must be closed under matrix multiplication with
     integer coefficients: that is the whole ring structure this module
     ever uses.
+
+    `matrices` holds the basis as a tuple of n x n tuples of Python
+    complex numbers, and every check of `__post_init__` runs on them in
+    plain Python, so building an embedding runs no numpy; the numpy
+    stack of the module basis is built by the first `module_basis` call.
     """
 
     kind: str
@@ -144,16 +178,17 @@ class OrderEmbedding:
             if self.discriminant != 1:
                 raise ValueError("kind C works over Q (discriminant 1)")
             expected = self.n * self.n
-        mats = tuple(_as_complex(m) for m in self.matrices)
+        mats = tuple(_as_matrix(m) for m in self.matrices)
         object.__setattr__(self, "matrices", mats)
         if len(mats) != expected:
             raise ValueError(
                 f"order basis needs {expected} matrices, got {len(mats)}"
             )
         for m in mats:
-            if m.shape != (self.n, self.n):
+            if len(m) != self.n or any(len(row) != self.n for row in m):
                 raise ValueError("order basis matrices must be n x n")
-            if self.kind == "C" and np.abs(m.imag).max() > 1e-12:
+            # not <= also refuses a NaN or an inf imaginary part
+            if self.kind == "C" and not all(abs(z.imag) <= 1e-12 for row in m for z in row):
                 raise ValueError("kind C order basis must be real")
         self._check_closure(mats)
 
@@ -161,28 +196,58 @@ class OrderEmbedding:
         # Products of basis elements must decompose over the basis with
         # integer coefficients; this is the structure-constant sanity check.
         # The basis has as many elements as M_n(C) (A) or M_n(R) (C) has
-        # real dimensions, so its coordinate matrix is square: kind C drops
-        # the imaginary rows, which __post_init__ bounds by 1e-12.  The rank
-        # tolerance is numpy's default one for 2n^2 coordinates.
-        stack = np.stack(mats)
-        prods = (stack[:, None] @ stack[None, :]).reshape(-1, self.n, self.n)
-        cols, prod_cols = _real_rows(stack).T, _real_rows(prods).T
-        if self.kind == "C":
-            cols, prod_cols = cols[: len(mats)], prod_cols[: len(mats)]
-        tol = 2 * self.n * self.n * np.finfo(float).eps
+        # real dimensions, so its coordinate matrix is square.  Its inverse
+        # passes `checked_inverse`'s rule at numpy's default rank tolerance
+        # for 2n^2 coordinates, with floor 0, or the basis is dependent.
+        # The coordinates of a matrix are its entries row-major, real parts
+        # and then imaginary parts; kind C drops the imaginary parts, which
+        # __post_init__ bounds by 1e-12.
+        n, size = self.n, self.n * self.n
+        flats = [[z for row in m for z in row] for m in mats]
+        coords = [[z.real for z in f] + [z.imag for z in f if self.kind == "A"] for f in flats]
+        cols = [list(c) for c in zip(*coords)]
         dependent = ValueError("order basis matrices are rationally dependent")
-        coeff = checked_inverse(cols, tol, dependent, floor=0.0) @ prod_cols
-        if np.abs(coeff - np.round(coeff)).max() > 1e-9:
+        inv = _gauss_jordan_inverse(cols, dependent)
+        tol = 2 * size * sys.float_info.epsilon
+        if not tol * _frobenius(cols) * _frobenius(inv) < 1:
+            raise dependent
+        # coefficient i of a product p is inv[i] . coordinates(p), that is
+        # Re(sum_k w[i][k] p[k]) over the n^2 complex entries of p, with
+        # w[i][k] = inv[i][k] - i inv[i][n^2 + k] (kind A) or inv[i][k]
+        # (kind C).  Products run over the nonzero entries only, kept per
+        # row, and only the nonzero entries of p add a term.
+        if self.kind == "A":
+            inv = [list(map(complex, row[:size], [-x for x in row[size:]])) for row in inv]
+        w_cols = list(zip(*inv))
+        entries = [[[(j, z) for j, z in enumerate(row) if z] for row in m] for m in mats]
+        coeffs = []
+        for x in entries:
+            for y in entries:
+                xy = {}
+                for i, x_row in enumerate(x):
+                    for l, a in x_row:
+                        for j, b in y[l]:
+                            xy[i * n + j] = xy.get(i * n + j, 0) + a * b
+                terms = [[(w * p).real for w in w_cols[k]] for k, p in xy.items() if p]
+                coeffs += map(sum, zip(*terms))
+        if not all(isfinite(c) and abs(c - round(c)) <= 1e-9 for c in coeffs):
             raise ValueError("order basis products need integer coefficients")
 
     def module_basis(self):
-        """Rational basis of O_B^{r/n} as a stack of n x r matrices: one
-        column block after the other, each taking the whole order basis."""
+        """Rational basis of O_B^{r/n} as a read-only stack of n x r
+        matrices: one column block after the other, each taking the whole
+        order basis."""
+        return self._module_basis
+
+    @cached_property
+    def _module_basis(self):
         n, blocks = self.n, self.r // self.n
         out = np.zeros((blocks, len(self.matrices), n, self.r), dtype=complex)
         for c in range(blocks):
             out[c, :, :, c * n : (c + 1) * n] = self.matrices
-        return out.reshape(-1, n, self.r)
+        out = out.reshape(-1, n, self.r)
+        out.setflags(write=False)
+        return out
 
     def trace_covolume(self):
         """Covolume of the module basis under the trace pairing.
@@ -206,12 +271,6 @@ def _trace_pairing(left, right, kind):
     if (np.abs(out.imag) > 1e-9 * np.maximum(1.0, np.abs(out))).any():
         raise ValueError("field trace did not come out real")
     return out.real
-
-
-def _real_rows(stack):
-    """One real row per item of a complex stack: real parts, then imaginary."""
-    flat = stack.reshape(len(stack), -1)
-    return np.hstack([flat.real, flat.imag])
 
 
 @dataclass(frozen=True, eq=False)

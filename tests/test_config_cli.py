@@ -640,7 +640,7 @@ def test_scripts_run_clean(script, args):
         assert all(re.fullmatch(r"fixtures/[\w-]+/\d+ [0-9a-f]{64}", line) for line in lines)
     if script == "scale_ladder.py":
         rows = [line.split() for line in proc.stdout.splitlines()[1:]]
-        assert all(row[2] == "PASS" and len(row) == 5 for row in rows)
+        assert all(row[2] == "PASS" and len(row) == 6 for row in rows)
         if "--family" in args:
             # C2 before rank, as the families are listed, at r = 2, 4, 8
             rungs = [f"C2-r{r}" for r in (2, 4, 8) for _ in range(3)] + ["rank-r2", "rank-r4", "rank-r8"]

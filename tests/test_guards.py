@@ -1,9 +1,11 @@
 """The invertibility guards against the singular-value tests they replaced.
 
-Four guards decide on the inverse the pipeline needs anyway
-(`lattices.checked_inverse`): the rank of a period lattice, the
-singularity of mu, the dependence of an order basis (the closure check)
-and the condition of the w-solve's pairing matrix.  Each singular-value
+Four guards decide on the inverse the pipeline needs anyway, by the
+Frobenius-norm rule of `lattices.checked_inverse`: the rank of a period
+lattice, the singularity of mu and the condition of the w-solve's
+pairing matrix go through `checked_inverse` itself, and the dependence
+of an order basis (the closure check) applies the rule in plain Python
+to its own Gauss-Jordan inverse.  Each singular-value
 test they replaced stays here as an oracle.  On matrices with prescribed
 singular values on both sides of each threshold, every site must refuse
 whatever its oracle refuses, and accept once the smallest singular value

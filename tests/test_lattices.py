@@ -18,17 +18,19 @@ X in the bounded realization at U = 0, which is the split columns
 """
 
 import importlib.util
+from functools import lru_cache
 from math import prod
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pelks import lattices
 from pelks.algebra import integer_det, integer_smith_normal_form
 from pelks.checks import COVOLUME_TOL, run_checks
 from pelks.cli import resolve_config
-from pelks.config import config_from_dict
+from pelks.config import config_from_dict, config_to_dict, matrix_to_lists
 from pelks.domains import HermitianPoint, SiegelPoint
 from pelks.lattices import (
     NoSelfDualForm,
@@ -90,6 +92,14 @@ def _module_coordinates(emb, mats):
     return rows
 
 
+def _script(name):
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 def test_order_embedding_rejects_wrong_count():
     with pytest.raises(ValueError, match="needs 2 matrices"):
         OrderEmbedding("A", 1, 2, -4, ([[1.0]],))
@@ -113,6 +123,169 @@ def test_order_embedding_rejects_odd_rank_for_kind_a():
 def test_order_embedding_rejects_complex_entries_over_q():
     with pytest.raises(ValueError, match="must be real"):
         OrderEmbedding("C", 1, 2, 1, ([[1j]],))
+
+
+@pytest.mark.parametrize("imag", [np.nan, np.inf, -np.inf])
+def test_order_embedding_rejects_non_finite_imaginary_parts_over_q(imag):
+    with pytest.raises(ValueError, match="kind C order basis must be real"):
+        OrderEmbedding("C", 1, 2, 1, ([[complex(1, imag)]],))
+
+
+# The closure check as it read with numpy, kept as the slow path that the
+# plain-Python check in OrderEmbedding must agree with.
+
+
+def _real_rows(stack):
+    """One real row per item of a complex stack: real parts, then imaginary."""
+    flat = stack.reshape(len(stack), -1)
+    return np.hstack([flat.real, flat.imag])
+
+
+def _numpy_closure(kind, n, mats):
+    """The refusal of the numpy closure check, or None when it accepts."""
+    stack = np.stack([np.asarray(m, dtype=complex) for m in mats])
+    prods = (stack[:, None] @ stack[None, :]).reshape(-1, n, n)
+    cols, prod_cols = _real_rows(stack).T, _real_rows(prods).T
+    if kind == "C":
+        cols, prod_cols = cols[: len(mats)], prod_cols[: len(mats)]
+    tol = 2 * n * n * np.finfo(float).eps
+    dependent = ValueError("order basis matrices are rationally dependent")
+    try:
+        coeff = lattices.checked_inverse(cols, tol, dependent, floor=0.0) @ prod_cols
+    except ValueError as exc:
+        return str(exc)
+    if np.abs(coeff - np.round(coeff)).max() > 1e-9:
+        return "order basis products need integer coefficients"
+    return None
+
+
+def _units(n, scales):
+    return [s * np.eye(n * n)[k].reshape(n, n) for s in scales for k in range(n * n)]
+
+
+# (kind, n, r, discriminant, basis): the orders of the shipped fixtures with
+# archimedean data (Z[i], M_2(Z[i]), Z), the Eisenstein order and M_2(Z)
+CLOSURE_ORDERS = {
+    "gauss": ("A", 1, 2, -4, _units(1, (1, 1j))),
+    "eisenstein": ("A", 1, 2, -3, _units(1, (1, 0.5 + 0.5j * np.sqrt(3.0)))),
+    "basechange": ("A", 2, 2, -4, _units(2, (1, 1j))),
+    "siegel": ("C", 1, 2, 1, _units(1, (1,))),
+    "matrix-units": ("C", 2, 2, 1, _units(2, (1,))),
+}
+
+
+@st.composite
+def _unimodular(draw, k):
+    """U in GL_k(Z), a product of up to four elementary matrices: row i
+    plus c times row j (i != j, c in -2..2), or row i negated."""
+    u = np.eye(k, dtype=int)
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        if i == j:
+            u[i] = -u[i]
+        else:
+            u[i] = u[i] + draw(st.integers(-2, 2)) * u[j]
+    return u
+
+
+def _change_basis(u, basis):
+    """U . basis: element a is the sum of U[a, b] basis[b]."""
+    return list(np.einsum("ab,bij->aij", u, np.array(basis, dtype=complex)))
+
+
+def _closure_verdict(kind, n, r, disc, mats):
+    try:
+        OrderEmbedding(kind, n, r, disc, tuple(mats))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_closure_check_agrees_with_the_numpy_oracle(data):
+    name = data.draw(st.sampled_from(sorted(CLOSURE_ORDERS)))
+    kind, n, r, disc, basis = CLOSURE_ORDERS[name]
+    mats = _change_basis(data.draw(_unimodular(len(basis))), basis)
+    mode = data.draw(st.sampled_from(("closed", "halved", "shifted", "dependent")))
+    j = data.draw(st.integers(0, len(mats) - 1))
+    if mode == "halved":
+        mats[j] = mats[j] / 2
+    elif mode == "shifted":
+        mats[j] = mats[j] + 0.3 * np.eye(n)
+    elif mode == "dependent":
+        i = data.draw(st.integers(0, len(mats) - 1))
+        # an exact copy, negation or double of another element, or zero
+        mats[j] = data.draw(st.sampled_from((1, -1, 2))) * mats[i] if i != j else 0 * mats[j]
+    expected = {
+        "closed": None,
+        "halved": "order basis products need integer coefficients",
+        "shifted": "order basis products need integer coefficients",
+        "dependent": "order basis matrices are rationally dependent",
+    }[mode]
+    assert _numpy_closure(kind, n, mats) == expected
+    assert _closure_verdict(kind, n, r, disc, mats) == expected
+
+
+@lru_cache(maxsize=None)
+def _ladder_config(family, r):
+    return _script("scale_ladder").family_config(family, r, 1)
+
+
+def _assert_moved_within(before, after, tol, where):
+    """after equals before, except that a float may move by less than tol."""
+    if isinstance(before, float):
+        assert isinstance(after, float) and abs(after - before) < tol, (where, before, after)
+    elif isinstance(before, (list, dict)):
+        assert type(after) is type(before) and len(after) == len(before), where
+        keys = before if isinstance(before, dict) else range(len(before))
+        for key in keys:
+            _assert_moved_within(before[key], after[key], tol, f"{where}/{key}")
+    else:
+        assert after == before, (where, before, after)
+
+
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_reports_do_not_see_a_change_of_order_basis(data):
+    # U . basis spans the same order for U in GL(Z): every status and exact
+    # value stays and a float moves by less than its row's tolerance.  The
+    # solved mu is |det G|^(1/2nr) of the basic Gram matrix, which becomes
+    # U^t G U, and its float determinant rounds by about eps cond(U)^2: mu
+    # moves by at most eps cond(U)^2 |mu| (under 1e-14 while cond(U) <= 4;
+    # |mu| = 2 in both families)
+    family = data.draw(st.sampled_from(("gauss", "basechange")))
+    cfg = _ladder_config(family, data.draw(st.sampled_from((2, 4))))
+    basis = cfg.archimedean.order_basis
+    u = data.draw(_unimodular(len(basis)))
+    changed = config_to_dict(cfg)
+    changed["archimedean"]["order_basis"] = [matrix_to_lists(m) for m in _change_basis(u, basis)]
+    before = run_checks(cfg)["checks"]
+    after = run_checks(config_from_dict(changed))["checks"]
+    mu_bound = np.finfo(float).eps * np.linalg.cond(u) ** 2 * 2.0
+    assert [(e["name"], e["status"]) for e in after] == [(e["name"], e["status"]) for e in before]
+    for old, new in zip(before, after):
+        tol = 0.0 if old["tolerance"] == "exact" else old["tolerance"]
+        for part in ("computed", "expected"):
+            for key, value in old[part].items():
+                bound = mu_bound if key == "mu" else tol
+                _assert_moved_within(value, new[part][key], bound, f"{old['name']}/{part}/{key}")
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} was used")
+
+
+def test_embedding_and_rank_lemma_run_no_numpy_in_lattices(monkeypatch):
+    fixtures = [resolve_config(name) for name in ("unitary-A", "basechange-A", "siegel-C")]
+    monkeypatch.setattr(lattices, "np", _NoNumpy())
+    for cfg in fixtures:
+        a = cfg.archimedean
+        emb = OrderEmbedding(cfg.kind, cfg.n, cfg.r, a.discriminant, a.order_basis)
+        assert emb.matrices == a.order_basis
+    report = run_checks(resolve_config("unitary-A"), only="global.rank-lemma")
+    assert [(e["name"], e["status"]) for e in report["checks"]] == [("global.rank-lemma", "pass")]
 
 
 def test_gaussian_images_match_hand_values():
@@ -453,11 +626,7 @@ def _gram_matrices(monkeypatch, configs):
 def test_blockwise_measures_each_distinct_block_once(monkeypatch):
     # the Gram matrices of every arch-ladder rung and of the fixtures, whose
     # blocks repeat: the dedup measures fewer blocks and gives the same product
-    path = Path(__file__).resolve().parents[1] / "scripts" / "report_digests.py"
-    spec = importlib.util.spec_from_file_location("report_digests", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    configs = [config_from_dict(cfg) for _, cfg, _ in script.workload_configs("arch-ladder")]
+    configs = [config_from_dict(cfg) for _, cfg, _ in _script("report_digests").workload_configs("arch-ladder")]
     configs += [resolve_config(name) for name in ("unitary-A", "basechange-A", "siegel-C")]
     grams = _gram_matrices(monkeypatch, configs)
     assert len(grams) >= 2 * len(configs)
