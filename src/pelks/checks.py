@@ -28,25 +28,35 @@ error) and `kodaira_spencer.COND_LIMIT` (the w-solve's pairing,
 matrix and of its inverse, which bound the singular values from the
 refusing side: it refuses whatever a singular-value test at the same
 threshold refuses, and some matrices within a factor of their size of
-it.  `lattices.checked_inverse` applies that rule with numpy; the order
-basis applies it in plain Python (`lattices.OrderEmbedding`), so the
-embedding that every verdict with archimedean data builds runs no numpy.
+it.  `lattices.sample_inverse` applies that rule with numpy, sample by
+sample; the order basis applies it in plain Python
+(`lattices.OrderEmbedding`), so the embedding that every verdict with
+archimedean data builds runs no numpy.
 
-A sampled check reports the worst per-sample defect through `_worst`,
-which keeps a NaN, so a NaN defect fails; `--report` writes it as the
-`NaN` token of Python's json, which `json.loads` reads back.
+A sampled check names its stream (`_Stream`): how many points it reads,
+the salt of their seeded generator and the deepest layer it reads of
+them.  One verdict draws every stream its selected checks name into one
+sample stack (`_ArchContext`): one `random_point` call, one
+`build_lattice` and one `solve_w_vectors`.  numpy's kernels act matrix
+by matrix, so each check reads the same numbers it would read from its
+stream alone, and a guard that refuses a sample refuses only the stream
+that holds it.  A sampled check reports the worst per-sample defect
+through `_worst`, which keeps a NaN, so a NaN defect fails; `--report`
+writes it as the `NaN` token of Python's json, which `json.loads` reads
+back.
 
 Report shape (schema_version 5): name, config digest, seed, summary
-counts, the checks sorted by name, and a timing block (the total and
-the seconds per check name) that callers must ignore when comparing runs
-for determinism.
+counts, the checks sorted by name, and a timing block (the total, the
+seconds spent building the sample stack, and the seconds per check name
+beyond that) that callers must ignore when comparing runs for
+determinism.
 """
 
 import re
 import time
 from collections.abc import Callable
 from fnmatch import fnmatch
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
 
@@ -55,7 +65,7 @@ from numpy.random import default_rng
 
 from .config import build_embedding, config_digest, matrix_to_lists
 from .cyclic_algebra import discriminant_report
-from .domains import per_sample, random_point
+from .domains import judge, per_sample, random_point, sample_count
 from .kodaira_spencer import (
     assemble_phi,
     closed_form_w,
@@ -108,24 +118,154 @@ def _describe(exc):
     return f"{type(exc).__name__}: {exc}"
 
 
+class _Stream(NamedTuple):
+    """The sample points of one sampled check: `count(cfg)` of them,
+    drawn from default_rng([seed, salt]), or from default_rng(seed) when
+    `salt` is None, and the deepest layer the check reads of them:
+    "points", "lattice" or "w" (the w-vectors on their lattices)."""
+
+    count: Callable
+    salt: int | None
+    reads: str
+
+
+_LAYERS = ("w", "lattice", "points")  # the order of the streams in the sample stack
+_BASE = _Stream(lambda cfg: 1, 97, "lattice")  # the base point, where mu is solved
+_COVOLUME = _Stream(lambda cfg: cfg.samples, 11, "lattice")
+_DUALITY = _Stream(lambda cfg: cfg.samples, 13, "lattice")
+_COCYCLE = _Stream(lambda cfg: max(2, cfg.samples // 4), 19, "points")
+_W = _Stream(lambda cfg: 2, 23, "w")
+_PHI = _Stream(lambda cfg: 3, 29, "w")
+_PSI = _Stream(lambda cfg: 2, 31, "w")
+_METRIC = _Stream(lambda cfg: cfg.samples, None, "w")
+
+
 class _ArchContext:
-    """Embedding and resolved polarization shared across arch checks.
+    """Embedding, resolved polarization and sample stack shared across
+    arch checks.
 
     The embedding is built at once, so a bad order basis is a config
-    error whatever `only` selects; the base lattice (at a seeded point),
-    the trace form and the polarization's Riemann form are built on
-    first use, once each.
+    error whatever `only` selects.  The sample plan (`slices`) holds the
+    streams that `rows` name, and the base point when a mu is solved for
+    them, laid out w, then lattice, then points only, so that each layer
+    is a prefix of the stack.  On first use every stream is drawn from
+    its own generator into one point stack, tested once, and one lattice
+    stack is built on the streams that read lattices; the first read of
+    w-vectors solves them once, on the streams that read w, after
+    cutting the lattice stack down to those streams if the others are
+    read.  A check reads the slice of its own stream, judged on read: a
+    refused point, lattice or pairing fails the checks whose stream holds
+    it, with the message the stream alone would raise, and no other.
+    Once every planned stream is read the stacks are dropped.  The trace
+    form and the polarization's Riemann form are built on first use, once
+    each; `samples_seconds` is the time spent building the stacks.
     """
 
-    def __init__(self, cfg):
+    def __init__(self, cfg, rows=None):
         self.cfg = cfg
         self.emb = build_embedding(cfg)
         self.form_error = None  # what the solve of mu raised, if it did
+        self.samples_seconds = 0.0
+        self.slices = {}  # planned stream -> its slice of the sample stack
+        self._unread = set()
+        if self.emb is None:
+            return
+        rows = CATALOG if rows is None else rows
+        streams = [row.stream for row in rows if row.stream is not None]
+        if cfg.archimedean.mu is None and any(row.needs == "mu" for row in rows):
+            streams.append(_BASE)
+        start = 0
+        for stream in sorted(dict.fromkeys(streams), key=lambda s: _LAYERS.index(s.reads)):
+            count = max(0, stream.count(cfg))  # an empty stream is refused on read
+            self.slices[stream] = slice(start, start + count)
+            start += count
+        self._unread = set(self.slices)
+
+    def _stop(self, layer):
+        """The end of the prefix of the stack whose streams read `layer` or deeper."""
+        depth = _LAYERS.index(layer)
+        return max((sl.stop for s, sl in self.slices.items() if _LAYERS.index(s.reads) <= depth), default=0)
+
+    @cached_property
+    def _stack(self):
+        """(points, lattices) of the whole plan, both lenient."""
+        start = time.perf_counter()
+        seed = self.cfg.seed
+        drawn = {s: sl.stop - sl.start for s, sl in self.slices.items() if sl.stop > sl.start}
+        rngs = [default_rng(seed if s.salt is None else [seed, s.salt]) for s in drawn]
+        points = random_point(self.cfg.kind, domain_genus(self.emb), rngs, list(drawn.values()))
+        stop, lattices = self._stop("lattice"), None
+        if stop:
+            lattices = build_lattice(points if stop == len(points.matrix) else points.take(slice(0, stop)), self.emb)
+        self.samples_seconds += time.perf_counter() - start
+        return points, lattices
+
+    @cached_property
+    def _ws(self):
+        """(w-vectors, refusals) of the streams that read w, for `form`."""
+        start = time.perf_counter()
+        points, lattices = self._stack
+        stop = self._stop("w")
+        if stop < len(lattices.basis_real):
+            # once the lattice-only streams are read, the w streams' lattices are kept alone
+            done = not any(s.reads == "lattice" for s in self._unread)
+            lattices = lattices.take(slice(0, stop), copy=done)
+            if done:
+                self._stack = points, lattices
+        out = solve_w_vectors(lattices, self.form, lenient=True)
+        self.samples_seconds += time.perf_counter() - start
+        return out
+
+    def _index(self, stream):
+        """The slice of a planned stream; a stream of no points is refused
+        here, before anything is drawn."""
+        sample_count(stream.count(self.cfg))
+        return self.slices[stream]
+
+    def _read(self, stream, index, refusals, take):
+        """`take(index, copy)` of a planned stream, after judging its rows
+        `index` by `refusals`, the per-sample masks of the stack it reads.
+        The last stream to be read is taken as a copy, unless it is that
+        whole stack, and the stacks are dropped at once, so its check
+        does not hold them."""
+        judge(refusals, index)
+        self._unread.discard(stream)
+        if self._unread:
+            return take(index, False)
+        out = take(index, index != slice(0, len(refusals[0][0])))
+        for stacks in ("_stack", "_ws"):
+            self.__dict__.pop(stacks, None)
+        return out
+
+    def points(self, stream):
+        """The point stack of a planned stream."""
+        index = self._index(stream)
+        points = self._stack[0]
+        return self._read(stream, index, points.refusals, points.take)
+
+    def lattices(self, stream):
+        """The period lattice stack at `points(stream)`."""
+        index = self._index(stream)
+        lattices = self._stack[1]
+        return self._read(stream, index, lattices.refusals, lattices.take)
+
+    def w_vectors(self, stream):
+        """(lattices(stream), the w-vectors on them) of a stream that reads w."""
+        index = self._index(stream)
+        ws, refusals = self._ws
+        lattices = self._stack[1]  # after the w-solve, which may have compacted it
+        return self._read(
+            stream, index, refusals, lambda rows, copy: (lattices.take(rows, copy), ws[rows].copy() if copy else ws[rows])
+        )
+
+    def phis(self, stream):
+        """The stack of phi's incidence rows assembled on `w_vectors(stream)`."""
+        return assemble_phi(self.emb, self.w_vectors(stream)[1])
 
     @cached_property
     def base_lattice(self):
-        point = random_point(self.cfg.kind, domain_genus(self.emb), default_rng([self.cfg.seed, 97]))
-        return build_lattice(point, self.emb)
+        """The lattice at the base point, copied out, as it outlives the stacks."""
+        return self.lattices(_BASE).take(slice(None), copy=True)
 
     @cached_property
     def trace_form(self):
@@ -146,19 +286,6 @@ class _ArchContext:
         except Exception as exc:  # fails arch.self-dual-mu, skips its dependents
             self.form_error = exc
             return None
-
-    def sample_points(self, count, salt):
-        """A stack of `count` domain points from the stream (seed, salt)."""
-        rng = default_rng([self.cfg.seed, salt])
-        return random_point(self.cfg.kind, domain_genus(self.emb), rng, count)
-
-    def lattices(self, count, salt):
-        """The period lattice stack at `sample_points(count, salt)`."""
-        return build_lattice(self.sample_points(count, salt), self.emb)
-
-    def phis(self, count, salt):
-        """The stack of phi's incidence rows assembled on `lattices(count, salt)`."""
-        return assemble_phi(self.emb, solve_w_vectors(self.lattices(count, salt), self.form))
 
 
 def _check_quotient(cfg, place):
@@ -207,13 +334,13 @@ def _check_self_dual_mu(cfg, ctx):
 
 
 def _check_covolume(cfg, ctx):
-    lat = ctx.lattices(cfg.samples, 11)
+    lat = ctx.lattices(_COVOLUME)
     defect = _worst(np.abs(lat.covolume() / covolume_closed_form(lat, ctx.form) - 1.0))
     return {"max_ratio_defect": defect}, {"max_ratio_defect": 0.0}
 
 
 def _check_duality(cfg, ctx):
-    lat = ctx.lattices(cfg.samples, 13)
+    lat = ctx.lattices(_DUALITY)
     defect = _worst(np.abs(lat.covolume() * lat.dual().covolume() - 1.0))
     return {"max_product_defect": defect}, {"max_product_defect": 0.0}
 
@@ -242,7 +369,7 @@ def _check_cocycle(cfg, ctx):
         ]
         elements = np.concatenate([elements, extra])
     ana = cocycle_jacobian(emb, elements=elements)
-    points = ctx.sample_points(max(2, cfg.samples // 4), 19)
+    points = ctx.points(_COCYCLE)
     # domain coordinate (a, b) reads Z[a, b] in both models
     rows, cols = np.array(domain_coordinates(emb)).T
     coords = points.matrix[..., rows, cols]
@@ -252,13 +379,13 @@ def _check_cocycle(cfg, ctx):
 
 
 def _check_w_closed_form(cfg, ctx):
-    ws = solve_w_vectors(ctx.lattices(2, 23), ctx.form)  # (sample, target, nr)
+    _, ws = ctx.w_vectors(_W)  # (sample, target, nr)
     computed = {"max_defect": _worst(np.abs(ws - closed_form_w(ctx.form))), "targets": ws.shape[-2]}
     return computed, {"max_defect": 0.0}
 
 
 def _check_phi_independence(cfg, ctx):
-    phis = ctx.phis(3, 29)  # (sample, incidence, nr)
+    phis = ctx.phis(_PHI)  # (sample, incidence, nr)
     computed = {
         "max_pairwise_defect": _worst([np.abs(a - b).max() for a, b in combinations(phis, 2)]),
         "symmetry_defect": symmetry_defect(phis, ctx.emb),
@@ -268,7 +395,7 @@ def _check_phi_independence(cfg, ctx):
 
 def _check_psi(cfg, ctx):
     closed = psi_modulus_closed_form(ctx.form)
-    phis = ctx.phis(2, 31)
+    phis = ctx.phis(_PSI)
     value, off_block_defect = psi_constant(phis, ctx.emb)
     computed = {
         "modulus_defect": _worst(np.abs(per_sample(abs, value) - closed)),
@@ -280,7 +407,7 @@ def _check_psi(cfg, ctx):
 
 
 def _check_metric(cfg, ctx):
-    ratios, k0 = metric_identity_check(ctx.form, samples=cfg.samples, seed=cfg.seed)
+    ratios, k0 = metric_identity_check(*ctx.w_vectors(_METRIC))
     computed = {
         "max_defect": _worst(np.abs(ratios - 1)),
         "exponent": k0,
@@ -295,6 +422,7 @@ class _Row(NamedTuple):
     `needs` is "place" (one row per finite place, named .q{q}, with
     `check(cfg, place)`), or else `check(cfg, ctx)` with the prerequisite
     None, "emb" (archimedean data) or "mu" (a resolved polarization).
+    `stream` names the sample points the check reads, if any.
     """
 
     name: str
@@ -303,6 +431,7 @@ class _Row(NamedTuple):
     needs: str | None
     check: Callable
     explanation: str
+    stream: _Stream | None = None
 
 
 CATALOG = (
@@ -328,14 +457,14 @@ CATALOG = (
          "Finds (or verifies) the scalar polarization parameter making the "
          "Riemann form unimodular on the period lattice, with the sign pinned "
          "by positivity and the modulus cross-checked against the trace-form "
-         "covolume of the order."),
+         "covolume of the order.", _BASE),
     _Row("arch.lattice-covolume", "closed_form", EPSILON, "mu", _check_covolume,
          "Euclidean covolume of the period lattice against the closed form "
          "|det mu|^r det(Y)^{2n} (two-block model) or det Y (classical), over "
-         "sampled domain points."),
+         "sampled domain points.", _COVOLUME),
     _Row("arch.covolume-duality", "trivial", EPSILON, "emb", _check_duality,
          "The Euclidean dual lattice has reciprocal covolume; the product "
-         "must be 1 at every sampled point."),
+         "must be 1 at every sampled point.", _DUALITY),
     _Row("arch.polarization-degree", "derived", "exact", "mu", _check_polarization_degree,
          "Degree of the resolved polarization (expected 1, i.e. principal), "
          "via the integer determinant of the Gram matrix with the elementary"
@@ -346,25 +475,25 @@ CATALOG = (
          "Analytic Jacobian of the embedding coordinates against the "
          "actual embedding: between sampled domain points Z_0 and Z_s the "
          "images must move by the Jacobian applied to Z_s - Z_0, up to "
-         "rounding, as the map is affine and holomorphic."),
+         "rounding, as the map is affine and holomorphic.", _COCYCLE),
     # closed_form for kind A; the symplectic sign is derived (see _expand)
     _Row("pipeline.w-closed-form", "closed_form", W_TOL, "mu", _check_w_closed_form,
          "The numerically solved w-vectors (antilinear matching through the "
-         "polarization form) against the closed form mu e / 2 pi i."),
+         "polarization form) against the closed form mu e / 2 pi i.", _W),
     _Row("pipeline.phi-z-independence", "derived", PHI_TOL, "mu", _check_phi_independence,
          "The assembled phi tensor must not depend on the domain point; it "
          "is recomputed from scratch at independently sampled points.  Each "
          "sample must also be symmetric in its two fiber slots, as the "
          "Kodaira-Spencer map factors through Sym^2 omega; this ties the "
-         "conjugate-family rows of phi to the plain ones."),
+         "conjugate-family rows of phi to the plain ones.", _PHI),
     _Row("pipeline.psi-constant", "closed_form", PSI_TOL, "mu", _check_psi,
          "Block determinants of the quadratic contraction: product modulus "
          "against (|det mu| / (2 pi)^n)^{blocks}, off-block and matched-slot "
-         "entries against zero."),
+         "entries against zero.", _PSI),
     _Row("pipeline.metric-identity", "closed_form", METRIC_TOL, "mu", _check_metric,
          "The headline comparison: |psi| times the canonical domain norm "
          "equals the lattice norm to the power r/2 (two-block) or r+1 "
-         "(classical), sampled over random domain points."),
+         "(classical), sampled over random domain points.", _METRIC),
 )
 
 EXPLANATIONS = {row.name: row.explanation for row in CATALOG}
@@ -382,18 +511,17 @@ def verdict(computed, expected, tolerance):
     return "pass" if ok else "fail"
 
 
-def _expand(cfg, ctx):
-    """(row, check thunk) for every catalog row of one config, place rows
-    renamed per place."""
+def _expand(cfg):
+    """(row, place) for every catalog row of one config: a place row once
+    per place, renamed per place, every other row once, with None."""
     for row in CATALOG:
         if row.needs == "place":
             for place in cfg.local_places:
-                named = row._replace(name=f"{row.name}.q{place.residue_size}")
-                yield named, partial(row.check, cfg, place)
+                yield row._replace(name=f"{row.name}.q{place.residue_size}"), place
         elif row.name == "pipeline.w-closed-form" and cfg.kind != "A":
-            yield row._replace(provenance="derived"), partial(row.check, cfg, ctx)
+            yield row._replace(provenance="derived"), None
         else:
-            yield row, partial(row.check, cfg, ctx)
+            yield row, None
 
 
 def _prerequisite(needs, ctx):
@@ -406,22 +534,22 @@ def _prerequisite(needs, ctx):
 def run_checks(cfg, only=None):
     """Run the catalog for one instance and assemble the report dict."""
     t0 = time.perf_counter()
-    ctx = _ArchContext(cfg)
+    rows = [(row, place) for row, place in _expand(cfg) if only is None or fnmatch(row.name, only)]
+    ctx = _ArchContext(cfg, [row for row, _ in rows])
     checks, seconds = [], {}
-    for row, check in _expand(cfg, ctx):
-        if only is not None and not fnmatch(row.name, only):
-            continue
-        start = time.perf_counter()
+    for row, place in rows:
+        start, shared = time.perf_counter(), ctx.samples_seconds
         computed = expected = None
         try:
             _prerequisite(row.needs, ctx)
-            computed, expected = check()
+            computed, expected = row.check(cfg, ctx if place is None else place)
             status, detail = verdict(computed, expected, row.tolerance), ""
         except Skip as skip:
             status, detail = "skip", str(skip)
         except Exception as exc:  # a broken check must not abort the others
             status, detail = "fail", _describe(exc)
-        seconds[row.name] = seconds.get(row.name, 0.0) + time.perf_counter() - start
+        spent = time.perf_counter() - start - (ctx.samples_seconds - shared)
+        seconds[row.name] = seconds.get(row.name, 0.0) + spent
         checks.append(
             {
                 "name": row.name,
@@ -435,6 +563,11 @@ def run_checks(cfg, only=None):
         )
     checks.sort(key=lambda res: res["name"])
     summary = {s: sum(1 for res in checks if res["status"] == s) for s in ("pass", "fail", "skip")}
+    timing = {
+        "total_seconds": time.perf_counter() - t0,
+        "samples_seconds": ctx.samples_seconds,
+        "checks": dict(sorted(seconds.items())),
+    }
     return {
         "schema_version": SCHEMA_VERSION,
         "name": cfg.name,
@@ -443,7 +576,7 @@ def run_checks(cfg, only=None):
         "samples": cfg.samples,
         "summary": summary | {"total": len(checks)},
         "checks": checks,
-        "timing": {"total_seconds": time.perf_counter() - t0, "checks": dict(sorted(seconds.items()))},
+        "timing": timing,
     }
 
 

@@ -14,10 +14,13 @@ case with none.  The kernels here and in the lattice and Kodaira-Spencer
 layers work on the whole stack at once; only the scalar finishing steps
 go sample by sample (`per_sample`).  A stack is validated once, and
 refused if any member is not a point, with the message a single bad
-point gets.
+point gets.  A lenient stack, such as the streams of a sample plan
+(`random_point`), keeps each member's refusal instead: its caller judges
+one stream's slice at a time (`judge`), so a bad member refuses only its
+own stream, with that same message.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,27 +53,75 @@ def per_sample(f, values):
     return float(out) if out.ndim == 0 else out
 
 
+def judge(refusals, index=...):
+    """Raise the first of `refusals` whose mask marks a member at `index`.
+
+    `refusals` is a tuple of (per-sample bool mask, exception) pairs, one
+    per test in the order the tests run, so a member that fails several
+    tests, or several members that fail different ones, raise what the
+    first failing test raises.
+    """
+    for refused, exc in refusals:
+        if refused[index].any():
+            raise exc
+
+
+def take_refusals(refusals, index):
+    """The refusals of the members at `index`."""
+    return tuple((refused[index], exc) for refused, exc in refusals)
+
+
 @dataclass(frozen=True)
-class SiegelPoint:
-    """Symmetric g x g complex Z with Im Z positive definite (or a stack)."""
+class _Point:
+    """A point or a stack of points: `matrix`, tested once, member by
+    member, at construction.  A refused member refuses the whole stack,
+    unless the stack is `lenient`: then every member's refusal stays in
+    `refusals` (see `judge`), for the caller to judge slice by slice."""
 
     matrix: np.ndarray
+    lenient: bool = field(default=False, repr=False)
+    refusals: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Z = _as_stack(self.matrix)
         object.__setattr__(self, "matrix", Z)
         if Z.shape[-2] != Z.shape[-1]:
-            raise ValueError("Siegel point must be square")
-        # np.allclose(Z, Z.T, atol=_ATOL) written out: same points, a quarter of the cost
-        zt = np.swapaxes(Z, -1, -2)
-        if not (np.abs(Z - zt) <= _ATOL + 1e-5 * np.abs(zt)).all():
-            raise ValueError("Siegel point must be symmetric")
-        if np.linalg.eigvalsh(self.Y).min() <= 0:
-            raise ValueError("Siegel point needs positive definite imaginary part")
+            raise ValueError(f"{self._name} must be square")
+        object.__setattr__(self, "refusals", self._tests())
+        if not self.lenient:
+            judge(self.refusals)
 
     @property
     def genus(self):
         return self.matrix.shape[-1]
+
+    def take(self, index, copy=False):
+        """The members at `index` (a slice keeps the sample axis), with
+        their refusals, not tested again; with `copy`, a copy that does
+        not hold on to this stack."""
+        out = object.__new__(type(self))
+        object.__setattr__(out, "matrix", self.matrix[index].copy() if copy else self.matrix[index])
+        object.__setattr__(out, "lenient", self.lenient)
+        object.__setattr__(out, "refusals", take_refusals(self.refusals, index))
+        return out
+
+    def _positive(self, what):
+        refused = np.linalg.eigvalsh(self.Y).min(axis=-1) <= 0
+        return refused, ValueError(f"{self._name} needs positive definite {what}")
+
+
+@dataclass(frozen=True)
+class SiegelPoint(_Point):
+    """Symmetric g x g complex Z with Im Z positive definite (or a stack)."""
+
+    _name = "Siegel point"
+
+    def _tests(self):
+        Z = self.matrix
+        # np.allclose(Z, Z.T, atol=_ATOL) written out: same points, a quarter of the cost
+        zt = np.swapaxes(Z, -1, -2)
+        asymmetric = ~(np.abs(Z - zt) <= _ATOL + 1e-5 * np.abs(zt)).all(axis=(-2, -1))
+        return (asymmetric, ValueError("Siegel point must be symmetric")), self._positive("imaginary part")
 
     @property
     def Y(self):
@@ -78,22 +129,13 @@ class SiegelPoint:
 
 
 @dataclass(frozen=True)
-class HermitianPoint:
+class HermitianPoint(_Point):
     """g x g complex Z with Y = (Z - Z*)/2i positive definite (or a stack)."""
 
-    matrix: np.ndarray
+    _name = "tube point"
 
-    def __post_init__(self):
-        Z = _as_stack(self.matrix)
-        object.__setattr__(self, "matrix", Z)
-        if Z.shape[-2] != Z.shape[-1]:
-            raise ValueError("tube point must be square")
-        if np.linalg.eigvalsh(self.Y).min() <= 0:
-            raise ValueError("tube point needs positive definite Y part")
-
-    @property
-    def genus(self):
-        return self.matrix.shape[-1]
+    def _tests(self):
+        return (self._positive("Y part"),)
 
     @property
     def Y(self):
@@ -117,20 +159,37 @@ def petersson_norm(point, n=1):
     return per_sample(lambda d: 2.0 ** (r * r * n / 4) * float(d) ** (r * n / 2), det_y)
 
 
+def sample_count(count):
+    """Refuse a request for no sample points."""
+    if count < 1:
+        raise ValueError(f"need at least one sample point, got {count}")
+
+
 def random_point(kind, g, rng, count=None):
     """Deterministic random domain points for a seeded generator, Y >= I.
 
     One point, or a stack of `count`; the draws go sample by sample, so
     the stack is the same points drawn one at a time.
+
+    A sample plan passes a list of generators and a list of counts, one
+    stream each: every stream draws its count from its own generator, in
+    that generator's order, and the streams are concatenated into one
+    stack, tested once.  That stack is `lenient`, so a refused member
+    refuses only the stream that holds it, when its caller judges it.
     """
-    if count is not None and count < 1:
-        raise ValueError(f"need at least one sample point, got {count}")
-    shape = () if count is None else (count,)
+    streams = isinstance(rng, list)
+    rngs, counts = (rng, count) if streams else ([rng], [count])
+    for c in counts:
+        if c is not None:
+            sample_count(c)
+    size = (2 if kind == "C" else 4, g, g)
+    draws = [r.normal(scale=_SPREAD, size=(() if c is None else (c,)) + size) for r, c in zip(rngs, counts)]
+    draws = np.moveaxis(np.concatenate(draws) if len(draws) > 1 else draws[0], -3, 0)
     if kind == "C":
-        X, A = np.moveaxis(rng.normal(scale=_SPREAD, size=shape + (2, g, g)), -3, 0)
+        X, A = draws
         Z = (X + np.swapaxes(X, -1, -2)) / 2 + 1j * (np.eye(g) + A @ np.swapaxes(A, -1, -2))
-        return SiegelPoint(Z)
-    h_re, h_im, a_re, a_im = np.moveaxis(rng.normal(scale=_SPREAD, size=shape + (4, g, g)), -3, 0)
+        return SiegelPoint(Z, lenient=streams)
+    h_re, h_im, a_re, a_im = draws
     H, A = h_re + 1j * h_im, a_re + 1j * a_im
     Z = (H + _conj_t(H)) / 2 + 1j * (np.eye(g) + A @ _conj_t(A))
-    return HermitianPoint(Z)
+    return HermitianPoint(Z, lenient=streams)

@@ -50,8 +50,8 @@ gives w-vectors of shape (..., targets, nr), phi rows
 (..., incidences, nr) and one psi value and off-block defect per
 sample; the cocycle Jacobian is (elements, nr, labels), and its
 numeric twin at a stack of points the (points - 1, elements, nr)
-image differences from the first point.  The metric identity draws
-all its samples as one stack and returns one ratio per sample, with
+image differences from the first point.  The metric identity takes a
+lattice stack and its w-vectors and returns one ratio per sample, with
 the exponent k0.
 """
 
@@ -61,20 +61,13 @@ from operator import mul
 from typing import NamedTuple
 
 import numpy as np
-from numpy.random import default_rng
 
-from .domains import per_sample, petersson_norm, random_point
-from .lattices import (
-    build_lattice,
-    checked_inverse,
-    embed_labels,
-    faltings_norm,
-    generator_labels,
-)
+from .domains import judge, per_sample, petersson_norm
+from .lattices import embed_labels, faltings_norm, generator_labels, sample_inverse
 
 
 # largest condition number the w-solve accepts, read as the bound
-# |M|_F |M^{-1}|_F of its pairing matrix M (`lattices.checked_inverse`)
+# |M|_F |M^{-1}|_F of its pairing matrix M (`lattices.sample_inverse`)
 COND_LIMIT = 1e12
 
 
@@ -211,7 +204,34 @@ def numeric_cocycle_jacobian(emb, points, elements):
     return images[1:] - images[0]
 
 
-def solve_w_vectors(lattice, form):
+def _right_hand_sides(lattice):
+    """The real right-hand side of every target's system, per sample:
+    the antilinear part of the target's R-linear extension on the
+    standard basis.  Formed before the pairing matrix, so the two sets of
+    intermediates are never alive together."""
+    dim = lattice.complex_dim
+    # values[t, g] is target t read off generator g, every target at once
+    values = target_values(_incidences(lattice.embedding)[0], lattice.labels).T
+    f = values @ np.swapaxes(lattice.basis_real_inv, -1, -2)  # f[..., t, :] = B^{-1} values[t]
+    gamma = 0.5 * (f[..., :dim] + 1j * f[..., dim:])
+    return np.concatenate([gamma.real, gamma.imag], axis=-1)
+
+
+def _pairing_matrix(lattice, form):
+    """The real pairing matrix [Re mc; Im mc] of the w-solve, per sample,
+    with mc = pi i (K^t[:d] + i K^t[d:]) for the extension K of `form`;
+    mc is formed in place, so at most two arrays of the stack's size
+    are alive at once."""
+    dim = lattice.complex_dim
+    kt = np.swapaxes(form.extension(lattice), -1, -2)
+    mc = 1j * kt[..., dim:, :]
+    mc += kt[..., :dim, :]
+    del kt
+    np.multiply(pi * 1j, mc, out=mc)
+    return np.concatenate([mc.real, mc.imag], axis=-2)
+
+
+def solve_w_vectors(lattice, form, lenient=False):
     """The w-vector of every target, in the row order of the targets:
     the w with anti(2 pi i E_mu(w, .)) matching anti of the target
     functional; shape (..., targets, nr) on a lattice stack.
@@ -223,20 +243,22 @@ def solve_w_vectors(lattice, form):
     form pairs the two antiholomorphic halves nondegenerately.  The
     pairing matrix is inverted once per sample, and every target's
     right-hand side goes through that inverse in one matrix product.
+
+    A refused lattice or pairing refuses the whole stack.  With
+    `lenient`, the result is (w-vectors, refusals) instead: the
+    lattice's refusals, then the pairing's (`domains.judge`), for the
+    caller to judge slice by slice.
     """
     dim = lattice.complex_dim
-    kt = np.swapaxes(form.extension(lattice), -1, -2)
-    mc = (pi * 1j) * (kt[..., :dim, :] + 1j * kt[..., dim:, :])
-    m_real = np.concatenate([mc.real, mc.imag], axis=-2)
+    rhs = _right_hand_sides(lattice)
+    m_inv, refused = sample_inverse(_pairing_matrix(lattice, form), 1 / COND_LIMIT, floor=0.0)
     singular = SingularPairing(f"pairing condition number not below {COND_LIMIT:.3e}")
-    m_inv = checked_inverse(m_real, 1 / COND_LIMIT, singular, floor=0.0)
-    # values[t, g] is target t read off generator g, every target at once
-    values = target_values(_incidences(lattice.embedding)[0], lattice.labels).T
-    f = values @ np.swapaxes(lattice.basis_real_inv, -1, -2)  # f[..., t, :] = B^{-1} values[t]
-    gamma = 0.5 * (f[..., :dim] + 1j * f[..., dim:])
-    rhs = np.concatenate([gamma.real, gamma.imag], axis=-1)
+    refusals = lattice.refusals + ((refused, singular),)
+    if not lenient:
+        judge(refusals)
     sol = rhs @ np.swapaxes(m_inv, -1, -2)
-    return sol[..., :dim] + 1j * sol[..., dim:]
+    ws = sol[..., :dim] + 1j * sol[..., dim:]
+    return (ws, refusals) if lenient else ws
 
 
 def closed_form_w(form):
@@ -311,19 +333,17 @@ def psi_modulus_closed_form(form):
     return float((form.det_mu / (2 * pi) ** emb.n) ** len(domain_coordinates(emb)))
 
 
-def metric_identity_check(form, samples, seed):
-    """Sample the identity |c| . ||d tau|| = (lattice norm)^{k0} for the
-    polarization `form`.
+def metric_identity_check(lattice, ws):
+    """Sample the identity |c| . ||d tau|| = (lattice norm)^{k0} on a
+    lattice stack, from its w-vectors `ws` (`solve_w_vectors`), which
+    carry the polarization.
 
     k0 is r/2 for the two-block model and r + 1 for the classical one.
     Returns (ratios, k0): the ratio of the two sides at every sample,
-    which the identity sets to 1.  All samples go through the pipeline
-    as one stack.
+    which the identity sets to 1.
     """
-    emb = form.emb
-    points = random_point(emb.kind, domain_genus(emb), default_rng(seed), samples)
+    emb = lattice.embedding
     k0 = emb.r // 2 if emb.kind == "A" else emb.r + 1
-    lat = build_lattice(points, emb)
-    value, _ = psi_constant(assemble_phi(emb, solve_w_vectors(lat, form)), emb)
-    lattice_side = per_sample(lambda f: float(f) ** k0, faltings_norm(lat))
-    return per_sample(abs, value) * petersson_norm(points, emb.n) / lattice_side, k0
+    value, _ = psi_constant(assemble_phi(emb, ws), emb)
+    lattice_side = per_sample(lambda f: float(f) ** k0, faltings_norm(lattice))
+    return per_sample(abs, value) * petersson_norm(lattice.point, emb.n) / lattice_side, k0

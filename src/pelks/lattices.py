@@ -31,11 +31,14 @@ sample axis.
 
 Every invertibility guard is decided on the inverse the caller needs
 anyway, from Frobenius-norm bounds on the singular values, so no guard
-runs a singular value decomposition.  `checked_inverse` decides three of
-them with numpy: the lattice rank, mu and the pairing of the w-solve.
-The fourth, the order closure, applies the same rule in plain Python to
-a Gauss-Jordan inverse, so that building an `OrderEmbedding` runs no
-numpy.
+runs a singular value decomposition.  `sample_inverse` decides three of
+them with numpy, sample by sample: the lattice rank, mu and the pairing
+of the w-solve; `checked_inverse` refuses a whole stack on it.  A
+lattice stack built on a lenient point stack keeps each sample's rank
+refusal instead (`PeriodLattice.refusals`), for its caller to judge
+stream by stream.  The fourth guard, the order closure, applies the
+same rule in plain Python to a Gauss-Jordan inverse, so that building
+an `OrderEmbedding` runs no numpy.
 
 The Riemann form lives on the labels, so its Gram matrix depends on the
 embedding and mu only:
@@ -51,14 +54,14 @@ embedding, never the naive complex formula.
 """
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import isfinite, isqrt, pi, prod, sqrt
+from math import isfinite, isqrt, log, pi, prod, sqrt
 
 import numpy as np
 
 from .algebra import integer_det, integer_smith_normal_form, reduce_blocks, split_blocks
-from .domains import HermitianPoint, SiegelPoint, per_sample
+from .domains import HermitianPoint, SiegelPoint, judge, per_sample, take_refusals
 
 # Thresholds that decide arch.self-dual-mu and arch.polarization-degree
 # before any catalog tolerance applies: the largest |G - round(G)| of an
@@ -67,7 +70,7 @@ from .domains import HermitianPoint, SiegelPoint, per_sample
 INTEGRALITY_TOL = 1e-9
 HERMITIAN_TOL = 1e-8
 POSITIVITY_TOL = 1e-10
-# Invertibility guards (`checked_inverse`): the least smallest singular
+# Invertibility guards (`sample_inverse`): the least smallest singular
 # value, relative to max(1, largest), of the real basis of a period
 # lattice and of the polarization parameter mu.
 RANK_TOL = 1e-10
@@ -82,10 +85,10 @@ class NoSelfDualForm(Exception):
     """No admissible mu makes the Riemann form unimodular on the lattice."""
 
 
-def checked_inverse(a, tol, refusal, floor=1.0):
-    """The inverse of a matrix, or of every matrix of a stack, whose
-    singular values pass s_min >= tol * max(floor, s_max); otherwise
-    raises `refusal`, an exception instance.
+def sample_inverse(a, tol, floor=1.0):
+    """The inverse of a matrix, or of every matrix of a stack, and the
+    per-sample mask of the refused ones: those whose singular values do
+    not pass s_min >= tol * max(floor, s_max).
 
     The test reads Frobenius norms, which bound the singular values from
     the refusing side: s_max <= |a|_F and s_min >= 1 / |a^{-1}|_F.  It
@@ -93,16 +96,38 @@ def checked_inverse(a, tol, refusal, floor=1.0):
     refuses every matrix the singular values refuse, and some more
     within a factor of the matrix size of the threshold.  An exactly
     singular matrix (where `inv` raises) and one holding a NaN or an inf
-    are refused too.
+    are refused too; an exactly singular member of a stack gets NaN for
+    its inverse, and the others are inverted one at a time.
     """
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
-        raise refusal from None
+        inv = np.full(a.shape, np.nan, dtype=np.result_type(a.dtype, float))
+        for i in np.ndindex(a.shape[:-2]):
+            try:
+                inv[i] = np.linalg.inv(a[i])
+            except np.linalg.LinAlgError:
+                pass
     with np.errstate(invalid="ignore", over="ignore"):
-        size = np.maximum(floor, np.linalg.norm(a, axis=(-2, -1)))
-        margin = tol * size * np.linalg.norm(inv, axis=(-2, -1))
-    if not (margin < 1).all():
+        size = np.maximum(floor, _frobenius_norms(a))
+        margin = tol * size * _frobenius_norms(inv)
+    return inv, ~(margin < 1)
+
+
+def _frobenius_norms(a):
+    """The Frobenius norm of every matrix of a stack, summed in place:
+    no temporary the size of the stack."""
+    squares = np.einsum("...ij,...ij->...", a.real, a.real)
+    if np.iscomplexobj(a):
+        squares = squares + np.einsum("...ij,...ij->...", a.imag, a.imag)
+    return np.sqrt(squares)
+
+
+def checked_inverse(a, tol, refusal, floor=1.0):
+    """`sample_inverse`'s inverse, or raises `refusal`, an exception
+    instance, when it refuses any matrix."""
+    inv, refused = sample_inverse(a, tol, floor)
+    if refused.any():
         raise refusal
     return inv
 
@@ -273,42 +298,66 @@ def _trace_pairing(left, right, kind):
     return out.real
 
 
-@dataclass(frozen=True, eq=False)
+def _real_rows(vectors):
+    """The real rows [Re | Im] of a stack of 2nr vectors in C^{nr}."""
+    vecs = np.asarray(vectors, dtype=complex)
+    count, dim = vecs.shape[-2:]
+    if count != 2 * dim:
+        raise ValueError("a full lattice needs 2nr generators in C^{nr}")
+    return np.concatenate([vecs.real, vecs.imag], axis=-1)
+
+
 class PeriodLattice:
     """2nr embedded generators spanning C^{nr} over R, or a stack of such
     lattices, one per point of a point stack.
 
     labels stacks the rational labels of the generators (module
     docstring), shared by every lattice of a stack; vectors[..., k, :]
-    is the flattened embedded image of labels[k].  basis_real holds the
-    real rows [Re | Im] of the vectors and basis_real_inv its inverse;
-    both are computed, and the rank checked, unless the caller passes
-    them (the dual lattice has them from its primal).
+    is the flattened embedded image of labels[k].  The lattice keeps the
+    vectors as basis_real, their real rows [Re | Im], made from `vectors`
+    unless the caller passes them, next to its inverse basis_real_inv,
+    computed and the rank checked unless the caller passes it too (the
+    dual lattice has both from its primal).  `refusals` holds the point's
+    refusals, then the rank's (`domains.judge`); a refused lattice
+    refuses the whole stack unless the point stack is lenient.
     """
 
-    embedding: OrderEmbedding
-    point: object
-    vectors: np.ndarray
-    labels: np.ndarray
-    basis_real: np.ndarray = field(default=None, repr=False)
-    basis_real_inv: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        vecs = np.asarray(self.vectors, dtype=complex)
-        object.__setattr__(self, "vectors", vecs)
-        count, dim = vecs.shape[-2:]
-        if count != 2 * dim:
-            raise ValueError("a full lattice needs 2nr generators in C^{nr}")
-        if self.basis_real_inv is not None:
-            return
-        b = np.concatenate([vecs.real, vecs.imag], axis=-1)
-        dependent = RankDeficient("embedded generators are real-linearly dependent")
-        object.__setattr__(self, "basis_real", b)
-        object.__setattr__(self, "basis_real_inv", checked_inverse(b, RANK_TOL, dependent))
+    def __init__(self, embedding, point, vectors, labels, basis_real=None, basis_real_inv=None, refusals=()):
+        self.embedding = embedding
+        self.point = point
+        self.labels = labels
+        if basis_real is None:
+            basis_real = _real_rows(vectors)
+        if basis_real_inv is None:
+            basis_real_inv, refused = sample_inverse(basis_real, RANK_TOL)
+            dependent = RankDeficient("embedded generators are real-linearly dependent")
+            refusals = getattr(point, "refusals", ()) + ((refused, dependent),)
+            if not getattr(point, "lenient", False):
+                judge(refusals)
+        self.basis_real = basis_real
+        self.basis_real_inv = basis_real_inv
+        self.refusals = refusals
 
     @property
     def complex_dim(self):
-        return self.vectors.shape[-1]
+        return self.basis_real.shape[-1] // 2
+
+    @property
+    def vectors(self):
+        dim = self.complex_dim
+        return self.basis_real[..., :dim] + 1j * self.basis_real[..., dim:]
+
+    def take(self, index, copy=False):
+        """The lattices at `index` of the stack (a slice keeps the sample
+        axis), with their refusals, not tested again; with `copy`, a copy
+        that does not hold on to this stack."""
+        basis, inverse = self.basis_real[index], self.basis_real_inv[index]
+        return PeriodLattice(
+            self.embedding, self.point.take(index, copy), None, self.labels,
+            basis_real=basis.copy() if copy else basis,
+            basis_real_inv=inverse.copy() if copy else inverse,
+            refusals=take_refusals(self.refusals, index),
+        )
 
     def covolume(self):
         sign, logdet = np.linalg.slogdet(self.basis_real)
@@ -317,12 +366,11 @@ class PeriodLattice:
     def dual(self):
         """Euclidean dual lattice: real dual basis of the generators, the
         rows of B^{-T}, whose inverse is B^T exactly."""
-        dual_rows = np.swapaxes(self.basis_real_inv, -1, -2)
-        dim = self.complex_dim
-        vecs = dual_rows[..., :dim] + 1j * dual_rows[..., dim:]
         return PeriodLattice(
-            self.embedding, self.point, vecs, self.labels,
-            basis_real=dual_rows, basis_real_inv=np.swapaxes(self.basis_real, -1, -2),
+            self.embedding, self.point, None, self.labels,
+            basis_real=np.swapaxes(self.basis_real_inv, -1, -2),
+            basis_real_inv=np.swapaxes(self.basis_real, -1, -2),
+            refusals=self.refusals,
         )
 
 
@@ -379,7 +427,8 @@ def build_lattice(point, emb):
         if point.matrix.shape[-2:] != (emb.r, emb.r):
             raise ValueError("domain point must be r x r")
     labels = generator_labels(emb)
-    return PeriodLattice(emb, point, embed_labels(emb, point, labels), labels)
+    # the real rows alone go in, so the complex images are freed before the inverse is taken
+    return PeriodLattice(emb, point, None, labels, basis_real=_real_rows(embed_labels(emb, point, labels)))
 
 
 def _alternating_block(half):
@@ -430,7 +479,7 @@ class RiemannForm:
         defect = self.integrality_defect()
         if defect > INTEGRALITY_TOL:
             raise ValueError(f"form is not integral on the lattice ({defect:.3e})")
-        return [[int(x) for x in row] for row in np.round(self.gram).astype(int)]
+        return np.round(self.gram).astype(int).tolist()
 
     def extension(self, lattice):
         """E_mu in standard real coordinates of C^{nr} (2nr x 2nr)."""
@@ -456,18 +505,25 @@ def solve_self_dual_mu(base, lattice):
     """Search the real scalar family mu = c . I_n for a unimodular form.
 
     The modulus is pinned by the Gram determinant of `base`, the basic
-    form (mu = I): |c| = |det G_I|^{1/(2nr)}.  The sign is pinned by
+    form (mu = I): |c| = |det G_I|^{1/(2nr)}, with |det G_I| taken
+    exactly from the integer Gram matrix, block by block, as in
+    `polarization_degree`, so c does not depend on the order basis.  A
+    basic form that is not integral, or is singular, has no such c.  The
+    sign is pinned by
     positive definiteness of H = E(i., .) + iE(., .) on `lattice`.
     Returns the accepted form, of mu = c . I_n.  Both candidates failing
     integrality or positivity is reported as NoSelfDualForm; that is an
     honest refusal, not a numerical fallback.
     """
     emb = base.emb
-    sign_det, logdet = np.linalg.slogdet(base.gram)
-    if sign_det == 0:
+    try:
+        det = _blockwise(base.integer_gram(), lambda block: abs(integer_det(block)))
+    except ValueError as exc:
+        raise NoSelfDualForm(f"basic {exc}") from None
+    if det == 0:
         raise NoSelfDualForm("basic form is degenerate on the lattice")
     two_nr = 2 * emb.n * emb.r
-    c = float(np.exp(logdet / two_nr))
+    c = float(np.exp(log(det) / two_nr))
     for sign in (-1, 1):
         form = RiemannForm(emb, sign * c)
         if form.integrality_defect() <= INTEGRALITY_TOL and form.is_positive(lattice):

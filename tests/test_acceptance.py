@@ -221,7 +221,9 @@ def test_metric_identity_end_to_end():
         assert check["status"] == "pass", check["detail"]
         assert check["computed"]["max_defect"] < 1e-8
     # the classical family covers both ranks; rerun the small one directly
-    ratios, k0 = metric_identity_check(RiemannForm(rational_siegel(1), -1.0), samples=20, seed=0)
+    emb = rational_siegel(1)
+    lat = build_lattice(random_point("C", 1, np.random.default_rng(0), 20), emb)
+    ratios, k0 = metric_identity_check(lat, solve_w_vectors(lat, RiemannForm(emb, -1.0)))
     assert np.abs(ratios - 1).max() < 1e-8
     assert (ratios.shape, k0) == ((20,), 2)
 
@@ -275,12 +277,15 @@ def test_reports_are_reproducible():
 
 
 def test_timing_gives_seconds_per_check():
+    # the shared sample stack is timed apart from the checks that read it
     cfg = with_overrides(resolve_config("unitary-A"), samples=4)
-    for only in (None, "local.*"):
+    for only, sampled in ((None, True), ("local.*", False)):
         report = run_checks(cfg, only=only)
         seconds = report["timing"]["checks"]
         assert seconds and list(seconds) == [chk["name"] for chk in report["checks"]]
         assert all(s >= 0 for s in seconds.values())
+        assert (report["timing"]["samples_seconds"] > 0) == sampled
+        assert report["timing"]["total_seconds"] >= report["timing"]["samples_seconds"] + sum(seconds.values())
 
 
 def test_readme_library_example_runs():

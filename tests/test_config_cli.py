@@ -320,11 +320,15 @@ def test_honest_failure_exits_one(tmp_path, capsys):
 
 def test_sampled_checks_fail_at_zero_samples():
     # config parsing refuses samples < 1; the library must refuse them too
-    cfg = dataclasses.replace(resolve_config("unitary-A"), samples=0)
-    statuses = {c["name"]: (c["status"], c["detail"]) for c in run_checks(cfg)["checks"]}
-    for name in ("arch.lattice-covolume", "arch.covolume-duality", "pipeline.metric-identity"):
-        status, detail = statuses[name]
-        assert status == "fail" and detail.startswith("ValueError: need at least one"), name
+    # with the whole catalog, and alone, where the empty stream is all the
+    # explicit-mu sample plan holds
+    for fixture in ("unitary-A", "basechange-A"):
+        cfg = dataclasses.replace(resolve_config(fixture), samples=0)
+        statuses = {c["name"]: (c["status"], c["detail"]) for c in run_checks(cfg)["checks"]}
+        for name in ("arch.lattice-covolume", "arch.covolume-duality", "pipeline.metric-identity"):
+            (alone,) = run_checks(cfg, only=name)["checks"]
+            for status, detail in (statuses[name], (alone["status"], alone["detail"])):
+                assert (status, detail) == ("fail", "ValueError: need at least one sample point, got 0"), name
 
 
 def _returns_nan(real):

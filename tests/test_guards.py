@@ -1,9 +1,9 @@
 """The invertibility guards against the singular-value tests they replaced.
 
 Four guards decide on the inverse the pipeline needs anyway, by the
-Frobenius-norm rule of `lattices.checked_inverse`: the rank of a period
+Frobenius-norm rule of `lattices.sample_inverse`: the rank of a period
 lattice, the singularity of mu and the condition of the w-solve's
-pairing matrix go through `checked_inverse` itself, and the dependence
+pairing matrix go through `sample_inverse` itself, and the dependence
 of an order basis (the closure check) applies the rule in plain Python
 to its own Gauss-Jordan inverse.  Each singular-value
 test they replaced stays here as an oracle.  On matrices with prescribed
@@ -37,6 +37,8 @@ from pelks.lattices import (
     RankDeficient,
     RiemannForm,
     build_lattice,
+    checked_inverse,
+    sample_inverse,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -214,6 +216,27 @@ def test_guard_refuses_nan_inf_and_singular(name):
         assert site(broken), (name, bad)
     assert site(singular)
     assert site(np.zeros_like(good))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_sample_inverse_refuses_sample_by_sample():
+    # an exactly singular member makes numpy's stacked inverse raise; the
+    # others are still inverted, each as it is alone
+    rng = np.random.default_rng(5)
+    good = [_with_spectrum(np.linspace(1.0, 2.0, 4), rng) for _ in range(3)]
+    singular = good[0].copy()
+    singular[:, -1] = singular[:, 0]
+    nan = good[1].copy()
+    nan[0, 0] = np.nan
+    stack = np.stack([good[0], singular, good[1], nan, good[2]])
+    inv, refused = sample_inverse(stack, RANK_TOL)
+    assert refused.tolist() == [False, True, False, True, False]
+    for i, one in zip((0, 2, 4), good):
+        assert np.array_equal(inv[i], np.linalg.inv(one))
+    assert np.isnan(inv[1]).all()
+    with pytest.raises(RankDeficient):
+        checked_inverse(stack, RANK_TOL, RankDeficient("refused"))
+    assert np.array_equal(checked_inverse(stack[::2], RANK_TOL, RankDeficient("refused")), inv[::2])
 
 
 def _report_digests():

@@ -251,9 +251,7 @@ def test_reports_do_not_see_a_change_of_order_basis(data):
     # U . basis spans the same order for U in GL(Z): every status and exact
     # value stays and a float moves by less than its row's tolerance.  The
     # solved mu is |det G|^(1/2nr) of the basic Gram matrix, which becomes
-    # U^t G U, and its float determinant rounds by about eps cond(U)^2: mu
-    # moves by at most eps cond(U)^2 |mu| (under 1e-14 while cond(U) <= 4;
-    # |mu| = 2 in both families)
+    # U^t G U with the same integer determinant, so mu stays exactly
     family = data.draw(st.sampled_from(("gauss", "basechange")))
     cfg = _ladder_config(family, data.draw(st.sampled_from((2, 4))))
     basis = cfg.archimedean.order_basis
@@ -262,14 +260,15 @@ def test_reports_do_not_see_a_change_of_order_basis(data):
     changed["archimedean"]["order_basis"] = [matrix_to_lists(m) for m in _change_basis(u, basis)]
     before = run_checks(cfg)["checks"]
     after = run_checks(config_from_dict(changed))["checks"]
-    mu_bound = np.finfo(float).eps * np.linalg.cond(u) ** 2 * 2.0
     assert [(e["name"], e["status"]) for e in after] == [(e["name"], e["status"]) for e in before]
     for old, new in zip(before, after):
         tol = 0.0 if old["tolerance"] == "exact" else old["tolerance"]
         for part in ("computed", "expected"):
             for key, value in old[part].items():
-                bound = mu_bound if key == "mu" else tol
-                _assert_moved_within(value, new[part][key], bound, f"{old['name']}/{part}/{key}")
+                if key == "mu":
+                    assert new[part][key] == value, (old["name"], value, new[part][key])
+                else:
+                    _assert_moved_within(value, new[part][key], tol, f"{old['name']}/{part}/{key}")
 
 
 class _NoNumpy:
