@@ -28,8 +28,8 @@ error) and `kodaira_spencer.COND_LIMIT` (the w-solve's pairing,
 matrix and of its inverse, which bound the singular values from the
 refusing side: it refuses whatever a singular-value test at the same
 threshold refuses, and some matrices within a factor of their size of
-it.  `lattices.sample_inverse` applies that rule with numpy, sample by
-sample; the order basis applies it in plain Python
+it.  `lattices.checked_inverse` applies that rule with numpy, to a whole
+stack at once; the order basis applies it in plain Python
 (`lattices.OrderEmbedding`), so the embedding that every verdict with
 archimedean data builds runs no numpy.
 
@@ -39,11 +39,13 @@ them.  One verdict draws every stream its selected checks name into one
 sample stack (`_ArchContext`): one `random_point` call, one
 `build_lattice` and one `solve_w_vectors`.  numpy's kernels act matrix
 by matrix, so each check reads the same numbers it would read from its
-stream alone, and a guard that refuses a sample refuses only the stream
-that holds it.  A sampled check reports the worst per-sample defect
-through `_worst`, which keeps a NaN, so a NaN defect fails; `--report`
-writes it as the `NaN` token of Python's json, which `json.loads` reads
-back.
+stream alone.  A stack is refused whole when one sample refuses; the
+verdict then replays: it builds each stream alone, as a plan of that
+one stream, so a refusal fails only the checks whose stream holds it,
+with the message that stream alone raises.  A sampled check reports the
+worst per-sample defect through `_worst`, which keeps a NaN, so a NaN
+defect fails; `--report` writes it as the `NaN` token of Python's json,
+which `json.loads` reads back.
 
 Report shape (schema_version 5): name, config digest, seed, summary
 counts, the checks sorted by name, and a timing block (the total, the
@@ -65,7 +67,7 @@ from numpy.random import default_rng
 
 from .config import build_embedding, config_digest, matrix_to_lists
 from .cyclic_algebra import discriminant_report
-from .domains import judge, per_sample, random_point, sample_count
+from .domains import per_sample, random_point, sample_count
 from .kodaira_spencer import (
     assemble_phi,
     closed_form_w,
@@ -140,6 +142,23 @@ _PSI = _Stream(lambda cfg: 2, 31, "w")
 _METRIC = _Stream(lambda cfg: cfg.samples, None, "w")
 
 
+def _layout(streams, cfg):
+    """The slice of each stream in a sample stack of `streams`: w, then
+    lattice, then points only, so that each layer is a prefix."""
+    slices, start = {}, 0
+    for stream in sorted(dict.fromkeys(streams), key=lambda s: _LAYERS.index(s.reads)):
+        count = max(0, stream.count(cfg))  # an empty stream is refused on read
+        slices[stream] = slice(start, start + count)
+        start += count
+    return slices
+
+
+def _stop(plan, layer):
+    """The end of the prefix of a plan's stack whose streams read `layer` or deeper."""
+    depth = _LAYERS.index(layer)
+    return max((sl.stop for s, sl in plan.items() if _LAYERS.index(s.reads) <= depth), default=0)
+
+
 class _ArchContext:
     """Embedding, resolved polarization and sample stack shared across
     arch checks.
@@ -147,18 +166,21 @@ class _ArchContext:
     The embedding is built at once, so a bad order basis is a config
     error whatever `only` selects.  The sample plan (`slices`) holds the
     streams that `rows` name, and the base point when a mu is solved for
-    them, laid out w, then lattice, then points only, so that each layer
-    is a prefix of the stack.  On first use every stream is drawn from
-    its own generator into one point stack, tested once, and one lattice
-    stack is built on the streams that read lattices; the first read of
+    them, laid out by `_layout`.  On first use every stream is drawn
+    from its own generator into one point stack, and one lattice stack
+    is built on the streams that read lattices; the first read of
     w-vectors solves them once, on the streams that read w, after
     cutting the lattice stack down to those streams if the others are
-    read.  A check reads the slice of its own stream, judged on read: a
-    refused point, lattice or pairing fails the checks whose stream holds
-    it, with the message the stream alone would raise, and no other.
-    Once every planned stream is read the stacks are dropped.  The trace
-    form and the polarization's Riemann form are built on first use, once
-    each; `samples_seconds` is the time spent building the stacks.
+    read.  A check reads the slice of its own stream (`read`).  Once
+    every planned stream is read the stacks are dropped.
+
+    When building the stack raises (a point, a lattice or a pairing
+    refused), `replay` is set and the stacks are dropped: from then on
+    each stream is built by the same builder as a plan of its own, the
+    path it would take alone, so a refusal fails only the checks whose
+    stream holds it.  The trace form and the polarization's Riemann
+    form are built on first use, once each; `samples_seconds` is the
+    time spent building the stacks.
     """
 
     def __init__(self, cfg, rows=None):
@@ -166,6 +188,7 @@ class _ArchContext:
         self.emb = build_embedding(cfg)
         self.form_error = None  # what the solve of mu raised, if it did
         self.samples_seconds = 0.0
+        self.replay = False
         self.slices = {}  # planned stream -> its slice of the sample stack
         self._unread = set()
         if self.emb is None:
@@ -174,98 +197,105 @@ class _ArchContext:
         streams = [row.stream for row in rows if row.stream is not None]
         if cfg.archimedean.mu is None and any(row.needs == "mu" for row in rows):
             streams.append(_BASE)
-        start = 0
-        for stream in sorted(dict.fromkeys(streams), key=lambda s: _LAYERS.index(s.reads)):
-            count = max(0, stream.count(cfg))  # an empty stream is refused on read
-            self.slices[stream] = slice(start, start + count)
-            start += count
+        self.slices = _layout(streams, cfg)
         self._unread = set(self.slices)
 
-    def _stop(self, layer):
-        """The end of the prefix of the stack whose streams read `layer` or deeper."""
-        depth = _LAYERS.index(layer)
-        return max((sl.stop for s, sl in self.slices.items() if _LAYERS.index(s.reads) <= depth), default=0)
-
-    @cached_property
-    def _stack(self):
-        """(points, lattices) of the whole plan, both lenient."""
+    def _build(self, plan):
+        """(points, lattices) of a plan, a `_layout` of streams: every
+        stream drawn from its own generator into one point stack, and
+        one lattice stack built on the streams that read lattices.  On
+        replay the plan is one stream, drawn as it is drawn alone: from
+        its generator, with its count."""
         start = time.perf_counter()
         seed = self.cfg.seed
-        drawn = {s: sl.stop - sl.start for s, sl in self.slices.items() if sl.stop > sl.start}
+        drawn = {s: sl.stop - sl.start for s, sl in plan.items() if sl.stop > sl.start}
         rngs = [default_rng(seed if s.salt is None else [seed, s.salt]) for s in drawn]
-        points = random_point(self.cfg.kind, domain_genus(self.emb), rngs, list(drawn.values()))
-        stop, lattices = self._stop("lattice"), None
+        counts = list(drawn.values())
+        if self.replay:
+            rngs, counts = rngs[0], counts[0]
+        points = random_point(self.cfg.kind, domain_genus(self.emb), rngs, counts)
+        stop, lattices = _stop(plan, "lattice"), None
         if stop:
             lattices = build_lattice(points if stop == len(points.matrix) else points.take(slice(0, stop)), self.emb)
         self.samples_seconds += time.perf_counter() - start
         return points, lattices
 
+    def _solve(self, lattices):
+        """The w-vectors on a lattice stack, for `form`."""
+        start = time.perf_counter()
+        ws = solve_w_vectors(lattices, self.form)
+        self.samples_seconds += time.perf_counter() - start
+        return ws
+
+    @cached_property
+    def _stack(self):
+        """(points, lattices) of the whole plan."""
+        return self._build(self.slices)
+
     @cached_property
     def _ws(self):
-        """(w-vectors, refusals) of the streams that read w, for `form`."""
-        start = time.perf_counter()
+        """The w-vectors of the streams that read w."""
         points, lattices = self._stack
-        stop = self._stop("w")
+        stop = _stop(self.slices, "w")
         if stop < len(lattices.basis_real):
             # once the lattice-only streams are read, the w streams' lattices are kept alone
             done = not any(s.reads == "lattice" for s in self._unread)
             lattices = lattices.take(slice(0, stop), copy=done)
             if done:
                 self._stack = points, lattices
-        out = solve_w_vectors(lattices, self.form, lenient=True)
-        self.samples_seconds += time.perf_counter() - start
-        return out
+        return self._solve(lattices)
 
-    def _index(self, stream):
-        """The slice of a planned stream; a stream of no points is refused
-        here, before anything is drawn."""
-        sample_count(stream.count(self.cfg))
-        return self.slices[stream]
-
-    def _read(self, stream, index, refusals, take):
-        """`take(index, copy)` of a planned stream, after judging its rows
-        `index` by `refusals`, the per-sample masks of the stack it reads.
-        The last stream to be read is taken as a copy, unless it is that
-        whole stack, and the stacks are dropped at once, so its check
-        does not hold them."""
-        judge(refusals, index)
-        self._unread.discard(stream)
-        if self._unread:
-            return take(index, False)
-        out = take(index, index != slice(0, len(refusals[0][0])))
+    def _drop(self):
         for stacks in ("_stack", "_ws"):
             self.__dict__.pop(stacks, None)
-        return out
 
-    def points(self, stream):
-        """The point stack of a planned stream."""
-        index = self._index(stream)
-        points = self._stack[0]
-        return self._read(stream, index, points.refusals, points.take)
+    def read(self, stream):
+        """What a planned stream reads, as `stream.reads` names it: its
+        point stack, its lattice stack, or (its lattice stack, the
+        w-vectors on them), cut from the sample stack, or built alone on
+        replay.  A stream of no points is refused here, before anything
+        is drawn.  The last stream to be read is taken as a copy, unless
+        it is the whole stack it reads, and the stacks are dropped at
+        once, so its check does not hold them."""
+        count = stream.count(self.cfg)
+        sample_count(count)
+        self._unread.discard(stream)
+        if not self.replay:
+            try:
+                ws = self._ws if stream.reads == "w" else None
+                points, lattices = self._stack  # after the w-solve, which may have compacted it
+            except Exception:  # a sample refused: every stream is built alone from now on
+                self.replay = True
+                self._drop()
+            else:
+                return self._take(stream, points, lattices, ws)
+        points, lattices = self._build(_layout([stream], self.cfg))
+        if stream.reads == "w":
+            return lattices, self._solve(lattices)
+        return points if stream.reads == "points" else lattices
 
-    def lattices(self, stream):
-        """The period lattice stack at `points(stream)`."""
-        index = self._index(stream)
-        lattices = self._stack[1]
-        return self._read(stream, index, lattices.refusals, lattices.take)
-
-    def w_vectors(self, stream):
-        """(lattices(stream), the w-vectors on them) of a stream that reads w."""
-        index = self._index(stream)
-        ws, refusals = self._ws
-        lattices = self._stack[1]  # after the w-solve, which may have compacted it
-        return self._read(
-            stream, index, refusals, lambda rows, copy: (lattices.take(rows, copy), ws[rows].copy() if copy else ws[rows])
-        )
+    def _take(self, stream, points, lattices, ws):
+        """`read(stream)` from the stacks."""
+        if stream.reads == "points":
+            take, size = points.take, len(points.matrix)
+        elif stream.reads == "lattice":
+            take, size = lattices.take, len(lattices.basis_real)
+        else:
+            take, size = (lambda rows, copy: (lattices.take(rows, copy), ws[rows].copy() if copy else ws[rows])), len(ws)
+        index = self.slices[stream]
+        if self._unread:
+            return take(index, False)
+        self._drop()
+        return take(index, index != slice(0, size))
 
     def phis(self, stream):
-        """The stack of phi's incidence rows assembled on `w_vectors(stream)`."""
-        return assemble_phi(self.emb, self.w_vectors(stream)[1])
+        """The stack of phi's incidence rows assembled on the w-vectors of `read(stream)`."""
+        return assemble_phi(self.emb, self.read(stream)[1])
 
     @cached_property
     def base_lattice(self):
         """The lattice at the base point, copied out, as it outlives the stacks."""
-        return self.lattices(_BASE).take(slice(None), copy=True)
+        return self.read(_BASE).take(slice(None), copy=True)
 
     @cached_property
     def trace_form(self):
@@ -334,13 +364,13 @@ def _check_self_dual_mu(cfg, ctx):
 
 
 def _check_covolume(cfg, ctx):
-    lat = ctx.lattices(_COVOLUME)
+    lat = ctx.read(_COVOLUME)
     defect = _worst(np.abs(lat.covolume() / covolume_closed_form(lat, ctx.form) - 1.0))
     return {"max_ratio_defect": defect}, {"max_ratio_defect": 0.0}
 
 
 def _check_duality(cfg, ctx):
-    lat = ctx.lattices(_DUALITY)
+    lat = ctx.read(_DUALITY)
     defect = _worst(np.abs(lat.covolume() * lat.dual().covolume() - 1.0))
     return {"max_product_defect": defect}, {"max_product_defect": 0.0}
 
@@ -369,7 +399,7 @@ def _check_cocycle(cfg, ctx):
         ]
         elements = np.concatenate([elements, extra])
     ana = cocycle_jacobian(emb, elements=elements)
-    points = ctx.points(_COCYCLE)
+    points = ctx.read(_COCYCLE)
     # domain coordinate (a, b) reads Z[a, b] in both models
     rows, cols = np.array(domain_coordinates(emb)).T
     coords = points.matrix[..., rows, cols]
@@ -379,7 +409,7 @@ def _check_cocycle(cfg, ctx):
 
 
 def _check_w_closed_form(cfg, ctx):
-    _, ws = ctx.w_vectors(_W)  # (sample, target, nr)
+    _, ws = ctx.read(_W)  # (sample, target, nr)
     computed = {"max_defect": _worst(np.abs(ws - closed_form_w(ctx.form))), "targets": ws.shape[-2]}
     return computed, {"max_defect": 0.0}
 
@@ -407,7 +437,7 @@ def _check_psi(cfg, ctx):
 
 
 def _check_metric(cfg, ctx):
-    ratios, k0 = metric_identity_check(*ctx.w_vectors(_METRIC))
+    ratios, k0 = metric_identity_check(*ctx.read(_METRIC))
     computed = {
         "max_defect": _worst(np.abs(ratios - 1)),
         "exponent": k0,

@@ -14,13 +14,12 @@ case with none.  The kernels here and in the lattice and Kodaira-Spencer
 layers work on the whole stack at once; only the scalar finishing steps
 go sample by sample (`per_sample`).  A stack is validated once, and
 refused if any member is not a point, with the message a single bad
-point gets.  A lenient stack, such as the streams of a sample plan
-(`random_point`), keeps each member's refusal instead: its caller judges
-one stream's slice at a time (`judge`), so a bad member refuses only its
-own stream, with that same message.
+point gets.  A sample plan (`random_point` with one generator per
+stream) is refused the same way; its caller then draws each stream
+alone, so a bad member refuses only its own stream.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,61 +52,39 @@ def per_sample(f, values):
     return float(out) if out.ndim == 0 else out
 
 
-def judge(refusals, index=...):
-    """Raise the first of `refusals` whose mask marks a member at `index`.
-
-    `refusals` is a tuple of (per-sample bool mask, exception) pairs, one
-    per test in the order the tests run, so a member that fails several
-    tests, or several members that fail different ones, raise what the
-    first failing test raises.
-    """
-    for refused, exc in refusals:
-        if refused[index].any():
-            raise exc
-
-
-def take_refusals(refusals, index):
-    """The refusals of the members at `index`."""
-    return tuple((refused[index], exc) for refused, exc in refusals)
-
-
 @dataclass(frozen=True)
 class _Point:
     """A point or a stack of points: `matrix`, tested once, member by
-    member, at construction.  A refused member refuses the whole stack,
-    unless the stack is `lenient`: then every member's refusal stays in
-    `refusals` (see `judge`), for the caller to judge slice by slice."""
+    member, at construction: each test runs on the whole stack, in
+    order, and the first that a member fails refuses it."""
 
     matrix: np.ndarray
-    lenient: bool = field(default=False, repr=False)
-    refusals: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Z = _as_stack(self.matrix)
         object.__setattr__(self, "matrix", Z)
         if Z.shape[-2] != Z.shape[-1]:
             raise ValueError(f"{self._name} must be square")
-        object.__setattr__(self, "refusals", self._tests())
-        if not self.lenient:
-            judge(self.refusals)
+        self._test()
 
     @property
     def genus(self):
         return self.matrix.shape[-1]
 
     def take(self, index, copy=False):
-        """The members at `index` (a slice keeps the sample axis), with
-        their refusals, not tested again; with `copy`, a copy that does
-        not hold on to this stack."""
+        """The members at `index` (a slice keeps the sample axis), not
+        tested again; with `copy`, a copy that does not hold on to this
+        stack."""
         out = object.__new__(type(self))
         object.__setattr__(out, "matrix", self.matrix[index].copy() if copy else self.matrix[index])
-        object.__setattr__(out, "lenient", self.lenient)
-        object.__setattr__(out, "refusals", take_refusals(self.refusals, index))
         return out
 
     def _positive(self, what):
-        refused = np.linalg.eigvalsh(self.Y).min(axis=-1) <= 0
-        return refused, ValueError(f"{self._name} needs positive definite {what}")
+        # not > 0 also refuses a NaN eigenvalue; a NaN or an inf in Y is
+        # refused before eigvalsh, which may not converge on one
+        Y = self.Y
+        if not (np.isfinite(Y).all() and (np.linalg.eigvalsh(Y).min(axis=-1) > 0).all()):
+            raise ValueError(f"{self._name} needs positive definite {what}")
 
 
 @dataclass(frozen=True)
@@ -116,12 +93,13 @@ class SiegelPoint(_Point):
 
     _name = "Siegel point"
 
-    def _tests(self):
+    def _test(self):
         Z = self.matrix
         # np.allclose(Z, Z.T, atol=_ATOL) written out: same points, a quarter of the cost
         zt = np.swapaxes(Z, -1, -2)
-        asymmetric = ~(np.abs(Z - zt) <= _ATOL + 1e-5 * np.abs(zt)).all(axis=(-2, -1))
-        return (asymmetric, ValueError("Siegel point must be symmetric")), self._positive("imaginary part")
+        if not (np.abs(Z - zt) <= _ATOL + 1e-5 * np.abs(zt)).all():
+            raise ValueError("Siegel point must be symmetric")
+        self._positive("imaginary part")
 
     @property
     def Y(self):
@@ -134,8 +112,8 @@ class HermitianPoint(_Point):
 
     _name = "tube point"
 
-    def _tests(self):
-        return (self._positive("Y part"),)
+    def _test(self):
+        self._positive("Y part")
 
     @property
     def Y(self):
@@ -174,11 +152,9 @@ def random_point(kind, g, rng, count=None):
     A sample plan passes a list of generators and a list of counts, one
     stream each: every stream draws its count from its own generator, in
     that generator's order, and the streams are concatenated into one
-    stack, tested once.  That stack is `lenient`, so a refused member
-    refuses only the stream that holds it, when its caller judges it.
+    stack, tested once.
     """
-    streams = isinstance(rng, list)
-    rngs, counts = (rng, count) if streams else ([rng], [count])
+    rngs, counts = (rng, count) if isinstance(rng, list) else ([rng], [count])
     for c in counts:
         if c is not None:
             sample_count(c)
@@ -188,8 +164,8 @@ def random_point(kind, g, rng, count=None):
     if kind == "C":
         X, A = draws
         Z = (X + np.swapaxes(X, -1, -2)) / 2 + 1j * (np.eye(g) + A @ np.swapaxes(A, -1, -2))
-        return SiegelPoint(Z, lenient=streams)
+        return SiegelPoint(Z)
     h_re, h_im, a_re, a_im = draws
     H, A = h_re + 1j * h_im, a_re + 1j * a_im
     Z = (H + _conj_t(H)) / 2 + 1j * (np.eye(g) + A @ _conj_t(A))
-    return HermitianPoint(Z, lenient=streams)
+    return HermitianPoint(Z)

@@ -62,12 +62,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domains import judge, per_sample, petersson_norm
-from .lattices import embed_labels, faltings_norm, generator_labels, sample_inverse
+from .domains import per_sample, petersson_norm
+from .lattices import checked_inverse, embed_labels, faltings_norm, generator_labels
 
 
 # largest condition number the w-solve accepts, read as the bound
-# |M|_F |M^{-1}|_F of its pairing matrix M (`lattices.sample_inverse`)
+# |M|_F |M^{-1}|_F of its pairing matrix M (`lattices.checked_inverse`)
 COND_LIMIT = 1e12
 
 
@@ -231,7 +231,7 @@ def _pairing_matrix(lattice, form):
     return np.concatenate([mc.real, mc.imag], axis=-2)
 
 
-def solve_w_vectors(lattice, form, lenient=False):
+def solve_w_vectors(lattice, form):
     """The w-vector of every target, in the row order of the targets:
     the w with anti(2 pi i E_mu(w, .)) matching anti of the target
     functional; shape (..., targets, nr) on a lattice stack.
@@ -243,22 +243,14 @@ def solve_w_vectors(lattice, form, lenient=False):
     form pairs the two antiholomorphic halves nondegenerately.  The
     pairing matrix is inverted once per sample, and every target's
     right-hand side goes through that inverse in one matrix product.
-
-    A refused lattice or pairing refuses the whole stack.  With
-    `lenient`, the result is (w-vectors, refusals) instead: the
-    lattice's refusals, then the pairing's (`domains.judge`), for the
-    caller to judge slice by slice.
+    One refused pairing refuses the whole stack.
     """
     dim = lattice.complex_dim
     rhs = _right_hand_sides(lattice)
-    m_inv, refused = sample_inverse(_pairing_matrix(lattice, form), 1 / COND_LIMIT, floor=0.0)
     singular = SingularPairing(f"pairing condition number not below {COND_LIMIT:.3e}")
-    refusals = lattice.refusals + ((refused, singular),)
-    if not lenient:
-        judge(refusals)
+    m_inv = checked_inverse(_pairing_matrix(lattice, form), 1 / COND_LIMIT, singular, floor=0.0)
     sol = rhs @ np.swapaxes(m_inv, -1, -2)
-    ws = sol[..., :dim] + 1j * sol[..., dim:]
-    return (ws, refusals) if lenient else ws
+    return sol[..., :dim] + 1j * sol[..., dim:]
 
 
 def closed_form_w(form):

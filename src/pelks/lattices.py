@@ -31,14 +31,12 @@ sample axis.
 
 Every invertibility guard is decided on the inverse the caller needs
 anyway, from Frobenius-norm bounds on the singular values, so no guard
-runs a singular value decomposition.  `sample_inverse` decides three of
-them with numpy, sample by sample: the lattice rank, mu and the pairing
-of the w-solve; `checked_inverse` refuses a whole stack on it.  A
-lattice stack built on a lenient point stack keeps each sample's rank
-refusal instead (`PeriodLattice.refusals`), for its caller to judge
-stream by stream.  The fourth guard, the order closure, applies the
-same rule in plain Python to a Gauss-Jordan inverse, so that building
-an `OrderEmbedding` runs no numpy.
+runs a singular value decomposition.  `checked_inverse` decides three of
+them with numpy: the lattice rank, mu and the pairing of the w-solve,
+each refusing a whole stack when one member fails.  The fourth guard,
+the order closure, applies the same rule in plain Python to a
+Gauss-Jordan inverse, so that building an `OrderEmbedding` runs no
+numpy.
 
 The Riemann form lives on the labels, so its Gram matrix depends on the
 embedding and mu only:
@@ -61,7 +59,7 @@ from math import isfinite, isqrt, log, pi, prod, sqrt
 import numpy as np
 
 from .algebra import integer_det, integer_smith_normal_form, reduce_blocks, split_blocks
-from .domains import HermitianPoint, SiegelPoint, judge, per_sample, take_refusals
+from .domains import HermitianPoint, SiegelPoint, per_sample
 
 # Thresholds that decide arch.self-dual-mu and arch.polarization-degree
 # before any catalog tolerance applies: the largest |G - round(G)| of an
@@ -70,7 +68,7 @@ from .domains import HermitianPoint, SiegelPoint, judge, per_sample, take_refusa
 INTEGRALITY_TOL = 1e-9
 HERMITIAN_TOL = 1e-8
 POSITIVITY_TOL = 1e-10
-# Invertibility guards (`sample_inverse`): the least smallest singular
+# Invertibility guards (`checked_inverse`): the least smallest singular
 # value, relative to max(1, largest), of the real basis of a period
 # lattice and of the polarization parameter mu.
 RANK_TOL = 1e-10
@@ -85,35 +83,6 @@ class NoSelfDualForm(Exception):
     """No admissible mu makes the Riemann form unimodular on the lattice."""
 
 
-def sample_inverse(a, tol, floor=1.0):
-    """The inverse of a matrix, or of every matrix of a stack, and the
-    per-sample mask of the refused ones: those whose singular values do
-    not pass s_min >= tol * max(floor, s_max).
-
-    The test reads Frobenius norms, which bound the singular values from
-    the refusing side: s_max <= |a|_F and s_min >= 1 / |a^{-1}|_F.  It
-    accepts only when tol * max(floor, |a|_F) * |a^{-1}|_F < 1, so it
-    refuses every matrix the singular values refuse, and some more
-    within a factor of the matrix size of the threshold.  An exactly
-    singular matrix (where `inv` raises) and one holding a NaN or an inf
-    are refused too; an exactly singular member of a stack gets NaN for
-    its inverse, and the others are inverted one at a time.
-    """
-    try:
-        inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        inv = np.full(a.shape, np.nan, dtype=np.result_type(a.dtype, float))
-        for i in np.ndindex(a.shape[:-2]):
-            try:
-                inv[i] = np.linalg.inv(a[i])
-            except np.linalg.LinAlgError:
-                pass
-    with np.errstate(invalid="ignore", over="ignore"):
-        size = np.maximum(floor, _frobenius_norms(a))
-        margin = tol * size * _frobenius_norms(inv)
-    return inv, ~(margin < 1)
-
-
 def _frobenius_norms(a):
     """The Frobenius norm of every matrix of a stack, summed in place:
     no temporary the size of the stack."""
@@ -124,10 +93,26 @@ def _frobenius_norms(a):
 
 
 def checked_inverse(a, tol, refusal, floor=1.0):
-    """`sample_inverse`'s inverse, or raises `refusal`, an exception
-    instance, when it refuses any matrix."""
-    inv, refused = sample_inverse(a, tol, floor)
-    if refused.any():
+    """The inverse of a matrix, or of every matrix of a stack; raises
+    `refusal`, an exception instance, when any of them does not pass
+    s_min >= tol * max(floor, s_max) on its singular values.
+
+    The test reads Frobenius norms, which bound the singular values from
+    the refusing side: s_max <= |a|_F and s_min >= 1 / |a^{-1}|_F.  It
+    accepts only when tol * max(floor, |a|_F) * |a^{-1}|_F < 1, so it
+    refuses every matrix the singular values refuse, and some more
+    within a factor of the matrix size of the threshold.  An exactly
+    singular matrix (where `inv` raises) and one holding a NaN or an inf
+    are refused too.
+    """
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        raise refusal from None
+    with np.errstate(invalid="ignore", over="ignore"):
+        size = np.maximum(floor, _frobenius_norms(a))
+        margin = tol * size * _frobenius_norms(inv)
+    if not (margin < 1).all():
         raise refusal
     return inv
 
@@ -317,26 +302,21 @@ class PeriodLattice:
     vectors as basis_real, their real rows [Re | Im], made from `vectors`
     unless the caller passes them, next to its inverse basis_real_inv,
     computed and the rank checked unless the caller passes it too (the
-    dual lattice has both from its primal).  `refusals` holds the point's
-    refusals, then the rank's (`domains.judge`); a refused lattice
-    refuses the whole stack unless the point stack is lenient.
+    dual lattice has both from its primal); one refused lattice refuses
+    the whole stack.
     """
 
-    def __init__(self, embedding, point, vectors, labels, basis_real=None, basis_real_inv=None, refusals=()):
+    def __init__(self, embedding, point, vectors, labels, basis_real=None, basis_real_inv=None):
         self.embedding = embedding
         self.point = point
         self.labels = labels
         if basis_real is None:
             basis_real = _real_rows(vectors)
         if basis_real_inv is None:
-            basis_real_inv, refused = sample_inverse(basis_real, RANK_TOL)
             dependent = RankDeficient("embedded generators are real-linearly dependent")
-            refusals = getattr(point, "refusals", ()) + ((refused, dependent),)
-            if not getattr(point, "lenient", False):
-                judge(refusals)
+            basis_real_inv = checked_inverse(basis_real, RANK_TOL, dependent)
         self.basis_real = basis_real
         self.basis_real_inv = basis_real_inv
-        self.refusals = refusals
 
     @property
     def complex_dim(self):
@@ -349,14 +329,13 @@ class PeriodLattice:
 
     def take(self, index, copy=False):
         """The lattices at `index` of the stack (a slice keeps the sample
-        axis), with their refusals, not tested again; with `copy`, a copy
-        that does not hold on to this stack."""
+        axis), not tested again; with `copy`, a copy that does not hold
+        on to this stack."""
         basis, inverse = self.basis_real[index], self.basis_real_inv[index]
         return PeriodLattice(
             self.embedding, self.point.take(index, copy), None, self.labels,
             basis_real=basis.copy() if copy else basis,
             basis_real_inv=inverse.copy() if copy else inverse,
-            refusals=take_refusals(self.refusals, index),
         )
 
     def covolume(self):
@@ -370,7 +349,6 @@ class PeriodLattice:
             self.embedding, self.point, None, self.labels,
             basis_real=np.swapaxes(self.basis_real_inv, -1, -2),
             basis_real_inv=np.swapaxes(self.basis_real, -1, -2),
-            refusals=self.refusals,
         )
 
 

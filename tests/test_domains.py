@@ -83,11 +83,21 @@ def test_petersson_norm_values():
         petersson_norm(SiegelPoint(1j * np.eye(1)), n=2)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_point_validation():
     with pytest.raises(ValueError):
         SiegelPoint(np.array([[1j, 0.5], [0.0, 1j]]))  # not symmetric
     with pytest.raises(ValueError):
         HermitianPoint(np.array([[-1j]]))  # negative Y
+    # a NaN or an inf anywhere is no point; eigvalsh gives a NaN for the
+    # 1 x 1 NaN and does not converge on the 3 x 3 one
+    nan3 = 1j * np.eye(3)
+    nan3[1, 2] = np.nan
+    bad = [[[np.nan + 1j]], [[complex(0, np.nan)]], [[complex(0, np.inf)]], nan3]
+    for matrix in bad:
+        for point_type in (SiegelPoint, HermitianPoint):
+            with pytest.raises(ValueError):
+                point_type(np.array(matrix))
 
 
 def _refusal(point_type, matrix):
@@ -105,7 +115,9 @@ def test_a_stack_with_one_bad_point_is_refused(kind):
     singular = good.copy()
     z = singular[-1]
     singular[-1] = z.real if kind == "C" else (z + z.conj().T) / 2  # Y = 0
-    bad = [singular]
+    nan = good.copy()
+    nan[-1, 1, 0] = np.nan
+    bad = [singular, nan]
     if kind == "C":
         skew = good.copy()
         skew[-1, 0, 1] += 0.5

@@ -1,11 +1,12 @@
 """The invertibility guards against the singular-value tests they replaced.
 
 Four guards decide on the inverse the pipeline needs anyway, by the
-Frobenius-norm rule of `lattices.sample_inverse`: the rank of a period
+Frobenius-norm rule of `lattices.checked_inverse`: the rank of a period
 lattice, the singularity of mu and the condition of the w-solve's
-pairing matrix go through `sample_inverse` itself, and the dependence
-of an order basis (the closure check) applies the rule in plain Python
-to its own Gauss-Jordan inverse.  Each singular-value
+pairing matrix go through `checked_inverse` itself, which refuses a
+whole stack when one member fails, and the dependence of an order basis
+(the closure check) applies the rule in plain Python to its own
+Gauss-Jordan inverse.  Each singular-value
 test they replaced stays here as an oracle.  On matrices with prescribed
 singular values on both sides of each threshold, every site must refuse
 whatever its oracle refuses, and accept once the smallest singular value
@@ -38,7 +39,6 @@ from pelks.lattices import (
     RiemannForm,
     build_lattice,
     checked_inverse,
-    sample_inverse,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -219,24 +219,24 @@ def test_guard_refuses_nan_inf_and_singular(name):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_sample_inverse_refuses_sample_by_sample():
-    # an exactly singular member makes numpy's stacked inverse raise; the
-    # others are still inverted, each as it is alone
+def test_checked_inverse_refuses_a_stack_with_one_bad_member():
+    # an exactly singular member makes numpy's stacked inverse raise, a NaN
+    # member does not; both refuse the stack, and a clean stack is inverted
+    # member for member
     rng = np.random.default_rng(5)
     good = [_with_spectrum(np.linspace(1.0, 2.0, 4), rng) for _ in range(3)]
     singular = good[0].copy()
     singular[:, -1] = singular[:, 0]
     nan = good[1].copy()
     nan[0, 0] = np.nan
-    stack = np.stack([good[0], singular, good[1], nan, good[2]])
-    inv, refused = sample_inverse(stack, RANK_TOL)
-    assert refused.tolist() == [False, True, False, True, False]
-    for i, one in zip((0, 2, 4), good):
-        assert np.array_equal(inv[i], np.linalg.inv(one))
-    assert np.isnan(inv[1]).all()
-    with pytest.raises(RankDeficient):
-        checked_inverse(stack, RANK_TOL, RankDeficient("refused"))
-    assert np.array_equal(checked_inverse(stack[::2], RANK_TOL, RankDeficient("refused")), inv[::2])
+    for bad in (singular, nan):
+        for position in range(len(good) + 1):
+            stack = np.stack(good[:position] + [bad] + good[position:])
+            with pytest.raises(RankDeficient, match="^refused$"):
+                checked_inverse(stack, RANK_TOL, RankDeficient("refused"))
+    inv = checked_inverse(np.stack(good), RANK_TOL, RankDeficient("refused"))
+    for member, one in zip(inv, good):
+        assert np.array_equal(member, np.linalg.inv(one))
 
 
 def _report_digests():

@@ -4,11 +4,11 @@
 one lattice stack on them and solves the w-vectors once.  The per-stream
 path stays here as the oracle: `random_point` from the stream's own
 generator, then `build_lattice`, then `solve_w_vectors`, one stream at a
-time.  The stack must reproduce it bit for bit; a refusal in one stream
-must fail the checks that read that stream, with the message the stream
-alone raises, and no other check; and `--only` must plan only the
-streams of the checks that run.
-"""
+time.  The stack must reproduce it bit for bit.  A stack with one refused
+sample is refused whole, and the verdict then takes the per-stream path
+for every stream; so a refusal in one stream must fail the checks that
+read that stream, with the message the stream alone raises, and no other
+check.  `--only` must plan only the streams of the checks that run."""
 
 import importlib.util
 from pathlib import Path
@@ -34,6 +34,14 @@ def _arch_ladder():
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     return [config_from_dict(rung.config) for rung in workloads._arch_ladder()]
+
+
+def _edge_config(name):
+    """One of the edge configs of `scripts/report_digests.py`."""
+    spec = importlib.util.spec_from_file_location("report_digests", ROOT / "scripts" / "report_digests.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return config_from_dict(dict(script.edge_configs())[name])
 
 
 def _rng(cfg, stream):
@@ -67,13 +75,13 @@ def test_the_sample_stack_equals_the_per_stream_path(seed):
                 continue
             points = _stream_points(cfg, emb, stream, stream.count(cfg))
             if stream.reads == "points":
-                assert np.array_equal(ctx.points(stream).matrix, points.matrix), (cfg.name, stream)
+                assert np.array_equal(ctx.read(stream).matrix, points.matrix), (cfg.name, stream)
                 continue
             lattices = build_lattice(points, emb)
             if stream.reads == "lattice":
-                got = ctx.lattices(stream)
+                got = ctx.read(stream)
             else:
-                got, ws = ctx.w_vectors(stream)
+                got, ws = ctx.read(stream)
                 expected = solve_w_vectors(lattices, form)
                 assert np.array_equal(ws, expected), (cfg.name, stream)
                 assert np.array_equal(assemble_phi(emb, ws), assemble_phi(emb, expected))
@@ -107,7 +115,7 @@ def _fault_in(cfg, stream, fault, monkeypatch):
         points = real(kind, g, rng, count)
         matrix = points.matrix.copy()
         matrix[(matrix == target).all(axis=(-2, -1))] = bad
-        return type(points)(matrix, lenient=points.lenient)
+        return type(points)(matrix)
 
     monkeypatch.setattr(checks, "random_point", faulty)
 
@@ -180,3 +188,14 @@ def test_only_plans_the_streams_of_the_checks_that_run(monkeypatch):
         report = run_checks(resolve_config(name), only=only)
         assert drawn == expected, (name, only)
         assert all(entry["status"] != "fail" for entry in report["checks"]), (name, only)
+    # a stack that refuses is drawn once; then each stream is drawn alone as it
+    # is read: the base point, then the duality and cocycle streams
+    drawn.clear()
+    report = run_checks(_edge_config("unresolvable-lattice"))
+    assert drawn == [[2, 3, 2, 20, 1, 20, 20, 5], 1, 20, 5]
+    rank_deficient = "RankDeficient: embedded generators are real-linearly dependent"
+    failed = {entry["name"]: entry["detail"] for entry in report["checks"] if entry["status"] == "fail"}
+    assert failed == {"arch.covolume-duality": rank_deficient, "arch.self-dual-mu": rank_deficient}
+    status = {entry["name"]: entry["status"] for entry in report["checks"]}
+    assert status["pipeline.cocycle-jacobian"] == "pass"
+    assert {status[row.name] for row in CATALOG if row.needs == "mu"} == {"skip"}
