@@ -89,10 +89,14 @@ def report(cfg, only):
     return out
 
 
-def digest(cfg, only):
-    out = report(cfg, only)
+def hashed(out):
+    """The sha256 of a `report`: of the report's json, or of the message."""
     text = out if isinstance(out, str) else json.dumps(out, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digest(cfg, only):
+    return hashed(report(cfg, only))
 
 
 def _leaves(value, path=""):

@@ -35,21 +35,23 @@ archimedean data builds runs no numpy.
 
 A sampled check names its stream (`_Stream`): how many points it reads,
 the salt of their seeded generator and the deepest layer it reads of
-them.  One verdict draws every stream its selected checks name into one
-sample stack (`_ArchContext`): one `random_point` call, one
-`build_lattice` and one `solve_w_vectors`.  numpy's kernels act matrix
-by matrix, so each check reads the same numbers it would read from its
-stream alone.  A stack is refused whole when one sample refuses; the
-verdict then replays: it builds each stream alone, as a plan of that
-one stream, so a refusal fails only the checks whose stream holds it,
-with the message that stream alone raises.  A sampled check reports the
+them.  One verdict draws every stream its selected checks name with one
+`random_point` call (`_ArchContext`), and builds two lattice stacks: one
+`build_lattice` on the streams that read lattices only, at once, and one
+on the streams that read w, at the first w read, with one
+`solve_w_vectors`.  numpy's kernels act matrix by matrix, so each check
+reads the same numbers it would read from its stream alone.  A stack is
+refused whole when one sample refuses; the verdict then replays: it
+builds each stream it has yet to read alone, as a plan of that one
+stream, so a refusal fails only the checks whose stream holds it, with
+the message that stream alone raises.  A sampled check reports the
 worst per-sample defect through `_worst`, which keeps a NaN, so a NaN
 defect fails; `--report` writes it as the `NaN` token of Python's json,
 which `json.loads` reads back.
 
 Report shape (schema_version 5): name, config digest, seed, summary
 counts, the checks sorted by name, and a timing block (the total, the
-seconds spent building the sample stack, and the seconds per check name
+seconds spent building the sample stacks, and the seconds per check name
 beyond that) that callers must ignore when comparing runs for
 determinism.
 """
@@ -131,7 +133,7 @@ class _Stream(NamedTuple):
     reads: str
 
 
-_LAYERS = ("w", "lattice", "points")  # the order of the streams in the sample stack
+_LAYERS = ("w", "lattice", "points")  # the order of the streams in the point stack
 _BASE = _Stream(lambda cfg: 1, 97, "lattice")  # the base point, where mu is solved
 _COVOLUME = _Stream(lambda cfg: cfg.samples, 11, "lattice")
 _DUALITY = _Stream(lambda cfg: cfg.samples, 13, "lattice")
@@ -143,8 +145,8 @@ _METRIC = _Stream(lambda cfg: cfg.samples, None, "w")
 
 
 def _layout(streams, cfg):
-    """The slice of each stream in a sample stack of `streams`: w, then
-    lattice, then points only, so that each layer is a prefix."""
+    """The slice of each stream in a point stack of `streams`: w, then
+    lattice, then points only, so that the streams of a layer are adjacent."""
     slices, start = {}, 0
     for stream in sorted(dict.fromkeys(streams), key=lambda s: _LAYERS.index(s.reads)):
         count = max(0, stream.count(cfg))  # an empty stream is refused on read
@@ -153,14 +155,21 @@ def _layout(streams, cfg):
     return slices
 
 
-def _stop(plan, layer):
-    """The end of the prefix of a plan's stack whose streams read `layer` or deeper."""
-    depth = _LAYERS.index(layer)
-    return max((sl.stop for s, sl in plan.items() if _LAYERS.index(s.reads) <= depth), default=0)
+def _span(plan, reads):
+    """The slice of a plan's point stack that its streams reading `reads`
+    span; None when it has none."""
+    slices = [sl for s, sl in plan.items() if s.reads == reads]
+    return slice(slices[0].start, slices[-1].stop) if slices else None
+
+
+def _cut(take, plan, reads, at=0):
+    """Each stream of a plan that reads `reads` -> `take` of its slice of
+    a stack that starts at `at` of the plan's point stack."""
+    return {s: take(slice(sl.start - at, sl.stop - at)) for s, sl in plan.items() if s.reads == reads}
 
 
 class _ArchContext:
-    """Embedding, resolved polarization and sample stack shared across
+    """Embedding, resolved polarization and sample stacks shared across
     arch checks.
 
     The embedding is built at once, so a bad order basis is a config
@@ -168,19 +177,20 @@ class _ArchContext:
     streams that `rows` name, and the base point when a mu is solved for
     them, laid out by `_layout`.  On first use every stream is drawn
     from its own generator into one point stack, and one lattice stack
-    is built on the streams that read lattices; the first read of
-    w-vectors solves them once, on the streams that read w, after
-    cutting the lattice stack down to those streams if the others are
-    read.  A check reads the slice of its own stream (`read`).  Once
-    every planned stream is read the stacks are dropped.
+    is built on the streams that read lattices only; the streams that
+    read w keep a copy of their points, and their first read builds
+    their lattices and solves their w-vectors, in one stack each.  The
+    context holds what each stream reads until `read` hands it out, and
+    then forgets it: a stack is freed with the last view of it that a
+    stream or a running check holds.
 
-    When building the stack raises (a point, a lattice or a pairing
-    refused), `replay` is set and the stacks are dropped: from then on
-    each stream is built by the same builder as a plan of its own, the
-    path it would take alone, so a refusal fails only the checks whose
-    stream holds it.  The trace form and the polarization's Riemann
-    form are built on first use, once each; `samples_seconds` is the
-    time spent building the stacks.
+    When building a stack raises (a point, a lattice or a pairing
+    refused), `replay` is set and the unread streams are forgotten: from
+    then on each stream is built by the same builder as a plan of its
+    own, the path it would take alone, so a refusal fails only the
+    checks whose stream holds it.  The trace form and the polarization's
+    Riemann form are built on first use, once each; `samples_seconds` is
+    the time spent building the stacks.
     """
 
     def __init__(self, cfg, rows=None):
@@ -189,8 +199,9 @@ class _ArchContext:
         self.form_error = None  # what the solve of mu raised, if it did
         self.samples_seconds = 0.0
         self.replay = False
-        self.slices = {}  # planned stream -> its slice of the sample stack
-        self._unread = set()
+        self.slices = {}  # planned stream -> its slice of the point stack
+        self._held = None  # planned stream -> what it reads, until it is read; None until drawn
+        self._w_points = None  # the w streams' points, until their first read
         if self.emb is None:
             return
         rows = CATALOG if rows is None else rows
@@ -198,95 +209,58 @@ class _ArchContext:
         if cfg.archimedean.mu is None and any(row.needs == "mu" for row in rows):
             streams.append(_BASE)
         self.slices = _layout(streams, cfg)
-        self._unread = set(self.slices)
 
     def _build(self, plan):
-        """(points, lattices) of a plan, a `_layout` of streams: every
-        stream drawn from its own generator into one point stack, and
-        one lattice stack built on the streams that read lattices.  On
-        replay the plan is one stream, drawn as it is drawn alone: from
-        its generator, with its count."""
+        """(held, w points) of a plan, a `_layout` of streams: every stream
+        is drawn from its own generator into one point stack, and one
+        lattice stack is built on the streams that read lattices only;
+        `held` maps each of those streams and each points-only stream to
+        its cut of the stacks, and the w streams' points are copied out."""
         start = time.perf_counter()
         seed = self.cfg.seed
         drawn = {s: sl.stop - sl.start for s, sl in plan.items() if sl.stop > sl.start}
         rngs = [default_rng(seed if s.salt is None else [seed, s.salt]) for s in drawn]
-        counts = list(drawn.values())
-        if self.replay:
-            rngs, counts = rngs[0], counts[0]
-        points = random_point(self.cfg.kind, domain_genus(self.emb), rngs, counts)
-        stop, lattices = _stop(plan, "lattice"), None
-        if stop:
-            lattices = build_lattice(points if stop == len(points.matrix) else points.take(slice(0, stop)), self.emb)
+        points = random_point(self.cfg.kind, domain_genus(self.emb), rngs, list(drawn.values()))
+        lattice, w = _span(plan, "lattice"), _span(plan, "w")
+        w_points = None if w is None else points.take(w, copy=True)
+        held = _cut(points.take, plan, "points")
+        if lattice is not None:
+            held |= _cut(build_lattice(points.take(lattice), self.emb).take, plan, "lattice", lattice.start)
         self.samples_seconds += time.perf_counter() - start
-        return points, lattices
+        return held, w_points
 
-    def _solve(self, lattices):
-        """The w-vectors on a lattice stack, for `form`."""
+    def _solve(self, plan, points):
+        """Each w stream of a plan -> (its lattice stack, the w-vectors on
+        them), cut from one lattice stack built on the w streams' points
+        and one solve for `form`."""
         start = time.perf_counter()
+        lattices = build_lattice(points, self.emb)
         ws = solve_w_vectors(lattices, self.form)
         self.samples_seconds += time.perf_counter() - start
-        return ws
-
-    @cached_property
-    def _stack(self):
-        """(points, lattices) of the whole plan."""
-        return self._build(self.slices)
-
-    @cached_property
-    def _ws(self):
-        """The w-vectors of the streams that read w."""
-        points, lattices = self._stack
-        stop = _stop(self.slices, "w")
-        if stop < len(lattices.basis_real):
-            # once the lattice-only streams are read, the w streams' lattices are kept alone
-            done = not any(s.reads == "lattice" for s in self._unread)
-            lattices = lattices.take(slice(0, stop), copy=done)
-            if done:
-                self._stack = points, lattices
-        return self._solve(lattices)
-
-    def _drop(self):
-        for stacks in ("_stack", "_ws"):
-            self.__dict__.pop(stacks, None)
+        return _cut(lambda rows: (lattices.take(rows), ws[rows]), plan, "w")
 
     def read(self, stream):
         """What a planned stream reads, as `stream.reads` names it: its
         point stack, its lattice stack, or (its lattice stack, the
-        w-vectors on them), cut from the sample stack, or built alone on
-        replay.  A stream of no points is refused here, before anything
-        is drawn.  The last stream to be read is taken as a copy, unless
-        it is the whole stack it reads, and the stacks are dropped at
-        once, so its check does not hold them."""
-        count = stream.count(self.cfg)
-        sample_count(count)
-        self._unread.discard(stream)
+        w-vectors on them), cut from the sample stacks, or built alone on
+        replay.  It is handed out once: the context forgets it.  A stream
+        of no points is refused here, before anything is drawn."""
+        sample_count(stream.count(self.cfg))
         if not self.replay:
             try:
-                ws = self._ws if stream.reads == "w" else None
-                points, lattices = self._stack  # after the w-solve, which may have compacted it
+                if self._held is None:
+                    self._held, self._w_points = self._build(self.slices)
+                if stream.reads == "w" and self._w_points is not None:
+                    self._held |= self._solve(self.slices, self._w_points)
+                    self._w_points = None
             except Exception:  # a sample refused: every stream is built alone from now on
                 self.replay = True
-                self._drop()
+                self._held, self._w_points = {}, None
             else:
-                return self._take(stream, points, lattices, ws)
-        points, lattices = self._build(_layout([stream], self.cfg))
-        if stream.reads == "w":
-            return lattices, self._solve(lattices)
-        return points if stream.reads == "points" else lattices
-
-    def _take(self, stream, points, lattices, ws):
-        """`read(stream)` from the stacks."""
-        if stream.reads == "points":
-            take, size = points.take, len(points.matrix)
-        elif stream.reads == "lattice":
-            take, size = lattices.take, len(lattices.basis_real)
-        else:
-            take, size = (lambda rows, copy: (lattices.take(rows, copy), ws[rows].copy() if copy else ws[rows])), len(ws)
-        index = self.slices[stream]
-        if self._unread:
-            return take(index, False)
-        self._drop()
-        return take(index, index != slice(0, size))
+                return self._held.pop(stream)
+        plan = _layout([stream], self.cfg)
+        held, points = self._build(plan)
+        return self._solve(plan, points)[stream] if stream.reads == "w" else held[stream]
 
     def phis(self, stream):
         """The stack of phi's incidence rows assembled on the w-vectors of `read(stream)`."""

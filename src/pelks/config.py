@@ -19,10 +19,17 @@ from .cyclic_algebra import CyclicAlgebraDescriptor
 from .lattices import OrderEmbedding
 
 
-# the sampled checks hold every sample's lattice at once, a few (2nr)^2
-# float arrays each: at 10^4 samples a verdict's peak RSS grows by about
-# 43 MB on basechange-A (nr = 4) and 16 MB on siegel-C (nr = 2)
+# a sampled check holds every sample of its stream at once, a few (2nr)^2
+# float arrays each: at 10^4 samples the sampled checks grow the peak RSS
+# by about 29 MB on basechange-A (nr = 4) and 11 MB on siegel-C (nr = 2)
+# (scripts/stack_peaks.py)
 MAX_SAMPLES = 10_000
+
+# the local checks grow about as r^2.4: on one Xeon core a local-only C2
+# place at q = 5 takes 0.2 s and 42 MB of peak RSS at r = 64, 1.0 s and
+# 65 MB at r = 128, 5.8 s and 152 MB at r = 256, so a mistyped r could
+# exhaust memory before the run ends with an exit code
+MAX_R = 64
 
 
 class ConfigInvalid(Exception):
@@ -101,8 +108,7 @@ def matrix_to_lists(m):
 class ArchimedeanData:
     discriminant: int
     order_basis: tuple
-    mu_mode: str
-    mu: tuple = None
+    mu: tuple = None  # None in self-dual-auto mode, where mu is solved
 
 
 @dataclass(frozen=True)
@@ -145,6 +151,7 @@ def config_from_dict(d):
     n = _as_int(d["n"], "n")
     r = _as_int(d["r"], "r")
     _expect(n >= 1 and r >= 1, "n and r must be positive")
+    _expect(r <= MAX_R, f"r must be at most {MAX_R}")
 
     sig = d["signature"]
     _expect(
@@ -222,7 +229,7 @@ def config_from_dict(d):
             mu = _parse_matrix(a["mu"], n, "mu")
         else:
             _expect(a.get("mu") is None, "self-dual-auto forbids an explicit mu")
-        arch = ArchimedeanData(disc, basis, mu_mode, mu)
+        arch = ArchimedeanData(disc, basis, mu)
 
     samples = _as_int(d.get("samples", 20), "samples")
     _expect(samples >= 1, "samples must be positive")
@@ -285,7 +292,7 @@ def config_to_dict(cfg):
         out["archimedean"] = {
             "discriminant": a.discriminant,
             "order_basis": [matrix_to_lists(m) for m in a.order_basis],
-            "mu_mode": a.mu_mode,
+            "mu_mode": "self-dual-auto" if a.mu is None else "explicit",
             "mu": matrix_to_lists(a.mu) if a.mu is not None else None,
         }
     return out

@@ -31,7 +31,6 @@ from pelks.kodaira_spencer import (
     solve_w_vectors,
 )
 from pelks.lattices import (
-    OrderEmbedding,
     RiemannForm,
     build_lattice,
     covolume_closed_form,
@@ -45,26 +44,8 @@ from pelks.pel_modules import (
     image_exponent,
     quotient_structure,
 )
+from embeddings import gaussian_unitary, matrix_basechange, rational_siegel
 from relation_oracle import _relation_rows
-
-
-def gaussian_unitary():
-    return OrderEmbedding("A", 1, 2, -4, ([[1.0]], [[1j]]))
-
-
-def rational_siegel(r):
-    return OrderEmbedding("C", 1, r, 1, ([[1.0]],))
-
-
-def matrix_basechange():
-    mats = []
-    for scale in (1.0, 1j):
-        for a in range(2):
-            for b in range(2):
-                e = np.zeros((2, 2), dtype=complex)
-                e[a, b] = scale
-                mats.append(e)
-    return OrderEmbedding("A", 2, 2, -4, tuple(mats))
 
 
 def test_quaternion_image_exponent_and_generators():

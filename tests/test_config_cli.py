@@ -18,6 +18,7 @@ import pelks.kodaira_spencer
 from pelks.checks import EXPLANATIONS, explain, run_checks, verdict
 from pelks.cli import main, resolve_config
 from pelks.config import (
+    MAX_R,
     MAX_SAMPLES,
     ConfigInvalid,
     config_digest,
@@ -106,6 +107,22 @@ def test_sample_count_is_capped():
             config_from_dict(minimal_unitary(samples=samples))
         with pytest.raises(ConfigInvalid, match=f"samples must be at most {MAX_SAMPLES}$"):
             with_overrides(resolve_config("unitary-A"), samples=samples)
+
+
+def _local_only_c2(r):
+    return {"name": "local-c2", "type": "C", "n": 2, "r": r, "signature": [r, 0], "local_places": [{"residue_size": 5}]}
+
+
+def test_a_config_at_the_rank_cap_parses():
+    assert config_from_dict(_local_only_c2(MAX_R)).r == MAX_R
+
+
+def test_a_rank_past_the_cap_is_a_config_error(tmp_path, capsys):
+    # refused at parse time, before the local checks build anything
+    path = tmp_path / "big-r.json"
+    path.write_text(json.dumps(_local_only_c2(MAX_R + 1)))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: r must be at most {MAX_R}\n")
 
 
 def test_invariants_enforced():

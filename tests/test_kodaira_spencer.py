@@ -45,7 +45,6 @@ from pelks.kodaira_spencer import (
     target_values,
 )
 from pelks.lattices import (
-    OrderEmbedding,
     RiemannForm,
     _alternating_block,
     build_lattice,
@@ -54,14 +53,7 @@ from pelks.lattices import (
     generator_labels,
     solve_self_dual_mu,
 )
-
-
-def gaussian_unitary(r=2):
-    return OrderEmbedding("A", 1, r, -4, ([[1.0]], [[1j]]))
-
-
-def rational_siegel(r):
-    return OrderEmbedding("C", 1, r, 1, ([[1.0]],))
+from embeddings import gaussian_unitary, matrix_basechange, rational_siegel
 
 
 def _metric(form, samples, seed):
@@ -70,17 +62,6 @@ def _metric(form, samples, seed):
     emb = form.emb
     lat = build_lattice(random_point(emb.kind, domain_genus(emb), np.random.default_rng(seed), samples), emb)
     return metric_identity_check(lat, solve_w_vectors(lat, form))
-
-
-def matrix_basechange(r=2):
-    mats = []
-    for scale in (1.0, 1j):
-        for a in range(2):
-            for b in range(2):
-                e = np.zeros((2, 2), dtype=complex)
-                e[a, b] = scale
-                mats.append(e)
-    return OrderEmbedding("A", 2, r, -4, tuple(mats))
 
 
 def _instances():

@@ -48,26 +48,8 @@ from pelks.lattices import (
     polarization_degree,
     solve_self_dual_mu,
 )
+from embeddings import gaussian_unitary, matrix_basechange, rational_siegel
 from relation_oracle import reduce_every_block
-
-
-def gaussian_unitary():
-    return OrderEmbedding("A", 1, 2, -4, ([[1.0]], [[1j]]))
-
-
-def rational_siegel(r):
-    return OrderEmbedding("C", 1, r, 1, ([[1.0]],))
-
-
-def matrix_basechange():
-    mats = []
-    for scale in (1.0, 1j):
-        for a in range(2):
-            for b in range(2):
-                e = np.zeros((2, 2), dtype=complex)
-                e[a, b] = scale
-                mats.append(e)
-    return OrderEmbedding("A", 2, 2, -4, tuple(mats))
 
 
 def eisenstein_unitary():

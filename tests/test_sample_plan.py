@@ -1,16 +1,20 @@
 """The sample plan of a verdict against the per-stream path it replaced.
 
 `run_checks` draws the points of every sampled check as one stack, builds
-one lattice stack on them and solves the w-vectors once.  The per-stream
-path stays here as the oracle: `random_point` from the stream's own
-generator, then `build_lattice`, then `solve_w_vectors`, one stream at a
-time.  The stack must reproduce it bit for bit.  A stack with one refused
-sample is refused whole, and the verdict then takes the per-stream path
-for every stream; so a refusal in one stream must fail the checks that
-read that stream, with the message the stream alone raises, and no other
-check.  `--only` must plan only the streams of the checks that run."""
+one lattice stack on the streams that read lattices only and, at the
+first w read, one on the streams that read w, and solves their w-vectors
+once.  The per-stream path stays here as the oracle: `random_point` from
+the stream's own generator, then `build_lattice`, then `solve_w_vectors`,
+one stream at a time.  The stacks must reproduce it bit for bit.  What a
+stream reads is handed out once, so a stack is freed with the last view
+of it outside the context.  A stack with one refused sample is refused
+whole, and the verdict then takes the per-stream path for every stream
+left; so a refusal in one stream must fail the checks that read that
+stream, with the message the stream alone raises, and no other check.
+`--only` must plan only the streams of the checks that run."""
 
 import importlib.util
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -65,31 +69,62 @@ def test_the_sample_stack_equals_the_per_stream_path(seed):
     cases += [with_overrides(resolve_config(name), seed=seed) for name in ARCH_FIXTURES]
     for cfg in cases:
         ctx = _ArchContext(cfg)
-        emb, form = ctx.emb, ctx.form
+        emb = ctx.emb
         # the base point is drawn alone as one point, with no sample axis
         base = build_lattice(_stream_points(cfg, emb, _BASE, None), emb)
         assert np.array_equal(ctx.base_lattice.point.matrix, base.point.matrix[None])
         assert np.array_equal(ctx.base_lattice.basis_real_inv, base.basis_real_inv[None])
+        handed_out = []
         for stream in _read_order(ctx):
-            if stream == _BASE:
-                continue
-            points = _stream_points(cfg, emb, stream, stream.count(cfg))
-            if stream.reads == "points":
-                assert np.array_equal(ctx.read(stream).matrix, points.matrix), (cfg.name, stream)
-                continue
-            lattices = build_lattice(points, emb)
-            if stream.reads == "lattice":
-                got = ctx.read(stream)
-            else:
-                got, ws = ctx.read(stream)
-                expected = solve_w_vectors(lattices, form)
-                assert np.array_equal(ws, expected), (cfg.name, stream)
-                assert np.array_equal(assemble_phi(emb, ws), assemble_phi(emb, expected))
-            assert np.array_equal(got.point.matrix, points.matrix), (cfg.name, stream)
-            assert np.array_equal(got.basis_real_inv, lattices.basis_real_inv), (cfg.name, stream)
-            assert np.array_equal(got.covolume(), lattices.covolume()), (cfg.name, stream)
-        # every stream has been read, so the stacks are gone
-        assert "_stack" not in vars(ctx) and "_ws" not in vars(ctx)
+            if stream != _BASE:
+                handed_out += _compare_read(cfg, ctx, stream)
+        # every stream has been read and dropped, so the context holds no stream data
+        assert all(ref() is None for ref in handed_out), cfg.name
+
+
+def _owner(array):
+    """A weak reference to the array that owns the memory of `array`."""
+    return weakref.ref(array if array.base is None else array.base)
+
+
+def _compare_read(cfg, ctx, stream):
+    """Compare `ctx.read(stream)` with the stream's per-stream path; weak
+    references to the arrays it handed out."""
+    emb = ctx.emb
+    points = _stream_points(cfg, emb, stream, stream.count(cfg))
+    if stream.reads == "points":
+        got = ctx.read(stream)
+        assert np.array_equal(got.matrix, points.matrix), (cfg.name, stream)
+        return [_owner(got.matrix)]
+    lattices = build_lattice(points, emb)
+    arrays = []
+    if stream.reads == "lattice":
+        got = ctx.read(stream)
+    else:
+        got, ws = ctx.read(stream)
+        expected = solve_w_vectors(lattices, ctx.form)
+        assert np.array_equal(ws, expected), (cfg.name, stream)
+        assert np.array_equal(assemble_phi(emb, ws), assemble_phi(emb, expected))
+        arrays.append(ws)
+    assert np.array_equal(got.point.matrix, points.matrix), (cfg.name, stream)
+    assert np.array_equal(got.basis_real_inv, lattices.basis_real_inv), (cfg.name, stream)
+    assert np.array_equal(got.covolume(), lattices.covolume()), (cfg.name, stream)
+    arrays += [got.point.matrix, got.basis_real, got.basis_real_inv]
+    return [_owner(array) for array in arrays]
+
+
+def test_a_stack_is_freed_once_its_streams_are_read():
+    # unitary-A solves its mu, so the base point shares the lattice-only stack
+    ctx = _ArchContext(resolve_config("unitary-A"))
+    assert ctx.form is not None
+    covolume = ctx.read(checks._COVOLUME)
+    stack = weakref.ref(covolume.basis_real.base)
+    del covolume
+    ctx.read(checks._DUALITY)
+    ctx.read(checks._COCYCLE)
+    # before any w stream is read: the base lattice is a copy, and the w
+    # streams' lattices are built on their own points
+    assert stack() is None
 
 
 def _fault_in(cfg, stream, fault, monkeypatch):
@@ -192,7 +227,7 @@ def test_only_plans_the_streams_of_the_checks_that_run(monkeypatch):
     # is read: the base point, then the duality and cocycle streams
     drawn.clear()
     report = run_checks(_edge_config("unresolvable-lattice"))
-    assert drawn == [[2, 3, 2, 20, 1, 20, 20, 5], 1, 20, 5]
+    assert drawn == [[2, 3, 2, 20, 1, 20, 20, 5], [1], [20], [5]]
     rank_deficient = "RankDeficient: embedded generators are real-linearly dependent"
     failed = {entry["name"]: entry["detail"] for entry in report["checks"] if entry["status"] == "fail"}
     assert failed == {"arch.covolume-duality": rank_deficient, "arch.self-dual-mu": rank_deficient}
