@@ -20,7 +20,9 @@ module constant here and is shown in each report entry's `tolerance`.
 Before it applies, three thresholds of `lattices` decide
 arch.self-dual-mu and arch.polarization-degree: INTEGRALITY_TOL (a Gram
 matrix is integral), HERMITIAN_TOL and POSITIVITY_TOL (the associated
-form is Hermitian and positive).  Four invertibility guards refuse
+form is Hermitian, and positive: H - POSITIVITY_TOL I has a Cholesky
+factor, which in exact arithmetic says its least eigenvalue exceeds
+POSITIVITY_TOL).  Four invertibility guards refuse
 before any check computes: RANK_TOL (a period lattice, `RankDeficient`),
 MU_TOL (a singular mu), the rank tolerance of an order basis (a config
 error) and `kodaira_spencer.COND_LIMIT` (the w-solve's pairing,
@@ -71,7 +73,6 @@ from .config import build_embedding, config_digest, matrix_to_lists
 from .cyclic_algebra import discriminant_report
 from .domains import per_sample, random_point, sample_count
 from .kodaira_spencer import (
-    assemble_phi,
     closed_form_w,
     cocycle_jacobian,
     domain_coordinates,
@@ -262,10 +263,6 @@ class _ArchContext:
         held, points = self._build(plan)
         return self._solve(plan, points)[stream] if stream.reads == "w" else held[stream]
 
-    def phis(self, stream):
-        """The stack of phi's incidence rows assembled on the w-vectors of `read(stream)`."""
-        return assemble_phi(self.emb, self.read(stream)[1])
-
     @cached_property
     def base_lattice(self):
         """The lattice at the base point, copied out, as it outlives the stacks."""
@@ -389,22 +386,24 @@ def _check_w_closed_form(cfg, ctx):
 
 
 def _check_phi_independence(cfg, ctx):
-    phis = ctx.phis(_PHI)  # (sample, incidence, nr)
+    # every target is some incidence's target, so the w rows hold every
+    # value of phi's incidence rows: the same pairwise maximum
+    _, ws = ctx.read(_PHI)  # (sample, target, nr)
     computed = {
-        "max_pairwise_defect": _worst([np.abs(a - b).max() for a, b in combinations(phis, 2)]),
-        "symmetry_defect": symmetry_defect(phis, ctx.emb),
+        "max_pairwise_defect": _worst([np.abs(a - b).max() for a, b in combinations(ws, 2)]),
+        "symmetry_defect": symmetry_defect(ws, ctx.emb),
     }
     return computed, {"max_pairwise_defect": 0.0, "symmetry_defect": 0.0}
 
 
 def _check_psi(cfg, ctx):
     closed = psi_modulus_closed_form(ctx.form)
-    phis = ctx.phis(_PSI)
-    value, off_block_defect = psi_constant(phis, ctx.emb)
+    _, ws = ctx.read(_PSI)
+    value, off_block_defect = psi_constant(ws, ctx.emb)
     computed = {
         "modulus_defect": _worst(np.abs(per_sample(abs, value) - closed)),
         "off_block_defect": _worst(off_block_defect),
-        "matched_defect": matched_vanishing_defect(phis, ctx.emb) if cfg.kind == "A" else 0.0,
+        "matched_defect": matched_vanishing_defect(ws, ctx.emb) if cfg.kind == "A" else 0.0,
         "closed_form_modulus": closed,
     }
     return computed, {"modulus_defect": 0.0, "off_block_defect": 0.0, "matched_defect": 0.0}

@@ -52,6 +52,24 @@ def per_sample(f, values):
     return float(out) if out.ndim == 0 else out
 
 
+def positive_definite(m):
+    """Whether every member of a stack of Hermitian (or real symmetric)
+    matrices is finite and positive definite: whether it has a Cholesky
+    factor, read, like LAPACK's eigensolvers, from the lower triangle.
+
+    A NaN or an inf is refused first, as the factorization passes an inf
+    on the diagonal.  The answer needs no eigenvalue, so no eigensolver
+    runs.
+    """
+    if not np.isfinite(m).all():
+        return False
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class _Point:
     """A point or a stack of points: `matrix`, tested once, member by
@@ -80,10 +98,7 @@ class _Point:
         return out
 
     def _positive(self, what):
-        # not > 0 also refuses a NaN eigenvalue; a NaN or an inf in Y is
-        # refused before eigvalsh, which may not converge on one
-        Y = self.Y
-        if not (np.isfinite(Y).all() and (np.linalg.eigvalsh(Y).min(axis=-1) > 0).all()):
+        if not positive_definite(self.Y):
             raise ValueError(f"{self._name} needs positive definite {what}")
 
 

@@ -32,9 +32,12 @@ row and domain label position, one entry per triple, no (a, t) pair
 twice.  The cocycle reads the targets off each element and scatters
 them to (a, t).  phi is the (nr, nr, labels) array whose slot (a, :, t)
 is the w-vector of the target at (a, t) and zero off the incidences,
-so it is kept as its incidence rows alone, one w-vector per triple.
-Its consumers read those rows through index pairs built once per
-embedding (`_row_index`): the psi block of label (a, b) pairs row
+so the w-vectors determine it: `assemble_phi` widens them into phi's
+incidence rows, one w-vector per triple, for library users and tests.
+The checks' readers never build those rows.  They read phi's slots
+straight from the w-vectors, through index pairs built once per
+embedding (`_row_index`) and already composed with the target map, so
+each read is one gather: the psi block of label (a, b) pairs row
 column b with column a + r/2 (two-block) or a (classical), and the
 off-block, matched and mirrored slots are gathers of their own.
 
@@ -47,12 +50,12 @@ sets up its square real system.
 Every result is a plain array, or a pair with one.  Sampled ones carry
 the leading sample axis of their points (`domains`): a lattice stack
 gives w-vectors of shape (..., targets, nr), phi rows
-(..., incidences, nr) and one psi value and off-block defect per
-sample; the cocycle Jacobian is (elements, nr, labels), and its
-numeric twin at a stack of points the (points - 1, elements, nr)
-image differences from the first point.  The metric identity takes a
-lattice stack and its w-vectors and returns one ratio per sample, with
-the exponent k0.
+(..., incidences, nr), and, read off the w-vectors, one psi value and
+off-block defect per sample; the cocycle Jacobian is (elements, nr,
+labels), and its numeric twin at a stack of points the (points - 1,
+elements, nr) image differences from the first point.  The metric
+identity takes a lattice stack and its w-vectors and returns one ratio
+per sample, with the exponent k0.
 """
 
 from functools import lru_cache, reduce
@@ -128,11 +131,13 @@ def _incidences(emb):
 
 
 class _RowIndex(NamedTuple):
-    """Slots of phi as (row, column) index pairs into its incidence rows."""
+    """Slots of phi as (row, column) index pairs into the w-vectors: slot
+    (fiber[e], c, label[e]) is entry (target[e], c), and row
+    len(targets) is a zero row appended below them."""
 
     block: tuple  # [t, l, i] reads slot (i r + b, l r + a + shift, t) of label t = (a, b)
     off: tuple  # the slots of every block's rows and columns at the other labels
-    mirror: tuple  # [e, b] reads slot (b, fiber[e], label[e]), or the zero pad row E
+    mirror: tuple  # [e, b] reads slot (b, fiber[e], label[e]), or the zero row
     matched: tuple  # the both-plain and both-conjugate slots; None in the classical model
 
 
@@ -140,30 +145,39 @@ class _RowIndex(NamedTuple):
 def _row_index(emb):
     """The index pairs of `_RowIndex` for one embedding, read-only, built
     once next to `_incidences`."""
-    _, fiber, _, label = _incidences(emb)
+    targets, fiber, target, label = _incidences(emb)
     n, r = emb.n, emb.r
-    count = len(fiber)
     a, b = np.array(domain_coordinates(emb)).T
     shift = r // 2 if emb.kind == "A" else 0
     step = r * np.arange(n)
-    slot = np.full((n * r, len(a)), count)  # the row of (fiber, label); count where empty
-    slot[fiber, label] = np.arange(count)
+    slot = np.full((n * r, len(a)), len(targets))  # the w row of (fiber, label); the zero row where empty
+    slot[fiber, label] = target
     labels = np.arange(len(a))
     block = (slot[b[:, None, None] + step, labels[:, None, None]], (a + shift)[:, None, None] + step[:, None])
-    # row e lies in the block rows of every label (a, b) whose b is its fiber column
+    # incidence e lies in the block rows of every label (a, b) whose b is its fiber column
     e, t = np.nonzero(((fiber % r)[:, None] == b) & (label[:, None] != labels))
-    off = (e[:, None], (a[t] + shift)[:, None] + step)
+    off = (target[e, None], (a[t] + shift)[:, None] + step)
     mirror = (slot[:, label].T, fiber[:, None])
     matched = None
     if emb.kind == "A":
-        family = shift * ((fiber % r) >= shift)
+        # a target's incidences all sit on fibers of its own family, so its
+        # conj flag picks the matched columns
         cols = (step[:, None] + np.arange(shift)).ravel()
-        matched = (np.arange(count)[:, None], family[:, None] + cols)
+        matched = (np.arange(len(targets))[:, None], shift * targets[:, 2:] + cols)
     index = _RowIndex(block, off, mirror, matched)
     for pair in index:
         for array in pair or ():
             array.setflags(write=False)
     return index
+
+
+def _slots(ws, emb):
+    """`_row_index(emb)`, once `ws` has the shape of w-vectors: read at
+    those pairs, phi's incidence rows would give the wrong slots."""
+    shape = (len(_incidences(emb)[0]), emb.n * emb.r)
+    if np.shape(ws)[-2:] != shape:
+        raise ValueError(f"expected w-vectors of shape (..., {shape[0]}, {shape[1]}), got {np.shape(ws)}")
+    return _row_index(emb)
 
 
 def target_values(targets, labels):
@@ -275,48 +289,55 @@ def assemble_phi(emb, ws):
     return ws[..., _incidences(emb)[2], :]
 
 
-def matched_vanishing_defect(phi, emb):
+def matched_vanishing_defect(ws, emb):
     """Both-plain and both-conjugate phi slots must vanish: the largest
-    of them over the whole stack of incidence rows."""
+    of them over the whole stack, read off the w-vectors `ws`."""
     if emb.kind != "A":
         raise ValueError("matched vanishing concerns the two-block model")
-    rows, cols = _row_index(emb).matched
-    return float(np.abs(phi[..., rows, cols]).max())
+    rows, cols = _slots(ws, emb).matched
+    return float(np.abs(ws[..., rows, cols]).max())
 
 
-def symmetry_defect(phi, emb):
+def symmetry_defect(ws, emb):
     """phi must be symmetric in its two fiber slots: the largest
-    |phi[a, b, t] - phi[b, a, t]| over the whole stack of incidence rows.
+    |phi[a, b, t] - phi[b, a, t]| over the whole stack, read off the
+    w-vectors `ws`.
 
-    Each row (a, t) is compared with the slots (b, a, t) that mirror it,
-    a zero pad row standing in where (b, t) is no incidence; a slot pair
-    with neither (a, t) nor (b, t) an incidence is zero on both sides.
+    Each incidence (a, t) is compared with the slots (b, a, t) that
+    mirror it, the zero row standing in where (b, t) is no incidence; a
+    slot pair with neither (a, t) nor (b, t) an incidence is zero on both
+    sides.
     """
-    rows, cols = _row_index(emb).mirror
-    padded = np.concatenate([phi, np.zeros_like(phi[..., :1, :])], axis=-2)
-    return float(np.abs(phi - padded[..., rows, cols]).max())
+    rows, cols = _slots(ws, emb).mirror
+    padded = np.concatenate([ws, np.zeros_like(ws[..., :1, :])], axis=-2)
+    return float(np.abs(ws[..., _incidences(emb)[2], :] - padded[..., rows, cols]).max())
 
 
-def psi_constant(phi, emb):
-    """Product of the block determinants of the contraction, as
-    (value, off_block_defect), each one per sample of a stack of phi's
-    incidence rows.
-
-    The block of domain coordinate t = (a, b) pairs dz_{ib} against
-    dz_{l, a + r/2} (two-block model) or dz_{la} (classical model) at
-    t.  Slots of those phi rows at other domain coordinates are
-    reported as the off-block defect.
-    """
-    index = _row_index(emb)
-    rows, cols = index.block
-    per_label = np.linalg.det(phi[..., rows, cols])
-    rows, cols = index.off
-    off = np.abs(phi[..., rows, cols]).max(axis=(-2, -1), initial=0.0)
+def _block_product(ws, emb):
+    """Product of psi's block determinants, one per sample of the
+    w-vectors `ws`: the block of domain coordinate t = (a, b) pairs
+    dz_{ib} against dz_{l, a + r/2} (two-block model) or dz_{la}
+    (classical model) at t."""
+    rows, cols = _slots(ws, emb).block
+    per_label = np.linalg.det(ws[..., rows, cols])
     # the product in scalar complex arithmetic, sample by sample: numpy's
     # vectorised complex multiply can differ from the scalar one by one ULP
     value = np.array([reduce(mul, row, 1.0 + 0j) for row in per_label.reshape(-1, per_label.shape[-1])])
-    value = value.reshape(per_label.shape[:-1])
-    return value[()], off[()]
+    return value.reshape(per_label.shape[:-1])[()]
+
+
+def psi_constant(ws, emb):
+    """Product of the block determinants of the contraction, as
+    (value, off_block_defect), each one per sample of the w-vectors `ws`
+    (`solve_w_vectors`).
+
+    The blocks are `_block_product`'s.  Slots of phi in the rows of a
+    block at other domain coordinates are reported as the off-block
+    defect.
+    """
+    rows, cols = _slots(ws, emb).off
+    off = np.abs(ws[..., rows, cols]).max(axis=(-2, -1), initial=0.0)
+    return _block_product(ws, emb), off[()]
 
 
 def psi_modulus_closed_form(form):
@@ -336,6 +357,6 @@ def metric_identity_check(lattice, ws):
     """
     emb = lattice.embedding
     k0 = emb.r // 2 if emb.kind == "A" else emb.r + 1
-    value, _ = psi_constant(assemble_phi(emb, ws), emb)
+    value = _block_product(ws, emb)
     lattice_side = per_sample(lambda f: float(f) ** k0, faltings_norm(lattice))
     return per_sample(abs, value) * petersson_norm(lattice.point, emb.n) / lattice_side, k0

@@ -59,12 +59,13 @@ from math import isfinite, isqrt, log, pi, prod, sqrt
 import numpy as np
 
 from .algebra import integer_det, integer_smith_normal_form, reduce_blocks, split_blocks
-from .domains import HermitianPoint, SiegelPoint, per_sample
+from .domains import HermitianPoint, SiegelPoint, per_sample, positive_definite
 
 # Thresholds that decide arch.self-dual-mu and arch.polarization-degree
 # before any catalog tolerance applies: the largest |G - round(G)| of an
 # integral Gram matrix, the relative defect H - H* of a Hermitian
-# associated form, and the least eigenvalue of a positive one.
+# associated form, and the bound that the least eigenvalue of a positive
+# one exceeds, tested as a Cholesky factor of H - POSITIVITY_TOL I.
 INTEGRALITY_TOL = 1e-9
 HERMITIAN_TOL = 1e-8
 POSITIVITY_TOL = 1e-10
@@ -475,8 +476,10 @@ class RiemannForm:
         return 0.5 * (h + h_star)
 
     def is_positive(self, lattice):
-        eigs = np.linalg.eigvalsh(self.hermitian_matrix(lattice))
-        return bool(eigs.min() > POSITIVITY_TOL)
+        """Whether H exceeds POSITIVITY_TOL: H - POSITIVITY_TOL I is
+        positive definite (`domains.positive_definite`)."""
+        h = self.hermitian_matrix(lattice)
+        return positive_definite(h - POSITIVITY_TOL * np.eye(h.shape[-1]))
 
 
 def solve_self_dual_mu(base, lattice):

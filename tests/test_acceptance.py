@@ -168,10 +168,10 @@ def test_psi_modulus_and_phi_independence():
         tensors = []
         for _ in range(2):
             lat = build_lattice(random_point("A", emb.r // 2, rng), emb)
-            phi = assemble_phi(emb, solve_w_vectors(lat, form))
-            tensors.append(phi)
+            ws = solve_w_vectors(lat, form)
+            tensors.append(assemble_phi(emb, ws))
         assert np.abs(tensors[0] - tensors[1]).max() < 1e-10
-        value, off_block_defect = psi_constant(phi, emb)
+        value, off_block_defect = psi_constant(ws, emb)
         assert abs(abs(value) - psi_modulus_closed_form(form)) < 1e-9
         assert off_block_defect < 1e-9
 

@@ -380,17 +380,20 @@ def _last_nan_entry(real):
         (PeriodLattice, "covolume", _returns_nan, "arch.covolume-duality", "max_product_defect"),
         (pelks.checks, "numeric_cocycle_jacobian", _one_nan_entry, "pipeline.cocycle-jacobian", "max_defect"),
         (pelks.checks, "closed_form_w", _one_nan_entry, "pipeline.w-closed-form", "max_defect"),
-        (pelks.checks, "assemble_phi", _one_nan_entry, "pipeline.phi-z-independence", "max_pairwise_defect"),
-        (pelks.checks, "assemble_phi", _one_nan_entry, "pipeline.phi-z-independence", "symmetry_defect"),
-        (pelks.checks, "assemble_phi", _one_nan_entry, "pipeline.psi-constant", "matched_defect"),
+        # the w-vectors of the check's own stream: the pairwise and symmetry
+        # readers read every entry, and the matched one reads the first
+        # (plain target, plain column) and the last (conjugate, conjugate)
+        (pelks.checks, "solve_w_vectors", _one_nan_entry, "pipeline.phi-z-independence", "max_pairwise_defect"),
+        (pelks.checks, "solve_w_vectors", _one_nan_entry, "pipeline.phi-z-independence", "symmetry_defect"),
+        (pelks.checks, "solve_w_vectors", _one_nan_entry, "pipeline.psi-constant", "matched_defect"),
         (pelks.checks, "psi_modulus_closed_form", _returns_nan, "pipeline.psi-constant", "modulus_defect"),
         (pelks.kodaira_spencer, "petersson_norm", _returns_nan, "pipeline.metric-identity", "max_defect"),
         # the same checks with the NaN in the last sample of the stack only
         (pelks.checks, "covolume_closed_form", _last_nan_entry, "arch.lattice-covolume", "max_ratio_defect"),
         (PeriodLattice, "covolume", _last_nan_entry, "arch.covolume-duality", "max_product_defect"),
         (pelks.checks, "numeric_cocycle_jacobian", _last_nan_entry, "pipeline.cocycle-jacobian", "max_defect"),
-        (pelks.checks, "assemble_phi", _last_nan_entry, "pipeline.phi-z-independence", "max_pairwise_defect"),
-        (pelks.checks, "assemble_phi", _last_nan_entry, "pipeline.psi-constant", "matched_defect"),
+        (pelks.checks, "solve_w_vectors", _last_nan_entry, "pipeline.phi-z-independence", "max_pairwise_defect"),
+        (pelks.checks, "solve_w_vectors", _last_nan_entry, "pipeline.psi-constant", "matched_defect"),
         (pelks.kodaira_spencer, "petersson_norm", _last_nan_entry, "pipeline.metric-identity", "max_defect"),
     ],
 )
@@ -405,19 +408,19 @@ def test_a_nan_defect_fails_its_check(monkeypatch, owner, attr, breaker, check, 
 
 
 def _without_conj_rows(real):
-    """`real` fed zero w-vectors at every conjugate-family target, so phi
-    loses its conjugate rows."""
+    """`real` returning zero w-vectors at every conjugate-family target,
+    so phi loses its conjugate rows."""
 
-    def broken(emb, ws):
-        conj = _incidences(emb)[0][:, 2] == 1
-        return real(emb, np.where(conj[:, None], 0.0, ws))
+    def broken(lattice, form):
+        conj = _incidences(lattice.embedding)[0][:, 2] == 1
+        return np.where(conj[:, None], 0.0, real(lattice, form))
 
     return broken
 
 
 @pytest.mark.parametrize("fixture", ["unitary-A", "basechange-A"])
 def test_a_phi_without_its_conjugate_rows_fails_the_symmetry_claim(monkeypatch, fixture):
-    monkeypatch.setattr(pelks.checks, "assemble_phi", _without_conj_rows(pelks.checks.assemble_phi))
+    monkeypatch.setattr(pelks.checks, "solve_w_vectors", _without_conj_rows(pelks.checks.solve_w_vectors))
     cfg = with_overrides(resolve_config(fixture), samples=2)
     (entry,) = run_checks(cfg, only="pipeline.phi-z-independence")["checks"]
     assert entry["status"] == "fail"

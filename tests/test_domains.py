@@ -1,7 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pelks.domains import HermitianPoint, SiegelPoint, petersson_norm, random_point
+from pelks.lattices import POSITIVITY_TOL, RiemannForm
 
 
 def _form(g):
@@ -89,8 +93,8 @@ def test_point_validation():
         SiegelPoint(np.array([[1j, 0.5], [0.0, 1j]]))  # not symmetric
     with pytest.raises(ValueError):
         HermitianPoint(np.array([[-1j]]))  # negative Y
-    # a NaN or an inf anywhere is no point; eigvalsh gives a NaN for the
-    # 1 x 1 NaN and does not converge on the 3 x 3 one
+    # a NaN or an inf anywhere is no point: the finiteness test refuses it
+    # before the Cholesky factorization, which passes an inf on the diagonal
     nan3 = 1j * np.eye(3)
     nan3[1, 2] = np.nan
     bad = [[[np.nan + 1j]], [[complex(0, np.nan)]], [[complex(0, np.inf)]], nan3]
@@ -124,3 +128,101 @@ def test_a_stack_with_one_bad_point_is_refused(kind):
         bad.append(skew)
     for stack in bad:
         assert _refusal(point_type, stack) == _refusal(point_type, stack[-1])
+
+
+# The eigenvalue rules that the Cholesky tests replaced, kept as oracles.
+
+
+def _point_rule(y):
+    return bool(np.isfinite(y).all() and (np.linalg.eigvalsh(y).min(axis=-1) > 0).all())
+
+
+def _form_rule(h):
+    return bool(np.linalg.eigvalsh(h).min() > POSITIVITY_TOL)
+
+
+def _stack(g, count, seed, complex_, shift, scale):
+    """`count` exactly Hermitian (real symmetric unless `complex_`) g x g
+    matrices, scale (A A* / g + shift I) for normal A: their least
+    eigenvalues lie near scale . shift."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(count, g, g)) + (1j * rng.normal(size=(count, g, g)) if complex_ else 0)
+    m = scale * (a @ np.swapaxes(a, -1, -2).conj() / g + shift * np.eye(g))
+    return (m + np.swapaxes(m, -1, -2).conj()) / 2
+
+
+def _point_accepts(y):
+    """Whether the point class of `y` accepts Z = iY, and the Y it reads
+    (equal to `y` up to the rounding of its own formula)."""
+    point_type = HermitianPoint if np.iscomplexobj(y) else SiegelPoint
+    z = 1j * y
+    try:
+        point_type(z)
+    except ValueError as exc:
+        if np.isfinite(y).all():  # a Siegel point refuses a NaN or an inf as not symmetric
+            assert str(exc).endswith("needs positive definite " + ("Y part" if np.iscomplexobj(y) else "imaginary part"))
+        return False, point_type.Y.fget(SimpleNamespace(matrix=z))
+    return True, point_type.Y.fget(SimpleNamespace(matrix=z))
+
+
+def _form_accepts(h):
+    """`RiemannForm.is_positive` on a form whose H is `h`."""
+    return RiemannForm.is_positive(SimpleNamespace(hermitian_matrix=lambda lattice: h), None)
+
+
+def _clear_of(lam, threshold):
+    """Whether the least eigenvalue of a stack is at least
+    1e-6 max(1, |lambda|max) away from `threshold`."""
+    return abs(lam.min() - threshold) >= 1e-6 * max(1.0, np.abs(lam).max())
+
+
+# 300 examples, about 0.6 s
+@settings(max_examples=300, deadline=None)
+@given(
+    g=st.integers(1, 8),
+    count=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    complex_=st.booleans(),
+    shift=st.floats(-1.0, 1.0),
+    scale=st.sampled_from([1e-12, 1e-10, 1e-8, 1e-4, 1.0, 1e4, 1e8]),
+)
+@example(g=1, count=1, seed=0, complex_=False, shift=2.0, scale=1e-10)  # 2e-10: above the tolerance
+@example(g=1, count=1, seed=0, complex_=True, shift=0.5, scale=1e-10)  # 5e-11: below it
+def test_cholesky_agrees_with_the_eigenvalue_rule(g, count, seed, complex_, shift, scale):
+    m = _stack(g, count, seed, complex_, shift, scale)
+    accepted, y = _point_accepts(m)
+    lam = np.linalg.eigvalsh(y)
+    if _clear_of(lam, 0.0):
+        assert accepted == _point_rule(y)
+    lam = np.linalg.eigvalsh(m)
+    if _clear_of(lam, POSITIVITY_TOL) or g == 1:  # a 1 x 1 member is its own eigenvalue
+        assert _form_accepts(m) == _form_rule(m)
+
+
+# 150 examples, about 0.3 s
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(
+    g=st.integers(1, 8),
+    count=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    complex_=st.booleans(),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf, "singular", "indefinite"]),
+    data=st.data(),
+)
+def test_a_bad_member_is_refused(g, count, seed, complex_, bad, data):
+    # one member of a positive definite stack gets a NaN or an inf at a slot
+    # and its mirror, or a zero row and column, where "indefinite" puts -1
+    # on the diagonal: an exact eigenvalue 0 or -1
+    m = _stack(g, count, seed, complex_, 1.0, 1.0)
+    assert _point_accepts(m)[0] and _form_accepts(m)
+    member = data.draw(st.integers(0, count - 1))
+    i = data.draw(st.integers(0, g - 1))
+    j = data.draw(st.integers(0, g - 1))
+    if isinstance(bad, str):
+        m[member, i, :] = m[member, :, i] = 0.0
+        m[member, i, i] = -1.0 if bad == "indefinite" else 0.0
+    else:
+        m[member, i, j] = m[member, j, i] = bad
+    assert not _point_accepts(m)[0]
+    assert not _form_accepts(m)

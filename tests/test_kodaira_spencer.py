@@ -16,13 +16,16 @@ where the domain labels (k, j) and (j, k) differ; it is what catches a
 transposed incidence in the conjugate block.
 """
 
+import re
 import tracemalloc
+from functools import reduce
+from operator import mul
 
 import numpy as np
 import pytest
 
 from pelks import kodaira_spencer
-from pelks.checks import _ArchContext, run_checks
+from pelks.checks import _METRIC, _ArchContext, run_checks
 from pelks.cli import resolve_config
 from pelks.config import config_from_dict
 from pelks.domains import _SPREAD, HermitianPoint, SiegelPoint, per_sample, petersson_norm, random_point
@@ -265,14 +268,12 @@ def test_phi_matched_positions_vanish():
         if emb.kind != "A":
             continue
         lat = build_lattice(point, emb)
-        phi = assemble_phi(emb, solve_w_vectors(lat, RiemannForm(emb, mu)))
-        assert matched_vanishing_defect(phi, emb) < 1e-12
+        ws = solve_w_vectors(lat, RiemannForm(emb, mu))
+        assert matched_vanishing_defect(ws, emb) < 1e-12
     with pytest.raises(ValueError, match="two-block"):
         emb = rational_siegel(1)
         lat = build_lattice(SiegelPoint([[0.25 + 1.7j]]), emb)
-        matched_vanishing_defect(
-            assemble_phi(emb, solve_w_vectors(lat, RiemannForm(emb, -1.0))), emb
-        )
+        matched_vanishing_defect(solve_w_vectors(lat, RiemannForm(emb, -1.0)), emb)
 
 
 def test_phi_is_symmetric_in_its_fiber_slots():
@@ -281,9 +282,10 @@ def test_phi_is_symmetric_in_its_fiber_slots():
     # of the two-block model take part, so a lost conj incidence shows here
     for emb, point, mu in _instances():
         lat = build_lattice(point, emb)
-        phi = assemble_phi(emb, solve_w_vectors(lat, RiemannForm(emb, mu)))
+        ws = solve_w_vectors(lat, RiemannForm(emb, mu))
+        phi = assemble_phi(emb, ws)
         assert np.abs(phi).max() > 0.1
-        assert symmetry_defect(phi, emb) < 1e-12
+        assert symmetry_defect(ws, emb) < 1e-12
         tensor = _phi_dense(emb, phi)
         assert np.abs(tensor - tensor.transpose(1, 0, 2)).max() < 1e-12
 
@@ -302,21 +304,21 @@ def test_psi_constant_and_closed_form():
     for emb, point, mu in _instances():
         lat = build_lattice(point, emb)
         form = RiemannForm(emb, mu)
-        phi = assemble_phi(emb, solve_w_vectors(lat, form))
-        value, off_block_defect = psi_constant(phi, emb)
+        value, off_block_defect = psi_constant(solve_w_vectors(lat, form), emb)
         assert abs(abs(value) - psi_modulus_closed_form(form)) < 1e-9
         assert off_block_defect < 1e-9
 
 
 def test_psi_off_block_defect_keeps_a_nan():
     emb, point, mu = _instances()[-1]  # r = 4: four domain coordinates
-    phi = assemble_phi(emb, solve_w_vectors(build_lattice(point, emb), RiemannForm(emb, mu)))
-    # the incidence row of fiber 0 at label (1, 0), read at column 0 + r/2:
-    # a slot of the block of label (0, 0) at another label
-    _, fiber, _, label = _incidences(emb)
+    ws = solve_w_vectors(build_lattice(point, emb), RiemannForm(emb, mu))
+    # the w row of the incidence of fiber 0 at label (1, 0), read at column
+    # 0 + r/2: a slot of the block of label (0, 0) at another label, and in
+    # no block
+    _, fiber, target, label = _incidences(emb)
     e = list(zip(fiber, label)).index((0, domain_coordinates(emb).index((1, 0))))
-    phi[e, 2] = np.nan
-    value, off_block_defect = psi_constant(phi, emb)
+    ws[target[e], 2] = np.nan
+    value, off_block_defect = psi_constant(ws, emb)
     assert np.isfinite(value)
     assert np.isnan(off_block_defect)
 
@@ -324,19 +326,18 @@ def test_psi_off_block_defect_keeps_a_nan():
 def test_psi_hand_value_gaussian():
     emb = gaussian_unitary()
     lat = build_lattice(HermitianPoint([[0.3 + 1.1j]]), emb)
-    phi = assemble_phi(emb, solve_w_vectors(lat, RiemannForm(emb, -2.0)))
-    value, _ = psi_constant(phi, emb)
+    value, _ = psi_constant(solve_w_vectors(lat, RiemannForm(emb, -2.0)), emb)
     assert abs(value - 1j / np.pi) < 1e-12
 
 
 def test_phi_chain_memory_at_siegel_rank_32():
-    # the w-solve, phi's incidence rows and psi at 20 samples stay within
-    # 32 MiB traced; the dense (20, 32, 32, 528) phi tensor was 173 MB
+    # the w-solve and psi at 20 samples stay within 32 MiB traced; the
+    # dense (20, 32, 32, 528) phi tensor was 173 MB
     emb = rational_siegel(32)
     lat = build_lattice(random_point("C", 32, np.random.default_rng(1), 20), emb)
     tracemalloc.start()
     try:
-        value, off_block_defect = psi_constant(assemble_phi(emb, solve_w_vectors(lat, RiemannForm(emb, -1.0))), emb)
+        value, off_block_defect = psi_constant(solve_w_vectors(lat, RiemannForm(emb, -1.0)), emb)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -528,6 +529,54 @@ def _matched_loop(phi, emb):
     return float(worst)
 
 
+# The row readers that the w readers replaced, kept as oracles: they read
+# phi's incidence rows (`assemble_phi`) through index pairs into those
+# rows, which a pad row extends.
+
+
+def _phi_row_index(emb):
+    """(block, off, mirror, matched) index pairs into phi's incidence rows."""
+    _, fiber, _, label = _incidences(emb)
+    n, r = emb.n, emb.r
+    count = len(fiber)
+    a, b = np.array(domain_coordinates(emb)).T
+    shift = r // 2 if emb.kind == "A" else 0
+    step = r * np.arange(n)
+    slot = np.full((n * r, len(a)), count)  # the row of (fiber, label); count where empty
+    slot[fiber, label] = np.arange(count)
+    labels = np.arange(len(a))
+    block = (slot[b[:, None, None] + step, labels[:, None, None]], (a + shift)[:, None, None] + step[:, None])
+    e, t = np.nonzero(((fiber % r)[:, None] == b) & (label[:, None] != labels))
+    off = (e[:, None], (a[t] + shift)[:, None] + step)
+    mirror = (slot[:, label].T, fiber[:, None])
+    matched = None
+    if emb.kind == "A":
+        family = shift * ((fiber % r) >= shift)
+        cols = (step[:, None] + np.arange(shift)).ravel()
+        matched = (np.arange(count)[:, None], family[:, None] + cols)
+    return block, off, mirror, matched
+
+
+def _matched_rows(phi, emb):
+    rows, cols = _phi_row_index(emb)[3]
+    return float(np.abs(phi[..., rows, cols]).max())
+
+
+def _symmetry_rows(phi, emb):
+    rows, cols = _phi_row_index(emb)[2]
+    padded = np.concatenate([phi, np.zeros_like(phi[..., :1, :])], axis=-2)
+    return float(np.abs(phi - padded[..., rows, cols]).max())
+
+
+def _psi_rows(phi, emb):
+    """(value, off-block defect) per sample, the product in scalar complex arithmetic."""
+    (rows, cols), (off_rows, off_cols) = _phi_row_index(emb)[:2]
+    per_label = np.linalg.det(phi[..., rows, cols])
+    off = np.abs(phi[..., off_rows, off_cols]).max(axis=(-2, -1), initial=0.0)
+    value = np.array([reduce(mul, row, 1.0 + 0j) for row in per_label.reshape(-1, per_label.shape[-1])])
+    return value.reshape(per_label.shape[:-1])[()], off[()]
+
+
 def _oracle_sweep():
     """`_instances()` and two larger ladder shapes, each at its own point
     and mu, at a random point, at the self-dual mu of that point, and at
@@ -562,16 +611,15 @@ def test_batched_kernels_equal_their_loops():
         # the solve multiplies by the inverse of the pairing matrix, the
         # loop runs one LU solve per target: equal up to rounding
         assert np.abs(ws - _w_loop(lat, form)).max() <= 1e-13 * np.abs(ws).max()
-        # the row kernels on phi and on noise rows against the dense tensor
-        phi = assemble_phi(emb, ws)
-        noise = rng.normal(size=phi.shape) + 1j * rng.normal(size=phi.shape)
-        for rows in (phi, noise):
-            tensor = _phi_dense(emb, rows)
+        # the phi readers on w-vectors and on noise against the dense tensor
+        noise = rng.normal(size=ws.shape) + 1j * rng.normal(size=ws.shape)
+        for w in (ws, noise):
+            tensor = _phi_dense(emb, assemble_phi(emb, w))
             if emb.kind == "A":
-                assert matched_vanishing_defect(rows, emb) == _matched_loop(tensor, emb)
+                assert matched_vanishing_defect(w, emb) == _matched_loop(tensor, emb)
             swapped = np.abs(tensor - tensor.transpose(1, 0, 2)).max()
-            assert symmetry_defect(rows, emb) == swapped
-            value, off_block_defect = psi_constant(rows, emb)
+            assert symmetry_defect(w, emb) == swapped
+            value, off_block_defect = psi_constant(w, emb)
             assert (value, off_block_defect) == _psi_loop(tensor, emb)[::2]
 
 
@@ -661,7 +709,7 @@ def _assert_stack_matches_loop(emb, mu, points):
     phi = assemble_phi(emb, ws)
     single_phis = [assemble_phi(emb, one) for one in single_ws]
     assert np.array_equal(phi, np.stack(single_phis))
-    value, off_block_defect = psi_constant(phi, emb)
+    value, off_block_defect = psi_constant(ws, emb)
     oracle = [_psi_loop(_phi_loop(emb, one), emb) for one in single_ws]
     assert list(value) == [v for v, _, _ in oracle]
     assert list(per_sample(abs, value)) == [m for _, m, _ in oracle]
@@ -719,6 +767,77 @@ def test_index_arrays_equal_the_incidence_loops():
         assert np.array_equal(
             values, [[_target_value(t, x) for t in _target_loop(emb)] for x in elements]
         )
+
+
+def test_w_readers_equal_the_row_readers():
+    # every model of the sweep and the three archimedean fixtures, on one
+    # point or a three-point stack, on the w-vectors and on noise
+    rng = np.random.default_rng(37)
+    cases = [(emb, mu, point) for emb, point, mu in _oracle_sweep()]
+    for emb, mu, _, seed in _fixture_cases():
+        cases.append((emb, mu, random_point(emb.kind, domain_genus(emb), np.random.default_rng(seed), 3)))
+    for emb, mu, point in cases:
+        ws = solve_w_vectors(build_lattice(point, emb), RiemannForm(emb, mu))
+        noise = rng.normal(size=ws.shape) + 1j * rng.normal(size=ws.shape)
+        for w in (ws, noise):
+            rows = assemble_phi(emb, w)
+            if emb.kind == "A":
+                assert matched_vanishing_defect(w, emb) == _matched_rows(rows, emb)
+            assert symmetry_defect(w, emb) == _symmetry_rows(rows, emb)
+            value, off_block_defect = psi_constant(w, emb)
+            expected_value, expected_off = _psi_rows(rows, emb)
+            assert np.array_equal(value, expected_value)
+            assert np.array_equal(off_block_defect, expected_off)
+
+
+def test_the_phi_readers_refuse_phi_rows():
+    # the readers once took phi's incidence rows; read at the w-vectors'
+    # index pairs those would give the wrong slots, so any other shape than
+    # the w-vectors' is refused.  With one domain coordinate the rows are
+    # the w-vectors themselves.
+    refused = 0
+    for emb, point, mu in _instances():
+        lat = build_lattice(point, emb)
+        ws = solve_w_vectors(lat, RiemannForm(emb, mu))
+        rows = assemble_phi(emb, ws)
+        if len(domain_coordinates(emb)) == 1:
+            assert np.array_equal(rows, ws)
+            continue
+        expected = re.escape(f"expected w-vectors of shape (..., {ws.shape[-2]}, {ws.shape[-1]}), got {rows.shape}")
+        readers = [psi_constant, symmetry_defect] + [matched_vanishing_defect] * (emb.kind == "A")
+        for reader in readers:
+            with pytest.raises(ValueError, match=expected):
+                reader(rows, emb)
+        with pytest.raises(ValueError, match=expected):
+            metric_identity_check(lat, rows)
+        with pytest.raises(ValueError, match="expected w-vectors"):
+            psi_constant(ws[..., :-1], emb)
+        refused += 1
+    assert refused == 2  # rational_siegel(2) and gaussian_unitary(4)
+
+
+def _siegel_r8(samples):
+    """The benchmark's siegel-r8 rung at `samples`."""
+    arch = {"discriminant": 1, "order_basis": [[[[1, 0]]]], "mu_mode": "self-dual-auto", "mu": None}
+    return config_from_dict(
+        {"name": "siegel-r8", "type": "C", "n": 1, "r": 8, "signature": [8, 0], "archimedean": arch, "samples": samples}
+    )
+
+
+def test_the_metric_check_allocates_at_most_twice_its_w_vectors():
+    # the metric check gathers psi's blocks straight from the w-vectors:
+    # at siegel-r8 with 200 samples its traced peak is 1.2 times their
+    # size; widened into phi's incidence rows first, it was 14.5 times.
+    # About 0.05 s.
+    lat, ws = _ArchContext(_siegel_r8(200)).read(_METRIC)
+    tracemalloc.start()
+    try:
+        ratios, _ = metric_identity_check(lat, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ratios.shape == (200,)
+    assert peak <= 2 * ws.nbytes
 
 
 def test_cocycle_check_fails_on_a_nonlinear_embedding(monkeypatch):

@@ -1,5 +1,6 @@
 """`scripts/stack_peaks.py`: each row names a config, and one small row
-runs through the script's own function in this process."""
+runs through the script's own two functions, untraced and traced, in
+this process."""
 
 import importlib
 import time
@@ -22,3 +23,8 @@ def test_a_small_row_reports_its_growth_and_digest(monkeypatch):
     assert time.perf_counter() - start < 0.5
     assert growth is None or growth >= 0.0
     assert digest == digests.digest(cfg, script.ONLY)
+    start = time.perf_counter()
+    traced, traced_digest = script.row_traced(cfg)
+    assert time.perf_counter() - start < 0.5
+    assert traced > 0.0
+    assert traced_digest == digest
