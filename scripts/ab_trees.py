@@ -19,13 +19,17 @@ Two tables are timed, each on its own work:
   the config seed of the benchmark's first pass at benchmark seed 1, and
   on the 3 archimedean fixtures (each side reads its own).
 
-An untimed first round checks that both sides return the same results
-(the arch reports minus `timing`); a difference exits 1.  Each timed
-round then runs each side once, the order alternating.  Separate
-processes on a shared machine can differ by tens of percent on the same
-code, so both sides run in one process, round by round, and are compared
-pairwise.  Prints, per table, min, p25 and median of the round times per
-side, in ms, and in how many rounds each side was the faster.
+An untimed first round compares the two sides.  The local results must
+be equal.  The arch reports (minus `timing`) go through
+`scripts/report_digests.py`'s `compare`: a status, detail or other
+non-numeric difference exits 1, and when only numbers moved, the
+largest move of each (check, computed key) is printed and the timing
+goes on.  Each timed round then runs each side once, the order
+alternating.  Separate processes on a shared machine can differ by tens
+of percent on the same code, so both sides run in one process, round by
+round, and are compared pairwise.  Prints, per table, min, p25 and
+median of the round times per side, in ms, and in how many rounds each
+side was the faster.
 """
 
 import argparse
@@ -40,6 +44,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
+from report_digests import compare as compare_reports  # noqa: E402
 from workloads import build_workload  # noqa: E402
 
 SIDES = ("parent", "change")
@@ -85,7 +90,8 @@ def local_work(name):
 
 def arch_work(name, package):
     """A function running `run_checks` on every arch-ladder rung and
-    archimedean fixture, returning the reports minus `timing` as JSON."""
+    archimedean fixture, returning the reports minus `timing`, keyed by
+    config name."""
     checks = importlib.import_module(f"{name}.checks")
     config = importlib.import_module(f"{name}.config")
     ladder = build_workload("arch-ladder", seed=1, fixture_dir=None)
@@ -94,14 +100,30 @@ def arch_work(name, package):
     cases = [(config.config_from_dict(cfg), only) for cfg, only in cases]
 
     def run():
-        out = []
+        out = {}
         for cfg, only in cases:
             report = checks.run_checks(cfg, only=only)
             report.pop("timing")
-            out.append(json.dumps(report, sort_keys=True))
+            out[cfg.name] = report
         return out
 
     return run
+
+
+def differences(tables):
+    """(lines, exit code) of the untimed round: the local results must be
+    equal; the arch reports are compared as `report_digests.compare`
+    compares two dumps, where moved numbers alone exit 0.  No lines when
+    the two sides agree exactly."""
+    local = {side: tables["local"][side]() for side in SIDES}
+    if local["parent"] != local["change"]:
+        return ["the two trees return different local results"], 1
+    arch = {side: tables["arch"][side]() for side in SIDES}
+    lines, code = compare_reports(arch["parent"], arch["change"])
+    if code:
+        return ["the two trees return different arch reports:", *lines], 1
+    # the last line only counts; any line before it names a number that moved
+    return (["only numbers moved in the arch reports:", *lines] if len(lines) > 1 else []), 0
 
 
 def compare(title, work, rounds):
@@ -138,10 +160,11 @@ def main():
             package = load(src, name, tmp)
             tables["local"][side] = local_work(name)
             tables["arch"][side] = arch_work(name, package)
-        for title, work in tables.items():
-            if work["parent"]() != work["change"]():
-                print(f"the two trees return different {title} results", file=sys.stderr)
-                return 1
+        lines, code = differences(tables)
+        for line in lines:
+            print(line, file=sys.stderr if code else sys.stdout)
+        if code:
+            return 1
         for title, work in tables.items():
             compare(title, work, args.rounds)
     return 0

@@ -42,9 +42,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from workloads import WORKLOADS, build_workload  # noqa: E402
 
-from pelks.checks import run_checks  # noqa: E402
-from pelks.config import ConfigInvalid, config_from_dict  # noqa: E402
-
 
 def _unitary(**over):
     cfg = json.loads((resources.files("pelks") / "fixtures" / "unitary-A.json").read_text())
@@ -81,6 +78,10 @@ def workload_configs(name):
 
 def report(cfg, only):
     """The report minus `timing`, or the `config error:` message."""
+    # imported here, so that `compare` runs without pelks on the path
+    from pelks.checks import run_checks
+    from pelks.config import ConfigInvalid, config_from_dict
+
     try:
         out = run_checks(config_from_dict(cfg), only=only)
     except ConfigInvalid as exc:

@@ -28,6 +28,7 @@ import multiprocessing
 import tracemalloc
 from importlib import resources
 
+import pelks.checks  # noqa: F401  (imported before any row runs, so neither column counts the import)
 from report_digests import build_workload, hashed, report
 
 ONLY = "[ap]*"

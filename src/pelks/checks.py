@@ -364,11 +364,8 @@ def _check_cocycle(cfg, ctx):
     if cfg.kind == "A":
         rng = default_rng([cfg.seed, 17])
         basis = emb.module_basis()
-        extra = [
-            sum(c * b for c, b in zip(rng.integers(-3, 4, size=len(basis)), basis))
-            for _ in range(3)
-        ]
-        elements = np.concatenate([elements, extra])
+        coefficients = [rng.integers(-3, 4, size=len(basis)) for _ in range(3)]
+        elements = np.concatenate([elements, np.tensordot(coefficients, basis, axes=1)])
     ana = cocycle_jacobian(emb, elements=elements)
     points = ctx.read(_COCYCLE)
     # domain coordinate (a, b) reads Z[a, b] in both models

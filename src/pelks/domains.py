@@ -79,8 +79,20 @@ class _Point:
     matrix: np.ndarray
 
     def __post_init__(self):
-        Z = _as_stack(self.matrix)
-        object.__setattr__(self, "matrix", Z)
+        object.__setattr__(self, "matrix", _as_stack(self.matrix))
+        self._validate()
+
+    @classmethod
+    def _owning(cls, matrix):
+        """A point on `matrix`, a complex array that no caller holds:
+        tested as at construction, but not copied."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "matrix", matrix)
+        out._validate()
+        return out
+
+    def _validate(self):
+        Z = self.matrix
         if Z.shape[-2] != Z.shape[-1]:
             raise ValueError(f"{self._name} must be square")
         self._test()
@@ -110,9 +122,14 @@ class SiegelPoint(_Point):
 
     def _test(self):
         Z = self.matrix
-        # np.allclose(Z, Z.T, atol=_ATOL) written out: same points, a quarter of the cost
+        # np.allclose(Z, Z.T, atol=_ATOL) written out: same points, a quarter
+        # of the cost; the bound is formed in place
         zt = np.swapaxes(Z, -1, -2)
-        if not (np.abs(Z - zt) <= _ATOL + 1e-5 * np.abs(zt)).all():
+        defect = np.abs(Z - zt)
+        bound = np.abs(zt)
+        bound *= 1e-5
+        bound += _ATOL
+        if not (defect <= bound).all():
             raise ValueError("Siegel point must be symmetric")
         self._positive("imaginary part")
 
@@ -173,14 +190,56 @@ def random_point(kind, g, rng, count=None):
     for c in counts:
         if c is not None:
             sample_count(c)
-    size = (2 if kind == "C" else 4, g, g)
-    draws = [r.normal(scale=_SPREAD, size=(() if c is None else (c,)) + size) for r, c in zip(rngs, counts)]
-    draws = np.moveaxis(np.concatenate(draws) if len(draws) > 1 else draws[0], -3, 0)
+    point = SiegelPoint if kind == "C" else HermitianPoint
+    return point._owning(_draw_matrices(kind, g, rngs, counts))
+
+
+def _draw_matrices(kind, g, rngs, counts):
+    """The matrices of `random_point`, built with few temporaries the
+    size of the stack.
+
+    Every stream draws its count of standard normals, in its generator's
+    order, into its slice of one buffer, which is then scaled in place:
+    normal(scale=s) is s times a standard normal, bit for bit.  Z is
+    then assembled part by part in its own array, each part by the
+    operations of (X + X^T) / 2 + i (I + A A^T) (kind C) or
+    (H + H^*) / 2 + i (I + A A^*) (kind A), in their order, so the
+    points are those of the formula, bit for bit.
+    """
+    sizes = [1 if c is None else c for c in counts]
+    draws = np.empty((sum(sizes), 2 if kind == "C" else 4, g, g))
+    stop = 0
+    for r, size in zip(rngs, sizes):
+        r.standard_normal(out=draws[stop : stop + size])
+        stop += size
+    draws *= _SPREAD
+    if counts == [None]:
+        draws = draws[0]
+    draws = np.moveaxis(draws, -3, 0)
     if kind == "C":
         X, A = draws
-        Z = (X + np.swapaxes(X, -1, -2)) / 2 + 1j * (np.eye(g) + A @ np.swapaxes(A, -1, -2))
-        return SiegelPoint(Z)
+        Z = np.empty(X.shape, dtype=complex)
+        re, im = Z.real, Z.imag
+        np.add(X, np.swapaxes(X, -1, -2), out=re)
+        re /= 2
+        square = A @ np.swapaxes(A, -1, -2)
+        square += np.eye(g)
+        im[...] = square
+        return Z
     h_re, h_im, a_re, a_im = draws
-    H, A = h_re + 1j * h_im, a_re + 1j * a_im
-    Z = (H + _conj_t(H)) / 2 + 1j * (np.eye(g) + A @ _conj_t(A))
-    return HermitianPoint(Z)
+    A = np.empty(a_re.shape, dtype=complex)
+    A.real, A.imag = a_re, a_im
+    square = A @ _conj_t(A)
+    del A
+    Z = np.empty(square.shape, dtype=complex)
+    re, im = Z.real, Z.imag
+    # i (I + A A^*) = -Im(A A^*) + i (I + Re(A A^*))
+    np.add(h_re, np.swapaxes(h_re, -1, -2), out=re)
+    re /= 2
+    re -= square.imag
+    np.subtract(h_im, np.swapaxes(h_im, -1, -2), out=im)
+    im /= 2
+    square_re = square.real
+    square_re += np.eye(g)
+    im += square_re
+    return Z

@@ -373,19 +373,32 @@ def generator_labels(emb):
     return labels
 
 
+def _split_product(rows, z):
+    """rows . [Z; I] for rows of width 2g: rows[:, :g] . Z + rows[:, g:],
+    one product per point of a (..., g, g) stack."""
+    g = z.shape[-1]
+    out = rows[:, :g] @ z
+    out += rows[:, g:]
+    return out
+
+
 def embed_labels(emb, point, labels):
     """Images in C^{nr} of a stack of rational labels at a domain point,
-    one row each; (..., labels, nr) at a (..., g, g) point stack."""
+    one row each; (..., labels, nr) at a (..., g, g) point stack.
+
+    The labels are flattened into (labels * n, w) rows, so each point
+    takes all of its images in one product: rows . [Z; I] in the
+    classical model, and rows . [Z; I] beside conj(rows) . [Z^t; I] in
+    the two-block model."""
     x = np.asarray(labels, dtype=complex)
-    z = point.matrix[..., None, :, :]  # broadcast over the labels
-    shape = z.shape[:-3] + (len(x), -1)
+    rows = x.reshape(-1, x.shape[-1])
+    z = point.matrix
+    shape = z.shape[:-2] + (len(x), -1)
     if emb.kind == "A":
-        eye = np.broadcast_to(np.eye(emb.r // 2), z.shape)
-        plain = x @ np.concatenate([z, eye], axis=-2)
-        conj = x.conj() @ np.concatenate([np.swapaxes(z, -1, -2), eye], axis=-2)
+        plain = _split_product(rows, z)
+        conj = _split_product(rows.conj(), np.swapaxes(z, -1, -2))
         return np.concatenate([plain, conj], axis=-1).reshape(shape)
-    r = emb.r
-    return (x[..., :r] @ z + x[..., r:]).reshape(shape)
+    return _split_product(rows, z).reshape(shape)
 
 
 def build_lattice(point, emb):
@@ -449,16 +462,34 @@ class RiemannForm:
             self._gram = _trace_pairing(left, labels, self.emb.kind)
         return self._gram
 
-    def integrality_defect(self):
+    @cached_property
+    def _rounded(self):
+        """(largest |G - round(G)|, round(G)), rounded once per form."""
         g = self.gram
-        return float(np.abs(g - np.round(g)).max())
+        rounded = np.round(g)
+        return float(np.abs(g - rounded).max()), rounded
+
+    def integrality_defect(self):
+        return self._rounded[0]
 
     def integer_gram(self):
         """The Gram matrix as integer rows; a defect above INTEGRALITY_TOL is an error."""
-        defect = self.integrality_defect()
+        defect, rounded = self._rounded
         if defect > INTEGRALITY_TOL:
             raise ValueError(f"form is not integral on the lattice ({defect:.3e})")
-        return np.round(self.gram).astype(int).tolist()
+        return rounded.astype(int).tolist()
+
+    @cached_property
+    def _blocks(self):
+        """The integer Gram matrix split into its connected blocks
+        (`_split`), once per form; raises as `integer_gram` does."""
+        return _split(self.integer_gram())
+
+    @cached_property
+    def gram_index(self):
+        """|det G| of the integer Gram matrix, exactly, block by block;
+        raises as `integer_gram` does."""
+        return _measure_blocks(self._blocks, lambda block: abs(integer_det(block)))
 
     def extension(self, lattice):
         """E_mu in standard real coordinates of C^{nr} (2nr x 2nr)."""
@@ -487,8 +518,8 @@ def solve_self_dual_mu(base, lattice):
 
     The modulus is pinned by the Gram determinant of `base`, the basic
     form (mu = I): |c| = |det G_I|^{1/(2nr)}, with |det G_I| taken
-    exactly from the integer Gram matrix, block by block, as in
-    `polarization_degree`, so c does not depend on the order basis.  A
+    exactly from the integer Gram matrix, block by block
+    (`RiemannForm.gram_index`), so c does not depend on the order basis.  A
     basic form that is not integral, or is singular, has no such c.  The
     sign is pinned by
     positive definiteness of H = E(i., .) + iE(., .) on `lattice`.
@@ -498,7 +529,7 @@ def solve_self_dual_mu(base, lattice):
     """
     emb = base.emb
     try:
-        det = _blockwise(base.integer_gram(), lambda block: abs(integer_det(block)))
+        det = base.gram_index
     except ValueError as exc:
         raise NoSelfDualForm(f"basic {exc}") from None
     if det == 0:
@@ -530,28 +561,39 @@ def faltings_norm(lattice):
     return per_sample(np.sqrt, lattice.covolume() / pi**nr)
 
 
-def _blockwise(rows, measure):
-    """The product of `measure` over the connected blocks of a square
-    integer matrix (`algebra.split_blocks`), each distinct block measured
-    once, as its own matrix (`algebra.reduce_blocks`); 0, with nothing
-    measured, when a block has more rows than columns or fewer, as the
-    matrix is then singular."""
+def _split(rows):
+    """(sparse rows, connected blocks) of a square integer matrix, cut
+    by `algebra.split_blocks`."""
     sparse = [[(c, x) for c, x in enumerate(row) if x] for row in rows]
-    blocks = split_blocks(sparse, len(rows))
+    return sparse, split_blocks(sparse, len(rows))
+
+
+def _measure_blocks(split, measure):
+    """The product of `measure` over the blocks of a `_split`, each
+    distinct block measured once, as its own matrix
+    (`algebra.reduce_blocks`); 0, with nothing measured, when a block has
+    more rows than columns or fewer, as the matrix is then singular."""
+    sparse, blocks = split
     if any(len(ids) != len(cols) for cols, ids in blocks):
         return 0
     return prod(m for _, m in reduce_blocks(sparse, blocks, lambda block, width: measure(block), 0))
 
 
+def _blockwise(rows, measure):
+    """The product of `measure` over the connected blocks of a square
+    integer matrix (`_measure_blocks` of its `_split`)."""
+    return _measure_blocks(_split(rows), measure)
+
+
 def polarization_degree(form):
     """Index [dual : lattice]^{1/2} of an integral alternating form.
 
-    The index is |det| of the integer Gram matrix, taken block by block,
-    and the degree is its exact integer square root; alternating integer
-    forms in even rank always have a perfect-square determinant, so a
-    failed isqrt means a real bug.
+    The index is |det| of the integer Gram matrix, taken block by block
+    (`RiemannForm.gram_index`), and the degree is its exact integer
+    square root; alternating integer forms in even rank always have a
+    perfect-square determinant, so a failed isqrt means a real bug.
     """
-    index = _blockwise(form.integer_gram(), lambda block: abs(integer_det(block)))
+    index = form.gram_index
     deg = isqrt(index)
     if deg * deg != index:
         raise ValueError("alternating Gram determinant is not a perfect square")
@@ -560,5 +602,5 @@ def polarization_degree(form):
 
 def dual_index_oracle(form):
     """Independent route to [dual : lattice]: elementary divisors of Gram,
-    block by block."""
-    return _blockwise(form.integer_gram(), lambda block: prod(integer_smith_normal_form(block).divisors))
+    block by block, on the form's own split of its integer Gram matrix."""
+    return _measure_blocks(form._blocks, lambda block: prod(integer_smith_normal_form(block).divisors))

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -682,3 +683,38 @@ def test_scripts_run_clean(script, args):
             assert header.split() == ["side", "min_ms", "p25_ms", "median_ms"]
             assert [parent.split()[0], change.split()[0]] == ["parent", "change"]
             assert re.fullmatch(r"change faster in \d of 2 rounds, parent in \d", wins)
+
+
+@pytest.mark.parametrize(
+    "old,new,code",
+    [
+        # every sampled defect moves by about 1e-18: only numbers move
+        ("    return float(np.max(defects))\n", "    return float(np.max(defects)) + 1e-18\n", 0),
+        # every check fails: a status changes
+        ('    return "pass" if ok else "fail"\n', '    return "fail"\n', 1),
+    ],
+    ids=["moved-numbers", "changed-verdicts"],
+)
+def test_ab_trees_times_moved_numbers_and_stops_on_changed_verdicts(tmp_path, old, new, code):
+    # 0.7 s for the timed case, 0.4 s for the other
+    shutil.copytree(REPO / "src" / "pelks", tmp_path / "pelks", ignore=shutil.ignore_patterns("__pycache__"))
+    checks = tmp_path / "pelks" / "checks.py"
+    text = checks.read_text()
+    assert old in text
+    checks.write_text(text.replace(old, new))
+    proc = _run(str(REPO / "scripts" / "ab_trees.py"), str(REPO / "src"), str(tmp_path), "--rounds", "2")
+    assert proc.returncode == code, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    if code == 1:
+        assert lines == []
+        assert proc.stderr.startswith("the two trees return different arch reports:\n")
+        assert "status 'pass' -> 'fail'" in proc.stderr
+        return
+    moved, tables = lines[:-10], lines[-10:]
+    assert moved[0] == "only numbers moved in the arch reports:"
+    assert all(re.fullmatch(r"largest change [\w.-]+ \w+: [0-9.e-]+ at [\w-]+", line) for line in moved[1:-1])
+    assert len(moved) > 3
+    assert re.fullmatch(r"14 configs in both dumps, 0 status, detail or other non-numeric changes, \d+ of \d+ "
+                        r"\(check, computed key\) pairs moved", moved[-1])
+    assert [tables[0], tables[5]] == ["local", "arch"]
+    assert all(re.fullmatch(r"change faster in \d of 2 rounds, parent in \d", line) for line in (tables[4], tables[9]))

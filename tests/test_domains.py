@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -226,3 +227,51 @@ def test_a_bad_member_is_refused(g, count, seed, complex_, bad, data):
         m[member, i, j] = m[member, j, i] = bad
     assert not _point_accepts(m)[0]
     assert not _form_accepts(m)
+
+
+def _formula_points(kind, g, rngs, counts):
+    """The points as (X + X^T) / 2 + i (I + A A^T) (kind C) and
+    (H + H^*) / 2 + i (I + A A^*) (kind A), from each stream's own
+    normal draws, concatenated."""
+    size = (2 if kind == "C" else 4, g, g)
+    draws = [r.normal(scale=0.6, size=(() if c is None else (c,)) + size) for r, c in zip(rngs, counts)]
+    draws = np.moveaxis(np.concatenate(draws) if len(draws) > 1 else draws[0], -3, 0)
+    if kind == "C":
+        X, A = draws
+        return (X + np.swapaxes(X, -1, -2)) / 2 + 1j * (np.eye(g) + A @ np.swapaxes(A, -1, -2))
+    h_re, h_im, a_re, a_im = draws
+    H, A = h_re + 1j * h_im, a_re + 1j * a_im
+    return (H + np.swapaxes(H, -1, -2).conj()) / 2 + 1j * (np.eye(g) + A @ np.swapaxes(A, -1, -2).conj())
+
+
+@pytest.mark.parametrize("kind", ["A", "C"])
+def test_random_point_is_the_formula_bit_for_bit(kind):
+    # the points are assembled in place, in the formula's order of
+    # operations.  0.02 s per kind
+    for g in (1, 2, 3, 8):
+        for seed in range(5):
+            for counts in ([None], [1], [7], [2, 5], [1, 1, 40]):
+                rngs = lambda: [np.random.default_rng([seed, k]) for k in range(len(counts))]
+                expected = _formula_points(kind, g, rngs(), counts)
+                points = random_point(kind, g, rngs(), counts)
+                assert points.matrix.shape == expected.shape
+                assert points.matrix.tobytes() == expected.tobytes()
+                if counts == [None]:
+                    single = random_point(kind, g, np.random.default_rng([seed, 0]))
+                    assert single.matrix.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind,stacks", [("A", 5.5), ("C", 3)])
+def test_random_point_allocates_little_beyond_its_stack(kind, stacks):
+    # the draws are filled in place, the points assembled in one array and
+    # not copied again: the traced peak of the call is 5.0 (A) and 2.6 (C)
+    # stacks of points (8.2 and 4.5 with the formula's temporaries and a
+    # copy).  0.01 s per kind
+    rngs = [np.random.default_rng([1, k]) for k in range(3)]
+    tracemalloc.start()
+    try:
+        points = random_point(kind, 8, rngs, [300, 300, 200])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stacks * points.matrix.nbytes

@@ -19,7 +19,7 @@ X in the bounded realization at U = 0, which is the split columns
 
 import importlib.util
 from functools import lru_cache
-from math import prod
+from math import log, prod
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +28,11 @@ from hypothesis import given, settings, strategies as st
 
 from pelks import lattices
 from pelks.algebra import integer_det, integer_smith_normal_form
-from pelks.checks import COVOLUME_TOL, run_checks
+from pelks.checks import COVOLUME_TOL, _ArchContext, run_checks
 from pelks.cli import resolve_config
 from pelks.config import config_from_dict, config_to_dict, matrix_to_lists
-from pelks.domains import HermitianPoint, SiegelPoint
+from pelks.domains import HermitianPoint, SiegelPoint, random_point
+from pelks.kodaira_spencer import domain_genus
 from pelks.lattices import (
     NoSelfDualForm,
     OrderEmbedding,
@@ -288,6 +289,46 @@ def test_embed_labels_hand_values_at_rank_four():
         [[1j, 1, 1j, 0], [0, -2, -1j, 2], [1, 0, 1, 0], [0, 1, 0, 1]], dtype=complex
     )
     assert np.abs(embed_labels(emb, point, labels) - expected).max() < 1e-12
+
+
+def _embed_broadcast(emb, point, labels):
+    """The embedding as one small product per label and point: each n x w
+    label times [Z; I] (and its conjugate times [Z^t; I]), the identity
+    broadcast over the points."""
+    x = np.asarray(labels, dtype=complex)
+    z = point.matrix[..., None, :, :]
+    shape = z.shape[:-3] + (len(x), -1)
+    if emb.kind == "A":
+        eye = np.broadcast_to(np.eye(emb.r // 2), z.shape)
+        plain = x @ np.concatenate([z, eye], axis=-2)
+        conj = x.conj() @ np.concatenate([np.swapaxes(z, -1, -2), eye], axis=-2)
+        return np.concatenate([plain, conj], axis=-1).reshape(shape)
+    r = emb.r
+    return (x[..., :r] @ z + x[..., r:]).reshape(shape)
+
+
+def test_embed_labels_equals_the_broadcast_formula():
+    # kinds A and C at n = 1 and 2, r = 2..8, at one point and at stacks of
+    # 1, 5 and 41.  The generator labels hold one entry of 0, +-1 or +-i per
+    # row, so every image is exact either way: equal bit for bit.  Integer
+    # combinations of them, as the cocycle check draws, sum several terms
+    # in another order: within 4 ulps of the row's largest modulus.  0.02 s
+    units = tuple(np.eye(4)[k].reshape(2, 2) for k in range(4))
+    rng = np.random.default_rng(47)
+    for r in (2, 4, 6, 8):
+        for emb in (gaussian_unitary(r), matrix_basechange(r), rational_siegel(r), OrderEmbedding("C", 2, r, 1, units)):
+            labels = generator_labels(emb)
+            combos = np.tensordot(rng.integers(-3, 4, size=(3, len(labels))), labels, axes=1)
+            for count in (None, 1, 5, 41):
+                point = random_point(emb.kind, domain_genus(emb), rng, count)
+                images, oracle = embed_labels(emb, point, labels), _embed_broadcast(emb, point, labels)
+                assert images.shape == oracle.shape == point.matrix.shape[:-2] + (2 * emb.n * r, emb.n * r)
+                assert images.tobytes() == oracle.tobytes()
+                images, oracle = embed_labels(emb, point, combos), _embed_broadcast(emb, point, combos)
+                assert images.shape == oracle.shape
+                ulp = np.spacing(np.abs(oracle).max(axis=-1, keepdims=True))
+                assert (np.abs(images.real - oracle.real) <= 4 * ulp).all()
+                assert (np.abs(images.imag - oracle.imag) <= 4 * ulp).all()
 
 
 def test_basic_gram_matches_hand_matrix():
@@ -587,17 +628,52 @@ def test_blockwise_index_on_ladder_forms():
         assert dense == (1, 1)
 
 
-def _gram_matrices(monkeypatch, configs):
-    """Every integer Gram matrix that arch.polarization-degree reduces on `configs`."""
-    grams = []
-    original = lattices._blockwise
+def test_each_form_splits_its_gram_matrix_once(monkeypatch):
+    # gauss-r4 solves mu: the trace form is split for the solve and read
+    # again by the trace-form degree and dual index, the polarization by
+    # its degree and dual index; one split each.  0.01 s
+    calls = []
+    original = lattices.split_blocks
 
-    def recording(rows, measure):
+    def counting(rows, ncols, links=()):
+        calls.append(len(rows))
+        return original(rows, ncols, links)
+
+    monkeypatch.setattr(lattices, "split_blocks", counting)
+    report = run_checks(_ladder_config("gauss", 4))
+    assert report["summary"]["fail"] == 0
+    assert calls == [8, 8]
+
+
+def test_shared_decomposition_equals_a_fresh_one():
+    # degree, dual index and mu read each form's one decomposition; each
+    # must equal `_blockwise` on a fresh integer Gram matrix.  0.03 s
+    for family, r in [(f, r) for f in ("gauss", "siegel") for r in (2, 4, 6, 8)] + [("basechange", r) for r in (2, 4, 6)]:
+        ctx = _ArchContext(_ladder_config(family, r))
+        for form in (ctx.form, ctx.trace_form):
+            fresh = form.integer_gram()
+            assert polarization_degree(form) ** 2 == _blockwise(fresh, lambda block: abs(integer_det(block)))
+            assert dual_index_oracle(form) == _blockwise(fresh, lambda block: prod(integer_smith_normal_form(block).divisors))
+        solved = solve_self_dual_mu(RiemannForm(ctx.emb, 1.0), ctx.base_lattice)
+        det = _blockwise(RiemannForm(ctx.emb, 1.0).integer_gram(), lambda block: abs(integer_det(block)))
+        c = float(np.exp(log(det) / (2 * ctx.emb.n * r)))
+        assert abs(solved.mu[0, 0]) == c
+        if ctx.cfg.archimedean.mu is None:
+            assert np.array_equal(ctx.form.mu, solved.mu)
+
+
+def _gram_matrices(monkeypatch, configs):
+    """Every integer Gram matrix that arch.polarization-degree splits into
+    blocks on `configs`, once per form."""
+    grams = []
+    original = lattices._split
+
+    def recording(rows):
         grams.append(rows)
-        return original(rows, measure)
+        return original(rows)
 
     with monkeypatch.context() as m:
-        m.setattr(lattices, "_blockwise", recording)
+        m.setattr(lattices, "_split", recording)
         for cfg in configs:
             (entry,) = run_checks(cfg, only="arch.polarization-degree")["checks"]
             assert entry["status"] == "pass", cfg.name
@@ -610,7 +686,7 @@ def test_blockwise_measures_each_distinct_block_once(monkeypatch):
     configs = [config_from_dict(cfg) for _, cfg, _ in _script("report_digests").workload_configs("arch-ladder")]
     configs += [resolve_config(name) for name in ("unitary-A", "basechange-A", "siegel-C")]
     grams = _gram_matrices(monkeypatch, configs)
-    assert len(grams) >= 2 * len(configs)
+    assert len(grams) >= len(configs)
     measures = (lambda block: abs(integer_det(block)), lambda block: prod(integer_smith_normal_form(block).divisors))
     deduped, every = [], []
     for rows in grams:
