@@ -9,51 +9,40 @@ and `pelks_change`, each with an empty `__init__.py`: the modules import
 each other relatively, so the two copies load side by side, without the
 CLI.
 
-Two tables are timed, each on its own work:
+Two tables time the verdicts the benchmark runs (perfbench/workloads.py,
+imported read-only), each `config_from_dict` and then `run_checks` with
+the rung's `--only`: local, every local-ladder rung; arch, every
+arch-ladder rung and the archimedean fixtures, which each side reads
+from its own package.  The rungs run at the config seed of the
+benchmark's first pass at benchmark seed 1.  Each run starts cold, with
+every `lru_cache` of its side cleared, so it builds its field tables and
+relation systems again, as a forked verdict does.
 
-- local: the local half of the benchmark's local-ladder
-  (perfbench/workloads.py), quotient_structure and image_exponent on its
-  21 A2/C2 places and global_rank_lemma on its 8 rank-lemma rungs, with
-  the relation cache cleared per round;
-- arch: `run_checks` on the 11 arch-ladder rungs with their `--only`, at
-  the config seed of the benchmark's first pass at benchmark seed 1, and
-  on the 3 archimedean fixtures (each side reads its own).
-
-An untimed first round compares the two sides.  The local results must
-be equal.  The arch reports (minus `timing`) go through
-`scripts/report_digests.py`'s `compare`: a status, detail or other
-non-numeric difference exits 1, and when only numbers moved, the
-largest move of each (check, computed key) is printed and the timing
-goes on.  Each timed round then runs each side once, the order
-alternating.  Separate processes on a shared machine can differ by tens
-of percent on the same code, so both sides run in one process, round by
-round, and are compared pairwise.  Prints, per table, min, p25 and
-median of the round times per side, in ms, and in how many rounds each
-side was the faster.
+An untimed first round compares the two sides.  The arch reports (minus
+`timing`) go through `scripts/report_digests.py`'s `compare`: a status,
+detail or other non-numeric difference exits 1, and when only numbers
+moved, the largest move of each (check, computed key) is printed and
+the timing goes on.  The local reports must be equal.  Each timed round
+then runs each side once, the order alternating.  Separate processes on
+a shared machine can differ by tens of percent on the same code, so
+both sides run in one process, round by round, and are compared
+pairwise.  Prints, per table, min, p25 and median of the round times
+per side, in ms, and in how many rounds each side was the faster.
 """
 
 import argparse
 import importlib
-import json
 import shutil
 import statistics
 import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-
-from report_digests import compare as compare_reports  # noqa: E402
-from workloads import build_workload  # noqa: E402
+from report_digests import arch_fixtures, build_workload, compare as compare_reports
 
 SIDES = ("parent", "change")
-PLACES = (
-    [("A", 2, q, (p, p), 1) for q in (3, 5, 7) for p in (1, 2, 3)]
-    + [("C", 2, q, (r, 0), 0) for q in (2, 3, 5) for r in (1, 2, 3, 4)]
-)  # (kind, n, residue size, signature, conjugation power)
-RANK_RUNGS = [(p, p, d) for d in (-3, -4) for p in (1, 2, 3, 4)]
-ARCH_FIXTURES = ("unitary-A", "basechange-A", "siegel-C")
 
 
 def load(src, name, tmp):
@@ -64,73 +53,70 @@ def load(src, name, tmp):
     return target
 
 
-def local_work(name):
-    """A function running both local checks on every place and the rank
-    lemma on every rung, returning their results."""
-    pel_modules = importlib.import_module(f"{name}.pel_modules")
-    cyclic_algebra = importlib.import_module(f"{name}.cyclic_algebra")
-    places = [
-        (cyclic_algebra.CyclicAlgebraDescriptor(n=n, residue_size=q, conjugation_power=s), signature, kind)
-        for kind, n, q, signature, s in PLACES
-    ]
-    cache = getattr(pel_modules, "_local_system", None)
+def verdicts(package):
+    """{table: [(config, only)]}: the local-ladder rungs, and the
+    arch-ladder rungs with the archimedean fixtures of `package`."""
 
-    def run():
-        if cache is not None:
-            cache.cache_clear()
-        out = []
-        for desc, signature, kind in places:
-            out.append(pel_modules.quotient_structure(desc, signature, kind))
-            out.append(pel_modules.image_exponent(desc, signature, kind))
-        out += [pel_modules.global_rank_lemma(*rung) for rung in RANK_RUNGS]
-        return out
+    def ladder(name):
+        return [(cfg, rung.only) for rung, cfg in build_workload(name, seed=1, fixture_dir=None).pass_configs(0)]
 
-    return run
+    fixtures = [(rung.config, rung.only) for rung in arch_fixtures(package / "fixtures")]
+    return {"local": ladder("local-ladder"), "arch": ladder("arch-ladder") + fixtures}
 
 
-def arch_work(name, package):
-    """A function running `run_checks` on every arch-ladder rung and
-    archimedean fixture, returning the reports minus `timing`, keyed by
+def runner(name, cases):
+    """A function running every (config, only) of `cases` as a verdict of
+    the package `name`, returning the reports minus `timing`, keyed by
     config name."""
     checks = importlib.import_module(f"{name}.checks")
     config = importlib.import_module(f"{name}.config")
-    ladder = build_workload("arch-ladder", seed=1, fixture_dir=None)
-    cases = [(cfg, rung.only) for rung, cfg in ladder.pass_configs(0)]
-    cases += [(json.loads((package / "fixtures" / f"{fixture}.json").read_text()), None) for fixture in ARCH_FIXTURES]
-    cases = [(config.config_from_dict(cfg), only) for cfg, only in cases]
 
     def run():
         out = {}
         for cfg, only in cases:
-            report = checks.run_checks(cfg, only=only)
+            report = checks.run_checks(config.config_from_dict(cfg), only=only)
             report.pop("timing")
-            out[cfg.name] = report
+            out[cfg["name"]] = report
         return out
 
     return run
 
 
-def differences(tables):
-    """(lines, exit code) of the untimed round: the local results must be
-    equal; the arch reports are compared as `report_digests.compare`
-    compares two dumps, where moved numbers alone exit 0.  No lines when
+def clear_caches(name):
+    """Clear every `lru_cache` in the modules of the package `name`."""
+    for module in [module for key, module in sys.modules.items() if key.startswith(f"{name}.")]:
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
+def differences(tables, cold):
+    """(lines, exit code) of the untimed round: the arch reports are
+    compared as `report_digests.compare` compares two dumps, where moved
+    numbers alone exit 0; the local reports must be equal.  No lines when
     the two sides agree exactly."""
-    local = {side: tables["local"][side]() for side in SIDES}
-    if local["parent"] != local["change"]:
-        return ["the two trees return different local results"], 1
-    arch = {side: tables["arch"][side]() for side in SIDES}
-    lines, code = compare_reports(arch["parent"], arch["change"])
+    reports = {title: {} for title in tables}
+    for title, work in tables.items():
+        for side in SIDES:
+            cold[side]()
+            reports[title][side] = work[side]()
+    lines, code = compare_reports(reports["arch"]["parent"], reports["arch"]["change"])
     if code:
         return ["the two trees return different arch reports:", *lines], 1
+    if reports["local"]["parent"] != reports["local"]["change"]:
+        local, _ = compare_reports(reports["local"]["parent"], reports["local"]["change"])
+        return ["the two trees return different local reports:", *local], 1
     # the last line only counts; any line before it names a number that moved
     return (["only numbers moved in the arch reports:", *lines] if len(lines) > 1 else []), 0
 
 
-def compare(title, work, rounds):
-    """Time `work[side]` for `rounds` alternating rounds and print the table."""
+def compare(title, work, rounds, cold):
+    """Time `work[side]` for `rounds` alternating rounds, each run after
+    `cold[side]`, and print the table."""
     times = {side: [] for side in SIDES}
     for k in range(rounds):
         for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+            cold[side]()
             start = time.perf_counter()
             work[side]()
             times[side].append(time.perf_counter() - start)
@@ -154,19 +140,20 @@ def main():
         parser.error("--rounds needs at least 2")
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
-        tables = {"local": {}, "arch": {}}
+        tables, cold = {"local": {}, "arch": {}}, {}
         for side, src in zip(SIDES, (args.parent_src, args.change_src)):
             name = f"pelks_{side}"
             package = load(src, name, tmp)
-            tables["local"][side] = local_work(name)
-            tables["arch"][side] = arch_work(name, package)
-        lines, code = differences(tables)
+            for title, cases in verdicts(package).items():
+                tables[title][side] = runner(name, cases)
+            cold[side] = partial(clear_caches, name)
+        lines, code = differences(tables, cold)
         for line in lines:
             print(line, file=sys.stderr if code else sys.stdout)
         if code:
             return 1
         for title, work in tables.items():
-            compare(title, work, args.rounds)
+            compare(title, work, args.rounds, cold)
     return 0
 
 

@@ -9,7 +9,9 @@ arch-ladder rung with its `--only` glob, at benchmark seed 1.  The
 base lattice, a non-unimodular explicit mu, a singular explicit mu,
 GF(67^2) over the field cap, an unbalanced local-only instance, and a
 kind-A n = 3 local-only instance at q = 2.  A config error is hashed as its `config error:`
-message.
+message.  `named_config` looks up any of these configs by name (a
+fixture, a rung or an edge config) for the other scripts and the tests,
+which keep no copies of them.
 
 Reports are deterministic up to `timing`, so two source trees give the
 same reports exactly when their outputs match:
@@ -43,9 +45,24 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import WORKLOADS, build_workload  # noqa: E402
 
 
+def _fixture_dir():
+    return resources.files("pelks") / "fixtures"
+
+
+def arch_fixtures(fixture_dir=None):
+    """The fixture rungs with archimedean data, from `fixture_dir` or the packaged fixtures."""
+    fixtures = build_workload("fixtures", seed=1, fixture_dir=fixture_dir or _fixture_dir()).rungs
+    return [rung for rung in fixtures if rung.config.get("archimedean")]
+
+
+def named_config(name, **over):
+    """The config of the fixture, benchmark rung or edge config `name`, with `over` replacing fields."""
+    configs = {rung.name: rung.config for w in WORKLOADS for rung in build_workload(w, seed=1, fixture_dir=_fixture_dir()).rungs}
+    return (configs.get(name) or dict(edge_configs())[name]) | over
+
+
 def _unitary(**over):
-    cfg = json.loads((resources.files("pelks") / "fixtures" / "unitary-A.json").read_text())
-    return cfg | over
+    return named_config("unitary-A", **over)
 
 
 def edge_configs():
@@ -68,7 +85,7 @@ def workload_configs(name):
     """(rung, config, only) triples of one workload at benchmark seed 1."""
     if name == "edge":
         return [(rung, cfg, None) for rung, cfg in edge_configs()]
-    workload = build_workload(name, seed=1, fixture_dir=resources.files("pelks") / "fixtures")
+    workload = build_workload(name, seed=1, fixture_dir=_fixture_dir())
     return [
         (rung.name, dict(rung.config, seed=config_seed), rung.only)
         for config_seed in workload.seed_pool

@@ -26,10 +26,9 @@ Two source trees are compared through PYTHONPATH:
 
 import multiprocessing
 import tracemalloc
-from importlib import resources
 
 import pelks.checks  # noqa: F401  (imported before any row runs, so neither column counts the import)
-from report_digests import build_workload, hashed, report
+from report_digests import hashed, named_config, report
 
 ONLY = "[ap]*"
 ROWS = (
@@ -41,17 +40,6 @@ ROWS = (
     ("basechange-r6", 2000),
     ("gauss-r8", 5000),
 )
-
-
-def row_config(name, samples):
-    """The config of a fixture or an arch-ladder rung, at `samples`."""
-    fixtures = resources.files("pelks") / "fixtures"
-    configs = {
-        rung.name: rung.config
-        for workload in ("fixtures", "arch-ladder")
-        for rung in build_workload(workload, seed=1, fixture_dir=fixtures).rungs
-    }
-    return dict(configs[name], samples=samples)
 
 
 def status_mb(key):
@@ -93,7 +81,7 @@ def fresh(run, cfg):
 
 def main():
     for name, samples in ROWS:
-        cfg = row_config(name, samples)
+        cfg = named_config(name, samples=samples)
         growth, digest = fresh(row_peak, cfg)
         traced, traced_digest = fresh(row_traced, cfg)
         if traced_digest != digest:

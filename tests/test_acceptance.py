@@ -46,6 +46,7 @@ from pelks.pel_modules import (
 )
 from embeddings import gaussian_unitary, matrix_basechange, rational_siegel
 from relation_oracle import _relation_rows
+from report_digests import named_config
 
 
 def test_quaternion_image_exponent_and_generators():
@@ -226,21 +227,7 @@ def test_polarization_degrees():
 def test_gaussian_trace_form_degree_at_rank_four():
     # on r = 4 the trace form sees two Gaussian blocks: degree |D|^(r/2)
     # = 16 and dual index |D|^r = 256
-    cfg = config_from_dict(
-        {
-            "name": "gauss-r4",
-            "type": "A",
-            "n": 1,
-            "r": 4,
-            "signature": [2, 2],
-            "archimedean": {
-                "discriminant": -4,
-                "order_basis": [[[[1, 0]]], [[[0, 1]]]],
-                "mu_mode": "self-dual-auto",
-            },
-            "samples": 2,
-        }
-    )
+    cfg = config_from_dict(named_config("gauss-r4", samples=2))
     (chk,) = run_checks(cfg, only="arch.polarization-degree")["checks"]
     assert chk["status"] == "pass"
     assert chk["computed"]["trace_form_degree"] == 16

@@ -1,6 +1,7 @@
 """Config parsing, check reports, CLI behavior, determinism."""
 
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -14,7 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ab_trees
 import pelks.checks
+import scale_ladder
 import pelks.kodaira_spencer
 from pelks.checks import EXPLANATIONS, explain, run_checks, verdict
 from pelks.cli import main, resolve_config
@@ -718,3 +721,36 @@ def test_ab_trees_times_moved_numbers_and_stops_on_changed_verdicts(tmp_path, ol
                         r"\(check, computed key\) pairs moved", moved[-1])
     assert [tables[0], tables[5]] == ["local", "arch"]
     assert all(re.fullmatch(r"change faster in \d of 2 rounds, parent in \d", line) for line in (tables[4], tables[9]))
+
+
+def test_ab_trees_starts_every_timed_run_cold(tmp_path, monkeypatch):
+    # two timed rounds of one side build the same field tables: the local
+    # table's 32 verdicts miss the finite_field cache as often each round;
+    # 0.1 s
+    monkeypatch.syspath_prepend(str(tmp_path))
+    cases = ab_trees.verdicts(ab_trees.load(REPO / "src", "pelks_cold", tmp_path))["local"]
+    assert len(cases) == 32
+    run = ab_trees.runner("pelks_cold", cases)
+    finite_field = importlib.import_module("pelks_cold.algebra").finite_field
+    misses = []
+
+    def counted():
+        before = finite_field.cache_info().misses
+        run()
+        misses.append(finite_field.cache_info().misses - before)
+
+    cold = {"parent": lambda: ab_trees.clear_caches("pelks_cold"), "change": lambda: None}
+    ab_trees.compare("local", {"parent": counted, "change": lambda: None}, 2, cold)
+    assert len(misses) == 2 and misses[0] == misses[1] > 0
+
+
+def test_scale_ladder_prints_the_exception_of_a_child(monkeypatch, capsys):
+    # the forked child reports what run_checks raised; 0.01 s
+    def broken(cfg, only=None):
+        raise RuntimeError(f"no verdict for {only}")
+
+    monkeypatch.setattr(scale_ladder, "run_checks", broken)
+    assert scale_ladder.main(["--max-r", "2", "--family", "rank"]) == 1
+    (row,) = capsys.readouterr().out.splitlines()[1:]
+    assert row.split()[:3] == ["rank-r2", "global.rank-lemma", "CRASH"]
+    assert row.endswith("  RuntimeError: no verdict for global.rank-lemma")

@@ -16,7 +16,6 @@ numpy's SVD-based routines disabled; the last test runs the local reports
 with the full-row relation builders disabled.
 """
 
-import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -40,6 +39,7 @@ from pelks.lattices import (
     build_lattice,
     checked_inverse,
 )
+from report_digests import digest, workload_configs
 
 ROOT = Path(__file__).resolve().parent.parent
 EPS = np.finfo(float).eps
@@ -239,16 +239,9 @@ def test_checked_inverse_refuses_a_stack_with_one_bad_member():
         assert np.array_equal(member, np.linalg.inv(one))
 
 
-def _report_digests():
-    spec = importlib.util.spec_from_file_location("report_digests", ROOT / "scripts" / "report_digests.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
-
-
 def _ladder_configs():
     shapes = ("gauss-r4", "basechange-r4", "siegel-r4")
-    return [(cfg, only) for rung, cfg, only in _report_digests().workload_configs("arch-ladder") if rung in shapes]
+    return [(cfg, only) for rung, cfg, only in workload_configs("arch-ladder") if rung in shapes]
 
 
 def test_reports_need_no_singular_value_decomposition(monkeypatch):
@@ -277,12 +270,11 @@ def test_local_reports_never_build_the_full_relation_rows(monkeypatch):
     # digests with every full-row builder refusing to run, and every system
     # the verdicts build is presolved: it has fewer columns and rows than
     # the full system, and no row is empty or reaches past its columns
-    script = _report_digests()
     pinned = dict(line.split() for line in (ROOT / "tests" / "local_report_digests.txt").read_text().splitlines())
     configs = {
         f"{name}/{rung}/{cfg.get('seed', 0)}": (cfg, only)
         for name in ("local-ladder", "edge")
-        for rung, cfg, only in script.workload_configs(name)
+        for rung, cfg, only in workload_configs(name)
         if f"{name}/{rung}/{cfg.get('seed', 0)}" in pinned
     }
     assert sorted(configs) == sorted(pinned) and len(configs) == 35
@@ -304,7 +296,7 @@ def test_local_reports_never_build_the_full_relation_rows(monkeypatch):
     monkeypatch.setattr(pel_modules, "relation_generators", presolved)
     pel_modules._local_system.cache_clear()
     try:
-        digests = {key: script.digest(cfg, only) for key, (cfg, only) in configs.items()}
+        digests = {key: digest(cfg, only) for key, (cfg, only) in configs.items()}
     finally:
         pel_modules._local_system.cache_clear()
     assert digests == pinned

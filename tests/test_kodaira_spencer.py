@@ -57,6 +57,7 @@ from pelks.lattices import (
     solve_self_dual_mu,
 )
 from embeddings import gaussian_unitary, matrix_basechange, rational_siegel
+from report_digests import arch_fixtures, named_config
 
 
 def _metric(form, samples, seed):
@@ -722,8 +723,8 @@ def _assert_stack_matches_loop(emb, mu, points):
 
 def _fixture_cases():
     """(emb, mu, samples, seed) of the three archimedean fixtures."""
-    for name in ("unitary-A", "basechange-A", "siegel-C"):
-        cfg = resolve_config(name)
+    for rung in arch_fixtures():
+        cfg = config_from_dict(rung.config)
         ctx = _ArchContext(cfg)
         yield ctx.emb, ctx.form.mu, cfg.samples, cfg.seed
 
@@ -816,20 +817,12 @@ def test_the_phi_readers_refuse_phi_rows():
     assert refused == 2  # rational_siegel(2) and gaussian_unitary(4)
 
 
-def _siegel_r8(samples):
-    """The benchmark's siegel-r8 rung at `samples`."""
-    arch = {"discriminant": 1, "order_basis": [[[[1, 0]]]], "mu_mode": "self-dual-auto", "mu": None}
-    return config_from_dict(
-        {"name": "siegel-r8", "type": "C", "n": 1, "r": 8, "signature": [8, 0], "archimedean": arch, "samples": samples}
-    )
-
-
 def test_the_metric_check_allocates_at_most_twice_its_w_vectors():
     # the metric check gathers psi's blocks straight from the w-vectors:
     # at siegel-r8 with 200 samples its traced peak is 1.2 times their
     # size; widened into phi's incidence rows first, it was 14.5 times.
     # About 0.05 s.
-    lat, ws = _ArchContext(_siegel_r8(200)).read(_METRIC)
+    lat, ws = _ArchContext(config_from_dict(named_config("siegel-r8", samples=200))).read(_METRIC)
     tracemalloc.start()
     try:
         ratios, _ = metric_identity_check(lat, ws)
@@ -891,17 +884,11 @@ def _plus(term):
     return breaker
 
 
-def _gaussian_r4():
-    """Gaussian rank four, as the benchmark's arch ladder builds it."""
-    arch = {"discriminant": -4, "order_basis": [[[[1, 0]]], [[[0, 1]]]], "mu_mode": "self-dual-auto", "mu": None}
-    return config_from_dict({"name": "gauss-r4", "type": "A", "n": 1, "r": 4, "signature": [2, 2], "archimedean": arch})
-
-
 @pytest.mark.parametrize(
     "attr,breaker,config",
     [
         ("_incidences", _conj_column_zeroed, lambda: resolve_config("unitary-A")),
-        ("_incidences", _plain_labels_transposed, _gaussian_r4),
+        ("_incidences", _plain_labels_transposed, lambda: config_from_dict(named_config("gauss-r4"))),
         ("embed_labels", _plus(np.conj), lambda: resolve_config("unitary-A")),
         # Im Z is constant along a real coordinate step: of the central
         # differences, only the rotated one sees this term

@@ -17,10 +17,7 @@ X in the bounded realization at U = 0, which is the split columns
 (X[:, r/2:], conj(X)[:, :r/2]).
 """
 
-import importlib.util
-from functools import lru_cache
 from math import log, prod
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +48,8 @@ from pelks.lattices import (
 )
 from embeddings import gaussian_unitary, matrix_basechange, rational_siegel
 from relation_oracle import reduce_every_block
+from report_digests import arch_fixtures, workload_configs
+from scale_ladder import family_config
 
 
 def eisenstein_unitary():
@@ -73,14 +72,6 @@ def _module_coordinates(emb, mats):
         assert np.abs(c - np.round(c)).max() < 1e-9
         rows.append([int(round(x)) for x in c])
     return rows
-
-
-def _script(name):
-    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
 
 
 def test_order_embedding_rejects_wrong_count():
@@ -210,11 +201,6 @@ def test_closure_check_agrees_with_the_numpy_oracle(data):
     assert _closure_verdict(kind, n, r, disc, mats) == expected
 
 
-@lru_cache(maxsize=None)
-def _ladder_config(family, r):
-    return _script("scale_ladder").family_config(family, r, 1)
-
-
 def _assert_moved_within(before, after, tol, where):
     """after equals before, except that a float may move by less than tol."""
     if isinstance(before, float):
@@ -236,7 +222,7 @@ def test_reports_do_not_see_a_change_of_order_basis(data):
     # solved mu is |det G|^(1/2nr) of the basic Gram matrix, which becomes
     # U^t G U with the same integer determinant, so mu stays exactly
     family = data.draw(st.sampled_from(("gauss", "basechange")))
-    cfg = _ladder_config(family, data.draw(st.sampled_from((2, 4))))
+    cfg = family_config(family, data.draw(st.sampled_from((2, 4))), 1)
     basis = cfg.archimedean.order_basis
     u = data.draw(_unimodular(len(basis)))
     changed = config_to_dict(cfg)
@@ -260,7 +246,7 @@ class _NoNumpy:
 
 
 def test_embedding_and_rank_lemma_run_no_numpy_in_lattices(monkeypatch):
-    fixtures = [resolve_config(name) for name in ("unitary-A", "basechange-A", "siegel-C")]
+    fixtures = [config_from_dict(rung.config) for rung in arch_fixtures()]
     monkeypatch.setattr(lattices, "np", _NoNumpy())
     for cfg in fixtures:
         a = cfg.archimedean
@@ -640,7 +626,7 @@ def test_each_form_splits_its_gram_matrix_once(monkeypatch):
         return original(rows, ncols, links)
 
     monkeypatch.setattr(lattices, "split_blocks", counting)
-    report = run_checks(_ladder_config("gauss", 4))
+    report = run_checks(family_config("gauss", 4, 1))
     assert report["summary"]["fail"] == 0
     assert calls == [8, 8]
 
@@ -649,7 +635,7 @@ def test_shared_decomposition_equals_a_fresh_one():
     # degree, dual index and mu read each form's one decomposition; each
     # must equal `_blockwise` on a fresh integer Gram matrix.  0.03 s
     for family, r in [(f, r) for f in ("gauss", "siegel") for r in (2, 4, 6, 8)] + [("basechange", r) for r in (2, 4, 6)]:
-        ctx = _ArchContext(_ladder_config(family, r))
+        ctx = _ArchContext(family_config(family, r, 1))
         for form in (ctx.form, ctx.trace_form):
             fresh = form.integer_gram()
             assert polarization_degree(form) ** 2 == _blockwise(fresh, lambda block: abs(integer_det(block)))
@@ -683,8 +669,8 @@ def _gram_matrices(monkeypatch, configs):
 def test_blockwise_measures_each_distinct_block_once(monkeypatch):
     # the Gram matrices of every arch-ladder rung and of the fixtures, whose
     # blocks repeat: the dedup measures fewer blocks and gives the same product
-    configs = [config_from_dict(cfg) for _, cfg, _ in _script("report_digests").workload_configs("arch-ladder")]
-    configs += [resolve_config(name) for name in ("unitary-A", "basechange-A", "siegel-C")]
+    configs = [config_from_dict(cfg) for _, cfg, _ in workload_configs("arch-ladder")]
+    configs += [config_from_dict(rung.config) for rung in arch_fixtures()]
     grams = _gram_matrices(monkeypatch, configs)
     assert len(grams) >= len(configs)
     measures = (lambda block: abs(integer_det(block)), lambda block: prod(integer_smith_normal_form(block).divisors))

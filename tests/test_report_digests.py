@@ -13,23 +13,15 @@ alters a local report on purpose regenerates the file:
         | grep -E 'gf67-over-cap|unbalanced-local-only|cubic-local-only' >> tests/local_report_digests.txt
 """
 
-import importlib.util
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import report_digests as script
+
 PINNED = Path(__file__).resolve().parent / "local_report_digests.txt"
 LOCAL_EDGES = ("gf67-over-cap", "unbalanced-local-only", "cubic-local-only")
 
 
-def _report_digests():
-    spec = importlib.util.spec_from_file_location("report_digests", ROOT / "scripts" / "report_digests.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_local_reports_match_their_pinned_digests():
-    script = _report_digests()
     pinned = dict(line.split() for line in PINNED.read_text().splitlines())
     configs = {
         f"{name}/{rung}/{cfg.get('seed', 0)}": (cfg, only)
@@ -43,7 +35,6 @@ def test_local_reports_match_their_pinned_digests():
 
 
 def test_compare_tells_moved_numbers_from_changed_verdicts():
-    script = _report_digests()
     check = {"name": "arch.x", "status": "pass", "provenance": "derived", "tolerance": 1e-9,
              "computed": {"max_defect": 1e-16, "mu": [[-2.0, 0.0]]}, "expected": {"max_defect": 0.0}, "detail": ""}
     report = {"name": "c", "summary": {"pass": 1}, "checks": [check]}

@@ -13,9 +13,7 @@ left; so a refusal in one stream must fail the checks that read that
 stream, with the message the stream alone raises, and no other check.
 `--only` must plan only the streams of the checks that run."""
 
-import importlib.util
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,25 +25,9 @@ from pelks.config import config_from_dict, with_overrides
 from pelks.domains import random_point
 from pelks.kodaira_spencer import assemble_phi, domain_genus, solve_w_vectors
 from pelks.lattices import build_lattice
+from report_digests import arch_fixtures, named_config, workload_configs
 
-ROOT = Path(__file__).resolve().parent.parent
-ARCH_FIXTURES = ("unitary-A", "basechange-A", "siegel-C")
-
-
-def _arch_ladder():
-    """The configs of the benchmark's arch-ladder rungs."""
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return [config_from_dict(rung.config) for rung in workloads._arch_ladder()]
-
-
-def _edge_config(name):
-    """One of the edge configs of `scripts/report_digests.py`."""
-    spec = importlib.util.spec_from_file_location("report_digests", ROOT / "scripts" / "report_digests.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return config_from_dict(dict(script.edge_configs())[name])
+ARCH_FIXTURES = [rung.name for rung in arch_fixtures()]
 
 
 def _rng(cfg, stream):
@@ -65,7 +47,7 @@ def _read_order(ctx):
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_the_sample_stack_equals_the_per_stream_path(seed):
-    cases = [with_overrides(cfg, seed=seed) for cfg in _arch_ladder()]
+    cases = [config_from_dict(cfg | {"seed": seed}) for _, cfg, _ in workload_configs("arch-ladder")]
     cases += [with_overrides(resolve_config(name), seed=seed) for name in ARCH_FIXTURES]
     for cfg in cases:
         ctx = _ArchContext(cfg)
@@ -226,7 +208,7 @@ def test_only_plans_the_streams_of_the_checks_that_run(monkeypatch):
     # a stack that refuses is drawn once; then each stream is drawn alone as it
     # is read: the base point, then the duality and cocycle streams
     drawn.clear()
-    report = run_checks(_edge_config("unresolvable-lattice"))
+    report = run_checks(config_from_dict(named_config("unresolvable-lattice")))
     assert drawn == [[2, 3, 2, 20, 1, 20, 20, 5], [1], [20], [5]]
     rank_deficient = "RankDeficient: embedded generators are real-linearly dependent"
     failed = {entry["name"]: entry["detail"] for entry in report["checks"] if entry["status"] == "fail"}

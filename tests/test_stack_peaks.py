@@ -2,27 +2,23 @@
 runs through the script's own two functions, untraced and traced, in
 this process."""
 
-import importlib
 import time
-from pathlib import Path
 
+import report_digests
+import stack_peaks as script
 from pelks.config import config_from_dict
+from report_digests import named_config
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
-
-def test_a_small_row_reports_its_growth_and_digest(monkeypatch):
-    monkeypatch.syspath_prepend(str(SCRIPTS))
-    script = importlib.import_module("stack_peaks")
-    digests = importlib.import_module("report_digests")
+def test_a_small_row_reports_its_growth_and_digest():
     for name, samples in script.ROWS:
-        assert config_from_dict(script.row_config(name, samples)).samples == samples
-    cfg = script.row_config("unitary-A", 20)
+        assert config_from_dict(named_config(name, samples=samples)).samples == samples
+    cfg = named_config("unitary-A", samples=20)
     start = time.perf_counter()
     growth, digest = script.row_peak(cfg)
     assert time.perf_counter() - start < 0.5
     assert growth is None or growth >= 0.0
-    assert digest == digests.digest(cfg, script.ONLY)
+    assert digest == report_digests.digest(cfg, script.ONLY)
     start = time.perf_counter()
     traced, traced_digest = script.row_traced(cfg)
     assert time.perf_counter() - start < 0.5
