@@ -7,33 +7,30 @@ Two layers, the second using the first:
     residue element of GF(p^m) is the case v = 0, and c is held as its
     discrete log to the field generator, so every operation, Frobenius
     included, is one table lookup,
-  * Smith normal form of monomial matrices over the valuation ring
-    GF(p^m)[[pi]], tracking the right transform.
+  * Smith normal form by one Euclidean elimination, over the valuation
+    ring GF(p^m)[[pi]] (valuation as size) and over Z (|a| as size).
 
 GF(p^m) is GF(p)[x] modulo its smallest primitive polynomial, with x as
 the generator: building a field is one walk over the powers of x.
 
-A parallel Smith normal form over the rational integers lives here as
-well, since the global rank computations need the same bookkeeping
-(divisors, left and right transforms) over Z instead of a DVR.  Both
-take dense rows; relation systems are sparse, and `split_blocks` cuts
-them into the connected blocks of their nonzero pattern, which every
-caller reduces through `reduce_blocks`, once per distinct block: the
-relation modules and Gram matrices repeat their blocks.  The integer
-determinant and inverse are Bareiss (fraction-free) eliminations, so no
-rational number is ever formed, and they raise ValueError on input they
-cannot handle: a non-integer or non-square matrix, or a singular or
-non-unimodular one to invert.
+Both Smith normal forms take dense rows; relation systems are sparse,
+and `split_blocks` cuts them into the connected blocks of their nonzero
+pattern, which every caller reduces through `reduce_blocks`, once per
+distinct block: the relation modules and Gram matrices repeat their
+blocks.  The integer determinant and inverse are Bareiss (fraction-free)
+eliminations, so no rational number is ever formed, and they raise
+ValueError on input they cannot handle: a non-integer or non-square
+matrix, or a singular or non-unimodular one to invert.
 
-Exactness convention: monomials are closed under products, inverses
-and Frobenius, and a sum of two monomials stays one when a summand is
-zero or both have the same valuation.  Any other sum raises NonMonomial
-instead of being approximated, so every run checks that its local
-arithmetic was exact.
+Exactness convention: monomials are closed under products, inverses,
+Euclidean division and Frobenius, and a sum of two monomials stays one
+when a summand is zero or both have the same valuation.  Any other sum
+raises NonMonomial instead of being approximated, so every run checks
+that its local arithmetic was exact.
 """
 
 from functools import lru_cache
-from operator import index
+from operator import attrgetter, index
 
 INF = float("inf")
 
@@ -236,6 +233,23 @@ class LocalMonomial:
     def inverse(self):
         return self ** -1
 
+    def __divmod__(self, other):
+        """Euclidean division: (self / other, 0) if val self >= val other, else (0, self)."""
+        f = self.field
+        if other.log < 0:
+            raise ZeroDivisionError("division by 0")
+        if self.log < 0 or self.val < other.val:
+            return f.zero, self
+        return LocalMonomial(f, self.val - other.val, (self.log - other.log) % f.order), f.zero
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        if other.log < 0:
+            raise ZeroDivisionError("division by 0")
+        return self if self.val < other.val else self.field.zero
+
     def shift(self, e):
         """Multiply by pi^e."""
         return LocalMonomial(self.field, self.val + e, self.log)
@@ -359,80 +373,89 @@ def _column_count(A, ncols):
     return ncols
 
 
-def smith_normal_form(matrix, ncols=None):
-    """Smith normal form over GF(q^n)[[pi]] of a matrix of monomials.
+def _check_chain(diagonal):
+    """Raise AssertionError unless d_1 | d_2 | ... with the zeros last."""
+    for a, b in zip(diagonal, diagonal[1:]):
+        if b % a if a else b:
+            raise AssertionError(f"divisor chain broken: {diagonal}")
 
-    Pivot selection takes the entry of minimal valuation, breaking ties
-    lexicographically by (row, column).  Returns (V, exponents): V as a
-    list of rows, so a vector x has quotient coordinates x @ V, and the
-    pi-adic exponents of the diagonal divisors in nondecreasing order,
-    +inf marking an exactly zero divisor.  Raises NonMonomial
-    when an elimination step would leave the monomial class.  ncols
-    defaults to the first row's length; a matrix without rows needs it,
-    and its V is the identity on ncols columns.
+
+def _smith(rows, ncols, zero, one, size):
+    """Diagonalize the first ncols columns of `rows` in place over a
+    Euclidean ring with Euclidean function `size` (+inf at zero); return
+    (V, diagonal).  Row operations run over whole rows.  The pivot is the
+    first entry of least size, row by row.  Euclidean division clears its
+    column and row; a nonzero remainder, or a row holding an entry the
+    pivot does not divide (then added to the pivot row), means a new search."""
+    V = [[*[zero] * i, one, *[zero] * (ncols - i - 1)] for i in range(ncols)]
+    unit = size(one)  # the least size of a nonzero entry; a unit divides all
+    k, m, last = 0, len(rows), min(len(rows), ncols)
+    while k < last:
+        least = INF
+        for i in range(k, m):
+            row = rows[i]
+            for j in range(k, ncols):
+                if size(row[j]) < least:
+                    least, pi_, pj = size(row[j]), i, j
+            if least == unit:
+                break
+        if least == INF:
+            break
+        rows[k], rows[pi_] = rows[pi_], rows[k]
+        if pj != k:
+            for row in rows + V:
+                row[k], row[pj] = row[pj], row[k]
+        # rows and columns before k are clear: only rows k, k + 1, .. change
+        prow, pivot = rows[k], rows[k][k]
+        pjs = [j for j in range(k + 1, len(prow)) if prow[j]]
+        carry = []  # rows below with a nonzero remainder in column k
+        for row in rows[k + 1 :]:
+            if row[k]:
+                q, row[k] = divmod(row[k], pivot)
+                q = -q
+                for j in pjs:
+                    row[j] = row[j] + q * prow[j]
+                if row[k]:
+                    carry.append(row)
+        dirty = bool(carry)
+        if pjs and pjs[0] < ncols:  # column operations follow, and V's rows take them too
+            carry += [row for row in V if row[k]]
+        for j in pjs:
+            if j >= ncols:  # the columns past ncols take no column operations
+                break
+            q, prow[j] = divmod(prow[j], pivot)
+            q = -q
+            dirty = dirty or bool(prow[j])
+            for row in carry:
+                row[j] = row[j] + q * row[k]
+        if dirty:
+            continue
+        below = rows[k + 1 :] if least > unit else ()  # a unit pivot divides every entry
+        offender = next((row for row in below if any(a % pivot for a in row[k + 1 : ncols])), None)
+        if offender is not None:
+            rows[k] = [a + b for a, b in zip(prow, offender)]
+        else:
+            k += 1
+    diagonal = [rows[t][t] for t in range(last)]
+    _check_chain(diagonal)
+    return V, diagonal
+
+
+def smith_normal_form(matrix, ncols=None):
+    """Smith normal form of a matrix of monomials of GF(q^n)[[pi]] (val >= 0).
+
+    Returns (V, exponents): V as a list of rows, so a vector x has
+    quotient coordinates x @ V, and the pi-adic exponents of the
+    diagonal divisors in nondecreasing order, +inf marking an exactly
+    zero divisor.  Raises NonMonomial when an elimination step would
+    leave the monomial class.  ncols defaults to the first row's length;
+    a matrix without rows needs it, and its V is the identity on ncols
+    columns.
     """
     field = matrix.field
-    A = [list(r) for r in matrix.rows]
-    m = len(A)
-    n = _column_count(A, ncols)
-    zero, one = field.zero, field.one
-    V = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    exponents = []
-
-    for k in range(min(m, n)):
-        pivot = None
-        pv = INF
-        for i in range(k, m):
-            row = A[i]
-            for j in range(k, n):
-                if row[j].val < pv:
-                    pv = row[j].val
-                    pivot = (i, j)
-        if pivot is None:
-            exponents.extend([INF] * (min(m, n) - k))
-            break
-        pi_, pj = pivot
-        A[k], A[pi_] = A[pi_], A[k]
-        if pj != k:
-            for row in A:
-                row[k], row[pj] = row[pj], row[k]
-            for row in V:
-                row[k], row[pj] = row[pj], row[k]
-        # rows and columns before k are already cleared, so only the
-        # block below and right of the pivot changes
-        prow = A[k]
-        p_inv = prow[k].inverse()
-        pjs = [j for j in range(k + 1, n) if prow[j]]
-        for i in range(k + 1, m):
-            row = A[i]
-            if not row[k]:
-                continue
-            factor = row[k] * p_inv
-            row[k] = zero
-            for j in pjs:
-                row[j] = row[j] - factor * prow[j]
-        vks = [i for i in range(n) if V[i][k]]
-        for j in pjs:
-            factor = prow[j] * p_inv
-            prow[j] = zero
-            for i in vks:
-                V[i][j] = V[i][j] - V[i][k] * factor
-        exponents.append(pv)
-
-    finite = [e for e in exponents if e != INF]
-    if finite != sorted(finite):
-        raise AssertionError(f"divisor exponents not nondecreasing: {exponents}")
-    return V, exponents
-
-
-# ---------------------------------------------------------------------------
-# Integer Smith normal form (same conventions: U @ A @ V = D, row space of A
-# is the relation lattice, quotient coordinates of a vector x are x @ V).
-# ---------------------------------------------------------------------------
-
-
-def _int_identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [list(r) for r in matrix.rows]
+    V, diagonal = _smith(rows, _column_count(rows, ncols), field.zero, field.one, attrgetter("val"))
+    return V, [d.val for d in diagonal]
 
 
 def integer_smith_normal_form(rows, ncols=None):
@@ -441,86 +464,13 @@ def integer_smith_normal_form(rows, ncols=None):
     Returns a SmithDecomposition whose U, D, V are lists of int lists and
     whose `divisors` are the nonnegative elementary divisors d_1 | d_2 | ...
     (zeros at the end for the free part of the cokernel).  ncols is read
-    as in smith_normal_form.
+    as in smith_normal_form; U is the identity appended to the rows.
     """
-    A = [list(r) for r in rows]
-    m = len(A)
-    n = _column_count(A, ncols)
-    U = _int_identity(m)
-    V = _int_identity(n)
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul_row(dst, src, c):
-        A[dst] = [a + c * b for a, b in zip(A[dst], A[src])]
-        U[dst] = [a + c * b for a, b in zip(U[dst], U[src])]
-
-    def addmul_col(dst, src, c):
-        for row in A:
-            row[dst] += c * row[src]
-        for row in V:
-            row[dst] += c * row[src]
-
-    k = 0
-    size = min(m, n)
-    while k < size:
-        pivot = None
-        for i in range(k, m):
-            for j in range(k, n):
-                if A[i][j] and (pivot is None or abs(A[i][j]) < abs(A[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(k, pivot[0])
-        swap_cols(k, pivot[1])
-        dirty = False
-        for i in range(k + 1, m):
-            if A[i][k]:
-                q = A[i][k] // A[k][k]
-                addmul_row(i, k, -q)
-                if A[i][k]:
-                    dirty = True
-        for j in range(k + 1, n):
-            if A[k][j]:
-                q = A[k][j] // A[k][k]
-                addmul_col(j, k, -q)
-                if A[k][j]:
-                    dirty = True
-        if dirty:
-            continue
-        # enforce divisibility of the rest of the block by the pivot
-        offender = None
-        for i in range(k + 1, m):
-            for j in range(k + 1, n):
-                if A[i][j] % A[k][k]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            addmul_row(k, offender, 1)
-            continue
-        k += 1
-
-    for t in range(min(m, n)):
-        if A[t][t] < 0:
-            A[t] = [-x for x in A[t]]
-            U[t] = [-x for x in U[t]]
-    divisors = [A[t][t] for t in range(min(m, n))]
-    for a, b in zip(divisors, divisors[1:]):
-        if a and b and b % a:
-            raise AssertionError(f"divisor chain broken: {divisors}")
-        if a == 0 and b != 0:
-            raise AssertionError(f"zero divisor precedes nonzero: {divisors}")
-    return SmithDecomposition(U, A, V, divisors)
+    n = _column_count(rows, ncols)
+    A = [[*row, *[0] * i, 1, *[0] * (len(rows) - i - 1)] for i, row in enumerate(rows)]
+    V, diagonal = _smith(A, n, 0, 1, lambda a: abs(a) or INF)
+    A[: len(diagonal)] = [[-a for a in row] if d < 0 else row for row, d in zip(A, diagonal)]
+    return SmithDecomposition([row[n:] for row in A], [row[:n] for row in A], V, list(map(abs, diagonal)))
 
 
 def _square_integer_rows(rows):

@@ -260,6 +260,10 @@ def load_config(path):
         raise ConfigInvalid(f"not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigInvalid(f"not UTF-8 text: {exc}") from exc
+    except ValueError as exc:  # e.g. an integer literal past the digit limit
+        raise ConfigInvalid(f"not readable JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigInvalid(f"JSON nested too deeply: {exc}") from exc
     except OSError as exc:
         raise ConfigInvalid(f"cannot read {path}: {exc.strerror or exc}") from exc
     return config_from_dict(raw)

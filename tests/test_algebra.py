@@ -2,10 +2,12 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from operator import floordiv, mod
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import snf_oracle
 from pelks import pel_modules
 from pelks.algebra import (
     INF,
@@ -13,6 +15,7 @@ from pelks.algebra import (
     FiniteField,
     NonMonomial,
     RingMatrix,
+    _check_chain,
     _small_factor,
     finite_field,
     integer_det,
@@ -290,6 +293,21 @@ def test_frobenius_on_series_is_coefficientwise():
     assert fa.val == -1 and fa.coeffs == (z**3,)
 
 
+@pytest.mark.parametrize("field", [GF4, GF9], ids=repr)
+def test_euclidean_division_of_monomials(field):
+    # every pair of a monomial alphabet with valuations 0 .. 2, zero included
+    alphabet = [field.zero] + [field(code).shift(v) for code in range(1, field.size) for v in range(3)]
+    for a in alphabet:
+        for b in alphabet[1:]:
+            q, r = a // b, a % b
+            assert divmod(a, b) == (q, r)
+            assert a == q * b + r
+            assert not r or r.val < b.val
+        for op in (floordiv, mod, divmod):
+            with pytest.raises(ZeroDivisionError):
+                op(a, field.zero)
+
+
 # -- Smith normal form over the valuation ring -------------------------------
 #
 # The reference below is independent of the elimination: entries become
@@ -466,6 +484,66 @@ def test_integer_snf_random(rows):
     ds = [d for d in dec.divisors if d]
     for a, b in zip(ds, ds[1:]):
         assert b % a == 0
+
+
+def test_the_divisor_chain_check_can_fire():
+    pi = GF9.one.shift(1)
+    for broken in ([2, 3], [0, 1], [pi * pi, pi], [GF9.zero, pi]):
+        with pytest.raises(AssertionError, match="divisor chain broken"):
+            _check_chain(broken)
+    for chain in ([], [2, -6, 0, 0], [GF9.generator, pi, -pi, GF9.zero]):
+        _check_chain(chain)
+
+
+# -- one elimination against the two it replaced (tests/snf_oracle.py) -------
+#
+# 200 examples per ring; the two tests take about 1 s together on a
+# 2-vCPU host.
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=5)
+        )
+    )
+)
+@example((3, []))
+@example((2, [[2, 3]]))  # remainder 1 in the pivot row
+@example((1, [[4], [6]]))  # remainder 2 in the pivot column
+@example((2, [[2, 0], [0, 3]]))  # 2 does not divide 3: row 1 joins row 0
+@example((3, [[6, 4, 0], [4, 6, 2], [0, 2, -9]]))
+@settings(max_examples=200, deadline=None)
+def test_integer_snf_matches_the_oracle(shape):
+    ncols, rows = shape
+    new = integer_smith_normal_form(rows, ncols=ncols)
+    old = snf_oracle.integer_smith_normal_form(rows, ncols=ncols)
+    assert (new.U, new.D, new.V, new.divisors) == (old.U, old.D, old.V, old.divisors)
+
+
+def _series_snf_or_refusal(snf, rows, ncols):
+    try:
+        return snf(RingMatrix(GF9, rows), ncols=ncols)
+    except NonMonomial:
+        return "NonMonomial"
+
+
+_gf9_entry = st.one_of(st.just(GF9.zero), st.builds(lambda c, v: GF9(c).shift(v), st.integers(1, 8), st.integers(0, 3)))
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.lists(_gf9_entry, min_size=n, max_size=n), max_size=4))
+    )
+)
+@example((2, []))
+@example((2, [[GF9.one, GF9.one], [GF9.one, GF9.one.shift(1)]]))  # refused: pi - 1
+@example((2, [[GF9.one.shift(1), GF9.one], [GF9.zero, GF9.one.shift(1)]]))
+@settings(max_examples=200, deadline=None)
+def test_series_snf_matches_the_oracle(shape):
+    ncols, rows = shape
+    new = _series_snf_or_refusal(smith_normal_form, rows, ncols)
+    assert new == _series_snf_or_refusal(snf_oracle.smith_normal_form, rows, ncols)
 
 
 def test_integer_inverse_roundtrip():

@@ -519,6 +519,23 @@ def test_a_non_finite_config_number_is_a_config_error(tmp_path, arch, key):
     assert proc.stderr.startswith(f"config error: {key} must be a finite number")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000 + "]" * 100_000,  # json.load recurses once per level
+        '{"seed": ' + "7" * 5000 + "}",  # past Python's 4300-digit int limit
+    ],
+    ids=["deep-nesting", "long-integer"],
+)
+def test_json_the_decoder_refuses_is_a_config_error(tmp_path, text):
+    path = tmp_path / "refused.json"
+    path.write_text(text)
+    proc = _run("-m", "pelks.cli", "run", "--config", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error:")
+
+
 def test_a_singular_explicit_mu_fails_every_check_that_needs_mu():
     cfg = config_from_dict(_unitary_with(mu_mode="explicit", mu=[[[0, 0]]]))
     entries = {c["name"]: c for c in run_checks(cfg, only="[ap]*")["checks"]}
