@@ -5,10 +5,11 @@ Each line reads `<workload>/<rung>/<seed> <sha256>`.  The configs are
 the benchmark's (perfbench/workloads.py, imported read-only): the four
 fixtures at each of their pool seeds and every local-ladder and
 arch-ladder rung with its `--only` glob, at benchmark seed 1.  The
-`edge` workload adds six configs off the happy path: an unresolvable
+`edge` workload adds seven configs off the happy path: an unresolvable
 base lattice, a non-unimodular explicit mu, a singular explicit mu,
-GF(67^2) over the field cap, an unbalanced local-only instance, and a
-kind-A n = 3 local-only instance at q = 2.  A config error is hashed as its `config error:`
+GF(67^2) over the field cap, an unbalanced local-only instance, a
+kind-A n = 3 local-only instance at q = 2, and kind-C archimedean data
+at n = 2.  A config error is hashed as its `config error:`
 message.  `named_config` looks up any of these configs by name (a
 fixture, a rung or an edge config) for the other scripts and the tests,
 which keep no copies of them.
@@ -68,6 +69,8 @@ def _unitary(**over):
 def edge_configs():
     """(name, config) pairs that take the refusal and failure paths."""
     arch = _unitary()["archimedean"]
+    # kind-C archimedean data over the matrix units of M_2(Z)
+    units = [[[[float(i == a and j == b), 0] for j in range(2)] for i in range(2)] for a in range(2) for b in range(2)]
     return [
         # 1e-13 i passes the order checks but embeds real-dependently
         ("unresolvable-lattice", _unitary(archimedean=arch | {"order_basis": [[[[1, 0]]], [[[0, 1e-13]]]]})),
@@ -78,6 +81,8 @@ def edge_configs():
         ("unbalanced-local-only", _unitary(r=3, signature=[2, 1], local_places=[{"residue_size": 5, "conjugation_power": 1}], archimedean=None)),
         # pins the n > 2 refusal of the local quotient (ROADMAP item 7)
         ("cubic-local-only", _unitary(n=3, local_places=[{"residue_size": 2}], archimedean=None)),
+        # pins the config-time refusal of kind C at n > 1 (ROADMAP item 17)
+        ("siegel-n2-refused", _unitary(type="C", n=2, signature=[2, 0], local_places=[], archimedean=arch | {"discriminant": 1, "order_basis": units})),
     ]
 
 

@@ -14,9 +14,11 @@ milliseconds `run_checks` took in the child, the child's peak RSS in MB,
 read from wait4, and the child's RSS growth over `run_checks` in MB
 (RssAnon + RssFile of /proc/self/status after less before, `-` where
 that file is absent); the child starts from this process, which has
-imported numpy and pelks and built nothing else, so the peak includes
-what the child inherits and the growth is what the check itself
-touches.
+imported numpy and pelks and parsed the rung's config, so the peak
+includes what the child inherits and the growth is what the check
+itself touches.  Parsing builds the config's order embedding
+(`InstanceConfig.embedding`), so a child's ms and growth do not
+include that build.
 
     PYTHONPATH=src python3 scripts/scale_ladder.py --max-r 32 --seed 1
 

@@ -32,8 +32,8 @@ refusing side: it refuses whatever a singular-value test at the same
 threshold refuses, and some matrices within a factor of their size of
 it.  `lattices.checked_inverse` applies that rule with numpy, to a whole
 stack at once; the order basis applies it in plain Python
-(`lattices.OrderEmbedding`), so the embedding that every verdict with
-archimedean data builds runs no numpy.
+(`lattices.OrderEmbedding`), so the embedding that parsing builds for
+every config with archimedean data runs no numpy.
 
 A sampled check names its stream (`_Stream`): how many points it reads,
 the salt of their seeded generator and the deepest layer it reads of
@@ -76,7 +76,6 @@ from .kodaira_spencer import (
     closed_form_w,
     cocycle_jacobian,
     domain_coordinates,
-    domain_genus,
     matched_vanishing_defect,
     metric_identity_check,
     numeric_cocycle_jacobian,
@@ -89,6 +88,7 @@ from .lattices import (
     RiemannForm,
     build_lattice,
     covolume_closed_form,
+    domain_genus,
     dual_index_oracle,
     generator_labels,
     polarization_degree,
@@ -173,10 +173,10 @@ class _ArchContext:
     """Embedding, resolved polarization and sample stacks shared across
     arch checks.
 
-    The embedding is built at once, so a bad order basis is a config
-    error whatever `only` selects.  The sample plan (`slices`) holds the
-    streams that `rows` name, and the base point when a mu is solved for
-    them, laid out by `_layout`.  On first use every stream is drawn
+    The embedding is the config's (`build_embedding`), built when the
+    config was parsed.  The sample plan (`slices`) holds the streams
+    that `rows` name, and the base point when a mu is solved for them,
+    laid out by `_layout`.  On first use every stream is drawn
     from its own generator into one point stack, and one lattice stack
     is built on the streams that read lattices only; the streams that
     read w keep a copy of their points, and their first read builds
@@ -194,7 +194,7 @@ class _ArchContext:
     the time spent building the stacks.
     """
 
-    def __init__(self, cfg, rows=None):
+    def __init__(self, cfg, rows):
         self.cfg = cfg
         self.emb = build_embedding(cfg)
         self.form_error = None  # what the solve of mu raised, if it did
@@ -205,7 +205,6 @@ class _ArchContext:
         self._w_points = None  # the w streams' points, until their first read
         if self.emb is None:
             return
-        rows = CATALOG if rows is None else rows
         streams = [row.stream for row in rows if row.stream is not None]
         if cfg.archimedean.mu is None and any(row.needs == "mu" for row in rows):
             streams.append(_BASE)
@@ -366,7 +365,7 @@ def _check_cocycle(cfg, ctx):
         basis = emb.module_basis()
         coefficients = [rng.integers(-3, 4, size=len(basis)) for _ in range(3)]
         elements = np.concatenate([elements, np.tensordot(coefficients, basis, axes=1)])
-    ana = cocycle_jacobian(emb, elements=elements)
+    ana = cocycle_jacobian(emb, elements)
     points = ctx.read(_COCYCLE)
     # domain coordinate (a, b) reads Z[a, b] in both models
     rows, cols = np.array(domain_coordinates(emb)).T

@@ -92,20 +92,10 @@ def _cmd_run(args):
 
 
 def _cmd_fixtures(args):
-    rows = []
     for entry in sorted(_fixture_dir().iterdir(), key=lambda e: e.name):
-        if not entry.name.endswith(".json"):
-            continue
-        data = json.loads(entry.read_text())
-        rows.append(
-            (
-                data.get("name", entry.name),
-                f"{data.get('type', '?')} n={data.get('n', '?')} r={data.get('r', '?')}",
-                data.get("description", ""),
-            )
-        )
-    for name, shape, desc in rows:
-        print(f"{name:<14} {shape:<12} {desc}")
+        if entry.name.endswith(".json"):
+            cfg = config_from_dict(json.loads(entry.read_text()))
+            print(f"{cfg.name:<14} {f'{cfg.kind} n={cfg.n} r={cfg.r}':<12} {cfg.description}")
     return 0
 
 

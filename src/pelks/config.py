@@ -6,6 +6,9 @@ and the archimedean data (field discriminant, order basis, polarization
 mode).  Parsing is strict on purpose: unknown keys, wrong types, or
 broken invariants raise ConfigInvalid rather than guessing, because a
 silently coerced config would defeat the point of a verification run.
+A place's rules are its descriptor's, and the order basis rules are
+`OrderEmbedding`'s, built once per config as `embedding`; parsing turns
+their refusals into ConfigInvalid, so every config error comes from it.
 
 Complex numbers are encoded as [re, im] pairs, matrices as row lists.
 """
@@ -13,7 +16,7 @@ Complex numbers are encoded as [re, im] pairs, matrices as row lists.
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cyclic_algebra import CyclicAlgebraDescriptor
 from .lattices import OrderEmbedding
@@ -123,6 +126,12 @@ class InstanceConfig:
     samples: int = 20
     seed: int = 0
     description: str = ""
+    embedding: OrderEmbedding = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        a = self.archimedean
+        emb = None if a is None else OrderEmbedding(self.kind, self.n, self.r, a.discriminant, a.order_basis)
+        object.__setattr__(self, "embedding", emb)
 
 
 _TOP_KEYS = {
@@ -204,22 +213,11 @@ def config_from_dict(d):
             mu_mode in ("self-dual-auto", "explicit"),
             "mu_mode must be 'self-dual-auto' or 'explicit'",
         )
-        if kind == "A":
-            _expect(
-                disc < 0 and disc % 4 in (0, 1),
-                "kind A needs a negative quadratic discriminant",
-            )
-            expected_count = 2 * n * n
-            _expect(p == q, "archimedean checks need a balanced signature")
-        else:
-            _expect(disc == 1, "kind C archimedean data works over Q (discriminant 1)")
-            expected_count = n * n
-        _expect(r % n == 0, "archimedean data needs n | r")
+        _expect(kind == "C" or p == q, "archimedean checks need a balanced signature")
+        # until the classical model's closed forms are derived at n > 1 (ROADMAP item 17)
+        _expect(kind == "A" or n == 1, "kind C archimedean data needs n = 1")
         basis_raw = a["order_basis"]
-        _expect(
-            isinstance(basis_raw, list) and len(basis_raw) == expected_count,
-            f"order_basis needs {expected_count} matrices",
-        )
+        _expect(isinstance(basis_raw, list), "order_basis must be a list")
         basis = tuple(
             _parse_matrix(m, n, f"order_basis[{i}]") for i, m in enumerate(basis_raw)
         )
@@ -238,18 +236,21 @@ def config_from_dict(d):
     _expect(seed >= 0, "seed must be nonnegative")
     description = _as_str(d.get("description", ""), "description")
 
-    return InstanceConfig(
-        name=name,
-        kind=kind,
-        n=n,
-        r=r,
-        signature=(p, q),
-        local_places=tuple(places),
-        archimedean=arch,
-        samples=samples,
-        seed=seed,
-        description=description,
-    )
+    try:
+        return InstanceConfig(
+            name=name,
+            kind=kind,
+            n=n,
+            r=r,
+            signature=(p, q),
+            local_places=tuple(places),
+            archimedean=arch,
+            samples=samples,
+            seed=seed,
+            description=description,
+        )
+    except ValueError as exc:  # the order basis, refused by its embedding
+        raise ConfigInvalid(f"order basis rejected: {exc}") from exc
 
 
 def load_config(path):
@@ -308,17 +309,12 @@ def config_digest(cfg):
 
 
 def with_overrides(cfg, seed=None, samples=None):
-    """cfg with the given fields replaced, validated like a loaded config."""
+    """cfg with the given fields replaced, validated like a loaded config; cfg itself without any."""
     overrides = {k: v for k, v in {"seed": seed, "samples": samples}.items() if v is not None}
-    return config_from_dict(config_to_dict(cfg) | overrides)
+    return config_from_dict(config_to_dict(cfg) | overrides) if overrides else cfg
 
 
 def build_embedding(cfg):
-    """OrderEmbedding from the archimedean block, or None without one."""
-    if cfg.archimedean is None:
-        return None
-    a = cfg.archimedean
-    try:
-        return OrderEmbedding(cfg.kind, cfg.n, cfg.r, a.discriminant, a.order_basis)
-    except ValueError as exc:
-        raise ConfigInvalid(f"order basis rejected: {exc}") from exc
+    """The config's OrderEmbedding, built when it was parsed; None without
+    archimedean data."""
+    return cfg.embedding

@@ -153,6 +153,10 @@ class HermitianPoint(_Point):
         return (Z - _conj_t(Z)) / 2j
 
 
+# each kind's domain: the tube (two-block model), the Siegel space (classical)
+POINT_TYPE = {"A": HermitianPoint, "C": SiegelPoint}
+
+
 def petersson_norm(point, n=1):
     """The canonical top-form norm ||d tau||^n at each point of the stack.
 
@@ -190,8 +194,7 @@ def random_point(kind, g, rng, count=None):
     for c in counts:
         if c is not None:
             sample_count(c)
-    point = SiegelPoint if kind == "C" else HermitianPoint
-    return point._owning(_draw_matrices(kind, g, rngs, counts))
+    return POINT_TYPE[kind]._owning(_draw_matrices(kind, g, rngs, counts))
 
 
 def _draw_matrices(kind, g, rngs, counts):

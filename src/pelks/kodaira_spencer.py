@@ -66,7 +66,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .domains import per_sample, petersson_norm
-from .lattices import checked_inverse, embed_labels, faltings_norm, generator_labels
+# domain_genus is the lattice layer's, re-exported here
+from .lattices import checked_inverse, domain_genus, embed_labels, faltings_norm
 
 
 # largest condition number the w-solve accepts, read as the bound
@@ -89,11 +90,6 @@ def domain_coordinates(emb):
         half = emb.r // 2
         return tuple((k, j) for k in range(half) for j in range(half))
     return tuple((a, b) for a in range(emb.r) for b in range(a, emb.r))
-
-
-def domain_genus(emb):
-    """Size of the domain's matrices: r/2 (two-block) or r (classical)."""
-    return emb.r // 2 if emb.kind == "A" else emb.r
 
 
 @lru_cache(maxsize=16)
@@ -188,15 +184,13 @@ def target_values(targets, labels):
     return np.where(conj == 1, values.conj(), values)
 
 
-def cocycle_jacobian(emb, elements=None):
-    """Analytic Jacobian of the embedding coordinates per element.
+def cocycle_jacobian(emb, elements):
+    """Analytic Jacobian of the embedding coordinates per element of a label stack.
 
     out[g, a, t] = d lambda_a(element g) / d (domain coordinate t).
     The embedding is affine in the domain point, so the array does not
     depend on where it is taken; the numeric twin below confirms that.
     """
-    if elements is None:
-        elements = generator_labels(emb)
     targets, fiber, target, label = _incidences(emb)
     values = target_values(targets, np.asarray(elements))
     out = np.zeros((len(values), emb.n * emb.r, len(domain_coordinates(emb))), dtype=complex)

@@ -59,7 +59,7 @@ from math import isfinite, isqrt, log, pi, prod, sqrt
 import numpy as np
 
 from .algebra import integer_det, integer_smith_normal_form, reduce_blocks, split_blocks
-from .domains import HermitianPoint, SiegelPoint, per_sample, positive_definite
+from .domains import POINT_TYPE, per_sample, positive_definite
 
 # Thresholds that decide arch.self-dual-mu and arch.polarization-degree
 # before any catalog tolerance applies: the largest |G - round(G)| of an
@@ -401,23 +401,22 @@ def embed_labels(emb, point, labels):
     return _split_product(rows, z).reshape(shape)
 
 
+def domain_genus(emb):
+    """Size of the domain's matrices: r/2 (two-block) or r (classical)."""
+    return emb.r // 2 if emb.kind == "A" else emb.r
+
+
 def build_lattice(point, emb):
     """Period lattice at an interior domain point (a stack at a stack).
 
-    Two-block model for kind A (point is a HermitianPoint on r/2), the
-    classical mZ + n model for kind C (SiegelPoint on r).
+    Two-block model for kind A, the classical mZ + n model for kind C,
+    at a point of the kind's type (`domains.POINT_TYPE`) and genus.
     """
-    if emb.kind == "A":
-        if not isinstance(point, HermitianPoint):
-            raise TypeError("kind A embeds at a HermitianPoint")
-        half = emb.r // 2
-        if point.matrix.shape[-2:] != (half, half):
-            raise ValueError("domain point must be (r/2) x (r/2)")
-    else:
-        if not isinstance(point, SiegelPoint):
-            raise TypeError("kind C embeds at a SiegelPoint")
-        if point.matrix.shape[-2:] != (emb.r, emb.r):
-            raise ValueError("domain point must be r x r")
+    point_type, g = POINT_TYPE[emb.kind], domain_genus(emb)
+    if not isinstance(point, point_type):
+        raise TypeError(f"kind {emb.kind} embeds at a {point_type.__name__}")
+    if point.matrix.shape[-2:] != (g, g):
+        raise ValueError(f"domain point must be {g} x {g}")
     labels = generator_labels(emb)
     # the real rows alone go in, so the complex images are freed before the inverse is taken
     return PeriodLattice(emb, point, None, labels, basis_real=_real_rows(embed_labels(emb, point, labels)))
@@ -577,12 +576,6 @@ def _measure_blocks(split, measure):
     if any(len(ids) != len(cols) for cols, ids in blocks):
         return 0
     return prod(m for _, m in reduce_blocks(sparse, blocks, lambda block, width: measure(block), 0))
-
-
-def _blockwise(rows, measure):
-    """The product of `measure` over the connected blocks of a square
-    integer matrix (`_measure_blocks` of its `_split`)."""
-    return _measure_blocks(_split(rows), measure)
 
 
 def polarization_degree(form):

@@ -135,7 +135,7 @@ def test_cocycle_jacobian_against_central_differences():
             parts = [combo.real, zero] if trials % 2 else [zero, combo.real]
             elements = [np.hstack(parts)]
         point = random_point(emb.kind, g, rng)
-        ana = cocycle_jacobian(emb, elements=elements)
+        ana = cocycle_jacobian(emb, elements)
         # the embedding is affine in the point, so a central difference
         # along a real or an imaginary step reads the Jacobian off exactly
         for h in (0.5, 0.5j):

@@ -1,7 +1,10 @@
 """Config parsing, check reports, CLI behavior, determinism."""
 
+import contextlib
+import copy
 import dataclasses
 import importlib
+import io
 import json
 import math
 import os
@@ -9,11 +12,13 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ab_trees
 import pelks.checks
@@ -25,13 +30,15 @@ from pelks.config import (
     MAX_R,
     MAX_SAMPLES,
     ConfigInvalid,
+    build_embedding,
     config_digest,
     config_from_dict,
     config_to_dict,
     with_overrides,
 )
 from pelks.kodaira_spencer import _incidences
-from pelks.lattices import PeriodLattice
+from pelks.lattices import OrderEmbedding, PeriodLattice
+from report_digests import named_config
 
 FIXTURES = ["quaternion-C", "unitary-A", "siegel-C", "basechange-A"]
 REPO = Path(__file__).resolve().parents[1]
@@ -470,6 +477,83 @@ def test_cli_overrides_are_validated(flag, value, valid):
         assert proc.stderr.startswith("config error:")
 
 
+def _slots(value):
+    """Every (container, key) pair of a parsed JSON value, depth first."""
+    pairs = []
+    keys = value if isinstance(value, dict) else range(len(value)) if isinstance(value, list) else ()
+    for key in keys:
+        pairs.append((value, key))
+        pairs += _slots(value[key])
+    return pairs
+
+
+def _mutate(cfg, mutation):
+    """Apply one (kind, slot, value) mutation to a config dict in place:
+    drop the slot's key, set it to `value`, or nest it `value` lists deep."""
+    kind, slot, value = mutation
+    slots = _slots(cfg)
+    if not slots:
+        return
+    container, key = slots[slot % len(slots)]
+    if kind == "drop":
+        del container[key]
+    elif kind == "set":
+        container[key] = copy.deepcopy(value)  # the strategy hands out one object
+    else:
+        for _ in range(value):
+            container[key] = [container[key]]
+
+
+_JUNK = [None, True, "x", [], {}, {"x": 1}, -7, 0, 1, 2, 3, 65, 10**30, 0.5, math.nan, math.inf, -math.inf]
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), st.integers(0, 10**4), st.none()),
+    st.tuples(st.just("set"), st.integers(0, 10**4), st.sampled_from(_JUNK)),
+    st.tuples(st.just("nest"), st.integers(0, 10**4), st.sampled_from([1, 4])),
+)
+_SEEDS = st.one_of(st.none(), st.integers(0, 3), st.sampled_from([-1, 10**23]))
+_SAMPLES = st.one_of(st.none(), st.integers(1, 4), st.sampled_from([0, -3, 10**23]))
+
+
+# the first examples are the overrides that test_cli_overrides_are_validated
+# refuses; 80 examples, each a parse and at most one fixture-sized verdict,
+# take about 0.65 s on 2 shared vCPUs
+@example(fixture="unitary-A", mutations=[], seed=-1, samples=None, only=None)
+@example(fixture="unitary-A", mutations=[], seed=None, samples=0, only=None)
+@example(fixture="unitary-A", mutations=[], seed=None, samples=-3, only=None)
+@example(fixture="unitary-A", mutations=[], seed=None, samples=10**23, only=None)
+@given(
+    fixture=st.sampled_from(FIXTURES),
+    mutations=st.lists(_MUTATIONS, max_size=2),
+    seed=_SEEDS,
+    samples=_SAMPLES,
+    only=st.sampled_from([None, "*", "arch.*", "local.*", "global.rank-lemma", "pipeline.*", "no-such-check"]),
+)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_fuzzed_configs_and_overrides_keep_the_exit_code_contract(fixture, mutations, seed, samples, only):
+    cfg = named_config(fixture)
+    for mutation in mutations:
+        _mutate(cfg, mutation)
+    text = json.dumps(cfg)  # NaN and Infinity are written as json tokens
+    try:
+        parsed = with_overrides(config_from_dict(json.loads(text)), seed=seed, samples=samples)
+    except ConfigInvalid:
+        parsed = None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.json"
+        path.write_text(text)
+        argv = ["run", "--config", str(path)]
+        for flag, value in (("--seed", seed), ("--samples", samples), ("--only", only)):
+            argv += [] if value is None else [flag, str(value)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    # a config that parses gets a verdict: no config error comes from run_checks
+    if parsed is None:
+        assert code == 2 and err.getvalue().startswith("config error:")
+    else:
+        assert code in (0, 1) or (code == 2 and err.getvalue().startswith("no checks match"))
+
+
 def test_unresolvable_base_lattice_fails_without_traceback(tmp_path):
     # 1e-13 i passes the order checks but embeds real-dependently
     cfg = minimal_unitary(name="rank-deficient")
@@ -596,6 +680,30 @@ def test_bad_order_basis_is_a_config_error_under_any_only(tmp_path):
     proc = _run("-m", "pelks.cli", "run", "--config", str(path), "--only", "global.rank-lemma")
     assert proc.returncode == 2
     assert proc.stderr.startswith("config error: order basis rejected")
+
+
+def test_kind_c_archimedean_data_past_n_one_is_a_config_error(tmp_path):
+    # the classical closed forms hold at n = 1 only (ROADMAP item 17)
+    path = tmp_path / "siegel-n2.json"
+    path.write_text(json.dumps(named_config("siegel-n2-refused")))
+    proc = _run("-m", "pelks.cli", "run", "--config", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "config error: kind C archimedean data needs n = 1\n"
+
+
+def test_a_config_builds_its_embedding_once_when_parsed(monkeypatch):
+    built = []
+    post_init = OrderEmbedding.__post_init__
+    monkeypatch.setattr(OrderEmbedding, "__post_init__", lambda emb: built.append(emb) or post_init(emb))
+    cfg = resolve_config("basechange-A")
+    assert built == [cfg.embedding] and build_embedding(cfg) is cfg.embedding
+    assert with_overrides(cfg) is cfg
+    assert run_checks(cfg)["summary"]["fail"] == 0
+    assert len(built) == 1
+    assert resolve_config("quaternion-C").embedding is None
+    # the embedding takes no part in equality
+    assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
 def test_field_cap_fails_the_local_checks_without_traceback(tmp_path):

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from pelks import kodaira_spencer
-from pelks.checks import _METRIC, _ArchContext, run_checks
+from pelks.checks import _METRIC, CATALOG, _ArchContext, run_checks
 from pelks.cli import resolve_config
 from pelks.config import config_from_dict
 from pelks.domains import _SPREAD, HermitianPoint, SiegelPoint, per_sample, petersson_norm, random_point
@@ -131,7 +131,7 @@ def test_domain_coordinate_order():
 
 def test_cocycle_hand_entries_two_block():
     emb = gaussian_unitary()
-    jac = cocycle_jacobian(emb)
+    jac = cocycle_jacobian(emb, generator_labels(emb))
     # elements (1,0), (i,0), (0,1), (0,i); single domain coordinate
     expected = [
         [[1.0], [1.0]],
@@ -144,7 +144,7 @@ def test_cocycle_hand_entries_two_block():
 
 def test_cocycle_hand_entries_classical():
     emb = rational_siegel(2)
-    jac = cocycle_jacobian(emb)
+    jac = cocycle_jacobian(emb, generator_labels(emb))
     idx = {lab: t for t, lab in enumerate(domain_coordinates(emb))}
     # m-part (1, 0): lambda = (T00, T01)
     m0 = jac[0]
@@ -182,7 +182,7 @@ def _cocycle_loop(emb, point, elements, rotate):
 def test_cocycle_matches_central_differences():
     rng = np.random.default_rng(17)
     for emb, _, _ in _instances():
-        ana = cocycle_jacobian(emb)
+        ana = cocycle_jacobian(emb, generator_labels(emb))
         for _ in range(5):
             point = random_point(emb.kind, domain_genus(emb), rng)
             for rotate in (False, True):
@@ -197,7 +197,7 @@ def test_cocycle_on_random_integer_elements():
     for _ in range(6):
         coeffs = rng.integers(-4, 5, size=len(basis))
         elements.append(sum(c * b for c, b in zip(coeffs, basis)))
-    ana = cocycle_jacobian(emb, elements=elements)
+    ana = cocycle_jacobian(emb, elements)
     point = random_point("A", 1, rng)
     for rotate in (False, True):
         assert np.abs(ana - _cocycle_loop(emb, point, elements, rotate)).max() < 1e-12
@@ -725,7 +725,7 @@ def _fixture_cases():
     """(emb, mu, samples, seed) of the three archimedean fixtures."""
     for rung in arch_fixtures():
         cfg = config_from_dict(rung.config)
-        ctx = _ArchContext(cfg)
+        ctx = _ArchContext(cfg, CATALOG)
         yield ctx.emb, ctx.form.mu, cfg.samples, cfg.seed
 
 
@@ -755,7 +755,7 @@ def test_index_arrays_equal_the_incidence_loops():
         assert _row_index(emb) is _row_index(emb)
         assert not any(array.flags.writeable for pair in _row_index(emb) for array in pair or ())
         elements = generator_labels(emb)
-        assert np.array_equal(cocycle_jacobian(emb), _cocycle_jacobian_loop(emb, elements))
+        assert np.array_equal(cocycle_jacobian(emb, generator_labels(emb)), _cocycle_jacobian_loop(emb, elements))
         assert np.array_equal(
             cocycle_jacobian(emb, elements[::-3]), _cocycle_jacobian_loop(emb, elements[::-3])
         )
@@ -822,7 +822,7 @@ def test_the_metric_check_allocates_at_most_twice_its_w_vectors():
     # at siegel-r8 with 200 samples its traced peak is 1.2 times their
     # size; widened into phi's incidence rows first, it was 14.5 times.
     # About 0.05 s.
-    lat, ws = _ArchContext(config_from_dict(named_config("siegel-r8", samples=200))).read(_METRIC)
+    lat, ws = _ArchContext(config_from_dict(named_config("siegel-r8", samples=200)), CATALOG).read(_METRIC)
     tracemalloc.start()
     try:
         ratios, _ = metric_identity_check(lat, ws)

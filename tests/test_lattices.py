@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from pelks import lattices
 from pelks.algebra import integer_det, integer_smith_normal_form
-from pelks.checks import COVOLUME_TOL, _ArchContext, run_checks
+from pelks.checks import CATALOG, COVOLUME_TOL, _ArchContext, run_checks
 from pelks.cli import resolve_config
 from pelks.config import config_from_dict, config_to_dict, matrix_to_lists
 from pelks.domains import HermitianPoint, SiegelPoint, random_point
@@ -36,7 +36,8 @@ from pelks.lattices import (
     PeriodLattice,
     RankDeficient,
     RiemannForm,
-    _blockwise,
+    _measure_blocks,
+    _split,
     build_lattice,
     covolume_closed_form,
     embed_labels,
@@ -549,8 +550,8 @@ def _dense_index(rows):
 
 def _block_index(rows):
     return (
-        _blockwise(rows, lambda block: abs(integer_det(block))),
-        _blockwise(rows, lambda block: prod(integer_smith_normal_form(block).divisors)),
+        _measure_blocks(_split(rows), lambda block: abs(integer_det(block))),
+        _measure_blocks(_split(rows), lambda block: prod(integer_smith_normal_form(block).divisors)),
     )
 
 
@@ -592,7 +593,7 @@ def test_blockwise_index_equals_the_dense_path():
     # a block with more rows than columns gives 0 before any block, even an
     # earlier square one, is measured
     measured = []
-    assert _blockwise([[5, 0, 0], [0, 2, 0], [0, 3, 0]], lambda block: measured.append(block) or 1) == 0
+    assert _measure_blocks(_split([[5, 0, 0], [0, 2, 0], [0, 3, 0]]), lambda block: measured.append(block) or 1) == 0
     assert measured == []
 
 
@@ -633,15 +634,15 @@ def test_each_form_splits_its_gram_matrix_once(monkeypatch):
 
 def test_shared_decomposition_equals_a_fresh_one():
     # degree, dual index and mu read each form's one decomposition; each
-    # must equal `_blockwise` on a fresh integer Gram matrix.  0.03 s
+    # must equal `_measure_blocks` on a fresh integer Gram matrix.  0.03 s
     for family, r in [(f, r) for f in ("gauss", "siegel") for r in (2, 4, 6, 8)] + [("basechange", r) for r in (2, 4, 6)]:
-        ctx = _ArchContext(family_config(family, r, 1))
+        ctx = _ArchContext(family_config(family, r, 1), CATALOG)
         for form in (ctx.form, ctx.trace_form):
             fresh = form.integer_gram()
-            assert polarization_degree(form) ** 2 == _blockwise(fresh, lambda block: abs(integer_det(block)))
-            assert dual_index_oracle(form) == _blockwise(fresh, lambda block: prod(integer_smith_normal_form(block).divisors))
+            assert polarization_degree(form) ** 2 == _measure_blocks(_split(fresh), lambda block: abs(integer_det(block)))
+            assert dual_index_oracle(form) == _measure_blocks(_split(fresh), lambda block: prod(integer_smith_normal_form(block).divisors))
         solved = solve_self_dual_mu(RiemannForm(ctx.emb, 1.0), ctx.base_lattice)
-        det = _blockwise(RiemannForm(ctx.emb, 1.0).integer_gram(), lambda block: abs(integer_det(block)))
+        det = _measure_blocks(_split(RiemannForm(ctx.emb, 1.0).integer_gram()), lambda block: abs(integer_det(block)))
         c = float(np.exp(log(det) / (2 * ctx.emb.n * r)))
         assert abs(solved.mu[0, 0]) == c
         if ctx.cfg.archimedean.mu is None:
@@ -677,10 +678,10 @@ def test_blockwise_measures_each_distinct_block_once(monkeypatch):
     deduped, every = [], []
     for rows in grams:
         for measure in measures:
-            fast = _blockwise(rows, lambda block: deduped.append(block) or measure(block))
+            fast = _measure_blocks(_split(rows), lambda block: deduped.append(block) or measure(block))
             with monkeypatch.context() as m:
                 m.setattr(lattices, "reduce_blocks", reduce_every_block)
-                slow = _blockwise(rows, lambda block: every.append(block) or measure(block))
+                slow = _measure_blocks(_split(rows), lambda block: every.append(block) or measure(block))
             assert fast == slow
     assert len(deduped) < len(every) // 2
 
@@ -691,6 +692,18 @@ def test_generator_labels_are_cached_and_read_only():
         assert generator_labels(emb) is labels
         with pytest.raises(ValueError, match="read-only"):
             labels[0, 0, 0] = 7
+
+
+def test_build_lattice_refuses_a_point_of_the_wrong_type_or_genus():
+    # kind A embeds at a tube point of genus r/2, kind C at a Siegel point of genus r
+    tube, siegel = HermitianPoint(np.eye(2) * 1j), SiegelPoint(np.eye(2) * 1j)
+    for emb, right, wrong, genus in ((gaussian_unitary(4), tube, siegel, 2), (rational_siegel(2), siegel, tube, 2)):
+        assert build_lattice(right, emb).covolume() > 0
+        with pytest.raises(TypeError, match=f"^kind {emb.kind} embeds at a {type(right).__name__}$"):
+            build_lattice(wrong, emb)
+        other = type(right)(np.eye(genus + 1) * 1j)
+        with pytest.raises(ValueError, match=f"^domain point must be {genus} x {genus}$"):
+            build_lattice(other, emb)
 
 
 def test_polarization_rejects_non_integral_form():

@@ -50,7 +50,7 @@ def test_the_sample_stack_equals_the_per_stream_path(seed):
     cases = [config_from_dict(cfg | {"seed": seed}) for _, cfg, _ in workload_configs("arch-ladder")]
     cases += [with_overrides(resolve_config(name), seed=seed) for name in ARCH_FIXTURES]
     for cfg in cases:
-        ctx = _ArchContext(cfg)
+        ctx = _ArchContext(cfg, CATALOG)
         emb = ctx.emb
         # the base point is drawn alone as one point, with no sample axis
         base = build_lattice(_stream_points(cfg, emb, _BASE, None), emb)
@@ -97,7 +97,7 @@ def _compare_read(cfg, ctx, stream):
 
 def test_a_stack_is_freed_once_its_streams_are_read():
     # unitary-A solves its mu, so the base point shares the lattice-only stack
-    ctx = _ArchContext(resolve_config("unitary-A"))
+    ctx = _ArchContext(resolve_config("unitary-A"), CATALOG)
     assert ctx.form is not None
     covolume = ctx.read(checks._COVOLUME)
     stack = weakref.ref(covolume.basis_real.base)
@@ -155,7 +155,7 @@ def _alone(cfg, stream, form):
 def test_a_refusal_fails_only_the_checks_that_read_its_stream(name, monkeypatch):
     cfg = resolve_config(name)
     clean = {entry["name"]: entry for entry in run_checks(cfg)["checks"]}
-    form = _ArchContext(cfg).form
+    form = _ArchContext(cfg, CATALOG).form
     solved = cfg.archimedean.mu is None
     layers = {"point": ("points", "lattice", "w"), "rank": ("lattice", "w"), "pairing": ("w",)}
     streams = {row.stream for row in CATALOG if row.stream is not None}
